@@ -173,11 +173,12 @@ struct EngineOptions {
      * stopReason Deadline. */
     double maxSeconds = 0;
 
-    /** Process anonymous-RSS ceiling in bytes (`--max-rss-mb`;
-     * 0 = none); crossing it ends the run as Incomplete with
-     * stopReason Memory.  File-backed pages (the mmap store kinds'
-     * mappings) are excluded so out-of-core runs are not tripped
-     * for bytes the kernel can drop at will. */
+    /** Process memory ceiling in bytes (`--max-rss-mb`; 0 = none):
+     * anonymous RSS plus memfd bytes, so an mmap store without
+     * `--store-dir` counts in full; crossing it ends the run as
+     * Incomplete with stopReason Memory.  Pages of files under
+     * `--store-dir` are excluded: the kernel reclaims them by
+     * writeback. */
     std::uint64_t maxRssBytes = 0;
 
     /** Cooperative cancellation (the CLIs wire SIGINT/SIGTERM to

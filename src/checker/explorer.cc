@@ -325,9 +325,9 @@ Explorer::runBfs(const ExploreOptions &options)
         }
     }
 
-    // The frontier holds packed store ids only; workers read the
-    // state bytes straight out of the store's pointer-stable arena,
-    // so states are never copied into per-level queues.  Under POR a
+    // The frontier holds packed store ids only; workers decode the
+    // state bytes out of the store's pointer-stable arena, so states
+    // are never copied into per-level queues.  Under POR a
     // parallel vector carries each frontier state's sleep mask (the
     // initial state sleeps nothing).
     std::vector<std::uint32_t> frontier, next_frontier;
@@ -355,9 +355,11 @@ Explorer::runBfs(const ExploreOptions &options)
     bool governed_stop = false;
     bool violation_stopped = false;
 
-    // Batches this close to maxStates flush per successor, which
-    // restores the old check-after-every-insert behaviour and bounds
-    // the cap overshoot at one state per worker.
+    // Batches this close to maxStates flush per successor, and
+    // flushes starting this close insert one item at a time (see
+    // insertBatchCapped), which bounds the cap overshoot at one state
+    // per worker even for a worker that resumes with a part-filled
+    // batch after its peers reached the cap.
     const std::uint64_t soft_cap =
         options.maxStates > threads * kFlushBatch
             ? options.maxStates - threads * kFlushBatch
@@ -405,9 +407,15 @@ Explorer::runBfs(const ExploreOptions &options)
         auto flushBatch = [&](WorkerScratch &ws, Context &wctx) {
             if (ws.batch.empty())
                 return;
-            const std::size_t flushed = ws.batch.size();
-            store.insertBatch(ws.batch.data(), ws.batch.size());
+            // Items past the cap are dropped uninserted; the run is
+            // stopping on the cap anyway.
+            const std::size_t flushed = store.insertBatchCapped(
+                ws.batch.data(), ws.batch.size(), soft_cap,
+                options.maxStates);
+            ws.batch.resize(flushed);
             for (const PendingOverflow &po : ws.overflows) {
+                if (po.batchIndex >= flushed)
+                    continue;
                 const StateStore::BatchItem &item =
                     ws.batch[po.batchIndex];
                 ws.candidates.push_back(
@@ -451,9 +459,7 @@ Explorer::runBfs(const ExploreOptions &options)
 
         auto workLevel = [&](WorkerScratch &ws) {
             Context wctx{&scenario_};
-            // Compact-mode cells are decompressed into this per-call
-            // buffer; full mode reads the arena slot in place.
-            SystemState decode_buf;
+            SystemState node_state; // decoded from the store's cell
             for (;;) {
                 if (governor.stopped())
                     return;
@@ -465,14 +471,7 @@ Explorer::runBfs(const ExploreOptions &options)
                     std::min(begin + grain, frontier.size());
                 for (std::size_t i = begin; i < end; ++i) {
                     const std::uint32_t node_idx = frontier[i];
-                    const SystemState *node_ptr;
-                    if (options.compaction) {
-                        store.stateInto(node_idx, decode_buf);
-                        node_ptr = &decode_buf;
-                    } else {
-                        node_ptr = &store.stateAt(node_idx);
-                    }
-                    const SystemState &node_state = *node_ptr;
+                    store.stateInto(node_idx, node_state);
                     if (options.por) {
                         rules_.successorsPor(
                             node_state, scenario_,

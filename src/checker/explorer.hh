@@ -108,11 +108,11 @@ struct ExploreOptions {
 
     /**
      * Hash-compaction (fingerprint-only) storage: the visited set
-     * keeps a second 64-bit verification fingerprint per state
-     * instead of the state bytes, and releases old BFS levels' state
-     * bytes as exploration advances — memory per state drops by
-     * roughly an order of magnitude, which is what makes the 4-device
-     * free-run space enumerable in RAM.  Counts and verdicts are
+     * identifies states by a second 64-bit verification fingerprint
+     * instead of their encoded bytes, and releases old BFS levels'
+     * state bytes as exploration advances — about 1.5x less memory
+     * per state than the full store (54 against 84 bytes on the
+     * unreduced 3-device space).  Counts and verdicts are
      * exact up to fingerprint collisions (expected ~ n^2 / 2^65;
      * detected probe-hash near-misses are reported via
      * ExploreResult::probeCollisions).  Counterexample *traces*
@@ -183,14 +183,15 @@ struct ExploreOptions {
     double maxSeconds = 0;
 
     /**
-     * Resident-set ceiling in bytes (0 = none), sampled from
-     * /proc/self/statm by the governor at flush granularity.  The
-     * ceiling is process-wide *anonymous* RSS — resident minus
-     * file-backed pages — so the mmap store backends' mappings
-     * (which the kernel reclaims by writeback, not swap) do not
-     * count against it.  Not per-run allocation, and the stop is
-     * detected one sample stride after the crossing — treat it as a
-     * safety net, not an exact budget.
+     * Memory ceiling in bytes (0 = none), sampled by the governor at
+     * flush granularity.  The ceiling meters process-wide anonymous
+     * RSS plus the bytes of every memfd the process holds (see
+     * meteredMemoryBytes in support/resource.hh): an mmap store
+     * without storeDir lives in memfd and counts in full, while one
+     * under storeDir keeps its bytes in files the kernel reclaims by
+     * writeback and does not count.  Not per-run allocation, and the
+     * stop is detected one sample stride after the crossing — treat
+     * it as a safety net, not an exact budget.
      */
     std::uint64_t maxRssBytes = 0;
 

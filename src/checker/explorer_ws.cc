@@ -445,8 +445,19 @@ Explorer::runWorkSteal(const ExploreOptions &options)
         std::uint32_t flush_depth = 0;
         ws.pushes.clear();
         if (!ws.batch.empty()) {
-            store.insertBatch(ws.batch.data(), ws.batch.size());
+            // Items past the cap are dropped uninserted, as in the BFS
+            // engine; the run is stopping on the cap anyway.
+            const std::size_t done = store.insertBatchCapped(
+                ws.batch.data(), ws.batch.size(), soft_cap,
+                options.maxStates);
+            ws.batch.resize(done);
+            if (options.por) {
+                ws.batchNode.resize(done);
+                ws.batchPerm.resize(done);
+            }
             for (const WsPendingOverflow &po : ws.overflows) {
+                if (po.batchIndex >= done)
+                    continue;
                 const StateStore::BatchItem &item =
                     ws.batch[po.batchIndex];
                 ws.candidates.push_back(
@@ -550,16 +561,9 @@ Explorer::runWorkSteal(const ExploreOptions &options)
     };
 
     auto expand = [&](std::size_t t, WsScratch &ws, Context &wctx,
-                      SystemState &decode_buf, std::uint32_t node_idx,
+                      SystemState &node_state, std::uint32_t node_idx,
                       std::uint32_t node_depth) {
-        const SystemState *node_ptr;
-        if (options.compaction) {
-            store.stateInto(node_idx, decode_buf);
-            node_ptr = &decode_buf;
-        } else {
-            node_ptr = &store.stateAt(node_idx);
-        }
-        const SystemState &node_state = *node_ptr;
+        store.stateInto(node_idx, node_state);
         if (options.por) {
             const RuleMask node_mask = sleep->get(node_idx);
             rules_.successorsPor(node_state, scenario_,
@@ -641,7 +645,7 @@ Explorer::runWorkSteal(const ExploreOptions &options)
     auto worker = [&](std::size_t t) {
         WsScratch &ws = scratch[t];
         Context wctx{&scenario_};
-        SystemState decode_buf;
+        SystemState node_state; // decoded from the store's cell
         WorkDeque &mine = *deques[t];
         // The owner drains its own deque from the *steal* (FIFO) end
         // rather than the LIFO end: tasks are flushed in depth order,
@@ -703,7 +707,7 @@ Explorer::runWorkSteal(const ExploreOptions &options)
                 pending.fetch_sub(1, std::memory_order_acq_rel);
                 continue;
             }
-            expand(t, ws, wctx, decode_buf, id, depth);
+            expand(t, ws, wctx, node_state, id, depth);
         }
     };
 

@@ -45,18 +45,6 @@ StateStore::reserveStates(std::uint64_t expected)
     }
 }
 
-void
-StateStore::stateInto(std::uint32_t id, SystemState &out) const
-{
-    const Shard &shard = shards_[shardOf(id)];
-    const std::uint32_t off = id & kOffsetMask;
-    if (mode_ == StoreMode::Full) {
-        out = *shard.arena.fullAtCold(off);
-        return;
-    }
-    shard.arena.cellInto(off, out);
-}
-
 std::pair<std::uint32_t, bool>
 StateStore::insert(const SystemState &state, std::uint64_t hash,
                    std::uint32_t parent, std::uint16_t rule_id,
@@ -85,10 +73,9 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
 
     constexpr std::uint32_t kEnd = 0xffffffffu;
 
-    // Fingerprints are computed before any lock.  (Cell compression
-    // happens under the lock instead, but only for the ~third of
-    // successors that turn out to be new — cheaper in aggregate than
-    // encoding every duplicate up front.)
+    // Fingerprints are computed before any lock.  (Cells are encoded
+    // under the lock instead, and only for items that meet a probe-hash
+    // match or turn out to be new.)
     if (needsVerify_) {
         for (std::size_t i = 0; i < count; ++i)
             items[i].verify_ = items[i].state.fingerprint();
@@ -98,7 +85,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
     // through the items themselves, preserving batch order so
     // in-batch duplicates resolve exactly as sequential inserts.
     std::uint32_t head[kNumShards];
-    std::uint32_t tail[kNumShards];
+    std::uint32_t tail[kNumShards] = {};
     for (std::uint32_t s = 0; s < kNumShards; ++s)
         head[s] = kEnd;
     for (std::size_t i = 0; i < count; ++i) {
@@ -118,6 +105,30 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
             continue;
         Shard &shard = shards_[s];
         std::lock_guard<std::mutex> lock(shard.mutex);
+        // A probe is a chain of dependent cache misses — home bucket,
+        // then the entry's columns and cell offset, then its cell — but
+        // the chain's items are independent of each other.  Starting
+        // each level's loads for all of them before any item needs the
+        // next level overlaps those misses instead of paying them in
+        // series.
+        const ShardColumns &cols = shard.cols;
+        const bool cells = mode_ == StoreMode::Full;
+        for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_)
+            cols.prefetchBucket(items[i].hash);
+        for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_) {
+            if (const std::uint32_t b =
+                    cols.bucketAt(items[i].hash & cols.mask())) {
+                cols.prefetchEntry(b - 1);
+                if (cells)
+                    shard.arena.prefetchOffset(b - 1);
+            }
+        }
+        for (std::uint32_t i = head[s]; cells && i != kEnd;
+             i = items[i].next_) {
+            if (const std::uint32_t b =
+                    cols.bucketAt(items[i].hash & cols.mask()))
+                shard.arena.prefetchCell(b - 1);
+        }
         for (std::uint32_t i = head[s]; i != kEnd;
              i = items[i].next_) {
             BatchItem &item = items[i];
@@ -129,6 +140,20 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
             item.improved = out.improved;
         }
     }
+}
+
+std::size_t
+StateStore::insertBatchCapped(BatchItem *items, std::size_t count,
+                              std::uint64_t soft_cap, std::uint64_t cap)
+{
+    if (size() < soft_cap) {
+        insertBatch(items, count);
+        return count;
+    }
+    std::size_t done = 0;
+    while (done < count && size() < cap)
+        insertBatch(&items[done++], 1);
+    return done;
 }
 
 StateStore::InsertOutcome
@@ -143,6 +168,11 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
     cols.maybeGrow();
 
+    // The candidate's cell, encoded at most once: at the first
+    // probe-hash match that needs a cell compare, or at insertion.
+    std::byte enc[kMaxEncodedState];
+    std::size_t enc_len = 0;
+
     std::uint64_t slot = hash & cols.mask();
     for (;;) {
         const std::uint32_t bucket = cols.bucketAt(slot);
@@ -151,17 +181,19 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
         const std::uint32_t off = bucket - 1;
         if (cols.hashAt(off) == hash) {
             // Identity: in compact mode the verification fingerprint,
-            // in full mode the state bytes (falling back to the
-            // fingerprint when the entry's block has been sealed cold
-            // — see the class comment).  A probe-hash match with an
-            // identity mismatch is a detected collision — the states
-            // stay distinct and the probe continues.
+            // in full mode the cell (falling back to the fingerprint
+            // when the entry's block has been sealed cold — see the
+            // class comment).  A probe-hash match with an identity
+            // mismatch is a detected collision — the states stay
+            // distinct and the probe continues.
+            const std::byte *cell = mode_ == StoreMode::Full
+                                        ? shard.arena.cellIfMapped(off)
+                                        : nullptr;
             bool same;
-            if (mode_ == StoreMode::Compact) {
-                same = cols.verifyAt(off) == verify;
-            } else if (const SystemState *stored =
-                           shard.arena.fullIfMapped(off)) {
-                same = *stored == state;
+            if (cell) {
+                if (enc_len == 0)
+                    enc_len = encodeCell(state, enc);
+                same = cellEquals(cell, enc, enc_len);
             } else {
                 same = cols.verifyAt(off) == verify;
             }
@@ -171,9 +203,10 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 // Label-correcting duplicate: a shorter path to a
                 // known state relabels its breadcrumbs (async
                 // schedule; BFS duplicates are never shallower).
-                std::atomic<std::uint32_t> &cell = cols.depthCell(off);
-                if (depth < cell.load(std::memory_order_relaxed)) {
-                    cell.store(depth, std::memory_order_relaxed);
+                std::atomic<std::uint32_t> &depth_cell =
+                    cols.depthCell(off);
+                if (depth < depth_cell.load(std::memory_order_relaxed)) {
+                    depth_cell.store(depth, std::memory_order_relaxed);
                     cols.setParent(off, parent);
                     cols.setRule(off, rule_id);
                     return {id, false, true};
@@ -197,16 +230,15 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 " entries); pre-size with --expect-states, raise the "
                 "run's state budget, or pick another store kind "
                 "(--store=ram|ram-compact|mmap|mmap-compact: compact "
-                "kinds cut bytes/state ~10x, mmap kinds page sealed "
-                "levels out of core)");
+                "kinds take ~1.5x fewer bytes/state, mmap kinds page "
+                "sealed levels out of core)");
     }
 
+    if (enc_len == 0)
+        enc_len = encodeCell(state, enc);
     const std::uint32_t off =
         cols.append(hash, verify, parent, rule_id, depth);
-    if (mode_ == StoreMode::Full)
-        shard.arena.placeFull(off, state);
-    else
-        shard.arena.appendCell(shard_idx, off, state);
+    shard.arena.append(shard_idx, off, enc, enc_len);
 
     cols.setBucket(slot, off + 1);
     total_.fetch_add(1, std::memory_order_release);
@@ -246,7 +278,7 @@ StateStore::sealLevel()
 {
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.arena.seal(shard.cols.count());
+        shard.arena.seal();
     }
 }
 

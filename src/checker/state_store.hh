@@ -14,9 +14,10 @@
  *    columns — probe hash, verification fingerprint, parent, rule,
  *    chunked atomic depth — plus the bucket array.  Shard growth
  *    rehashes from the stored probe hashes, never from state bytes.
- *  - StateArena (store_arena.hh): the state bytes, as verbatim
- *    full-mode blocks or zero-RLE compact cells, with the
- *    sealLevel() block-release machinery.
+ *  - StateArena (store_arena.hh): the state bytes, as lane cells (a
+ *    u64 mask of the active prefix's nonzero 4-byte lanes, then
+ *    those lanes) in 256 KiB byte blocks, with the sealLevel()
+ *    block-release machinery.  Both modes use this one format.
  *  - ShardMem (store_mem.hh): where both layers get memory.  InRam
  *    is the classic heap layout; Mmap gives every shard file-backed
  *    growable mappings (anonymous memfd, or files under an explicit
@@ -26,23 +27,23 @@
  *
  * Two storage modes (StoreMode, declared with the arena):
  *
- *  - Full: the classic Murphi layout.  States are kept verbatim, so
- *    deduplication is exact and counterexample traces can be rebuilt
- *    from the breadcrumbs.  (On the Mmap backend, entries whose
- *    blocks have been sealed cold are deduplicated by their stored
- *    64-bit verification fingerprint instead of refaulting the block
- *    — detected-collision semantics identical to compact mode for
- *    exactly those entries; the mapped window still compares bytes.)
- *  - Compact: Murphi hash compaction.  Only a second 64-bit
- *    verification fingerprint is kept per entry; the frontier's state
- *    bytes live zero-RLE-compressed in a transient byte arena whose
- *    old BFS levels are released (sealLevel), cutting memory per
- *    state by roughly an order of magnitude.  A probe-hash collision
- *    is *detected* by the fingerprint mismatch (counted in
- *    probeCollisions()) and the states stay distinct; an undetected
- *    merge requires both 64-bit values to collide — expected
- *    occurrences ~ n^2 / 2^65 for n states.  Traces cannot be
- *    rebuilt in this mode on the InRam backend; on Mmap the sealed
+ *  - Full: every state's cell is kept, so deduplication is exact —
+ *    a probe-hash match compares the candidate's cell with the
+ *    stored one — and counterexample traces can be rebuilt from the
+ *    breadcrumbs.  (On the Mmap backend, entries whose blocks have
+ *    been sealed cold are deduplicated by their stored 64-bit
+ *    verification fingerprint instead of refaulting the block —
+ *    detected-collision semantics identical to compact mode for
+ *    exactly those entries; the mapped window still compares cells.)
+ *  - Compact: Murphi hash compaction.  Identity is a second 64-bit
+ *    verification fingerprint kept per entry; the cells only serve
+ *    frontier reads, and old BFS levels' blocks are released
+ *    (sealLevel), so resident cells are bounded by about two levels.
+ *    A probe-hash collision is *detected* by the fingerprint mismatch
+ *    (counted in probeCollisions()) and the states stay distinct; an
+ *    undetected merge requires both 64-bit values to collide —
+ *    expected occurrences ~ n^2 / 2^65 for n states.  Traces cannot
+ *    be rebuilt in this mode on the InRam backend; on Mmap the sealed
  *    cells persist in the backing file, so they can.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
@@ -52,10 +53,10 @@
  * kNoParent.
  *
  * Thread-safety: insert() and insertBatch() may be called
- * concurrently from any number of threads.  stateAt()/stateInto()
- * are safe concurrently with inserts *for ids published before the
- * current expansion phase began* (the arena blocks holding them are
- * fixed, and the block/offset spines never reallocate).  The depth
+ * concurrently from any number of threads.  stateInto() is safe
+ * concurrently with inserts *for ids published before the current
+ * expansion phase began* (the arena blocks holding them are fixed,
+ * and the block/offset spines never reallocate).  The depth
  * column is chunked atomics: depthAt() may be read lock-free at any
  * time (the work-stealing explorer's stale-task check depends on
  * this), while parentAt()/ruleAt() and sealLevel() must only be used
@@ -95,8 +96,8 @@ namespace cxl
 /**
  * A StateStore shard ran out of room: its entry count reached the
  * capacity limit (architectural 2^28 per shard, or the smaller
- * per-run limit derived from ExploreOptions::storeCapacity), or a
- * compact-mode shard exhausted its 32-bit arena offset space.  The
+ * per-run limit derived from ExploreOptions::storeCapacity), or its
+ * 32-bit arena offset space ran out.  The
  * explorers catch this and convert it into a graceful governed stop
  * (StopReason::ShardFull) — the explored prefix stays a valid
  * partial result.  what() names the shard, its computed entry limit
@@ -122,7 +123,7 @@ class StoreFullError : public std::length_error
 struct StoreConfig {
     /** Total bucket hint, split across shards. */
     std::size_t initialBuckets = 1 << 16;
-    /** Full (verbatim states) or Compact (hash compaction). */
+    /** Full (exact, every cell kept) or Compact (hash compaction). */
     StoreMode mode = StoreMode::Full;
     /** Heap or file-backed (out-of-core) shard memory. */
     StoreBackend backend = StoreBackend::InRam;
@@ -156,17 +157,6 @@ class StateStore
     /** Mask extracting the offset from a packed id. */
     static constexpr std::uint32_t kOffsetMask =
         (1u << kOffsetBits) - 1;
-
-    /** Layer constants re-exported for existing callers/tests. */
-    static constexpr std::uint32_t kBlockBits =
-        StateArena::kFullBlockBitsRam;
-    static constexpr std::uint32_t kBlockSize = 1u << kBlockBits;
-    static constexpr std::uint32_t kByteBlockBits =
-        StateArena::kByteBlockBits;
-    static constexpr std::uint32_t kByteBlockSize =
-        1u << kByteBlockBits;
-    static constexpr std::size_t kMaxEncodedState =
-        StateArena::kMaxEncodedState;
 
     /**
      * One pending insert of a batched flush.  The caller fills state,
@@ -252,29 +242,44 @@ class StateStore
     void insertBatch(BatchItem *items, std::size_t count);
 
     /**
-     * Reference to the state bytes for a packed id; full mode only
-     * (compact-mode cells are compressed — use stateInto), and only
-     * for ids whose arena block is still mapped (all of them on
-     * InRam; the frontier window on Mmap — sealed ids go through
-     * stateInto).  See the class comment for thread-safety.
+     * insertBatch for a flush that may cross a state cap: below
+     * @p soft_cap the whole batch goes in at once; at or past it the
+     * items go in one at a time and the rest are left uninserted once
+     * size() reaches @p cap.  With every concurrent flusher doing the
+     * same, the store ends at most one state per flusher past @p cap.
+     *
+     * @return the number of leading items processed; the results of
+     *         the others are unset.
+     */
+    std::size_t insertBatchCapped(BatchItem *items, std::size_t count,
+                                  std::uint64_t soft_cap,
+                                  std::uint64_t cap);
+
+    /**
+     * The state for a packed id, decoded into a per-thread buffer that
+     * the calling thread's next stateAt() overwrites.  Same contract
+     * as stateInto(); kept for callers that want a reference.
      */
     const SystemState &
     stateAt(std::uint32_t id) const
     {
-        assert(mode_ == StoreMode::Full &&
-               "stateAt needs verbatim states; use stateInto");
-        return *shards_[shardOf(id)].arena.fullAt(id & kOffsetMask);
+        thread_local SystemState buf;
+        stateInto(id, buf);
+        return buf;
     }
 
     /**
-     * Copy/decode the state bytes for a packed id into @p out.  Works
-     * in both modes; the entry must still be retained (see
-     * stateRetained — on recoverable backends every entry is, with
-     * sealed blocks remapped on demand, in which case the call must
-     * hold no expectation of lock-freedom: quiescent or shard-lock
-     * use only).
+     * Decode the state for a packed id into @p out.  The entry must
+     * still be retained (see stateRetained — on recoverable backends
+     * every entry is, with sealed blocks remapped on demand, in which
+     * case the call must hold no expectation of lock-freedom:
+     * quiescent or shard-lock use only).
      */
-    void stateInto(std::uint32_t id, SystemState &out) const;
+    void
+    stateInto(std::uint32_t id, SystemState &out) const
+    {
+        shards_[shardOf(id)].arena.cellInto(id & kOffsetMask, out);
+    }
 
     /** True iff the state bytes of @p id are still readable: always
      * in full mode and on recoverable (Mmap) backends; in InRam
@@ -283,8 +288,6 @@ class StateStore
     bool
     stateRetained(std::uint32_t id) const
     {
-        if (mode_ == StoreMode::Full)
-            return true;
         return shards_[shardOf(id)].arena.cellRetained(id &
                                                        kOffsetMask);
     }

@@ -1,114 +1,65 @@
 #include "checker/store_arena.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <cassert>
 #include <string>
 
 #include "checker/state_store.hh"
 
 namespace cxl
 {
-namespace
-{
 
-/**
- * Zero-RLE codec for compact-mode state cells.  Reachable states are
- * sparse — most channel slots are empty and InlineVec zeroes its
- * tail — so run-length-eliding the zero bytes shrinks a ~240-byte
- * record to a few tens of bytes.  Cell layout:
- *
- *   [payload_len:u16] ([zero_run:u8][lit_len:u8][lit bytes...])*
- *
- * Decoding starts from an all-zero record, so a cell reproduces the
- * active prefix bit-exactly.  If the greedy pair encoding would ever
- * exceed the all-literal fallback (pathologically alternating bytes),
- * the cell is emitted as plain <=255-byte literal chunks instead,
- * which is what bounds StateArena::kMaxEncodedState.
- */
-std::uint16_t
+std::size_t
 encodeCell(const SystemState &state, std::byte *dst)
 {
     const auto *src = reinterpret_cast<const unsigned char *>(&state);
     const std::size_t len = state.activeBytes();
-
-    // Worst-case greedy output: 2 bytes of pair overhead per literal
-    // island; islands are at least 1 byte, so 3x the input bounds it.
-    unsigned char tmp[2 + 3 * sizeof(SystemState) + 8];
-    std::size_t pos = 0;
-    std::size_t i = 0;
-    while (i < len) {
-        std::size_t zeros = 0;
-        while (i + zeros < len && src[i + zeros] == 0)
-            ++zeros;
-        if (i + zeros == len)
-            break; // trailing zeros are implicit
-        std::size_t lit = 0;
-        while (i + zeros + lit < len && src[i + zeros + lit] != 0)
-            ++lit;
-        std::size_t z = zeros, l = lit, at = i + zeros;
-        while (z > 255) {
-            tmp[pos++] = 255;
-            tmp[pos++] = 0;
-            z -= 255;
-        }
-        while (l > 255) {
-            tmp[pos++] = static_cast<unsigned char>(z);
-            tmp[pos++] = 255;
-            std::memcpy(tmp + pos, src + at, 255);
-            pos += 255;
-            at += 255;
-            l -= 255;
-            z = 0;
-        }
-        tmp[pos++] = static_cast<unsigned char>(z);
-        tmp[pos++] = static_cast<unsigned char>(l);
-        std::memcpy(tmp + pos, src + at, l);
-        pos += l;
-        i += zeros + lit;
+    const std::size_t whole = len / 4;
+    // Pass 1: the mask, from whole lanes plus the zero-padded partial
+    // last lane.  Pass 2: copy out only the lanes it names.
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < whole; ++i) {
+        std::uint32_t v;
+        std::memcpy(&v, src + 4 * i, 4);
+        mask |= std::uint64_t{v != 0} << i;
     }
+    unsigned char tail[4] = {};
+    for (std::size_t b = 4 * whole; b < len; ++b)
+        tail[b - 4 * whole] = src[b];
+    std::uint32_t tail_lane;
+    std::memcpy(&tail_lane, tail, 4);
+    mask |= std::uint64_t{tail_lane != 0} << whole;
 
-    // All-literal fallback size (the kMaxEncodedState bound).
-    const std::size_t fallback = len + 2 * (len / 255 + 1);
-    if (pos > fallback) {
-        pos = 0;
-        std::size_t at = 0, rest = len;
-        while (rest > 0) {
-            const std::size_t l = std::min<std::size_t>(rest, 255);
-            tmp[pos++] = 0;
-            tmp[pos++] = static_cast<unsigned char>(l);
-            std::memcpy(tmp + pos, src + at, l);
-            pos += l;
-            at += l;
-            rest -= l;
-        }
+    std::memcpy(dst, &mask, 8);
+    std::byte *out = dst + 8;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1, out += 4) {
+        const std::size_t lane =
+            static_cast<std::size_t>(std::countr_zero(m));
+        std::memcpy(out, lane < whole ? src + 4 * lane : tail, 4);
     }
-
-    const auto payload = static_cast<std::uint16_t>(pos);
-    std::memcpy(dst, &payload, 2);
-    std::memcpy(dst + 2, tmp, pos);
-    return static_cast<std::uint16_t>(2 + pos);
+    return static_cast<std::size_t>(out - dst);
 }
 
-/** Inverse of encodeCell; @p out is fully overwritten. */
 void
 decodeCell(const std::byte *cell, SystemState &out)
 {
+    // Only the last lane of a kMaxDevices prefix overhangs the record.
+    constexpr std::size_t kLast = kCellMaxLanes - 1;
+    constexpr std::size_t kLastBytes = sizeof(SystemState) - 4 * kLast;
+
     std::memset(static_cast<void *>(&out), 0, sizeof(SystemState));
     auto *dst = reinterpret_cast<unsigned char *>(&out);
-    std::uint16_t payload = 0;
-    std::memcpy(&payload, cell, 2);
-    const auto *src = reinterpret_cast<const unsigned char *>(cell) + 2;
-    std::size_t pos = 0, at = 0;
-    while (pos < payload) {
-        at += src[pos];
-        const std::size_t lit = src[pos + 1];
-        std::memcpy(dst + at, src + pos + 2, lit);
-        at += lit;
-        pos += 2 + lit;
+    std::uint64_t mask;
+    std::memcpy(&mask, cell, 8);
+    const std::byte *in = cell + 8;
+    for (std::uint64_t m = mask & ~(std::uint64_t{1} << kLast); m != 0;
+         m &= m - 1, in += 4) {
+        std::memcpy(dst + 4 * std::countr_zero(m), in, 4);
     }
+    if (mask >> kLast)
+        std::memcpy(dst + 4 * kLast, in, kLastBytes);
 }
-
-} // namespace
 
 void
 StateArena::init(ShardMem *mem, StoreMode mode,
@@ -116,23 +67,12 @@ StateArena::init(ShardMem *mem, StoreMode mode,
 {
     mem_ = mem;
     mode_ = mode;
-    if (mode_ == StoreMode::Full) {
-        blockBits_ = mem_->recoverable() ? kFullBlockBitsMmap
-                                         : kFullBlockBitsRam;
-        blockBytes_ = static_cast<std::size_t>(1u << blockBits_) *
-                      sizeof(SystemState);
-        // Fully reserve the block spine: it must never reallocate,
-        // because readers index it lock-free (see the class comment).
-        blocks_.reserve((max_entries >> blockBits_) + 1);
-    } else {
-        // Compact cells are offset-addressed with 32 bits per shard:
-        // up to 4 GiB of compressed frontier per shard, far beyond
-        // the retained working set of any feasible run.
-        blockBits_ = kByteBlockBits;
-        blockBytes_ = std::size_t{1} << kByteBlockBits;
-        blocks_.reserve((std::uint64_t{1} << 32) >> kByteBlockBits);
-        stateOffs_.reserve((max_entries >> kOffChunkBits) + 1);
-    }
+    // Cells are offset-addressed with 32 bits per shard: up to 4 GiB
+    // of cells per shard.  Fully reserve both spines: they must never
+    // reallocate, because readers index them lock-free (see the file
+    // comment).
+    blocks_.reserve((std::uint64_t{1} << 32) >> kBlockBits);
+    stateOffs_.reserve((max_entries >> kOffChunkBits) + 1);
 }
 
 std::byte *
@@ -144,54 +84,28 @@ StateArena::recoverBlock(std::uint32_t block) const
     return p;
 }
 
-const SystemState *
-StateArena::fullAtCold(std::uint32_t off) const
-{
-    const std::uint32_t block = off >> blockBits_;
-    const std::byte *base = blocks_[block];
-    if (!base)
-        base = recoverBlock(block);
-    return slotAt(base, off);
-}
-
 void
-StateArena::placeFull(std::uint32_t off, const SystemState &state)
+StateArena::append(std::uint32_t shard_idx, std::uint32_t off,
+                   const std::byte *cell, std::size_t len)
 {
-    const std::uint32_t block = off >> blockBits_;
-    if (block == blocks_.size()) {
-        blocks_.push_back(static_cast<std::byte *>(
-            mem_->blockAlloc(block, blockBytes_)));
-    }
-    new (blocks_[block] +
-         static_cast<std::size_t>(off & ((1u << blockBits_) - 1)) *
-             sizeof(SystemState)) SystemState(state);
-}
-
-void
-StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
-                       const SystemState &state)
-{
-    std::byte enc[kMaxEncodedState];
-    const std::uint16_t enc_len = encodeCell(state, enc);
-    // A cell never straddles byte blocks; skip a too-small tail.
+    // A cell never straddles blocks; skip a too-small tail.
     std::uint64_t at = byteCursor_;
-    if ((at & (blockBytes_ - 1)) + enc_len > blockBytes_)
-        at = (at | (blockBytes_ - 1)) + 1;
-    if (at + enc_len > (std::uint64_t{1} << 32)) {
+    if ((at & (kBlockBytes - 1)) + len > kBlockBytes)
+        at = (at | (kBlockBytes - 1)) + 1;
+    if (at + len > (std::uint64_t{1} << 32)) {
         throw StoreFullError(
             shard_idx,
             "StateStore shard " + std::to_string(shard_idx) +
-                " compact arena offset space exhausted (4 GiB of "
-                "encoded frontier); pre-size with --expect-states so "
-                "sealing keeps up, or lower the run's budgets");
+                " arena offset space exhausted (4 GiB of encoded "
+                "states); pre-size with --expect-states so sealing "
+                "keeps up, or lower the run's budgets");
     }
-    const auto block = static_cast<std::uint32_t>(at >> blockBits_);
+    const auto block = static_cast<std::uint32_t>(at >> kBlockBits);
     while (block >= blocks_.size()) {
         blocks_.push_back(static_cast<std::byte *>(mem_->blockAlloc(
-            static_cast<std::uint32_t>(blocks_.size()), blockBytes_)));
+            static_cast<std::uint32_t>(blocks_.size()), kBlockBytes)));
     }
-    std::memcpy(blocks_[block] + (at & (blockBytes_ - 1)), enc,
-                enc_len);
+    std::memcpy(blocks_[block] + (at & (kBlockBytes - 1)), cell, len);
     const std::uint32_t chunk = off >> kOffChunkBits;
     if (chunk == stateOffs_.size()) {
         stateOffs_.push_back(static_cast<std::uint32_t *>(
@@ -199,48 +113,42 @@ StateArena::appendCell(std::uint32_t shard_idx, std::uint32_t off,
     }
     stateOffs_[chunk][off & (kOffChunkSize - 1)] =
         static_cast<std::uint32_t>(at);
-    byteCursor_ = at + enc_len;
+    byteCursor_ = at + len;
 }
 
 void
 StateArena::cellInto(std::uint32_t off, SystemState &out) const
 {
-    const std::uint32_t byte_off = stateOffAt(off);
+    const std::uint32_t at = stateOffAt(off);
     assert(cellRetained(off) && "state released by sealLevel");
-    const std::uint32_t block = byte_off >> blockBits_;
+    const std::uint32_t block = at >> kBlockBits;
     const std::byte *base = blocks_[block];
     if (!base)
         base = recoverBlock(block);
-    decodeCell(base + (byte_off & (blockBytes_ - 1)), out);
+    decodeCell(base + (at & (kBlockBytes - 1)), out);
 }
 
 void
-StateArena::seal(std::uint32_t entry_count)
+StateArena::seal()
 {
     if (mode_ == StoreMode::Full && !mem_->recoverable())
-        return; // classic full store: nothing is ever released
+        return; // in-RAM full store: nothing is ever released
     // Blocks wholly below the previous level boundary belong to
     // levels whose expansion has finished; the frontier no longer
     // reads them.  Release whole blocks only — a partial tail block
     // is shared with the still-needed frontier.  The loop rescans
     // from zero so blocks recovered since the last seal go cold
     // again.
-    const std::uint64_t floor_block = levelBoundary_ >> blockBits_;
+    const std::uint64_t floor_block = levelBoundary_ >> kBlockBits;
     for (std::uint64_t b = 0; b < floor_block; ++b) {
         if (blocks_[b]) {
             mem_->blockDrop(static_cast<std::uint32_t>(b));
             blocks_[b] = nullptr;
         }
     }
-    if (mode_ == StoreMode::Compact) {
-        if (!mem_->recoverable()) {
-            byteFloor_ =
-                std::max(byteFloor_, floor_block << blockBits_);
-        }
-        levelBoundary_ = byteCursor_;
-    } else {
-        levelBoundary_ = entry_count;
-    }
+    if (!mem_->recoverable())
+        byteFloor_ = std::max(byteFloor_, floor_block << kBlockBits);
+    levelBoundary_ = byteCursor_;
 }
 
 } // namespace cxl

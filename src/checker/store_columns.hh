@@ -68,6 +68,19 @@ class ShardColumns
         buckets_[slot] = v;
     }
 
+    /** Start loading the home bucket of @p hash. */
+    void prefetchBucket(std::uint64_t hash) const
+    {
+        __builtin_prefetch(&buckets_[hash & mask_]);
+    }
+    /** Start loading the identity columns of entry @p off. */
+    void prefetchEntry(std::uint32_t off) const
+    {
+        __builtin_prefetch(&hashes_[off]);
+        if (keepVerifies_)
+            __builtin_prefetch(&verifies_[off]);
+    }
+
     std::uint64_t hashAt(std::uint32_t off) const
     {
         return hashes_[off];

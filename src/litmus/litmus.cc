@@ -63,9 +63,8 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
     while (!frontier.empty()) {
         std::uint32_t idx = frontier.front();
         frontier.pop_front();
-        // The store's arena blocks never move, so the reference stays
-        // valid across the inserts below.
-        const SystemState &state = store.stateAt(idx);
+        SystemState state;
+        store.stateInto(idx, state);
         const std::uint32_t depth = store.depthAt(idx);
         max_depth = std::max(max_depth, depth);
 
@@ -107,7 +106,7 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
         std::uint32_t cur = violation->stateIndex;
         while (cur != StateStore::kNoParent) {
             TraceStep step;
-            step.state = store.stateAt(cur);
+            store.stateInto(cur, step.state);
             const std::uint32_t parent = store.parentAt(cur);
             if (parent != StateStore::kNoParent)
                 step.ruleName = rules.rules()[store.ruleAt(cur)].name;

@@ -137,12 +137,11 @@ RunGovernor::poll()
     if (maxRssBytes_ != 0) {
         const std::uint32_t n =
             polls_.fetch_add(1, std::memory_order_relaxed);
-        // Meter anonymous RSS, not total: the mmap store kinds keep
-        // sealed levels in file-backed pages the kernel can reclaim
-        // without swap, so counting them would spuriously trip runs
-        // whose whole point is to stay under the ceiling.
+        // Anonymous RSS plus memfd bytes, not total RSS: pages of an
+        // on-disk store directory are reclaimable by writeback, but
+        // memfd backing lives in RAM even once unmapped.
         if (n % kRssSampleStride == 0 &&
-            currentAnonRssBytes() > maxRssBytes_) {
+            meteredMemoryBytes() > maxRssBytes_) {
             trip(StopReason::Memory);
         }
     }

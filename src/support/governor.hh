@@ -14,8 +14,9 @@
  * deterministic-enough cause (whichever CAS lands first), and
  * stopped() is a relaxed load — cheap enough for the flush path.
  *
- * Deadlines are checked on every poll (a steady_clock read); the RSS
- * probe reads /proc/self/statm, so it is sampled on the first poll
+ * Deadlines are checked on every poll (a steady_clock read); the
+ * memory probe (meteredMemoryBytes: RssAnon from /proc/self/status
+ * plus memfd bytes) reads /proc, so it is sampled on the first poll
  * (tiny ceilings trip immediately) and then every kRssSampleStride
  * polls.
  */
@@ -36,7 +37,7 @@ enum class StopReason : std::uint8_t {
     None = 0,  ///< no governed stop (completed, or violation-stopped)
     StateCap,  ///< ExploreOptions::maxStates reached
     Deadline,  ///< maxSeconds wall-clock budget exhausted
-    Memory,    ///< maxRssBytes anonymous-RSS ceiling exceeded
+    Memory,    ///< maxRssBytes memory ceiling exceeded
     Cancelled, ///< external CancelToken tripped (SIGINT/SIGTERM)
     ShardFull, ///< a StateStore shard reached its capacity
     /** A worker raised an unexpected exception; only used to drain
@@ -117,7 +118,7 @@ void uninstallSignalCancel();
  * unlimited. */
 struct GovernorLimits {
     double maxSeconds = 0;          ///< wall-clock budget; 0 = none
-    std::uint64_t maxRssBytes = 0;  ///< anon-RSS ceiling; 0 = none
+    std::uint64_t maxRssBytes = 0;  ///< memory ceiling; 0 = none
     CancelToken cancel;             ///< external cancel; invalid = none
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Process resource probes: peak and current RSS, reported in
- * CheckResult JSON and the bench harnesses' memory summaries.
+ * CheckResult JSON and the bench harnesses' memory summaries, and the
+ * metered memory the run governor's ceiling compares against.
  *
  * Peak RSS is process-lifetime-monotone, so consecutive runs in one
  * process all report the maximum any earlier run reached; per-case
@@ -14,10 +15,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #include <unistd.h>
+#endif
+
+#if defined(__linux__)
+#include <dirent.h>
+#include <sys/stat.h>
 #endif
 
 namespace cxl
@@ -71,52 +79,75 @@ currentRssBytes()
 #endif
 }
 
-/**
- * Current file-backed resident bytes of this process (0 when the
- * platform offers no probe).  On Linux this is /proc/self/statm
- * field 3 ("shared"): resident pages backed by a file — which is
- * exactly what the mmap store kinds' mappings are, plus the text
- * segment and shared libraries.  The kernel can reclaim these pages
- * without swap by writing them back, so a memory ceiling should not
- * count them the way it counts anonymous heap.
- */
-inline std::uint64_t
-currentFileRssBytes()
-{
 #if defined(__linux__)
-    std::FILE *f = std::fopen("/proc/self/statm", "r");
+namespace detail
+{
+
+/** RssAnon of this process in bytes (0 if unreadable). */
+inline std::uint64_t
+rssAnonBytes()
+{
+    std::FILE *f = std::fopen("/proc/self/status", "r");
     if (!f)
         return 0;
-    unsigned long long size = 0, resident = 0, shared = 0;
-    const int got =
-        std::fscanf(f, "%llu %llu %llu", &size, &resident, &shared);
+    char line[256];
+    unsigned long long kb = 0;
+    while (std::fgets(line, sizeof line, f)) {
+        if (std::sscanf(line, "RssAnon: %llu kB", &kb) == 1)
+            break;
+    }
     std::fclose(f);
-    if (got != 3)
-        return 0;
-    const long page = sysconf(_SC_PAGESIZE);
-    return static_cast<std::uint64_t>(shared) *
-           static_cast<std::uint64_t>(page > 0 ? page : 4096);
-#else
-    return 0;
-#endif
+    return static_cast<std::uint64_t>(kb) * 1024;
 }
 
+/** Allocated bytes of every memfd this process holds open. */
+inline std::uint64_t
+memfdBytes()
+{
+    DIR *dir = ::opendir("/proc/self/fd");
+    if (!dir)
+        return 0;
+    std::uint64_t total = 0;
+    while (const dirent *e = ::readdir(dir)) {
+        if (e->d_name[0] == '.')
+            continue;
+        const std::string path = std::string("/proc/self/fd/") + e->d_name;
+        char target[256];
+        const ssize_t n =
+            ::readlink(path.c_str(), target, sizeof target - 1);
+        if (n <= 0)
+            continue; // closed since readdir listed it
+        target[n] = '\0';
+        if (std::strncmp(target, "/memfd:", 7) != 0)
+            continue;
+        struct stat st{};
+        if (::stat(path.c_str(), &st) == 0)
+            total += static_cast<std::uint64_t>(st.st_blocks) * 512;
+    }
+    ::closedir(dir);
+    return total;
+}
+
+} // namespace detail
+#endif // __linux__
+
 /**
- * Current anonymous (non-file-backed) resident bytes: resident minus
- * file-backed.  This is what a --max-rss-mb ceiling should meter —
- * heap, columns, and decode buffers — so a run that pages its sealed
- * levels through file-backed mmaps is not tripped for bytes the
- * kernel can drop at will.  Falls back to currentRssBytes() where
- * the split is unavailable, which only ever over-counts (safe: the
- * ceiling trips earlier, never later).
+ * The memory a --max-rss-mb ceiling meters: anonymous resident bytes
+ * (RssAnon) plus the allocated bytes of every memfd the process holds
+ * open.  memfd pages are shmem: they stay in RAM whether mapped or
+ * not and cannot be written back to a file, so an mmap store without
+ * a backing directory is charged for its whole backing, including
+ * the blocks sealLevel has unmapped.  (RssShmem is not added on top:
+ * the only shmem here is memfd, whose mapped pages the allocated size
+ * already counts.)  Pages of files on a real filesystem are not
+ * counted — the kernel reclaims them by writeback.  Falls back to
+ * currentRssBytes() where the split is unavailable.
  */
 inline std::uint64_t
-currentAnonRssBytes()
+meteredMemoryBytes()
 {
 #if defined(__linux__)
-    const std::uint64_t resident = currentRssBytes();
-    const std::uint64_t file = currentFileRssBytes();
-    return resident > file ? resident - file : 0;
+    return detail::rssAnonBytes() + detail::memfdBytes();
 #else
     return currentRssBytes();
 #endif

@@ -6,10 +6,14 @@
  * probe-hash collision must be detected and kept as two states (and
  * reported via probeCollisions) rather than silently merged, and a
  * violation found under compaction must carry the same verdict with
- * an explanatory trace note instead of a breadcrumb path.
+ * an explanatory trace note instead of a breadcrumb path.  The
+ * CellCodec tests pin the lane-cell format both modes store.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
@@ -205,7 +209,7 @@ arenaState(int i)
 
 TEST(Compaction, CompactCellsRoundTripBitExactly)
 {
-    // The zero-RLE cells must reproduce the active prefix exactly —
+    // The lane cells must reproduce the active prefix exactly —
     // stateInto(insert(s)) == s for sparse, busy and near-full
     // states.
     StateStore store(1 << 10, StoreMode::Compact);
@@ -239,6 +243,178 @@ TEST(Compaction, CompactCellsRoundTripBitExactly)
         store.stateInto(idx, decoded);
         EXPECT_TRUE(decoded == s);
     }
+}
+
+// ------------------------------------------------------ cell codec
+
+/** Nonzero 4-byte lanes of @p s's active prefix (the partial last
+ * lane counts its active bytes only). */
+std::size_t
+nonzeroLanes(const SystemState &s)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(&s);
+    std::size_t lanes = 0;
+    for (std::size_t at = 0; at < s.activeBytes(); at += 4) {
+        bool nonzero = false;
+        for (std::size_t b = at; b < std::min(at + 4, s.activeBytes());
+             ++b)
+            nonzero |= p[b] != 0;
+        lanes += nonzero;
+    }
+    return lanes;
+}
+
+/** Every channel of every active device full, last byte set. */
+SystemState
+busyState(int ndev)
+{
+    SystemState s = initialBothShared(1, ndev);
+    for (int d = 0; d < ndev; ++d) {
+        for (int k = 0; k < 3; ++k) {
+            s.dev[d].d2hReq.pushBack({D2HReqOp::RdOwn, 1});
+            s.dev[d].h2dData.pushBack({2, 3, 0});
+        }
+        s.dev[d].pc = static_cast<std::uint8_t>(d + 1);
+    }
+    s.counter = 4;
+    return s;
+}
+
+TEST(CellCodec, RoundTripsEveryDeviceCount)
+{
+    // Active prefixes of 64/123/182/241 bytes: a whole number of
+    // lanes at one device, a partial last lane of 3/2/1 bytes above.
+    const std::size_t prefix[] = {64, 123, 182, 241};
+    for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
+        const SystemState states[] = {initialAllInvalid(0, ndev),
+                                      initialOneModified(0, 2, 1, ndev),
+                                      busyState(ndev)};
+        for (const SystemState &s : states) {
+            ASSERT_EQ(s.activeBytes(), prefix[ndev - 1]);
+            std::byte cell[kMaxEncodedState];
+            const std::size_t len = encodeCell(s, cell);
+            EXPECT_EQ(len, 8 + 4 * nonzeroLanes(s)) << ndev;
+            SystemState decoded;
+            decodeCell(cell, decoded);
+            EXPECT_TRUE(decoded == s) << ndev;
+            EXPECT_EQ(decoded.dev[ndev - 1].pc, s.dev[ndev - 1].pc);
+        }
+        // Through the store too, in both modes.
+        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
+            StateStore store(1 << 10, mode);
+            for (const SystemState &s : states) {
+                SystemState decoded;
+                store.stateInto(
+                    store.insert(s, StateStore::kNoParent, 0, 0).first,
+                    decoded);
+                EXPECT_TRUE(decoded == s) << ndev;
+            }
+        }
+    }
+}
+
+/** A 4-device record with every lane nonzero; @p tag varies it. */
+SystemState
+denseState(int tag)
+{
+    SystemState s;
+    std::memset(static_cast<void *>(&s), 0x5a, sizeof s);
+    s.ndev = kMaxDevices;
+    s.hval = static_cast<Val>(1 + tag % 255);
+    s.counter = static_cast<std::uint8_t>(1 + tag / 255);
+    return s;
+}
+
+TEST(CellCodec, StateWithNoZeroLaneFillsTheBound)
+{
+    const SystemState s = denseState(0);
+    std::byte cell[kMaxEncodedState];
+    EXPECT_EQ(encodeCell(s, cell), kMaxEncodedState);
+    EXPECT_EQ(kMaxEncodedState, 252u);
+    SystemState decoded;
+    decodeCell(cell, decoded);
+    EXPECT_TRUE(decoded == s);
+}
+
+TEST(CellCodec, PartialLastLaneKeepsStatesDistinct)
+{
+    // Two states that differ only in the last active byte (the last
+    // device's pc, alone in the partial last lane) have equal lane
+    // masks and must still stay distinct under a forged probe-hash
+    // collision — counted as one in probeCollisions().  Bytes past
+    // the active prefix share that lane and must not count at all.
+    const std::uint64_t forged = 0x0123456789abcdefull;
+    for (int ndev = 2; ndev <= kMaxDevices; ++ndev) {
+        SystemState a = initialAllInvalid(0, ndev);
+        a.dev[ndev - 1].pc = 1;
+        SystemState b = a;
+        b.dev[ndev - 1].pc = 2;
+        ASSERT_FALSE(a == b);
+
+        StateStore store(1 << 10, StoreMode::Full);
+        const auto [ia, new_a] =
+            store.insert(a, forged, StateStore::kNoParent, 0, 0);
+        const auto [ib, new_b] =
+            store.insert(b, forged, StateStore::kNoParent, 0, 0);
+        EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
+        EXPECT_NE(ia, ib);
+        EXPECT_EQ(store.probeCollisions(), 1u) << ndev;
+
+        if (ndev < kMaxDevices) {
+            // An inactive slot's byte is outside the prefix.
+            SystemState c = a;
+            c.dev[ndev].val = 7;
+            const auto [ic, new_c] =
+                store.insert(c, forged, StateStore::kNoParent, 0, 0);
+            EXPECT_FALSE(new_c) << ndev;
+            EXPECT_EQ(ic, ia) << ndev;
+        }
+    }
+}
+
+TEST(CellCodec, MaskMismatchAtABlockEndReadsNoFurther)
+{
+    // Fill shard 0's first arena block with dense cells so that a
+    // 14-lane cell ends exactly at the block's end, then probe it
+    // with a dense candidate under the same forged hash.  The masks
+    // differ, so the compare must stop at the mask word — reading the
+    // candidate's length from the short cell would run off the block
+    // (an ASan report).
+    constexpr std::size_t kDense = StateArena::kBlockBytes /
+                                   kMaxEncodedState;
+    constexpr std::size_t kTail =
+        StateArena::kBlockBytes - kDense * kMaxEncodedState;
+    static_assert(kTail >= 12 && kTail % 4 == 0);
+    auto shard_zero = [](std::uint64_t i) { return mix64(i) >> 4; };
+
+    StateStore store(1 << 10, StoreMode::Full);
+    for (std::size_t i = 0; i < kDense; ++i) {
+        ASSERT_TRUE(store
+                        .insert(denseState(static_cast<int>(i)),
+                                shard_zero(i), StateStore::kNoParent,
+                                0, 0)
+                        .second);
+    }
+    SystemState tail = initialAllInvalid(0, kMaxDevices);
+    auto *bytes = reinterpret_cast<unsigned char *>(&tail);
+    for (std::size_t lane = 1; lane < (kTail - 8) / 4; ++lane)
+        bytes[4 * lane] = 1;
+    std::byte cell[kMaxEncodedState];
+    ASSERT_EQ(encodeCell(tail, cell), kTail);
+
+    const std::uint64_t forged = shard_zero(kDense);
+    const auto [it, new_tail] =
+        store.insert(tail, forged, StateStore::kNoParent, 0, 0);
+    ASSERT_TRUE(new_tail);
+    const SystemState probe = denseState(static_cast<int>(kDense));
+    const auto [ip, new_probe] =
+        store.insert(probe, forged, StateStore::kNoParent, 0, 0);
+    EXPECT_TRUE(new_probe);
+    EXPECT_NE(ip, it);
+    EXPECT_EQ(store.probeCollisions(), 1u);
+    SystemState decoded;
+    store.stateInto(it, decoded);
+    EXPECT_TRUE(decoded == tail);
 }
 
 TEST(Compaction, CompactStoreReleasesSealedLevels)

@@ -139,21 +139,23 @@ TEST(Governor, MemoryCeilingStopsBothSchedules)
 }
 
 #if defined(__linux__)
-TEST(Governor, MemoryCeilingMetersAnonymousRssNotMappedFiles)
+TEST(Governor, MemoryCeilingSkipsFilesUnderAStoreDir)
 {
-    // The ceiling meters anonymous RSS only, so an mmap-store run
-    // whose file-backed mappings dwarf the ceiling's headroom still
-    // completes: the kernel can reclaim those pages by writeback,
-    // and tripping on them would defeat the out-of-core mode's whole
-    // point.  The ceiling is set to the current anonymous footprint
-    // plus generous slack for the run's heap — far less than
-    // anon+mapped would need if mapped bytes were (wrongly) counted.
+    // Pages of backing files under --store-dir are reclaimable by
+    // writeback, so they do not count: an mmap-store run whose
+    // mappings dwarf the ceiling's headroom still completes.  The
+    // ceiling is the current metered footprint plus generous slack
+    // for the run's heap.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "cxl_governor_store_dir";
+    fs::create_directories(dir);
     CheckSession session;
     EngineOptions engine;
     engine.threads = 4;
     engine.store = StoreKind::Mmap;
-    engine.maxRssBytes =
-        currentAnonRssBytes() + 256ull * 1024 * 1024;
+    engine.storeDir = dir.string();
+    engine.maxRssBytes = meteredMemoryBytes() + 256ull * 1024 * 1024;
     const CheckResult res = session.run(freeRunRequest(2, engine));
     EXPECT_EQ(res.verdict, CheckResult::Verdict::Holds);
     EXPECT_TRUE(res.completed);
@@ -169,6 +171,25 @@ TEST(Governor, MemoryCeilingMetersAnonymousRssNotMappedFiles)
     const JsonValue det = parseJson(res.renderJson(true));
     EXPECT_EQ(det.getNum("mapped_file_bytes"), 0.0);
     EXPECT_EQ(det.getNum("store_file_bytes"), 0.0);
+    fs::remove_all(dir);
+}
+
+TEST(Governor, MemoryCeilingCountsMemfdBacking)
+{
+    // Without --store-dir the mmap store lives in memfd, which is RAM
+    // whether mapped or not: the ceiling must see it.  The unreduced
+    // 3-device space needs far more than 24 MB of store, so a ceiling
+    // that close to the current footprint has to trip mid-run.
+    const std::uint64_t before = meteredMemoryBytes();
+    CheckSession session;
+    EngineOptions engine;
+    engine.threads = 4;
+    engine.store = StoreKind::Mmap;
+    engine.maxRssBytes = before + 24ull * 1000 * 1000;
+    const CheckResult res = session.run(freeRunRequest(3, engine));
+    expectGovernedStop(res, StopReason::Memory, "memory");
+    EXPECT_LT(res.states, 860925u);
+    EXPECT_GT(res.storeFileBytes, 0u);
 }
 #endif // __linux__
 

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "checker/explorer.hh"
 #include "litmus/litmus.hh"
 
@@ -191,6 +195,58 @@ TEST(ParallelExplorer, MaxStatesCapOvershootBounded)
         EXPECT_FALSE(res.completed) << n;
         EXPECT_GE(res.numStates, 100u) << n;
         EXPECT_LE(res.numStates, 100u + n) << n;
+    }
+}
+
+TEST(ParallelExplorer, MaxStatesCapHoldsForAWorkerStalledMidBatch)
+{
+    // A worker descheduled with a part-filled batch resumes after its
+    // peers reached the cap; its flush must not push the store past
+    // the one-state-per-worker bound.  Plant a never-firing rule whose
+    // guard naps once, on the first evaluation after the store came
+    // within a few thousand states of the soft cap — some worker is
+    // then mid-batch while the others run into the cap.
+    ProtocolConfig config = ProtocolConfig::correct();
+    const std::size_t threads = 4;
+    const std::uint64_t cap = 200000;
+    const std::uint64_t arm_at = cap - threads * 512 - 3000;
+
+    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
+        std::atomic<bool> armed{false};
+        std::atomic<bool> napped{false};
+        RuleSet rules(config, 3);
+        Rule sleepy;
+        sleepy.name = "planted_stall";
+        sleepy.guard = [&](const SystemState &, const Context &) {
+            if (armed.load(std::memory_order_relaxed) &&
+                !napped.exchange(true)) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(300));
+            }
+            return false; // never fires: the space is unchanged
+        };
+        sleepy.apply = [](SystemState &, const Context &) {
+            return true;
+        };
+        rules.addRule(std::move(sleepy));
+
+        ExploreOptions opt;
+        opt.schedule = sched;
+        opt.maxStates = cap;
+        opt.progressIntervalSeconds = 0;
+        opt.progress = [&](const ProgressSnapshot &p) {
+            if (p.states >= arm_at)
+                armed.store(true, std::memory_order_relaxed);
+        };
+        const ExploreResult res =
+            runWith(rules, Scenario::freeRunScenario(3),
+                    InvariantSet::full(config, 3), opt, threads);
+        const std::string what =
+            sched == Schedule::Bfs ? "bfs" : "ws";
+        EXPECT_TRUE(napped.load()) << what;
+        EXPECT_EQ(res.stopReason, StopReason::StateCap) << what;
+        EXPECT_GE(res.numStates, cap) << what;
+        EXPECT_LE(res.numStates, cap + threads) << what;
     }
 }
 

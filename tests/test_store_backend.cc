@@ -159,9 +159,8 @@ TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
 
 TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
 {
-    // Enough shard-0 entries that whole arena blocks fall below two
-    // seal boundaries: full blocks hold 2^12..2^13 entries, compact
-    // blocks 2^18 bytes of cells.
+    // Enough shard-0 entries that whole arena blocks (2^18 bytes of
+    // cells) fall below two seal boundaries.
     const int n = 40000;
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
@@ -221,7 +220,7 @@ TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
         const std::uint64_t mapped = store.mappedBytes();
         EXPECT_GT(mapped, 0u) << k.name;
         EXPECT_GT(store.backingFileBytes(), 0u) << k.name;
-        // Two seals drop every full block below the first boundary:
+        // Two seals drop every whole block below the first boundary:
         // the mapped window shrinks, the backing file does not.
         const std::uint64_t file_before = store.backingFileBytes();
         store.sealLevel();
