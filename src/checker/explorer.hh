@@ -11,19 +11,26 @@
  * the paper's message-sequence-chart counterexamples (Fig. 5).
  *
  * Two parallel schedules share the sharded StateStore (see
- * Schedule):
+ * Schedule) and one expansion kernel (checker/expand.hh), which owns
+ * run setup and teardown, node expansion, the batch flush (capped
+ * insert, overflow candidates, invariant checks, budget poll), the
+ * worker guard, violation recording and the counter merge.  Each
+ * schedule keeps only its own order of work:
  *
- *  - Bfs: depth-synchronized levels expanded by a worker pool, with
- *    per-worker scratch buffers merged at the level barrier.
+ *  - Bfs (explorer.cc): depth-synchronized levels claimed in grains
+ *    by a worker pool, with per-worker scratch merged at the level
+ *    barrier (frontier, POR sleep masks), then the level sealed.
  *    Results (state count, transition count, violation verdict and
  *    depth) are deterministic regardless of thread count.
- *  - WorkSteal: asynchronous task-parallel expansion over per-worker
- *    Chase-Lev deques (checker/workqueue.hh) — no depth barrier.
- *    Depth labels converge to BFS-minimal values by label
- *    correction, so verdicts, state counts and diameters are still
- *    exact and thread-count-deterministic; only the transition
- *    count (redundant re-expansions) becomes schedule-dependent.
- *    See explorer_ws.cc.
+ *  - WorkSteal (explorer_ws.cc): asynchronous task-parallel
+ *    expansion over per-worker Chase-Lev deques
+ *    (checker/workqueue.hh), with a pending-task counter, an expand
+ *    limit and a per-state sleep table — no depth barrier.  Depth
+ *    labels converge to BFS-minimal values by label correction, and
+ *    violations are resolved at quiescence, so verdicts, state counts
+ *    and diameters are still exact and thread-count-deterministic;
+ *    only the transition count (redundant re-expansions) becomes
+ *    schedule-dependent.
  */
 
 #ifndef CXL_CHECKER_EXPLORER_HH
@@ -115,11 +122,12 @@ struct ExploreOptions {
      * unreduced 3-device space).  Counts and verdicts are
      * exact up to fingerprint collisions (expected ~ n^2 / 2^65;
      * detected probe-hash near-misses are reported via
-     * ExploreResult::probeCollisions).  Counterexample *traces*
-     * cannot be rebuilt in this mode: a violation is still found at
-     * the same minimal depth, but Violation::trace carries at most
-     * the final state and Violation::traceNote explains how to re-run
-     * for the full path.
+     * ExploreResult::probeCollisions).  Once the Bfs schedule has
+     * sealed a level of the InRam store, counterexample *traces*
+     * cannot be rebuilt: a violation is still found at the same
+     * minimal depth, but Violation::trace carries at most the final
+     * state and Violation::traceNote explains how to re-run for the
+     * full path.
      */
     bool compaction = false;
 
@@ -334,11 +342,16 @@ struct ExploreResult {
     /**
      * Deepest BFS level known to be *fully* expanded when the run
      * ended: maxDepth for completed (and violation-stopped) runs; on
-     * a governed stop, the last level every worker finished before
-     * the stop word tripped (conservative under the work-stealing
-     * schedule, where levels interleave).  States at or below this
-     * level have had every successor generated, so per-level facts
-     * up to here are trustworthy even in a partial result.
+     * a governed stop, one below the shallowest level with work left
+     * undone.  Under Bfs that is the level the stop interrupted;
+     * under WorkSteal, where levels interleave, the least depth of a
+     * task left queued and of the source of any successor a worker
+     * held staged or dropped uninserted (past the state cap, or in a
+     * batch a full shard interrupted) — conservative.  A stop during
+     * level 0 reports 0 on both schedules, although level 0 is then
+     * not complete.  When positive, every state at depth <= this
+     * level + 1 is in the explored prefix, so per-level facts up to
+     * here are trustworthy even in a partial result.
      */
     std::uint32_t deepestCompleteLevel = 0;
 
@@ -367,14 +380,6 @@ class Explorer
     ExploreResult run(const ExploreOptions &options = {});
 
   private:
-    /** Depth-synchronized level-parallel schedule (explorer.cc). */
-    ExploreResult runBfs(const ExploreOptions &options);
-    /** Asynchronous work-stealing schedule (explorer_ws.cc). */
-    ExploreResult runWorkSteal(const ExploreOptions &options);
-
-    std::vector<TraceStep> rebuildTrace(const StateStore &store,
-                                        std::uint32_t idx) const;
-
     const RuleSet &rules_;
     const Scenario &scenario_;
     const InvariantSet &invariants_;

@@ -276,6 +276,7 @@ StateStore::countDepthAtMost(std::uint32_t depth) const
 void
 StateStore::sealLevel()
 {
+    sealed_ = true;
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.arena.seal();

@@ -293,14 +293,14 @@ class StateStore
     }
 
     /** True iff stateInto works for *every* id ever returned — i.e.
-     * counterexample traces are reconstructible: full mode, or a
+     * counterexample traces are reconstructible: full mode, a
      * recoverable backend whose sealed cells persist in the backing
-     * file. */
+     * file, or a store that has never sealed a level. */
     bool
     statesAlwaysReadable() const
     {
         return mode_ == StoreMode::Full ||
-               shards_[0].arena.recoverable();
+               shards_[0].arena.recoverable() || !sealed_;
     }
 
     /** Breadcrumb accessors; quiescent use only (the columns may
@@ -425,6 +425,7 @@ class StateStore
     StoreMode mode_;
     StoreBackend backend_;
     bool needsVerify_;
+    bool sealed_ = false; ///< sealLevel has run
 };
 
 } // namespace cxl

@@ -5,8 +5,8 @@
  * state cap, a wall-clock deadline, a resident-set ceiling, an
  * external CancelToken (the CLIs wire SIGINT/SIGTERM to one), or a
  * full StateStore shard.  Workers poll it at batch-flush granularity
- * (every <= kFlushBatch successors), so a trip drains the run within
- * one batch per worker and the explored prefix stays a valid,
+ * (about every kFlushBatch successors), so a trip drains the run
+ * within one batch per worker and the explored prefix stays a valid,
  * reportable partial result.
  *
  * The stop word is a single atomic StopReason with first-trip-wins

@@ -4,7 +4,9 @@
  * cooperative cancellation (including the SIGINT bridge), graceful
  * shard-full stops, and the quarantine of budget-stopped oracle
  * arms — every stop cause must land as a well-formed Incomplete
- * verdict with an exact explored prefix, never as an exception.
+ * verdict with an exact explored prefix and an honest deepest
+ * complete level, never as an exception.  A worker's own exception,
+ * by contrast, must reach run()'s caller.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "api/check.hh"
+#include "checker/explorer.hh"
 #include "checker/state_store.hh"
 #include "fuzz/corpus.hh"
 #include "fuzz/oracle.hh"
@@ -392,6 +395,124 @@ TEST(Governor, StoreFullErrorNamesShardAndRemedies)
                   std::string::npos)
             << what;
         EXPECT_LT(e.shard(), StateStore::kNumShards);
+    }
+}
+
+// ------------------------------------------ deepest complete level
+
+/**
+ * States of the 2-device free run at depth <= d, from a run capped at
+ * maxDepth d (depth-capped states are counted, not expanded).
+ */
+std::uint64_t
+statesUpToDepth(std::uint32_t d)
+{
+    static std::vector<std::uint64_t> memo;
+    while (memo.size() <= d) {
+        const ProtocolConfig config = ProtocolConfig::correct();
+        const RuleSet rules(config);
+        const Scenario sc = Scenario::freeRunScenario();
+        const InvariantSet inv = InvariantSet::full(config);
+        ExploreOptions opt;
+        opt.maxDepth = static_cast<std::uint32_t>(memo.size());
+        opt.numThreads = 1;
+        memo.push_back(Explorer(rules, sc, inv).run(opt).numStates);
+    }
+    return memo[d];
+}
+
+TEST(Governor, DeepestCompleteLevelIsReallyComplete)
+{
+    // deepestCompleteLevel = L promises every successor of every
+    // state at depth <= L was generated, so the run must hold at
+    // least every state at depth <= L + 1.  Sweep the stopping point
+    // through the early levels with both stop causes that drop
+    // staged successors (the state cap and a full shard), under both
+    // schedules.  A stop during level 0 reports 0 and promises
+    // nothing, so only L > 0 is checked.
+    const ProtocolConfig config = ProtocolConfig::correct();
+    const RuleSet rules(config);
+    const Scenario sc = Scenario::freeRunScenario();
+    const InvariantSet inv = InvariantSet::full(config);
+    auto check = [&](const ExploreOptions &opt, const char *what) {
+        const ExploreResult res = Explorer(rules, sc, inv).run(opt);
+        const std::string tag =
+            std::string(what) + " sched " +
+            std::to_string(static_cast<int>(opt.schedule)) +
+            " threads " + std::to_string(opt.numThreads) +
+            " maxStates " + std::to_string(opt.maxStates) +
+            " capacity " + std::to_string(opt.storeCapacity);
+        ASSERT_FALSE(res.completed) << tag;
+        EXPECT_LE(res.deepestCompleteLevel, res.maxDepth) << tag;
+        if (res.deepestCompleteLevel > 0) {
+            EXPECT_GE(res.numStates,
+                      statesUpToDepth(res.deepestCompleteLevel + 1))
+                << tag << ": level " << res.deepestCompleteLevel
+                << " reported complete with " << res.numStates
+                << " states";
+        }
+    };
+    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
+        for (std::size_t threads : {1u, 4u}) {
+            ExploreOptions opt;
+            opt.schedule = sched;
+            opt.numThreads = threads;
+            const std::uint64_t step = threads == 1 ? 1 : 13;
+            for (std::uint64_t cap = 2; cap <= 600; cap += step) {
+                opt.maxStates = cap;
+                check(opt, "state cap");
+            }
+            opt.maxStates = ExploreOptions{}.maxStates;
+            for (std::uint64_t capacity = 16; capacity <= 4096;
+                 capacity *= 2) {
+                opt.storeCapacity = capacity;
+                check(opt, "shard full");
+            }
+        }
+    }
+}
+
+// ------------------------------------------------ worker exceptions
+
+TEST(Governor, WorkerExceptionPropagatesFromRun)
+{
+    // A guard that throws mid-run (here: after a few hundred calls,
+    // inside a worker under both schedules) is not a governed stop:
+    // the worker guard must hand the exception itself to run()'s
+    // caller, at any thread count.
+    const ProtocolConfig config = ProtocolConfig::correct();
+    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
+        for (std::size_t threads : {1u, 4u}) {
+            std::atomic<int> calls{0};
+            RuleSet rules(config);
+            Rule faulty;
+            faulty.name = "planted_thrower";
+            faulty.guard = [&calls](const SystemState &,
+                                    const Context &) -> bool {
+                if (calls.fetch_add(1) >= 500)
+                    throw std::runtime_error("planted guard failure");
+                return false; // never fires before the throw
+            };
+            faulty.apply = [](SystemState &, const Context &) {
+                return true;
+            };
+            rules.addRule(std::move(faulty));
+
+            ExploreOptions opt;
+            opt.schedule = sched;
+            opt.numThreads = threads;
+            const Scenario sc = Scenario::freeRunScenario();
+            const InvariantSet inv = InvariantSet::full(config);
+            Explorer ex(rules, sc, inv);
+            try {
+                ex.run(opt);
+                ADD_FAILURE() << "no exception: schedule "
+                              << static_cast<int>(sched) << " threads "
+                              << threads;
+            } catch (const std::runtime_error &e) {
+                EXPECT_STREQ(e.what(), "planted guard failure");
+            }
+        }
     }
 }
 
