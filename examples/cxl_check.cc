@@ -127,7 +127,7 @@ wireRequest(const cxl::api::StandardOptions &opts,
     serve::EngineKnobs &k = r.engine;
     k.threads = opts.engine.threads;
     k.symmetry = opts.engine.symmetry;
-    k.compact = opts.engine.store == StoreKind::Compact;
+    k.compact = storeKindCompact(opts.engine.store);
     k.por = opts.engine.por;
     k.schedule = opts.engine.schedule;
     if (opts.engine.maxStates != 0)

@@ -4,7 +4,7 @@
  *
  * Enables one of the Section 5.2 rule relaxations, exhaustively
  * explores the free-run model through a CheckSession, and prints the
- * shortest (BFS) witness trace as a paper-style transition table —
+ * shortest witness trace as a paper-style transition table —
  * the workflow a protocol designer would use to understand *why* a
  * restriction exists.
  *
@@ -14,8 +14,7 @@
  *                  [--devices N]   (model size, default 2)
  *                  [--threads N]   (0 = all hardware threads)
  *                  [--compact]     (hash-compacted store: hunts far
- *                                   larger spaces in RAM, reports the
- *                                   verdict + bad state but no trace)
+ *                                   larger spaces in RAM, same trace)
  */
 
 #include <cstdio>
@@ -85,10 +84,8 @@ main(int argc, char **argv)
     std::printf("VIOLATION after %llu states: %s\n",
                 static_cast<unsigned long long>(res.states),
                 res.violation->describe().c_str());
-    if (!res.violation->traceNote.empty())
-        std::printf("(%s)\n", res.violation->traceNote.c_str());
     if (res.violation->trace.size() > 1) {
-        std::printf("\nwitness trace (shortest, by BFS):\n%s\n",
+        std::printf("\nwitness trace (shortest):\n%s\n",
                     renderTraceTable(res.violation->trace,
                                      res.scenarioSpec,
                                      defaultTraceColumns(res.devices))

@@ -133,12 +133,7 @@ CheckResult::renderText(bool withTrace) const
                   "engine: %zu thread(s), symmetry %s, %s store, "
                   "por %s, %s schedule\n",
                   threads, symmetryReduction ? "on" : "off",
-                  storeKindWord(
-                      mmapStore
-                          ? (compaction ? StoreKind::MmapCompact
-                                        : StoreKind::Mmap)
-                          : (compaction ? StoreKind::InRamCompact
-                                        : StoreKind::InRam)),
+                  storeKindWord(storeKindOf(mmapStore, compaction)),
                   por ? "on" : "off",
                   schedule == Schedule::WorkSteal ? "work-stealing"
                                                   : "bfs");
@@ -204,12 +199,8 @@ CheckResult::renderText(bool withTrace) const
 
     out += "verdict: " + verdictText() + "\n";
 
-    if (violation && !violation->traceNote.empty())
-        out += "(" + violation->traceNote + ")\n";
     if (withTrace && violation && violation->trace.size() > 1) {
-        out += schedule == Schedule::WorkSteal
-                   ? "\nwitness trace (shortest known):\n"
-                   : "\nwitness trace (shortest, by BFS):\n";
+        out += "\nwitness trace (shortest):\n";
         out += renderTraceTable(violation->trace, scenarioSpec,
                                 defaultTraceColumns(devices));
         out += "\nbad state:\n" +

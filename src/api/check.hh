@@ -69,19 +69,15 @@ enum class SymmetryMode : std::uint8_t {
  * compaction; see ExploreOptions::compaction) and the memory backend
  * (heap vs per-shard file-backed mappings whose sealed BFS levels are
  * unmapped — the out-of-core mode; see StoreBackend).  The backend
- * never changes verdicts, counts or diameters; the serve layer's
- * cache key keeps only the compact bit.
- *
- * Full/Compact are back-compat aliases for the two classic in-RAM
- * kinds (`--compact` upgrades whichever backend is selected).
+ * never changes verdicts, counts, diameters or traces; the serve
+ * layer's cache key keeps only the compact bit.  `--compact` upgrades
+ * whichever backend is selected (storeKindCompacted).
  */
 enum class StoreKind : std::uint8_t {
     InRam,         ///< heap, full states (the classic default)
     InRamCompact,  ///< heap, hash compaction
     Mmap,          ///< file-backed, full states, out-of-core sealing
     MmapCompact,   ///< file-backed, hash compaction
-    Full = InRam,  ///< legacy spelling
-    Compact = InRamCompact, ///< legacy spelling
 };
 
 /** Whether a store kind uses hash compaction. */
@@ -98,12 +94,19 @@ storeKindMmap(StoreKind k)
     return k == StoreKind::Mmap || k == StoreKind::MmapCompact;
 }
 
+/** The store kind with the given backend and mode bits. */
+constexpr StoreKind
+storeKindOf(bool mmap, bool compact)
+{
+    return mmap ? (compact ? StoreKind::MmapCompact : StoreKind::Mmap)
+                : (compact ? StoreKind::InRamCompact : StoreKind::InRam);
+}
+
 /** The compact variant of @p k's backend (what `--compact` selects). */
 constexpr StoreKind
 storeKindCompacted(StoreKind k)
 {
-    return storeKindMmap(k) ? StoreKind::MmapCompact
-                            : StoreKind::InRamCompact;
+    return storeKindOf(storeKindMmap(k), true);
 }
 
 /** Canonical flag spelling of a store kind. */
@@ -156,7 +159,7 @@ struct EngineOptions {
      * minimal BFS depth, so verdicts, violated-conjunct sets, state
      * counts and diameters are identical to an unreduced run — only
      * the transition count (and time) drops.  Composes with both
-     * symmetry modes and StoreKind::Compact.
+     * symmetry modes and every store kind.
      */
     bool por = false;
 

@@ -1,11 +1,51 @@
 #include "checker/expand.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 namespace cxl
 {
+namespace
+{
+
+/** The representative the store keeps for @p s: tids relabelled,
+ * then under symmetry the bytewise-least member of the state's
+ * device-permutation orbit (SystemState::deviceCanonical). */
+void
+canonicalise(SystemState &s, bool tids, bool symmetry)
+{
+    if (tids)
+        s.canonicaliseTids();
+    if (symmetry)
+        s = s.deviceCanonical(tids, tids);
+}
+
+} // namespace
+
+std::vector<TraceStep>
+replayTrace(const RuleSet &rules, const Scenario &scenario,
+            const std::vector<std::uint16_t> &path,
+            bool canonicaliseTids, bool symmetryReduction)
+{
+    const Context ctx{&scenario};
+    std::vector<TraceStep> trace(path.size() + 1);
+    trace[0].state = scenario.initial;
+    canonicalise(trace[0].state, canonicaliseTids, symmetryReduction);
+    for (std::size_t i = 0; i < path.size(); ++i) {
+        const Rule &rule = rules.rules()[path[i]];
+        SystemState &state = trace[i + 1].state;
+        state = trace[i].state;
+        assert(rule.guard(state, ctx) && "breadcrumb rule not enabled");
+        // An overflowing apply still yields the explored successor.
+        (void)rule.apply(state, ctx);
+        canonicalise(state, canonicaliseTids, symmetryReduction);
+        trace[i + 1].ruleName = rule.name;
+    }
+    return trace;
+}
 
 ExpandKernel::ExpandKernel(const RuleSet &rules_,
                            const Scenario &scenario_,
@@ -50,14 +90,7 @@ bool
 ExpandKernel::insertInitial()
 {
     SystemState init = scenario.initial;
-    if (opt.canonicaliseTids)
-        init.canonicaliseTids();
-    if (opt.symmetryReduction) {
-        // The bytewise-least member of the state's device-permutation
-        // orbit (SystemState::deviceCanonical).
-        init = init.deviceCanonical(opt.canonicaliseTids,
-                                    opt.canonicaliseTids);
-    }
+    canonicalise(init, opt.canonicaliseTids, opt.symmetryReduction);
     initIdx = store.insert(init, StateStore::kNoParent, 0, 0).first;
     if (!opt.checkInvariants)
         return false;
@@ -164,41 +197,60 @@ ExpandKernel::record(const Candidate &c)
     }
     v.stateIndex = c.idx;
     v.depth = c.depth;
-    bool append_bad = c.kind == Violation::Kind::Overflow;
-    if (append_bad)
+    // Overflow is an edge property: replay the path to the edge's
+    // *source* and then the edge itself, so the trace ends with the
+    // overflowing rule even when the target state was first reached
+    // some other way.
+    const bool overflow = c.kind == Violation::Kind::Overflow;
+    std::vector<std::uint16_t> path =
+        witnessPath(overflow ? c.edgeParent : c.idx);
+    if (overflow) {
         v.overflowRule = rules.rules()[c.edgeRule].name;
-    if (store.statesAlwaysReadable()) {
-        // Overflow is an edge property: rebuild the path to the
-        // edge's *source* and append the edge itself, so the printed
-        // trace ends with the overflowing rule even when the target
-        // state was first reached some other way.
-        for (std::uint32_t cur = append_bad ? c.edgeParent : c.idx;
-             cur != StateStore::kNoParent; cur = store.parentAt(cur)) {
-            TraceStep &step = v.trace.emplace_back();
-            store.stateInto(cur, step.state);
-            if (store.parentAt(cur) != StateStore::kNoParent)
-                step.ruleName = rules.rules()[store.ruleAt(cur)].name;
-        }
-        std::reverse(v.trace.begin(), v.trace.end());
-    } else {
-        // Breadcrumb states are gone (an in-RAM compact store that
-        // has sealed a level; an mmap-backed compact store keeps
-        // every sealed cell in its backing file).  The bad state
-        // itself is still in the arena when it was first discovered
-        // this level; show it alone.
-        v.traceNote =
-            "trace unavailable: hash-compaction mode stores "
-            "fingerprints, not states; re-run without compaction "
-            "(or with --store=mmap-compact) to rebuild the full path";
-        append_bad = store.depthAt(c.idx) == c.depth &&
-                     store.stateRetained(c.idx);
+        path.push_back(c.edgeRule);
     }
-    if (append_bad) {
-        TraceStep &step = v.trace.emplace_back();
-        step.ruleName = v.overflowRule;
-        store.stateInto(c.idx, step.state);
-    }
+    v.trace = replayTrace(rules, scenario, path, opt.canonicaliseTids,
+                          opt.symmetryReduction);
     result.violation = std::move(v);
+}
+
+std::vector<std::uint16_t>
+ExpandKernel::witnessPath(std::uint32_t id) const
+{
+    // Depth-first over the edges that step exactly one depth label
+    // down the explored space, in rule-id order: the first path to
+    // reach @p id is the least one.  A visited state either lies on
+    // it or cannot reach @p id, so each is expanded at most once.
+    const std::uint32_t depth = store.depthAt(id);
+    std::vector<std::uint16_t> path;
+    std::unordered_set<std::uint32_t> visited;
+    auto reach = [&](auto &self, const SystemState &from) -> bool {
+        const auto level = static_cast<std::uint32_t>(path.size()) + 1;
+        for (const Rule &rule : rules.rules()) {
+            if (!rule.guard(from, ctx))
+                continue;
+            SystemState next = from;
+            (void)rule.apply(next, ctx);
+            canonicalise(next, opt.canonicaliseTids,
+                         opt.symmetryReduction);
+            const std::optional<std::uint32_t> at = store.find(next);
+            if (!at || store.depthAt(*at) != level ||
+                (level < depth ? !visited.insert(*at).second
+                               : *at != id))
+                continue;
+            path.push_back(rule.id);
+            if (level == depth || self(self, next))
+                return true;
+            path.pop_back();
+        }
+        return false;
+    };
+    SystemState init = scenario.initial;
+    canonicalise(init, opt.canonicaliseTids, opt.symmetryReduction);
+    if (depth == 0 || reach(reach, init))
+        return path;
+    // Labels a governed stop left unsettled: the breadcrumbs still
+    // hold a path.
+    return store.rulePath(id);
 }
 
 } // namespace cxl

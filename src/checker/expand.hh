@@ -321,6 +321,16 @@ class ExpandKernel
      * store only). */
     void record(const Candidate &c);
 
+    /**
+     * The witness path to @p id (quiescent store only): the
+     * rule-id-least of its shortest paths from the initial state.
+     * Breadcrumbs hold *a* shortest path, but which one depends on
+     * which equal-depth edge a worker inserted first; this choice
+     * depends on the state space alone, so every schedule, thread
+     * count, POR setting and store kind reports the same trace.
+     */
+    std::vector<std::uint16_t> witnessPath(std::uint32_t id) const;
+
     /** A recorded violation ends the run. */
     bool
     violationStopped() const

@@ -6,9 +6,10 @@
  * (Section 6): for the finite two-device, one-location model we
  * enumerate *every* reachable state and evaluate *every* invariant
  * conjunct on each, instead of proving preservation deductively.  On a
- * violation (or deadlock, if requested) the explorer reconstructs the
- * full rule-labelled trace from the initial state — the counterpart of
- * the paper's message-sequence-chart counterexamples (Fig. 5).
+ * violation (or deadlock, if requested) the explorer replays the
+ * breadcrumb rule ids from the initial state into the full
+ * rule-labelled trace — the counterpart of the paper's
+ * message-sequence-chart counterexamples (Fig. 5).
  *
  * Two parallel schedules share the sharded StateStore (see
  * Schedule) and one expansion kernel (checker/expand.hh), which owns
@@ -122,12 +123,9 @@ struct ExploreOptions {
      * unreduced 3-device space).  Counts and verdicts are
      * exact up to fingerprint collisions (expected ~ n^2 / 2^65;
      * detected probe-hash near-misses are reported via
-     * ExploreResult::probeCollisions).  Once the Bfs schedule has
-     * sealed a level of the InRam store, counterexample *traces*
-     * cannot be rebuilt: a violation is still found at the same
-     * minimal depth, but Violation::trace carries at most the final
-     * state and Violation::traceNote explains how to re-run for the
-     * full path.
+     * ExploreResult::probeCollisions).  Counterexample traces are
+     * unaffected: they are replayed from the breadcrumb rule ids
+     * (replayTrace), never decoded from released state bytes.
      */
     bool compaction = false;
 
@@ -137,9 +135,7 @@ struct ExploreOptions {
      * mappings and — under the depth-synchronized schedule — unmaps
      * sealed BFS levels, so the mapped window tracks the frontier
      * while the backing files keep every byte (the out-of-core mode).
-     * Verdicts, counts and diameters are backend-independent; under
-     * Mmap counterexample traces are reconstructible even with
-     * compaction on (sealed cells persist in the backing file).
+     * Verdicts, counts, diameters and traces are backend-independent.
      */
     StoreBackend storeBackend = StoreBackend::InRam;
 
@@ -234,8 +230,8 @@ struct ExploreOptions {
      * stop at a violation, any value yields the same
      * state/transition counts and violation verdict (the explorer
      * completes the BFS level a violation is found in and picks the
-     * deterministically smallest witness); only wall-clock time and
-     * the shape of the reconstructed trace may differ.  Runs
+     * deterministically smallest witness and its rule-id-least
+     * shortest trace); only wall-clock time differs.  Runs
      * truncated by maxStates stop at a thread-dependent point: the
      * cap may be overshot by up to one state per worker and the
      * final counts are not comparable across thread counts.
@@ -282,20 +278,30 @@ struct Violation {
      * Rule-labelled path from the initial state to the bad state.
      * For overflow violations the trace follows the overflowing
      * edge's own parent and ends with that edge (see overflowRule),
-     * not the target state's breadcrumbs.  Empty or truncated when
-     * traceNote is set.
+     * not the target state's breadcrumbs.  Always the full path —
+     * depth + 1 steps, the first without a rule — on every store
+     * kind (see replayTrace).
      */
     std::vector<TraceStep> trace;
 
-    /**
-     * Non-empty when the trace could not be fully rebuilt (hash
-     * compaction releases breadcrumb states); explains what is shown
-     * and how to obtain the full path.
-     */
-    std::string traceNote;
-
     std::string describe() const;
 };
+
+/**
+ * Rebuild a counterexample trace by replaying @p path, the rule ids
+ * fired in order from @p scenario's initial state.  Each step is the
+ * one the expansion kernel takes: the guard (asserted enabled),
+ * apply, then canonicaliseTids when @p canonicaliseTids and
+ * deviceCanonical when @p symmetryReduction; the initial state is
+ * canonicalised the same way.  Returns path.size() + 1 steps, the
+ * first without a rule.  No stored state is read, so the trace is
+ * the same from every store kind, sealed levels included.
+ */
+std::vector<TraceStep> replayTrace(const RuleSet &rules,
+                                   const Scenario &scenario,
+                                   const std::vector<std::uint16_t> &path,
+                                   bool canonicaliseTids,
+                                   bool symmetryReduction);
 
 /** Aggregate exploration results. */
 struct ExploreResult {

@@ -64,8 +64,9 @@
  *
  * Hash compaction composes: the store's level sealing is a
  * BFS-schedule notion, so this engine never seals — every compact
- * cell stays retained, which costs the freed memory but makes full
- * counterexample traces reconstructible even under --ws --compact.
+ * cell stays retained, which costs the memory a seal would free.
+ * Traces do not depend on it: both schedules replay the same
+ * rule-id-least shortest path (ExpandKernel::witnessPath).
  */
 
 #include "checker/explorer.hh"

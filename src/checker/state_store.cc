@@ -6,7 +6,9 @@ namespace cxl
 {
 
 StateStore::StateStore(const StoreConfig &config)
-    : mode_(config.mode), backend_(config.backend)
+    : mode_(config.mode), backend_(config.backend),
+      releasesSealed_(config.mode == StoreMode::Compact ||
+                      config.backend == StoreBackend::Mmap)
 {
     // The per-shard ceiling from a total-state capacity: hashing
     // spreads entries near-uniformly, so the first shard to fill does
@@ -23,13 +25,11 @@ StateStore::StateStore(const StoreConfig &config)
     for (Shard &shard : shards_) {
         shard.limit = limit;
         shard.mem = makeShardMem(backend_, config.dir);
-        shard.arena.init(shard.mem.get(), mode_, kOffsetMask);
-        // Fingerprints are the identity in compact mode; full-mode
-        // recoverable backends keep them too, to dedup against sealed
-        // (unmapped) entries without refaulting their blocks.
-        needsVerify_ = mode_ == StoreMode::Compact ||
-                       shard.arena.recoverable();
-        shard.cols.init(shard.mem.get(), needsVerify_,
+        shard.arena.init(shard.mem.get(), releasesSealed_, kOffsetMask);
+        // Fingerprints are the identity in compact mode; a full-mode
+        // store that releases sealed cells keeps them too, to dedup
+        // against those entries.
+        shard.cols.init(shard.mem.get(), releasesSealed_,
                         per_shard_buckets, kOffsetMask);
     }
 }
@@ -56,7 +56,7 @@ StateStore::insert(const SystemState &state, std::uint64_t hash,
     const auto shard_idx =
         static_cast<std::uint32_t>(hash >> (64 - kShardBits));
     const std::uint64_t verify =
-        needsVerify_ ? state.fingerprint() : 0;
+        releasesSealed_ ? state.fingerprint() : 0;
     Shard &shard = shards_[shard_idx];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -76,7 +76,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
     // Fingerprints are computed before any lock.  (Cells are encoded
     // under the lock instead, and only for items that meet a probe-hash
     // match or turn out to be new.)
-    if (needsVerify_) {
+    if (releasesSealed_) {
         for (std::size_t i = 0; i < count; ++i)
             items[i].verify_ = items[i].state.fingerprint();
     }
@@ -156,6 +156,47 @@ StateStore::insertBatchCapped(BatchItem *items, std::size_t count,
     return done;
 }
 
+bool
+StateStore::holds(const Shard &shard, std::uint32_t off,
+                  const SystemState &state, std::uint64_t verify,
+                  std::byte *enc, std::size_t &enc_len) const
+{
+    // Identity: in compact mode the verification fingerprint, in full
+    // mode the cell (falling back to the fingerprint when sealLevel
+    // has released the entry's block — see the file comment).
+    const std::byte *cell =
+        mode_ == StoreMode::Full ? shard.arena.cellIfMapped(off) : nullptr;
+    if (!cell)
+        return shard.cols.verifyAt(off) == verify;
+    if (enc_len == 0)
+        enc_len = encodeCell(state, enc);
+    return cellEquals(cell, enc, enc_len);
+}
+
+std::optional<std::uint32_t>
+StateStore::find(const SystemState &state) const
+{
+    const std::uint64_t hash = state.hash();
+    const auto shard_idx =
+        static_cast<std::uint32_t>(hash >> (64 - kShardBits));
+    const std::uint64_t verify =
+        releasesSealed_ ? state.fingerprint() : 0;
+    const Shard &shard = shards_[shard_idx];
+    const ShardColumns &cols = shard.cols;
+    std::byte enc[kMaxEncodedState];
+    std::size_t enc_len = 0;
+    for (std::uint64_t slot = hash & cols.mask();;
+         slot = (slot + 1) & cols.mask()) {
+        const std::uint32_t bucket = cols.bucketAt(slot);
+        if (bucket == 0)
+            return std::nullopt;
+        const std::uint32_t off = bucket - 1;
+        if (cols.hashAt(off) == hash &&
+            holds(shard, off, state, verify, enc, enc_len))
+            return (shard_idx << kOffsetBits) | off;
+    }
+}
+
 StateStore::InsertOutcome
 StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                               const SystemState &state,
@@ -180,24 +221,10 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             break;
         const std::uint32_t off = bucket - 1;
         if (cols.hashAt(off) == hash) {
-            // Identity: in compact mode the verification fingerprint,
-            // in full mode the cell (falling back to the fingerprint
-            // when the entry's block has been sealed cold — see the
-            // class comment).  A probe-hash match with an identity
-            // mismatch is a detected collision — the states stay
-            // distinct and the probe continues.
-            const std::byte *cell = mode_ == StoreMode::Full
-                                        ? shard.arena.cellIfMapped(off)
-                                        : nullptr;
-            bool same;
-            if (cell) {
-                if (enc_len == 0)
-                    enc_len = encodeCell(state, enc);
-                same = cellEquals(cell, enc, enc_len);
-            } else {
-                same = cols.verifyAt(off) == verify;
-            }
-            if (same) {
+            // A probe-hash match with an identity mismatch is a
+            // detected collision — the states stay distinct and the
+            // probe continues.
+            if (holds(shard, off, state, verify, enc, enc_len)) {
                 const std::uint32_t id =
                     (shard_idx << kOffsetBits) | off;
                 // Label-correcting duplicate: a shorter path to a
@@ -245,6 +272,17 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
     return {(shard_idx << kOffsetBits) | off, true, false};
 }
 
+std::vector<std::uint16_t>
+StateStore::rulePath(std::uint32_t id) const
+{
+    std::vector<std::uint16_t> path;
+    for (std::uint32_t cur = id; parentAt(cur) != kNoParent;
+         cur = parentAt(cur))
+        path.push_back(ruleAt(cur));
+    std::reverse(path.begin(), path.end());
+    return path;
+}
+
 std::uint32_t
 StateStore::maxDepthQuiescent() const
 {
@@ -276,7 +314,6 @@ StateStore::countDepthAtMost(std::uint32_t depth) const
 void
 StateStore::sealLevel()
 {
-    sealed_ = true;
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.arena.seal();

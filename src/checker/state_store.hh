@@ -22,19 +22,17 @@
  *    is the classic heap layout; Mmap gives every shard file-backed
  *    growable mappings (anonymous memfd, or files under an explicit
  *    directory) so sealed BFS levels can be unmapped — address space
- *    and residency track the frontier window, the backing file keeps
- *    every byte, and dropped blocks are remapped on demand.
+ *    and residency track the frontier window.
  *
  * Two storage modes (StoreMode, declared with the arena):
  *
- *  - Full: every state's cell is kept, so deduplication is exact —
- *    a probe-hash match compares the candidate's cell with the
- *    stored one — and counterexample traces can be rebuilt from the
- *    breadcrumbs.  (On the Mmap backend, entries whose blocks have
- *    been sealed cold are deduplicated by their stored 64-bit
- *    verification fingerprint instead of refaulting the block —
- *    detected-collision semantics identical to compact mode for
- *    exactly those entries; the mapped window still compares cells.)
+ *  - Full: exact deduplication — a probe-hash match compares the
+ *    candidate's cell with the stored one.  The InRam backend keeps
+ *    every cell; the Mmap backend releases sealed levels' blocks and
+ *    deduplicates those entries by their stored 64-bit verification
+ *    fingerprint instead — detected-collision semantics identical to
+ *    compact mode for exactly those entries; the mapped window still
+ *    compares cells.
  *  - Compact: Murphi hash compaction.  Identity is a second 64-bit
  *    verification fingerprint kept per entry; the cells only serve
  *    frontier reads, and old BFS levels' blocks are released
@@ -42,9 +40,12 @@
  *    A probe-hash collision is *detected* by the fingerprint mismatch
  *    (counted in probeCollisions()) and the states stay distinct; an
  *    undetected merge requires both 64-bit values to collide —
- *    expected occurrences ~ n^2 / 2^65 for n states.  Traces cannot
- *    be rebuilt in this mode on the InRam backend; on Mmap the sealed
- *    cells persist in the backing file, so they can.
+ *    expected occurrences ~ n^2 / 2^65 for n states.
+ *
+ * Either way a released cell is never read again: the frontier lives
+ * above the seal boundary, and counterexample traces are replayed
+ * from the breadcrumb rule ids (rulePath(), replayTrace in
+ * explorer.hh), so every kind yields the same full trace.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
  * the top kShardBits select the shard, the low kOffsetBits index the
@@ -81,9 +82,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "checker/store_arena.hh"
 #include "checker/store_columns.hh"
@@ -269,38 +272,16 @@ class StateStore
     }
 
     /**
-     * Decode the state for a packed id into @p out.  The entry must
-     * still be retained (see stateRetained — on recoverable backends
-     * every entry is, with sealed blocks remapped on demand, in which
-     * case the call must hold no expectation of lock-freedom:
-     * quiescent or shard-lock use only).
+     * Decode the state for a packed id into @p out.  Entries
+     * inserted before the last sealLevel boundary but one may be
+     * released (see sealLevel): the newest sealed level — the BFS
+     * frontier — and everything after it always decode, and the
+     * InRam full store decodes every entry.
      */
     void
     stateInto(std::uint32_t id, SystemState &out) const
     {
         shards_[shardOf(id)].arena.cellInto(id & kOffsetMask, out);
-    }
-
-    /** True iff the state bytes of @p id are still readable: always
-     * in full mode and on recoverable (Mmap) backends; in InRam
-     * compact mode, until sealLevel releases the enclosing arena
-     * block. */
-    bool
-    stateRetained(std::uint32_t id) const
-    {
-        return shards_[shardOf(id)].arena.cellRetained(id &
-                                                       kOffsetMask);
-    }
-
-    /** True iff stateInto works for *every* id ever returned — i.e.
-     * counterexample traces are reconstructible: full mode, a
-     * recoverable backend whose sealed cells persist in the backing
-     * file, or a store that has never sealed a level. */
-    bool
-    statesAlwaysReadable() const
-    {
-        return mode_ == StoreMode::Full ||
-               shards_[0].arena.recoverable() || !sealed_;
     }
 
     /** Breadcrumb accessors; quiescent use only (the columns may
@@ -315,6 +296,15 @@ class StateStore
     {
         return shards_[shardOf(id)].cols.ruleAt(id & kOffsetMask);
     }
+
+    /** The rule ids on @p id's breadcrumb path, in firing order from
+     * the root; quiescent use only.  replayTrace turns them into a
+     * trace without reading any cell. */
+    std::vector<std::uint16_t> rulePath(std::uint32_t id) const;
+
+    /** The id of @p state's entry, if stored (same identity as
+     * insert); quiescent use only. */
+    std::optional<std::uint32_t> find(const SystemState &state) const;
 
     /**
      * Current depth label of @p id.  Safe concurrently with inserts
@@ -343,16 +333,14 @@ class StateStore
      * BFS level barrier hook; call only while quiescent.  Releases
      * the arena blocks of states older than the level that just
      * finished expanding (their bytes are no longer on the hot path)
-     * and records the new level boundary.  InRam compact mode frees
-     * them for good; Mmap backends unmap them — file keeps the bytes,
-     * reads recover them — in both modes.  No-op for InRam full.
+     * and records the new level boundary.  Compact mode frees them on
+     * either backend, and the Mmap backend unmaps them in full mode
+     * too; the InRam full store keeps every cell.
      *
      * Sealing is a property of the depth-synchronized schedule only:
      * the work-stealing explorer expands depths out of order and so
-     * never calls this — under it every arena block stays mapped
-     * (costing the memory the seal would have freed, but making
-     * counterexample traces reconstructible even in InRam compact
-     * mode).
+     * never calls this — under it every arena block stays mapped,
+     * costing the memory the seal would have freed.
      */
     void sealLevel();
 
@@ -409,23 +397,27 @@ class StateStore
         bool improved;
     };
 
+    /** Whether entry @p off of @p shard holds @p state (fingerprint
+     * @p verify): see the identity rule in probeInsertLocked.  Encodes
+     * @p state into @p enc on first need, tracking @p enc_len. */
+    bool holds(const Shard &shard, std::uint32_t off,
+               const SystemState &state, std::uint64_t verify,
+               std::byte *enc, std::size_t &enc_len) const;
+
     InsertOutcome
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                       const SystemState &state, std::uint64_t hash,
                       std::uint64_t verify, std::uint32_t parent,
                       std::uint16_t rule_id, std::uint32_t depth);
 
-    /** Whether entries carry a verification fingerprint (compact
-     * mode, and full mode on recoverable backends — see the file
-     * comment). */
-    bool needsVerify() const { return needsVerify_; }
-
     Shard shards_[kNumShards];
     std::atomic<std::uint64_t> total_{0};
     StoreMode mode_;
     StoreBackend backend_;
-    bool needsVerify_;
-    bool sealed_ = false; ///< sealLevel has run
+    /** Whether sealLevel releases cells — compact mode, and full mode
+     * on the Mmap backend; exactly then entries carry a verification
+     * fingerprint, the identity of a released cell. */
+    bool releasesSealed_;
 };
 
 } // namespace cxl

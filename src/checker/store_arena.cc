@@ -1,6 +1,5 @@
 #include "checker/store_arena.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <string>
@@ -62,26 +61,17 @@ decodeCell(const std::byte *cell, SystemState &out)
 }
 
 void
-StateArena::init(ShardMem *mem, StoreMode mode,
+StateArena::init(ShardMem *mem, bool release_sealed,
                  std::uint32_t max_entries)
 {
     mem_ = mem;
-    mode_ = mode;
+    releaseSealed_ = release_sealed;
     // Cells are offset-addressed with 32 bits per shard: up to 4 GiB
     // of cells per shard.  Fully reserve both spines: they must never
     // reallocate, because readers index them lock-free (see the file
     // comment).
     blocks_.reserve((std::uint64_t{1} << 32) >> kBlockBits);
     stateOffs_.reserve((max_entries >> kOffChunkBits) + 1);
-}
-
-std::byte *
-StateArena::recoverBlock(std::uint32_t block) const
-{
-    auto *p = static_cast<std::byte *>(mem_->blockRecover(block));
-    assert(p && "sealed state block unrecoverable on this backend");
-    blocks_[block] = p;
-    return p;
 }
 
 void
@@ -120,34 +110,26 @@ void
 StateArena::cellInto(std::uint32_t off, SystemState &out) const
 {
     const std::uint32_t at = stateOffAt(off);
-    assert(cellRetained(off) && "state released by sealLevel");
-    const std::uint32_t block = at >> kBlockBits;
-    const std::byte *base = blocks_[block];
-    if (!base)
-        base = recoverBlock(block);
+    const std::byte *base = blocks_[at >> kBlockBits];
+    assert(base && "state released by sealLevel");
     decodeCell(base + (at & (kBlockBytes - 1)), out);
 }
 
 void
 StateArena::seal()
 {
-    if (mode_ == StoreMode::Full && !mem_->recoverable())
-        return; // in-RAM full store: nothing is ever released
+    if (!releaseSealed_)
+        return;
     // Blocks wholly below the previous level boundary belong to
     // levels whose expansion has finished; the frontier no longer
     // reads them.  Release whole blocks only — a partial tail block
-    // is shared with the still-needed frontier.  The loop rescans
-    // from zero so blocks recovered since the last seal go cold
-    // again.
-    const std::uint64_t floor_block = levelBoundary_ >> kBlockBits;
-    for (std::uint64_t b = 0; b < floor_block; ++b) {
-        if (blocks_[b]) {
-            mem_->blockDrop(static_cast<std::uint32_t>(b));
-            blocks_[b] = nullptr;
-        }
+    // is shared with the still-needed frontier.
+    const auto floor_block =
+        static_cast<std::uint32_t>(levelBoundary_ >> kBlockBits);
+    for (; droppedBlocks_ < floor_block; ++droppedBlocks_) {
+        mem_->blockDrop(droppedBlocks_);
+        blocks_[droppedBlocks_] = nullptr;
     }
-    if (!mem_->recoverable())
-        byteFloor_ = std::max(byteFloor_, floor_block << kBlockBits);
     levelBoundary_ = byteCursor_;
 }
 

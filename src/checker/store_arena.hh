@@ -25,28 +25,24 @@
  * lock-free for entries published before their expansion phase
  * began, the same contract the monolithic store had.
  *
- * seal(): at a BFS level barrier the arena drops every whole block
- * that belongs to levels finished expanding.  On an unrecoverable
- * backend (InRam) only compact mode drops, and dropped cells are gone
- * (cellRetained() goes false); full mode keeps everything.  On a
- * recoverable backend (Mmap) *both* modes drop: the mapped window
- * shrinks to roughly the frontier and its successors while the
- * backing file keeps every byte, and a dropped block is remapped on
- * demand (cellInto()) — which is also why counterexample traces stay
- * reconstructible under mmap even in compact mode.  Recovered blocks
- * are re-dropped at the next seal (the drop loop rescans from block
- * zero).
+ * seal(): at a BFS level barrier an arena told at init to release
+ * sealed cells drops every whole block that belongs to levels
+ * finished expanding — the façade asks for that in compact mode and
+ * on the Mmap backend, where the mapped window then shrinks to
+ * roughly the frontier and its successors.  A dropped block is gone
+ * for good: nothing reads it again (counterexample traces are
+ * replayed from the breadcrumb rule ids, not decoded), so each seal
+ * only walks the blocks since the previous one.
  *
- * Full-mode dedup against a sealed (dropped) block would fault pages
- * back per duplicate and re-grow the mapped window; the façade
- * instead keeps a verification fingerprint per entry on recoverable
- * full-mode backends and compares *that* when cellIfMapped() returns
- * null — identical detected-collision semantics to compact mode for
- * cold entries, exact cell comparison for the mapped window.
+ * Dedup against a dropped cell is by the verification fingerprint
+ * the façade keeps per entry whenever the arena releases: it
+ * compares *that* when cellIfMapped() returns null — identical
+ * detected-collision semantics to compact mode for released entries,
+ * exact cell comparison for the mapped window in full mode.
  *
- * Thread-safety: append/seal and the cold (recovering) readers run
- * under the shard lock or quiescent; cellInto on retained frontier
- * entries follows the façade's lock-free reader contract.
+ * Thread-safety: append/seal run under the shard lock or quiescent;
+ * cellInto on frontier entries follows the façade's lock-free reader
+ * contract.
  */
 
 #ifndef CXL_CHECKER_STORE_ARENA_HH
@@ -65,7 +61,7 @@ namespace cxl
 
 /** Storage policy of a StateStore (façade-level; see state_store.hh). */
 enum class StoreMode : std::uint8_t {
-    Full,    ///< keep every state; exact dedup; traces reconstructible
+    Full,    ///< exact dedup by the state's cell
     Compact, ///< hash compaction: 64-bit fingerprints instead of states
 };
 
@@ -111,12 +107,10 @@ class StateArena
     static constexpr std::uint32_t kOffChunkBits = 16;
     static constexpr std::uint32_t kOffChunkSize = 1u << kOffChunkBits;
 
-    /** Bind to a backend; @p max_entries bounds the offset spine. */
-    void init(ShardMem *mem, StoreMode mode, std::uint32_t max_entries);
-
-    /** True when dropped blocks can be remapped from the backing
-     * file. */
-    bool recoverable() const { return mem_->recoverable(); }
+    /** Bind to a backend; seal() drops blocks only when
+     * @p release_sealed.  @p max_entries bounds the offset spine. */
+    void init(ShardMem *mem, bool release_sealed,
+              std::uint32_t max_entries);
 
     /**
      * Append entry @p off's encoded cell (shard lock held).
@@ -126,9 +120,9 @@ class StateArena
     void append(std::uint32_t shard_idx, std::uint32_t off,
                 const std::byte *cell, std::size_t len);
 
-    /** Entry @p off's cell, or null when its block was dropped — the
-     * façade's cue to fall back to fingerprint identity (shard lock
-     * held). */
+    /** Entry @p off's cell, or null when seal() dropped its block —
+     * the façade's cue to fall back to fingerprint identity (shard
+     * lock held). */
     const std::byte *
     cellIfMapped(std::uint32_t off) const
     {
@@ -154,23 +148,12 @@ class StateArena
             __builtin_prefetch(base + (at & (kBlockBytes - 1)));
     }
 
-    /** Decode entry @p off's cell (recovering its block if sealed —
-     * then shard lock held or quiescent). */
+    /** Decode entry @p off's cell; its block must not be dropped. */
     void cellInto(std::uint32_t off, SystemState &out) const;
-
-    /** True while entry @p off's cell is still decodable: always on a
-     * recoverable backend or in full mode; until seal() releases the
-     * enclosing block otherwise. */
-    bool
-    cellRetained(std::uint32_t off) const
-    {
-        return byteFloor_ == 0 || stateOffAt(off) >= byteFloor_;
-    }
 
     /**
      * BFS level barrier (quiescent): drop every whole block of levels
-     * finished expanding.  No-op for full mode on unrecoverable
-     * backends.
+     * finished expanding, when the arena releases sealed cells.
      */
     void seal();
 
@@ -182,21 +165,18 @@ class StateArena
                          [off & (kOffChunkSize - 1)];
     }
 
-    std::byte *recoverBlock(std::uint32_t block) const;
-
     ShardMem *mem_ = nullptr;
-    StoreMode mode_ = StoreMode::Full;
+    bool releaseSealed_ = false;
     /**
      * Block-pointer cache, fully reserved (never reallocates; see the
-     * file comment).  Null means dropped; mutable because cold reads
-     * remap on demand without changing observable state.
+     * file comment).  Null means dropped.
      */
-    mutable std::vector<std::byte *> blocks_;
+    std::vector<std::byte *> blocks_;
     /** Offset column, in fixed chunks (never move). */
     std::vector<std::uint32_t *> stateOffs_;
     std::uint64_t byteCursor_ = 0; ///< next free arena byte
-    std::uint64_t byteFloor_ = 0;  ///< lost below this (InRam compact)
     std::uint64_t levelBoundary_ = 0; ///< byte cursor at the last seal
+    std::uint32_t droppedBlocks_ = 0; ///< blocks [0, this) are dropped
 };
 
 } // namespace cxl

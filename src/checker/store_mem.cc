@@ -19,8 +19,7 @@ namespace cxl
 namespace
 {
 
-/** Heap backend: the classic layout.  Dropped blocks are freed and
- * gone — exactly the pre-backend StateStore behaviour. */
+/** Heap backend: the classic layout; dropped blocks are freed. */
 class RamShardMem final : public ShardMem
 {
   public:
@@ -72,14 +71,6 @@ class RamShardMem final : public ShardMem
         ::operator delete(blocks_[index]);
         blocks_[index] = nullptr;
     }
-
-    void *
-    blockRecover(std::uint32_t) override
-    {
-        return nullptr;
-    }
-
-    bool recoverable() const override { return false; }
 
   private:
     struct Flat {
@@ -157,7 +148,7 @@ openBackingFile(const std::string &dir, const char *tag)
  * File-backed backend: every flat region and the chunk/arena pools
  * get their own backing file, grown with ftruncate and (flats)
  * remapped in place with mremap.  See store_mem.hh for the drop /
- * recover / go-cold scheme.
+ * go-cold scheme.
  */
 class MmapShardMem final : public ShardMem
 {
@@ -176,7 +167,7 @@ class MmapShardMem final : public ShardMem
             ::munmap(c.p, c.bytes);
         if (chunkFd_ >= 0)
             ::close(chunkFd_);
-        for (const Block &b : blocks_) {
+        for (const Mapping &b : blocks_) {
             if (b.p)
                 ::munmap(b.p, b.bytes);
         }
@@ -247,16 +238,14 @@ class MmapShardMem final : public ShardMem
         bumpFile(len);
         if (index >= blocks_.size())
             blocks_.resize(index + 1);
-        blocks_[index] = {p, len, off};
+        blocks_[index] = {p, len};
         return p;
     }
 
     void
     blockDrop(std::uint32_t index) override
     {
-        Block &b = blocks_[index];
-        if (!b.p)
-            return;
+        Mapping &b = blocks_[index];
         // Advise the level's pages cold before unmapping: the file
         // keeps the bytes, but the kernel may reclaim the physical
         // pages ahead of memory pressure.
@@ -267,23 +256,6 @@ class MmapShardMem final : public ShardMem
         bumpMapped(-static_cast<std::int64_t>(b.bytes));
         b.p = nullptr;
     }
-
-    void *
-    blockRecover(std::uint32_t index) override
-    {
-        Block &b = blocks_[index];
-        if (b.p)
-            return b.p;
-        void *p = ::mmap(nullptr, b.bytes, PROT_READ | PROT_WRITE,
-                         MAP_SHARED, arenaFd_, b.off);
-        if (p == MAP_FAILED)
-            throwErrno("remap (sealed arena block)");
-        bumpMapped(b.bytes);
-        b.p = p;
-        return p;
-    }
-
-    bool recoverable() const override { return true; }
 
     std::uint64_t
     mappedBytes() const override
@@ -307,11 +279,6 @@ class MmapShardMem final : public ShardMem
         void *p;
         std::size_t bytes;
     };
-    struct Block {
-        void *p = nullptr;
-        std::size_t bytes = 0;
-        off_t off = 0;
-    };
 
     void
     bumpMapped(std::int64_t delta)
@@ -332,7 +299,7 @@ class MmapShardMem final : public ShardMem
     std::vector<Mapping> chunks_;
     int arenaFd_ = -1;
     off_t arenaEnd_ = 0;
-    std::vector<Block> blocks_;
+    std::vector<Mapping> blocks_; ///< p is null once dropped
     std::atomic<std::uint64_t> mapped_{0};
     std::atomic<std::uint64_t> fileBytes_{0};
 };

@@ -17,18 +17,17 @@
  *    chunked atomic depth column and the compact-mode state-offset
  *    column), so lock-free readers can walk them while peers insert.
  *  - blocks: fixed-size, index-addressed arena blocks that can be
- *    dropped (sealLevel) and — on backends with a backing file —
- *    recovered later, because the bytes persist in the file.
+ *    dropped (sealLevel); a dropped block is never read again.
  *
  * The Mmap backend gives every shard its own anonymous backing files
  * (memfd, or O_TMPFILE/unlinked files under an explicit directory for
  * true spill-to-disk), grown with ftruncate and remapped with
  * mremap.  Dropping a sealed block munmaps it — address space and
- * residency shrink, the file keeps the bytes — after advising the
- * kernel the pages have gone cold, so a bounded mapped window walks
- * the (unbounded) file as BFS levels seal.  That is what lets a
- * space whose full-mode arena exceeds an address-space budget
- * (`ulimit -v`) complete out of core.
+ * residency shrink — after advising the kernel the pages have gone
+ * cold, so a bounded mapped window walks the (unbounded) file as BFS
+ * levels seal.  That is what lets a space whose full-mode arena
+ * exceeds an address-space budget (`ulimit -v`) complete out of
+ * core.
  *
  * Thread-safety: all allocation calls are made under the owning
  * shard's lock (or while quiescent).  The byte counters are atomics
@@ -49,8 +48,8 @@ namespace cxl
 
 /** Which memory backend a StateStore's shards allocate from. */
 enum class StoreBackend : std::uint8_t {
-    InRam, ///< heap allocations; dropped blocks are freed for good
-    Mmap,  ///< per-shard file-backed mappings; dropped blocks persist
+    InRam, ///< heap allocations
+    Mmap,  ///< per-shard file-backed mappings, unmapped as levels seal
 };
 
 /** One shard's allocator (see the file comment for the shapes). */
@@ -86,17 +85,9 @@ class ShardMem
     virtual void *blockAlloc(std::uint32_t index,
                              std::size_t bytes) = 0;
 
-    /** Release block @p index's memory.  InRam frees it for good;
-     * Mmap unmaps the window (the backing file keeps the bytes). */
+    /** Release block @p index's memory for good: InRam frees it,
+     * Mmap unmaps its window. */
     virtual void blockDrop(std::uint32_t index) = 0;
-
-    /** Re-map a dropped block; nullptr when the backend cannot
-     * (InRam).  Callers hold the shard lock or are quiescent. */
-    virtual void *blockRecover(std::uint32_t index) = 0;
-
-    /** True when dropped blocks can be recovered (a backing file
-     * holds their bytes). */
-    virtual bool recoverable() const = 0;
 
     /** Bytes currently mapped/allocated by this shard's file-backed
      * regions (0 for InRam: nothing is file-backed). */
@@ -110,7 +101,7 @@ class ShardMem
  * Build one shard's allocator.  @p dir names the backing directory
  * for StoreBackend::Mmap ("" = anonymous in-memory files); ignored
  * for InRam.  On platforms without the required mmap surface the
- * Mmap backend degrades to InRam (dropped blocks unrecoverable).
+ * Mmap backend degrades to InRam.
  *
  * @throws std::runtime_error when a backing file cannot be created.
  */

@@ -26,11 +26,7 @@ ComboDesc::engineOptions() const
     opt.schedule = schedule;
     opt.por = por;
     opt.symmetry = sym ? SymmetryMode::On : SymmetryMode::Off;
-    opt.store = mmapStore
-                    ? (compact ? StoreKind::MmapCompact
-                               : StoreKind::Mmap)
-                    : (compact ? StoreKind::InRamCompact
-                               : StoreKind::InRam);
+    opt.store = storeKindOf(mmapStore, compact);
     opt.threads = threads;
     return opt;
 }

@@ -101,20 +101,12 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
     outcome.explore.maxDepth = max_depth;
     outcome.explore.completed = true;
     if (violation) {
-        // Rebuild the trace for reporting.
-        std::vector<TraceStep> trace;
-        std::uint32_t cur = violation->stateIndex;
-        while (cur != StateStore::kNoParent) {
-            TraceStep step;
-            store.stateInto(cur, step.state);
-            const std::uint32_t parent = store.parentAt(cur);
-            if (parent != StateStore::kNoParent)
-                step.ruleName = rules.rules()[store.ruleAt(cur)].name;
-            trace.push_back(std::move(step));
-            cur = parent;
-        }
-        std::reverse(trace.begin(), trace.end());
-        violation->trace = std::move(trace);
+        // The walk fires rules on raw (uncanonicalised) states.
+        violation->trace =
+            replayTrace(rules, test.scenario,
+                        store.rulePath(violation->stateIndex),
+                        /*canonicaliseTids=*/false,
+                        /*symmetryReduction=*/false);
         outcome.explore.violationCount = 1;
         outcome.explore.violation = std::move(violation);
     }

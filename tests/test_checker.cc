@@ -360,29 +360,33 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
     sc.initial = initialAllInvalid(0); // empty programs: only the
                                        // custom rules can fire
     Explorer ex(custom, sc, invariants);
-    ExploreOptions opt;
-    opt.checkInvariants = false; // the crafted states are not legal
-    opt.checkDeadlock = false;
-    ExploreResult res = ex.run(opt);
+    // The same trace from the full store and, with the BFS schedule
+    // sealing every level, from the compact one.
+    for (const bool compact : {false, true}) {
+        ExploreOptions opt;
+        opt.checkInvariants = false; // the crafted states are not legal
+        opt.checkDeadlock = false;
+        opt.compaction = compact;
+        ExploreResult res = ex.run(opt);
 
-    ASSERT_TRUE(res.violation.has_value());
-    EXPECT_EQ(res.violation->kind, Violation::Kind::Overflow);
-    EXPECT_EQ(res.violation->overflowRule, "Burst");
-    EXPECT_NE(res.violation->describe().find("Burst"),
-              std::string::npos);
-    // Depth 4: three Fill edges to the full-channel state, then the
-    // overflowing Burst edge.
-    EXPECT_EQ(res.violation->depth, 4u);
-    ASSERT_EQ(res.violation->trace.size(), 5u);
-    EXPECT_TRUE(res.violation->trace.front().ruleName.empty());
-    EXPECT_EQ(res.violation->trace.back().ruleName, "Burst");
-    for (std::size_t k = 1; k + 1 < res.violation->trace.size(); ++k)
-        EXPECT_EQ(res.violation->trace[k].ruleName, "Fill");
-    // The overflowing push is dropped, so the final step lands on the
-    // same (already known) state it left from.
-    EXPECT_TRUE(res.violation->trace[3].state ==
-                res.violation->trace[4].state);
-    EXPECT_TRUE(res.violation->traceNote.empty());
+        ASSERT_TRUE(res.violation.has_value()) << compact;
+        EXPECT_EQ(res.violation->kind, Violation::Kind::Overflow);
+        EXPECT_EQ(res.violation->overflowRule, "Burst");
+        EXPECT_NE(res.violation->describe().find("Burst"),
+                  std::string::npos);
+        // Depth 4: three Fill edges to the full-channel state, then
+        // the overflowing Burst edge.
+        EXPECT_EQ(res.violation->depth, 4u);
+        const std::vector<TraceStep> &trace = res.violation->trace;
+        ASSERT_EQ(trace.size(), 5u) << compact;
+        EXPECT_TRUE(trace.front().ruleName.empty());
+        EXPECT_EQ(trace.back().ruleName, "Burst");
+        for (std::size_t k = 1; k + 1 < trace.size(); ++k)
+            EXPECT_EQ(trace[k].ruleName, "Fill");
+        // The overflowing push is dropped, so the final step lands on
+        // the same (already known) state it left from.
+        EXPECT_TRUE(trace[3].state == trace[4].state);
+    }
 }
 
 TEST_F(ExplorerTest, FreeRunCoversEveryDeviceStateAndHostState)

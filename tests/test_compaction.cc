@@ -5,15 +5,17 @@
  * 3-device explorations across 1/4/8 worker threads, a synthetic
  * probe-hash collision must be detected and kept as two states (and
  * reported via probeCollisions) rather than silently merged, and a
- * violation found under compaction must carry the same verdict with
- * an explanatory trace note instead of a breadcrumb path.  The
- * CellCodec tests pin the lane-cell format both modes store.
+ * violation found under compaction must carry the same verdict and
+ * the same full trace as the full store.  The CellCodec tests pin
+ * the lane-cell format both modes store, and the arena test pins
+ * which sealed blocks a releasing arena drops.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
@@ -116,12 +118,12 @@ TEST(Compaction, ExpectedStatesHintChangesNoCounts)
     }
 }
 
-TEST(Compaction, ViolationVerdictMatchesWithTraceNote)
+TEST(Compaction, ViolationTraceMatchesFullStore)
 {
     // The Table 3 mutation under compaction: same conjunct, family
-    // and minimal depth as the full-mode verdict, but the breadcrumb
-    // path cannot be rebuilt — the violation must say so instead of
-    // showing a wrong or empty trace silently.
+    // and minimal depth as the full-mode verdict, and the same full
+    // trace — replayed from the breadcrumb rule ids, so sealed
+    // levels whose state bytes are released cost nothing.
     ProtocolConfig mutated;
     mutated.relaxSnoopPushesGo = true;
     RuleSet rules(mutated);
@@ -130,7 +132,10 @@ TEST(Compaction, ViolationVerdictMatchesWithTraceNote)
 
     ExploreResult full = runMode(rules, sc, swmr, {}, false, 1);
     ASSERT_TRUE(full.violation.has_value());
-    ASSERT_TRUE(full.violation->traceNote.empty());
+    const std::vector<TraceStep> &want = full.violation->trace;
+    ASSERT_EQ(want.size(), full.violation->depth + 1u);
+    EXPECT_TRUE(want.front().ruleName.empty());
+    EXPECT_FALSE(swmrHolds(want.back().state));
 
     for (std::size_t n : kSweep) {
         ExploreResult comp = runMode(rules, sc, swmr, {}, true, n);
@@ -142,14 +147,13 @@ TEST(Compaction, ViolationVerdictMatchesWithTraceNote)
                   full.violation->conjunctName);
         EXPECT_EQ(comp.violation->conjunctFamily,
                   full.violation->conjunctFamily);
-        EXPECT_NE(comp.violation->traceNote.find("compaction"),
-                  std::string::npos);
-        // At most the bad state itself is shown; never a partial
-        // breadcrumb path that silently omits steps.
-        EXPECT_LE(comp.violation->trace.size(), 1u);
-        if (!comp.violation->trace.empty()) {
-            EXPECT_FALSE(
-                swmrHolds(comp.violation->trace.back().state));
+        const std::vector<TraceStep> &got = comp.violation->trace;
+        ASSERT_EQ(got.size(), want.size()) << "compact @" << n;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].ruleName, want[i].ruleName)
+                << "compact @" << n << " step " << i;
+            EXPECT_TRUE(got[i].state == want[i].state)
+                << "compact @" << n << " step " << i;
         }
     }
 }
@@ -419,40 +423,61 @@ TEST(CellCodec, MaskMismatchAtABlockEndReadsNoFurther)
 
 TEST(Compaction, CompactStoreReleasesSealedLevels)
 {
-    // sealLevel must release only state bytes at least two level
-    // boundaries old; the newest level (the next frontier) stays
-    // readable.  Insert enough encoded cells on one shard that whole
-    // byte-arena blocks become releasable.
+    // seal() must release only whole blocks of cells at least two
+    // level boundaries old; the newest level (the next frontier)
+    // stays readable.  Checked on an arena over the heap backend,
+    // the one a ram-compact store uses: append enough encoded cells
+    // that whole blocks become releasable.
+    const std::uint32_t n = 200000; // cells total several blocks
+    for (const bool release : {true, false}) {
+        const std::unique_ptr<ShardMem> mem =
+            makeShardMem(StoreBackend::InRam, "");
+        StateArena arena;
+        arena.init(mem.get(), release, StateStore::kOffsetMask);
+        std::byte cell[kMaxEncodedState];
+        for (std::uint32_t i = 0; i < n; ++i) {
+            arena.append(0, i, cell,
+                         encodeCell(arenaState(static_cast<int>(i)),
+                                    cell));
+        }
+        arena.seal(); // boundary after "level A"
+        for (std::uint32_t i = 0; i < n; ++i)
+            ASSERT_NE(arena.cellIfMapped(i), nullptr) << i;
+
+        arena.seal(); // level A is now two boundaries old
+        // Whole blocks below the boundary are released; the
+        // partially filled tail block is shared with the newest level
+        // and stays.  An arena that does not release keeps them all.
+        EXPECT_EQ(arena.cellIfMapped(0) == nullptr, release);
+        ASSERT_NE(arena.cellIfMapped(n - 1), nullptr);
+        SystemState decoded;
+        arena.cellInto(n - 1, decoded);
+        EXPECT_TRUE(decoded == arenaState(static_cast<int>(n - 1)));
+    }
+
+    // Through the store: deduplication still works without the state
+    // bytes, and the newest level still decodes.
     StateStore store(1 << 10, StoreMode::Compact);
-    const int n = 200000; // cells total several byte blocks
     std::vector<std::uint32_t> ids;
-    auto forged = [](int i) {
-        return mix64(static_cast<std::uint64_t>(i)) >> 4; // shard 0
+    auto forged = [](std::uint32_t i) {
+        return mix64(i) >> 4; // shard 0
     };
-    for (int i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; i < n; ++i) {
         ids.push_back(store
-                          .insert(arenaState(i), forged(i),
-                                  StateStore::kNoParent, 0, 0)
+                          .insert(arenaState(static_cast<int>(i)),
+                                  forged(i), StateStore::kNoParent, 0,
+                                  0)
                           .first);
     }
-    EXPECT_TRUE(store.stateRetained(ids.front()));
-    EXPECT_TRUE(store.stateRetained(ids.back()));
-    store.sealLevel(); // boundary after "level A"
-    for (std::uint32_t id : ids)
-        EXPECT_TRUE(store.stateRetained(id));
-
-    store.sealLevel(); // level A is now two boundaries old
-    // Whole byte blocks below the boundary are released; the
-    // partially filled tail block is shared with the newest level
-    // and stays.
-    EXPECT_FALSE(store.stateRetained(ids.front()));
-    EXPECT_TRUE(store.stateRetained(ids.back()));
-
-    // Deduplication still works without the state bytes.
+    store.sealLevel();
+    store.sealLevel();
     auto [idx, is_new] = store.insert(arenaState(0), forged(0),
                                       StateStore::kNoParent, 0, 0);
     EXPECT_FALSE(is_new);
     EXPECT_EQ(idx, ids.front());
+    SystemState decoded;
+    store.stateInto(ids.back(), decoded);
+    EXPECT_TRUE(decoded == arenaState(static_cast<int>(n - 1)));
 }
 
 } // namespace

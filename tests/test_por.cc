@@ -460,7 +460,7 @@ TEST(PorSoundness, ComposesWithCompactionBitIdentically)
     EngineOptions eng;
     eng.threads = 4;
     eng.por = true;
-    eng.store = StoreKind::Compact;
+    eng.store = StoreKind::InRamCompact;
     req.engine = eng;
     const CheckResult res = session.run(req);
     EXPECT_EQ(res.verdict, CheckResult::Verdict::Holds);
@@ -468,7 +468,7 @@ TEST(PorSoundness, ComposesWithCompactionBitIdentically)
     EXPECT_EQ(res.states, 5218u);
     EXPECT_EQ(res.diameter, 27u);
 
-    eng.store = StoreKind::Full;
+    eng.store = StoreKind::InRam;
     req.engine = eng;
     const CheckResult full = session.run(req);
     EXPECT_EQ(full.transitions, res.transitions);

@@ -174,24 +174,22 @@ TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
         store.sealLevel();
         store.sealLevel();
 
-        const bool readable = store.statesAlwaysReadable();
-        EXPECT_EQ(readable,
-                  k.mode == StoreMode::Full ||
-                      k.backend == StoreBackend::Mmap)
-            << k.name;
-        EXPECT_EQ(store.stateRetained(ids.front()), readable)
-            << k.name;
-        EXPECT_TRUE(store.stateRetained(ids.back())) << k.name;
-        if (readable) {
-            // Sealed entries stay decodable — recoverable backends
-            // remap the dropped block on demand.
-            SystemState decoded;
+        // The newest level — the next BFS frontier — decodes on every
+        // kind; the InRam full store releases nothing, so its sealed
+        // entries decode too.  (Which blocks the releasing kinds drop
+        // is pinned by Compaction.CompactStoreReleasesSealedLevels and
+        // MmapKindsReportAndReleaseMappedBytes.)
+        SystemState decoded;
+        store.stateInto(ids.back(), decoded);
+        EXPECT_TRUE(decoded == probeState(n - 1)) << k.name;
+        if (k.mode == StoreMode::Full &&
+            k.backend == StoreBackend::InRam) {
             store.stateInto(ids.front(), decoded);
             EXPECT_TRUE(decoded == probeState(0)) << k.name;
         }
 
         // Deduplication survives sealing on every kind (fingerprint
-        // identity where the bytes are cold).
+        // identity where the bytes are released).
         auto [id, fresh] = store.insert(
             probeState(0), shardZeroHash(0), StateStore::kNoParent,
             0, 0);
@@ -296,7 +294,7 @@ TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
         EXPECT_TRUE(new_b) << k.name << ": silently merged";
         EXPECT_NE(ia, ib) << k.name;
         EXPECT_GE(store.probeCollisions(), 1u) << k.name;
-        // The collision survives a seal: cold-entry identity falls
+        // The collision survives a seal: released-entry identity falls
         // back to the verification fingerprint, which still tells
         // the two states apart.
         store.sealLevel();

@@ -18,12 +18,15 @@
  *     depth-synchronized baseline.  Transition counts are
  *     deliberately NOT compared: re-expansion (label correction) and
  *     async POR sleep-mask convergence make them schedule-dependent.
+ *     Witness traces are compared step by step across both
+ *     schedules, all four store kinds, POR and 1/4/8 threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -264,7 +267,7 @@ TEST(WorkStealEquivalence, ComposesWithCompactionBitIdentically)
     eng.threads = 4;
     eng.schedule = Schedule::WorkSteal;
     eng.symmetry = SymmetryMode::On;
-    eng.store = StoreKind::Compact;
+    eng.store = StoreKind::InRamCompact;
     eng.por = true;
     req.engine = eng;
     const CheckResult res = session.run(req);
@@ -320,35 +323,64 @@ TEST(WorkStealEquivalence, CountedModeTallyMatchesBfs)
 
 TEST(WorkStealEquivalence, WitnessTraceIsShortestAndReplayable)
 {
-    // Violation scenarios: the ws trace must exist, start at the
-    // initial state, and have exactly violation-depth steps — the
-    // converged labels make it a shortest path.  Unlike bfs+compact,
-    // ws+compact keeps all levels retained, so this holds in both
-    // store modes.
+    // Violation scenarios: the trace must exist, start at the initial
+    // state, and have exactly violation-depth steps.  Traces are
+    // replayed from the rule-id-least shortest path, so they hold on
+    // every store kind under both schedules — bfs with its sealed
+    // levels included — and are the same trace, state and rule name
+    // at every step, for every store, POR setting and thread count.
     CheckSession session;
     for (const char *name :
          {"go_tailgate_test", "one_snoop_test",
           "snoop_pushes_go_test", "smad_snoop_guard_test"}) {
-        for (StoreKind store :
-             {StoreKind::Full, StoreKind::Compact}) {
-            CheckRequest req;
-            req.scenario = name;
-            EngineOptions eng;
-            eng.threads = 4;
-            eng.schedule = Schedule::WorkSteal;
-            eng.store = store;
-            req.engine = eng;
-            const CheckResult res = session.run(req);
-            ASSERT_TRUE(res.violation) << name;
-            EXPECT_TRUE(res.violation->traceNote.empty()) << name;
-            ASSERT_FALSE(res.violation->trace.empty()) << name;
-            EXPECT_TRUE(res.violation->trace.front().ruleName.empty())
-                << name;
-            EXPECT_EQ(res.violation->trace.size(),
-                      res.violation->depth + 1u)
-                << name << (store == StoreKind::Compact
-                                ? " (compact)"
-                                : " (full)");
+        std::optional<std::vector<TraceStep>> first;
+        for (Schedule schedule : {Schedule::Bfs, Schedule::WorkSteal}) {
+            for (StoreKind store :
+                 {StoreKind::InRam, StoreKind::InRamCompact,
+                  StoreKind::Mmap, StoreKind::MmapCompact}) {
+                for (bool por : {false, true}) {
+                    for (std::size_t threads : {1u, 4u, 8u}) {
+                        const std::string what =
+                            std::string(name) + " " +
+                            storeKindWord(store) +
+                            (schedule == Schedule::Bfs ? " bfs"
+                                                       : " ws") +
+                            (por ? " por" : "") + " t" +
+                            std::to_string(threads);
+                        CheckRequest req;
+                        req.scenario = name;
+                        EngineOptions eng;
+                        eng.threads = threads;
+                        eng.schedule = schedule;
+                        eng.store = store;
+                        eng.por = por;
+                        req.engine = eng;
+                        const CheckResult res = session.run(req);
+                        ASSERT_TRUE(res.violation) << what;
+                        const std::vector<TraceStep> &trace =
+                            res.violation->trace;
+                        ASSERT_FALSE(trace.empty()) << what;
+                        EXPECT_TRUE(trace.front().ruleName.empty())
+                            << what;
+                        EXPECT_EQ(trace.size(),
+                                  res.violation->depth + 1u)
+                            << what;
+                        if (!first) {
+                            first = trace;
+                            continue;
+                        }
+                        ASSERT_EQ(trace.size(), first->size()) << what;
+                        for (std::size_t i = 0; i < trace.size(); ++i) {
+                            EXPECT_EQ(trace[i].ruleName,
+                                      (*first)[i].ruleName)
+                                << what << " step " << i;
+                            EXPECT_TRUE(trace[i].state ==
+                                        (*first)[i].state)
+                                << what << " step " << i;
+                        }
+                    }
+                }
+            }
         }
     }
 }
