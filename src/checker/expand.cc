@@ -47,6 +47,50 @@ replayTrace(const RuleSet &rules, const Scenario &scenario,
     return trace;
 }
 
+SleepTable::SleepTable(std::size_t num_rules)
+{
+    // The index never needs handle 0: a shrink cannot yield all rules.
+    for (Shard &s : shards_)
+        s.pool.push_back(RuleMask::firstN(num_rules));
+}
+
+RuleMask
+SleepTable::get(std::uint32_t id)
+{
+    Shard &s = shards_[StateStore::shardOf(id)];
+    const std::uint32_t off = id & StateStore::kOffsetMask;
+    std::lock_guard<std::mutex> lock(s.mutex);
+    const std::uint32_t chunk = off >> kChunkBits;
+    // A slot whose chunk was never touched still holds handle 0.
+    return s.pool[chunk < s.chunks.size()
+                      ? s.chunks[chunk][off & ((1u << kChunkBits) - 1)]
+                      : 0];
+}
+
+bool
+SleepTable::intersect(std::uint32_t id, const RuleMask &m)
+{
+    Shard &s = shards_[StateStore::shardOf(id)];
+    const std::uint32_t off = id & StateStore::kOffsetMask;
+    std::lock_guard<std::mutex> lock(s.mutex);
+    const std::uint32_t chunk = off >> kChunkBits;
+    while (chunk >= s.chunks.size()) {
+        s.chunks.push_back(
+            std::make_unique<std::uint32_t[]>(1u << kChunkBits));
+    }
+    std::uint32_t &handle =
+        s.chunks[chunk][off & ((1u << kChunkBits) - 1)];
+    const RuleMask next = s.pool[handle] & m;
+    if (next == s.pool[handle])
+        return false;
+    const auto [it, fresh] = s.index.try_emplace(
+        next, static_cast<std::uint32_t>(s.pool.size()));
+    if (fresh)
+        s.pool.push_back(next);
+    handle = it->second;
+    return true;
+}
+
 ExpandKernel::ExpandKernel(const RuleSet &rules_,
                            const Scenario &scenario_,
                            const InvariantSet &invariants_,
@@ -80,8 +124,10 @@ ExpandKernel::ExpandKernel(const RuleSet &rules_,
     // from the rules' static footprints and, under symmetry, the
     // per-permutation rule remap tables.  Throws when the rule set
     // exceeds the POR engine's mask width.
-    if (opt.por)
+    if (opt.por) {
         por.emplace(rules, opt.symmetryReduction, opt.canonicaliseTids);
+        sleep.emplace(rules.rules().size());
+    }
     if (opt.expectedStates != 0)
         store.reserveStates(opt.expectedStates);
 }
@@ -92,6 +138,8 @@ ExpandKernel::insertInitial()
     SystemState init = scenario.initial;
     canonicalise(init, opt.canonicaliseTids, opt.symmetryReduction);
     initIdx = store.insert(init, StateStore::kNoParent, 0, 0).first;
+    if (sleep)
+        sleep->intersect(initIdx, RuleMask{}); // sleeps nothing
     if (!opt.checkInvariants)
         return false;
     const Conjunct *bad = invariants.firstFailure(init, ctx);
@@ -120,13 +168,15 @@ ExpandKernel::addCandidate(WorkerScratch &ws, const Candidate &c)
 
 bool
 ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
-                     std::uint32_t depth, const RuleMask *sleep,
-                     std::uint32_t tag)
+                     std::uint32_t depth)
 {
     store.stateInto(idx, ws.node);
+    // Under POR the node's edges are tagged with its mask's slot.
+    const auto slot = static_cast<std::uint32_t>(ws.nodeMasks.size());
     if (sleep) {
+        ws.nodeMasks.push_back(sleep->get(idx));
         rules.successorsPor(ws.node, scenario, opt.canonicaliseTids,
-                            sleep->words.data(), ws.succs,
+                            ws.nodeMasks.back().words.data(), ws.succs,
                             ws.sleptRules);
         for (std::uint16_t r : ws.sleptRules)
             ++ws.ruleSlept[r];
@@ -152,7 +202,7 @@ ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
     for (RuleSet::Successor &succ : ws.succs) {
         ++ws.ruleFires[succ.rule->id];
         // Under POR only the edge descriptor is staged; the schedule
-        // derives its sleep contribution (walkSleep) once the
+        // derives its sleep contribution (sleepEdges) once the
         // target's id is known.
         std::uint8_t perm_key = PorContext::kIdentityPermKey;
         if (opt.symmetryReduction) {
@@ -166,7 +216,7 @@ ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
                 perm_key = PorContext::permKey(perm, rules.numDevices());
         }
         if (por)
-            ws.edges.push_back({0, tag, succ.rule->id, perm_key});
+            ws.edges.push_back({0, slot, succ.rule->id, perm_key});
 
         StateStore::BatchItem item;
         item.hash = succ.state.hash();

@@ -4,8 +4,8 @@
  * (explorer.cc) and runWorkSteal (explorer_ws.cc) differ only in
  * which node a worker expands next and in when a result becomes
  * final; run setup and teardown, node expansion, the batch flush, the
- * worker guard, violation recording, the counter merge and the POR
- * sleep contribution live here once.
+ * worker guard, violation recording, the counter merge, the POR
+ * sleep table and the sleep contribution live here once.
  */
 
 #ifndef CXL_CHECKER_EXPAND_HH
@@ -16,16 +16,19 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "checker/explorer.hh"
 #include "checker/por.hh"
 #include "checker/progress.hh"
+#include "support/hash.hh"
 #include "support/reduce.hh"
 #include "support/thread_pool.hh"
 
@@ -94,19 +97,63 @@ drainCounts(std::vector<std::uint64_t> &into,
 }
 
 /**
- * POR: one generated edge, staged alongside its successor and kept
- * compact (12 bytes, not the 96-byte mask) so a whole BFS level's
- * edges fit in scratch at 4-device scale.  The sleep contribution it
- * hands its target is derived once the target's id is known, from
- * the source's sleep mask, the within-node fired order (edges of one
- * node are contiguous, in ascending rule order) and the recorded
- * canonicalisation permutation.
+ * POR: one generated edge, staged alongside its successor until the
+ * flush knows its target's id (12 bytes, not a 96-byte mask).  The
+ * sleep contribution it hands its target (ExpandKernel::sleepEdges)
+ * is derived from the source's sleep mask, the within-node fired
+ * order (edges of one node are contiguous, in ascending rule order)
+ * and the recorded canonicalisation permutation.
  */
 struct PorEdge {
     std::uint32_t id;     ///< target store id (filled by the flush)
-    std::uint32_t node;   ///< the schedule's tag for the source node
+    std::uint32_t node;   ///< source's slot in WorkerScratch::nodeMasks
     std::uint16_t rule;
     std::uint8_t permKey; ///< PorContext::permKey of the canon perm
+};
+
+/**
+ * POR: every state's sleep mask, hash-consed.  A state holds a u32
+ * handle into its shard's pool of distinct masks, so it costs 4 bytes
+ * however wide RuleMask is — the 3-device model's whole table holds a
+ * few hundred distinct masks.  Handles live in zero-initialised
+ * chunks and handle 0 is the all-rules mask, so a slot is born
+ * sleeping everything (before any edge's contribution can race with
+ * an explicit initialisation) and only ever shrinks by intersection.
+ * Sharded by StateStore::shardOf; one mutex per shard guards its
+ * chunks, pool and index.
+ */
+class SleepTable
+{
+  public:
+    /** A table over rules [0, @p num_rules). */
+    explicit SleepTable(std::size_t num_rules);
+
+    /** @p id's current sleep mask. */
+    RuleMask get(std::uint32_t id);
+
+    /** Intersect @p m into @p id's mask; true iff the mask changed. */
+    bool intersect(std::uint32_t id, const RuleMask &m);
+
+  private:
+    /** log2 of handles per chunk (a chunk is 16 KiB). */
+    static constexpr std::uint32_t kChunkBits = 12;
+
+    struct MaskHash {
+        std::size_t
+        operator()(const RuleMask &m) const
+        {
+            return hashBytes(m.words.data(), sizeof m.words);
+        }
+    };
+
+    struct alignas(64) Shard {
+        std::mutex mutex;
+        std::vector<std::unique_ptr<std::uint32_t[]>> chunks;
+        std::vector<RuleMask> pool; ///< handle -> mask
+        std::unordered_map<RuleMask, std::uint32_t, MaskHash> index;
+    };
+
+    Shard shards_[StateStore::kNumShards];
 };
 
 /** One worker's scratch, reused so the hot path stays allocation-free
@@ -118,6 +165,8 @@ struct WorkerScratch {
 
     std::vector<StateStore::BatchItem> batch; ///< staged successors
     std::vector<PorEdge> edges; ///< POR only: edges[i] is batch[i]'s
+    /** POR only: the sleep mask of each node staged in the batch. */
+    std::vector<RuleMask> nodeMasks;
     /** Overflow edges (batch index, source hash) awaiting their ids. */
     std::vector<std::pair<std::uint32_t, std::uint64_t>> overflows;
 
@@ -157,14 +206,13 @@ class ExpandKernel
 
     /**
      * Decode node @p idx at @p depth, generate its successors (under
-     * POR, sparing the rules in @p sleep) and stage them in ws.batch,
-     * tagged with @p tag.  True when the batch is due for a flush:
-     * full, or so close to maxStates that the cap needs item-wise
-     * inserts.
+     * POR, sparing the rules its sleep mask holds, snapshot into
+     * ws.nodeMasks) and stage them in ws.batch.  True when the batch
+     * is due for a flush: full, or so close to maxStates that the cap
+     * needs item-wise inserts.
      */
     bool expand(WorkerScratch &ws, std::uint32_t idx,
-                std::uint32_t depth, const RuleMask *sleep,
-                std::uint32_t tag);
+                std::uint32_t depth);
 
     /** Flush ws.batch (no-op when empty): one store pass grouped by
      * shard, then overflow candidates and invariant checks on fresh
@@ -174,8 +222,10 @@ class ExpandKernel
     void
     flush(WorkerScratch &ws, OnBatch &&onBatch)
     {
-        if (ws.batch.empty())
+        if (ws.batch.empty()) {
+            ws.nodeMasks.clear(); // nodes without successors
             return;
+        }
         const std::size_t staged = ws.batch.size();
         // Items past the cap are dropped uninserted; the run is
         // stopping on the cap anyway.
@@ -206,6 +256,7 @@ class ExpandKernel
         onBatch();
         ws.batch.clear();
         ws.edges.clear();
+        ws.nodeMasks.clear();
         if (store.size() >= opt.maxStates)
             governor.trip(StopReason::StateCap);
         // Budget checks and progress samples ride the flush: about
@@ -286,35 +337,29 @@ class ExpandKernel
         drainCounts(result.ruleSleptCounts, scratch[0].ruleSlept);
     }
 
-    /** POR: call @p visit(edge, acc) for each of @p edges — those
-     * of one source node contiguous, in fired order — where acc is
-     * the source's sleep set @p nodeMask(edge.node) plus the rules
-     * fired from it before the edge. */
-    template <typename NodeMask, typename Visit>
-    static void
-    walkEdges(const std::vector<PorEdge> &edges, NodeMask &&nodeMask,
-              Visit &&visit)
+    /** POR, inside a flush's onBatch: call @p visit(edge, mask) for
+     * each staged edge, where mask is the sleep set the edge hands its
+     * target — (the source's sleep ∪ the rules fired from it before
+     * the edge) ∩ indep(rule), relabelled through the canonicalising
+     * permutation. */
+    template <typename Visit>
+    void
+    sleepEdges(const WorkerScratch &ws, Visit &&visit) const
     {
+        const std::vector<PorEdge> &edges = ws.edges;
         for (std::size_t j = 0; j < edges.size();) {
             const std::uint32_t node = edges[j].node;
-            RuleMask acc = nodeMask(node);
+            RuleMask acc = ws.nodeMasks[node];
             for (; j < edges.size() && edges[j].node == node; ++j) {
-                visit(edges[j], acc);
-                acc.set(edges[j].rule);
+                const PorEdge &e = edges[j];
+                const RuleMask m = acc & por->independentOf(e.rule);
+                visit(e, e.permKey == PorContext::kIdentityPermKey ||
+                                 m.none()
+                             ? m
+                             : por->remapByKey(m, e.permKey));
+                acc.set(e.rule);
             }
         }
-    }
-
-    /** POR: the sleep mask edge @p e hands its target, from its
-     * walkEdges accumulator: acc ∩ indep(rule), relabelled through
-     * the canonicalising permutation. */
-    RuleMask
-    sleepContribution(const RuleMask &acc, const PorEdge &e) const
-    {
-        const RuleMask m = acc & por->independentOf(e.rule);
-        return e.permKey == PorContext::kIdentityPermKey || m.none()
-                   ? m
-                   : por->remapByKey(m, e.permKey);
     }
 
     /** Report @p c as the run's violation, with its trace (quiescent
@@ -380,6 +425,7 @@ class ExpandKernel
     const std::chrono::steady_clock::time_point start;
     const std::size_t threads;
     std::optional<PorContext> por;
+    std::optional<SleepTable> sleep; ///< POR only
     StateStore store;
     RunGovernor governor; ///< the run's stop word: every budget trips it
     ProgressTicker progress;

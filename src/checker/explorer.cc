@@ -13,10 +13,6 @@ namespace
 /** Per-worker scratch of the level schedule. */
 struct BfsScratch : WorkerScratch {
     std::vector<std::uint32_t> next; ///< states this worker inserted
-    /** Every generated edge this level (POR), resolved into sleep
-     * masks at the barrier (same-level edges into one state merge by
-     * intersection; deterministic for any thread count). */
-    std::vector<PorEdge> maskEdges;
 };
 
 } // namespace
@@ -69,13 +65,8 @@ runBfs(ExpandKernel &k)
 
     // The frontier holds packed store ids only; workers decode each
     // state from the store into their scratch, so states are never
-    // copied into per-level queues.  Under POR a parallel vector
-    // carries each frontier state's sleep mask (the initial state
-    // sleeps nothing).
+    // copied into per-level queues.
     std::vector<std::uint32_t> frontier{k.initIdx}, next_frontier;
-    std::vector<RuleMask> frontier_masks, next_masks;
-    if (k.por)
-        frontier_masks.emplace_back();
     k.store.sealLevel(); // establish the level-0 boundary
 
     std::vector<BfsScratch> scratch = k.makeScratch<BfsScratch>();
@@ -108,19 +99,26 @@ runBfs(ExpandKernel &k)
             1, std::min<std::size_t>(
                    64, frontier.size() / (8 * k.threads)));
 
-        // Every edge is logged, including edges landing on
-        // already-known states: if the target turns out to sit in the
-        // level being built, the barrier intersects all its incoming
-        // masks (breadcrumb columns cannot be read here — peers are
-        // still inserting).
+        // Under POR every edge into the level being built intersects
+        // its contribution into the target's sleep mask, whichever
+        // worker inserted the target: the mask a state of depth + 1
+        // sleeps is the intersection over all its same-level incoming
+        // edges — order-free, so thread-count-independent — and final
+        // at the barrier, before any of them is expanded.  Edges into
+        // older states carry nothing forward.  A target's depth is
+        // settled once its insert returns (BFS never relabels).
         auto flush = [&](BfsScratch &ws) {
             k.flush(ws, [&] {
-                ws.maskEdges.insert(ws.maskEdges.end(), ws.edges.begin(),
-                                    ws.edges.end());
                 for (const StateStore::BatchItem &item : ws.batch) {
                     if (item.inserted)
                         ws.next.push_back(item.id);
                 }
+                if (!k.sleep)
+                    return;
+                k.sleepEdges(ws, [&](const PorEdge &e, const RuleMask &m) {
+                    if (k.store.depthAt(e.id) == depth + 1)
+                        k.sleep->intersect(e.id, m);
+                });
             });
         };
 
@@ -136,9 +134,7 @@ runBfs(ExpandKernel &k)
                 const std::size_t end =
                     std::min(begin + grain, frontier.size());
                 for (std::size_t i = begin; i < end; ++i) {
-                    if (k.expand(ws, frontier[i], depth,
-                                 k.por ? &frontier_masks[i] : nullptr,
-                                 static_cast<std::uint32_t>(i))) {
+                    if (k.expand(ws, frontier[i], depth)) {
                         flush(ws);
                         if (k.governor.stopped())
                             return;
@@ -170,43 +166,11 @@ runBfs(ExpandKernel &k)
         if (k.violationStopped() || k.governor.stopped())
             break;
 
-        if (k.por) {
-            // Resolve the next level's sleep masks from the edge
-            // logs: walk each worker's log (edges of one node are
-            // contiguous, in fired order), rebuild the accumulator
-            // (node sleep ∪ fired-so-far), and intersect each
-            // same-level edge's contribution into its target — a
-            // state inserted this level sleeps the intersection over
-            // every same-level edge into it (intersection is
-            // order-free, so the result is thread-count-independent).
-            // Edges into older states carry no information forward.
-            std::sort(next_frontier.begin(), next_frontier.end());
-            next_masks.assign(next_frontier.size(),
-                              RuleMask::firstN(k.rules.rules().size()));
-            for (BfsScratch &ws : scratch) {
-                k.walkEdges(
-                    ws.maskEdges,
-                    [&](std::uint32_t pos) { return frontier_masks[pos]; },
-                    [&](const PorEdge &e, const RuleMask &acc) {
-                        if (k.store.depthAt(e.id) != depth + 1)
-                            return;
-                        const auto it = std::lower_bound(
-                            next_frontier.begin(), next_frontier.end(),
-                            e.id);
-                        next_masks[static_cast<std::size_t>(
-                            it - next_frontier.begin())] &=
-                            k.sleepContribution(acc, e);
-                    });
-                ws.maskEdges.clear();
-            }
-        }
-
         // Quiescent barrier hook: releases (in-RAM compact) or
         // unmaps (mmap backends) the state bytes of the level whose
         // expansion just finished.
         k.store.sealLevel();
         frontier.swap(next_frontier);
-        frontier_masks.swap(next_masks);
         ++depth;
     }
 

@@ -15,18 +15,22 @@
  * Schedule) and one expansion kernel (checker/expand.hh), which owns
  * run setup and teardown, node expansion, the batch flush (capped
  * insert, overflow candidates, invariant checks, budget poll), the
- * worker guard, violation recording and the counter merge.  Each
- * schedule keeps only its own order of work:
+ * worker guard, violation recording, the counter merge and, under
+ * POR, the hash-consed per-state sleep table (SleepTable).  Each
+ * schedule keeps only its own order of work, and its own rule for
+ * which edges shrink a sleep mask:
  *
  *  - Bfs (explorer.cc): depth-synchronized levels claimed in grains
  *    by a worker pool, with per-worker scratch merged at the level
- *    barrier (frontier, POR sleep masks), then the level sealed.
- *    Results (state count, transition count, violation verdict and
- *    depth) are deterministic regardless of thread count.
+ *    barrier, then the level sealed.  Under POR only edges into the
+ *    level being built shrink masks.  Results (state count,
+ *    transition count, violation verdict and depth) are
+ *    deterministic regardless of thread count.
  *  - WorkSteal (explorer_ws.cc): asynchronous task-parallel
  *    expansion over per-worker Chase-Lev deques
- *    (checker/workqueue.hh), with a pending-task counter, an expand
- *    limit and a per-state sleep table — no depth barrier.  Depth
+ *    (checker/workqueue.hh), with a pending-task counter and an
+ *    expand limit — no depth barrier.  Under POR every edge shrinks
+ *    its target's mask, and a shrunk state is re-expanded.  Depth
  *    labels converge to BFS-minimal values by label correction, and
  *    violations are resolved at quiescence, so verdicts, state counts
  *    and diameters are still exact and thread-count-deterministic;

@@ -45,18 +45,18 @@
  *    fully expanded, so deepestCompleteLevel is one below the
  *    shallowest such level.
  *
- *  - POR.  Without levels there is no same-level intersection merge;
- *    instead every generated edge's sleep contribution
- *    (ExpandKernel::sleepContribution, exactly the runBfs formula) is
- *    intersected into a per-state mask side table, and a state whose
- *    mask shrinks after it was enqueued is re-enqueued (Godefroid's
- *    stateful sleep-set revisit rule).  Contributions are monotone in
- *    the source mask, so the chaotic iteration converges to a
- *    schedule-independent greatest fixpoint with masks no larger
- *    than the BFS ones: the engine fires a superset of the BFS-POR
- *    edges — pruning strictly less, never more — so state coverage,
- *    minimal depths and verdicts are untouched, while
- *    transition/slept counts become schedule-dependent.
+ *  - POR.  Without levels there is no same-level filter; instead
+ *    every generated edge's sleep contribution
+ *    (ExpandKernel::sleepEdges, exactly the runBfs formula) is
+ *    intersected into the kernel's per-state SleepTable, and a state
+ *    whose mask shrinks after it was enqueued is re-enqueued
+ *    (Godefroid's stateful sleep-set revisit rule).  Contributions
+ *    are monotone in the source mask, so the chaotic iteration
+ *    converges to a schedule-independent greatest fixpoint with
+ *    masks no larger than the BFS ones: the engine fires a superset
+ *    of the BFS-POR edges — pruning strictly less, never more — so
+ *    state coverage, minimal depths and verdicts are untouched,
+ *    while transition/slept counts become schedule-dependent.
  *
  *  - Counters.  Per-worker scratch is merged once, at termination,
  *    by the kernel's atomic-free reduction tree — no per-event
@@ -74,7 +74,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -96,76 +95,8 @@ packTask(std::uint32_t id, std::uint32_t depth)
     return (static_cast<std::uint64_t>(depth) << 32) | id;
 }
 
-/**
- * Per-state sleep-mask side table (POR only): chunked per shard so
- * the spines never reallocate, mutex-striped by shard.  Slots are
- * born all-rules (chunk fill at allocation — crucially *before* any
- * edge's contribution can race with an explicit initialisation) and
- * only ever shrink by intersection.
- */
-class SleepTable
-{
-  public:
-    explicit SleepTable(const RuleMask &fill) : fill_(fill)
-    {
-        for (ShardMasks &s : shards_) {
-            s.chunks.reserve(
-                (StateStore::kOffsetMask >> kChunkBits) + 1);
-        }
-    }
-
-    RuleMask
-    get(std::uint32_t id)
-    {
-        ShardMasks &s = shards_[StateStore::shardOf(id)];
-        std::lock_guard<std::mutex> lock(s.mutex);
-        return cell(s, id & StateStore::kOffsetMask);
-    }
-
-    /** Intersect @p m into @p id's mask; true iff the mask shrank
-     * (the caller then re-enqueues the state). */
-    bool
-    intersect(std::uint32_t id, const RuleMask &m)
-    {
-        ShardMasks &s = shards_[StateStore::shardOf(id)];
-        std::lock_guard<std::mutex> lock(s.mutex);
-        RuleMask &slot = cell(s, id & StateStore::kOffsetMask);
-        const RuleMask before = slot;
-        slot &= m;
-        return !(slot == before);
-    }
-
-  private:
-    /** log2 of masks per chunk (a chunk is 384 KiB of RuleMask). */
-    static constexpr std::uint32_t kChunkBits = 12;
-
-    struct alignas(64) ShardMasks {
-        std::mutex mutex;
-        std::vector<std::unique_ptr<RuleMask[]>> chunks;
-    };
-
-    RuleMask &
-    cell(ShardMasks &s, std::uint32_t off)
-    {
-        const std::uint32_t chunk = off >> kChunkBits;
-        while (chunk >= s.chunks.size()) {
-            auto fresh = std::make_unique<RuleMask[]>(1u << kChunkBits);
-            std::fill(fresh.get(), fresh.get() + (1u << kChunkBits),
-                      fill_);
-            s.chunks.push_back(std::move(fresh));
-        }
-        return s.chunks[chunk][off & ((1u << kChunkBits) - 1)];
-    }
-
-    RuleMask fill_;
-    ShardMasks shards_[StateStore::kNumShards];
-};
-
 /** Per-worker scratch of the work-stealing schedule. */
 struct WsScratch : WorkerScratch {
-    /** POR: sleep-mask snapshot per expanded node (the tag of its
-     * edges indexes it). */
-    std::vector<RuleMask> nodeMasks;
     std::vector<std::uint64_t> pushes; ///< staged tasks of one flush
     std::uint32_t tasksDone = 0; ///< expanded, successors unflushed
 };
@@ -175,11 +106,6 @@ struct WsScratch : WorkerScratch {
 void
 runWorkSteal(ExpandKernel &k)
 {
-    std::optional<SleepTable> sleep;
-    if (k.por) {
-        sleep.emplace(RuleMask::firstN(k.rules.rules().size()));
-        sleep->intersect(k.initIdx, RuleMask{}); // sleeps nothing
-    }
     std::vector<WsScratch> scratch = k.makeScratch<WsScratch>();
     const auto deques = std::make_unique<WorkDeque[]>(k.threads);
 
@@ -202,23 +128,18 @@ runWorkSteal(ExpandKernel &k)
                 if (item.inserted || item.improved)
                     ws.pushes.push_back(packTask(item.id, item.depth));
             }
-            if (!sleep)
+            if (!k.sleep)
                 return;
-            // Sleep contributions from the node's mask snapshot, by
-            // the same walk as the BFS barrier — minus the level
-            // filter, which no longer exists; every edge contributes
-            // (prune-only, see the file comment).
-            k.walkEdges(
-                ws.edges,
-                [&](std::uint32_t slot) { return ws.nodeMasks[slot]; },
-                [&](const PorEdge &e, const RuleMask &acc) {
-                    // Godefroid revisit: the mask shrank, so rules it
-                    // slept may need firing now.
-                    if (sleep->intersect(e.id, k.sleepContribution(acc, e)))
-                        ws.pushes.push_back(
-                            packTask(e.id, k.store.depthAt(e.id)));
-                });
-            ws.nodeMasks.clear();
+            // The BFS flush's sleep walk minus its level filter, which
+            // no longer exists: every edge contributes (prune-only, see
+            // the file comment).
+            k.sleepEdges(ws, [&](const PorEdge &e, const RuleMask &m) {
+                // Godefroid revisit: the mask shrank, so rules it
+                // slept may need firing now.
+                if (k.sleep->intersect(e.id, m))
+                    ws.pushes.push_back(
+                        packTask(e.id, k.store.depthAt(e.id)));
+            });
         });
 
         std::sort(ws.pushes.begin(), ws.pushes.end());
@@ -292,15 +213,8 @@ runWorkSteal(ExpandKernel &k)
                 pending.fetch_sub(1, std::memory_order_acq_rel);
                 continue;
             }
-            // Under POR, the node's sleep mask is snapshot into the
-            // slot its staged edges are tagged with.
-            if (sleep)
-                ws.nodeMasks.push_back(sleep->get(id));
-            const auto slot =
-                static_cast<std::uint32_t>(ws.nodeMasks.size()) - 1;
             ++ws.tasksDone;
-            if (k.expand(ws, id, depth,
-                         sleep ? &ws.nodeMasks[slot] : nullptr, slot))
+            if (k.expand(ws, id, depth))
                 flush(t);
         }
     };

@@ -216,7 +216,7 @@ class MmapShardMem final : public ShardMem
         chunkEnd_ += static_cast<off_t>(len);
         bumpMapped(len);
         bumpFile(len);
-        chunks_.push_back({p, len});
+        chunks_.push_back({p, len, off});
         return p;
     }
 
@@ -238,7 +238,7 @@ class MmapShardMem final : public ShardMem
         bumpFile(len);
         if (index >= blocks_.size())
             blocks_.resize(index + 1);
-        blocks_[index] = {p, len};
+        blocks_[index] = {p, len, off};
         return p;
     }
 
@@ -246,15 +246,16 @@ class MmapShardMem final : public ShardMem
     blockDrop(std::uint32_t index) override
     {
         Mapping &b = blocks_[index];
-        // Advise the level's pages cold before unmapping: the file
-        // keeps the bytes, but the kernel may reclaim the physical
-        // pages ahead of memory pressure.
-#if defined(MADV_COLD)
-        ::madvise(b.p, b.bytes, MADV_COLD);
-#endif
         ::munmap(b.p, b.bytes);
         bumpMapped(-static_cast<std::int64_t>(b.bytes));
         b.p = nullptr;
+        // Nothing reads a dropped block again, so give its file range
+        // back: a memfd's pages would otherwise stay in RAM (and
+        // metered) for the rest of the run.  The file keeps its size.
+        // Best effort — a filesystem without hole punching keeps the
+        // bytes, which is only a missed saving.
+        (void)::fallocate(arenaFd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                          b.off, static_cast<off_t>(b.bytes));
     }
 
     std::uint64_t
@@ -278,6 +279,7 @@ class MmapShardMem final : public ShardMem
     struct Mapping {
         void *p;
         std::size_t bytes;
+        off_t off; ///< offset in the backing file
     };
 
     void

@@ -22,10 +22,10 @@
  * The Mmap backend gives every shard its own anonymous backing files
  * (memfd, or O_TMPFILE/unlinked files under an explicit directory for
  * true spill-to-disk), grown with ftruncate and remapped with
- * mremap.  Dropping a sealed block munmaps it — address space and
- * residency shrink — after advising the kernel the pages have gone
- * cold, so a bounded mapped window walks the (unbounded) file as BFS
- * levels seal.  That is what lets a space whose full-mode arena
+ * mremap.  Dropping a sealed block munmaps it and punches its range
+ * out of the file (fallocate PUNCH_HOLE) — address space, residency
+ * and the memfd's allocated bytes shrink — so a bounded mapped window
+ * walks the (unbounded, sparse) file as BFS levels seal.  That is what lets a space whose full-mode arena
  * exceeds an address-space budget (`ulimit -v`) complete out of
  * core.
  *
@@ -86,7 +86,7 @@ class ShardMem
                              std::size_t bytes) = 0;
 
     /** Release block @p index's memory for good: InRam frees it,
-     * Mmap unmaps its window. */
+     * Mmap unmaps its window and punches it out of the file. */
     virtual void blockDrop(std::uint32_t index) = 0;
 
     /** Bytes currently mapped/allocated by this shard's file-backed

@@ -13,13 +13,16 @@
  *     against the semantics, not the annotations.
  *
  *  2. Mechanism tests — permutation remap consistency (the sleep-mask
- *     relabelling used under symmetry), the rule-count ceiling.
+ *     relabelling used under symmetry), the rule-count ceiling, the
+ *     hash-consed sleep table (fresh slots, shrink reports, sharing,
+ *     concurrent intersection).
  *
  *  3. End-to-end soundness (the ISSUE's equivalence obligation) —
  *     every scenario-registry entry at 2 and 3 devices, at 1/4/8
  *     threads, yields the same verdict, violated-conjunct set, state
  *     count, diameter and violation depth with POR on as off; only
- *     the transition count may (and at 3 devices must) drop.
+ *     the transition count may (and at 3 devices must) drop; the
+ *     BFS transition and slept counts are pinned exactly.
  */
 
 #include <gtest/gtest.h>
@@ -29,10 +32,12 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/check.hh"
 #include "api/scenarios.hh"
+#include "checker/expand.hh"
 #include "checker/por.hh"
 #include "protocol/rules.hh"
 #include "protocol/scenario.hh"
@@ -327,6 +332,119 @@ TEST(PorContext, RejectsOversizedRuleSets)
     EXPECT_THROW(PorContext(rules, false), std::runtime_error);
 }
 
+// ----------------------------------------------------- sleep table
+
+/** Packed store id of entry @p off in shard @p shard. */
+std::uint32_t
+packedId(std::uint32_t shard, std::uint32_t off)
+{
+    return (shard << StateStore::kOffsetBits) | off;
+}
+
+TEST(SleepTable, SlotsAreBornAllRules)
+{
+    const std::size_t n = 240;
+    SleepTable table(n);
+    const RuleMask all = RuleMask::firstN(n);
+    for (std::uint32_t shard : {0u, 7u, StateStore::kNumShards - 1}) {
+        for (std::uint32_t off : {0u, 1u, 4095u, 4096u, 100000u})
+            EXPECT_TRUE(table.get(packedId(shard, off)) == all);
+    }
+    // Touching one slot leaves its chunk neighbours all-rules.
+    EXPECT_TRUE(table.intersect(packedId(3, 10), RuleMask{}));
+    EXPECT_TRUE(table.get(packedId(3, 10)).none());
+    EXPECT_TRUE(table.get(packedId(3, 11)) == all);
+    EXPECT_TRUE(table.get(packedId(4, 10)) == all);
+}
+
+TEST(SleepTable, IntersectReportsExactlyTheShrinks)
+{
+    const std::size_t n = 200;
+    SleepTable table(n);
+    const std::uint32_t id = packedId(5, 1234);
+    // A superset of the current mask changes nothing.
+    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(n)));
+    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(kMaxPorRules)));
+    // A proper subset shrinks it, and repeating it does not.
+    EXPECT_TRUE(table.intersect(id, RuleMask::firstN(150)));
+    EXPECT_TRUE(table.get(id) == RuleMask::firstN(150));
+    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(150)));
+    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(180)));
+    // A mask overlapping only partly shrinks it to the intersection.
+    RuleMask odd;
+    for (std::size_t r = 1; r < n; r += 2)
+        odd.set(r);
+    EXPECT_TRUE(table.intersect(id, odd));
+    EXPECT_TRUE(table.get(id) == (odd & RuleMask::firstN(150)));
+    EXPECT_FALSE(table.intersect(id, odd));
+    EXPECT_TRUE(table.intersect(id, RuleMask{}));
+    EXPECT_TRUE(table.get(id).none());
+    EXPECT_FALSE(table.intersect(id, RuleMask{}));
+}
+
+TEST(SleepTable, EqualMasksOnDifferentIdsReadBackEqual)
+{
+    const std::size_t n = 240;
+    SleepTable table(n);
+    RuleMask a;
+    for (std::size_t r = 0; r < n; r += 3)
+        a.set(r);
+    RuleMask b = a;
+    b.set(1);
+    // Reached by different intersection orders, within one shard and
+    // across shards.
+    const std::uint32_t ids[] = {packedId(0, 0), packedId(0, 9000),
+                                 packedId(2, 0), packedId(15, 77)};
+    for (std::uint32_t id : ids) {
+        table.intersect(id, b);
+        table.intersect(id, a);
+    }
+    table.intersect(ids[0], a); // one more, already equal
+    for (std::uint32_t id : ids)
+        EXPECT_TRUE(table.get(id) == a) << id;
+    EXPECT_FALSE(table.get(packedId(0, 1)) == a);
+}
+
+TEST(SleepTable, ConcurrentIntersectionsReachTheSequentialMasks)
+{
+    // Every thread intersects a stride of masks into the same ids, in
+    // its own order; intersection is order-free, so the table must
+    // end where one thread doing all of them ends.
+    const std::size_t n = 240;
+    const std::uint32_t ids = 3000;
+    auto maskOf = [](std::uint32_t k) {
+        RuleMask m = RuleMask::firstN(240);
+        for (std::size_t r = k % 7; r < 240; r += 5 + k % 11)
+            m.words[r >> 6] &= ~(1ull << (r & 63));
+        return m;
+    };
+    auto idOf = [](std::uint32_t i) {
+        return packedId(i % StateStore::kNumShards,
+                        i / StateStore::kNumShards * 3);
+    };
+    const std::uint32_t perId = 8;
+    SleepTable seq(n);
+    for (std::uint32_t i = 0; i < ids; ++i) {
+        for (std::uint32_t k = 0; k < perId; ++k)
+            seq.intersect(idOf(i), maskOf(i + k));
+    }
+    SleepTable par(n);
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::uint32_t j = 0; j < ids; ++j) {
+                const std::uint32_t i = t % 2 ? ids - 1 - j : j;
+                for (std::uint32_t k = t; k < perId; k += 2)
+                    par.intersect(idOf(i), maskOf(i + k));
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (std::uint32_t i = 0; i < ids; ++i)
+        EXPECT_TRUE(par.get(idOf(i)) == seq.get(idOf(i))) << i;
+}
+
 // ------------------------------------- end-to-end verdict soundness
 
 /** Everything a verdict comparison cares about. */
@@ -449,6 +567,28 @@ TEST(PorSoundness, ThreeDeviceFreeRunMeetsTheReductionTarget)
     for (const RuleFire &rf : res.ruleFires)
         slept += rf.slept;
     EXPECT_EQ(slept, res.sleptTransitions);
+}
+
+TEST(PorSoundness, BfsCountsArePinnedAtEveryThreadCount)
+{
+    // The exact fired/slept split, not just its sum: a sleep-mask bug
+    // that prunes less (or more) than the reduction allows moves it.
+    struct Row {
+        int devices;
+        std::uint64_t transitions, slept;
+    };
+    CheckSession session;
+    for (const Row &row : {Row{2, 10665, 2461}, Row{3, 355338, 162090}}) {
+        for (std::size_t threads : {1u, 4u, 8u}) {
+            const CheckResult res = runScenario(
+                session, "free-run", row.devices, threads, true);
+            EXPECT_EQ(res.verdict, CheckResult::Verdict::Holds);
+            EXPECT_EQ(res.transitions, row.transitions)
+                << row.devices << " devices, " << threads << " threads";
+            EXPECT_EQ(res.sleptTransitions, row.slept)
+                << row.devices << " devices, " << threads << " threads";
+        }
+    }
 }
 
 TEST(PorSoundness, ComposesWithCompactionBitIdentically)

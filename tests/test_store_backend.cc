@@ -19,6 +19,7 @@
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
 #include "support/hash.hh"
+#include "support/resource.hh"
 
 #if defined(__unix__)
 #include <unistd.h>
@@ -225,6 +226,28 @@ TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
         store.sealLevel();
         EXPECT_LT(store.mappedBytes(), mapped) << k.name;
         EXPECT_GE(store.backingFileBytes(), file_before) << k.name;
+    }
+}
+
+TEST(StoreBackend, DroppedBlocksLeaveTheMemfd)
+{
+    // Without a store directory the mmap kinds back their arenas with
+    // memfd, whose pages stay in RAM after munmap; a dropped block is
+    // punched out of the file, so its allocated bytes must fall.
+    const int n = 40000;
+    for (const Kind &k : kKinds) {
+        if (k.backend != StoreBackend::Mmap)
+            continue;
+        StateStore store(configOf(k));
+        for (int i = 0; i < n; ++i) {
+            store.insert(probeState(i), shardZeroHash(i),
+                         StateStore::kNoParent, 0, 0);
+        }
+        const std::uint64_t before = detail::memfdBytes();
+        ASSERT_GT(before, 0u) << k.name << ": no memfd backing";
+        store.sealLevel();
+        store.sealLevel();
+        EXPECT_LT(detail::memfdBytes(), before) << k.name;
     }
 }
 
