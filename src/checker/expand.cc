@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -48,10 +49,18 @@ replayTrace(const RuleSet &rules, const Scenario &scenario,
 }
 
 SleepTable::SleepTable(std::size_t num_rules)
+    : all_(RuleMask::firstN(num_rules))
 {
-    // The index never needs handle 0: a shrink cannot yield all rules.
-    for (Shard &s : shards_)
-        s.pool.push_back(RuleMask::firstN(num_rules));
+}
+
+RuleMask
+SleepTable::maskOf(std::uint32_t handle) const
+{
+    if (handle == 0)
+        return all_;
+    RuleMask m;
+    std::memcpy(m.words.data(), masks_.at(handle - 1), sizeof m.words);
+    return m;
 }
 
 RuleMask
@@ -59,12 +68,15 @@ SleepTable::get(std::uint32_t id)
 {
     Shard &s = shards_[StateStore::shardOf(id)];
     const std::uint32_t off = id & StateStore::kOffsetMask;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const std::uint32_t chunk = off >> kChunkBits;
-    // A slot whose chunk was never touched still holds handle 0.
-    return s.pool[chunk < s.chunks.size()
-                      ? s.chunks[chunk][off & ((1u << kChunkBits) - 1)]
-                      : 0];
+    std::uint32_t handle = 0;
+    {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        const std::uint32_t chunk = off >> kChunkBits;
+        // A slot whose chunk was never touched still holds handle 0.
+        if (chunk < s.chunks.size())
+            handle = s.chunks[chunk][off & ((1u << kChunkBits) - 1)];
+    }
+    return maskOf(handle);
 }
 
 bool
@@ -80,14 +92,12 @@ SleepTable::intersect(std::uint32_t id, const RuleMask &m)
     }
     std::uint32_t &handle =
         s.chunks[chunk][off & ((1u << kChunkBits) - 1)];
-    const RuleMask next = s.pool[handle] & m;
-    if (next == s.pool[handle])
+    const RuleMask cur = maskOf(handle);
+    const RuleMask next = cur & m;
+    if (next == cur)
         return false;
-    const auto [it, fresh] = s.index.try_emplace(
-        next, static_cast<std::uint32_t>(s.pool.size()));
-    if (fresh)
-        s.pool.push_back(next);
-    handle = it->second;
+    // A shrink never yields all rules, so handle 0 stays unambiguous.
+    handle = masks_.intern(next.words.data()) + 1;
     return true;
 }
 

@@ -21,14 +21,12 @@
 #include <numeric>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "checker/explorer.hh"
 #include "checker/por.hh"
 #include "checker/progress.hh"
-#include "support/hash.hh"
 #include "support/reduce.hh"
 #include "support/thread_pool.hh"
 
@@ -113,14 +111,16 @@ struct PorEdge {
 
 /**
  * POR: every state's sleep mask, hash-consed.  A state holds a u32
- * handle into its shard's pool of distinct masks, so it costs 4 bytes
+ * handle into one SliceTable of distinct masks (store_arena.hh, the
+ * table the store interns state slices in), so it costs 4 bytes
  * however wide RuleMask is — the 3-device model's whole table holds a
  * few hundred distinct masks.  Handles live in zero-initialised
  * chunks and handle 0 is the all-rules mask, so a slot is born
  * sleeping everything (before any edge's contribution can race with
- * an explicit initialisation) and only ever shrinks by intersection.
- * Sharded by StateStore::shardOf; one mutex per shard guards its
- * chunks, pool and index.
+ * an explicit initialisation) and only ever shrinks by intersection;
+ * handle h > 0 is mask id h - 1.  Sharded by StateStore::shardOf; one
+ * mutex per shard guards its chunks, taken before the mask table's
+ * stripe lock.
  */
 class SleepTable
 {
@@ -138,21 +138,16 @@ class SleepTable
     /** log2 of handles per chunk (a chunk is 16 KiB). */
     static constexpr std::uint32_t kChunkBits = 12;
 
-    struct MaskHash {
-        std::size_t
-        operator()(const RuleMask &m) const
-        {
-            return hashBytes(m.words.data(), sizeof m.words);
-        }
-    };
-
     struct alignas(64) Shard {
         std::mutex mutex;
         std::vector<std::unique_ptr<std::uint32_t[]>> chunks;
-        std::vector<RuleMask> pool; ///< handle -> mask
-        std::unordered_map<RuleMask, std::uint32_t, MaskHash> index;
     };
 
+    /** The mask handle @p handle names. */
+    RuleMask maskOf(std::uint32_t handle) const;
+
+    RuleMask all_; ///< handle 0
+    SliceTable masks_{sizeof(RuleMask)};
     Shard shards_[StateStore::kNumShards];
 };
 

@@ -121,10 +121,11 @@ struct ExploreOptions {
     /**
      * Hash-compaction (fingerprint-only) storage: the visited set
      * identifies states by a second 64-bit verification fingerprint
-     * instead of their encoded bytes, and releases old BFS levels'
-     * state bytes as exploration advances — about 1.5x less memory
-     * per state than the full store (54 against 84 bytes on the
-     * unreduced 3-device space).  Counts and verdicts are
+     * instead of their slices, and releases old BFS levels' cells as
+     * exploration advances.  Every store keeps a state as ndev + 1
+     * four-byte slice ids (state_store.hh), so the saving is small:
+     * ~43 against ~44 bytes per state on the unreduced 3-device
+     * space (whole-process, 4 threads).  Counts and verdicts are
      * exact up to fingerprint collisions (expected ~ n^2 / 2^65;
      * detected probe-hash near-misses are reported via
      * ExploreResult::probeCollisions).  Counterexample traces are

@@ -1,6 +1,7 @@
 #include "checker/state_store.hh"
 
 #include <algorithm>
+#include <cstring>
 
 namespace cxl
 {
@@ -73,9 +74,9 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
 
     constexpr std::uint32_t kEnd = 0xffffffffu;
 
-    // Fingerprints are computed before any lock.  (Cells are encoded
-    // under the lock instead, and only for items that meet a probe-hash
-    // match or turn out to be new.)
+    // Fingerprints are computed before any lock.  (Slices are interned
+    // under the lock instead, and only for items that turn out to be
+    // new.)
     if (releasesSealed_) {
         for (std::size_t i = 0; i < count; ++i)
             items[i].verify_ = items[i].state.fingerprint();
@@ -106,11 +107,10 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         Shard &shard = shards_[s];
         std::lock_guard<std::mutex> lock(shard.mutex);
         // A probe is a chain of dependent cache misses — home bucket,
-        // then the entry's columns and cell offset, then its cell — but
-        // the chain's items are independent of each other.  Starting
-        // each level's loads for all of them before any item needs the
-        // next level overlaps those misses instead of paying them in
-        // series.
+        // then the entry's columns and cell — but the chain's items are
+        // independent of each other.  Starting each level's loads for
+        // all of them before any item needs the next level overlaps
+        // those misses instead of paying them in series.
         const ShardColumns &cols = shard.cols;
         const bool cells = mode_ == StoreMode::Full;
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_)
@@ -120,14 +120,8 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
                     cols.bucketAt(items[i].hash & cols.mask())) {
                 cols.prefetchEntry(b - 1);
                 if (cells)
-                    shard.arena.prefetchOffset(b - 1);
+                    shard.arena.prefetchCell(b - 1);
             }
-        }
-        for (std::uint32_t i = head[s]; cells && i != kEnd;
-             i = items[i].next_) {
-            if (const std::uint32_t b =
-                    cols.bucketAt(items[i].hash & cols.mask()))
-                shard.arena.prefetchCell(b - 1);
         }
         for (std::uint32_t i = head[s]; i != kEnd;
              i = items[i].next_) {
@@ -158,19 +152,64 @@ StateStore::insertBatchCapped(BatchItem *items, std::size_t count,
 
 bool
 StateStore::holds(const Shard &shard, std::uint32_t off,
-                  const SystemState &state, std::uint64_t verify,
-                  std::byte *enc, std::size_t &enc_len) const
+                  const SystemState &state, std::uint64_t verify) const
 {
     // Identity: in compact mode the verification fingerprint, in full
-    // mode the cell (falling back to the fingerprint when sealLevel
-    // has released the entry's block — see the file comment).
-    const std::byte *cell =
+    // mode the cell's slices (falling back to the fingerprint when
+    // sealLevel has released the entry's block — see the file
+    // comment).
+    const std::uint32_t *cell =
         mode_ == StoreMode::Full ? shard.arena.cellIfMapped(off) : nullptr;
     if (!cell)
         return shard.cols.verifyAt(off) == verify;
-    if (enc_len == 0)
-        enc_len = encodeCell(state, enc);
-    return cellEquals(cell, enc, enc_len);
+    // The host slice holds ndev, so a cell that gets past it has one
+    // id per device of the candidate.
+    if (std::memcmp(hosts_.at(cell[0]), &state, kHostBytes) != 0)
+        return false;
+    for (std::uint32_t d = 0; d < state.ndev; ++d) {
+        if (std::memcmp(devices_.at(cell[1 + d]), &state.dev[d],
+                        sizeof(DeviceState)) != 0)
+            return false;
+    }
+    return true;
+}
+
+std::uint32_t
+StateStore::internSlices(const SystemState &state, std::uint32_t *ids)
+{
+    const std::uint32_t width = 1u + state.ndev;
+    std::uint32_t fixed = cellWidth_.load(std::memory_order_relaxed);
+    if (fixed == 0 && width <= 1 + kMaxDevices &&
+        cellWidth_.compare_exchange_strong(fixed, width,
+                                           std::memory_order_relaxed))
+        fixed = width;
+    if (fixed != width) {
+        throw std::logic_error(
+            "StateStore: cannot store a " + std::to_string(state.ndev) +
+            "-device state in cells of " + std::to_string(fixed) +
+            " slice ids (one store holds one device count)");
+    }
+    ids[0] = hosts_.intern(&state);
+    for (std::uint32_t d = 0; d < state.ndev; ++d)
+        ids[1 + d] = devices_.intern(&state.dev[d]);
+    return width;
+}
+
+void
+StateStore::stateInto(std::uint32_t id, SystemState &out) const
+{
+    const std::uint32_t *cell =
+        shards_[shardOf(id)].arena.cellIfMapped(id & kOffsetMask);
+    assert(cell && "state released by sealLevel");
+    std::memcpy(static_cast<void *>(&out), hosts_.at(cell[0]),
+                kHostBytes);
+    for (std::uint32_t d = 0; d < out.ndev; ++d) {
+        std::memcpy(static_cast<void *>(&out.dev[d]),
+                    devices_.at(cell[1 + d]), sizeof(DeviceState));
+    }
+    // Inactive device slots are default-initialised (all zero bytes).
+    std::memset(static_cast<void *>(&out.dev[out.ndev]), 0,
+                (kMaxDevices - out.ndev) * sizeof(DeviceState));
 }
 
 std::optional<std::uint32_t>
@@ -183,8 +222,6 @@ StateStore::find(const SystemState &state) const
         releasesSealed_ ? state.fingerprint() : 0;
     const Shard &shard = shards_[shard_idx];
     const ShardColumns &cols = shard.cols;
-    std::byte enc[kMaxEncodedState];
-    std::size_t enc_len = 0;
     for (std::uint64_t slot = hash & cols.mask();;
          slot = (slot + 1) & cols.mask()) {
         const std::uint32_t bucket = cols.bucketAt(slot);
@@ -192,7 +229,7 @@ StateStore::find(const SystemState &state) const
             return std::nullopt;
         const std::uint32_t off = bucket - 1;
         if (cols.hashAt(off) == hash &&
-            holds(shard, off, state, verify, enc, enc_len))
+            holds(shard, off, state, verify))
             return (shard_idx << kOffsetBits) | off;
     }
 }
@@ -209,11 +246,6 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
     cols.maybeGrow();
 
-    // The candidate's cell, encoded at most once: at the first
-    // probe-hash match that needs a cell compare, or at insertion.
-    std::byte enc[kMaxEncodedState];
-    std::size_t enc_len = 0;
-
     std::uint64_t slot = hash & cols.mask();
     for (;;) {
         const std::uint32_t bucket = cols.bucketAt(slot);
@@ -224,7 +256,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             // A probe-hash match with an identity mismatch is a
             // detected collision — the states stay distinct and the
             // probe continues.
-            if (holds(shard, off, state, verify, enc, enc_len)) {
+            if (holds(shard, off, state, verify)) {
                 const std::uint32_t id =
                     (shard_idx << kOffsetBits) | off;
                 // Label-correcting duplicate: a shorter path to a
@@ -256,16 +288,15 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 std::to_string(shard.limit) +
                 " entries); pre-size with --expect-states, raise the "
                 "run's state budget, or pick another store kind "
-                "(--store=ram|ram-compact|mmap|mmap-compact: compact "
-                "kinds take ~1.5x fewer bytes/state, mmap kinds page "
-                "sealed levels out of core)");
+                "(--store=ram|ram-compact|mmap|mmap-compact: mmap "
+                "kinds page sealed levels out of core)");
     }
 
-    if (enc_len == 0)
-        enc_len = encodeCell(state, enc);
+    std::uint32_t ids[1 + kMaxDevices];
+    const std::uint32_t width = internSlices(state, ids);
     const std::uint32_t off =
         cols.append(hash, verify, parent, rule_id, depth);
-    shard.arena.append(shard_idx, off, enc, enc_len);
+    shard.arena.append(off, ids, width);
 
     cols.setBucket(slot, off + 1);
     total_.fetch_add(1, std::memory_order_release);

@@ -14,10 +14,14 @@
  *    columns — probe hash, verification fingerprint, parent, rule,
  *    chunked atomic depth — plus the bucket array.  Shard growth
  *    rehashes from the stored probe hashes, never from state bytes.
- *  - StateArena (store_arena.hh): the state bytes, as lane cells (a
- *    u64 mask of the active prefix's nonzero 4-byte lanes, then
- *    those lanes) in 256 KiB byte blocks, with the sealLevel()
- *    block-release machinery.  Both modes use this one format.
+ *  - StateArena (store_arena.hh): the states, as cells of ndev + 1
+ *    u32 slice ids — the host slice (the record's first 5 bytes) and
+ *    one 59-byte DeviceState slice per device, each interned in one
+ *    store-wide SliceTable per slice kind — in index-addressed
+ *    blocks, with the sealLevel() block-release machinery.  Both
+ *    modes use this one format.  The slice tables are on the heap
+ *    under every backend and grow with the distinct slices, not the
+ *    states.
  *  - ShardMem (store_mem.hh): where both layers get memory.  InRam
  *    is the classic heap layout; Mmap gives every shard file-backed
  *    growable mappings (anonymous memfd, or files under an explicit
@@ -27,12 +31,13 @@
  * Two storage modes (StoreMode, declared with the arena):
  *
  *  - Full: exact deduplication — a probe-hash match compares the
- *    candidate's cell with the stored one.  The InRam backend keeps
- *    every cell; the Mmap backend releases sealed levels' blocks and
- *    deduplicates those entries by their stored 64-bit verification
- *    fingerprint instead — detected-collision semantics identical to
- *    compact mode for exactly those entries; the mapped window still
- *    compares cells.
+ *    stored cell's slices with the candidate's bytes; only a fresh
+ *    insert interns slices.  The InRam backend keeps every cell; the
+ *    Mmap backend releases sealed levels' blocks and deduplicates
+ *    those entries by their stored 64-bit verification fingerprint
+ *    instead — detected-collision semantics identical to compact mode
+ *    for exactly those entries; the mapped window still compares
+ *    slices.
  *  - Compact: Murphi hash compaction.  Identity is a second 64-bit
  *    verification fingerprint kept per entry; the cells only serve
  *    frontier reads, and old BFS levels' blocks are released
@@ -57,10 +62,10 @@
  * concurrently from any number of threads.  stateInto() is safe
  * concurrently with inserts *for ids published before the current
  * expansion phase began* (the arena blocks holding them are fixed,
- * and the block/offset spines never reallocate).  The depth
- * column is chunked atomics: depthAt() may be read lock-free at any
- * time (the work-stealing explorer's stale-task check depends on
- * this), while parentAt()/ruleAt() and sealLevel() must only be used
+ * the block spine never reallocates, and slice chunks never move).
+ * The depth column is chunked atomics: depthAt() may be read
+ * lock-free at any time (the work-stealing explorer's stale-task
+ * check depends on this), while parentAt()/ruleAt() and sealLevel() must only be used
  * while the store is quiescent — the explorers call them between
  * depth barriers or after termination.
  *
@@ -99,8 +104,7 @@ namespace cxl
 /**
  * A StateStore shard ran out of room: its entry count reached the
  * capacity limit (architectural 2^28 per shard, or the smaller
- * per-run limit derived from ExploreOptions::storeCapacity), or its
- * 32-bit arena offset space ran out.  The
+ * per-run limit derived from ExploreOptions::storeCapacity).  The
  * explorers catch this and convert it into a graceful governed stop
  * (StopReason::ShardFull) — the explored prefix stays a valid
  * partial result.  what() names the shard, its computed entry limit
@@ -209,8 +213,11 @@ class StateStore
     void reserveStates(std::uint64_t expected);
 
     /**
-     * Insert a state if new (probe hash computed internally).
+     * Insert a state if new (probe hash computed internally).  Every
+     * state of one store has the same ndev: the first insert fixes
+     * it, and a state of another device count is a logic error.
      *
+     * @throws std::logic_error on a state of another device count.
      * @return (packed id, inserted): id of the canonical entry for the
      *         state, and whether this call created it.
      */
@@ -278,11 +285,7 @@ class StateStore
      * frontier — and everything after it always decode, and the
      * InRam full store decodes every entry.
      */
-    void
-    stateInto(std::uint32_t id, SystemState &out) const
-    {
-        shards_[shardOf(id)].arena.cellInto(id & kOffsetMask, out);
-    }
+    void stateInto(std::uint32_t id, SystemState &out) const;
 
     /** Breadcrumb accessors; quiescent use only (the columns may
      * reallocate during concurrent inserts). */
@@ -397,12 +400,19 @@ class StateStore
         bool improved;
     };
 
+    /** Bytes of a state's host slice: the fields before dev[]. */
+    static constexpr std::size_t kHostBytes = offsetof(SystemState, dev);
+
     /** Whether entry @p off of @p shard holds @p state (fingerprint
-     * @p verify): see the identity rule in probeInsertLocked.  Encodes
-     * @p state into @p enc on first need, tracking @p enc_len. */
+     * @p verify): see the identity rule in probeInsertLocked. */
     bool holds(const Shard &shard, std::uint32_t off,
-               const SystemState &state, std::uint64_t verify,
-               std::byte *enc, std::size_t &enc_len) const;
+               const SystemState &state, std::uint64_t verify) const;
+
+    /** Intern @p state's slices into @p ids (room for 1 + kMaxDevices)
+     * and return the cell width, fixing the store's on first use.
+     * @throws std::logic_error on a state of another device count. */
+    std::uint32_t internSlices(const SystemState &state,
+                               std::uint32_t *ids);
 
     InsertOutcome
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
@@ -411,6 +421,11 @@ class StateStore
                       std::uint16_t rule_id, std::uint32_t depth);
 
     Shard shards_[kNumShards];
+    /** Slice tables, shared by every shard (see store_arena.hh). */
+    SliceTable hosts_{kHostBytes};
+    SliceTable devices_{sizeof(DeviceState)};
+    /** Ids per cell (1 + ndev), fixed by the first insert; 0 before. */
+    std::atomic<std::uint32_t> cellWidth_{0};
     std::atomic<std::uint64_t> total_{0};
     StoreMode mode_;
     StoreBackend backend_;

@@ -1,63 +1,173 @@
 #include "checker/store_arena.hh"
 
-#include <bit>
 #include <cassert>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 
-#include "checker/state_store.hh"
+#include "support/hash.hh"
 
 namespace cxl
 {
 
-std::size_t
-encodeCell(const SystemState &state, std::byte *dst)
+namespace
 {
-    const auto *src = reinterpret_cast<const unsigned char *>(&state);
-    const std::size_t len = state.activeBytes();
-    const std::size_t whole = len / 4;
-    // Pass 1: the mask, from whole lanes plus the zero-padded partial
-    // last lane.  Pass 2: copy out only the lanes it names.
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < whole; ++i) {
-        std::uint32_t v;
-        std::memcpy(&v, src + 4 * i, 4);
-        mask |= std::uint64_t{v != 0} << i;
-    }
-    unsigned char tail[4] = {};
-    for (std::size_t b = 4 * whole; b < len; ++b)
-        tail[b - 4 * whole] = src[b];
-    std::uint32_t tail_lane;
-    std::memcpy(&tail_lane, tail, 4);
-    mask |= std::uint64_t{tail_lane != 0} << whole;
 
-    std::memcpy(dst, &mask, 8);
-    std::byte *out = dst + 8;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1, out += 4) {
-        const std::size_t lane =
-            static_cast<std::size_t>(std::countr_zero(m));
-        std::memcpy(out, lane < whole ? src + 4 * lane : tail, 4);
+std::uint64_t
+load64(const std::byte *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    return w;
+}
+
+/**
+ * Hash of an @p n-byte slice for the table's index: one independent
+ * 128-bit multiply per 16 bytes, summed (the blocks overlap at the
+ * tail when n >= 8 instead of assembling a partial word).  Cheaper
+ * than hashBytes' serial chain, and good enough for an index whose
+ * every hit is confirmed byte for byte.
+ */
+std::uint64_t
+sliceHash(const std::byte *p, std::size_t n)
+{
+    std::uint64_t h = n * 0x9e3779b97f4a7c15ull;
+    std::uint64_t k = 0xa0761d6478bd642full;
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16, k += 0xe7037ed1a0b428dbull)
+        h += mum(load64(p + i) ^ k, load64(p + i + 8) ^ ~k);
+    if (i < n) {
+        std::uint64_t x = 0, y = 0;
+        if (n < 8) {
+            std::memcpy(&x, p, n);
+        } else if (n - i > 8) {
+            x = load64(p + i);
+            y = load64(p + n - 8);
+        } else {
+            x = load64(p + n - 8);
+        }
+        h += mum(x ^ k, y ^ ~k);
     }
-    return static_cast<std::size_t>(out - dst);
+    return mix64(h);
+}
+
+/** Whether the @p n bytes at @p a and @p b are equal: an inline word
+ * loop (the last word overlapping when n >= 8), since @p n is a
+ * runtime width. */
+bool
+sameBytes(const std::byte *a, const std::byte *b, std::size_t n)
+{
+    if (n < 8)
+        return std::memcmp(a, b, n) == 0;
+    for (std::size_t i = 0; i + 8 < n; i += 8) {
+        if (load64(a + i) != load64(b + i))
+            return false;
+    }
+    return load64(a + n - 8) == load64(b + n - 8);
+}
+
+} // namespace
+
+SliceTable::Probe
+SliceTable::probe(const Index &ix, std::uint32_t tag,
+                  std::uint32_t stripe_tag, const void *bytes) const
+{
+    for (std::size_t slot = tag & ix.mask;; slot = (slot + 1) & ix.mask) {
+        const std::uint64_t v =
+            ix.slots[slot].load(std::memory_order_acquire);
+        if (v == 0)
+            return {false, 0, slot};
+        const std::uint32_t id =
+            stripe_tag | (static_cast<std::uint32_t>(v) - 1);
+        if (v >> 32 == tag &&
+            sameBytes(at(id), static_cast<const std::byte *>(bytes),
+                      width_))
+            return {true, id, slot};
+    }
+}
+
+std::uint32_t
+SliceTable::intern(const void *bytes)
+{
+    // The top bits pick the stripe; the tag (the high half) picks the
+    // slot, so the two stay independent.
+    const std::uint64_t h =
+        sliceHash(static_cast<const std::byte *>(bytes), width_);
+    const auto stripe_idx =
+        static_cast<std::uint32_t>(h >> (64 - kStripeBits));
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    const std::uint32_t stripe_tag = stripe_idx << kLocalBits;
+    Stripe &s = stripes_[stripe_idx];
+
+    // A slice seen before is found without the lock.
+    if (const Index *ix = s.index.load(std::memory_order_acquire)) {
+        if (const Probe p = probe(*ix, tag, stripe_tag, bytes); p.found)
+            return p.id;
+    }
+
+    std::lock_guard<std::mutex> lock(s.mutex);
+    // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
+    if (s.indexes.empty() ||
+        4 * (std::size_t{s.count} + 1) > 3 * (s.indexes.back()->mask + 1))
+        grow(s);
+    const Index &ix = *s.indexes.back();
+    const Probe p = probe(ix, tag, stripe_tag, bytes);
+    if (p.found)
+        return p.id;
+
+    // kLocalMask itself is unusable: stripe kStripes-1 would pack it
+    // to 0xffffffff, and callers may offset ids by one.
+    if (s.count == kLocalMask) {
+        throw std::length_error("SliceTable stripe " +
+                                std::to_string(stripe_idx) +
+                                " full (2^28 distinct slices)");
+    }
+    const std::uint32_t local = s.count++;
+    const auto [k, i] = place(local);
+    if (!s.chunks[k]) {
+        s.chunks[k].reset(new std::byte[(std::size_t{1}
+                                         << (kFirstChunkBits + k)) *
+                                        width_]);
+    }
+    std::memcpy(s.chunks[k].get() + std::size_t{i} * width_, bytes,
+                width_);
+    ix.slots[p.slot].store(std::uint64_t{tag} << 32 | (local + 1),
+                           std::memory_order_release);
+    return stripe_tag | local;
 }
 
 void
-decodeCell(const std::byte *cell, SystemState &out)
+SliceTable::grow(Stripe &s)
 {
-    // Only the last lane of a kMaxDevices prefix overhangs the record.
-    constexpr std::size_t kLast = kCellMaxLanes - 1;
-    constexpr std::size_t kLastBytes = sizeof(SystemState) - 4 * kLast;
-
-    std::memset(static_cast<void *>(&out), 0, sizeof(SystemState));
-    auto *dst = reinterpret_cast<unsigned char *>(&out);
-    std::uint64_t mask;
-    std::memcpy(&mask, cell, 8);
-    const std::byte *in = cell + 8;
-    for (std::uint64_t m = mask & ~(std::uint64_t{1} << kLast); m != 0;
-         m &= m - 1, in += 4) {
-        std::memcpy(dst + 4 * std::countr_zero(m), in, 4);
+    const std::size_t size =
+        s.indexes.empty() ? 16 : 2 * (s.indexes.back()->mask + 1);
+    auto ix = std::make_unique<Index>(size);
+    if (!s.indexes.empty()) {
+        const Index &old = *s.indexes.back();
+        for (std::size_t j = 0; j <= old.mask; ++j) {
+            const std::uint64_t v =
+                old.slots[j].load(std::memory_order_relaxed);
+            if (v == 0)
+                continue;
+            std::size_t slot = (v >> 32) & ix->mask;
+            while (ix->slots[slot].load(std::memory_order_relaxed) != 0)
+                slot = (slot + 1) & ix->mask;
+            ix->slots[slot].store(v, std::memory_order_relaxed);
+        }
     }
-    if (mask >> kLast)
-        std::memcpy(dst + 4 * kLast, in, kLastBytes);
+    // Readers still probing the old index find only slices it held;
+    // a miss sends them here, under the lock, to the new one.
+    s.index.store(ix.get(), std::memory_order_release);
+    s.indexes.push_back(std::move(ix));
+}
+
+std::size_t
+SliceTable::size() const
+{
+    std::size_t total = 0;
+    for (const Stripe &s : stripes_)
+        total += s.count;
+    return total;
 }
 
 void
@@ -66,53 +176,28 @@ StateArena::init(ShardMem *mem, bool release_sealed,
 {
     mem_ = mem;
     releaseSealed_ = release_sealed;
-    // Cells are offset-addressed with 32 bits per shard: up to 4 GiB
-    // of cells per shard.  Fully reserve both spines: they must never
-    // reallocate, because readers index them lock-free (see the file
-    // comment).
-    blocks_.reserve((std::uint64_t{1} << 32) >> kBlockBits);
-    stateOffs_.reserve((max_entries >> kOffChunkBits) + 1);
+    // Fully reserve the spine: it must never reallocate, because
+    // readers index it lock-free (see the file comment).
+    blocks_.reserve((max_entries >> kBlockBits) + 1);
 }
 
 void
-StateArena::append(std::uint32_t shard_idx, std::uint32_t off,
-                   const std::byte *cell, std::size_t len)
+StateArena::append(std::uint32_t off, const std::uint32_t *ids,
+                   std::uint32_t width)
 {
-    // A cell never straddles blocks; skip a too-small tail.
-    std::uint64_t at = byteCursor_;
-    if ((at & (kBlockBytes - 1)) + len > kBlockBytes)
-        at = (at | (kBlockBytes - 1)) + 1;
-    if (at + len > (std::uint64_t{1} << 32)) {
-        throw StoreFullError(
-            shard_idx,
-            "StateStore shard " + std::to_string(shard_idx) +
-                " arena offset space exhausted (4 GiB of encoded "
-                "states); pre-size with --expect-states so sealing "
-                "keeps up, or lower the run's budgets");
+    if (width_ == 0)
+        width_ = width;
+    assert(width == width_ && off == count_);
+    const std::uint32_t block = off >> kBlockBits;
+    if (block == blocks_.size()) {
+        blocks_.push_back(static_cast<std::uint32_t *>(mem_->blockAlloc(
+            block, std::size_t{kBlockCells} * width_ *
+                       sizeof(std::uint32_t))));
     }
-    const auto block = static_cast<std::uint32_t>(at >> kBlockBits);
-    while (block >= blocks_.size()) {
-        blocks_.push_back(static_cast<std::byte *>(mem_->blockAlloc(
-            static_cast<std::uint32_t>(blocks_.size()), kBlockBytes)));
-    }
-    std::memcpy(blocks_[block] + (at & (kBlockBytes - 1)), cell, len);
-    const std::uint32_t chunk = off >> kOffChunkBits;
-    if (chunk == stateOffs_.size()) {
-        stateOffs_.push_back(static_cast<std::uint32_t *>(
-            mem_->chunkAlloc(kOffChunkSize * sizeof(std::uint32_t))));
-    }
-    stateOffs_[chunk][off & (kOffChunkSize - 1)] =
-        static_cast<std::uint32_t>(at);
-    byteCursor_ = at + len;
-}
-
-void
-StateArena::cellInto(std::uint32_t off, SystemState &out) const
-{
-    const std::uint32_t at = stateOffAt(off);
-    const std::byte *base = blocks_[at >> kBlockBits];
-    assert(base && "state released by sealLevel");
-    decodeCell(base + (at & (kBlockBytes - 1)), out);
+    std::memcpy(blocks_[block] +
+                    std::size_t{off & (kBlockCells - 1)} * width_,
+                ids, width_ * sizeof(std::uint32_t));
+    count_ = off + 1;
 }
 
 void
@@ -124,13 +209,12 @@ StateArena::seal()
     // levels whose expansion has finished; the frontier no longer
     // reads them.  Release whole blocks only — a partial tail block
     // is shared with the still-needed frontier.
-    const auto floor_block =
-        static_cast<std::uint32_t>(levelBoundary_ >> kBlockBits);
+    const std::uint32_t floor_block = levelBoundary_ >> kBlockBits;
     for (; droppedBlocks_ < floor_block; ++droppedBlocks_) {
         mem_->blockDrop(droppedBlocks_);
         blocks_[droppedBlocks_] = nullptr;
     }
-    levelBoundary_ = byteCursor_;
+    levelBoundary_ = count_;
 }
 
 } // namespace cxl

@@ -6,16 +6,22 @@
  * probe-hash collision must be detected and kept as two states (and
  * reported via probeCollisions) rather than silently merged, and a
  * violation found under compaction must carry the same verdict and
- * the same full trace as the full store.  The CellCodec tests pin
- * the lane-cell format both modes store, and the arena test pins
- * which sealed blocks a releasing arena drops.
+ * the same full trace as the full store.  The SliceCells and
+ * SliceTable tests pin the slice-id cells both modes store (round
+ * trip, identity, width, concurrent interning), and the arena test
+ * pins which sealed blocks a releasing arena drops.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
@@ -213,10 +219,9 @@ arenaState(int i)
 
 TEST(Compaction, CompactCellsRoundTripBitExactly)
 {
-    // The lane cells must reproduce the active prefix exactly —
+    // The slice cells must reproduce the active prefix exactly —
     // stateInto(insert(s)) == s for sparse, busy and near-full
     // states.
-    StateStore store(1 << 10, StoreMode::Compact);
     std::vector<SystemState> originals;
     originals.push_back(initialAllInvalid(0, 4));
     originals.push_back(initialBothShared(3, 4));
@@ -239,34 +244,22 @@ TEST(Compaction, CompactCellsRoundTripBitExactly)
         s.counter = 4;
         originals.push_back(s);
     }
+    // A store holds states of one device count: one store per count.
+    std::unique_ptr<StateStore> stores[kMaxDevices + 1];
     for (const SystemState &s : originals) {
+        std::unique_ptr<StateStore> &store = stores[s.ndev];
+        if (!store)
+            store = std::make_unique<StateStore>(1 << 10, StoreMode::Compact);
         auto [idx, is_new] =
-            store.insert(s, StateStore::kNoParent, 0, 0);
+            store->insert(s, StateStore::kNoParent, 0, 0);
         ASSERT_TRUE(is_new);
         SystemState decoded;
-        store.stateInto(idx, decoded);
+        store->stateInto(idx, decoded);
         EXPECT_TRUE(decoded == s);
     }
 }
 
-// ------------------------------------------------------ cell codec
-
-/** Nonzero 4-byte lanes of @p s's active prefix (the partial last
- * lane counts its active bytes only). */
-std::size_t
-nonzeroLanes(const SystemState &s)
-{
-    const auto *p = reinterpret_cast<const unsigned char *>(&s);
-    std::size_t lanes = 0;
-    for (std::size_t at = 0; at < s.activeBytes(); at += 4) {
-        bool nonzero = false;
-        for (std::size_t b = at; b < std::min(at + 4, s.activeBytes());
-             ++b)
-            nonzero |= p[b] != 0;
-        lanes += nonzero;
-    }
-    return lanes;
-}
+// ------------------------------------------------------ slice cells
 
 /** Every channel of every active device full, last byte set. */
 SystemState
@@ -284,40 +277,7 @@ busyState(int ndev)
     return s;
 }
 
-TEST(CellCodec, RoundTripsEveryDeviceCount)
-{
-    // Active prefixes of 64/123/182/241 bytes: a whole number of
-    // lanes at one device, a partial last lane of 3/2/1 bytes above.
-    const std::size_t prefix[] = {64, 123, 182, 241};
-    for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
-        const SystemState states[] = {initialAllInvalid(0, ndev),
-                                      initialOneModified(0, 2, 1, ndev),
-                                      busyState(ndev)};
-        for (const SystemState &s : states) {
-            ASSERT_EQ(s.activeBytes(), prefix[ndev - 1]);
-            std::byte cell[kMaxEncodedState];
-            const std::size_t len = encodeCell(s, cell);
-            EXPECT_EQ(len, 8 + 4 * nonzeroLanes(s)) << ndev;
-            SystemState decoded;
-            decodeCell(cell, decoded);
-            EXPECT_TRUE(decoded == s) << ndev;
-            EXPECT_EQ(decoded.dev[ndev - 1].pc, s.dev[ndev - 1].pc);
-        }
-        // Through the store too, in both modes.
-        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
-            StateStore store(1 << 10, mode);
-            for (const SystemState &s : states) {
-                SystemState decoded;
-                store.stateInto(
-                    store.insert(s, StateStore::kNoParent, 0, 0).first,
-                    decoded);
-                EXPECT_TRUE(decoded == s) << ndev;
-            }
-        }
-    }
-}
-
-/** A 4-device record with every lane nonzero; @p tag varies it. */
+/** A 4-device record with every byte nonzero; @p tag varies it. */
 SystemState
 denseState(int tag)
 {
@@ -329,26 +289,58 @@ denseState(int tag)
     return s;
 }
 
-TEST(CellCodec, StateWithNoZeroLaneFillsTheBound)
+/** Whether @p s's device slots past ndev are all zero bytes. */
+bool
+inactiveSlotsZero(const SystemState &s)
 {
-    const SystemState s = denseState(0);
-    std::byte cell[kMaxEncodedState];
-    EXPECT_EQ(encodeCell(s, cell), kMaxEncodedState);
-    EXPECT_EQ(kMaxEncodedState, 252u);
-    SystemState decoded;
-    decodeCell(cell, decoded);
-    EXPECT_TRUE(decoded == s);
+    const auto *p = reinterpret_cast<const unsigned char *>(&s);
+    return std::all_of(p + s.activeBytes(), p + sizeof s,
+                       [](unsigned char b) { return b == 0; });
 }
 
-TEST(CellCodec, PartialLastLaneKeepsStatesDistinct)
+TEST(SliceCells, RoundTripsEveryDeviceCount)
 {
-    // Two states that differ only in the last active byte (the last
-    // device's pc, alone in the partial last lane) have equal lane
-    // masks and must still stay distinct under a forged probe-hash
-    // collision — counted as one in probeCollisions().  Bytes past
-    // the active prefix share that lane and must not count at all.
+    // A cell is ndev + 1 slice ids; decoding must give back the active
+    // prefix exactly and zero the inactive slots, in both modes.
+    for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
+        std::vector<SystemState> states = {
+            initialAllInvalid(0, ndev), initialOneModified(0, 2, 1, ndev),
+            busyState(ndev)};
+        if (ndev == kMaxDevices) {
+            states.push_back(denseState(0));
+            states.push_back(denseState(1));
+        }
+        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
+            StateStore store(1 << 10, mode);
+            for (const SystemState &s : states) {
+                const auto [id, fresh] =
+                    store.insert(s, StateStore::kNoParent, 0, 0);
+                EXPECT_TRUE(fresh) << ndev;
+                SystemState decoded = denseState(7); // all garbage
+                store.stateInto(id, decoded);
+                EXPECT_TRUE(decoded == s) << ndev;
+                EXPECT_EQ(decoded.dev[ndev - 1].pc, s.dev[ndev - 1].pc);
+                EXPECT_TRUE(inactiveSlotsZero(decoded)) << ndev;
+            }
+            // Re-inserting finds every state again.
+            for (const SystemState &s : states) {
+                EXPECT_FALSE(
+                    store.insert(s, StateStore::kNoParent, 0, 0).second)
+                    << ndev;
+            }
+            EXPECT_EQ(store.size(), states.size());
+        }
+    }
+}
+
+TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
+{
+    // Two states that differ only in the last active byte — the last
+    // device's pc — share their host slice and all but the last device
+    // slice.  Under a forged probe-hash collision they must stay
+    // distinct, counted as one in probeCollisions().
     const std::uint64_t forged = 0x0123456789abcdefull;
-    for (int ndev = 2; ndev <= kMaxDevices; ++ndev) {
+    for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         SystemState a = initialAllInvalid(0, ndev);
         a.dev[ndev - 1].pc = 1;
         SystemState b = a;
@@ -363,100 +355,225 @@ TEST(CellCodec, PartialLastLaneKeepsStatesDistinct)
         EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
         EXPECT_NE(ia, ib);
         EXPECT_EQ(store.probeCollisions(), 1u) << ndev;
+        SystemState decoded;
+        store.stateInto(ib, decoded);
+        EXPECT_EQ(decoded.dev[ndev - 1].pc, 2) << ndev;
+    }
+}
 
-        if (ndev < kMaxDevices) {
-            // An inactive slot's byte is outside the prefix.
-            SystemState c = a;
-            c.dev[ndev].val = 7;
+TEST(SliceCells, BytesPastTheActivePrefixAreIgnored)
+{
+    // An inactive device slot is outside the prefix: a state that
+    // differs only there is the same state, in both modes.
+    for (int ndev = 1; ndev < kMaxDevices; ++ndev) {
+        const SystemState a = busyState(ndev);
+        SystemState c = a;
+        c.dev[ndev].val = 7;
+        c.dev[kMaxDevices - 1].pc = 9;
+        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
+            StateStore store(1 << 10, mode);
+            const auto [ia, new_a] =
+                store.insert(a, a.hash(), StateStore::kNoParent, 0, 0);
             const auto [ic, new_c] =
-                store.insert(c, forged, StateStore::kNoParent, 0, 0);
+                store.insert(c, a.hash(), StateStore::kNoParent, 0, 0);
+            EXPECT_TRUE(new_a);
             EXPECT_FALSE(new_c) << ndev;
             EXPECT_EQ(ic, ia) << ndev;
+            EXPECT_EQ(store.probeCollisions(), 0u) << ndev;
+            SystemState decoded;
+            store.stateInto(ic, decoded);
+            EXPECT_TRUE(inactiveSlotsZero(decoded)) << ndev;
         }
     }
 }
 
-TEST(CellCodec, MaskMismatchAtABlockEndReadsNoFurther)
+TEST(SliceCells, MismatchedDeviceCountIsRejected)
 {
-    // Fill shard 0's first arena block with dense cells so that a
-    // 14-lane cell ends exactly at the block's end, then probe it
-    // with a dense candidate under the same forged hash.  The masks
-    // differ, so the compare must stop at the mask word — reading the
-    // candidate's length from the short cell would run off the block
-    // (an ASan report).
-    constexpr std::size_t kDense = StateArena::kBlockBytes /
-                                   kMaxEncodedState;
-    constexpr std::size_t kTail =
-        StateArena::kBlockBytes - kDense * kMaxEncodedState;
-    static_assert(kTail >= 12 && kTail % 4 == 0);
-    auto shard_zero = [](std::uint64_t i) { return mix64(i) >> 4; };
-
-    StateStore store(1 << 10, StoreMode::Full);
-    for (std::size_t i = 0; i < kDense; ++i) {
-        ASSERT_TRUE(store
-                        .insert(denseState(static_cast<int>(i)),
-                                shard_zero(i), StateStore::kNoParent,
-                                0, 0)
-                        .second);
+    // The first insert fixes the cell width; a state of another device
+    // count is a logic error and leaves the store unchanged.
+    for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
+        StateStore store(1 << 10, mode);
+        const SystemState three = initialAllInvalid(0, 3);
+        const std::uint32_t id =
+            store.insert(three, StateStore::kNoParent, 0, 0).first;
+        EXPECT_THROW(store.insert(initialAllInvalid(0, 2),
+                                  StateStore::kNoParent, 0, 0),
+                     std::logic_error);
+        StateStore::BatchItem item;
+        item.state = initialAllInvalid(0, 4);
+        item.hash = item.state.hash();
+        EXPECT_THROW(store.insertBatch(&item, 1), std::logic_error);
+        EXPECT_EQ(store.size(), 1u);
+        EXPECT_FALSE(store.find(initialAllInvalid(0, 2)).has_value());
+        const auto [again, fresh] =
+            store.insert(three, StateStore::kNoParent, 0, 0);
+        EXPECT_FALSE(fresh);
+        EXPECT_EQ(again, id);
+        EXPECT_TRUE(
+            store.insert(busyState(3), StateStore::kNoParent, 0, 0)
+                .second);
     }
-    SystemState tail = initialAllInvalid(0, kMaxDevices);
-    auto *bytes = reinterpret_cast<unsigned char *>(&tail);
-    for (std::size_t lane = 1; lane < (kTail - 8) / 4; ++lane)
-        bytes[4 * lane] = 1;
-    std::byte cell[kMaxEncodedState];
-    ASSERT_EQ(encodeCell(tail, cell), kTail);
+}
 
-    const std::uint64_t forged = shard_zero(kDense);
-    const auto [it, new_tail] =
-        store.insert(tail, forged, StateStore::kNoParent, 0, 0);
-    ASSERT_TRUE(new_tail);
-    const SystemState probe = denseState(static_cast<int>(kDense));
-    const auto [ip, new_probe] =
-        store.insert(probe, forged, StateStore::kNoParent, 0, 0);
-    EXPECT_TRUE(new_probe);
-    EXPECT_NE(ip, it);
-    EXPECT_EQ(store.probeCollisions(), 1u);
-    SystemState decoded;
-    store.stateInto(it, decoded);
-    EXPECT_TRUE(decoded == tail);
+/** Distinct 3-device states for @p i < 5 * 4096 whose device slices
+ * repeat across states: @p i picks each device's value and pc from 16
+ * combinations. */
+SystemState
+sliceState(std::uint32_t i)
+{
+    SystemState s = initialAllInvalid(0, 3);
+    s.counter = static_cast<std::uint8_t>(i % 5);
+    for (int d = 0; d < 3; ++d) {
+        const std::uint32_t k = (i / 5) >> (4 * d);
+        s.dev[d].val = static_cast<Val>(k & 7);
+        s.dev[d].pc = static_cast<std::uint8_t>((k >> 3) & 1);
+    }
+    return s;
+}
+
+TEST(SliceTable, ConcurrentInternsGiveOneIdPerSlice)
+{
+    // Every thread interns every slice, each from its own starting
+    // point and more than once: one id per distinct slice, agreed by
+    // all threads, and at() gives back the interned bytes.
+    constexpr std::uint32_t kSlices = 3000;
+    auto bytes = [](std::uint32_t i) {
+        std::array<std::uint8_t, 59> b{};
+        std::memcpy(b.data(), &i, sizeof i);
+        b[58] = static_cast<std::uint8_t>(i * 7);
+        return b;
+    };
+    for (const unsigned threads : {4u, 8u}) {
+        SliceTable table(59);
+        std::vector<std::vector<std::uint32_t>> ids(
+            threads, std::vector<std::uint32_t>(kSlices));
+        std::vector<std::thread> pool;
+        for (unsigned t = 0; t < threads; ++t) {
+            pool.emplace_back([&, t] {
+                for (int round = 0; round < 2; ++round) {
+                    for (std::uint32_t k = 0; k < kSlices; ++k) {
+                        const std::uint32_t i =
+                            (k + t * (kSlices / threads)) % kSlices;
+                        const auto b = bytes(i);
+                        const std::uint32_t id = table.intern(b.data());
+                        if (round == 1) {
+                            ASSERT_EQ(id, ids[t][i]);
+                        }
+                        ids[t][i] = id;
+                    }
+                }
+            });
+        }
+        for (std::thread &th : pool)
+            th.join();
+        EXPECT_EQ(table.size(), kSlices) << threads;
+        std::set<std::uint32_t> distinct;
+        for (std::uint32_t i = 0; i < kSlices; ++i) {
+            for (unsigned t = 1; t < threads; ++t)
+                ASSERT_EQ(ids[t][i], ids[0][i]) << threads << " " << i;
+            distinct.insert(ids[0][i]);
+            const auto b = bytes(i);
+            EXPECT_EQ(std::memcmp(table.at(ids[0][i]), b.data(), 59), 0);
+        }
+        EXPECT_EQ(distinct.size(), kSlices) << threads;
+    }
+}
+
+TEST(SliceCells, ConcurrentInsertsDecodeToWhatWasInserted)
+{
+    // Workers insert overlapping batches of states built from 16
+    // distinct device slices, so fresh inserts on different
+    // shards intern the same slices at once.  Every state must end up
+    // stored once and decode to exactly what was inserted.
+    constexpr std::uint32_t kStates = 1 << 14; // odd strides permute it
+    for (const unsigned threads : {4u, 8u}) {
+        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
+            StateStore store(1 << 10, mode);
+            std::vector<std::vector<std::uint32_t>> ids(
+                threads, std::vector<std::uint32_t>(kStates));
+            std::vector<std::thread> pool;
+            for (unsigned t = 0; t < threads; ++t) {
+                pool.emplace_back([&, t] {
+                    std::vector<StateStore::BatchItem> batch;
+                    std::vector<std::uint32_t> which;
+                    auto flush = [&] {
+                        store.insertBatch(batch.data(), batch.size());
+                        for (std::size_t j = 0; j < batch.size(); ++j)
+                            ids[t][which[j]] = batch[j].id;
+                        batch.clear();
+                        which.clear();
+                    };
+                    for (std::uint32_t k = 0; k < kStates; ++k) {
+                        const std::uint32_t i =
+                            (k * (2 * t + 1) + t * 977) % kStates;
+                        StateStore::BatchItem item;
+                        item.state = sliceState(i);
+                        item.hash = item.state.hash();
+                        batch.push_back(item);
+                        which.push_back(i);
+                        if (batch.size() == 64)
+                            flush();
+                    }
+                    flush();
+                });
+            }
+            for (std::thread &th : pool)
+                th.join();
+            ASSERT_EQ(store.size(), kStates) << threads;
+            for (std::uint32_t i = 0; i < kStates; ++i) {
+                for (unsigned t = 1; t < threads; ++t)
+                    ASSERT_EQ(ids[t][i], ids[0][i]) << threads << " " << i;
+                SystemState decoded;
+                store.stateInto(ids[0][i], decoded);
+                ASSERT_TRUE(decoded == sliceState(i)) << threads << " " << i;
+                ASSERT_TRUE(inactiveSlotsZero(decoded));
+            }
+        }
+    }
 }
 
 TEST(Compaction, CompactStoreReleasesSealedLevels)
 {
-    // seal() must release only whole blocks of cells at least two
-    // level boundaries old; the newest level (the next frontier)
-    // stays readable.  Checked on an arena over the heap backend,
-    // the one a ram-compact store uses: append enough encoded cells
-    // that whole blocks become releasable.
-    const std::uint32_t n = 200000; // cells total several blocks
+    // seal() must release exactly the whole blocks of cells below the
+    // previous level boundary, counted in entries; the newest level
+    // (the next frontier) and the block it shares stay readable.
+    // Checked on an arena over the heap backend, the one a
+    // ram-compact store uses.
+    constexpr std::uint32_t kLevelA = 2 * StateArena::kBlockCells + 1;
+    constexpr std::uint32_t kLevelB = StateArena::kBlockCells;
+    auto cellOf = [](std::uint32_t i) {
+        return std::array<std::uint32_t, 4>{i, i ^ 1, i * 3, ~i};
+    };
     for (const bool release : {true, false}) {
         const std::unique_ptr<ShardMem> mem =
             makeShardMem(StoreBackend::InRam, "");
         StateArena arena;
         arena.init(mem.get(), release, StateStore::kOffsetMask);
-        std::byte cell[kMaxEncodedState];
-        for (std::uint32_t i = 0; i < n; ++i) {
-            arena.append(0, i, cell,
-                         encodeCell(arenaState(static_cast<int>(i)),
-                                    cell));
-        }
-        arena.seal(); // boundary after "level A"
+        std::uint32_t n = 0;
+        for (; n < kLevelA; ++n)
+            arena.append(n, cellOf(n).data(), 4);
+        arena.seal(); // boundary after level A
         for (std::uint32_t i = 0; i < n; ++i)
             ASSERT_NE(arena.cellIfMapped(i), nullptr) << i;
+        for (; n < kLevelA + kLevelB; ++n)
+            arena.append(n, cellOf(n).data(), 4);
 
         arena.seal(); // level A is now two boundaries old
-        // Whole blocks below the boundary are released; the
-        // partially filled tail block is shared with the newest level
-        // and stays.  An arena that does not release keeps them all.
+        // Blocks 0 and 1 lie wholly below level A's boundary and go;
+        // block 2 holds A's last entry and B's first ones, so it stays.
+        // An arena that does not release keeps them all.
         EXPECT_EQ(arena.cellIfMapped(0) == nullptr, release);
-        ASSERT_NE(arena.cellIfMapped(n - 1), nullptr);
-        SystemState decoded;
-        arena.cellInto(n - 1, decoded);
-        EXPECT_TRUE(decoded == arenaState(static_cast<int>(n - 1)));
+        EXPECT_EQ(arena.cellIfMapped(kLevelA - 2) == nullptr, release);
+        for (std::uint32_t i : {kLevelA - 1, kLevelA, n - 1}) {
+            const std::uint32_t *cell = arena.cellIfMapped(i);
+            ASSERT_NE(cell, nullptr) << i;
+            EXPECT_EQ(std::memcmp(cell, cellOf(i).data(), 16), 0) << i;
+        }
     }
 
-    // Through the store: deduplication still works without the state
-    // bytes, and the newest level still decodes.
+    // Through the store: deduplication still works without the cells,
+    // and the partial tail block still decodes.
+    const std::uint32_t n = 4 * StateArena::kBlockCells + 100;
     StateStore store(1 << 10, StoreMode::Compact);
     std::vector<std::uint32_t> ids;
     auto forged = [](std::uint32_t i) {
