@@ -47,7 +47,8 @@ BENCHMARK(BM_StateHash);
 void
 BM_StateFingerprint(benchmark::State &state)
 {
-    // The second hash paid per successor in hash-compaction mode.
+    // The second hash paid per successor by stores that release
+    // sealed levels.
     SystemState s = busyState();
     for (auto _ : state) {
         benchmark::DoNotOptimize(s.fingerprint());
@@ -140,7 +141,8 @@ void
 BM_StateStoreInsertCompact(benchmark::State &state)
 {
     // The same insertion stream through the hash-compacted store:
-    // fingerprints are computed and stored instead of state bytes.
+    // a fingerprint is computed and stored per entry as well, the
+    // identity of cells a seal releases.
     std::vector<SystemState> batch;
     for (int i = 0; i < 256; ++i) {
         SystemState s;

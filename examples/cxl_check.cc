@@ -25,6 +25,7 @@
  *                                    print the daemon's counters
  *
  * Standard flags: --devices N, --threads N, --sym/--no-sym,
+ * --store ram|ram-compact|mmap, --store-dir DIR (mmap only),
  * --compact, --por/--no-por, --ws/--bfs, --max-states N,
  * --expect-states N, --max-seconds S, --max-rss-mb N,
  * --json [PATH].  `--deterministic` zeroes the wall-clock keys of

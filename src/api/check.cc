@@ -55,20 +55,6 @@ verdictWord(CheckResult::Verdict v)
 
 } // namespace
 
-std::optional<StoreKind>
-storeKindFromWord(const std::string &word)
-{
-    if (word == "ram")
-        return StoreKind::InRam;
-    if (word == "ram-compact")
-        return StoreKind::InRamCompact;
-    if (word == "mmap")
-        return StoreKind::Mmap;
-    if (word == "mmap-compact")
-        return StoreKind::MmapCompact;
-    return std::nullopt;
-}
-
 // ------------------------------------------------------ CheckResult
 
 std::string
@@ -129,11 +115,17 @@ CheckResult::renderText(bool withTrace) const
                   "conjuncts\n",
                   scenario.c_str(), devices, numRules, numConjuncts);
     out += line;
+    // The store medium is text-only: a directory of any length is
+    // appended, not formatted into the fixed line buffer.
     std::snprintf(line, sizeof(line),
-                  "engine: %zu thread(s), symmetry %s, %s store, "
-                  "por %s, %s schedule\n",
+                  "engine: %zu thread(s), symmetry %s, %s store (",
                   threads, symmetryReduction ? "on" : "off",
-                  storeKindWord(storeKindOf(mmapStore, compaction)),
+                  storeKindWord(store));
+    out += line;
+    out += !storeKindMmap(store) ? std::string("heap")
+           : storeDir.empty()    ? std::string("memfd")
+                                 : "files under " + storeDir;
+    std::snprintf(line, sizeof(line), "), por %s, %s schedule\n",
                   por ? "on" : "off",
                   schedule == Schedule::WorkSteal ? "work-stealing"
                                                   : "bfs");
@@ -160,13 +152,14 @@ CheckResult::renderText(bool withTrace) const
     }
     if (verdict == Verdict::Incomplete && threads > 1) {
         // A parallel capped run stops at a thread-dependent point:
-        // the soft maxStates cap may be overshot by up to one state
-        // per worker, so the counts above are not exact run
+        // the soft maxStates cap may be overshot by up to one flush
+        // batch per worker, so the counts above are not exact run
         // properties.  (A single-threaded capped run is exact and
         // reproducible, so it carries no qualifier.)
         out += "(capped run: counts are thread-dependent — the "
-               "maxStates soft cap can overshoot by up to one state "
-               "per worker; re-run uncapped for comparable counts)\n";
+               "maxStates soft cap can overshoot by up to one flush "
+               "batch (512 states) per worker; re-run uncapped for "
+               "comparable counts)\n";
     }
     if (por) {
         const std::uint64_t candidates =
@@ -214,11 +207,11 @@ CheckResult::renderJson(bool deterministic) const
 {
     // Deterministic mode zeroes the wall-clock/allocator keys — and
     // nothing else — so the key set and order stay schema-stable.
-    // The store *backend* is deliberately not a key: verdicts and
-    // counts are backend-independent, the serve cache collapses ram
-    // and mmap spellings onto one entry, and a cached in-RAM result
-    // must stay byte-identical to an offline mmap run (only the
-    // compact bit, which seals semantics, is echoed).
+    // The store *backend* and medium are deliberately not keys:
+    // verdicts and counts are backend-independent, the serve cache
+    // collapses ram-compact and mmap onto one entry, and a cached
+    // in-RAM result must stay byte-identical to an offline mmap run
+    // (only the compact bit, which seals semantics, is echoed).
     const double secs = deterministic ? 0.0 : seconds;
     JsonObject json;
     json.str("schema", "cxl-check-result/v1")
@@ -226,7 +219,7 @@ CheckResult::renderJson(bool deterministic) const
         .num("devices", static_cast<std::uint64_t>(devices))
         .num("threads", static_cast<std::uint64_t>(threads))
         .boolean("symmetry_reduction", symmetryReduction)
-        .boolean("compact", compaction)
+        .boolean("compact", storeKindCompact(store))
         .boolean("por", por)
         .str("schedule",
              schedule == Schedule::WorkSteal ? "ws" : "bfs")
@@ -429,10 +422,7 @@ CheckSession::run(const CheckRequest &request)
     if (engine.maxStates != 0)
         opt.maxStates = engine.maxStates;
     opt.expectedStates = engine.expectedStates;
-    opt.compaction = storeKindCompact(engine.store);
-    opt.storeBackend = storeKindMmap(engine.store)
-                           ? StoreBackend::Mmap
-                           : StoreBackend::InRam;
+    opt.store = engine.store;
     opt.storeDir = engine.storeDir;
     opt.por = engine.por;
     opt.schedule = engine.schedule;
@@ -464,8 +454,8 @@ CheckSession::run(const CheckRequest &request)
     out.numConjuncts = invariants.size();
     out.threads = resolvedThreads(engine.threads);
     out.symmetryReduction = opt.symmetryReduction;
-    out.compaction = opt.compaction;
-    out.mmapStore = storeKindMmap(engine.store);
+    out.store = opt.store;
+    out.storeDir = opt.storeDir;
     out.por = opt.por;
     out.schedule = opt.schedule;
     out.maxStates = opt.maxStates;

@@ -63,72 +63,6 @@ enum class SymmetryMode : std::uint8_t {
     Off,
 };
 
-/**
- * Visited-state store kind (`--store=ram|ram-compact|mmap|mmap-compact`):
- * the cross product of the storage mode (full states vs Murphi hash
- * compaction; see ExploreOptions::compaction) and the memory backend
- * (heap vs per-shard file-backed mappings whose sealed BFS levels are
- * unmapped — the out-of-core mode; see StoreBackend).  The backend
- * never changes verdicts, counts, diameters or traces; the serve
- * layer's cache key keeps only the compact bit.  `--compact` upgrades
- * whichever backend is selected (storeKindCompacted).
- */
-enum class StoreKind : std::uint8_t {
-    InRam,         ///< heap, full states (the classic default)
-    InRamCompact,  ///< heap, hash compaction
-    Mmap,          ///< file-backed, full states, out-of-core sealing
-    MmapCompact,   ///< file-backed, hash compaction
-};
-
-/** Whether a store kind uses hash compaction. */
-constexpr bool
-storeKindCompact(StoreKind k)
-{
-    return k == StoreKind::InRamCompact || k == StoreKind::MmapCompact;
-}
-
-/** Whether a store kind uses the file-backed (mmap) backend. */
-constexpr bool
-storeKindMmap(StoreKind k)
-{
-    return k == StoreKind::Mmap || k == StoreKind::MmapCompact;
-}
-
-/** The store kind with the given backend and mode bits. */
-constexpr StoreKind
-storeKindOf(bool mmap, bool compact)
-{
-    return mmap ? (compact ? StoreKind::MmapCompact : StoreKind::Mmap)
-                : (compact ? StoreKind::InRamCompact : StoreKind::InRam);
-}
-
-/** The compact variant of @p k's backend (what `--compact` selects). */
-constexpr StoreKind
-storeKindCompacted(StoreKind k)
-{
-    return storeKindOf(storeKindMmap(k), true);
-}
-
-/** Canonical flag spelling of a store kind. */
-constexpr const char *
-storeKindWord(StoreKind k)
-{
-    switch (k) {
-    case StoreKind::InRam:
-        return "ram";
-    case StoreKind::InRamCompact:
-        return "ram-compact";
-    case StoreKind::Mmap:
-        return "mmap";
-    case StoreKind::MmapCompact:
-        return "mmap-compact";
-    }
-    return "ram";
-}
-
-/** Parse a `--store` word; nullopt on an unknown spelling. */
-std::optional<StoreKind> storeKindFromWord(const std::string &word);
-
 /** Engine knobs shared by every request of a session (overridable
  * per request). */
 struct EngineOptions {
@@ -138,8 +72,8 @@ struct EngineOptions {
     SymmetryMode symmetry = SymmetryMode::Auto;
     StoreKind store = StoreKind::InRam;
 
-    /** Mmap store kinds: directory for the backing files
-     * (`--store-dir`; "" = anonymous in-memory files). */
+    /** Mmap store: directory for the backing files (`--store-dir`;
+     * "" = anonymous in-memory files). */
     std::string storeDir;
 
     /**
@@ -273,8 +207,8 @@ struct CheckResult {
     // ---- engine echo (resolved) --------------------------------------
     std::size_t threads = 0;  ///< resolved worker count (never 0)
     bool symmetryReduction = false;
-    bool compaction = false;
-    bool mmapStore = false;   ///< file-backed (out-of-core) store
+    StoreKind store = StoreKind::InRam;
+    std::string storeDir;     ///< mmap store: "" = memfd
     bool por = false;
     Schedule schedule = Schedule::Bfs;
     std::uint64_t maxStates = 0;

@@ -35,9 +35,9 @@ standardOptions(const CliArgs &args, const char *defaultJsonPath)
     else if (args.has("sym"))
         opt.engine.symmetry = SymmetryMode::On;
 
-    // --store picks the visited-set backend by name; --compact then
-    // upgrades whichever backend is selected to its hash-compacted
-    // variant (order-independent, so sweep scripts can append either
+    // --store picks the visited-set store by name; --compact then
+    // selects ram-compact over ram and leaves mmap, which is compact
+    // already (order-independent, so sweep scripts can append either
     // flag as an override).
     if (args.has("store")) {
         const std::string word = args.get("store", "");
@@ -45,15 +45,25 @@ standardOptions(const CliArgs &args, const char *defaultJsonPath)
         if (!kind) {
             std::fprintf(stderr,
                          "--store '%s' unknown (want "
-                         "ram|ram-compact|mmap|mmap-compact)\n",
+                         "ram|ram-compact|mmap)\n",
                          word.c_str());
             std::exit(2);
         }
         opt.engine.store = *kind;
     }
     if (args.has("compact"))
-        opt.engine.store = storeKindCompacted(opt.engine.store);
+        opt.engine.store = storeKindOf(storeKindMmap(opt.engine.store),
+                                       true);
+    // Only the mmap store has backing files to place.
     opt.engine.storeDir = args.get("store-dir", "");
+    if (!opt.engine.storeDir.empty() &&
+        !storeKindMmap(opt.engine.store)) {
+        std::fprintf(stderr,
+                     "--store-dir needs --store mmap (the %s store "
+                     "lives on the heap)\n",
+                     storeKindWord(opt.engine.store));
+        std::exit(2);
+    }
 
     // Partial-order reduction is opt-in; --no-por wins when both
     // appear (sweep scripts append overrides).

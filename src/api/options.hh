@@ -3,9 +3,9 @@
  * Shared command-line surface of the bench/example front-ends: one
  * helper resolves the flags every binary used to re-plumb by hand —
  * `--devices`, `--threads`, `--sym`/`--no-sym`,
- * `--store=ram|ram-compact|mmap|mmap-compact`, `--store-dir`,
- * `--compact` (upgrades the chosen backend to its compacted
- * variant), `--por`/`--no-por`, `--ws`/`--bfs`, `--max-states`,
+ * `--store=ram|ram-compact|mmap`, `--store-dir` (mmap only),
+ * `--compact` (ram-compact over ram; a no-op on mmap),
+ * `--por`/`--no-por`, `--ws`/`--bfs`, `--max-states`,
  * `--expect-states`, `--max-seconds`, `--max-rss-mb`, `--json` —
  * into a device count plus the EngineOptions a CheckSession is
  * constructed with.  It also arms the process-wide SIGINT/SIGTERM →

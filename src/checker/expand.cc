@@ -116,11 +116,8 @@ ExpandKernel::ExpandKernel(const RuleSet &rules_,
               ? options.numThreads
               : std::max(1u, std::thread::hardware_concurrency()),
           1024)),
-      store(StoreConfig{
-          1 << 16,
-          options.compaction ? StoreMode::Compact : StoreMode::Full,
-          options.storeBackend, options.storeDir,
-          options.storeCapacity}),
+      store(storeConfigOf(options.store, options.storeDir,
+                          options.storeCapacity)),
       governor({options.maxSeconds, options.maxRssBytes,
                 options.cancel}),
       progress(options.progress, options.progressIntervalSeconds),

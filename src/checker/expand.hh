@@ -427,8 +427,10 @@ class ExpandKernel
     /**
      * Batches this close to maxStates flush at once, and flushes
      * starting this close insert one item at a time (see
-     * insertBatchCapped), which bounds the cap overshoot at one state
-     * per worker.
+     * insertBatchCapped), which bounds the cap overshoot at one flush
+     * batch (kFlushBatch states) per worker: a worker that passed the
+     * soft-cap check may still insert its whole batch after its peers
+     * reach the cap.
      */
     const std::uint64_t softCap;
     std::uint32_t initIdx = 0;

@@ -17,6 +17,29 @@ struct BfsScratch : WorkerScratch {
 
 } // namespace
 
+std::optional<StoreKind>
+storeKindFromWord(const std::string &word)
+{
+    if (word == "ram")
+        return StoreKind::InRam;
+    if (word == "ram-compact")
+        return StoreKind::InRamCompact;
+    if (word == "mmap" || word == "mmap-compact")
+        return StoreKind::Mmap;
+    return std::nullopt;
+}
+
+StoreConfig
+storeConfigOf(StoreKind kind, const std::string &dir,
+              std::uint64_t capacity)
+{
+    return StoreConfig{
+        1 << 16,
+        storeKindCompact(kind) ? StoreMode::Compact : StoreMode::Full,
+        storeKindMmap(kind) ? StoreBackend::Mmap : StoreBackend::InRam,
+        dir, capacity};
+}
+
 std::string
 Violation::describe() const
 {
@@ -166,9 +189,9 @@ runBfs(ExpandKernel &k)
         if (k.violationStopped() || k.governor.stopped())
             break;
 
-        // Quiescent barrier hook: releases (in-RAM compact) or
-        // unmaps (mmap backends) the state bytes of the level whose
-        // expansion just finished.
+        // Quiescent barrier hook: releases (ram-compact) or unmaps
+        // (mmap) the state bytes of the level whose expansion just
+        // finished.
         k.store.sealLevel();
         frontier.swap(next_frontier);
         ++depth;

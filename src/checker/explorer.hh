@@ -74,6 +74,67 @@ enum class Schedule : std::uint8_t {
 };
 
 /**
+ * Visited-state store kind (`--store=ram|ram-compact|mmap`).  Every
+ * kind follows the store's one identity rule (state_store.hh); they
+ * differ only in whether BFS level seals release cells — after which
+ * those states are identified by fingerprint, so the kind is compact
+ * — and where the memory lives.  Verdicts, counts, diameters and
+ * traces are identical on every kind.
+ */
+enum class StoreKind : std::uint8_t {
+    InRam,        ///< heap, every cell kept (the classic default)
+    InRamCompact, ///< heap, sealed levels released
+    Mmap,         ///< file-backed, sealed levels unmapped
+};
+
+/** Whether a store kind may identify a state by its fingerprint. */
+constexpr bool
+storeKindCompact(StoreKind k)
+{
+    return k != StoreKind::InRam;
+}
+
+/** Whether a store kind uses the file-backed (mmap) backend. */
+constexpr bool
+storeKindMmap(StoreKind k)
+{
+    return k == StoreKind::Mmap;
+}
+
+/** The store kind with the given backend and compact bits (the
+ * compact bit is moot on the mmap backend). */
+constexpr StoreKind
+storeKindOf(bool mmap, bool compact)
+{
+    return mmap ? StoreKind::Mmap
+                : (compact ? StoreKind::InRamCompact : StoreKind::InRam);
+}
+
+/** Canonical flag spelling of a store kind. */
+constexpr const char *
+storeKindWord(StoreKind k)
+{
+    switch (k) {
+    case StoreKind::InRam:
+        return "ram";
+    case StoreKind::InRamCompact:
+        return "ram-compact";
+    case StoreKind::Mmap:
+        return "mmap";
+    }
+    return "ram";
+}
+
+/** Parse a `--store` word (`mmap-compact` is Mmap); nullopt on an
+ * unknown spelling. */
+std::optional<StoreKind> storeKindFromWord(const std::string &word);
+
+/** The StateStore construction parameters of a store kind: a kind
+ * releases sealed levels exactly when it is compact. */
+StoreConfig storeConfigOf(StoreKind kind, const std::string &dir,
+                          std::uint64_t capacity);
+
+/**
  * A mid-run counter sample handed to ExploreOptions::progress.
  * Counters are relaxed reads of live worker state — monotonically
  * believable but not barrier-exact (the final ExploreResult is the
@@ -119,33 +180,15 @@ struct ExploreOptions {
     bool symmetryReduction = false;
 
     /**
-     * Hash-compaction (fingerprint-only) storage: the visited set
-     * identifies states by a second 64-bit verification fingerprint
-     * instead of their slices, and releases old BFS levels' cells as
-     * exploration advances.  Every store keeps a state as ndev + 1
-     * four-byte slice ids (state_store.hh), so the saving is small:
-     * ~43 against ~44 bytes per state on the unreduced 3-device
-     * space (whole-process, 4 threads).  Counts and verdicts are
-     * exact up to fingerprint collisions (expected ~ n^2 / 2^65;
-     * detected probe-hash near-misses are reported via
-     * ExploreResult::probeCollisions).  Counterexample traces are
-     * unaffected: they are replayed from the breadcrumb rule ids
-     * (replayTrace), never decoded from released state bytes.
+     * Visited-set store kind (see StoreKind).  Only the
+     * depth-synchronized schedule seals levels; counterexample
+     * traces are replayed from breadcrumb rule ids (replayTrace),
+     * never decoded from released cells.
      */
-    bool compaction = false;
+    StoreKind store = StoreKind::InRam;
 
-    /**
-     * Visited-set memory backend (see StoreBackend): InRam is the
-     * classic heap store; Mmap gives every shard file-backed growable
-     * mappings and — under the depth-synchronized schedule — unmaps
-     * sealed BFS levels, so the mapped window tracks the frontier
-     * while the backing files keep every byte (the out-of-core mode).
-     * Verdicts, counts, diameters and traces are backend-independent.
-     */
-    StoreBackend storeBackend = StoreBackend::InRam;
-
-    /** Mmap backend: backing-file directory ("" = anonymous
-     * in-memory files). */
+    /** Mmap store: backing-file directory ("" = anonymous in-memory
+     * files). */
     std::string storeDir;
 
     /**
@@ -238,8 +281,9 @@ struct ExploreOptions {
      * deterministically smallest witness and its rule-id-least
      * shortest trace); only wall-clock time differs.  Runs
      * truncated by maxStates stop at a thread-dependent point: the
-     * cap may be overshot by up to one state per worker and the
-     * final counts are not comparable across thread counts.
+     * cap may be overshot by up to one flush batch (512 states) per
+     * worker and the final counts are not comparable across thread
+     * counts.
      * Requests above 1024 workers are clamped.
      */
     std::size_t numThreads = 0;
@@ -320,10 +364,10 @@ struct ExploreResult {
 
     /**
      * Probe-hash collisions the store detected and kept separate
-     * (see StateStore::probeCollisions).  A nonzero value in compact
-     * mode is the visible tail of the fingerprinting risk; each one
-     * would have been a silent state merge without the verification
-     * fingerprint.
+     * (see StateStore::probeCollisions).  A nonzero value on a
+     * compact store is the visible tail of the fingerprinting risk;
+     * each one would have been a silent state merge on probe hashes
+     * alone.
      */
     std::uint64_t probeCollisions = 0;
 

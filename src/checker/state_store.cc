@@ -7,8 +7,7 @@ namespace cxl
 {
 
 StateStore::StateStore(const StoreConfig &config)
-    : mode_(config.mode), backend_(config.backend),
-      releasesSealed_(config.mode == StoreMode::Compact ||
+    : releasesSealed_(config.mode == StoreMode::Compact ||
                       config.backend == StoreBackend::Mmap)
 {
     // The per-shard ceiling from a total-state capacity: hashing
@@ -25,11 +24,10 @@ StateStore::StateStore(const StoreConfig &config)
         config.initialBuckets / kNumShards;
     for (Shard &shard : shards_) {
         shard.limit = limit;
-        shard.mem = makeShardMem(backend_, config.dir);
+        shard.mem = makeShardMem(config.backend, config.dir);
         shard.arena.init(shard.mem.get(), releasesSealed_, kOffsetMask);
-        // Fingerprints are the identity in compact mode; a full-mode
-        // store that releases sealed cells keeps them too, to dedup
-        // against those entries.
+        // Fingerprints are the identity of released cells, so exactly
+        // a store that releases them keeps one per entry.
         shard.cols.init(shard.mem.get(), releasesSealed_,
                         per_shard_buckets, kOffsetMask);
     }
@@ -112,15 +110,13 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         // all of them before any item needs the next level overlaps
         // those misses instead of paying them in series.
         const ShardColumns &cols = shard.cols;
-        const bool cells = mode_ == StoreMode::Full;
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_)
             cols.prefetchBucket(items[i].hash);
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_) {
             if (const std::uint32_t b =
                     cols.bucketAt(items[i].hash & cols.mask())) {
                 cols.prefetchEntry(b - 1);
-                if (cells)
-                    shard.arena.prefetchCell(b - 1);
+                shard.arena.prefetchCell(b - 1);
             }
         }
         for (std::uint32_t i = head[s]; i != kEnd;
@@ -154,12 +150,10 @@ bool
 StateStore::holds(const Shard &shard, std::uint32_t off,
                   const SystemState &state, std::uint64_t verify) const
 {
-    // Identity: in compact mode the verification fingerprint, in full
-    // mode the cell's slices (falling back to the fingerprint when
-    // sealLevel has released the entry's block — see the file
-    // comment).
-    const std::uint32_t *cell =
-        mode_ == StoreMode::Full ? shard.arena.cellIfMapped(off) : nullptr;
+    // The one identity rule (see the file comment): a cell still in
+    // memory is compared slice by slice, a released one by its
+    // verification fingerprint.
+    const std::uint32_t *cell = shard.arena.cellIfMapped(off);
     if (!cell)
         return shard.cols.verifyAt(off) == verify;
     // The host slice holds ndev, so a cell that gets past it has one
@@ -288,8 +282,8 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 std::to_string(shard.limit) +
                 " entries); pre-size with --expect-states, raise the "
                 "run's state budget, or pick another store kind "
-                "(--store=ram|ram-compact|mmap|mmap-compact: mmap "
-                "kinds page sealed levels out of core)");
+                "(--store=ram|ram-compact|mmap: mmap pages sealed "
+                "levels out of core)");
     }
 
     std::uint32_t ids[1 + kMaxDevices];

@@ -28,29 +28,28 @@
  *    directory) so sealed BFS levels can be unmapped — address space
  *    and residency track the frontier window.
  *
- * Two storage modes (StoreMode, declared with the arena):
+ * One identity rule, on every configuration: a probe-hash match whose
+ * cell is still in memory is compared slice by slice against the
+ * candidate's bytes; a match whose cell sealLevel() has released is
+ * compared by the 64-bit verification fingerprint kept per entry
+ * (Murphi hash compaction).  Only a fresh insert interns slices.  A
+ * probe-hash match with an identity mismatch is a *detected*
+ * collision (counted in probeCollisions()) and the states stay
+ * distinct; an undetected merge needs a released entry whose probe
+ * hash and fingerprint both collide — expected occurrences
+ * ~ n^2 / 2^65 for n states.
  *
- *  - Full: exact deduplication — a probe-hash match compares the
- *    stored cell's slices with the candidate's bytes; only a fresh
- *    insert interns slices.  The InRam backend keeps every cell; the
- *    Mmap backend releases sealed levels' blocks and deduplicates
- *    those entries by their stored 64-bit verification fingerprint
- *    instead — detected-collision semantics identical to compact mode
- *    for exactly those entries; the mapped window still compares
- *    slices.
- *  - Compact: Murphi hash compaction.  Identity is a second 64-bit
- *    verification fingerprint kept per entry; the cells only serve
- *    frontier reads, and old BFS levels' blocks are released
- *    (sealLevel), so resident cells are bounded by about two levels.
- *    A probe-hash collision is *detected* by the fingerprint mismatch
- *    (counted in probeCollisions()) and the states stay distinct; an
- *    undetected merge requires both 64-bit values to collide —
- *    expected occurrences ~ n^2 / 2^65 for n states.
+ * So the store's one policy bit below the façade is whether sealed
+ * levels are released (StoreMode, declared with the arena): Full
+ * keeps every cell on the InRam backend, so identity is always exact;
+ * Compact releases old BFS levels' blocks at each seal, so resident
+ * cells are bounded by about two levels.  The Mmap backend always
+ * releases.  Exactly the stores that release keep fingerprints.
  *
- * Either way a released cell is never read again: the frontier lives
- * above the seal boundary, and counterexample traces are replayed
- * from the breadcrumb rule ids (rulePath(), replayTrace in
- * explorer.hh), so every kind yields the same full trace.
+ * A released cell is never read again: the frontier lives above the
+ * seal boundary, and counterexample traces are replayed from the
+ * breadcrumb rule ids (rulePath(), replayTrace in explorer.hh), so
+ * every configuration yields the same full trace.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
  * the top kShardBits select the shard, the low kOffsetBits index the
@@ -130,7 +129,8 @@ class StoreFullError : public std::length_error
 struct StoreConfig {
     /** Total bucket hint, split across shards. */
     std::size_t initialBuckets = 1 << 16;
-    /** Full (exact, every cell kept) or Compact (hash compaction). */
+    /** Full (every cell kept) or Compact (sealed levels released;
+     * the Mmap backend always releases). */
     StoreMode mode = StoreMode::Full;
     /** Heap or file-backed (out-of-core) shard memory. */
     StoreBackend backend = StoreBackend::InRam;
@@ -185,7 +185,7 @@ class StateStore
 
       private:
         friend class StateStore;
-        std::uint64_t verify_ = 0; ///< fingerprint (compact/mmap)
+        std::uint64_t verify_ = 0; ///< fingerprint (releasing stores)
         std::uint32_t next_ = 0;   ///< shard-chain scratch
     };
 
@@ -256,7 +256,9 @@ class StateStore
      * @p soft_cap the whole batch goes in at once; at or past it the
      * items go in one at a time and the rest are left uninserted once
      * size() reaches @p cap.  With every concurrent flusher doing the
-     * same, the store ends at most one state per flusher past @p cap.
+     * same, the store ends at most one batch per flusher past @p cap:
+     * a flusher that saw size() below @p soft_cap inserts its whole
+     * batch even if its peers reach @p cap meanwhile.
      *
      * @return the number of leading items processed; the results of
      *         the others are unset.
@@ -336,9 +338,9 @@ class StateStore
      * BFS level barrier hook; call only while quiescent.  Releases
      * the arena blocks of states older than the level that just
      * finished expanding (their bytes are no longer on the hot path)
-     * and records the new level boundary.  Compact mode frees them on
-     * either backend, and the Mmap backend unmaps them in full mode
-     * too; the InRam full store keeps every cell.
+     * and records the new level boundary, on a store that releases
+     * sealed levels (compact mode, and every Mmap store); the InRam
+     * full store keeps every cell.
      *
      * Sealing is a property of the depth-synchronized schedule only:
      * the work-stealing explorer expands depths out of order and so
@@ -354,12 +356,6 @@ class StateStore
         return total_.load(std::memory_order_acquire);
     }
 
-    /** Storage mode selected at construction. */
-    StoreMode mode() const { return mode_; }
-
-    /** Memory backend selected at construction. */
-    StoreBackend backend() const { return backend_; }
-
     /** Bytes currently mapped by file-backed shard memory (0 on
      * InRam).  Readable from any thread (relaxed counters). */
     std::uint64_t mappedBytes() const;
@@ -370,8 +366,8 @@ class StateStore
     /**
      * Probe-hash collisions observed so far: inserts whose 64-bit
      * probe hash matched an existing entry holding a different state
-     * (full mode: state bytes differed; compact mode: verification
-     * fingerprint differed).  Each one is a state pair that
+     * (the cell's slices differed or, for a released cell, the
+     * verification fingerprint did).  Each one is a state pair that
      * probe-hash-only compaction would have merged silently.
      * Quiescent use only.
      */
@@ -427,11 +423,9 @@ class StateStore
     /** Ids per cell (1 + ndev), fixed by the first insert; 0 before. */
     std::atomic<std::uint32_t> cellWidth_{0};
     std::atomic<std::uint64_t> total_{0};
-    StoreMode mode_;
-    StoreBackend backend_;
-    /** Whether sealLevel releases cells — compact mode, and full mode
-     * on the Mmap backend; exactly then entries carry a verification
-     * fingerprint, the identity of a released cell. */
+    /** Whether sealLevel releases cells — compact mode, and every Mmap
+     * store; exactly then entries carry a verification fingerprint,
+     * the identity of a released cell. */
     bool releasesSealed_;
 };
 

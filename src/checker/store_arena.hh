@@ -19,9 +19,9 @@
  * index-addressed blocks allocated from the shard's ShardMem
  * backend (store_mem.hh): entry `off` is cell `off` — no offset
  * column.  Equal ids mean equal slices, and the host slice holds
- * ndev, so full-mode dedup compares a stored cell's slices against
- * the candidate's bytes (host first) without interning anything;
- * only a fresh insert interns.
+ * ndev, so dedup compares a stored cell's slices against the
+ * candidate's bytes (host first) without interning anything; only a
+ * fresh insert interns.
  *
  * The slice tables live on the heap under every backend, `--store
  * mmap` included: they grow with the number of distinct slices, not
@@ -35,17 +35,16 @@
  * seal(): at a BFS level barrier an arena told at init to release
  * sealed cells drops every whole block that belongs to levels
  * finished expanding — the façade asks for that in compact mode and
- * on the Mmap backend, where the mapped window then shrinks to
+ * on every Mmap store, where the mapped window then shrinks to
  * roughly the frontier and its successors.  A dropped block is gone
  * for good: nothing reads it again (counterexample traces are
  * replayed from the breadcrumb rule ids, not decoded), so each seal
  * only walks the blocks since the previous one.
  *
- * Dedup against a dropped cell is by the verification fingerprint
- * the façade keeps per entry whenever the arena releases: it
- * compares *that* when cellIfMapped() returns null — identical
- * detected-collision semantics to compact mode for released entries,
- * exact slice comparison for the mapped window in full mode.
+ * This is the façade's one identity rule: a cell cellIfMapped()
+ * returns is compared slice by slice, and when it returns null the
+ * façade compares the verification fingerprint it keeps per entry
+ * whenever the arena releases.
  *
  * Thread-safety: append/seal run under the shard lock or quiescent;
  * cell reads on frontier entries follow the façade's lock-free
@@ -72,10 +71,12 @@
 namespace cxl
 {
 
-/** Storage policy of a StateStore (façade-level; see state_store.hh). */
+/** Storage policy of a StateStore (façade-level; see state_store.hh):
+ * whether seal() releases sealed levels' cells.  The Mmap backend
+ * releases under either mode. */
 enum class StoreMode : std::uint8_t {
-    Full,    ///< exact dedup by the state's slices
-    Compact, ///< hash compaction: 64-bit fingerprints instead of states
+    Full,    ///< keep every cell: identity is always the slices
+    Compact, ///< release sealed levels: fingerprints for those entries
 };
 
 /**

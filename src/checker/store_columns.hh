@@ -49,8 +49,8 @@ class ShardColumns
     /**
      * Bind to a backend and size the initial bucket array.
      * @p keep_verifies stores the 64-bit verification fingerprint per
-     * entry (compact mode, and full-mode backends that dedup sealed
-     * entries by fingerprint).  @p max_entries bounds the depth-chunk
+     * entry (exactly the stores whose seals release cells: they dedup
+     * released entries by fingerprint).  @p max_entries bounds the depth-chunk
      * spine reservation.
      */
     void init(ShardMem *mem, bool keep_verifies,

@@ -14,8 +14,8 @@
  *    re-read the returned pointer; flats are only touched under the
  *    shard lock (or quiescent), matching that contract.
  *  - chunks: fixed-size allocations whose address never moves (the
- *    chunked atomic depth column and the compact-mode state-offset
- *    column), so lock-free readers can walk them while peers insert.
+ *    chunked atomic depth column), so lock-free readers can walk
+ *    them while peers insert.
  *  - blocks: fixed-size, index-addressed arena blocks that can be
  *    dropped (sealLevel); a dropped block is never read again.
  *

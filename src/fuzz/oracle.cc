@@ -12,7 +12,9 @@ ComboDesc::label() const
     std::string out = schedule == Schedule::WorkSteal ? "ws" : "bfs";
     out += por ? "/por" : "/-";
     out += sym ? "/sym" : "/-";
-    out += compact ? "/compact" : "/full";
+    out += storeKindCompact(storeKindOf(mmapStore, compact))
+               ? "/compact"
+               : "/full";
     if (mmapStore)
         out += "-mmap";
     out += "/t" + std::to_string(threads);

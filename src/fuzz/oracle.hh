@@ -47,9 +47,10 @@ struct ComboDesc {
     bool compact = false;
     std::size_t threads = 1;
 
-    /** Run this combo on the mmap backend of its compactness — the
-     * out-of-core arms that keep the differential oracle honest
-     * about backend-independence of verdicts and counts. */
+    /** Run this combo on the mmap store, which is compact whatever
+     * `compact` says — the out-of-core arms that keep the
+     * differential oracle honest about backend-independence of
+     * verdicts and counts. */
     bool mmapStore = false;
 
     /** e.g. "ws/por/sym/compact/t4" ("bfs/-/-/full/t1"); mmap arms

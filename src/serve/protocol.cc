@@ -203,7 +203,7 @@ requestFromJson(const std::string &text)
             if (!kind) {
                 throw std::runtime_error(
                     "unknown store kind '" + word +
-                    "' (want ram|ram-compact|mmap|mmap-compact)");
+                    "' (want ram|ram-compact|mmap)");
             }
             k.store = *kind;
         }

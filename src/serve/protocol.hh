@@ -10,7 +10,7 @@
  *    "devices":2, "checks":"both|invariants|deadlock",
  *    "config":{<the fuzz-case config keys>}, "families":[...],
  *    "engine":{"threads":N,"sym":"auto|on|off",
- *              "store":"ram|ram-compact|mmap|mmap-compact",
+ *              "store":"ram|ram-compact|mmap",
  *              "compact":B,"por":B,
  *              "schedule":"bfs|ws","max_states":N,"expect_states":N,
  *              "max_seconds":S,"max_rss_mb":N},
@@ -60,10 +60,11 @@ inline constexpr const char *kSchema = "cxl-checkd/v1";
 struct EngineKnobs {
     std::optional<std::uint64_t> threads;
     std::optional<SymmetryMode> symmetry;
-    /** Visited-set backend by name.  Applied before `compact`, which
-     * then upgrades whichever kind is in force to its compacted
-     * variant — so `{"store":"mmap","compact":true}` means
-     * mmap-compact, matching the CLI's --store/--compact layering. */
+    /** Visited-set store kind by name (`mmap-compact` is accepted as
+     * mmap).  Applied before `compact`, which then picks ram-compact
+     * or ram on the heap and leaves mmap, compact already — so
+     * `{"store":"mmap","compact":false}` still means mmap, matching
+     * the CLI's --store/--compact layering. */
     std::optional<StoreKind> store;
     std::optional<bool> compact;
     std::optional<bool> por;

@@ -165,9 +165,9 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
         e.threads = static_cast<std::size_t>(*k.threads);
     if (k.symmetry)
         e.symmetry = *k.symmetry;
-    // store picks the backend, then compact toggles the compacted
-    // variant of whatever kind is in force — same layering as the
-    // CLI's --store/--compact.
+    // store picks the kind, then compact chooses ram-compact or ram
+    // on the heap and leaves mmap (compact already) — same layering
+    // as the CLI's --store/--compact.
     if (k.store)
         e.store = *k.store;
     if (k.compact)
@@ -200,10 +200,10 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     // Excluded: budgets (maxSeconds/maxRssBytes/storeCapacity — they
     // only matter to Incomplete results, which are never cached),
     // expectedStates (presizing), the progress knobs (observation
-    // only), and the store *backend*: ram and mmap spellings of the
-    // same compactness produce byte-identical JSON (the backend is
-    // deliberately not echoed there), so they collapse onto one
-    // cache entry and a ram-warmed cache serves mmap requests.
+    // only), and the store *backend*: ram-compact and mmap produce
+    // byte-identical JSON (the backend is deliberately not echoed
+    // there), so they collapse onto one cache entry and a
+    // ram-compact-warmed cache serves mmap requests.
     const ProtocolConfig cfg =
         rr.check.config.value_or(fallback_config);
     std::vector<std::string> families =

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "api/check.hh"
+#include "api/options.hh"
 #include "api/scenarios.hh"
 #include "checker/explorer.hh"
 #include "support/json_parse.hh"
@@ -248,7 +249,8 @@ TEST(CheckResult, JsonReportsViolationsStructurally)
 TEST(CheckResult, CappedRunRendersThreadDependentQualifier)
 {
     // A run stopped by --max-states ends at a thread-dependent point
-    // (the soft cap can overshoot by up to one state per worker), so
+    // (the soft cap can overshoot by up to one flush batch per
+    // worker), so
     // the rendered report must say the counts are not exact instead
     // of presenting them as run properties.
     CheckSession session;
@@ -264,7 +266,9 @@ TEST(CheckResult, CappedRunRendersThreadDependentQualifier)
     EXPECT_NE(text.find("counts are thread-dependent"),
               std::string::npos)
         << text;
-    EXPECT_NE(text.find("one state per worker"), std::string::npos);
+    EXPECT_NE(text.find("one flush batch (512 states) per worker"),
+              std::string::npos)
+        << text;
 
     // A single-threaded capped run stops at an exact, reproducible
     // point, so it carries no qualifier; neither does an uncapped
@@ -278,6 +282,95 @@ TEST(CheckResult, CappedRunRendersThreadDependentQualifier)
     const std::string clean = session.run(req).renderText(false);
     EXPECT_EQ(clean.find("thread-dependent"), std::string::npos)
         << clean;
+}
+
+TEST(CheckResult, TextNamesTheStoreMedium)
+{
+    // The engine line says where the store lives: the heap, memfd, or
+    // files under --store-dir.  The JSON does not, so deterministic
+    // bytes (and the serve cache key) stay medium-independent.
+    CheckSession session;
+    CheckRequest req;
+    req.scenario = "go_tailgate_test";
+    EngineOptions eng;
+    eng.threads = 1;
+    req.engine = eng;
+    const CheckResult ram = session.run(req);
+    EXPECT_NE(ram.renderText(false).find("ram store (heap)"),
+              std::string::npos)
+        << ram.renderText(false);
+
+    eng.store = StoreKind::InRamCompact;
+    req.engine = eng;
+    const CheckResult ram_c = session.run(req);
+    EXPECT_NE(ram_c.renderText(false).find("ram-compact store (heap)"),
+              std::string::npos);
+
+    eng.store = StoreKind::Mmap;
+    req.engine = eng;
+    const CheckResult memfd = session.run(req);
+    EXPECT_NE(memfd.renderText(false).find("mmap store (memfd)"),
+              std::string::npos)
+        << memfd.renderText(false);
+    EXPECT_EQ(memfd.renderJson(true), ram_c.renderJson(true));
+
+    eng.storeDir = "/tmp";
+    req.engine = eng;
+    const CheckResult files = session.run(req);
+    EXPECT_NE(files.renderText(false).find(
+                  "mmap store (files under /tmp)"),
+              std::string::npos)
+        << files.renderText(false);
+    EXPECT_EQ(files.renderJson(true), memfd.renderJson(true));
+}
+
+api::StandardOptions
+optionsOf(std::vector<const char *> argv)
+{
+    argv.insert(argv.begin(), "prog");
+    return api::standardOptions(
+        CliArgs(static_cast<int>(argv.size()), argv.data()));
+}
+
+TEST(StandardOptions, StoreFlagsResolveToThreeKinds)
+{
+    EXPECT_EQ(optionsOf({}).engine.store, StoreKind::InRam);
+    EXPECT_EQ(optionsOf({"--compact"}).engine.store,
+              StoreKind::InRamCompact);
+    EXPECT_EQ(optionsOf({"--store", "ram-compact"}).engine.store,
+              StoreKind::InRamCompact);
+    // mmap is compact already: --compact and the mmap-compact
+    // spelling both leave it mmap.
+    for (const std::vector<const char *> &argv :
+         {std::vector<const char *>{"--store", "mmap"},
+          {"--store", "mmap", "--compact"},
+          {"--compact", "--store", "mmap"},
+          {"--store", "mmap-compact"}}) {
+        const api::StandardOptions opt = optionsOf(argv);
+        EXPECT_EQ(opt.engine.store, StoreKind::Mmap) << argv.size();
+        EXPECT_TRUE(storeKindCompact(opt.engine.store));
+    }
+    EXPECT_EQ(optionsOf({"--store", "mmap", "--store-dir", "/tmp"})
+                  .engine.storeDir,
+              "/tmp");
+}
+
+TEST(StandardOptions, StoreDirOnAHeapStoreIsAUsageError)
+{
+    // Only the mmap store has backing files to place; a heap store
+    // must not silently ignore --store-dir.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(optionsOf({"--store-dir", "/tmp"}),
+                testing::ExitedWithCode(2),
+                "--store-dir needs --store mmap");
+    EXPECT_EXIT(optionsOf({"--store", "ram-compact", "--store-dir",
+                           "/tmp"}),
+                testing::ExitedWithCode(2), "the ram-compact store");
+    EXPECT_EXIT(optionsOf({"--store", "ram", "--compact",
+                           "--store-dir", "/tmp"}),
+                testing::ExitedWithCode(2), "the ram-compact store");
+    EXPECT_EXIT(optionsOf({"--store", "disk"}),
+                testing::ExitedWithCode(2), "'disk' unknown");
 }
 
 TEST(CheckResult, VerdictTextIsDeterministic)

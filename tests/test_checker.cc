@@ -366,7 +366,7 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
         ExploreOptions opt;
         opt.checkInvariants = false; // the crafted states are not legal
         opt.checkDeadlock = false;
-        opt.compaction = compact;
+        opt.store = compact ? StoreKind::InRamCompact : StoreKind::InRam;
         ExploreResult res = ex.run(opt);
 
         ASSERT_TRUE(res.violation.has_value()) << compact;

@@ -38,7 +38,7 @@ runMode(const RuleSet &rules, const Scenario &sc,
         const InvariantSet &inv, ExploreOptions opt, bool compact,
         std::size_t threads)
 {
-    opt.compaction = compact;
+    opt.store = compact ? StoreKind::InRamCompact : StoreKind::InRam;
     opt.numThreads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
@@ -168,8 +168,9 @@ TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
 {
     // Two distinct states forged onto the same 64-bit probe hash:
     // probe-hash-only compaction would merge them silently.  The
-    // verification fingerprint must keep them apart and count the
-    // near-miss, in both storage modes.
+    // identity check — the cells' slices while they are in memory —
+    // must keep them apart and count the near-miss, in both storage
+    // modes.
     SystemState a = initialAllInvalid();
     SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);

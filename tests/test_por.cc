@@ -604,7 +604,7 @@ TEST(PorSoundness, ComposesWithCompactionBitIdentically)
     req.engine = eng;
     const CheckResult res = session.run(req);
     EXPECT_EQ(res.verdict, CheckResult::Verdict::Holds);
-    EXPECT_TRUE(res.compaction);
+    EXPECT_TRUE(storeKindCompact(res.store));
     EXPECT_EQ(res.states, 5218u);
     EXPECT_EQ(res.diameter, 27u);
 

@@ -387,36 +387,61 @@ TEST(ResolveRequest, DistinctSemanticsNeverAlias)
     EXPECT_NE(keyOf(cfg), base);
 }
 
-TEST(ResolveRequest, RamAndMmapStoreSpellingsCollapseToOneKey)
+TEST(ResolveRequest, CompactStoreSpellingsCollapseToOneKey)
 {
     // The backend is below the probe algorithm: verdicts, counts and
-    // the rendered JSON are backend-independent, so ram and mmap
-    // spellings of the same compactness must share one cache entry —
-    // a ram-warmed cache answers mmap requests.  The compact bit is
-    // semantics (detected-collision accounting, trace notes) and
-    // must fork the key.
+    // the rendered JSON are backend-independent, so every spelling of
+    // a compact store — ram-compact, mmap, mmap-compact, mmap with
+    // the compact knob either way — must share one cache entry, and a
+    // ram-compact-warmed cache answers mmap requests.  The compact bit
+    // is semantics (detected-collision accounting) and forks the key:
+    // ram has its own.
     const std::string base = keyOf(namedRequest("free-run"));
-
     Request ram = namedRequest("free-run");
     ram.engine.store = StoreKind::InRam;
-    Request mmap = namedRequest("free-run");
-    mmap.engine.store = StoreKind::Mmap;
     EXPECT_EQ(keyOf(ram), base);
-    EXPECT_EQ(keyOf(mmap), base);
 
     Request ram_c = namedRequest("free-run");
     ram_c.engine.store = StoreKind::InRamCompact;
-    Request mmap_c = namedRequest("free-run");
-    mmap_c.engine.store = StoreKind::MmapCompact;
-    EXPECT_EQ(keyOf(ram_c), keyOf(mmap_c));
-    EXPECT_NE(keyOf(ram_c), base);
+    const std::string compact = keyOf(ram_c);
+    EXPECT_NE(compact, base);
 
-    // The compact knob layers onto the chosen backend the same way
-    // --compact layers onto --store.
-    Request layered = namedRequest("free-run");
-    layered.engine.store = StoreKind::Mmap;
-    layered.engine.compact = true;
-    EXPECT_EQ(keyOf(layered), keyOf(ram_c));
+    Request mmap = namedRequest("free-run");
+    mmap.engine.store = StoreKind::Mmap;
+    EXPECT_EQ(keyOf(mmap), compact);
+    for (bool knob : {true, false}) {
+        Request layered = namedRequest("free-run");
+        layered.engine.store = StoreKind::Mmap;
+        layered.engine.compact = knob;
+        EXPECT_EQ(resolveRequest(layered, {}, 0).engine.store,
+                  StoreKind::Mmap)
+            << knob;
+        EXPECT_EQ(keyOf(layered), compact) << knob;
+    }
+
+    // The wire spellings: mmap-compact parses as mmap, and
+    // {"store":"mmap","compact":false} still resolves to mmap.
+    for (const char *wire :
+         {R"({"schema":"cxl-checkd/v1","type":"check","id":"t",)"
+          R"("scenario":"free-run","engine":{"store":"mmap-compact"}})",
+          R"({"schema":"cxl-checkd/v1","type":"check","id":"t",)"
+          R"("scenario":"free-run","engine":{"store":"mmap",)"
+          R"("compact":false}})"}) {
+        const Request r = requestFromJson(wire);
+        EXPECT_EQ(resolveRequest(r, {}, 0).engine.store,
+                  StoreKind::Mmap)
+            << wire;
+        EXPECT_EQ(keyOf(r), compact) << wire;
+    }
+
+    // The compact knob on the heap picks ram-compact or ram.
+    Request ram_knob = namedRequest("free-run");
+    ram_knob.engine.store = StoreKind::InRamCompact;
+    ram_knob.engine.compact = false;
+    EXPECT_EQ(keyOf(ram_knob), base);
+    ram_knob.engine.store = StoreKind::InRam;
+    ram_knob.engine.compact = true;
+    EXPECT_EQ(keyOf(ram_knob), compact);
 }
 
 TEST(ResolveRequest, WallClockBudgetsStayOutOfTheKey)
@@ -584,11 +609,12 @@ TEST_F(ServeEndToEnd, ConcurrentClientsMatchOfflineByteForByte)
 TEST_F(ServeEndToEnd, MmapStoreServesOfflineBytesForEveryScenario)
 {
     // Every registry scenario served under the mmap store must
-    // return the exact bytes an offline in-RAM run renders: the
+    // return the exact bytes an offline ram-compact run renders: the
     // backend may not leak into the result, and the out-of-core
     // path must not perturb a single count or verdict.
     EngineOptions offline;
     offline.threads = 2;
+    offline.store = StoreKind::InRamCompact;
     CheckSession session(offline);
     for (const scenarios::Entry &entry : scenarios::all()) {
         const int devices = entry.deviceScalable

@@ -1,8 +1,8 @@
 /**
  * @file
  * Backend conformance suite for the layered visited-state store: the
- * four StoreKinds (ram, ram-compact, mmap, mmap-compact) must present
- * identical packed-id semantics through the StateStore façade —
+ * three StoreKinds (ram, ram-compact, mmap) must present identical
+ * packed-id semantics through the StateStore façade —
  * insert/lookup/dedup, depth relabeling, seal/retention per kind's
  * contract, the StoreFullError capacity path (store-level and through
  * both engines), forged probe-hash collision detection — and the
@@ -32,23 +32,46 @@ namespace
 
 struct Kind {
     const char *name;
-    StoreMode mode;
-    StoreBackend backend;
+    StoreKind kind;
 };
 
 const Kind kKinds[] = {
-    {"ram", StoreMode::Full, StoreBackend::InRam},
-    {"ram-compact", StoreMode::Compact, StoreBackend::InRam},
-    {"mmap", StoreMode::Full, StoreBackend::Mmap},
-    {"mmap-compact", StoreMode::Compact, StoreBackend::Mmap},
+    {"ram", StoreKind::InRam},
+    {"ram-compact", StoreKind::InRamCompact},
+    {"mmap", StoreKind::Mmap},
 };
 
 StoreConfig
 configOf(const Kind &k, std::uint64_t capacity = 0,
-         std::string dir = std::string())
+         const std::string &dir = std::string())
 {
-    return StoreConfig{1 << 10, k.mode, k.backend, std::move(dir),
-                       capacity};
+    StoreConfig config = storeConfigOf(k.kind, dir, capacity);
+    config.initialBuckets = 1 << 10;
+    return config;
+}
+
+TEST(StoreBackend, StoreSpellingsResolveToThreeKinds)
+{
+    // mmap releases sealed levels like ram-compact, so it is compact;
+    // the mmap-compact spelling names the same kind.
+    EXPECT_EQ(storeKindFromWord("ram"), StoreKind::InRam);
+    EXPECT_EQ(storeKindFromWord("ram-compact"), StoreKind::InRamCompact);
+    EXPECT_EQ(storeKindFromWord("mmap"), StoreKind::Mmap);
+    EXPECT_EQ(storeKindFromWord("mmap-compact"), StoreKind::Mmap);
+    EXPECT_EQ(storeKindFromWord("disk"), std::nullopt);
+    EXPECT_FALSE(storeKindCompact(StoreKind::InRam));
+    EXPECT_TRUE(storeKindCompact(StoreKind::InRamCompact));
+    EXPECT_TRUE(storeKindCompact(StoreKind::Mmap));
+
+    // --compact layers onto --store: ram becomes ram-compact, mmap
+    // stays mmap; a compact bit of false on mmap is moot too.
+    EXPECT_EQ(storeKindOf(true, false), StoreKind::Mmap);
+    EXPECT_EQ(storeKindOf(true, true), StoreKind::Mmap);
+    EXPECT_EQ(storeKindOf(false, true), StoreKind::InRamCompact);
+    EXPECT_EQ(storeKindOf(false, false), StoreKind::InRam);
+
+    for (const Kind &k : kKinds)
+        EXPECT_STREQ(storeKindWord(k.kind), k.name);
 }
 
 /** A distinct, moderately busy state per index. */
@@ -183,8 +206,7 @@ TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
         SystemState decoded;
         store.stateInto(ids.back(), decoded);
         EXPECT_TRUE(decoded == probeState(n - 1)) << k.name;
-        if (k.mode == StoreMode::Full &&
-            k.backend == StoreBackend::InRam) {
+        if (k.kind == StoreKind::InRam) {
             store.stateInto(ids.front(), decoded);
             EXPECT_TRUE(decoded == probeState(0)) << k.name;
         }
@@ -211,7 +233,7 @@ TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
             store.insert(probeState(i), shardZeroHash(i),
                          StateStore::kNoParent, 0, 0);
         }
-        if (k.backend == StoreBackend::InRam) {
+        if (!storeKindMmap(k.kind)) {
             EXPECT_EQ(store.mappedBytes(), 0u) << k.name;
             EXPECT_EQ(store.backingFileBytes(), 0u) << k.name;
             continue;
@@ -236,7 +258,7 @@ TEST(StoreBackend, DroppedBlocksLeaveTheMemfd)
     // punched out of the file, so its allocated bytes must fall.
     const int n = 40000;
     for (const Kind &k : kKinds) {
-        if (k.backend != StoreBackend::Mmap)
+        if (!storeKindMmap(k.kind))
             continue;
         StateStore store(configOf(k));
         for (int i = 0; i < n; ++i) {
@@ -257,7 +279,7 @@ TEST(StoreBackend, StoreDirBacksShardFiles)
     char *dir = mkdtemp(tmpl);
     ASSERT_NE(dir, nullptr);
     {
-        StateStore store(configOf(kKinds[2], 0, dir)); // mmap full
+        StateStore store(configOf(kKinds[2], 0, dir)); // mmap
         for (int i = 0; i < 5000; ++i) {
             store.insert(probeState(i), StateStore::kNoParent, 0, 0);
         }
@@ -292,8 +314,7 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
             EXPECT_NE(what.find("per-shard limit 1 entries"),
                       std::string::npos)
                 << k.name << ": " << what;
-            EXPECT_NE(what.find("--store=ram|ram-compact|mmap|"
-                                "mmap-compact"),
+            EXPECT_NE(what.find("--store=ram|ram-compact|mmap:"),
                       std::string::npos)
                 << k.name << ": " << what;
         }
@@ -340,8 +361,7 @@ runKind(const RuleSet &rules, const Scenario &sc,
         const InvariantSet &inv, ExploreOptions opt, const Kind &k,
         std::size_t threads)
 {
-    opt.compaction = k.mode == StoreMode::Compact;
-    opt.storeBackend = k.backend;
+    opt.store = k.kind;
     opt.numThreads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
@@ -397,7 +417,7 @@ TEST(StoreBackend, ThreeDeviceSymCountsBitIdenticalAcrossKinds)
         expectAgreement(base, run,
                         std::string("3dev sym ") + k.name);
 #if defined(__linux__)
-        if (k.backend == StoreBackend::Mmap) {
+        if (storeKindMmap(k.kind)) {
             EXPECT_GT(run.storeFileBytes, 0u) << k.name;
             EXPECT_GT(run.storeMappedBytes, 0u) << k.name;
         }

@@ -19,7 +19,7 @@
  *     deliberately NOT compared: re-expansion (label correction) and
  *     async POR sleep-mask convergence make them schedule-dependent.
  *     Witness traces are compared step by step across both
- *     schedules, all four store kinds, POR and 1/4/8 threads.
+ *     schedules, all three store kinds, POR and 1/4/8 threads.
  */
 
 #include <gtest/gtest.h>
@@ -337,7 +337,7 @@ TEST(WorkStealEquivalence, WitnessTraceIsShortestAndReplayable)
         for (Schedule schedule : {Schedule::Bfs, Schedule::WorkSteal}) {
             for (StoreKind store :
                  {StoreKind::InRam, StoreKind::InRamCompact,
-                  StoreKind::Mmap, StoreKind::MmapCompact}) {
+                  StoreKind::Mmap}) {
                 for (bool por : {false, true}) {
                     for (std::size_t threads : {1u, 4u, 8u}) {
                         const std::string what =
