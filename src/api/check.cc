@@ -122,7 +122,7 @@ CheckResult::renderText(bool withTrace) const
                   threads, symmetryReduction ? "on" : "off",
                   storeKindWord(store));
     out += line;
-    out += !storeKindMmap(store) ? std::string("heap")
+    out += !storeKindMmap(store) ? std::string("anonymous memory")
            : storeDir.empty()    ? std::string("memfd")
                                  : "files under " + storeDir;
     std::snprintf(line, sizeof(line), "), por %s, %s schedule\n",

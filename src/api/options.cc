@@ -60,7 +60,7 @@ standardOptions(const CliArgs &args, const char *defaultJsonPath)
         !storeKindMmap(opt.engine.store)) {
         std::fprintf(stderr,
                      "--store-dir needs --store mmap (the %s store "
-                     "lives on the heap)\n",
+                     "lives in anonymous memory)\n",
                      storeKindWord(opt.engine.store));
         std::exit(2);
     }

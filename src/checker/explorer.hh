@@ -82,8 +82,8 @@ enum class Schedule : std::uint8_t {
  * traces are identical on every kind.
  */
 enum class StoreKind : std::uint8_t {
-    InRam,        ///< heap, every cell kept (the classic default)
-    InRamCompact, ///< heap, sealed levels released
+    InRam,        ///< anonymous memory, every cell kept (the default)
+    InRamCompact, ///< anonymous memory, sealed levels released
     Mmap,         ///< file-backed, sealed levels unmapped
 };
 

@@ -22,11 +22,13 @@
  *    modes use this one format.  The slice tables are on the heap
  *    under every backend and grow with the distinct slices, not the
  *    states.
- *  - ShardMem (store_mem.hh): where both layers get memory.  InRam
- *    is the classic heap layout; Mmap gives every shard file-backed
- *    growable mappings (anonymous memfd, or files under an explicit
- *    directory) so sealed BFS levels can be unmapped — address space
- *    and residency track the frontier window.
+ *  - ShardMem (store_mem.hh): where both layers get memory: one
+ *    mapping per column, bucket array, depth chunk and arena block,
+ *    grown by mremap and unmapped when a sealed block is dropped.
+ *    InRam maps anonymous memory; Mmap backs every shard by files
+ *    (anonymous memfd, or files under an explicit directory), so
+ *    sealed BFS levels leave the file too — address space and
+ *    residency track the frontier window.
  *
  * One identity rule, on every configuration: a probe-hash match whose
  * cell is still in memory is compared slice by slice against the
@@ -132,7 +134,9 @@ struct StoreConfig {
     /** Full (every cell kept) or Compact (sealed levels released;
      * the Mmap backend always releases). */
     StoreMode mode = StoreMode::Full;
-    /** Heap or file-backed (out-of-core) shard memory. */
+    /** Anonymous (InRam) or file-backed (Mmap, out-of-core) shard
+     * memory; both are mappings, but only Mmap's count as mapped
+     * file bytes. */
     StoreBackend backend = StoreBackend::InRam;
     /** Mmap backend: backing directory; "" = anonymous in-memory
      * files (memfd). */

@@ -83,14 +83,13 @@ ShardColumns::append(std::uint64_t hash, std::uint64_t verify,
     rules_[off] = rule;
     const std::uint32_t chunk = off >> kDepthChunkBits;
     if (chunk == depths_.size()) {
-        auto *cells = static_cast<std::atomic<std::uint32_t> *>(
+        depths_.push_back(static_cast<std::atomic<std::uint32_t> *>(
             mem_->chunkAlloc(kDepthChunkSize *
-                             sizeof(std::atomic<std::uint32_t>)));
-        for (std::uint32_t i = 0; i < kDepthChunkSize; ++i)
-            new (&cells[i]) std::atomic<std::uint32_t>();
-        depths_.push_back(cells);
+                             sizeof(std::atomic<std::uint32_t>))));
     }
-    depthCell(off).store(depth, std::memory_order_relaxed);
+    // Each cell is constructed as its entry is appended, never ahead:
+    // a chunk's pages are backed only once entries reach them.
+    new (&depthCell(off)) std::atomic<std::uint32_t>(depth);
     ++count_;
     return off;
 }

@@ -15,13 +15,16 @@
  *    published thread-safety contract;
  *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
  *    addresses never move) behind a fully-reserved spine, so
- *    depthCell() is readable lock-free at any time — the
- *    work-stealing explorer's stale-task check depends on this.
+ *    depthCell() of an appended entry is readable lock-free at any
+ *    time — the work-stealing explorer's stale-task check depends on
+ *    this.  A chunk holds 65,536 cells, but each cell is constructed
+ *    by append(), so a chunk's untouched pages stay unbacked: a shard
+ *    with one entry holds one resident page of depths, not 256 KB.
  *
- * Growth doubles the entry capacity (realloc-style, preserved by the
- * backend) and rehashes buckets from the stored probe hashes only —
- * state bytes are never touched, which is what lets the arena layer
- * drop them independently.
+ * Growth doubles the entry capacity (the backend preserves contents;
+ * on Linux by mremap, without a copy) and rehashes buckets from the
+ * stored probe hashes only — state bytes are never touched, which is
+ * what lets the arena layer drop them independently.
  */
 
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
@@ -106,8 +109,8 @@ class ShardColumns
         rules_[off] = r;
     }
 
-    /** Lock-free-readable depth cell (chunked atomics; see file
-     * comment). */
+    /** Lock-free-readable depth cell of an appended entry (chunked
+     * atomics; see file comment). */
     std::atomic<std::uint32_t> &
     depthCell(std::uint32_t off) const
     {

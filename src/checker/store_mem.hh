@@ -5,9 +5,8 @@
  * StateStore's shard columns and state arenas (store_columns.hh,
  * store_arena.hh) never allocate directly: each shard owns one
  * ShardMem that hands out the three allocation shapes the store
- * needs, and the backend choice — plain heap or per-shard
- * file-backed mappings — is made once here, invisibly to the layers
- * above:
+ * needs, and the backend choice — anonymous memory or per-shard
+ * backing files — is made once here, invisibly to the layers above:
  *
  *  - flats: amortised-growable arrays (the SoA entry columns and the
  *    probe bucket array).  Growing may move the base, so callers
@@ -19,15 +18,26 @@
  *  - blocks: fixed-size, index-addressed arena blocks that can be
  *    dropped (sealLevel); a dropped block is never read again.
  *
- * The Mmap backend gives every shard its own anonymous backing files
- * (memfd, or O_TMPFILE/unlinked files under an explicit directory for
- * true spill-to-disk), grown with ftruncate and remapped with
- * mremap.  Dropping a sealed block munmaps it and punches its range
- * out of the file (fallocate PUNCH_HOLE) — address space, residency
- * and the memfd's allocated bytes shrink — so a bounded mapped window
- * walks the (unbounded, sparse) file as BFS levels seal.  That is what lets a space whose full-mode arena
- * exceeds an address-space budget (`ulimit -v`) complete out of
- * core.
+ * On Linux one implementation serves both backends: every flat,
+ * chunk and block is a mapping of its own.  Flats grow by mremap
+ * (the kernel moves page tables, nothing is copied), and a dropped
+ * block is munmapped, so its pages go back to the OS at the seal.
+ * Store memory never passes through malloc: growth leaves no freed
+ * hole in the heap, and a page nothing has written stays unbacked.
+ *
+ *  - InRam maps anonymous private memory.
+ *  - Mmap gives every shard its own anonymous backing files (memfd,
+ *    or O_TMPFILE/unlinked files under an explicit directory for
+ *    true spill-to-disk), grown with ftruncate.  Dropping a sealed
+ *    block also punches its range out of the file (fallocate
+ *    PUNCH_HOLE), so the memfd's allocated bytes shrink too, and a
+ *    bounded mapped window walks the (unbounded, sparse) file as BFS
+ *    levels seal.  That is what lets a space whose full-mode arena
+ *    exceeds an address-space budget (`ulimit -v`) complete out of
+ *    core.
+ *
+ * Where the mmap surface is missing (non-Linux), both backends fall
+ * back to plain heap allocations.
  *
  * Thread-safety: all allocation calls are made under the owning
  * shard's lock (or while quiescent).  The byte counters are atomics
@@ -48,7 +58,7 @@ namespace cxl
 
 /** Which memory backend a StateStore's shards allocate from. */
 enum class StoreBackend : std::uint8_t {
-    InRam, ///< heap allocations
+    InRam, ///< anonymous private mappings (heap where mmap is missing)
     Mmap,  ///< per-shard file-backed mappings, unmapped as levels seal
 };
 
@@ -85,12 +95,12 @@ class ShardMem
     virtual void *blockAlloc(std::uint32_t index,
                              std::size_t bytes) = 0;
 
-    /** Release block @p index's memory for good: InRam frees it,
-     * Mmap unmaps its window and punches it out of the file. */
+    /** Release block @p index's memory for good: unmap it (and, on
+     * Mmap, punch it out of the file). */
     virtual void blockDrop(std::uint32_t index) = 0;
 
-    /** Bytes currently mapped/allocated by this shard's file-backed
-     * regions (0 for InRam: nothing is file-backed). */
+    /** Bytes currently mapped by this shard's file-backed regions
+     * (0 for InRam: its mappings are anonymous). */
     virtual std::uint64_t mappedBytes() const { return 0; }
 
     /** Total size of this shard's backing files (0 for InRam). */
@@ -100,8 +110,8 @@ class ShardMem
 /**
  * Build one shard's allocator.  @p dir names the backing directory
  * for StoreBackend::Mmap ("" = anonymous in-memory files); ignored
- * for InRam.  On platforms without the required mmap surface the
- * Mmap backend degrades to InRam.
+ * for InRam.  On platforms without the required mmap surface both
+ * backends degrade to heap allocations.
  *
  * @throws std::runtime_error when a backing file cannot be created.
  */

@@ -12,10 +12,8 @@ ComboDesc::label() const
     std::string out = schedule == Schedule::WorkSteal ? "ws" : "bfs";
     out += por ? "/por" : "/-";
     out += sym ? "/sym" : "/-";
-    out += storeKindCompact(storeKindOf(mmapStore, compact))
-               ? "/compact"
-               : "/full";
-    if (mmapStore)
+    out += storeKindCompact(store) ? "/compact" : "/full";
+    if (storeKindMmap(store))
         out += "-mmap";
     out += "/t" + std::to_string(threads);
     return out;
@@ -28,7 +26,7 @@ ComboDesc::engineOptions() const
     opt.schedule = schedule;
     opt.por = por;
     opt.symmetry = sym ? SymmetryMode::On : SymmetryMode::Off;
-    opt.store = storeKindOf(mmapStore, compact);
+    opt.store = store;
     opt.threads = threads;
     return opt;
 }
@@ -46,9 +44,10 @@ fullPortfolio(std::size_t threads)
     for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
         for (bool por : {false, true}) {
             for (bool sym : {false, true}) {
-                for (bool compact : {false, true}) {
+                for (StoreKind store :
+                     {StoreKind::InRam, StoreKind::InRamCompact}) {
                     combos.push_back(
-                        ComboDesc{sched, por, sym, compact, threads});
+                        ComboDesc{sched, por, sym, store, threads});
                 }
             }
         }
@@ -57,7 +56,7 @@ fullPortfolio(std::size_t threads)
     // with the reference on verdicts and counts (the paging layer is
     // below the probe algorithm, so any divergence is a store bug).
     combos.push_back(
-        ComboDesc{Schedule::Bfs, false, false, false, threads, true});
+        ComboDesc{Schedule::Bfs, false, false, StoreKind::Mmap, threads});
     return combos;
 }
 
@@ -69,20 +68,20 @@ replayPortfolio(const std::vector<std::size_t> &threadCounts)
         for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
             for (bool por : {false, true}) {
                 for (bool sym : {false, true}) {
-                    combos.push_back(
-                        ComboDesc{sched, por, sym, false, threads});
+                    combos.push_back(ComboDesc{sched, por, sym,
+                                               StoreKind::InRam, threads});
                 }
             }
         }
         // One compact-store probe per schedule per thread count.
-        combos.push_back(ComboDesc{Schedule::Bfs, false, false, true,
-                                   threads});
+        combos.push_back(ComboDesc{Schedule::Bfs, false, false,
+                                   StoreKind::InRamCompact, threads});
         combos.push_back(ComboDesc{Schedule::WorkSteal, false, false,
-                                   true, threads});
+                                   StoreKind::InRamCompact, threads});
         // And one mmap-backend probe, so replay also exercises the
         // out-of-core path against the stored reference signature.
-        combos.push_back(ComboDesc{Schedule::Bfs, false, false, false,
-                                   threads, true});
+        combos.push_back(ComboDesc{Schedule::Bfs, false, false,
+                                   StoreKind::Mmap, threads});
     }
     return combos;
 }

@@ -2,8 +2,8 @@
  * @file
  * The cross-engine differential oracle: run one FuzzCase through a
  * portfolio of engine combinations — {bfs, work-steal} x {por on/off}
- * x {symmetry on/off} x {full/compact store} x thread counts, plus
- * one mmap-backend arm per portfolio — and
+ * x {symmetry on/off} x {ram, ram-compact store} x thread counts, plus
+ * one mmap-store arm per portfolio — and
  * cross-check the VerdictSignatures under the engines' documented
  * guarantees.  Any disagreement those guarantees forbid is an engine
  * bug, reported as a divergence.
@@ -44,17 +44,14 @@ struct ComboDesc {
     Schedule schedule = Schedule::Bfs;
     bool por = false;
     bool sym = false;
-    bool compact = false;
+    /** The store kind.  The mmap arms are the out-of-core ones that
+     * keep the differential oracle honest about backend-independence
+     * of verdicts and counts. */
+    StoreKind store = StoreKind::InRam;
     std::size_t threads = 1;
 
-    /** Run this combo on the mmap store, which is compact whatever
-     * `compact` says — the out-of-core arms that keep the
-     * differential oracle honest about backend-independence of
-     * verdicts and counts. */
-    bool mmapStore = false;
-
-    /** e.g. "ws/por/sym/compact/t4" ("bfs/-/-/full/t1"); mmap arms
-     * append "-mmap" to the store segment. */
+    /** e.g. "ws/por/sym/compact/t4" ("bfs/-/-/full/t1"); the mmap
+     * store, which is compact, labels its store "compact-mmap". */
     std::string label() const;
 
     EngineOptions engineOptions() const;

@@ -62,7 +62,7 @@ struct EngineKnobs {
     std::optional<SymmetryMode> symmetry;
     /** Visited-set store kind by name (`mmap-compact` is accepted as
      * mmap).  Applied before `compact`, which then picks ram-compact
-     * or ram on the heap and leaves mmap, compact already — so
+     * or ram in RAM and leaves mmap, compact already — so
      * `{"store":"mmap","compact":false}` still means mmap, matching
      * the CLI's --store/--compact layering. */
     std::optional<StoreKind> store;

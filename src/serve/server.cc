@@ -45,13 +45,16 @@ configBits(const ProtocolConfig &c)
 
 /**
  * Fresh checks of at least this many states hand the heap they freed
- * back to the system before the answer goes out.  Each worker thread
- * allocates from its own malloc arena, and glibc may keep a big
- * check's freed memory resident in that arena; the daemon's resident
- * size would then depend on which worker the following checks land
- * on.  A trim walks every arena, and the next check faults the pages
- * back in: a few milliseconds, noise after a run of this size, but
- * it would double the latency of the small checks a CI matrix sends.
+ * back to the system before the answer goes out.  The store's columns
+ * and cells are mappings, unmapped with the store, but its slice
+ * tables, the sleep masks and worker scratch come from malloc.  Each
+ * worker thread allocates from its own malloc arena, and glibc may
+ * keep a big check's freed memory resident in that arena; the
+ * daemon's resident size would then depend on which worker the
+ * following checks land on.  A trim walks every arena, and the next
+ * check faults the pages back in: a few milliseconds, noise after a
+ * run of this size, but it would double the latency of the small
+ * checks a CI matrix sends.
  */
 constexpr std::uint64_t kTrimAfterStates = std::uint64_t{1} << 16;
 
@@ -166,7 +169,7 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     if (k.symmetry)
         e.symmetry = *k.symmetry;
     // store picks the kind, then compact chooses ram-compact or ram
-    // on the heap and leaves mmap (compact already) — same layering
+    // in RAM and leaves mmap (compact already) — same layering
     // as the CLI's --store/--compact.
     if (k.store)
         e.store = *k.store;

@@ -286,8 +286,8 @@ TEST(CheckResult, CappedRunRendersThreadDependentQualifier)
 
 TEST(CheckResult, TextNamesTheStoreMedium)
 {
-    // The engine line says where the store lives: the heap, memfd, or
-    // files under --store-dir.  The JSON does not, so deterministic
+    // The engine line says where the store lives: anonymous memory,
+    // memfd, or files under --store-dir.  The JSON does not, so deterministic
     // bytes (and the serve cache key) stay medium-independent.
     CheckSession session;
     CheckRequest req;
@@ -296,14 +296,15 @@ TEST(CheckResult, TextNamesTheStoreMedium)
     eng.threads = 1;
     req.engine = eng;
     const CheckResult ram = session.run(req);
-    EXPECT_NE(ram.renderText(false).find("ram store (heap)"),
+    EXPECT_NE(ram.renderText(false).find("ram store (anonymous memory)"),
               std::string::npos)
         << ram.renderText(false);
 
     eng.store = StoreKind::InRamCompact;
     req.engine = eng;
     const CheckResult ram_c = session.run(req);
-    EXPECT_NE(ram_c.renderText(false).find("ram-compact store (heap)"),
+    EXPECT_NE(ram_c.renderText(false).find(
+                  "ram-compact store (anonymous memory)"),
               std::string::npos);
 
     eng.store = StoreKind::Mmap;
@@ -357,7 +358,7 @@ TEST(StandardOptions, StoreFlagsResolveToThreeKinds)
 
 TEST(StandardOptions, StoreDirOnAHeapStoreIsAUsageError)
 {
-    // Only the mmap store has backing files to place; a heap store
+    // Only the mmap store has backing files to place; an in-RAM store
     // must not silently ignore --store-dir.
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_EXIT(optionsOf({"--store-dir", "/tmp"}),

@@ -538,7 +538,7 @@ TEST(Compaction, CompactStoreReleasesSealedLevels)
     // seal() must release exactly the whole blocks of cells below the
     // previous level boundary, counted in entries; the newest level
     // (the next frontier) and the block it shares stay readable.
-    // Checked on an arena over the heap backend, the one a
+    // Checked on an arena over the InRam backend, the one a
     // ram-compact store uses.
     constexpr std::uint32_t kLevelA = 2 * StateArena::kBlockCells + 1;
     constexpr std::uint32_t kLevelB = StateArena::kBlockCells;

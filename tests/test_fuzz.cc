@@ -188,6 +188,38 @@ TEST(ScenarioGen, MutationStaysInTheValidSpace)
 
 // ------------------------------------------------------------ oracle
 
+TEST(Oracle, ComboLabelsNameEachStoreKind)
+{
+    // Labels appear in manifests and quarantine lines, so they are
+    // pinned: one store segment per StoreKind, mmap as "compact-mmap".
+    std::vector<std::string> full;
+    for (const ComboDesc &combo : fullPortfolio(1))
+        full.push_back(combo.label());
+    const std::vector<std::string> want_full = {
+        "bfs/-/-/full/t1",        "bfs/-/-/compact/t1",
+        "bfs/-/sym/full/t1",      "bfs/-/sym/compact/t1",
+        "bfs/por/-/full/t1",      "bfs/por/-/compact/t1",
+        "bfs/por/sym/full/t1",    "bfs/por/sym/compact/t1",
+        "ws/-/-/full/t1",         "ws/-/-/compact/t1",
+        "ws/-/sym/full/t1",       "ws/-/sym/compact/t1",
+        "ws/por/-/full/t1",       "ws/por/-/compact/t1",
+        "ws/por/sym/full/t1",     "ws/por/sym/compact/t1",
+        "bfs/-/-/compact-mmap/t1"};
+    EXPECT_EQ(full, want_full);
+
+    std::vector<std::string> replay;
+    for (const ComboDesc &combo : replayPortfolio({4}))
+        replay.push_back(combo.label());
+    const std::vector<std::string> want_replay = {
+        "bfs/-/-/full/t4",   "bfs/-/sym/full/t4",
+        "bfs/por/-/full/t4", "bfs/por/sym/full/t4",
+        "ws/-/-/full/t4",    "ws/-/sym/full/t4",
+        "ws/por/-/full/t4",  "ws/por/sym/full/t4",
+        "bfs/-/-/compact/t4", "ws/-/-/compact/t4",
+        "bfs/-/-/compact-mmap/t4"};
+    EXPECT_EQ(replay, want_replay);
+}
+
 TEST(Oracle, PortfolioAgreesOnACorrectProgramScenario)
 {
     FuzzCase c;
@@ -250,7 +282,8 @@ TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
     c.config.relaxOneSnoop = true;
 
     OracleOptions opt;
-    opt.portfolio = {ComboDesc{Schedule::Bfs, false, true, false, 1}};
+    opt.portfolio = {
+        ComboDesc{Schedule::Bfs, false, true, StoreKind::InRam, 1}};
     opt.randomWalkProbe = false;
     const Oracle oracle(std::move(opt));
 
@@ -273,7 +306,8 @@ TEST(Oracle, FlagsAPlantedDivergence)
 
     OracleOptions oopt;
     oopt.portfolio = {
-        ComboDesc{Schedule::WorkSteal, false, false, false, 1}};
+        ComboDesc{Schedule::WorkSteal, false, false, StoreKind::InRam,
+                  1}};
     oopt.randomWalkProbe = false;
     oopt.sessionHook = [&](CheckSession &session,
                            const ComboDesc &combo) {

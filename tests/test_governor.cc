@@ -548,7 +548,8 @@ TEST(Oracle, PlantedSlowArmIsQuarantinedNotCompared)
 
     fuzz::OracleOptions oopt;
     oopt.portfolio = {
-        fuzz::ComboDesc{Schedule::WorkSteal, false, false, false, 1}};
+        fuzz::ComboDesc{Schedule::WorkSteal, false, false,
+                        StoreKind::InRam, 1}};
     oopt.randomWalkProbe = false;
     oopt.armMaxSeconds = 0.2;
     oopt.sessionHook = [&](CheckSession &session,

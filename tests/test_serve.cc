@@ -434,7 +434,7 @@ TEST(ResolveRequest, CompactStoreSpellingsCollapseToOneKey)
         EXPECT_EQ(keyOf(r), compact) << wire;
     }
 
-    // The compact knob on the heap picks ram-compact or ram.
+    // The compact knob in RAM picks ram-compact or ram.
     Request ram_knob = namedRequest("free-run");
     ram_knob.engine.store = StoreKind::InRamCompact;
     ram_knob.engine.compact = false;

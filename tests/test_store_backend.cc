@@ -7,22 +7,35 @@
  * contract, the StoreFullError capacity path (store-level and through
  * both engines), forged probe-hash collision detection — and the
  * engines must produce bit-identical state/transition counts on every
- * kind at 2-device and symmetry-reduced 3-device spaces.
+ * kind at 2-device and symmetry-reduced 3-device spaces.  On Linux the
+ * in-RAM kinds' memory is checked page by page (mincore): it is mapped
+ * on demand, unmapped when dropped, and never metered as file bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
+#include "checker/store_arena.hh"
+#include "checker/store_columns.hh"
 #include "support/hash.hh"
 #include "support/resource.hh"
 
 #if defined(__unix__)
 #include <unistd.h>
+#endif
+#if defined(__linux__)
+#include <sys/mman.h>
+#if !defined(MAP_FIXED_NOREPLACE)
+#define MAP_FIXED_NOREPLACE 0x100000 // Linux 4.17; older headers lack it
+#endif
 #endif
 
 namespace cxl
@@ -271,6 +284,133 @@ TEST(StoreBackend, DroppedBlocksLeaveTheMemfd)
         store.sealLevel();
         EXPECT_LT(detail::memfdBytes(), before) << k.name;
     }
+}
+
+std::size_t
+testPageSize()
+{
+    return static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/** Resident pages among those [@p p, @p p + @p bytes) touches; -1 when
+ * mincore refuses the range (ENOMEM: part of it is not mapped). */
+long
+residentPages(const void *p, std::size_t bytes)
+{
+    const std::size_t page = testPageSize();
+    const std::uintptr_t first =
+        reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    const std::size_t span =
+        reinterpret_cast<std::uintptr_t>(p) + bytes - first;
+    std::vector<unsigned char> vec((span + page - 1) / page);
+    if (::mincore(reinterpret_cast<void *>(first), span, vec.data()) != 0)
+        return -1;
+    long resident = 0;
+    for (unsigned char v : vec)
+        resident += v & 1;
+    return resident;
+}
+
+TEST(StoreBackend, RamCompactDroppedBlocksAreUnmapped)
+{
+    // The arena a ram-compact shard builds: the InRam backend with
+    // sealed cells released.  A dropped block goes back to the OS at
+    // the seal, so its old range is no longer mapped at all.
+    const std::unique_ptr<ShardMem> mem =
+        makeShardMem(StoreBackend::InRam, "");
+    StateArena arena;
+    arena.init(mem.get(), true, StateStore::kOffsetMask);
+    const std::uint32_t cell[3] = {1, 2, 3};
+    std::uint32_t n = 0;
+    for (; n < 2 * StateArena::kBlockCells + 1; ++n)
+        arena.append(n, cell, 3);
+    const void *block0 = arena.cellIfMapped(0);
+    const void *block1 = arena.cellIfMapped(StateArena::kBlockCells);
+    const std::size_t bytes = std::size_t{StateArena::kBlockCells} * 3 *
+                              sizeof(std::uint32_t);
+    EXPECT_GT(residentPages(block0, bytes), 0);
+    arena.seal();
+    for (; n < 3 * StateArena::kBlockCells; ++n)
+        arena.append(n, cell, 3);
+    arena.seal();
+    ASSERT_EQ(arena.cellIfMapped(0), nullptr);
+    for (const void *block : {block0, block1}) {
+        errno = 0;
+        EXPECT_EQ(residentPages(block, bytes), -1);
+        EXPECT_EQ(errno, ENOMEM) << std::strerror(errno);
+    }
+    EXPECT_EQ(mem->mappedBytes(), 0u);
+    EXPECT_EQ(mem->backingFileBytes(), 0u);
+}
+
+TEST(StoreBackend, DepthChunksAreBackedOnlyWhereWritten)
+{
+    // A fresh chunk has no resident page; the depth column constructs
+    // a cell only when its entry is appended, so a store with one
+    // entry per shard holds one page of each shard's depth chunk.
+    constexpr std::size_t kChunkBytes =
+        ShardColumns::kDepthChunkSize * sizeof(std::uint32_t);
+    {
+        const std::unique_ptr<ShardMem> mem =
+            makeShardMem(StoreBackend::InRam, "");
+        const void *chunk = mem->chunkAlloc(kChunkBytes);
+        EXPECT_EQ(residentPages(chunk, kChunkBytes), 0);
+    }
+    for (const Kind &k : kKinds) {
+        const StoreConfig config = configOf(k);
+        for (std::uint32_t shard = 0; shard < StateStore::kNumShards;
+             ++shard) {
+            const std::unique_ptr<ShardMem> mem =
+                makeShardMem(config.backend, config.dir);
+            ShardColumns cols;
+            cols.init(mem.get(), storeKindCompact(k.kind), 16,
+                      StateStore::kOffsetMask);
+            cols.append(mix64(shard), mix64(shard + 1),
+                        StateStore::kNoParent, 0, 7);
+            EXPECT_EQ(cols.depthCell(0).load(), 7u);
+            EXPECT_EQ(residentPages(&cols.depthCell(0), kChunkBytes), 1)
+                << k.name << " shard " << shard;
+        }
+    }
+}
+
+TEST(StoreBackend, FlatContentsSurviveAMovingGrowth)
+{
+    // Occupy the page just past a flat so it cannot grow in place:
+    // the growth must move it, keep its contents, and release the old
+    // range rather than leave a hole behind.
+    const std::size_t page = testPageSize();
+    const std::unique_ptr<ShardMem> mem =
+        makeShardMem(StoreBackend::InRam, "");
+    auto *base = static_cast<std::uint64_t *>(
+        mem->flatGrow(ShardMem::kFlatHashes, page));
+    const std::size_t words = page / sizeof(std::uint64_t);
+    for (std::size_t i = 0; i < words; ++i)
+        base[i] = mix64(i);
+
+    char *past = reinterpret_cast<char *>(base) + page;
+    void *guard = ::mmap(past, page, PROT_NONE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED_NOREPLACE,
+                         -1, 0);
+    if (guard != MAP_FAILED && guard != past) {
+        ::munmap(guard, page);
+        GTEST_SKIP() << "the kernel ignores MAP_FIXED_NOREPLACE";
+    }
+    // Here the page past the flat is either our guard or, with
+    // EEXIST, some other mapping: in-place growth is blocked.
+
+    auto *grown = static_cast<std::uint64_t *>(
+        mem->flatGrow(ShardMem::kFlatHashes, 4 * page));
+    EXPECT_NE(grown, base);
+    for (std::size_t i = 0; i < words; ++i)
+        ASSERT_EQ(grown[i], mix64(i)) << i;
+    errno = 0;
+    EXPECT_EQ(residentPages(base, page), -1);
+    EXPECT_EQ(errno, ENOMEM) << std::strerror(errno);
+    EXPECT_EQ(mem->mappedBytes(), 0u);
+    EXPECT_EQ(mem->backingFileBytes(), 0u);
+    if (guard == past)
+        ::munmap(guard, page);
 }
 
 TEST(StoreBackend, StoreDirBacksShardFiles)
