@@ -8,7 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -181,6 +183,51 @@ BM_StateStoreInsertBatched(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_StateStoreInsertBatched);
+
+void
+BM_StoreGrowthRehash(benchmark::State &state)
+{
+    // One bucket-array doubling over a filled store re-slots every
+    // entry.  Argument 0 is ram,
+    // which recomputes each hash from the entry's cell; 1 is
+    // ram-compact, which reads it from its hash column.  The counter
+    // is the growth's time per rehashed entry.
+    constexpr int kStates = 1 << 16;
+    std::vector<SystemState> states;
+    for (int i = 0; i < kStates; ++i) {
+        SystemState s = initialAllInvalid(0, 3);
+        s.counter = static_cast<std::uint8_t>(i & 0xff);
+        s.dev[0].val = static_cast<Val>((i >> 8) & 0xff);
+        states.push_back(s);
+    }
+    const StoreMode mode =
+        state.range(0) == 0 ? StoreMode::Full : StoreMode::Compact;
+    double seconds = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto store = std::make_unique<StateStore>(1024, mode);
+        for (const SystemState &s : states)
+            store->insert(s, StateStore::kNoParent, 0, 0);
+        state.ResumeTiming();
+        const auto t0 = std::chrono::steady_clock::now();
+        // Each shard holds ~kStates/16 entries in 8192 buckets; a
+        // hint of kStates asks for <= 0.5 load, one doubling.
+        store->reserveStates(kStates);
+        seconds += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        state.PauseTiming();
+        store.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * kStates);
+    state.counters["rehash_ns"] =
+        seconds * 1e9 / (static_cast<double>(state.iterations()) * kStates);
+}
+BENCHMARK(BM_StoreGrowthRehash)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ExhaustiveSwmrVerification(benchmark::State &state)

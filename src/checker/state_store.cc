@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/hash.hh"
+
 namespace cxl
 {
 
@@ -26,10 +28,19 @@ StateStore::StateStore(const StoreConfig &config)
         shard.limit = limit;
         shard.mem = makeShardMem(config.backend, config.dir);
         shard.arena.init(shard.mem.get(), releasesSealed_, kOffsetMask);
-        // Fingerprints are the identity of released cells, so exactly
-        // a store that releases them keeps one per entry.
+        // Fingerprints are the identity of released cells, and a
+        // released cell cannot be rehashed, so exactly a store that
+        // releases them keeps the probe hash and fingerprint per
+        // entry; one that keeps every cell rehashes from the cells.
+        ShardColumns::EntryHash entry_hash;
+        if (!releasesSealed_) {
+            entry_hash = [this, &shard](std::uint32_t off) {
+                return cellHash(shard, off);
+            };
+        }
         shard.cols.init(shard.mem.get(), releasesSealed_,
-                        per_shard_buckets, kOffsetMask);
+                        per_shard_buckets, kOffsetMask,
+                        std::move(entry_hash));
     }
 }
 
@@ -113,10 +124,13 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_)
             cols.prefetchBucket(items[i].hash);
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_) {
-            if (const std::uint32_t b =
-                    cols.bucketAt(items[i].hash & cols.mask())) {
-                cols.prefetchEntry(b - 1);
-                shard.arena.prefetchCell(b - 1);
+            const std::uint64_t hash = items[i].hash;
+            const std::uint32_t b = cols.bucketAt(hash & cols.mask());
+            if (b != 0 && ShardColumns::tagMatches(b, hash, cols.mask())) {
+                const std::uint32_t off =
+                    ShardColumns::linkOf(b, cols.mask()) - 1;
+                cols.prefetchEntry(off);
+                shard.arena.prefetchCell(off);
             }
         }
         for (std::uint32_t i = head[s]; i != kEnd;
@@ -166,6 +180,42 @@ StateStore::holds(const Shard &shard, std::uint32_t off,
             return false;
     }
     return true;
+}
+
+StateStore::Match
+StateStore::match(const Shard &shard, std::uint32_t off,
+                  const SystemState &state, std::uint64_t hash,
+                  std::uint64_t verify) const
+{
+    if (releasesSealed_ && shard.cols.hashAt(off) != hash)
+        return Match::Other;
+    if (holds(shard, off, state, verify))
+        return Match::Same;
+    // Without a hash column the tag fixed only some of the hash's
+    // bits; whether the rest agree — a true probe-hash collision —
+    // is read off the cell on this rare path.
+    if (!releasesSealed_ && cellHash(shard, off) != hash)
+        return Match::Other;
+    return Match::Collision;
+}
+
+std::uint64_t
+StateStore::cellHash(const Shard &shard, std::uint32_t off) const
+{
+    // hash() covers the active prefix: the host slice, then one
+    // device slice per device, back to back (SystemState is
+    // padding-free).
+    const std::uint32_t *cell = shard.arena.cellIfMapped(off);
+    assert(cell && "only a store that keeps every cell rehashes cells");
+    const std::uint32_t ndev =
+        cellWidth_.load(std::memory_order_relaxed) - 1;
+    std::byte bytes[sizeof(SystemState)];
+    std::memcpy(bytes, hosts_.at(cell[0]), kHostBytes);
+    for (std::uint32_t d = 0; d < ndev; ++d) {
+        std::memcpy(bytes + kHostBytes + d * sizeof(DeviceState),
+                    devices_.at(cell[1 + d]), sizeof(DeviceState));
+    }
+    return hashBytes(bytes, kHostBytes + ndev * sizeof(DeviceState));
 }
 
 std::uint32_t
@@ -221,9 +271,11 @@ StateStore::find(const SystemState &state) const
         const std::uint32_t bucket = cols.bucketAt(slot);
         if (bucket == 0)
             return std::nullopt;
-        const std::uint32_t off = bucket - 1;
-        if (cols.hashAt(off) == hash &&
-            holds(shard, off, state, verify))
+        if (!ShardColumns::tagMatches(bucket, hash, cols.mask()))
+            continue;
+        const std::uint32_t off =
+            ShardColumns::linkOf(bucket, cols.mask()) - 1;
+        if (match(shard, off, state, hash, verify) == Match::Same)
             return (shard_idx << kOffsetBits) | off;
     }
 }
@@ -236,39 +288,43 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                               std::uint16_t rule_id,
                               std::uint32_t depth)
 {
+    assert((releasesSealed_ || hash == state.hash()) &&
+           "a store that keeps every cell rehashes from the cells, so "
+           "its probe hash must be state.hash()");
     ShardColumns &cols = shard.cols;
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
     cols.maybeGrow();
 
     std::uint64_t slot = hash & cols.mask();
-    for (;;) {
+    for (;; slot = (slot + 1) & cols.mask()) {
         const std::uint32_t bucket = cols.bucketAt(slot);
         if (bucket == 0)
             break;
-        const std::uint32_t off = bucket - 1;
-        if (cols.hashAt(off) == hash) {
-            // A probe-hash match with an identity mismatch is a
-            // detected collision — the states stay distinct and the
+        if (!ShardColumns::tagMatches(bucket, hash, cols.mask()))
+            continue;
+        const std::uint32_t off =
+            ShardColumns::linkOf(bucket, cols.mask()) - 1;
+        const Match m = match(shard, off, state, hash, verify);
+        if (m == Match::Collision) {
+            // A detected collision: the states stay distinct and the
             // probe continues.
-            if (holds(shard, off, state, verify)) {
-                const std::uint32_t id =
-                    (shard_idx << kOffsetBits) | off;
-                // Label-correcting duplicate: a shorter path to a
-                // known state relabels its breadcrumbs (async
-                // schedule; BFS duplicates are never shallower).
-                std::atomic<std::uint32_t> &depth_cell =
-                    cols.depthCell(off);
-                if (depth < depth_cell.load(std::memory_order_relaxed)) {
-                    depth_cell.store(depth, std::memory_order_relaxed);
-                    cols.setParent(off, parent);
-                    cols.setRule(off, rule_id);
-                    return {id, false, true};
-                }
-                return {id, false, false};
-            }
             cols.bumpCollisions();
+            continue;
         }
-        slot = (slot + 1) & cols.mask();
+        if (m == Match::Other)
+            continue;
+        const std::uint32_t id = (shard_idx << kOffsetBits) | off;
+        // Label-correcting duplicate: a shorter path to a known state
+        // relabels its breadcrumbs (async schedule; BFS duplicates are
+        // never shallower).
+        std::atomic<std::uint32_t> &depth_cell = cols.depthCell(off);
+        if (depth < depth_cell.load(std::memory_order_relaxed)) {
+            depth_cell.store(depth, std::memory_order_relaxed);
+            cols.setParent(off, parent);
+            cols.setRule(off, rule_id);
+            return {id, false, true};
+        }
+        return {id, false, false};
     }
 
     // kOffsetMask itself is unusable: shard kNumShards-1 would pack
@@ -292,7 +348,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
         cols.append(hash, verify, parent, rule_id, depth);
     shard.arena.append(off, ids, width);
 
-    cols.setBucket(slot, off + 1);
+    cols.link(slot, hash, off);
     total_.fetch_add(1, std::memory_order_release);
     return {(shard_idx << kOffsetBits) | off, true, false};
 }

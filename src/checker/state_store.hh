@@ -11,9 +11,12 @@
  * allocated from a per-shard memory backend:
  *
  *  - ShardColumns (store_columns.hh): the struct-of-arrays entry
- *    columns — probe hash, verification fingerprint, parent, rule,
- *    chunked atomic depth — plus the bucket array.  Shard growth
- *    rehashes from the stored probe hashes, never from state bytes.
+ *    columns — parent, rule, chunked atomic depth, and on a store
+ *    that releases cells the probe hash and verification fingerprint
+ *    — plus the bucket array, whose u32 buckets carry the probe
+ *    hash's tag bits above the entry link.  Shard growth rehashes
+ *    from the stored probe hashes where cells are released, and
+ *    from the cells themselves where every cell is kept.
  *  - StateArena (store_arena.hh): the states, as cells of ndev + 1
  *    u32 slice ids — the host slice (the record's first 5 bytes) and
  *    one 59-byte DeviceState slice per device, each interned in one
@@ -30,23 +33,27 @@
  *    sealed BFS levels leave the file too — address space and
  *    residency track the frontier window.
  *
- * One identity rule, on every configuration: a probe-hash match whose
+ * One identity rule, on every configuration: a probe match whose
  * cell is still in memory is compared slice by slice against the
  * candidate's bytes; a match whose cell sealLevel() has released is
- * compared by the 64-bit verification fingerprint kept per entry
- * (Murphi hash compaction).  Only a fresh insert interns slices.  A
- * probe-hash match with an identity mismatch is a *detected*
- * collision (counted in probeCollisions()) and the states stay
- * distinct; an undetected merge needs a released entry whose probe
- * hash and fingerprint both collide — expected occurrences
- * ~ n^2 / 2^65 for n states.
+ * compared by its stored 64-bit probe hash and the 64-bit
+ * verification fingerprint kept per entry (Murphi hash compaction).
+ * A probe match is a bucket whose tag agrees with the probe hash,
+ * plus, where the hash column is kept, the full stored hash.  Only a
+ * fresh insert interns slices.  A full 64-bit probe-hash match with
+ * an identity mismatch is a *detected* collision (counted in
+ * probeCollisions()) and the states stay distinct; an undetected
+ * merge needs a released entry whose probe hash and fingerprint both
+ * collide — expected occurrences ~ n^2 / 2^65 for n states.
  *
  * So the store's one policy bit below the façade is whether sealed
  * levels are released (StoreMode, declared with the arena): Full
  * keeps every cell on the InRam backend, so identity is always exact;
  * Compact releases old BFS levels' blocks at each seal, so resident
  * cells are bounded by about two levels.  The Mmap backend always
- * releases.  Exactly the stores that release keep fingerprints.
+ * releases.  Exactly the stores that release keep the probe hash and
+ * fingerprint per entry; a store that keeps every cell keeps
+ * neither, so the probe hash it is given must be state.hash().
  *
  * A released cell is never read again: the frontier lives above the
  * seal boundary, and counterexample traces are replayed from the
@@ -171,8 +178,9 @@ class StateStore
 
     /**
      * One pending insert of a batched flush.  The caller fills state,
-     * hash (the state's probe hash) and the breadcrumbs; insertBatch
-     * fills id, inserted and improved.
+     * hash (the state's probe hash — state.hash() on a store that
+     * keeps every cell, see insert()) and the breadcrumbs;
+     * insertBatch fills id, inserted and improved.
      */
     struct BatchItem {
         SystemState state;
@@ -238,6 +246,10 @@ class StateStore
      * covers the probe/append.  (The verification fingerprint, where
      * kept, is always computed internally from the state bytes — it
      * is the identity, not a routing hint, so it cannot be forged.)
+     * On a store that keeps every cell @p hash must be state.hash()
+     * (debug-asserted): that store recomputes it from the cell when
+     * a shard grows.  A store that releases cells stores @p hash and
+     * accepts any value, which is how tests force collisions.
      */
     std::pair<std::uint32_t, bool>
     insert(const SystemState &state, std::uint64_t hash,
@@ -372,8 +384,8 @@ class StateStore
      * probe hash matched an existing entry holding a different state
      * (the cell's slices differed or, for a released cell, the
      * verification fingerprint did).  Each one is a state pair that
-     * probe-hash-only compaction would have merged silently.
-     * Quiescent use only.
+     * probe-hash-only compaction would have merged silently.  A
+     * bucket-tag match alone does not count.  Quiescent use only.
      */
     std::uint64_t probeCollisions() const;
 
@@ -403,10 +415,24 @@ class StateStore
     /** Bytes of a state's host slice: the fields before dev[]. */
     static constexpr std::size_t kHostBytes = offsetof(SystemState, dev);
 
+    /** What a tag-matched entry is to the candidate: another state,
+     * the same one, or another state of the same 64-bit probe hash. */
+    enum class Match { Other, Same, Collision };
+
+    /** Compare entry @p off of @p shard, whose bucket tag agrees with
+     * @p hash, with @p state (fingerprint @p verify). */
+    Match match(const Shard &shard, std::uint32_t off,
+                const SystemState &state, std::uint64_t hash,
+                std::uint64_t verify) const;
+
     /** Whether entry @p off of @p shard holds @p state (fingerprint
-     * @p verify): see the identity rule in probeInsertLocked. */
+     * @p verify): the identity rule (see the file comment). */
     bool holds(const Shard &shard, std::uint32_t off,
                const SystemState &state, std::uint64_t verify) const;
+
+    /** The probe hash of entry @p off's in-memory cell: hash() of the
+     * active bytes rebuilt from its slices. */
+    std::uint64_t cellHash(const Shard &shard, std::uint32_t off) const;
 
     /** Intern @p state's slices into @p ids (room for 1 + kMaxDevices)
      * and return the cell width, fixing the store's on first use.
@@ -428,8 +454,8 @@ class StateStore
     std::atomic<std::uint32_t> cellWidth_{0};
     std::atomic<std::uint64_t> total_{0};
     /** Whether sealLevel releases cells — compact mode, and every Mmap
-     * store; exactly then entries carry a verification fingerprint,
-     * the identity of a released cell. */
+     * store; exactly then entries carry a probe hash and verification
+     * fingerprint, the identity of a released cell. */
     bool releasesSealed_;
 };
 

@@ -43,8 +43,11 @@
  *
  * This is the façade's one identity rule: a cell cellIfMapped()
  * returns is compared slice by slice, and when it returns null the
- * façade compares the verification fingerprint it keeps per entry
- * whenever the arena releases.
+ * façade compares the probe hash and verification fingerprint it
+ * keeps per entry whenever the arena releases.  An arena that never
+ * releases is also where its store's probe hashes come from when a
+ * shard grows: that store keeps no hash column and rehashes each
+ * entry from its cell's slices.
  *
  * Thread-safety: append/seal run under the shard lock or quiescent;
  * cell reads on frontier entries follow the façade's lock-free
@@ -75,8 +78,9 @@ namespace cxl
  * whether seal() releases sealed levels' cells.  The Mmap backend
  * releases under either mode. */
 enum class StoreMode : std::uint8_t {
-    Full,    ///< keep every cell: identity is always the slices
-    Compact, ///< release sealed levels: fingerprints for those entries
+    Full,    ///< keep every cell: identity and rehash from the slices
+    Compact, ///< release sealed levels: a stored probe hash and
+             ///< fingerprint per entry
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <new>
+#include <utility>
 
 namespace cxl
 {
@@ -21,12 +22,13 @@ pow2AtLeast(std::size_t n)
 } // namespace
 
 void
-ShardColumns::init(ShardMem *mem, bool keep_verifies,
-                   std::size_t initial_buckets,
-                   std::uint32_t max_entries)
+ShardColumns::init(ShardMem *mem, bool keep_hashes,
+                   std::size_t initial_buckets, std::uint32_t max_entries,
+                   EntryHash entry_hash)
 {
     mem_ = mem;
-    keepVerifies_ = keep_verifies;
+    keepHashes_ = keep_hashes;
+    entryHash_ = std::move(entry_hash);
     depths_.reserve((max_entries >> kDepthChunkBits) + 1);
     sizeBuckets(pow2AtLeast(initial_buckets));
 }
@@ -38,14 +40,16 @@ ShardColumns::sizeBuckets(std::size_t cap)
         ShardMem::kFlatBuckets, cap * sizeof(std::uint32_t)));
     std::memset(buckets_, 0, cap * sizeof(std::uint32_t));
     mask_ = cap - 1;
-    // Rehash from the stored probe hashes — state bytes are never
-    // touched, which also makes growth possible while the arena layer
-    // has already released (or paged out) old state bytes.
+    // A store that releases cells rehashes from its hash column (the
+    // bytes may be gone); one that keeps every cell recomputes each
+    // hash from the cell instead of storing it.
     for (std::uint32_t off = 0; off < count_; ++off) {
-        std::uint64_t slot = hashes_[off] & mask_;
+        const std::uint64_t hash =
+            keepHashes_ ? hashes_[off] : entryHash_(off);
+        std::uint64_t slot = hash & mask_;
         while (buckets_[slot] != 0)
             slot = (slot + 1) & mask_;
-        buckets_[slot] = off + 1;
+        link(slot, hash, off);
     }
 }
 
@@ -55,9 +59,9 @@ ShardColumns::growColumns(std::size_t need)
     std::size_t cap = entryCap_ == 0 ? 1024 : entryCap_;
     while (cap < need)
         cap *= 2;
-    hashes_ = static_cast<std::uint64_t *>(mem_->flatGrow(
-        ShardMem::kFlatHashes, cap * sizeof(std::uint64_t)));
-    if (keepVerifies_) {
+    if (keepHashes_) {
+        hashes_ = static_cast<std::uint64_t *>(mem_->flatGrow(
+            ShardMem::kFlatHashes, cap * sizeof(std::uint64_t)));
         verifies_ = static_cast<std::uint64_t *>(mem_->flatGrow(
             ShardMem::kFlatVerifies, cap * sizeof(std::uint64_t)));
     }
@@ -76,9 +80,10 @@ ShardColumns::append(std::uint64_t hash, std::uint64_t verify,
     const std::uint32_t off = count_;
     if (off >= entryCap_)
         growColumns(static_cast<std::size_t>(off) + 1);
-    hashes_[off] = hash;
-    if (keepVerifies_)
+    if (keepHashes_) {
+        hashes_[off] = hash;
         verifies_[off] = verify;
+    }
     parents_[off] = parent;
     rules_[off] = rule;
     const std::uint32_t chunk = off >> kDepthChunkBits;
@@ -99,7 +104,8 @@ ShardColumns::reserveEntries(std::size_t entries)
 {
     // Buckets at 2x the entry hint keep the load factor <= 0.5
     // through the expected run, so probes stay short and no rehash
-    // pause lands mid-exploration.
+    // pause — on a store without a hash column, a re-read of every
+    // cell — lands mid-exploration.
     const std::size_t cap = pow2AtLeast(2 * entries);
     if (cap > mask_ + 1)
         sizeBuckets(cap);

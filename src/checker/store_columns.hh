@@ -3,12 +3,21 @@
  * Shard-column layer of the visited-state store.
  *
  * One ShardColumns instance holds a shard's struct-of-arrays entry
- * columns — probe hash, verification fingerprint, parent, rule, and
- * the chunked atomic depth column — plus the open-addressing bucket
- * array, all allocated from the shard's ShardMem backend
- * (store_mem.hh).  The probe/insert *algorithm* stays in the
- * StateStore façade; this layer only owns the memory layout:
+ * columns — parent, rule, the chunked atomic depth column and, on a
+ * store whose seals release cells, the probe hash and verification
+ * fingerprint — plus the open-addressing bucket array, all allocated
+ * from the shard's ShardMem backend (store_mem.hh).  The
+ * probe/insert *algorithm* stays in the StateStore façade; this layer
+ * only owns the memory layout:
  *
+ *  - a bucket is one u32, `tag | link`: link = entry offset + 1 in the
+ *    low log2(capacity) bits (0 = empty), tag = the entry's probe-hash
+ *    bits [log2(capacity), 32) above it — the hash bits the home slot
+ *    does not already name (Cleary's compact hash tables).  A probe
+ *    rejects most mismatches on the tag before it reads any column or
+ *    cell.  Growth at 3/4 load keeps every link <= mask, and the
+ *    per-shard limit of 2^28 - 1 entries needs a capacity of at most
+ *    2^29, so at least 3 tag bits remain;
  *  - the hash/verify/parent/rule columns and the bucket array are
  *    backend flats — they may move when grown, so they are touched
  *    only under the shard lock (or quiescent), matching the façade's
@@ -21,18 +30,23 @@
  *    by append(), so a chunk's untouched pages stay unbacked: a shard
  *    with one entry holds one resident page of depths, not 256 KB.
  *
- * Growth doubles the entry capacity (the backend preserves contents;
- * on Linux by mremap, without a copy) and rehashes buckets from the
- * stored probe hashes only — state bytes are never touched, which is
- * what lets the arena layer drop them independently.
+ * Growth doubles the bucket capacity and re-slots every entry by its
+ * probe hash.  A store that releases cells cannot recompute that hash
+ * (the bytes may be gone), so, as in Stern & Dill's hash compaction,
+ * it keeps the 8-byte hash (and the fingerprint) in place of the
+ * released state and rehashes from the column.  A store that keeps
+ * every cell maps neither column: growth asks the façade's EntryHash
+ * to recompute each entry's hash from its cell.
  */
 
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
 #define CXL_CHECKER_STORE_COLUMNS_HH
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "checker/store_mem.hh"
@@ -49,15 +63,42 @@ class ShardColumns
     static constexpr std::uint32_t kDepthChunkSize =
         1u << kDepthChunkBits;
 
+    /** Entry @p off's probe hash, recomputed from its cell: how a
+     * store that keeps no hash column rehashes on growth. */
+    using EntryHash = std::function<std::uint64_t(std::uint32_t off)>;
+
     /**
      * Bind to a backend and size the initial bucket array.
-     * @p keep_verifies stores the 64-bit verification fingerprint per
-     * entry (exactly the stores whose seals release cells: they dedup
-     * released entries by fingerprint).  @p max_entries bounds the depth-chunk
-     * spine reservation.
+     * @p keep_hashes stores the 64-bit probe hash and verification
+     * fingerprint per entry (exactly the stores whose seals release
+     * cells: they rehash from the one and dedup released entries by
+     * the other); otherwise @p entry_hash serves growth.
+     * @p max_entries bounds the depth-chunk spine reservation.
      */
-    void init(ShardMem *mem, bool keep_verifies,
-              std::size_t initial_buckets, std::uint32_t max_entries);
+    void init(ShardMem *mem, bool keep_hashes,
+              std::size_t initial_buckets, std::uint32_t max_entries,
+              EntryHash entry_hash = {});
+
+    /** The bucket linking entry @p off of probe hash @p hash in a
+     * table of mask @p mask (see the file comment). */
+    static constexpr std::uint32_t
+    bucketFor(std::uint64_t hash, std::uint32_t off, std::uint64_t mask)
+    {
+        return static_cast<std::uint32_t>(hash & ~mask) | (off + 1);
+    }
+    /** Entry offset + 1 that @p bucket links to; 0 when empty. */
+    static constexpr std::uint32_t
+    linkOf(std::uint32_t bucket, std::uint64_t mask)
+    {
+        return static_cast<std::uint32_t>(bucket & mask);
+    }
+    /** Whether @p bucket's tag agrees with probe hash @p hash. */
+    static constexpr bool
+    tagMatches(std::uint32_t bucket, std::uint64_t hash,
+               std::uint64_t mask)
+    {
+        return ((bucket ^ hash) & ~mask & 0xffffffffu) == 0;
+    }
 
     std::uint32_t count() const { return count_; }
     std::uint64_t mask() const { return mask_; }
@@ -66,9 +107,11 @@ class ShardColumns
     {
         return buckets_[slot];
     }
-    void setBucket(std::uint64_t slot, std::uint32_t v)
+    /** Link entry @p off (probe hash @p hash) from empty @p slot. */
+    void link(std::uint64_t slot, std::uint64_t hash, std::uint32_t off)
     {
-        buckets_[slot] = v;
+        assert(off < mask_ && "growth at 3/4 load keeps links <= mask");
+        buckets_[slot] = bucketFor(hash, off, mask_);
     }
 
     /** Start loading the home bucket of @p hash. */
@@ -76,18 +119,21 @@ class ShardColumns
     {
         __builtin_prefetch(&buckets_[hash & mask_]);
     }
-    /** Start loading the identity columns of entry @p off. */
+    /** Start loading the identity columns of entry @p off, if kept. */
     void prefetchEntry(std::uint32_t off) const
     {
-        __builtin_prefetch(&hashes_[off]);
-        if (keepVerifies_)
+        if (keepHashes_) {
+            __builtin_prefetch(&hashes_[off]);
             __builtin_prefetch(&verifies_[off]);
+        }
     }
 
+    /** Stored probe hash; only where init kept hashes. */
     std::uint64_t hashAt(std::uint32_t off) const
     {
         return hashes_[off];
     }
+    /** Stored fingerprint; only where init kept hashes. */
     std::uint64_t verifyAt(std::uint32_t off) const
     {
         return verifies_[off];
@@ -135,7 +181,8 @@ class ShardColumns
     /**
      * Append one entry's column values (not the bucket link — the
      * façade writes that after the arena append succeeds, so a thrown
-     * arena-full error cannot publish a half-made entry).
+     * arena-full error cannot publish a half-made entry).  @p hash
+     * and @p verify are stored only where init kept hashes.
      * @return the new entry's offset.
      */
     std::uint32_t append(std::uint64_t hash, std::uint64_t verify,
@@ -150,6 +197,7 @@ class ShardColumns
     void growColumns(std::size_t need);
 
     ShardMem *mem_ = nullptr;
+    EntryHash entryHash_;
     std::uint64_t *hashes_ = nullptr;
     std::uint64_t *verifies_ = nullptr;
     std::uint32_t *parents_ = nullptr;
@@ -162,7 +210,7 @@ class ShardColumns
     std::uint32_t count_ = 0;
     std::size_t entryCap_ = 0;
     std::uint64_t collisions_ = 0;
-    bool keepVerifies_ = false;
+    bool keepHashes_ = false;
 };
 
 } // namespace cxl

@@ -68,8 +68,8 @@ class ShardMem
   public:
     /** Flat-region slots a shard uses (one growable array each). */
     enum FlatId : unsigned {
-        kFlatHashes = 0,
-        kFlatVerifies,
+        kFlatHashes = 0, ///< grown only by stores that release cells
+        kFlatVerifies,   ///< likewise
         kFlatParents,
         kFlatRules,
         kFlatBuckets,

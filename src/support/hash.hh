@@ -6,9 +6,11 @@
  * 64-bit hashes:
  *
  *  - hashBytes(): the *probe* hash.  The sharded state store routes
- *    on its top bits and open-addresses on its low bits, and (since
- *    the hash-compaction work) stores it per entry so shard growth
- *    rehashes from eight bytes instead of re-reading state bytes.
+ *    on its top bits, open-addresses on its low bits and keeps bits
+ *    up to 31 as a tag in each bucket.  A store that releases state
+ *    bytes also stores the full hash per entry, so shard growth
+ *    rehashes from eight bytes; a store that keeps every state
+ *    recomputes it from the stored state instead.
  *  - fingerprintBytes(): the *verification* fingerprint.  In
  *    hash-compaction mode the store keeps this value instead of the
  *    state bytes; it is computed with different multipliers and a

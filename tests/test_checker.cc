@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
 
@@ -81,45 +84,114 @@ TEST(StateStore, PackedIdsRoundTripAcrossShards)
     EXPECT_EQ(store.size(), 64u);
 }
 
+/** A distinct state per index below 2^24. */
+SystemState
+growthState(int i)
+{
+    SystemState s;
+    s.counter = static_cast<std::uint8_t>(i & 0xff);
+    s.dev[0].val = static_cast<Val>((i >> 8) & 0xff);
+    s.dev[1].val = static_cast<Val>(i >> 16);
+    return s;
+}
+
+/** The first @p n growthStates whose real probe hash has a zero top
+ * nibble, so all of them route to shard 0 without a forged hash. */
+std::vector<SystemState>
+shardZeroStates(int n)
+{
+    std::vector<SystemState> states;
+    for (int i = 0; static_cast<int>(states.size()) < n; ++i) {
+        const SystemState s = growthState(i);
+        if (s.hash() >> 60 == 0)
+            states.push_back(s);
+    }
+    return states;
+}
+
 TEST(StateStore, GrowShardRehashesAcrossManyDoublings)
 {
     // Regression for the resize path: force every insert onto one
-    // shard (forged probe hashes with a fixed top nibble) and push it
-    // through many bucket-array doublings.  After the rehashes every
-    // entry must still be found by a duplicate probe, including the
-    // forged-hash entries whose slots moved each time.
+    // shard (top nibble zero) and push it through many bucket-array
+    // doublings.  After the rehashes every entry must still be found
+    // by a duplicate probe, whose slot moved each time.  The compact
+    // store keeps the probe hash, so it takes forged ones; the full
+    // store recomputes hashes from its cells, so it takes states whose
+    // real hash routes them to shard 0.
+    const int n = 50000; // 16 -> 65536+ buckets on the one shard
+    const std::vector<SystemState> real = shardZeroStates(n);
     for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
         StateStore store(16, mode);
-        const int n = 50000; // 16 -> 65536+ buckets on the one shard
-        auto forged = [](int i) {
-            // Top nibble zero routes everything to shard 0; the rest
-            // spreads probes over the bucket range.
-            return mix64(static_cast<std::uint64_t>(i)) >> 4;
+        const bool forge = mode == StoreMode::Compact;
+        auto stateOf = [&](int i) {
+            return forge ? growthState(i) : real[i];
+        };
+        auto hashOf = [&](int i) {
+            // Forged: the rest spreads probes over the bucket range.
+            return forge ? mix64(static_cast<std::uint64_t>(i)) >> 4
+                         : real[i].hash();
         };
         for (int i = 0; i < n; ++i) {
-            SystemState s;
-            s.counter = static_cast<std::uint8_t>(i & 0xff);
-            s.dev[0].val = static_cast<Val>((i >> 8) & 0xff);
-            s.dev[1].val = static_cast<Val>(i >> 16);
             auto [idx, is_new] = store.insert(
-                s, forged(i), StateStore::kNoParent, 0, 0);
+                stateOf(i), hashOf(i), StateStore::kNoParent, 0, 0);
             ASSERT_TRUE(is_new) << i;
             ASSERT_EQ(StateStore::shardOf(idx), 0u) << i;
         }
         EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
         for (int i = 0; i < n; i += 97) {
-            SystemState s;
-            s.counter = static_cast<std::uint8_t>(i & 0xff);
-            s.dev[0].val = static_cast<Val>((i >> 8) & 0xff);
-            s.dev[1].val = static_cast<Val>(i >> 16);
             auto [idx, is_new] = store.insert(
-                s, forged(i), StateStore::kNoParent, 0, 0);
+                stateOf(i), hashOf(i), StateStore::kNoParent, 0, 0);
             (void)idx;
             EXPECT_FALSE(is_new)
                 << "entry " << i << " lost in a rehash";
         }
         EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
+        EXPECT_EQ(store.probeCollisions(), 0u);
     }
+}
+
+TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
+{
+    // The full store keeps no probe-hash column: every growth
+    // recomputes each entry's hash from its cell.  One shard from 16
+    // buckets to 2^17 is 13 doublings; afterwards every entry is
+    // found by find() and by a duplicate insert, at its own id.
+    const int n = 50000;
+    const std::vector<SystemState> states = shardZeroStates(n);
+    StateStore store(16 * StateStore::kNumShards, StoreMode::Full);
+    std::vector<std::uint32_t> ids;
+    for (const SystemState &s : states) {
+        auto [id, fresh] = store.insert(s, StateStore::kNoParent, 0, 0);
+        ASSERT_TRUE(fresh);
+        ASSERT_EQ(StateStore::shardOf(id), 0u);
+        ids.push_back(id);
+    }
+    for (int i = 0; i < n; ++i) {
+        const std::optional<std::uint32_t> found = store.find(states[i]);
+        ASSERT_TRUE(found.has_value()) << i;
+        EXPECT_EQ(*found, ids[i]) << i;
+        auto [id, fresh] =
+            store.insert(states[i], StateStore::kNoParent, 0, 0);
+        EXPECT_FALSE(fresh) << i;
+        EXPECT_EQ(id, ids[i]) << i;
+    }
+    EXPECT_FALSE(store.find(growthState(1 << 23)).has_value());
+    EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(store.probeCollisions(), 0u);
+}
+
+TEST(StateStoreDeathTest, FullStoreRejectsAForgedProbeHash)
+{
+    // A store that keeps every cell rehashes from the cells, so a
+    // probe hash other than state.hash() would strand the entry at
+    // the next growth: debug builds assert on it.
+    const SystemState s = initialAllInvalid();
+    EXPECT_DEBUG_DEATH(
+        {
+            StateStore store(1 << 10, StoreMode::Full);
+            store.insert(s, s.hash() ^ 1, StateStore::kNoParent, 0, 0);
+        },
+        "state.hash\\(\\)");
 }
 
 TEST(StateStore, BatchInsertMatchesSequentialInserts)

@@ -169,8 +169,10 @@ TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
     // Two distinct states forged onto the same 64-bit probe hash:
     // probe-hash-only compaction would merge them silently.  The
     // identity check — the cells' slices while they are in memory —
-    // must keep them apart and count the near-miss, in both storage
-    // modes.
+    // must keep them apart and count the near-miss.  Only the compact
+    // store keeps the probe hash it is given; the full store
+    // recomputes hashes from its cells, so it gets the real ones: the
+    // pair stays distinct there too, with no collision to count.
     SystemState a = initialAllInvalid();
     SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);
@@ -178,24 +180,31 @@ TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
     const std::uint64_t forged = 0x1234567890abcdefull;
 
     for (StoreMode mode : {StoreMode::Compact, StoreMode::Full}) {
+        const bool forge = mode == StoreMode::Compact;
+        const std::uint64_t ha = forge ? forged : a.hash();
+        const std::uint64_t hb = forge ? forged : b.hash();
         StateStore store(1 << 10, mode);
         auto [ia, new_a] =
-            store.insert(a, forged, StateStore::kNoParent, 0, 0);
+            store.insert(a, ha, StateStore::kNoParent, 0, 0);
         auto [ib, new_b] =
-            store.insert(b, forged, StateStore::kNoParent, 0, 0);
+            store.insert(b, hb, StateStore::kNoParent, 0, 0);
         EXPECT_TRUE(new_a);
         EXPECT_TRUE(new_b) << "collision silently merged states";
         EXPECT_NE(ia, ib);
         EXPECT_EQ(store.size(), 2u);
-        EXPECT_GE(store.probeCollisions(), 1u)
-            << "collision not reported";
+        if (forge) {
+            EXPECT_GE(store.probeCollisions(), 1u)
+                << "collision not reported";
+        } else {
+            EXPECT_EQ(store.probeCollisions(), 0u);
+        }
 
         // Re-probing either state finds its own entry, not the
         // other's.
         auto [ia2, dup_a] =
-            store.insert(a, forged, StateStore::kNoParent, 0, 0);
+            store.insert(a, ha, StateStore::kNoParent, 0, 0);
         auto [ib2, dup_b] =
-            store.insert(b, forged, StateStore::kNoParent, 0, 0);
+            store.insert(b, hb, StateStore::kNoParent, 0, 0);
         EXPECT_FALSE(dup_a);
         EXPECT_FALSE(dup_b);
         EXPECT_EQ(ia2, ia);
@@ -339,7 +348,10 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
     // Two states that differ only in the last active byte — the last
     // device's pc — share their host slice and all but the last device
     // slice.  Under a forged probe-hash collision they must stay
-    // distinct, counted as one in probeCollisions().
+    // distinct, counted as one in probeCollisions().  Forging needs a
+    // store that keeps the probe hash (compact); the full store, which
+    // recomputes hashes from its cells, gets the real ones and must
+    // keep the pair apart with nothing to count.
     const std::uint64_t forged = 0x0123456789abcdefull;
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         SystemState a = initialAllInvalid(0, ndev);
@@ -348,17 +360,22 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
         b.dev[ndev - 1].pc = 2;
         ASSERT_FALSE(a == b);
 
-        StateStore store(1 << 10, StoreMode::Full);
-        const auto [ia, new_a] =
-            store.insert(a, forged, StateStore::kNoParent, 0, 0);
-        const auto [ib, new_b] =
-            store.insert(b, forged, StateStore::kNoParent, 0, 0);
-        EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
-        EXPECT_NE(ia, ib);
-        EXPECT_EQ(store.probeCollisions(), 1u) << ndev;
-        SystemState decoded;
-        store.stateInto(ib, decoded);
-        EXPECT_EQ(decoded.dev[ndev - 1].pc, 2) << ndev;
+        for (StoreMode mode : {StoreMode::Compact, StoreMode::Full}) {
+            const bool forge = mode == StoreMode::Compact;
+            StateStore store(1 << 10, mode);
+            const auto [ia, new_a] = store.insert(
+                a, forge ? forged : a.hash(), StateStore::kNoParent, 0,
+                0);
+            const auto [ib, new_b] = store.insert(
+                b, forge ? forged : b.hash(), StateStore::kNoParent, 0,
+                0);
+            EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
+            EXPECT_NE(ia, ib);
+            EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << ndev;
+            SystemState decoded;
+            store.stateInto(ib, decoded);
+            EXPECT_EQ(decoded.dev[ndev - 1].pc, 2) << ndev;
+        }
     }
 }
 

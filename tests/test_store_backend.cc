@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -101,12 +102,23 @@ probeState(int i)
     return s;
 }
 
-/** Forged probe hash that routes every index to shard 0, so one
- * shard accumulates enough entries to fill and drop arena blocks. */
-std::uint64_t
-shardZeroHash(int i)
+/** The first 40,000 probeStates whose real probe hash has a zero top
+ * nibble, so one shard accumulates enough entries to fill and drop
+ * arena blocks — on any kind, ram included, which recomputes hashes
+ * from its cells and so takes no forged one. */
+const std::vector<SystemState> &
+shardZeroStates()
 {
-    return mix64(static_cast<std::uint64_t>(i)) >> 4;
+    static const std::vector<SystemState> states = [] {
+        std::vector<SystemState> out;
+        for (int i = 0; out.size() < 40000; ++i) {
+            SystemState s = probeState(i);
+            if (s.hash() >> 60 == 0)
+                out.push_back(s);
+        }
+        return out;
+    }();
+    return states;
 }
 
 TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
@@ -198,15 +210,13 @@ TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
 {
     // Enough shard-0 entries that whole arena blocks (2^18 bytes of
     // cells) fall below two seal boundaries.
-    const int n = 40000;
+    const std::vector<SystemState> &states = shardZeroStates();
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
         std::vector<std::uint32_t> ids;
-        for (int i = 0; i < n; ++i) {
-            ids.push_back(store
-                              .insert(probeState(i), shardZeroHash(i),
-                                      StateStore::kNoParent, 0, 0)
-                              .first);
+        for (const SystemState &s : states) {
+            ids.push_back(
+                store.insert(s, StateStore::kNoParent, 0, 0).first);
         }
         store.sealLevel();
         store.sealLevel();
@@ -218,34 +228,29 @@ TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
         // MmapKindsReportAndReleaseMappedBytes.)
         SystemState decoded;
         store.stateInto(ids.back(), decoded);
-        EXPECT_TRUE(decoded == probeState(n - 1)) << k.name;
+        EXPECT_TRUE(decoded == states.back()) << k.name;
         if (k.kind == StoreKind::InRam) {
             store.stateInto(ids.front(), decoded);
-            EXPECT_TRUE(decoded == probeState(0)) << k.name;
+            EXPECT_TRUE(decoded == states.front()) << k.name;
         }
 
         // Deduplication survives sealing on every kind (fingerprint
         // identity where the bytes are released).
-        auto [id, fresh] = store.insert(
-            probeState(0), shardZeroHash(0), StateStore::kNoParent,
-            0, 0);
+        auto [id, fresh] =
+            store.insert(states.front(), StateStore::kNoParent, 0, 0);
         EXPECT_FALSE(fresh) << k.name;
         EXPECT_EQ(id, ids.front()) << k.name;
-        EXPECT_EQ(store.size(), static_cast<std::size_t>(n))
-            << k.name;
+        EXPECT_EQ(store.size(), states.size()) << k.name;
     }
 }
 
 #if defined(__linux__)
 TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
 {
-    const int n = 40000;
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
-        for (int i = 0; i < n; ++i) {
-            store.insert(probeState(i), shardZeroHash(i),
-                         StateStore::kNoParent, 0, 0);
-        }
+        for (const SystemState &s : shardZeroStates())
+            store.insert(s, StateStore::kNoParent, 0, 0);
         if (!storeKindMmap(k.kind)) {
             EXPECT_EQ(store.mappedBytes(), 0u) << k.name;
             EXPECT_EQ(store.backingFileBytes(), 0u) << k.name;
@@ -269,15 +274,12 @@ TEST(StoreBackend, DroppedBlocksLeaveTheMemfd)
     // Without a store directory the mmap kinds back their arenas with
     // memfd, whose pages stay in RAM after munmap; a dropped block is
     // punched out of the file, so its allocated bytes must fall.
-    const int n = 40000;
     for (const Kind &k : kKinds) {
         if (!storeKindMmap(k.kind))
             continue;
         StateStore store(configOf(k));
-        for (int i = 0; i < n; ++i) {
-            store.insert(probeState(i), shardZeroHash(i),
-                         StateStore::kNoParent, 0, 0);
-        }
+        for (const SystemState &s : shardZeroStates())
+            store.insert(s, StateStore::kNoParent, 0, 0);
         const std::uint64_t before = detail::memfdBytes();
         ASSERT_GT(before, 0u) << k.name << ": no memfd backing";
         store.sealLevel();
@@ -464,33 +466,209 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
 
 TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
 {
+    // The compact kinds store the probe hash they are given, so a
+    // forged shared hash makes a detected collision.  ram recomputes
+    // hashes from its cells and takes only real ones: the same pair
+    // must stay distinct there, with no collision to count.
     SystemState a = initialAllInvalid();
     SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);
     const std::uint64_t forged = 0x1234567890abcdefull;
     for (const Kind &k : kKinds) {
+        const bool forge = storeKindCompact(k.kind);
+        const std::uint64_t ha = forge ? forged : a.hash();
+        const std::uint64_t hb = forge ? forged : b.hash();
         StateStore store(configOf(k));
         auto [ia, new_a] =
-            store.insert(a, forged, StateStore::kNoParent, 0, 0);
+            store.insert(a, ha, StateStore::kNoParent, 0, 0);
         auto [ib, new_b] =
-            store.insert(b, forged, StateStore::kNoParent, 0, 0);
+            store.insert(b, hb, StateStore::kNoParent, 0, 0);
         EXPECT_TRUE(new_a) << k.name;
         EXPECT_TRUE(new_b) << k.name << ": silently merged";
         EXPECT_NE(ia, ib) << k.name;
-        EXPECT_GE(store.probeCollisions(), 1u) << k.name;
+        if (forge)
+            EXPECT_GE(store.probeCollisions(), 1u) << k.name;
+        else
+            EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
         // The collision survives a seal: released-entry identity falls
         // back to the verification fingerprint, which still tells
         // the two states apart.
         store.sealLevel();
         store.sealLevel();
         auto [ia2, dup_a] =
-            store.insert(a, forged, StateStore::kNoParent, 0, 0);
+            store.insert(a, ha, StateStore::kNoParent, 0, 0);
         auto [ib2, dup_b] =
-            store.insert(b, forged, StateStore::kNoParent, 0, 0);
+            store.insert(b, hb, StateStore::kNoParent, 0, 0);
         EXPECT_FALSE(dup_a) << k.name;
         EXPECT_FALSE(dup_b) << k.name;
         EXPECT_EQ(ia2, ia) << k.name;
         EXPECT_EQ(ib2, ib) << k.name;
+    }
+}
+
+TEST(StoreBackend, BucketTagAndLinkRoundTrip)
+{
+    // A bucket is tag | link: link = offset + 1 in the low
+    // log2(capacity) bits, tag = the probe hash's bits above them up
+    // to bit 31.  Checked at the smallest table and at the largest a
+    // shard needs (2^28 - 1 entries at 3/4 load), links up to the
+    // per-shard limit.
+    const std::uint64_t hashes[] = {0, ~0ull, 0x0123456789abcdefull,
+                                    mix64(1), mix64(2)};
+    for (const std::uint64_t mask : {std::uint64_t{15},
+                                      (std::uint64_t{1} << 29) - 1}) {
+        const std::uint32_t max_off = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(mask - 1, StateStore::kOffsetMask - 1));
+        for (const std::uint64_t h : hashes) {
+            for (const std::uint32_t off : {0u, 1u, 7u, max_off}) {
+                const std::uint32_t b =
+                    ShardColumns::bucketFor(h, off, mask);
+                EXPECT_NE(b, 0u);
+                EXPECT_EQ(ShardColumns::linkOf(b, mask), off + 1)
+                    << mask << " " << h << " " << off;
+                EXPECT_TRUE(ShardColumns::tagMatches(b, h, mask));
+                // Bits the tag does not hold never decide a match.
+                EXPECT_TRUE(ShardColumns::tagMatches(
+                    b, h ^ mask ^ (~0ull << 32), mask));
+                // Every tag bit does.
+                for (std::uint64_t bit = mask + 1; bit >> 32 == 0;
+                     bit <<= 1) {
+                    EXPECT_FALSE(ShardColumns::tagMatches(b, h ^ bit, mask))
+                        << mask << " bit " << bit;
+                }
+            }
+        }
+    }
+    // The per-shard limit itself is a valid link at the largest mask.
+    const std::uint64_t big = (std::uint64_t{1} << 29) - 1;
+    EXPECT_EQ(ShardColumns::linkOf(
+                  ShardColumns::bucketFor(~0ull, StateStore::kOffsetMask - 1,
+                                          big),
+                  big),
+              StateStore::kOffsetMask);
+}
+
+TEST(StoreBackend, TagOnlyMatchIsNotACollision)
+{
+    // Two states whose real probe hashes share the shard nibble and
+    // the low 32 bits but differ above: in a 16-bucket shard the
+    // second probes the first's home bucket and its tag matches.  ram
+    // then reads the 64-bit hash off the cell, ram-compact off its
+    // column; on both the pair stays distinct and no collision is
+    // counted, because the full probe hashes differ.
+    constexpr std::uint64_t kKey = 0xf0000000ffffffffull;
+    std::vector<std::pair<std::uint64_t, int>> keyed;
+    const int scan = 1 << 20;
+    keyed.reserve(scan);
+    for (int i = 0; i < scan; ++i)
+        keyed.emplace_back(probeState(i).hash() & kKey, i);
+    std::sort(keyed.begin(), keyed.end());
+    int ia = -1, ib = -1;
+    for (std::size_t j = 1; j < keyed.size() && ia < 0; ++j) {
+        if (keyed[j].first == keyed[j - 1].first &&
+            probeState(keyed[j].second).hash() !=
+                probeState(keyed[j - 1].second).hash()) {
+            ia = keyed[j - 1].second;
+            ib = keyed[j].second;
+        }
+    }
+    ASSERT_GE(ia, 0) << "no tag-sharing pair among " << scan;
+    const SystemState a = probeState(ia);
+    const SystemState b = probeState(ib);
+    for (const Kind &k : kKinds) {
+        StoreConfig config = configOf(k);
+        config.initialBuckets = 16 * StateStore::kNumShards;
+        StateStore store(config);
+        const auto [id_a, new_a] =
+            store.insert(a, StateStore::kNoParent, 0, 0);
+        const auto [id_b, new_b] =
+            store.insert(b, StateStore::kNoParent, 0, 0);
+        EXPECT_TRUE(new_a && new_b) << k.name << ": silently merged";
+        EXPECT_NE(id_a, id_b) << k.name;
+        EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
+        EXPECT_EQ(store.find(a), id_a) << k.name;
+        EXPECT_EQ(store.find(b), id_b) << k.name;
+    }
+}
+
+/** An InRam ShardMem that records which flats were ever grown. */
+class RecordingShardMem : public ShardMem
+{
+  public:
+    void *
+    flatGrow(unsigned id, std::size_t bytes) override
+    {
+        grown[id] = true;
+        return inner_->flatGrow(id, bytes);
+    }
+    void *chunkAlloc(std::size_t bytes) override
+    {
+        return inner_->chunkAlloc(bytes);
+    }
+    void *
+    blockAlloc(std::uint32_t index, std::size_t bytes) override
+    {
+        return inner_->blockAlloc(index, bytes);
+    }
+    void blockDrop(std::uint32_t index) override
+    {
+        inner_->blockDrop(index);
+    }
+
+    bool grown[kFlatCount] = {};
+
+  private:
+    std::unique_ptr<ShardMem> inner_ =
+        makeShardMem(StoreBackend::InRam, "");
+};
+
+TEST(StoreBackend, HashColumnsExistOnlyWhereCellsAreReleased)
+{
+    // Columns that keep no hashes map neither the probe-hash nor the
+    // fingerprint flat, and rehash through EntryHash; columns that
+    // keep them map both and rehash from the stored hashes.  Either
+    // way every entry is found again after the growths.
+    auto hashOf = [](std::uint32_t off) { return mix64(off); };
+    const std::uint32_t n = 5000; // 16 -> 8192 buckets
+    for (const bool keep : {false, true}) {
+        RecordingShardMem mem;
+        ShardColumns cols;
+        std::uint64_t rehashed = 0;
+        cols.init(&mem, keep, 16, StateStore::kOffsetMask,
+                  [&](std::uint32_t off) {
+                      ++rehashed;
+                      return hashOf(off);
+                  });
+        for (std::uint32_t i = 0; i < n; ++i) {
+            cols.maybeGrow();
+            std::uint64_t slot = hashOf(i) & cols.mask();
+            while (cols.bucketAt(slot) != 0)
+                slot = (slot + 1) & cols.mask();
+            const std::uint32_t off = cols.append(
+                hashOf(i), ~hashOf(i), StateStore::kNoParent, 0, 1);
+            ASSERT_EQ(off, i);
+            cols.link(slot, hashOf(i), off);
+        }
+        EXPECT_EQ(mem.grown[ShardMem::kFlatHashes], keep) << keep;
+        EXPECT_EQ(mem.grown[ShardMem::kFlatVerifies], keep) << keep;
+        EXPECT_TRUE(mem.grown[ShardMem::kFlatParents]);
+        EXPECT_TRUE(mem.grown[ShardMem::kFlatBuckets]);
+        EXPECT_EQ(rehashed > 0, !keep) << keep;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            std::uint64_t slot = hashOf(i) & cols.mask();
+            for (;; slot = (slot + 1) & cols.mask()) {
+                const std::uint32_t b = cols.bucketAt(slot);
+                ASSERT_NE(b, 0u) << keep << " lost entry " << i;
+                if (ShardColumns::linkOf(b, cols.mask()) == i + 1)
+                    break;
+            }
+            EXPECT_TRUE(ShardColumns::tagMatches(cols.bucketAt(slot),
+                                                 hashOf(i), cols.mask()));
+            if (keep) {
+                EXPECT_EQ(cols.hashAt(i), hashOf(i));
+                EXPECT_EQ(cols.verifyAt(i), ~hashOf(i));
+            }
+        }
     }
 }
 
