@@ -230,6 +230,40 @@ BENCHMARK(BM_StoreGrowthRehash)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_StoreDuplicateProbe(benchmark::State &state)
+{
+    // Re-insert every state of a filled ram store in 256-item
+    // batches, as an explorer flush does: each item is a duplicate, so
+    // the time is the probe plus the identity compare of the stored
+    // cell's slices against the state's bytes.  The argument is the
+    // device count; probe_s is the time per duplicate.
+    const int ndev = static_cast<int>(state.range(0));
+    constexpr std::size_t kStates = 1 << 16;
+    constexpr std::size_t kBatch = 256;
+    std::vector<StateStore::BatchItem> items(kStates);
+    for (std::size_t i = 0; i < kStates; ++i) {
+        SystemState s = initialAllInvalid(0, ndev);
+        s.counter = static_cast<std::uint8_t>(i & 0xff);
+        for (int d = 0; d < ndev; ++d)
+            s.dev[d].pc = static_cast<std::uint8_t>((i >> (8 + 3 * d)) & 7);
+        items[i].state = s;
+        items[i].hash = s.hash();
+    }
+    StateStore store(kStates);
+    store.insertBatch(items.data(), kStates);
+    for (auto _ : state) {
+        for (std::size_t at = 0; at < kStates; at += kBatch)
+            store.insertBatch(&items[at], kBatch);
+        benchmark::DoNotOptimize(store.size());
+    }
+    state.SetItemsProcessed(state.iterations() * kStates);
+    state.counters["probe_s"] = benchmark::Counter(
+        kStates, benchmark::Counter::kIsIterationInvariantRate |
+                     benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StoreDuplicateProbe)->Arg(3)->Arg(4);
+
+void
 BM_ExhaustiveSwmrVerification(benchmark::State &state)
 {
     // End-to-end Theorem 6.2 through the session façade: the full

@@ -105,6 +105,15 @@ CheckResult::verdictText() const
 }
 
 std::string
+storePhrase(StoreKind store, const std::string &dir)
+{
+    const std::string medium = !storeKindMmap(store) ? "anonymous memory"
+                               : dir.empty()         ? "memfd"
+                                                     : "files under " + dir;
+    return std::string(storeKindWord(store)) + " store (" + medium + ")";
+}
+
+std::string
 CheckResult::renderText(bool withTrace) const
 {
     std::string out;
@@ -118,14 +127,11 @@ CheckResult::renderText(bool withTrace) const
     // The store medium is text-only: a directory of any length is
     // appended, not formatted into the fixed line buffer.
     std::snprintf(line, sizeof(line),
-                  "engine: %zu thread(s), symmetry %s, %s store (",
-                  threads, symmetryReduction ? "on" : "off",
-                  storeKindWord(store));
+                  "engine: %zu thread(s), symmetry %s, ", threads,
+                  symmetryReduction ? "on" : "off");
     out += line;
-    out += !storeKindMmap(store) ? std::string("anonymous memory")
-           : storeDir.empty()    ? std::string("memfd")
-                                 : "files under " + storeDir;
-    std::snprintf(line, sizeof(line), "), por %s, %s schedule\n",
+    out += storePhrase(store, storeDir);
+    std::snprintf(line, sizeof(line), ", por %s, %s schedule\n",
                   por ? "on" : "off",
                   schedule == Schedule::WorkSteal ? "work-stealing"
                                                   : "bfs");

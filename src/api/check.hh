@@ -286,6 +286,11 @@ struct CheckResult {
     std::string renderJson(bool deterministic = false) const;
 };
 
+/** The store phrase of renderText()'s engine line: the kind and where
+ * its memory lives, e.g. "mmap store (files under DIR)" for @p store
+ * backed by directory @p dir. */
+std::string storePhrase(StoreKind store, const std::string &dir);
+
 /** One obligation-matrix request (paper Fig. 1 / Section 7). */
 struct ObligationRequest {
     int devices = kDefaultNumDevices;

@@ -170,12 +170,12 @@ StateStore::holds(const Shard &shard, std::uint32_t off,
     const std::uint32_t *cell = shard.arena.cellIfMapped(off);
     if (!cell)
         return shard.cols.verifyAt(off) == verify;
-    // The host slice holds ndev, so a cell that gets past it has one
+    // The lead slice holds ndev, so a cell that gets past it has one
     // id per device of the candidate.
-    if (std::memcmp(hosts_.at(cell[0]), &state, kHostBytes) != 0)
+    if (std::memcmp(leads_.at(cell[0]), &state, kLeadBytes) != 0)
         return false;
-    for (std::uint32_t d = 0; d < state.ndev; ++d) {
-        if (std::memcmp(devices_.at(cell[1 + d]), &state.dev[d],
+    for (std::uint32_t d = 1; d < state.ndev; ++d) {
+        if (std::memcmp(devices_.at(cell[d]), &state.dev[d],
                         sizeof(DeviceState)) != 0)
             return false;
     }
@@ -202,18 +202,17 @@ StateStore::match(const Shard &shard, std::uint32_t off,
 std::uint64_t
 StateStore::cellHash(const Shard &shard, std::uint32_t off) const
 {
-    // hash() covers the active prefix: the host slice, then one
-    // device slice per device, back to back (SystemState is
+    // hash() covers the active prefix: the lead slice, then one
+    // device slice per further device, back to back (SystemState is
     // padding-free).
     const std::uint32_t *cell = shard.arena.cellIfMapped(off);
     assert(cell && "only a store that keeps every cell rehashes cells");
-    const std::uint32_t ndev =
-        cellWidth_.load(std::memory_order_relaxed) - 1;
+    const std::uint32_t ndev = ndev_.load(std::memory_order_relaxed);
     std::byte bytes[sizeof(SystemState)];
-    std::memcpy(bytes, hosts_.at(cell[0]), kHostBytes);
-    for (std::uint32_t d = 0; d < ndev; ++d) {
+    std::memcpy(bytes, leads_.at(cell[0]), kLeadBytes);
+    for (std::uint32_t d = 1; d < ndev; ++d) {
         std::memcpy(bytes + kHostBytes + d * sizeof(DeviceState),
-                    devices_.at(cell[1 + d]), sizeof(DeviceState));
+                    devices_.at(cell[d]), sizeof(DeviceState));
     }
     return hashBytes(bytes, kHostBytes + ndev * sizeof(DeviceState));
 }
@@ -221,22 +220,22 @@ StateStore::cellHash(const Shard &shard, std::uint32_t off) const
 std::uint32_t
 StateStore::internSlices(const SystemState &state, std::uint32_t *ids)
 {
-    const std::uint32_t width = 1u + state.ndev;
-    std::uint32_t fixed = cellWidth_.load(std::memory_order_relaxed);
-    if (fixed == 0 && width <= 1 + kMaxDevices &&
-        cellWidth_.compare_exchange_strong(fixed, width,
-                                           std::memory_order_relaxed))
-        fixed = width;
-    if (fixed != width) {
+    const std::uint32_t ndev = state.ndev;
+    std::uint32_t fixed = ndev_.load(std::memory_order_relaxed);
+    if (fixed == 0 && ndev >= 1 && ndev <= kMaxDevices &&
+        ndev_.compare_exchange_strong(fixed, ndev,
+                                      std::memory_order_relaxed))
+        fixed = ndev;
+    if (fixed != ndev) {
         throw std::logic_error(
-            "StateStore: cannot store a " + std::to_string(state.ndev) +
-            "-device state in cells of " + std::to_string(fixed) +
-            " slice ids (one store holds one device count)");
+            "StateStore: cannot store a " + std::to_string(ndev) +
+            "-device state in a store of " + std::to_string(fixed) +
+            "-device states (one store holds one device count)");
     }
-    ids[0] = hosts_.intern(&state);
-    for (std::uint32_t d = 0; d < state.ndev; ++d)
-        ids[1 + d] = devices_.intern(&state.dev[d]);
-    return width;
+    ids[0] = leads_.intern(&state);
+    for (std::uint32_t d = 1; d < ndev; ++d)
+        ids[d] = devices_.intern(&state.dev[d]);
+    return ndev;
 }
 
 void
@@ -245,11 +244,11 @@ StateStore::stateInto(std::uint32_t id, SystemState &out) const
     const std::uint32_t *cell =
         shards_[shardOf(id)].arena.cellIfMapped(id & kOffsetMask);
     assert(cell && "state released by sealLevel");
-    std::memcpy(static_cast<void *>(&out), hosts_.at(cell[0]),
-                kHostBytes);
-    for (std::uint32_t d = 0; d < out.ndev; ++d) {
+    std::memcpy(static_cast<void *>(&out), leads_.at(cell[0]),
+                kLeadBytes);
+    for (std::uint32_t d = 1; d < out.ndev; ++d) {
         std::memcpy(static_cast<void *>(&out.dev[d]),
-                    devices_.at(cell[1 + d]), sizeof(DeviceState));
+                    devices_.at(cell[d]), sizeof(DeviceState));
     }
     // Inactive device slots are default-initialised (all zero bytes).
     std::memset(static_cast<void *>(&out.dev[out.ndev]), 0,
@@ -342,7 +341,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 "levels out of core)");
     }
 
-    std::uint32_t ids[1 + kMaxDevices];
+    std::uint32_t ids[kMaxDevices];
     const std::uint32_t width = internSlices(state, ids);
     const std::uint32_t off =
         cols.append(hash, verify, parent, rule_id, depth);

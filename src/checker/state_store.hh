@@ -17,14 +17,14 @@
  *    hash's tag bits above the entry link.  Shard growth rehashes
  *    from the stored probe hashes where cells are released, and
  *    from the cells themselves where every cell is kept.
- *  - StateArena (store_arena.hh): the states, as cells of ndev + 1
- *    u32 slice ids — the host slice (the record's first 5 bytes) and
- *    one 59-byte DeviceState slice per device, each interned in one
- *    store-wide SliceTable per slice kind — in index-addressed
- *    blocks, with the sealLevel() block-release machinery.  Both
- *    modes use this one format.  The slice tables are on the heap
- *    under every backend and grow with the distinct slices, not the
- *    states.
+ *  - StateArena (store_arena.hh): the states, as cells of ndev u32
+ *    slice ids — the lead slice (the record's first 64 bytes: the
+ *    host fields and device 0) and one 59-byte DeviceState slice per
+ *    further device, each interned in one store-wide SliceTable per
+ *    slice kind — in index-addressed blocks, with the sealLevel()
+ *    block-release machinery.  Both modes use this one format.  The
+ *    slice tables are on the heap under every backend and grow with
+ *    the distinct slices, not the states.
  *  - ShardMem (store_mem.hh): where both layers get memory: one
  *    mapping per column, bucket array, depth chunk and arena block,
  *    grown by mremap and unmapped when a sealed block is dropped.
@@ -412,8 +412,11 @@ class StateStore
         bool improved;
     };
 
-    /** Bytes of a state's host slice: the fields before dev[]. */
+    /** Bytes of a state's host fields: those before dev[]. */
     static constexpr std::size_t kHostBytes = offsetof(SystemState, dev);
+    /** Bytes of a state's lead slice: the host fields and dev[0]. */
+    static constexpr std::size_t kLeadBytes =
+        kHostBytes + sizeof(DeviceState);
 
     /** What a tag-matched entry is to the candidate: another state,
      * the same one, or another state of the same 64-bit probe hash. */
@@ -434,8 +437,9 @@ class StateStore
      * active bytes rebuilt from its slices. */
     std::uint64_t cellHash(const Shard &shard, std::uint32_t off) const;
 
-    /** Intern @p state's slices into @p ids (room for 1 + kMaxDevices)
-     * and return the cell width, fixing the store's on first use.
+    /** Intern @p state's slices into @p ids (room for kMaxDevices)
+     * and return the cell width (ndev), fixing the store's device
+     * count on first use.
      * @throws std::logic_error on a state of another device count. */
     std::uint32_t internSlices(const SystemState &state,
                                std::uint32_t *ids);
@@ -448,10 +452,11 @@ class StateStore
 
     Shard shards_[kNumShards];
     /** Slice tables, shared by every shard (see store_arena.hh). */
-    SliceTable hosts_{kHostBytes};
+    SliceTable leads_{kLeadBytes};
     SliceTable devices_{sizeof(DeviceState)};
-    /** Ids per cell (1 + ndev), fixed by the first insert; 0 before. */
-    std::atomic<std::uint32_t> cellWidth_{0};
+    /** The device count of every stored state, fixed by the first
+     * insert (0 before); a cell is ndev ids. */
+    std::atomic<std::uint32_t> ndev_{0};
     std::atomic<std::uint64_t> total_{0};
     /** Whether sealLevel releases cells — compact mode, and every Mmap
      * store; exactly then entries carry a probe hash and verification

@@ -5,22 +5,29 @@
  * A state is stored as a tuple of interned slices (COLLAPSE
  * compression; Holzmann, "State Compression in SPIN", 1997).  The
  * model's state is a 5-byte host part followed by ndev identical
- * 59-byte DeviceState records (state.hh), and a run reaches only a
- * few hundred distinct host parts and a few thousand distinct device
+ * 59-byte DeviceState records (state.hh).  The host's directory
+ * fields mostly mirror the devices, so the host part rides with
+ * device 0 in one 64-byte *lead* slice — the first step of tree
+ * compression (Laarman et al., "Parallel Recursive State Compression
+ * for Free", SPIN 2011).  A run reaches only about ten thousand
+ * distinct leads (9,449 on the unreduced 3-device space, ~1,300 on
+ * the symmetric 4-device one) and a few thousand distinct device
  * records — against 860,925 states on the unreduced 3-device space.
- * So the store keeps one SliceTable per slice kind, shared by all
- * shards, and a state's cell is ndev + 1 u32 slice ids:
+ * So the store keeps one SliceTable per slice kind (leads, device
+ * records), shared by all shards, and a state's cell is ndev u32
+ * slice ids:
  *
- *   [host id] [device 0 id] ... [device ndev-1 id]
+ *   [lead id] [device 1 id] ... [device ndev-1 id]
  *
- * Both store modes use this one cell format.  The cell width is
- * fixed by a store's first insert (all states of a run share ndev),
- * so one StateArena holds a shard's cells at a fixed stride in
- * index-addressed blocks allocated from the shard's ShardMem
- * backend (store_mem.hh): entry `off` is cell `off` — no offset
- * column.  Equal ids mean equal slices, and the host slice holds
- * ndev, so dedup compares a stored cell's slices against the
- * candidate's bytes (host first) without interning anything; only a
+ * At ndev = 1 the lead is the whole state and the cell one id.  Both
+ * store modes use this one cell format.  The cell width is the
+ * device count, fixed by a store's first insert (all states of a run
+ * share ndev), so one StateArena holds a shard's cells at a fixed
+ * stride in index-addressed blocks allocated from the shard's
+ * ShardMem backend (store_mem.hh): entry `off` is cell `off` — no
+ * offset column.  Equal ids mean equal slices, and the lead slice
+ * holds ndev, so dedup compares a stored cell's slices against the
+ * candidate's bytes (lead first) without interning anything; only a
  * fresh insert interns.
  *
  * The slice tables live on the heap under every backend, `--store
@@ -247,7 +254,9 @@ class StateArena
   private:
     ShardMem *mem_ = nullptr;
     bool releaseSealed_ = false;
-    std::uint32_t width_ = 0; ///< ids per cell, fixed by the first
+    /** Ids per cell — the store's device count — fixed by the first
+     * append. */
+    std::uint32_t width_ = 0;
     /**
      * Block-pointer cache, fully reserved (never reallocates; see the
      * file comment).  Null means dropped.

@@ -20,6 +20,10 @@
  *    symmetry, schedule, caps, deterministic bit), so knob order and
  *    name aliases collapse and distinct semantics never alias.
  *
+ * The store backend is not in the key, because the JSON never names
+ * it; the text does, so the server re-renders the text's store
+ * phrase for each hit (ResultPayload::storePhrase).
+ *
  * Thread-safe; one mutex (lookups copy small strings, eviction is
  * O(1) via the list/map classic).
  */

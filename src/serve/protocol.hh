@@ -113,11 +113,15 @@ std::string renderRequestJson(const Request &request);
 Request requestFromJson(const std::string &text);
 
 /** The final payload of a served check, byte-stable for cache
- * replay: the exact strings the first run rendered. */
+ * replay: the exact strings the first run rendered, but for the
+ * store phrase of text's engine line, which names each request's
+ * own store (see Server). */
 struct ResultPayload {
     std::string verdictLine; ///< CheckResult::verdictText()
     std::string text;        ///< CheckResult::renderText()
     std::string resultJson;  ///< CheckResult::renderJson(det)
+    /** storePhrase() of the store text names; not sent. */
+    std::string storePhrase;
 };
 
 // ---- response frames (each one line, no trailing newline) ---------

@@ -98,6 +98,21 @@ struct FdCloser {
     ~FdCloser() { ::close(fd); }
 };
 
+/** Make cached @p payload's text name the store of @p engine, in
+ * place of the store that ran it; the engine line is the text's
+ * second. */
+void
+nameStore(ResultPayload &payload, const EngineOptions &engine)
+{
+    const std::size_t at = payload.text.find(
+        payload.storePhrase, payload.text.find("\nengine: "));
+    if (at == std::string::npos)
+        return;
+    std::string phrase = storePhrase(engine.store, engine.storeDir);
+    payload.text.replace(at, payload.storePhrase.size(), phrase);
+    payload.storePhrase = std::move(phrase);
+}
+
 } // namespace
 
 ResolvedRequest
@@ -573,7 +588,10 @@ Server::serveCheck(WorkerState &state, int fd, const Request &wire)
     }
 
     if (std::optional<ResultPayload> hit = cache_.lookup(rr.cacheKey)) {
-        // Bit-identical replay of the first answer.
+        // Bit-identical replay of the first answer, but for the
+        // store it names: the compact kinds share a key (see
+        // resolveRequest), so the text names the requesting store.
+        nameStore(*hit, rr.engine);
         if (sendFrame(fd, renderResultFrame(wire.id, true, *hit)))
             checksServed_.fetch_add(1, std::memory_order_relaxed);
         else
@@ -650,6 +668,7 @@ Server::serveCheck(WorkerState &state, int fd, const Request &wire)
     payload.verdictLine = res.verdictText();
     payload.text = res.renderText();
     payload.resultJson = res.renderJson(wire.deterministic);
+    payload.storePhrase = storePhrase(res.store, res.storeDir);
     if (cacheable(res))
         cache_.insert(rr.cacheKey, payload);
 

@@ -310,7 +310,8 @@ inactiveSlotsZero(const SystemState &s)
 
 TEST(SliceCells, RoundTripsEveryDeviceCount)
 {
-    // A cell is ndev + 1 slice ids; decoding must give back the active
+    // A cell is ndev slice ids — the lead (host fields and device 0),
+    // then one per further device; decoding must give back the active
     // prefix exactly and zero the inactive slots, in both modes.
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         std::vector<SystemState> states = {
@@ -339,6 +340,53 @@ TEST(SliceCells, RoundTripsEveryDeviceCount)
                     << ndev;
             }
             EXPECT_EQ(store.size(), states.size());
+        }
+    }
+}
+
+TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
+{
+    // The lead slice holds the host fields and device 0 together.
+    // States that differ only in a host byte, only in device 0 or only
+    // in the last device must stay distinct on every store kind,
+    // decode exactly, and be found again — with real probe hashes, so
+    // nothing may count as a collision.
+    const StoreKind kinds[] = {StoreKind::InRam, StoreKind::InRamCompact,
+                               StoreKind::Mmap};
+    for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
+        const SystemState base = busyState(ndev);
+        SystemState host = base;
+        host.counter = 5;
+        SystemState dev0 = base;
+        dev0.dev[0].pc = 9;
+        SystemState last = base;
+        last.dev[ndev - 1].val = 3;
+        const std::vector<SystemState> states = {base, host, dev0, last};
+        for (StoreKind kind : kinds) {
+            StoreConfig config = storeConfigOf(kind, std::string(), 0);
+            config.initialBuckets = 1 << 10;
+            StateStore store(config);
+            std::vector<std::uint32_t> ids;
+            for (const SystemState &s : states) {
+                const auto [id, fresh] =
+                    store.insert(s, StateStore::kNoParent, 0, 0);
+                ids.push_back(id);
+                EXPECT_TRUE(fresh) << ndev << " " << storeKindWord(kind);
+            }
+            EXPECT_EQ(store.size(), states.size()) << ndev;
+            for (std::size_t i = 0; i < states.size(); ++i) {
+                SystemState decoded = denseState(7); // all garbage
+                store.stateInto(ids[i], decoded);
+                EXPECT_TRUE(decoded == states[i])
+                    << ndev << " " << storeKindWord(kind) << " " << i;
+                EXPECT_TRUE(inactiveSlotsZero(decoded)) << ndev;
+                EXPECT_EQ(store.insert(states[i], StateStore::kNoParent,
+                                       0, 0),
+                          std::make_pair(ids[i], false))
+                    << ndev << " " << storeKindWord(kind) << " " << i;
+            }
+            EXPECT_EQ(store.probeCollisions(), 0u)
+                << ndev << " " << storeKindWord(kind);
         }
     }
 }

@@ -636,6 +636,64 @@ TEST_F(ServeEndToEnd, MmapStoreServesOfflineBytesForEveryScenario)
     }
 }
 
+TEST(ServeStoreText, CacheHitNamesTheRequestingStore)
+{
+    // ram-compact and mmap share a cache key, so an mmap request is
+    // answered from a ram-compact run.  The replayed result JSON must
+    // stay byte-identical, but the text's engine line names the
+    // store the request asked for: memfd without a store directory,
+    // the directory's files with one.
+    char tmpl[] = "/tmp/cxl-serve-store-XXXXXX";
+    char *dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    for (const std::string &store_dir : {std::string(), std::string(dir)}) {
+        char path[96];
+        std::snprintf(path, sizeof path, "/tmp/cxl_store_text_%d.sock",
+                      static_cast<int>(::getpid()));
+        ServerOptions opt;
+        opt.socketPath = path;
+        opt.engine.storeDir = store_dir;
+        Server server(std::move(opt));
+        server.start();
+
+        Request warm = namedRequest("multiple_reads");
+        warm.engine.threads = 2;
+        warm.deterministic = true;
+        warm.progress = false;
+        warm.engine.store = StoreKind::InRamCompact;
+        const ClientResult first = requestCheck(server.socketPath(), warm);
+        ASSERT_TRUE(first.ok) << first.error;
+        EXPECT_FALSE(first.cached);
+        EXPECT_NE(first.payload.text.find(
+                      "ram-compact store (anonymous memory)"),
+                  std::string::npos)
+            << first.payload.text;
+
+        Request ask = warm;
+        ask.engine.store = StoreKind::Mmap;
+        const ClientResult hit = requestCheck(server.socketPath(), ask);
+        ASSERT_TRUE(hit.ok) << hit.error;
+        EXPECT_TRUE(hit.cached);
+        EXPECT_EQ(hit.payload.resultJson, first.payload.resultJson);
+        EXPECT_EQ(hit.payload.verdictLine, first.payload.verdictLine);
+        const std::string want =
+            store_dir.empty() ? "mmap store (memfd)"
+                              : "mmap store (files under " + store_dir + ")";
+        EXPECT_NE(hit.payload.text.find(want), std::string::npos)
+            << hit.payload.text;
+        EXPECT_EQ(hit.payload.text.find("ram-compact"), std::string::npos)
+            << hit.payload.text;
+
+        // And back: the cached entry itself is untouched.
+        const ClientResult again = requestCheck(server.socketPath(), warm);
+        ASSERT_TRUE(again.ok) << again.error;
+        EXPECT_TRUE(again.cached);
+        EXPECT_EQ(again.payload.text, first.payload.text);
+        server.drain();
+    }
+    EXPECT_EQ(rmdir(dir), 0);
+}
+
 TEST_F(ServeEndToEnd, StatsRequestReportsTheCounters)
 {
     const ClientResult first = requestCheck(
