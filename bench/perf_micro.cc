@@ -47,19 +47,6 @@ BM_StateHash(benchmark::State &state)
 BENCHMARK(BM_StateHash);
 
 void
-BM_StateFingerprint(benchmark::State &state)
-{
-    // The second hash paid per successor by stores that release
-    // sealed levels.
-    SystemState s = busyState();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(s.fingerprint());
-        s.counter ^= 1;
-    }
-}
-BENCHMARK(BM_StateFingerprint);
-
-void
 BM_DeviceCanonical(benchmark::State &state)
 {
     // The symmetry-reduction hot path: ndev! images with early-abort
@@ -140,29 +127,6 @@ BM_StateStoreInsert(benchmark::State &state)
 BENCHMARK(BM_StateStoreInsert);
 
 void
-BM_StateStoreInsertCompact(benchmark::State &state)
-{
-    // The same insertion stream through the hash-compacted store:
-    // a fingerprint is computed and stored per entry as well, the
-    // identity of cells a seal releases.
-    std::vector<SystemState> batch;
-    for (int i = 0; i < 256; ++i) {
-        SystemState s;
-        s.counter = static_cast<std::uint8_t>(i);
-        s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
-        batch.push_back(s);
-    }
-    for (auto _ : state) {
-        StateStore store(1024, StoreMode::Compact);
-        for (const auto &s : batch)
-            store.insert(s, StateStore::kNoParent, 0, 0);
-        benchmark::DoNotOptimize(store.size());
-    }
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_StateStoreInsertCompact);
-
-void
 BM_StateStoreInsertBatched(benchmark::State &state)
 {
     // The explorer's flush path: one insertBatch call versus 256
@@ -188,10 +152,8 @@ void
 BM_StoreGrowthRehash(benchmark::State &state)
 {
     // One bucket-array doubling over a filled store re-slots every
-    // entry.  Argument 0 is ram,
-    // which recomputes each hash from the entry's cell; 1 is
-    // ram-compact, which reads it from its hash column.  The counter
-    // is the growth's time per rehashed entry.
+    // entry, recomputing each hash from the entry's cell.  The
+    // counter is the growth's time per rehashed entry.
     constexpr int kStates = 1 << 16;
     std::vector<SystemState> states;
     for (int i = 0; i < kStates; ++i) {
@@ -200,12 +162,10 @@ BM_StoreGrowthRehash(benchmark::State &state)
         s.dev[0].val = static_cast<Val>((i >> 8) & 0xff);
         states.push_back(s);
     }
-    const StoreMode mode =
-        state.range(0) == 0 ? StoreMode::Full : StoreMode::Compact;
     double seconds = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        auto store = std::make_unique<StateStore>(1024, mode);
+        auto store = std::make_unique<StateStore>(1024);
         for (const SystemState &s : states)
             store->insert(s, StateStore::kNoParent, 0, 0);
         state.ResumeTiming();
@@ -224,10 +184,7 @@ BM_StoreGrowthRehash(benchmark::State &state)
     state.counters["rehash_ns"] =
         seconds * 1e9 / (static_cast<double>(state.iterations()) * kStates);
 }
-BENCHMARK(BM_StoreGrowthRehash)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StoreGrowthRehash)->Unit(benchmark::kMillisecond);
 
 void
 BM_StoreDuplicateProbe(benchmark::State &state)

@@ -64,9 +64,6 @@ main(int argc, char **argv)
         std::to_string(devices) + "-device, one-location model" +
         (symmetry_on ? " (device-permutation symmetry reduction on)"
                      : "") +
-        (storeKindCompact(opts.engine.store)
-             ? " (hash-compacted store)"
-             : "") +
         (storeKindMmap(opts.engine.store)
              ? " (mmap out-of-core store)"
              : "") +
@@ -312,15 +309,12 @@ main(int argc, char **argv)
     // Memory + throughput summary, and the machine-readable drop.
     const std::uint64_t peak_rss = bench::peakRssBytes();
     std::printf("\npeak RSS %.1f MB over %llu states across the "
-                "config table (%.1f bytes/state whole-process)%s\n",
+                "config table (%.1f bytes/state whole-process)\n",
                 static_cast<double>(peak_rss) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(total_states),
                 total_states > 0 ? static_cast<double>(peak_rss) /
                                        static_cast<double>(total_states)
-                                 : 0.0,
-                storeKindCompact(opts.engine.store)
-                    ? " [hash-compacted]"
-                    : "");
+                                 : 0.0);
     if (storeKindMmap(opts.engine.store)) {
         std::printf("mmap store high-water: %.1f MB mapped at once, "
                     "%.1f MB of backing file\n",
@@ -340,7 +334,6 @@ main(int argc, char **argv)
         json.str("bench", "swmr_statespace")
             .num("devices", static_cast<std::uint64_t>(devices))
             .boolean("symmetry_reduction", symmetry_on)
-            .boolean("compact", storeKindCompact(opts.engine.store))
             .str("store", storeKindWord(opts.engine.store))
             .num("total_states", total_states)
             .num("total_transitions", total_transitions)

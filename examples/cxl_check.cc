@@ -25,10 +25,10 @@
  *                                    print the daemon's counters
  *
  * Standard flags: --devices N, --threads N, --sym/--no-sym,
- * --store ram|ram-compact|mmap, --store-dir DIR (mmap only),
- * --compact, --por/--no-por, --ws/--bfs, --max-states N,
- * --expect-states N, --max-seconds S, --max-rss-mb N,
- * --json [PATH].  `--deterministic` zeroes the wall-clock keys of
+ * --store ram|mmap (both exact; --compact is accepted as a no-op
+ * shim), --store-dir DIR (mmap only), --por/--no-por, --ws/--bfs,
+ * --max-states N, --expect-states N, --max-seconds S,
+ * --max-rss-mb N, --json [PATH].  `--deterministic` zeroes the wall-clock keys of
  * JSON output (offline and served) so runs diff byte-identical;
  * `--progress` streams served progress frames to stderr.
  *
@@ -128,7 +128,7 @@ wireRequest(const cxl::api::StandardOptions &opts,
     serve::EngineKnobs &k = r.engine;
     k.threads = opts.engine.threads;
     k.symmetry = opts.engine.symmetry;
-    k.compact = storeKindCompact(opts.engine.store);
+    k.store = opts.engine.store;
     k.por = opts.engine.por;
     k.schedule = opts.engine.schedule;
     if (opts.engine.maxStates != 0)

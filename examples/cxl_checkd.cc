@@ -11,7 +11,7 @@
  *              [--corpus DIR] [--stats]
  *              [standard engine flags]
  *
- * The standard flags (--threads, --sym/--no-sym, --compact,
+ * The standard flags (--threads, --sym/--no-sym, --store,
  * --por/--no-por, --ws/--bfs, --max-states, --max-seconds, ...) set
  * the per-request engine *defaults*; each request may override any
  * knob (see src/serve/protocol.hh).  `--default-max-seconds` is the

@@ -13,8 +13,6 @@
  *                              one_snoop] [--families swmr,...]
  *                  [--devices N]   (model size, default 2)
  *                  [--threads N]   (0 = all hardware threads)
- *                  [--compact]     (hash-compacted store: hunts far
- *                                   larger spaces in RAM, same trace)
  */
 
 #include <cstdio>

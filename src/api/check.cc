@@ -189,6 +189,21 @@ CheckResult::renderText(bool withTrace) const
                   "rules exercised: %zu / %zu\n", exercised,
                   ruleFires.size());
     out += line;
+    // Two peaks: the process-lifetime ru_maxrss, and the largest
+    // sample a --max-rss-mb ceiling was checked against (taken only
+    // under a ceiling).
+    constexpr double kMiB = 1024.0 * 1024.0;
+    std::snprintf(line, sizeof(line), "memory: peak RSS %.1f MiB",
+                  static_cast<double>(peakRssBytes()) / kMiB);
+    out += line;
+    if (meteredPeakBytes != 0) {
+        std::snprintf(line, sizeof(line),
+                      ", metered peak %.1f MiB (RssAnon + memfd, what "
+                      "the memory ceiling bounds)",
+                      static_cast<double>(meteredPeakBytes) / kMiB);
+        out += line;
+    }
+    out += "\n";
     if (probeCollisions != 0) {
         std::snprintf(line, sizeof(line),
                       "probe-hash collisions kept separate: %llu\n",
@@ -213,11 +228,10 @@ CheckResult::renderJson(bool deterministic) const
 {
     // Deterministic mode zeroes the wall-clock/allocator keys — and
     // nothing else — so the key set and order stay schema-stable.
-    // The store *backend* and medium are deliberately not keys:
-    // verdicts and counts are backend-independent, the serve cache
-    // collapses ram-compact and mmap onto one entry, and a cached
-    // in-RAM result must stay byte-identical to an offline mmap run
-    // (only the compact bit, which seals semantics, is echoed).
+    // The store kind and medium are deliberately not keys: verdicts
+    // and counts are store-independent, the serve cache collapses
+    // ram and mmap onto one entry, and a cached in-RAM result must
+    // stay byte-identical to an offline mmap run.
     const double secs = deterministic ? 0.0 : seconds;
     JsonObject json;
     json.str("schema", "cxl-check-result/v1")
@@ -225,7 +239,6 @@ CheckResult::renderJson(bool deterministic) const
         .num("devices", static_cast<std::uint64_t>(devices))
         .num("threads", static_cast<std::uint64_t>(threads))
         .boolean("symmetry_reduction", symmetryReduction)
-        .boolean("compact", storeKindCompact(store))
         .boolean("por", por)
         .str("schedule",
              schedule == Schedule::WorkSteal ? "ws" : "bfs")
@@ -272,6 +285,7 @@ CheckResult::renderJson(bool deterministic) const
         .num("peak_rss_bytes",
              deterministic ? 0 : peakRssBytes())
         .num("rss_delta_bytes", deterministic ? 0 : rssDeltaBytes)
+        .num("metered_peak_bytes", deterministic ? 0 : meteredPeakBytes)
         .num("mapped_file_bytes", deterministic ? 0 : mappedFileBytes)
         .num("store_file_bytes", deterministic ? 0 : storeFileBytes);
     return json.render();
@@ -476,6 +490,7 @@ CheckSession::run(const CheckRequest &request)
     out.deepestCompleteLevel = res.deepestCompleteLevel;
     out.rssDeltaBytes =
         rss_after > rss_before ? rss_after - rss_before : 0;
+    out.meteredPeakBytes = res.meteredPeakBytes;
     out.mappedFileBytes = res.storeMappedBytes;
     out.storeFileBytes = res.storeFileBytes;
 

@@ -230,6 +230,17 @@ struct CheckResult {
      */
     std::uint64_t rssDeltaBytes = 0;
 
+    /**
+     * Largest metered memory sample of the run (RssAnon plus memfd
+     * bytes; see ExploreResult::meteredPeakBytes): the number a
+     * `--max-rss-mb` ceiling was checked against, so a run that held
+     * its ceiling reports at most the ceiling here.  0 when no
+     * ceiling was set, since nothing was sampled.  peak_rss_bytes,
+     * the process-lifetime ru_maxrss, counts file-backed and shared
+     * pages too and may exceed the ceiling of a run that held it.
+     */
+    std::uint64_t meteredPeakBytes = 0;
+
     /** Bytes still mapped by the store's file-backed shard memory
      * when the run ended (0 for in-RAM kinds) — the out-of-core
      * mapped window, reported next to RSS because `ulimit -v` style
@@ -278,7 +289,8 @@ struct CheckResult {
      *
      * @p deterministic zeroes the wall-clock- and allocator-dependent
      * keys (seconds, states_per_sec, peak_rss_bytes, rss_delta_bytes,
-     * mapped_file_bytes, store_file_bytes) so two runs of the same request render
+     * metered_peak_bytes, mapped_file_bytes, store_file_bytes) so two
+     * runs of the same request render
      * byte-identical JSON — the form the serve layer caches and the
      * served-vs-offline determinism checks diff.  Key set and order
      * are unchanged.

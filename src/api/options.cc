@@ -35,25 +35,18 @@ standardOptions(const CliArgs &args, const char *defaultJsonPath)
     else if (args.has("sym"))
         opt.engine.symmetry = SymmetryMode::On;
 
-    // --store picks the visited-set store by name; --compact then
-    // selects ram-compact over ram and leaves mmap, which is compact
-    // already (order-independent, so sweep scripts can append either
-    // flag as an override).
+    // --store picks the visited-set store by name.  (--compact is a
+    // no-op shim; see options.hh.)
     if (args.has("store")) {
         const std::string word = args.get("store", "");
         const std::optional<StoreKind> kind = storeKindFromWord(word);
         if (!kind) {
-            std::fprintf(stderr,
-                         "--store '%s' unknown (want "
-                         "ram|ram-compact|mmap)\n",
+            std::fprintf(stderr, "--store '%s' unknown (want ram|mmap)\n",
                          word.c_str());
             std::exit(2);
         }
         opt.engine.store = *kind;
     }
-    if (args.has("compact"))
-        opt.engine.store = storeKindOf(storeKindMmap(opt.engine.store),
-                                       true);
     // Only the mmap store has backing files to place.
     opt.engine.storeDir = args.get("store-dir", "");
     if (!opt.engine.storeDir.empty() &&

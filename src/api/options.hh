@@ -3,15 +3,18 @@
  * Shared command-line surface of the bench/example front-ends: one
  * helper resolves the flags every binary used to re-plumb by hand —
  * `--devices`, `--threads`, `--sym`/`--no-sym`,
- * `--store=ram|ram-compact|mmap`, `--store-dir` (mmap only),
- * `--compact` (ram-compact over ram; a no-op on mmap),
- * `--por`/`--no-por`, `--ws`/`--bfs`, `--max-states`,
+ * `--store=ram|mmap`, `--store-dir` (mmap only), `--por`/`--no-por`, `--ws`/`--bfs`, `--max-states`,
  * `--expect-states`, `--max-seconds`, `--max-rss-mb`, `--json` —
  * into a device count plus the EngineOptions a CheckSession is
  * constructed with.  It also arms the process-wide SIGINT/SIGTERM →
  * CancelToken bridge, so every front-end gets graceful Ctrl-C for
  * free: the run ends as Incomplete (stop_reason "cancelled") with
  * its explored-prefix counts instead of dying mid-print.
+ *
+ * `--compact` is still accepted and does nothing: every store keeps
+ * every cell.  It is a compatibility shim for the pinned benchmark
+ * harness, whose sym4c workload passes it, and goes in the next
+ * change to that harness.
  */
 
 #ifndef CXL_API_OPTIONS_HH

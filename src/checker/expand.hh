@@ -67,7 +67,7 @@ struct Candidate {
 
 /**
  * Deterministic candidate order: shallowest first, then by state
- * fingerprint, then overflow before conjunct (matching the sequential
+ * hash, then overflow before conjunct (matching the sequential
  * per-state check order), then by the violating edge (rule id, source
  * state hash) so racing overflow edges into one target resolve the
  * same way for every thread count.
@@ -406,6 +406,7 @@ class ExpandKernel
         result.probeCollisions = store.probeCollisions();
         result.storeMappedBytes = store.mappedBytes();
         result.storeFileBytes = store.backingFileBytes();
+        result.meteredPeakBytes = governor.meteredPeak();
         result.seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

@@ -22,9 +22,7 @@ storeKindFromWord(const std::string &word)
 {
     if (word == "ram")
         return StoreKind::InRam;
-    if (word == "ram-compact")
-        return StoreKind::InRamCompact;
-    if (word == "mmap" || word == "mmap-compact")
+    if (word == "mmap")
         return StoreKind::Mmap;
     return std::nullopt;
 }
@@ -34,8 +32,7 @@ storeConfigOf(StoreKind kind, const std::string &dir,
               std::uint64_t capacity)
 {
     return StoreConfig{
-        1 << 16,
-        storeKindCompact(kind) ? StoreMode::Compact : StoreMode::Full,
+        1 << 16, StoreMode::Full,
         storeKindMmap(kind) ? StoreBackend::Mmap : StoreBackend::InRam,
         dir, capacity};
 }
@@ -90,7 +87,6 @@ runBfs(ExpandKernel &k)
     // state from the store into their scratch, so states are never
     // copied into per-level queues.
     std::vector<std::uint32_t> frontier{k.initIdx}, next_frontier;
-    k.store.sealLevel(); // establish the level-0 boundary
 
     std::vector<BfsScratch> scratch = k.makeScratch<BfsScratch>();
 
@@ -189,10 +185,14 @@ runBfs(ExpandKernel &k)
         if (k.violationStopped() || k.governor.stopped())
             break;
 
-        // Quiescent barrier hook: releases (ram-compact) or unmaps
-        // (mmap) the state bytes of the level whose expansion just
-        // finished.
-        k.store.sealLevel();
+        // Grow the shards the next level will fill now, in parallel,
+        // rather than one at a time under their locks mid-level.
+        const bool parallel = k.threads > 1;
+        k.runWorkers(scratch, parallel, [&](std::size_t t) {
+            for (std::size_t s = t; s < StateStore::kNumShards;
+                 s += parallel ? k.threads : 1)
+                k.store.growForNextLevel(static_cast<std::uint32_t>(s));
+        });
         frontier.swap(next_frontier);
         ++depth;
     }

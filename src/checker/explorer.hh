@@ -22,7 +22,8 @@
  *
  *  - Bfs (explorer.cc): depth-synchronized levels claimed in grains
  *    by a worker pool, with per-worker scratch merged at the level
- *    barrier, then the level sealed.  Under POR only edges into the
+ *    barrier, where the store's shards also grow ahead of the next
+ *    level.  Under POR only edges into the
  *    level being built shrink masks.  Results (state count,
  *    transition count, violation verdict and depth) are
  *    deterministic regardless of thread count.
@@ -36,6 +37,10 @@
  *    and diameters are still exact and thread-count-deterministic;
  *    only the transition count (redundant re-expansions) becomes
  *    schedule-dependent.
+ *
+ * Both store kinds (StoreKind: ram, mmap) keep every cell and decide
+ * identity by comparing it slice by slice — exact, never by a hash —
+ * so every verdict, count and trace is the same on either.
  */
 
 #ifndef CXL_CHECKER_EXPLORER_HH
@@ -74,24 +79,23 @@ enum class Schedule : std::uint8_t {
 };
 
 /**
- * Visited-state store kind (`--store=ram|ram-compact|mmap`).  Every
- * kind follows the store's one identity rule (state_store.hh); they
- * differ only in whether BFS level seals release cells — after which
- * those states are identified by fingerprint, so the kind is compact
- * — and where the memory lives.  Verdicts, counts, diameters and
- * traces are identical on every kind.
+ * Visited-state store kind (`--store=ram|mmap`).  Both kinds keep
+ * every cell and follow the store's one exact identity rule
+ * (state_store.hh); they differ only in where the memory lives.
+ * Verdicts, counts, diameters and traces are identical on both.
  */
 enum class StoreKind : std::uint8_t {
-    InRam,        ///< anonymous memory, every cell kept (the default)
-    InRamCompact, ///< anonymous memory, sealed levels released
-    Mmap,         ///< file-backed, sealed levels unmapped
+    InRam, ///< anonymous memory (the default)
+    Mmap,  ///< file-backed: memfd, or files under --store-dir
 };
 
-/** Whether a store kind may identify a state by its fingerprint. */
+/** Always false: no store kind identifies a state by a fingerprint.
+ * A compatibility shim for the pinned benchmark harness, which goes
+ * in the next change to that harness. */
 constexpr bool
-storeKindCompact(StoreKind k)
+storeKindCompact(StoreKind)
 {
-    return k != StoreKind::InRam;
+    return false;
 }
 
 /** Whether a store kind uses the file-backed (mmap) backend. */
@@ -101,15 +105,6 @@ storeKindMmap(StoreKind k)
     return k == StoreKind::Mmap;
 }
 
-/** The store kind with the given backend and compact bits (the
- * compact bit is moot on the mmap backend). */
-constexpr StoreKind
-storeKindOf(bool mmap, bool compact)
-{
-    return mmap ? StoreKind::Mmap
-                : (compact ? StoreKind::InRamCompact : StoreKind::InRam);
-}
-
 /** Canonical flag spelling of a store kind. */
 constexpr const char *
 storeKindWord(StoreKind k)
@@ -117,20 +112,17 @@ storeKindWord(StoreKind k)
     switch (k) {
     case StoreKind::InRam:
         return "ram";
-    case StoreKind::InRamCompact:
-        return "ram-compact";
     case StoreKind::Mmap:
         return "mmap";
     }
     return "ram";
 }
 
-/** Parse a `--store` word (`mmap-compact` is Mmap); nullopt on an
- * unknown spelling. */
+/** Parse a `--store` word ("ram" or "mmap"); nullopt on any other
+ * spelling. */
 std::optional<StoreKind> storeKindFromWord(const std::string &word);
 
-/** The StateStore construction parameters of a store kind: a kind
- * releases sealed levels exactly when it is compact. */
+/** The StateStore construction parameters of a store kind. */
 StoreConfig storeConfigOf(StoreKind kind, const std::string &dir,
                           std::uint64_t capacity);
 
@@ -179,12 +171,7 @@ struct ExploreOptions {
      */
     bool symmetryReduction = false;
 
-    /**
-     * Visited-set store kind (see StoreKind).  Only the
-     * depth-synchronized schedule seals levels; counterexample
-     * traces are replayed from breadcrumb rule ids (replayTrace),
-     * never decoded from released cells.
-     */
+    /** Visited-set store kind (see StoreKind). */
     StoreKind store = StoreKind::InRam;
 
     /** Mmap store: backing-file directory ("" = anonymous in-memory
@@ -364,10 +351,8 @@ struct ExploreResult {
 
     /**
      * Probe-hash collisions the store detected and kept separate
-     * (see StateStore::probeCollisions).  A nonzero value on a
-     * compact store is the visible tail of the fingerprinting risk;
-     * each one would have been a silent state merge on probe hashes
-     * alone.
+     * (see StateStore::probeCollisions); each one would have been a
+     * silent state merge on probe hashes alone.
      */
     std::uint64_t probeCollisions = 0;
 
@@ -418,6 +403,11 @@ struct ExploreResult {
     /** Final total size of the store's backing files (0 for InRam);
      * how much state the run spilled out of core. */
     std::uint64_t storeFileBytes = 0;
+
+    /** Largest memory sample the governor checked against
+     * ExploreOptions::maxRssBytes (RunGovernor::meteredPeak); 0 when
+     * no ceiling was set. */
+    std::uint64_t meteredPeakBytes = 0;
 };
 
 /**

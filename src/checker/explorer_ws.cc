@@ -62,10 +62,9 @@
  *    by the kernel's atomic-free reduction tree — no per-event
  *    atomics, no barrier-time serial merge.
  *
- * Hash compaction composes: the store's level sealing is a
- * BFS-schedule notion, so this engine never seals — every compact
- * cell stays retained, which costs the memory a seal would free.
- * Traces do not depend on it: both schedules replay the same
+ * The store needs no barrier: its shards grow at insert time here
+ * (the BFS schedule grows them ahead of each level instead).  Traces
+ * do not depend on the store: both schedules replay the same
  * rule-id-least shortest path (ExpandKernel::witnessPath).
  */
 

@@ -9,8 +9,6 @@ namespace cxl
 {
 
 StateStore::StateStore(const StoreConfig &config)
-    : releasesSealed_(config.mode == StoreMode::Compact ||
-                      config.backend == StoreBackend::Mmap)
 {
     // The per-shard ceiling from a total-state capacity: hashing
     // spreads entries near-uniformly, so the first shard to fill does
@@ -27,20 +25,12 @@ StateStore::StateStore(const StoreConfig &config)
     for (Shard &shard : shards_) {
         shard.limit = limit;
         shard.mem = makeShardMem(config.backend, config.dir);
-        shard.arena.init(shard.mem.get(), releasesSealed_, kOffsetMask);
-        // Fingerprints are the identity of released cells, and a
-        // released cell cannot be rehashed, so exactly a store that
-        // releases them keeps the probe hash and fingerprint per
-        // entry; one that keeps every cell rehashes from the cells.
-        ShardColumns::EntryHash entry_hash;
-        if (!releasesSealed_) {
-            entry_hash = [this, &shard](std::uint32_t off) {
-                return cellHash(shard, off);
-            };
-        }
-        shard.cols.init(shard.mem.get(), releasesSealed_,
-                        per_shard_buckets, kOffsetMask,
-                        std::move(entry_hash));
+        shard.arena.init(shard.mem.get(), kOffsetMask);
+        shard.cols.init(shard.mem.get(), per_shard_buckets, kOffsetMask,
+                        [this, &shard](std::uint32_t first, std::uint32_t n,
+                                       std::uint64_t *out) {
+                            cellHashes(shard, first, n, out);
+                        });
     }
 }
 
@@ -60,18 +50,18 @@ StateStore::insert(const SystemState &state, std::uint64_t hash,
                    std::uint32_t parent, std::uint16_t rule_id,
                    std::uint32_t depth)
 {
+    assert(hash == state.hash() &&
+           "growth rehashes from the cells, so the probe hash must be "
+           "state.hash()");
     // Route by the top bits; probe by the low bits, so the two index
-    // streams stay independent.  The verification fingerprint is
-    // computed before the lock is taken.
+    // streams stay independent.
     const auto shard_idx =
         static_cast<std::uint32_t>(hash >> (64 - kShardBits));
-    const std::uint64_t verify =
-        releasesSealed_ ? state.fingerprint() : 0;
     Shard &shard = shards_[shard_idx];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
     const InsertOutcome out = probeInsertLocked(
-        shard_idx, shard, state, hash, verify, parent, rule_id, depth);
+        shard_idx, shard, state, hash, parent, rule_id, depth);
     return {out.id, out.inserted};
 }
 
@@ -83,14 +73,6 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
 
     constexpr std::uint32_t kEnd = 0xffffffffu;
 
-    // Fingerprints are computed before any lock.  (Slices are interned
-    // under the lock instead, and only for items that turn out to be
-    // new.)
-    if (releasesSealed_) {
-        for (std::size_t i = 0; i < count; ++i)
-            items[i].verify_ = items[i].state.fingerprint();
-    }
-
     // Group by destination shard: per-shard singly-linked chains
     // through the items themselves, preserving batch order so
     // in-batch duplicates resolve exactly as sequential inserts.
@@ -99,6 +81,9 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
     for (std::uint32_t s = 0; s < kNumShards; ++s)
         head[s] = kEnd;
     for (std::size_t i = 0; i < count; ++i) {
+        assert(items[i].hash == items[i].state.hash() &&
+               "growth rehashes from the cells, so the probe hash must "
+               "be state.hash()");
         const auto s = static_cast<std::uint32_t>(
             items[i].hash >> (64 - kShardBits));
         items[i].next_ = kEnd;
@@ -127,18 +112,16 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
             const std::uint64_t hash = items[i].hash;
             const std::uint32_t b = cols.bucketAt(hash & cols.mask());
             if (b != 0 && ShardColumns::tagMatches(b, hash, cols.mask())) {
-                const std::uint32_t off =
-                    ShardColumns::linkOf(b, cols.mask()) - 1;
-                cols.prefetchEntry(off);
-                shard.arena.prefetchCell(off);
+                shard.arena.prefetchCell(
+                    ShardColumns::linkOf(b, cols.mask()) - 1);
             }
         }
         for (std::uint32_t i = head[s]; i != kEnd;
              i = items[i].next_) {
             BatchItem &item = items[i];
-            const InsertOutcome out = probeInsertLocked(
-                s, shard, item.state, item.hash, item.verify_,
-                item.parent, item.rule, item.depth);
+            const InsertOutcome out =
+                probeInsertLocked(s, shard, item.state, item.hash,
+                                  item.parent, item.rule, item.depth);
             item.id = out.id;
             item.inserted = out.inserted;
             item.improved = out.improved;
@@ -162,14 +145,11 @@ StateStore::insertBatchCapped(BatchItem *items, std::size_t count,
 
 bool
 StateStore::holds(const Shard &shard, std::uint32_t off,
-                  const SystemState &state, std::uint64_t verify) const
+                  const SystemState &state) const
 {
-    // The one identity rule (see the file comment): a cell still in
-    // memory is compared slice by slice, a released one by its
-    // verification fingerprint.
-    const std::uint32_t *cell = shard.arena.cellIfMapped(off);
-    if (!cell)
-        return shard.cols.verifyAt(off) == verify;
+    // The one identity rule (see the file comment): the cell is
+    // compared slice by slice.
+    const std::uint32_t *cell = shard.arena.cellAt(off);
     // The lead slice holds ndev, so a cell that gets past it has one
     // id per device of the candidate.
     if (std::memcmp(leads_.at(cell[0]), &state, kLeadBytes) != 0)
@@ -184,19 +164,14 @@ StateStore::holds(const Shard &shard, std::uint32_t off,
 
 StateStore::Match
 StateStore::match(const Shard &shard, std::uint32_t off,
-                  const SystemState &state, std::uint64_t hash,
-                  std::uint64_t verify) const
+                  const SystemState &state, std::uint64_t hash) const
 {
-    if (releasesSealed_ && shard.cols.hashAt(off) != hash)
-        return Match::Other;
-    if (holds(shard, off, state, verify))
+    if (holds(shard, off, state))
         return Match::Same;
-    // Without a hash column the tag fixed only some of the hash's
-    // bits; whether the rest agree — a true probe-hash collision —
-    // is read off the cell on this rare path.
-    if (!releasesSealed_ && cellHash(shard, off) != hash)
-        return Match::Other;
-    return Match::Collision;
+    // The tag fixed only some of the hash's bits; whether the rest
+    // agree — a true probe-hash collision — is read off the cell on
+    // this rare path.
+    return cellHash(shard, off) == hash ? Match::Collision : Match::Other;
 }
 
 std::uint64_t
@@ -205,8 +180,7 @@ StateStore::cellHash(const Shard &shard, std::uint32_t off) const
     // hash() covers the active prefix: the lead slice, then one
     // device slice per further device, back to back (SystemState is
     // padding-free).
-    const std::uint32_t *cell = shard.arena.cellIfMapped(off);
-    assert(cell && "only a store that keeps every cell rehashes cells");
+    const std::uint32_t *cell = shard.arena.cellAt(off);
     const std::uint32_t ndev = ndev_.load(std::memory_order_relaxed);
     std::byte bytes[sizeof(SystemState)];
     std::memcpy(bytes, leads_.at(cell[0]), kLeadBytes);
@@ -215,6 +189,28 @@ StateStore::cellHash(const Shard &shard, std::uint32_t off) const
                     devices_.at(cell[d]), sizeof(DeviceState));
     }
     return hashBytes(bytes, kHostBytes + ndev * sizeof(DeviceState));
+}
+
+void
+StateStore::cellHashes(const Shard &shard, std::uint32_t first,
+                       std::uint32_t n, std::uint64_t *out) const
+{
+    // Each cell's slices are random reads into the slice tables:
+    // start all of the run's before hashing any.
+    const std::uint32_t ndev = ndev_.load(std::memory_order_relaxed);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t *cell = shard.arena.cellAt(first + i);
+        const std::byte *lead = leads_.at(cell[0]);
+        __builtin_prefetch(lead);
+        __builtin_prefetch(lead + kLeadBytes - 1);
+        for (std::uint32_t d = 1; d < ndev; ++d) {
+            const std::byte *dev = devices_.at(cell[d]);
+            __builtin_prefetch(dev);
+            __builtin_prefetch(dev + sizeof(DeviceState) - 1);
+        }
+    }
+    for (std::uint32_t i = 0; i < n; ++i)
+        out[i] = cellHash(shard, first + i);
 }
 
 std::uint32_t
@@ -242,8 +238,7 @@ void
 StateStore::stateInto(std::uint32_t id, SystemState &out) const
 {
     const std::uint32_t *cell =
-        shards_[shardOf(id)].arena.cellIfMapped(id & kOffsetMask);
-    assert(cell && "state released by sealLevel");
+        shards_[shardOf(id)].arena.cellAt(id & kOffsetMask);
     std::memcpy(static_cast<void *>(&out), leads_.at(cell[0]),
                 kLeadBytes);
     for (std::uint32_t d = 1; d < out.ndev; ++d) {
@@ -261,8 +256,6 @@ StateStore::find(const SystemState &state) const
     const std::uint64_t hash = state.hash();
     const auto shard_idx =
         static_cast<std::uint32_t>(hash >> (64 - kShardBits));
-    const std::uint64_t verify =
-        releasesSealed_ ? state.fingerprint() : 0;
     const Shard &shard = shards_[shard_idx];
     const ShardColumns &cols = shard.cols;
     for (std::uint64_t slot = hash & cols.mask();;
@@ -274,7 +267,7 @@ StateStore::find(const SystemState &state) const
             continue;
         const std::uint32_t off =
             ShardColumns::linkOf(bucket, cols.mask()) - 1;
-        if (match(shard, off, state, hash, verify) == Match::Same)
+        if (match(shard, off, state, hash) == Match::Same)
             return (shard_idx << kOffsetBits) | off;
     }
 }
@@ -282,14 +275,10 @@ StateStore::find(const SystemState &state) const
 StateStore::InsertOutcome
 StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                               const SystemState &state,
-                              std::uint64_t hash, std::uint64_t verify,
-                              std::uint32_t parent,
+                              std::uint64_t hash, std::uint32_t parent,
                               std::uint16_t rule_id,
                               std::uint32_t depth)
 {
-    assert((releasesSealed_ || hash == state.hash()) &&
-           "a store that keeps every cell rehashes from the cells, so "
-           "its probe hash must be state.hash()");
     ShardColumns &cols = shard.cols;
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
     cols.maybeGrow();
@@ -303,7 +292,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             continue;
         const std::uint32_t off =
             ShardColumns::linkOf(bucket, cols.mask()) - 1;
-        const Match m = match(shard, off, state, hash, verify);
+        const Match m = match(shard, off, state, hash);
         if (m == Match::Collision) {
             // A detected collision: the states stay distinct and the
             // probe continues.
@@ -335,16 +324,14 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             "StateStore shard " + std::to_string(shard_idx) +
                 " full (per-shard limit " +
                 std::to_string(shard.limit) +
-                " entries); pre-size with --expect-states, raise the "
-                "run's state budget, or pick another store kind "
-                "(--store=ram|ram-compact|mmap: mmap pages sealed "
-                "levels out of core)");
+                " entries); pre-size with --expect-states or raise the "
+                "run's state budget (--store=ram|mmap; --store-dir "
+                "puts mmap's cells in files on disk)");
     }
 
     std::uint32_t ids[kMaxDevices];
     const std::uint32_t width = internSlices(state, ids);
-    const std::uint32_t off =
-        cols.append(hash, verify, parent, rule_id, depth);
+    const std::uint32_t off = cols.append(parent, rule_id, depth);
     shard.arena.append(off, ids, width);
 
     cols.link(slot, hash, off);
@@ -392,12 +379,14 @@ StateStore::countDepthAtMost(std::uint32_t depth) const
 }
 
 void
-StateStore::sealLevel()
+StateStore::growForNextLevel(std::uint32_t shard_idx)
 {
-    for (Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.arena.seal();
-    }
+    Shard &shard = shards_[shard_idx];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const std::uint32_t count = shard.cols.count();
+    shard.cols.growFor(std::uint64_t{count} +
+                       (count - shard.levelStart));
+    shard.levelStart = count;
 }
 
 std::uint64_t

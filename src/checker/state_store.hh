@@ -11,54 +11,35 @@
  * allocated from a per-shard memory backend:
  *
  *  - ShardColumns (store_columns.hh): the struct-of-arrays entry
- *    columns — parent, rule, chunked atomic depth, and on a store
- *    that releases cells the probe hash and verification fingerprint
- *    — plus the bucket array, whose u32 buckets carry the probe
- *    hash's tag bits above the entry link.  Shard growth rehashes
- *    from the stored probe hashes where cells are released, and
- *    from the cells themselves where every cell is kept.
+ *    columns — parent, rule, chunked atomic depth — plus the bucket
+ *    array, whose u32 buckets carry the probe hash's tag bits above
+ *    the entry link.  No column keeps the probe hash: shard growth
+ *    rehashes each entry from its cell.
  *  - StateArena (store_arena.hh): the states, as cells of ndev u32
  *    slice ids — the lead slice (the record's first 64 bytes: the
  *    host fields and device 0) and one 59-byte DeviceState slice per
  *    further device, each interned in one store-wide SliceTable per
- *    slice kind — in index-addressed blocks, with the sealLevel()
- *    block-release machinery.  Both modes use this one format.  The
- *    slice tables are on the heap under every backend and grow with
- *    the distinct slices, not the states.
+ *    slice kind — in index-addressed blocks.  Every cell is kept for
+ *    the store's lifetime.  The slice tables are on the heap under
+ *    every backend and grow with the distinct slices, not the states.
  *  - ShardMem (store_mem.hh): where both layers get memory: one
  *    mapping per column, bucket array, depth chunk and arena block,
- *    grown by mremap and unmapped when a sealed block is dropped.
- *    InRam maps anonymous memory; Mmap backs every shard by files
- *    (anonymous memfd, or files under an explicit directory), so
- *    sealed BFS levels leave the file too — address space and
- *    residency track the frontier window.
+ *    grown by mremap.  InRam maps anonymous memory; Mmap backs every
+ *    shard by files (anonymous memfd, or files under an explicit
+ *    directory) holding the same cells.
  *
- * One identity rule, on every configuration: a probe match whose
- * cell is still in memory is compared slice by slice against the
- * candidate's bytes; a match whose cell sealLevel() has released is
- * compared by its stored 64-bit probe hash and the 64-bit
- * verification fingerprint kept per entry (Murphi hash compaction).
- * A probe match is a bucket whose tag agrees with the probe hash,
- * plus, where the hash column is kept, the full stored hash.  Only a
- * fresh insert interns slices.  A full 64-bit probe-hash match with
- * an identity mismatch is a *detected* collision (counted in
- * probeCollisions()) and the states stay distinct; an undetected
- * merge needs a released entry whose probe hash and fingerprint both
- * collide — expected occurrences ~ n^2 / 2^65 for n states.
+ * One identity rule, exact on every configuration: a probe match —
+ * a bucket whose tag agrees with the probe hash — is compared slice
+ * by slice against the candidate's bytes.  No verdict rests on a
+ * hash or fingerprint match.  Only a fresh insert interns slices.  A
+ * full 64-bit probe-hash match (read off the cell) with an identity
+ * mismatch is a *detected* collision, counted in probeCollisions();
+ * the states stay distinct.  Because growth recomputes probe hashes
+ * from the cells, the probe hash a caller passes must be
+ * state.hash().
  *
- * So the store's one policy bit below the façade is whether sealed
- * levels are released (StoreMode, declared with the arena): Full
- * keeps every cell on the InRam backend, so identity is always exact;
- * Compact releases old BFS levels' blocks at each seal, so resident
- * cells are bounded by about two levels.  The Mmap backend always
- * releases.  Exactly the stores that release keep the probe hash and
- * fingerprint per entry; a store that keeps every cell keeps
- * neither, so the probe hash it is given must be state.hash().
- *
- * A released cell is never read again: the frontier lives above the
- * seal boundary, and counterexample traces are replayed from the
- * breadcrumb rule ids (rulePath(), replayTrace in explorer.hh), so
- * every configuration yields the same full trace.
+ * Counterexample traces are replayed from the breadcrumb rule ids
+ * (rulePath(), replayTrace in explorer.hh), not decoded from cells.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
  * the top kShardBits select the shard, the low kOffsetBits index the
@@ -73,9 +54,10 @@
  * the block spine never reallocates, and slice chunks never move).
  * The depth column is chunked atomics: depthAt() may be read
  * lock-free at any time (the work-stealing explorer's stale-task
- * check depends on this), while parentAt()/ruleAt() and sealLevel() must only be used
- * while the store is quiescent — the explorers call them between
- * depth barriers or after termination.
+ * check depends on this), while parentAt()/ruleAt() and
+ * growForNextLevel() must only be used while the store is
+ * quiescent — the explorers call them between depth barriers or
+ * after termination.
  *
  * Duplicate inserts carrying a *smaller* depth than the stored entry
  * relabel the entry's breadcrumbs (depth, parent, rule) in place and
@@ -84,6 +66,11 @@
  * depth-synchronized BFS schedule duplicates never arrive with a
  * smaller depth, so the update is exercised only by the async
  * engine.
+ *
+ * Compatibility shims, kept only because the pinned benchmark harness
+ * (bench/cxl_bench) still spells them; each goes in the next change
+ * to that harness: StoreMode and StoreConfig::mode (ignored — every
+ * store keeps every cell) and sealLevel() (a no-op).
  */
 
 #ifndef CXL_CHECKER_STATE_STORE_HH
@@ -133,13 +120,16 @@ class StoreFullError : public std::length_error
     std::uint32_t shard_;
 };
 
+/** Compatibility shim for the pinned benchmark harness (see the file
+ * comment): both values build the same exact store. */
+enum class StoreMode : std::uint8_t { Full, Compact };
+
 /** Construction parameters of a StateStore (see the file comment for
  * what each axis selects). */
 struct StoreConfig {
     /** Total bucket hint, split across shards. */
     std::size_t initialBuckets = 1 << 16;
-    /** Full (every cell kept) or Compact (sealed levels released;
-     * the Mmap backend always releases). */
+    /** Ignored (a shim; see StoreMode). */
     StoreMode mode = StoreMode::Full;
     /** Anonymous (InRam) or file-backed (Mmap, out-of-core) shard
      * memory; both are mappings, but only Mmap's count as mapped
@@ -178,8 +168,7 @@ class StateStore
 
     /**
      * One pending insert of a batched flush.  The caller fills state,
-     * hash (the state's probe hash — state.hash() on a store that
-     * keeps every cell, see insert()) and the breadcrumbs;
+     * hash (state.hash(), see insert()) and the breadcrumbs;
      * insertBatch fills id, inserted and improved.
      */
     struct BatchItem {
@@ -197,17 +186,15 @@ class StateStore
 
       private:
         friend class StateStore;
-        std::uint64_t verify_ = 0; ///< fingerprint (releasing stores)
-        std::uint32_t next_ = 0;   ///< shard-chain scratch
+        std::uint32_t next_ = 0; ///< shard-chain scratch
     };
 
     explicit StateStore(const StoreConfig &config);
 
-    /** Legacy convenience: InRam backend with the given knobs. */
+    /** Convenience: InRam backend with the given knobs. */
     explicit StateStore(std::size_t initial_buckets = 1 << 16,
-                        StoreMode mode = StoreMode::Full,
                         std::uint64_t capacity_limit = 0)
-        : StateStore(StoreConfig{initial_buckets, mode,
+        : StateStore(StoreConfig{initial_buckets, StoreMode::Full,
                                  StoreBackend::InRam, std::string(),
                                  capacity_limit})
     {
@@ -243,13 +230,9 @@ class StateStore
     /**
      * Insert with a precomputed probe hash.  Parallel workers hash
      * outside the shard lock and pass the value here so the lock only
-     * covers the probe/append.  (The verification fingerprint, where
-     * kept, is always computed internally from the state bytes — it
-     * is the identity, not a routing hint, so it cannot be forged.)
-     * On a store that keeps every cell @p hash must be state.hash()
-     * (debug-asserted): that store recomputes it from the cell when
-     * a shard grows.  A store that releases cells stores @p hash and
-     * accepts any value, which is how tests force collisions.
+     * covers the probe/append.  @p hash must be state.hash()
+     * (debug-asserted): the store recomputes it from the cell when a
+     * shard grows.
      */
     std::pair<std::uint32_t, bool>
     insert(const SystemState &state, std::uint64_t hash,
@@ -296,13 +279,8 @@ class StateStore
         return buf;
     }
 
-    /**
-     * Decode the state for a packed id into @p out.  Entries
-     * inserted before the last sealLevel boundary but one may be
-     * released (see sealLevel): the newest sealed level — the BFS
-     * frontier — and everything after it always decode, and the
-     * InRam full store decodes every entry.
-     */
+    /** Decode the state for a packed id into @p out; every entry
+     * decodes, on every store kind. */
     void stateInto(std::uint32_t id, SystemState &out) const;
 
     /** Breadcrumb accessors; quiescent use only (the columns may
@@ -350,20 +328,22 @@ class StateStore
      * stop-at-level state count on violation-stopped runs. */
     std::uint64_t countDepthAtMost(std::uint32_t depth) const;
 
+    /** A no-op: a compatibility shim (see the file comment); every
+     * cell is kept. */
+    void sealLevel() {}
+
     /**
-     * BFS level barrier hook; call only while quiescent.  Releases
-     * the arena blocks of states older than the level that just
-     * finished expanding (their bytes are no longer on the hot path)
-     * and records the new level boundary, on a store that releases
-     * sealed levels (compact mode, and every Mmap store); the InRam
-     * full store keeps every cell.
-     *
-     * Sealing is a property of the depth-synchronized schedule only:
-     * the work-stealing explorer expands depths out of order and so
-     * never calls this — under it every arena block stays mapped,
-     * costing the memory the seal would have freed.
+     * BFS level-barrier growth of shard @p shard; call only while
+     * quiescent, once per shard per barrier (distinct shards may be
+     * done in parallel).  When another level as large as the one
+     * inserted into the shard since the previous call would take it
+     * past 3/4 load, its buckets are re-slotted now, sized for that
+     * level: otherwise the rehash — a re-read of every cell — runs
+     * mid-level under the shard lock while peers routed to the shard
+     * wait.  Insert-time growth remains the fallback for a level that
+     * outgrows the estimate.
      */
-    void sealLevel();
+    void growForNextLevel(std::uint32_t shard);
 
     /** Total states across all shards. */
     std::size_t
@@ -381,11 +361,10 @@ class StateStore
 
     /**
      * Probe-hash collisions observed so far: inserts whose 64-bit
-     * probe hash matched an existing entry holding a different state
-     * (the cell's slices differed or, for a released cell, the
-     * verification fingerprint did).  Each one is a state pair that
-     * probe-hash-only compaction would have merged silently.  A
-     * bucket-tag match alone does not count.  Quiescent use only.
+     * probe hash matched an existing entry whose cell holds a
+     * different state.  Each one is a state pair that probe-hash-only
+     * compaction would have merged silently.  A bucket-tag match
+     * alone does not count.  Quiescent use only.
      */
     std::uint64_t probeCollisions() const;
 
@@ -397,6 +376,9 @@ class StateStore
     }
 
   private:
+    /** Tests forge probe hashes through it (probeInsertLocked). */
+    friend struct StateStoreTestPeer;
+
     struct alignas(64) Shard {
         mutable std::mutex mutex;
         std::unique_ptr<ShardMem> mem;
@@ -404,6 +386,8 @@ class StateStore
         StateArena arena;
         /** Entry ceiling; inserting past it throws StoreFullError. */
         std::uint32_t limit = kOffsetMask;
+        /** Entries at the previous growForNextLevel call. */
+        std::uint32_t levelStart = 0;
     };
 
     struct InsertOutcome {
@@ -423,19 +407,23 @@ class StateStore
     enum class Match { Other, Same, Collision };
 
     /** Compare entry @p off of @p shard, whose bucket tag agrees with
-     * @p hash, with @p state (fingerprint @p verify). */
+     * @p hash, with @p state. */
     Match match(const Shard &shard, std::uint32_t off,
-                const SystemState &state, std::uint64_t hash,
-                std::uint64_t verify) const;
+                const SystemState &state, std::uint64_t hash) const;
 
-    /** Whether entry @p off of @p shard holds @p state (fingerprint
-     * @p verify): the identity rule (see the file comment). */
+    /** Whether entry @p off of @p shard holds @p state: the identity
+     * rule (see the file comment). */
     bool holds(const Shard &shard, std::uint32_t off,
-               const SystemState &state, std::uint64_t verify) const;
+               const SystemState &state) const;
 
-    /** The probe hash of entry @p off's in-memory cell: hash() of the
-     * active bytes rebuilt from its slices. */
+    /** The probe hash of entry @p off's cell: hash() of the active
+     * bytes rebuilt from its slices. */
     std::uint64_t cellHash(const Shard &shard, std::uint32_t off) const;
+
+    /** cellHash of entries [@p first, @p first + @p n) into @p out,
+     * their slices' loads overlapped (growth's EntryHashes). */
+    void cellHashes(const Shard &shard, std::uint32_t first,
+                    std::uint32_t n, std::uint64_t *out) const;
 
     /** Intern @p state's slices into @p ids (room for kMaxDevices)
      * and return the cell width (ndev), fixing the store's device
@@ -447,8 +435,8 @@ class StateStore
     InsertOutcome
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                       const SystemState &state, std::uint64_t hash,
-                      std::uint64_t verify, std::uint32_t parent,
-                      std::uint16_t rule_id, std::uint32_t depth);
+                      std::uint32_t parent, std::uint16_t rule_id,
+                      std::uint32_t depth);
 
     Shard shards_[kNumShards];
     /** Slice tables, shared by every shard (see store_arena.hh). */
@@ -458,10 +446,6 @@ class StateStore
      * insert (0 before); a cell is ndev ids. */
     std::atomic<std::uint32_t> ndev_{0};
     std::atomic<std::uint64_t> total_{0};
-    /** Whether sealLevel releases cells — compact mode, and every Mmap
-     * store; exactly then entries carry a probe hash and verification
-     * fingerprint, the identity of a released cell. */
-    bool releasesSealed_;
 };
 
 } // namespace cxl

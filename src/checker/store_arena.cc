@@ -171,11 +171,9 @@ SliceTable::size() const
 }
 
 void
-StateArena::init(ShardMem *mem, bool release_sealed,
-                 std::uint32_t max_entries)
+StateArena::init(ShardMem *mem, std::uint32_t max_entries)
 {
     mem_ = mem;
-    releaseSealed_ = release_sealed;
     // Fully reserve the spine: it must never reallocate, because
     // readers index it lock-free (see the file comment).
     blocks_.reserve((max_entries >> kBlockBits) + 1);
@@ -198,23 +196,6 @@ StateArena::append(std::uint32_t off, const std::uint32_t *ids,
                     std::size_t{off & (kBlockCells - 1)} * width_,
                 ids, width_ * sizeof(std::uint32_t));
     count_ = off + 1;
-}
-
-void
-StateArena::seal()
-{
-    if (!releaseSealed_)
-        return;
-    // Blocks wholly below the previous level boundary belong to
-    // levels whose expansion has finished; the frontier no longer
-    // reads them.  Release whole blocks only — a partial tail block
-    // is shared with the still-needed frontier.
-    const std::uint32_t floor_block = levelBoundary_ >> kBlockBits;
-    for (; droppedBlocks_ < floor_block; ++droppedBlocks_) {
-        mem_->blockDrop(droppedBlocks_);
-        blocks_[droppedBlocks_] = nullptr;
-    }
-    levelBoundary_ = count_;
 }
 
 } // namespace cxl

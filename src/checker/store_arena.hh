@@ -20,7 +20,7 @@
  *   [lead id] [device 1 id] ... [device ndev-1 id]
  *
  * At ndev = 1 the lead is the whole state and the cell one id.  Both
- * store modes use this one cell format.  The cell width is the
+ * store kinds use this one cell format.  The cell width is the
  * device count, fixed by a store's first insert (all states of a run
  * share ndev), so one StateArena holds a shard's cells at a fixed
  * stride in index-addressed blocks allocated from the shard's
@@ -32,31 +32,21 @@
  *
  * The slice tables live on the heap under every backend, `--store
  * mmap` included: they grow with the number of distinct slices, not
- * with the number of states, and seal() never releases a slice.
+ * with the number of states, and no slice is ever released.
  *
  * The block-pointer spine is fully reserved at init so it never
  * reallocates — readers index it lock-free for entries published
  * before their expansion phase began, the same contract the
  * monolithic store had.
  *
- * seal(): at a BFS level barrier an arena told at init to release
- * sealed cells drops every whole block that belongs to levels
- * finished expanding — the façade asks for that in compact mode and
- * on every Mmap store, where the mapped window then shrinks to
- * roughly the frontier and its successors.  A dropped block is gone
- * for good: nothing reads it again (counterexample traces are
- * replayed from the breadcrumb rule ids, not decoded), so each seal
- * only walks the blocks since the previous one.
+ * Every cell stays for the store's lifetime, which is what makes the
+ * façade's one identity rule exact: a candidate is compared slice by
+ * slice against the cell cellAt() returns, never by a hash.  The
+ * cells are also where the store's probe hashes come from when a
+ * shard grows: it keeps no hash column and rehashes each entry from
+ * its cell's slices.
  *
- * This is the façade's one identity rule: a cell cellIfMapped()
- * returns is compared slice by slice, and when it returns null the
- * façade compares the probe hash and verification fingerprint it
- * keeps per entry whenever the arena releases.  An arena that never
- * releases is also where its store's probe hashes come from when a
- * shard grows: that store keeps no hash column and rehashes each
- * entry from its cell's slices.
- *
- * Thread-safety: append/seal run under the shard lock or quiescent;
+ * Thread-safety: append runs under the shard lock or quiescent;
  * cell reads on frontier entries follow the façade's lock-free
  * reader contract.  SliceTable::intern may be called from any
  * thread; the façade calls it under a shard lock, so the lock order
@@ -80,15 +70,6 @@
 
 namespace cxl
 {
-
-/** Storage policy of a StateStore (façade-level; see state_store.hh):
- * whether seal() releases sealed levels' cells.  The Mmap backend
- * releases under either mode. */
-enum class StoreMode : std::uint8_t {
-    Full,    ///< keep every cell: identity and rehash from the slices
-    Compact, ///< release sealed levels: a stored probe hash and
-             ///< fingerprint per entry
-};
 
 /**
  * A hash-consing table of fixed-width byte slices: intern() gives
@@ -216,55 +197,38 @@ class StateArena
     static constexpr std::uint32_t kBlockBits = 13;
     static constexpr std::uint32_t kBlockCells = 1u << kBlockBits;
 
-    /** Bind to a backend; seal() drops blocks only when
-     * @p release_sealed.  @p max_entries bounds the block spine. */
-    void init(ShardMem *mem, bool release_sealed,
-              std::uint32_t max_entries);
+    /** Bind to a backend; @p max_entries bounds the block spine. */
+    void init(ShardMem *mem, std::uint32_t max_entries);
 
     /** Append entry @p off's cell of @p width ids (shard lock held).
      * Entries arrive in index order, all of the width of the first. */
     void append(std::uint32_t off, const std::uint32_t *ids,
                 std::uint32_t width);
 
-    /** Entry @p off's cell, or null when seal() dropped its block —
-     * the façade's cue to fall back to fingerprint identity (shard
-     * lock held). */
+    /** Entry @p off's cell, an appended one (see the file comment
+     * for when that may be read lock-free). */
     const std::uint32_t *
-    cellIfMapped(std::uint32_t off) const
+    cellAt(std::uint32_t off) const
     {
-        const std::uint32_t *base = blocks_[off >> kBlockBits];
-        return base ? base + std::size_t{off & (kBlockCells - 1)} * width_
-                    : nullptr;
+        return blocks_[off >> kBlockBits] +
+               std::size_t{off & (kBlockCells - 1)} * width_;
     }
 
-    /** Start loading entry @p off's cell, if its block is mapped. */
-    void
-    prefetchCell(std::uint32_t off) const
+    /** Start loading entry @p off's cell. */
+    void prefetchCell(std::uint32_t off) const
     {
-        if (const std::uint32_t *cell = cellIfMapped(off))
-            __builtin_prefetch(cell);
+        __builtin_prefetch(cellAt(off));
     }
-
-    /**
-     * BFS level barrier (quiescent): drop every whole block of levels
-     * finished expanding, when the arena releases sealed cells.
-     */
-    void seal();
 
   private:
     ShardMem *mem_ = nullptr;
-    bool releaseSealed_ = false;
     /** Ids per cell — the store's device count — fixed by the first
      * append. */
     std::uint32_t width_ = 0;
-    /**
-     * Block-pointer cache, fully reserved (never reallocates; see the
-     * file comment).  Null means dropped.
-     */
+    /** Block-pointer cache, fully reserved (never reallocates; see
+     * the file comment). */
     std::vector<std::uint32_t *> blocks_;
-    std::uint32_t count_ = 0;         ///< cells appended
-    std::uint32_t levelBoundary_ = 0; ///< count_ at the last seal
-    std::uint32_t droppedBlocks_ = 0; ///< blocks [0, this) are dropped
+    std::uint32_t count_ = 0; ///< cells appended
 };
 
 } // namespace cxl

@@ -1,5 +1,6 @@
 #include "checker/store_columns.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <utility>
@@ -22,13 +23,11 @@ pow2AtLeast(std::size_t n)
 } // namespace
 
 void
-ShardColumns::init(ShardMem *mem, bool keep_hashes,
-                   std::size_t initial_buckets, std::uint32_t max_entries,
-                   EntryHash entry_hash)
+ShardColumns::init(ShardMem *mem, std::size_t initial_buckets,
+                   std::uint32_t max_entries, EntryHashes entry_hashes)
 {
     mem_ = mem;
-    keepHashes_ = keep_hashes;
-    entryHash_ = std::move(entry_hash);
+    entryHashes_ = std::move(entry_hashes);
     depths_.reserve((max_entries >> kDepthChunkBits) + 1);
     sizeBuckets(pow2AtLeast(initial_buckets));
 }
@@ -40,16 +39,19 @@ ShardColumns::sizeBuckets(std::size_t cap)
         ShardMem::kFlatBuckets, cap * sizeof(std::uint32_t)));
     std::memset(buckets_, 0, cap * sizeof(std::uint32_t));
     mask_ = cap - 1;
-    // A store that releases cells rehashes from its hash column (the
-    // bytes may be gone); one that keeps every cell recomputes each
-    // hash from the cell instead of storing it.
-    for (std::uint32_t off = 0; off < count_; ++off) {
-        const std::uint64_t hash =
-            keepHashes_ ? hashes_[off] : entryHash_(off);
-        std::uint64_t slot = hash & mask_;
-        while (buckets_[slot] != 0)
-            slot = (slot + 1) & mask_;
-        link(slot, hash, off);
+    // No column keeps the probe hashes: each is recomputed from its
+    // entry's cell, a run of entries at a time.
+    constexpr std::uint32_t kRun = 64;
+    std::uint64_t hashes[kRun];
+    for (std::uint32_t first = 0; first < count_; first += kRun) {
+        const std::uint32_t n = std::min(kRun, count_ - first);
+        entryHashes_(first, n, hashes);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            std::uint64_t slot = hashes[i] & mask_;
+            while (buckets_[slot] != 0)
+                slot = (slot + 1) & mask_;
+            link(slot, hashes[i], first + i);
+        }
     }
 }
 
@@ -59,12 +61,6 @@ ShardColumns::growColumns(std::size_t need)
     std::size_t cap = entryCap_ == 0 ? 1024 : entryCap_;
     while (cap < need)
         cap *= 2;
-    if (keepHashes_) {
-        hashes_ = static_cast<std::uint64_t *>(mem_->flatGrow(
-            ShardMem::kFlatHashes, cap * sizeof(std::uint64_t)));
-        verifies_ = static_cast<std::uint64_t *>(mem_->flatGrow(
-            ShardMem::kFlatVerifies, cap * sizeof(std::uint64_t)));
-    }
     parents_ = static_cast<std::uint32_t *>(mem_->flatGrow(
         ShardMem::kFlatParents, cap * sizeof(std::uint32_t)));
     rules_ = static_cast<std::uint16_t *>(mem_->flatGrow(
@@ -72,18 +68,25 @@ ShardColumns::growColumns(std::size_t need)
     entryCap_ = cap;
 }
 
+void
+ShardColumns::growFor(std::uint64_t entries)
+{
+    // maybeGrow's rule, applied before the insert that brings the
+    // shard to each count up to @p entries.
+    std::uint64_t cap = mask_ + 1;
+    while (entries * 4 >= cap * 3)
+        cap *= 2;
+    if (cap > mask_ + 1)
+        sizeBuckets(static_cast<std::size_t>(cap));
+}
+
 std::uint32_t
-ShardColumns::append(std::uint64_t hash, std::uint64_t verify,
-                     std::uint32_t parent, std::uint16_t rule,
+ShardColumns::append(std::uint32_t parent, std::uint16_t rule,
                      std::uint32_t depth)
 {
     const std::uint32_t off = count_;
     if (off >= entryCap_)
         growColumns(static_cast<std::size_t>(off) + 1);
-    if (keepHashes_) {
-        hashes_[off] = hash;
-        verifies_[off] = verify;
-    }
     parents_[off] = parent;
     rules_[off] = rule;
     const std::uint32_t chunk = off >> kDepthChunkBits;
@@ -104,8 +107,7 @@ ShardColumns::reserveEntries(std::size_t entries)
 {
     // Buckets at 2x the entry hint keep the load factor <= 0.5
     // through the expected run, so probes stay short and no rehash
-    // pause — on a store without a hash column, a re-read of every
-    // cell — lands mid-exploration.
+    // pause — a re-read of every cell — lands mid-exploration.
     const std::size_t cap = pow2AtLeast(2 * entries);
     if (cap > mask_ + 1)
         sizeBuckets(cap);

@@ -3,9 +3,8 @@
  * Shard-column layer of the visited-state store.
  *
  * One ShardColumns instance holds a shard's struct-of-arrays entry
- * columns — parent, rule, the chunked atomic depth column and, on a
- * store whose seals release cells, the probe hash and verification
- * fingerprint — plus the open-addressing bucket array, all allocated
+ * columns — parent, rule and the chunked atomic depth column — plus
+ * the open-addressing bucket array, all allocated
  * from the shard's ShardMem backend (store_mem.hh).  The
  * probe/insert *algorithm* stays in the StateStore façade; this layer
  * only owns the memory layout:
@@ -18,8 +17,7 @@
  *    cell.  Growth at 3/4 load keeps every link <= mask, and the
  *    per-shard limit of 2^28 - 1 entries needs a capacity of at most
  *    2^29, so at least 3 tag bits remain;
- *  - the hash/verify/parent/rule columns and the bucket array are
- *    backend flats — they may move when grown, so they are touched
+ *  - the parent/rule columns and the bucket array are backend flats — they may move when grown, so they are touched
  *    only under the shard lock (or quiescent), matching the façade's
  *    published thread-safety contract;
  *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
@@ -31,12 +29,11 @@
  *    with one entry holds one resident page of depths, not 256 KB.
  *
  * Growth doubles the bucket capacity and re-slots every entry by its
- * probe hash.  A store that releases cells cannot recompute that hash
- * (the bytes may be gone), so, as in Stern & Dill's hash compaction,
- * it keeps the 8-byte hash (and the fingerprint) in place of the
- * released state and rehashes from the column.  A store that keeps
- * every cell maps neither column: growth asks the façade's EntryHash
- * to recompute each entry's hash from its cell.
+ * probe hash, which no column keeps: the store keeps every cell, so
+ * growth asks the façade's EntryHashes to recompute the entries'
+ * hashes from their cells, a run at a time.  growFor() does the same
+ * ahead of need, at a BFS level barrier, so the re-slotting need not
+ * happen mid-level under the shard lock.
  */
 
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
@@ -63,21 +60,19 @@ class ShardColumns
     static constexpr std::uint32_t kDepthChunkSize =
         1u << kDepthChunkBits;
 
-    /** Entry @p off's probe hash, recomputed from its cell: how a
-     * store that keeps no hash column rehashes on growth. */
-    using EntryHash = std::function<std::uint64_t(std::uint32_t off)>;
+    /** The probe hashes of entries [@p first, @p first + @p n) into
+     * @p out, recomputed from their cells: how growth re-slots
+     * entries.  A run at a time, so the cells' loads can overlap. */
+    using EntryHashes = std::function<void(
+        std::uint32_t first, std::uint32_t n, std::uint64_t *out)>;
 
     /**
-     * Bind to a backend and size the initial bucket array.
-     * @p keep_hashes stores the 64-bit probe hash and verification
-     * fingerprint per entry (exactly the stores whose seals release
-     * cells: they rehash from the one and dedup released entries by
-     * the other); otherwise @p entry_hash serves growth.
-     * @p max_entries bounds the depth-chunk spine reservation.
+     * Bind to a backend and size the initial bucket array;
+     * @p entry_hashes serves growth.  @p max_entries bounds the
+     * depth-chunk spine reservation.
      */
-    void init(ShardMem *mem, bool keep_hashes,
-              std::size_t initial_buckets, std::uint32_t max_entries,
-              EntryHash entry_hash = {});
+    void init(ShardMem *mem, std::size_t initial_buckets,
+              std::uint32_t max_entries, EntryHashes entry_hashes);
 
     /** The bucket linking entry @p off of probe hash @p hash in a
      * table of mask @p mask (see the file comment). */
@@ -119,25 +114,6 @@ class ShardColumns
     {
         __builtin_prefetch(&buckets_[hash & mask_]);
     }
-    /** Start loading the identity columns of entry @p off, if kept. */
-    void prefetchEntry(std::uint32_t off) const
-    {
-        if (keepHashes_) {
-            __builtin_prefetch(&hashes_[off]);
-            __builtin_prefetch(&verifies_[off]);
-        }
-    }
-
-    /** Stored probe hash; only where init kept hashes. */
-    std::uint64_t hashAt(std::uint32_t off) const
-    {
-        return hashes_[off];
-    }
-    /** Stored fingerprint; only where init kept hashes. */
-    std::uint64_t verifyAt(std::uint32_t off) const
-    {
-        return verifies_[off];
-    }
     std::uint32_t parentAt(std::uint32_t off) const
     {
         return parents_[off];
@@ -178,15 +154,18 @@ class ShardColumns
             sizeBuckets((mask_ + 1) * 2);
     }
 
+    /** Grow buckets now to the capacity maybeGrow() would reach by
+     * the time the shard holds @p entries entries; a no-op when the
+     * current one already suffices. */
+    void growFor(std::uint64_t entries);
+
     /**
      * Append one entry's column values (not the bucket link — the
      * façade writes that after the arena append succeeds, so a thrown
-     * arena-full error cannot publish a half-made entry).  @p hash
-     * and @p verify are stored only where init kept hashes.
+     * arena-full error cannot publish a half-made entry).
      * @return the new entry's offset.
      */
-    std::uint32_t append(std::uint64_t hash, std::uint64_t verify,
-                         std::uint32_t parent, std::uint16_t rule,
+    std::uint32_t append(std::uint32_t parent, std::uint16_t rule,
                          std::uint32_t depth);
 
     /** Pre-size columns for @p entries and buckets for <=0.5 load. */
@@ -197,9 +176,7 @@ class ShardColumns
     void growColumns(std::size_t need);
 
     ShardMem *mem_ = nullptr;
-    EntryHash entryHash_;
-    std::uint64_t *hashes_ = nullptr;
-    std::uint64_t *verifies_ = nullptr;
+    EntryHashes entryHashes_;
     std::uint32_t *parents_ = nullptr;
     std::uint16_t *rules_ = nullptr;
     std::uint32_t *buckets_ = nullptr;
@@ -210,7 +187,6 @@ class ShardColumns
     std::uint32_t count_ = 0;
     std::size_t entryCap_ = 0;
     std::uint64_t collisions_ = 0;
-    bool keepHashes_ = false;
 };
 
 } // namespace cxl

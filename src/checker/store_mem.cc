@@ -95,9 +95,8 @@ openBackingFile(const std::string &dir, const char *tag)
  * (InRam) they are anonymous private memory; with them (Mmap) each
  * flat region and the chunk and block pools have their own file,
  * grown with ftruncate.  Flats grow in place or move by mremap
- * without a copy (see remapFlat for the one exception); a dropped
- * block is unmapped, and a file-backed one is also punched out of its
- * file.  See store_mem.hh for the scheme.
+ * without a copy (see remapFlat for the one exception).  See
+ * store_mem.hh for the scheme.
  */
 class MappedShardMem final : public ShardMem
 {
@@ -119,10 +118,8 @@ class MappedShardMem final : public ShardMem
         }
         for (const Mapping &c : chunks_)
             ::munmap(c.p, c.bytes);
-        for (const Mapping &b : blocks_) {
-            if (b.p)
-                ::munmap(b.p, b.bytes);
-        }
+        for (const Mapping &b : blocks_)
+            ::munmap(b.p, b.bytes);
         for (const Pool *pool : {&chunkPool_, &blockPool_}) {
             if (pool->fd >= 0)
                 ::close(pool->fd);
@@ -169,25 +166,6 @@ class MappedShardMem final : public ShardMem
         return blocks_[index].p;
     }
 
-    void
-    blockDrop(std::uint32_t index) override
-    {
-        Mapping &b = blocks_[index];
-        ::munmap(b.p, b.bytes);
-        b.p = nullptr;
-        if (!fileBacked_)
-            return;
-        mapped_.fetch_sub(b.bytes, std::memory_order_relaxed);
-        // Nothing reads a dropped block again, so give its file range
-        // back: a memfd's pages would otherwise stay in RAM (and
-        // metered) for the rest of the run.  The file keeps its size.
-        // Best effort — a filesystem without hole punching keeps the
-        // bytes, which is only a missed saving.
-        (void)::fallocate(blockPool_.fd,
-                          FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
-                          b.off, static_cast<off_t>(b.bytes));
-    }
-
     std::uint64_t
     mappedBytes() const override
     {
@@ -209,7 +187,6 @@ class MappedShardMem final : public ShardMem
     struct Mapping {
         void *p = nullptr;
         std::size_t bytes = 0;
-        off_t off = 0; ///< offset in the pool's file
     };
     /** Fixed-size mappings carved from one file, end to end (the
      * offsets go unused on anonymous memory). */
@@ -279,8 +256,7 @@ class MappedShardMem final : public ShardMem
     poolMap(Pool &pool, std::size_t bytes, const char *tag)
     {
         const std::size_t len = roundUpPage(bytes);
-        const Mapping m{mapFresh(pool.fd, pool.end, len, tag), len,
-                        pool.end};
+        const Mapping m{mapFresh(pool.fd, pool.end, len, tag), len};
         pool.end += static_cast<off_t>(len);
         return m;
     }
@@ -301,15 +277,14 @@ class MappedShardMem final : public ShardMem
     Pool chunkPool_;
     std::vector<Mapping> chunks_;
     Pool blockPool_;
-    std::vector<Mapping> blocks_; ///< p is null once dropped
+    std::vector<Mapping> blocks_;
     std::atomic<std::uint64_t> mapped_{0};
     std::atomic<std::uint64_t> fileBytes_{0};
 };
 
 #else // !CXL_STORE_HAVE_MMAP
 
-/** Heap fallback where the mmap surface is missing: dropped blocks
- * are freed. */
+/** Heap fallback where the mmap surface is missing. */
 class RamShardMem final : public ShardMem
 {
   public:
@@ -353,13 +328,6 @@ class RamShardMem final : public ShardMem
             blocks_.resize(index + 1, nullptr);
         blocks_[index] = p;
         return p;
-    }
-
-    void
-    blockDrop(std::uint32_t index) override
-    {
-        ::operator delete(blocks_[index]);
-        blocks_[index] = nullptr;
     }
 
   private:

@@ -15,26 +15,23 @@
  *  - chunks: fixed-size allocations whose address never moves (the
  *    chunked atomic depth column), so lock-free readers can walk
  *    them while peers insert.
- *  - blocks: fixed-size, index-addressed arena blocks that can be
- *    dropped (sealLevel); a dropped block is never read again.
+ *  - blocks: fixed-size, index-addressed arena blocks, likewise at
+ *    stable addresses.  The store keeps every cell, so a block lives
+ *    as long as its store.
  *
  * On Linux one implementation serves both backends: every flat,
- * chunk and block is a mapping of its own.  Flats grow by mremap
- * (the kernel moves page tables, nothing is copied), and a dropped
- * block is munmapped, so its pages go back to the OS at the seal.
- * Store memory never passes through malloc: growth leaves no freed
- * hole in the heap, and a page nothing has written stays unbacked.
+ * chunk and block is a mapping of its own, and flats grow by mremap
+ * (the kernel moves page tables, nothing is copied).  Store memory
+ * never passes through malloc: growth leaves no freed hole in the
+ * heap, and a page nothing has written stays unbacked.
  *
  *  - InRam maps anonymous private memory.
  *  - Mmap gives every shard its own anonymous backing files (memfd,
  *    or O_TMPFILE/unlinked files under an explicit directory for
- *    true spill-to-disk), grown with ftruncate.  Dropping a sealed
- *    block also punches its range out of the file (fallocate
- *    PUNCH_HOLE), so the memfd's allocated bytes shrink too, and a
- *    bounded mapped window walks the (unbounded, sparse) file as BFS
- *    levels seal.  That is what lets a space whose full-mode arena
- *    exceeds an address-space budget (`ulimit -v`) complete out of
- *    core.
+ *    true spill-to-disk), grown with ftruncate.  The cells it holds
+ *    are the same exact cells as InRam's; under `--store-dir` they
+ *    live in files on that filesystem, whose pages the kernel can
+ *    write back and reclaim — that is what "out of core" means here.
  *
  * Where the mmap surface is missing (non-Linux), both backends fall
  * back to plain heap allocations.
@@ -59,7 +56,7 @@ namespace cxl
 /** Which memory backend a StateStore's shards allocate from. */
 enum class StoreBackend : std::uint8_t {
     InRam, ///< anonymous private mappings (heap where mmap is missing)
-    Mmap,  ///< per-shard file-backed mappings, unmapped as levels seal
+    Mmap,  ///< per-shard file-backed mappings (memfd or --store-dir)
 };
 
 /** One shard's allocator (see the file comment for the shapes). */
@@ -68,9 +65,7 @@ class ShardMem
   public:
     /** Flat-region slots a shard uses (one growable array each). */
     enum FlatId : unsigned {
-        kFlatHashes = 0, ///< grown only by stores that release cells
-        kFlatVerifies,   ///< likewise
-        kFlatParents,
+        kFlatParents = 0,
         kFlatRules,
         kFlatBuckets,
         kFlatCount,
@@ -94,10 +89,6 @@ class ShardMem
      */
     virtual void *blockAlloc(std::uint32_t index,
                              std::size_t bytes) = 0;
-
-    /** Release block @p index's memory for good: unmap it (and, on
-     * Mmap, punch it out of the file). */
-    virtual void blockDrop(std::uint32_t index) = 0;
 
     /** Bytes currently mapped by this shard's file-backed regions
      * (0 for InRam: its mappings are anonymous). */

@@ -12,9 +12,8 @@ ComboDesc::label() const
     std::string out = schedule == Schedule::WorkSteal ? "ws" : "bfs";
     out += por ? "/por" : "/-";
     out += sym ? "/sym" : "/-";
-    out += storeKindCompact(store) ? "/compact" : "/full";
-    if (storeKindMmap(store))
-        out += "-mmap";
+    out += '/';
+    out += storeKindWord(store);
     out += "/t" + std::to_string(threads);
     return out;
 }
@@ -44,11 +43,8 @@ fullPortfolio(std::size_t threads)
     for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
         for (bool por : {false, true}) {
             for (bool sym : {false, true}) {
-                for (StoreKind store :
-                     {StoreKind::InRam, StoreKind::InRamCompact}) {
-                    combos.push_back(
-                        ComboDesc{sched, por, sym, store, threads});
-                }
+                combos.push_back(
+                    ComboDesc{sched, por, sym, StoreKind::InRam, threads});
             }
         }
     }
@@ -73,13 +69,8 @@ replayPortfolio(const std::vector<std::size_t> &threadCounts)
                 }
             }
         }
-        // One compact-store probe per schedule per thread count.
-        combos.push_back(ComboDesc{Schedule::Bfs, false, false,
-                                   StoreKind::InRamCompact, threads});
-        combos.push_back(ComboDesc{Schedule::WorkSteal, false, false,
-                                   StoreKind::InRamCompact, threads});
-        // And one mmap-backend probe, so replay also exercises the
-        // out-of-core path against the stored reference signature.
+        // One mmap-backend probe, so replay also exercises the
+        // file-backed path against the stored reference signature.
         combos.push_back(ComboDesc{Schedule::Bfs, false, false,
                                    StoreKind::Mmap, threads});
     }
@@ -128,7 +119,7 @@ compareRuns(const ComboRun &ref, const ComboRun &run,
         // are comparable: whether the space is clean, and the minimal
         // depth of the first bad state.  When several bad states share
         // that minimal depth, the deterministic winner is picked by a
-        // key that includes the state fingerprint — which the orbit
+        // key that includes the state hash — which the orbit
         // quotient relabels — so verdict kind, conjunct and family are
         // only meaningful within one symmetry class (observed in the
         // wild: a case with a channel_singleton and an ordering

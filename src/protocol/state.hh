@@ -150,19 +150,6 @@ struct SystemState {
     }
 
     /**
-     * Independent 64-bit verification fingerprint over the same bytes
-     * (different seed and multipliers than hash()).  The
-     * hash-compaction state store keeps this value per entry instead
-     * of the state itself; two states are merged only when *both*
-     * hash() and fingerprint() collide.
-     */
-    std::uint64_t
-    fingerprint() const
-    {
-        return fingerprintBytes(this, activeBytes());
-    }
-
-    /**
      * Relabel transaction identifiers in first-appearance order and
      * set the counter to the number of live tids.  Sound for all
      * properties we check (tids are only ever compared for equality);

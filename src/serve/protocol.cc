@@ -120,8 +120,6 @@ renderRequestJson(const Request &request)
         engine.str("sym", symmetryWord(*k.symmetry));
     if (knob(k.store.has_value()))
         engine.str("store", storeKindWord(*k.store));
-    if (knob(k.compact.has_value()))
-        engine.boolean("compact", *k.compact);
     if (knob(k.por.has_value()))
         engine.boolean("por", *k.por);
     if (knob(k.schedule.has_value()))
@@ -203,12 +201,10 @@ requestFromJson(const std::string &text)
             if (!kind) {
                 throw std::runtime_error(
                     "unknown store kind '" + word +
-                    "' (want ram|ram-compact|mmap)");
+                    "' (want ram|mmap)");
             }
             k.store = *kind;
         }
-        if (eng->get("compact"))
-            k.compact = eng->getBool("compact");
         if (eng->get("por"))
             k.por = eng->getBool("por");
         if (eng->get("schedule"))

@@ -10,8 +10,7 @@
  *    "devices":2, "checks":"both|invariants|deadlock",
  *    "config":{<the fuzz-case config keys>}, "families":[...],
  *    "engine":{"threads":N,"sym":"auto|on|off",
- *              "store":"ram|ram-compact|mmap",
- *              "compact":B,"por":B,
+ *              "store":"ram|mmap","por":B,
  *              "schedule":"bfs|ws","max_states":N,"expect_states":N,
  *              "max_seconds":S,"max_rss_mb":N},
  *    "deterministic":B, "progress":B, "progress_interval":S}
@@ -60,13 +59,10 @@ inline constexpr const char *kSchema = "cxl-checkd/v1";
 struct EngineKnobs {
     std::optional<std::uint64_t> threads;
     std::optional<SymmetryMode> symmetry;
-    /** Visited-set store kind by name (`mmap-compact` is accepted as
-     * mmap).  Applied before `compact`, which then picks ram-compact
-     * or ram in RAM and leaves mmap, compact already — so
-     * `{"store":"mmap","compact":false}` still means mmap, matching
-     * the CLI's --store/--compact layering. */
+    /** Visited-set store kind by name: "ram" or "mmap", both exact
+     * (see StoreKind).  The retired "compact" knob is now an unknown
+     * key, ignored like any other. */
     std::optional<StoreKind> store;
-    std::optional<bool> compact;
     std::optional<bool> por;
     std::optional<Schedule> schedule;
     std::optional<std::uint64_t> maxStates;

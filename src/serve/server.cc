@@ -183,13 +183,8 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
         e.threads = static_cast<std::size_t>(*k.threads);
     if (k.symmetry)
         e.symmetry = *k.symmetry;
-    // store picks the kind, then compact chooses ram-compact or ram
-    // in RAM and leaves mmap (compact already) — same layering
-    // as the CLI's --store/--compact.
     if (k.store)
         e.store = *k.store;
-    if (k.compact)
-        e.store = storeKindOf(storeKindMmap(e.store), *k.compact);
     if (k.por)
         e.por = *k.por;
     if (k.schedule)
@@ -213,15 +208,15 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     // devices, config bits, families (sorted/deduped; the invariant
     // filter is order- and duplicate-insensitive), check kind, and
     // the engine knobs echoed in the JSON (resolved threads,
-    // resolved symmetry, the store's *compact bit*, por, schedule,
+    // resolved symmetry, por, schedule,
     // the effective state cap) plus the deterministic rendering bit.
     // Excluded: budgets (maxSeconds/maxRssBytes/storeCapacity — they
     // only matter to Incomplete results, which are never cached),
     // expectedStates (presizing), the progress knobs (observation
-    // only), and the store *backend*: ram-compact and mmap produce
-    // byte-identical JSON (the backend is deliberately not echoed
-    // there), so they collapse onto one cache entry and a
-    // ram-compact-warmed cache serves mmap requests.
+    // only), and the store kind: ram and mmap produce byte-identical
+    // JSON (the kind is deliberately not echoed there), so they
+    // collapse onto one cache entry and a ram-warmed cache serves
+    // mmap requests.
     const ProtocolConfig cfg =
         rr.check.config.value_or(fallback_config);
     std::vector<std::string> families =
@@ -240,10 +235,9 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
                                                 : "both";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "|d%d|c%02x|k%s|t%zu|y%d|m%d|p%d|h%s|x%llu|det%d",
+                  "|d%d|c%02x|k%s|t%zu|y%d|p%d|h%s|x%llu|det%d",
                   ndev, configBits(cfg), check_word,
                   resolvedThreads(e.threads), sym_on ? 1 : 0,
-                  storeKindCompact(e.store) ? 1 : 0,
                   e.por ? 1 : 0,
                   e.schedule == Schedule::WorkSteal ? "ws" : "bfs",
                   static_cast<unsigned long long>(cap),
@@ -589,7 +583,7 @@ Server::serveCheck(WorkerState &state, int fd, const Request &wire)
 
     if (std::optional<ResultPayload> hit = cache_.lookup(rr.cacheKey)) {
         // Bit-identical replay of the first answer, but for the
-        // store it names: the compact kinds share a key (see
+        // store it names: the store kinds share a key (see
         // resolveRequest), so the text names the requesting store.
         nameStore(*hit, rr.engine);
         if (sendFrame(fd, renderResultFrame(wire.id, true, *hit)))

@@ -137,13 +137,19 @@ RunGovernor::poll()
     if (maxRssBytes_ != 0) {
         const std::uint32_t n =
             polls_.fetch_add(1, std::memory_order_relaxed);
+        if (n % kRssSampleStride != 0)
+            return;
         // Anonymous RSS plus memfd bytes, not total RSS: pages of an
         // on-disk store directory are reclaimable by writeback, but
         // memfd backing lives in RAM even once unmapped.
-        if (n % kRssSampleStride == 0 &&
-            meteredMemoryBytes() > maxRssBytes_) {
-            trip(StopReason::Memory);
+        const std::uint64_t bytes = meteredMemoryBytes();
+        std::uint64_t peak = meteredPeak_.load(std::memory_order_relaxed);
+        while (bytes > peak &&
+               !meteredPeak_.compare_exchange_weak(
+                   peak, bytes, std::memory_order_relaxed)) {
         }
+        if (bytes > maxRssBytes_)
+            trip(StopReason::Memory);
     }
 }
 

@@ -163,12 +163,25 @@ class RunGovernor
      */
     void poll();
 
+    /**
+     * The largest memory sample poll() has taken (RssAnon plus memfd
+     * bytes, the number the ceiling is checked against); 0 when no
+     * ceiling is set, since then nothing is sampled.  A run that was
+     * not stopped on Memory never saw a sample above its ceiling.
+     */
+    std::uint64_t
+    meteredPeak() const
+    {
+        return meteredPeak_.load(std::memory_order_relaxed);
+    }
+
   private:
     /** Polls between RSS samples (the probe is a /proc read). */
     static constexpr std::uint32_t kRssSampleStride = 64;
 
     std::atomic<StopReason> reason_{StopReason::None};
     std::atomic<std::uint32_t> polls_{0};
+    std::atomic<std::uint64_t> meteredPeak_{0};
     std::chrono::steady_clock::time_point deadline_{};
     bool hasDeadline_ = false;
     std::uint64_t maxRssBytes_ = 0;

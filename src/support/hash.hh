@@ -2,22 +2,14 @@
  * @file
  * Hashing primitives for the state store.
  *
- * The explorer fingerprints encoded states with two independent
- * 64-bit hashes:
+ * hashBytes() is the *probe* hash of an encoded state.  The sharded
+ * state store routes on its top bits, open-addresses on its low bits
+ * and keeps bits up to 31 as a tag in each bucket; it keeps no hash
+ * per entry, so shard growth recomputes each one from the stored
+ * state.  The store decides identity by comparing state bytes, never
+ * by a hash.
  *
- *  - hashBytes(): the *probe* hash.  The sharded state store routes
- *    on its top bits, open-addresses on its low bits and keeps bits
- *    up to 31 as a tag in each bucket.  A store that releases state
- *    bytes also stores the full hash per entry, so shard growth
- *    rehashes from eight bytes; a store that keeps every state
- *    recomputes it from the stored state instead.
- *  - fingerprintBytes(): the *verification* fingerprint.  In
- *    hash-compaction mode the store keeps this value instead of the
- *    state bytes; it is computed with different multipliers and a
- *    different seed so that a probe-hash collision and a fingerprint
- *    collision are independent events.
- *
- * Both walk the input in 8-byte chunks folded through a 64x64->128
+ * It walks the input in 8-byte chunks folded through a 64x64->128
  * multiply (the wyhash/mum construction), which hashes the ~240-byte
  * state record roughly an order of magnitude faster than the original
  * byte-at-a-time FNV-1a while mixing well enough for open-addressing
@@ -109,22 +101,6 @@ hashBytes(const void *data, std::size_t len)
     return detail::chunkHash(data, len, 0x9e3779b97f4a7c15ull,
                              0xa0761d6478bd642full,
                              0xe7037ed1a0b428dbull);
-}
-
-/**
- * Verification fingerprint: a second 64-bit hash over the same bytes,
- * independent of hashBytes() (different seed and multipliers).  The
- * hash-compaction store keeps this per entry instead of the state
- * bytes, so a probe-hash collision is detected rather than silently
- * merging distinct states; an *undetected* merge requires both values
- * to collide (expected occurrences ~ n^2 / 2^65 for n states).
- */
-inline std::uint64_t
-fingerprintBytes(const void *data, std::size_t len)
-{
-    return detail::chunkHash(data, len, 0x589965cc75374cc3ull,
-                             0x8bb84b93962eacc9ull,
-                             0x2d358dccaa6c78a5ull);
 }
 
 /**

@@ -136,8 +136,7 @@ memfdBytes()
  * (RssAnon) plus the allocated bytes of every memfd the process holds
  * open.  memfd pages are shmem: they stay in RAM whether mapped or
  * not and cannot be written back to a file, so an mmap store without
- * a backing directory is charged for its whole backing, including
- * the blocks sealLevel has unmapped.  (RssShmem is not added on top:
+ * a backing directory is charged for its whole backing.  (RssShmem is not added on top:
  * the only shmem here is memfd, whose mapped pages the allocated size
  * already counts.)  Pages of files on a real filesystem are not
  * counted — the kernel reclaims them by writeback.  Falls back to

@@ -205,7 +205,7 @@ TEST(CheckResult, JsonSchemaKeysArePresentInOrder)
     const char *const keys[] = {
         "\"schema\": \"cxl-check-result/v1\"",
         "\"scenario\"", "\"devices\"", "\"threads\"",
-        "\"symmetry_reduction\"", "\"compact\"", "\"por\"",
+        "\"symmetry_reduction\"", "\"por\"",
         "\"schedule\"", "\"max_states\"",
         "\"rules\"", "\"conjuncts\"", "\"states\"", "\"transitions\"",
         "\"slept_transitions\"",
@@ -214,7 +214,8 @@ TEST(CheckResult, JsonSchemaKeysArePresentInOrder)
         "\"violated_conjunct\"", "\"violated_family\"",
         "\"violation_depth\"", "\"probe_hash_collisions\"",
         "\"peak_rss_bytes\"", "\"rss_delta_bytes\"",
-        "\"mapped_file_bytes\"", "\"store_file_bytes\"",
+        "\"metered_peak_bytes\"", "\"mapped_file_bytes\"",
+        "\"store_file_bytes\"",
     };
     std::size_t at = 0;
     for (const char *key : keys) {
@@ -224,6 +225,8 @@ TEST(CheckResult, JsonSchemaKeysArePresentInOrder)
         at = pos;
     }
     EXPECT_NE(json.find("\"verdict\": \"holds\""), std::string::npos);
+    // The retired hash-compaction bit is no key any more.
+    EXPECT_EQ(json.find("\"compact\""), std::string::npos) << json;
     // A holding run nulls every violation field.
     EXPECT_NE(json.find("\"violation_kind\": null"),
               std::string::npos);
@@ -300,20 +303,13 @@ TEST(CheckResult, TextNamesTheStoreMedium)
               std::string::npos)
         << ram.renderText(false);
 
-    eng.store = StoreKind::InRamCompact;
-    req.engine = eng;
-    const CheckResult ram_c = session.run(req);
-    EXPECT_NE(ram_c.renderText(false).find(
-                  "ram-compact store (anonymous memory)"),
-              std::string::npos);
-
     eng.store = StoreKind::Mmap;
     req.engine = eng;
     const CheckResult memfd = session.run(req);
     EXPECT_NE(memfd.renderText(false).find("mmap store (memfd)"),
               std::string::npos)
         << memfd.renderText(false);
-    EXPECT_EQ(memfd.renderJson(true), ram_c.renderJson(true));
+    EXPECT_EQ(memfd.renderJson(true), ram.renderJson(true));
 
     eng.storeDir = "/tmp";
     req.engine = eng;
@@ -333,27 +329,38 @@ optionsOf(std::vector<const char *> argv)
         CliArgs(static_cast<int>(argv.size()), argv.data()));
 }
 
-TEST(StandardOptions, StoreFlagsResolveToThreeKinds)
+TEST(StandardOptions, StoreFlagsResolveToTwoKinds)
 {
-    EXPECT_EQ(optionsOf({}).engine.store, StoreKind::InRam);
-    EXPECT_EQ(optionsOf({"--compact"}).engine.store,
-              StoreKind::InRamCompact);
-    EXPECT_EQ(optionsOf({"--store", "ram-compact"}).engine.store,
-              StoreKind::InRamCompact);
-    // mmap is compact already: --compact and the mmap-compact
-    // spelling both leave it mmap.
+    // --compact is a no-op shim: it leaves either kind as it is.
+    for (const std::vector<const char *> &argv :
+         {std::vector<const char *>{}, {"--store", "ram"}, {"--compact"},
+          {"--store", "ram", "--compact"}})
+        EXPECT_EQ(optionsOf(argv).engine.store, StoreKind::InRam);
     for (const std::vector<const char *> &argv :
          {std::vector<const char *>{"--store", "mmap"},
           {"--store", "mmap", "--compact"},
-          {"--compact", "--store", "mmap"},
-          {"--store", "mmap-compact"}}) {
-        const api::StandardOptions opt = optionsOf(argv);
-        EXPECT_EQ(opt.engine.store, StoreKind::Mmap) << argv.size();
-        EXPECT_TRUE(storeKindCompact(opt.engine.store));
-    }
+          {"--compact", "--store", "mmap"}})
+        EXPECT_EQ(optionsOf(argv).engine.store, StoreKind::Mmap);
     EXPECT_EQ(optionsOf({"--store", "mmap", "--store-dir", "/tmp"})
                   .engine.storeDir,
               "/tmp");
+}
+
+TEST(StandardOptions, CompactFlagChangesNoResultByte)
+{
+    // The pinned benchmark still passes --compact: it must parse and
+    // give the same run, down to the deterministic JSON.
+    const api::StandardOptions with = optionsOf({"--compact"});
+    const api::StandardOptions without = optionsOf({});
+    for (const char *scenario : {"free-run", "go_tailgate_test"}) {
+        CheckRequest req;
+        req.scenario = scenario;
+        req.engine = with.engine;
+        const std::string a = CheckSession().run(req).renderJson(true);
+        req.engine = without.engine;
+        const std::string b = CheckSession().run(req).renderJson(true);
+        EXPECT_EQ(a, b) << scenario;
+    }
 }
 
 TEST(StandardOptions, StoreDirOnAHeapStoreIsAUsageError)
@@ -364,14 +371,16 @@ TEST(StandardOptions, StoreDirOnAHeapStoreIsAUsageError)
     EXPECT_EXIT(optionsOf({"--store-dir", "/tmp"}),
                 testing::ExitedWithCode(2),
                 "--store-dir needs --store mmap");
-    EXPECT_EXIT(optionsOf({"--store", "ram-compact", "--store-dir",
-                           "/tmp"}),
-                testing::ExitedWithCode(2), "the ram-compact store");
     EXPECT_EXIT(optionsOf({"--store", "ram", "--compact",
                            "--store-dir", "/tmp"}),
-                testing::ExitedWithCode(2), "the ram-compact store");
-    EXPECT_EXIT(optionsOf({"--store", "disk"}),
-                testing::ExitedWithCode(2), "'disk' unknown");
+                testing::ExitedWithCode(2), "the ram store");
+    // The retired hash-compaction words are usage errors that name
+    // the kinds left.
+    for (const char *word : {"ram-compact", "mmap-compact", "disk"}) {
+        EXPECT_EXIT(optionsOf({"--store", word}),
+                    testing::ExitedWithCode(2),
+                    std::string("'") + word + "' unknown \\(want ram\\|mmap\\)");
+    }
 }
 
 TEST(CheckResult, VerdictTextIsDeterministic)

@@ -58,7 +58,7 @@ TEST(StateStore, DepthWiderThanSixteenBits)
 
 TEST(StateStore, PackedIdsRoundTripAcrossShards)
 {
-    // Ids are (shard, offset) pairs; whatever shard the fingerprint
+    // Ids are (shard, offset) pairs; whatever shard the probe hash
     // routes to, entry(id) must return the inserted state and no id
     // may collide with the kNoParent sentinel.
     StateStore store;
@@ -80,7 +80,7 @@ TEST(StateStore, PackedIdsRoundTripAcrossShards)
             multiple_shards = true;
     }
     EXPECT_TRUE(multiple_shards)
-        << "64 distinct fingerprints should spread across shards";
+        << "64 distinct probe hashes should spread across shards";
     EXPECT_EQ(store.size(), 64u);
 }
 
@@ -114,40 +114,27 @@ TEST(StateStore, GrowShardRehashesAcrossManyDoublings)
     // Regression for the resize path: force every insert onto one
     // shard (top nibble zero) and push it through many bucket-array
     // doublings.  After the rehashes every entry must still be found
-    // by a duplicate probe, whose slot moved each time.  The compact
-    // store keeps the probe hash, so it takes forged ones; the full
-    // store recomputes hashes from its cells, so it takes states whose
-    // real hash routes them to shard 0.
+    // by a duplicate probe, whose slot moved each time.  The store
+    // recomputes hashes from its cells, so it takes states whose real
+    // hash routes them to shard 0.
     const int n = 50000; // 16 -> 65536+ buckets on the one shard
-    const std::vector<SystemState> real = shardZeroStates(n);
-    for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
-        StateStore store(16, mode);
-        const bool forge = mode == StoreMode::Compact;
-        auto stateOf = [&](int i) {
-            return forge ? growthState(i) : real[i];
-        };
-        auto hashOf = [&](int i) {
-            // Forged: the rest spreads probes over the bucket range.
-            return forge ? mix64(static_cast<std::uint64_t>(i)) >> 4
-                         : real[i].hash();
-        };
-        for (int i = 0; i < n; ++i) {
-            auto [idx, is_new] = store.insert(
-                stateOf(i), hashOf(i), StateStore::kNoParent, 0, 0);
-            ASSERT_TRUE(is_new) << i;
-            ASSERT_EQ(StateStore::shardOf(idx), 0u) << i;
-        }
-        EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
-        for (int i = 0; i < n; i += 97) {
-            auto [idx, is_new] = store.insert(
-                stateOf(i), hashOf(i), StateStore::kNoParent, 0, 0);
-            (void)idx;
-            EXPECT_FALSE(is_new)
-                << "entry " << i << " lost in a rehash";
-        }
-        EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
-        EXPECT_EQ(store.probeCollisions(), 0u);
+    const std::vector<SystemState> states = shardZeroStates(n);
+    StateStore store(16);
+    for (int i = 0; i < n; ++i) {
+        auto [idx, is_new] = store.insert(
+            states[i], states[i].hash(), StateStore::kNoParent, 0, 0);
+        ASSERT_TRUE(is_new) << i;
+        ASSERT_EQ(StateStore::shardOf(idx), 0u) << i;
     }
+    EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
+    for (int i = 0; i < n; i += 97) {
+        auto [idx, is_new] = store.insert(
+            states[i], states[i].hash(), StateStore::kNoParent, 0, 0);
+        (void)idx;
+        EXPECT_FALSE(is_new) << "entry " << i << " lost in a rehash";
+    }
+    EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(store.probeCollisions(), 0u);
 }
 
 TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
@@ -158,7 +145,7 @@ TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
     // found by find() and by a duplicate insert, at its own id.
     const int n = 50000;
     const std::vector<SystemState> states = shardZeroStates(n);
-    StateStore store(16 * StateStore::kNumShards, StoreMode::Full);
+    StateStore store(16 * StateStore::kNumShards);
     std::vector<std::uint32_t> ids;
     for (const SystemState &s : states) {
         auto [id, fresh] = store.insert(s, StateStore::kNoParent, 0, 0);
@@ -188,7 +175,7 @@ TEST(StateStoreDeathTest, FullStoreRejectsAForgedProbeHash)
     const SystemState s = initialAllInvalid();
     EXPECT_DEBUG_DEATH(
         {
-            StateStore store(1 << 10, StoreMode::Full);
+            StateStore store(1 << 10);
             store.insert(s, s.hash() ^ 1, StateStore::kNoParent, 0, 0);
         },
         "state.hash\\(\\)");
@@ -432,16 +419,16 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
     sc.initial = initialAllInvalid(0); // empty programs: only the
                                        // custom rules can fire
     Explorer ex(custom, sc, invariants);
-    // The same trace from the full store and, with the BFS schedule
-    // sealing every level, from the compact one.
-    for (const bool compact : {false, true}) {
+    // The same trace from both store kinds.
+    for (const StoreKind kind : {StoreKind::InRam, StoreKind::Mmap}) {
         ExploreOptions opt;
         opt.checkInvariants = false; // the crafted states are not legal
         opt.checkDeadlock = false;
-        opt.store = compact ? StoreKind::InRamCompact : StoreKind::InRam;
+        opt.store = kind;
         ExploreResult res = ex.run(opt);
+        const char *what = storeKindWord(kind);
 
-        ASSERT_TRUE(res.violation.has_value()) << compact;
+        ASSERT_TRUE(res.violation.has_value()) << what;
         EXPECT_EQ(res.violation->kind, Violation::Kind::Overflow);
         EXPECT_EQ(res.violation->overflowRule, "Burst");
         EXPECT_NE(res.violation->describe().find("Burst"),
@@ -450,7 +437,7 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
         // the overflowing Burst edge.
         EXPECT_EQ(res.violation->depth, 4u);
         const std::vector<TraceStep> &trace = res.violation->trace;
-        ASSERT_EQ(trace.size(), 5u) << compact;
+        ASSERT_EQ(trace.size(), 5u) << what;
         EXPECT_TRUE(trace.front().ruleName.empty());
         EXPECT_EQ(trace.back().ruleName, "Burst");
         for (std::size_t k = 1; k + 1 < trace.size(); ++k)

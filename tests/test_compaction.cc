@@ -1,15 +1,14 @@
 /**
  * @file
- * Hash-compaction (fingerprint-only) storage tests: compact and full
- * modes must agree on state/transition counts and verdicts for 2- and
- * 3-device explorations across 1/4/8 worker threads, a synthetic
- * probe-hash collision must be detected and kept as two states (and
- * reported via probeCollisions) rather than silently merged, and a
- * violation found under compaction must carry the same verdict and
- * the same full trace as the full store.  The SliceCells and
- * SliceTable tests pin the slice-id cells both modes store (round
- * trip, identity, width, concurrent interning), and the arena test
- * pins which sealed blocks a releasing arena drops.
+ * Exact state-storage tests: the mmap store must agree with the
+ * single-threaded ram store on state/transition counts and verdicts
+ * for 2- and 3-device explorations across 1/4/8 worker threads, a
+ * synthetic probe-hash collision must be detected and kept as two
+ * states (and reported via probeCollisions) rather than silently
+ * merged, and a violation must carry the same verdict and the same
+ * full trace on every store kind and thread count.  The SliceCells
+ * and SliceTable tests pin the slice-id cells every store keeps
+ * (round trip, identity, width, concurrent interning).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +24,7 @@
 
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
+#include "store_test_peer.hh"
 
 namespace cxl
 {
@@ -32,19 +32,29 @@ namespace
 {
 
 const std::size_t kSweep[] = {1, 4, 8};
+const StoreKind kKinds[] = {StoreKind::InRam, StoreKind::Mmap};
+
+/** A small store of @p kind. */
+StoreConfig
+smallStore(StoreKind kind)
+{
+    StoreConfig config = storeConfigOf(kind, std::string(), 0);
+    config.initialBuckets = 1 << 10;
+    return config;
+}
 
 ExploreResult
-runMode(const RuleSet &rules, const Scenario &sc,
-        const InvariantSet &inv, ExploreOptions opt, bool compact,
+runKind(const RuleSet &rules, const Scenario &sc,
+        const InvariantSet &inv, ExploreOptions opt, StoreKind kind,
         std::size_t threads)
 {
-    opt.store = compact ? StoreKind::InRamCompact : StoreKind::InRam;
+    opt.store = kind;
     opt.numThreads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
 }
 
-/** Compact results must match the full-mode baseline bit for bit. */
+/** A run must match the single-threaded ram baseline bit for bit. */
 void
 expectAgreement(const ExploreResult &full, const ExploreResult &comp,
                 const std::string &what)
@@ -65,9 +75,8 @@ expectAgreement(const ExploreResult &full, const ExploreResult &comp,
                   comp.violation->conjunctName)
             << what;
     }
-    // 64-bit fingerprints over these space sizes: a collision that
-    // perturbed the counts would be a ~n^2/2^65 event, and even
-    // detected near-misses are overwhelmingly unlikely.
+    // A full 64-bit probe-hash collision over these space sizes is
+    // overwhelmingly unlikely; identity is exact either way.
     EXPECT_EQ(comp.probeCollisions, 0u) << what;
 }
 
@@ -78,12 +87,14 @@ TEST(Compaction, TwoDeviceFreeRunAgreesAcrossThreadCounts)
     Scenario sc = Scenario::freeRunScenario();
     InvariantSet inv = InvariantSet::full(config);
 
-    ExploreResult base = runMode(rules, sc, inv, {}, false, 1);
+    ExploreResult base =
+        runKind(rules, sc, inv, {}, StoreKind::InRam, 1);
     ASSERT_TRUE(base.completed);
     ASSERT_FALSE(base.violation.has_value());
     for (std::size_t n : kSweep) {
-        expectAgreement(base, runMode(rules, sc, inv, {}, true, n),
-                        "2dev compact @" + std::to_string(n));
+        expectAgreement(base,
+                        runKind(rules, sc, inv, {}, StoreKind::Mmap, n),
+                        "2dev mmap @" + std::to_string(n));
     }
 }
 
@@ -97,13 +108,15 @@ TEST(Compaction, ThreeDeviceSymmetryReducedAgreesAcrossThreadCounts)
     ExploreOptions opt;
     opt.symmetryReduction = true;
 
-    ExploreResult base = runMode(rules, sc, inv, opt, false, 1);
+    ExploreResult base =
+        runKind(rules, sc, inv, opt, StoreKind::InRam, 1);
     ASSERT_TRUE(base.completed);
     ASSERT_FALSE(base.violation.has_value());
     EXPECT_GT(base.numStates, 100000u); // the 144,294-orbit space
     for (std::size_t n : kSweep) {
-        expectAgreement(base, runMode(rules, sc, inv, opt, true, n),
-                        "3dev sym compact @" + std::to_string(n));
+        expectAgreement(base,
+                        runKind(rules, sc, inv, opt, StoreKind::Mmap, n),
+                        "3dev sym mmap @" + std::to_string(n));
     }
 }
 
@@ -114,39 +127,46 @@ TEST(Compaction, ExpectedStatesHintChangesNoCounts)
     Scenario sc = Scenario::freeRunScenario();
     InvariantSet inv = InvariantSet::full(config);
 
-    ExploreResult base = runMode(rules, sc, inv, {}, false, 1);
-    for (bool compact : {false, true}) {
+    ExploreResult base =
+        runKind(rules, sc, inv, {}, StoreKind::InRam, 1);
+    for (StoreKind kind : {StoreKind::InRam, StoreKind::Mmap}) {
         ExploreOptions opt;
         opt.expectedStates = 1 << 20; // far beyond the real space
-        expectAgreement(base,
-                        runMode(rules, sc, inv, opt, compact, 4),
-                        compact ? "hint compact" : "hint full");
+        expectAgreement(base, runKind(rules, sc, inv, opt, kind, 4),
+                        std::string("hint ") + storeKindWord(kind));
     }
 }
 
 TEST(Compaction, ViolationTraceMatchesFullStore)
 {
-    // The Table 3 mutation under compaction: same conjunct, family
-    // and minimal depth as the full-mode verdict, and the same full
-    // trace — replayed from the breadcrumb rule ids, so sealed
-    // levels whose state bytes are released cost nothing.
+    // The Table 3 mutation on every store kind and thread count: the
+    // same conjunct, family, minimal depth and full trace as the
+    // single-threaded ram run — replayed from the breadcrumb rule
+    // ids, so no cell is decoded for it.
     ProtocolConfig mutated;
     mutated.relaxSnoopPushesGo = true;
     RuleSet rules(mutated);
     Scenario sc = Scenario::freeRunScenario();
     InvariantSet swmr = InvariantSet::swmrOnly();
 
-    ExploreResult full = runMode(rules, sc, swmr, {}, false, 1);
+    ExploreResult full =
+        runKind(rules, sc, swmr, {}, StoreKind::InRam, 1);
     ASSERT_TRUE(full.violation.has_value());
     const std::vector<TraceStep> &want = full.violation->trace;
     ASSERT_EQ(want.size(), full.violation->depth + 1u);
     EXPECT_TRUE(want.front().ruleName.empty());
     EXPECT_FALSE(swmrHolds(want.back().state));
 
-    for (std::size_t n : kSweep) {
-        ExploreResult comp = runMode(rules, sc, swmr, {}, true, n);
-        ASSERT_TRUE(comp.violation.has_value())
-            << "compact @" << n;
+    for (const auto &[kind, n] :
+         {std::pair{StoreKind::InRam, kSweep[1]},
+          std::pair{StoreKind::InRam, kSweep[2]},
+          std::pair{StoreKind::Mmap, kSweep[0]},
+          std::pair{StoreKind::Mmap, kSweep[1]},
+          std::pair{StoreKind::Mmap, kSweep[2]}}) {
+        const std::string what =
+            std::string(storeKindWord(kind)) + " @" + std::to_string(n);
+        ExploreResult comp = runKind(rules, sc, swmr, {}, kind, n);
+        ASSERT_TRUE(comp.violation.has_value()) << what;
         EXPECT_EQ(comp.violation->kind, full.violation->kind);
         EXPECT_EQ(comp.violation->depth, full.violation->depth);
         EXPECT_EQ(comp.violation->conjunctName,
@@ -154,62 +174,55 @@ TEST(Compaction, ViolationTraceMatchesFullStore)
         EXPECT_EQ(comp.violation->conjunctFamily,
                   full.violation->conjunctFamily);
         const std::vector<TraceStep> &got = comp.violation->trace;
-        ASSERT_EQ(got.size(), want.size()) << "compact @" << n;
+        ASSERT_EQ(got.size(), want.size()) << what;
         for (std::size_t i = 0; i < want.size(); ++i) {
             EXPECT_EQ(got[i].ruleName, want[i].ruleName)
-                << "compact @" << n << " step " << i;
+                << what << " step " << i;
             EXPECT_TRUE(got[i].state == want[i].state)
-                << "compact @" << n << " step " << i;
+                << what << " step " << i;
         }
     }
 }
 
 TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
 {
-    // Two distinct states forged onto the same 64-bit probe hash:
-    // probe-hash-only compaction would merge them silently.  The
-    // identity check — the cells' slices while they are in memory —
-    // must keep them apart and count the near-miss.  Only the compact
-    // store keeps the probe hash it is given; the full store
-    // recomputes hashes from its cells, so it gets the real ones: the
-    // pair stays distinct there too, with no collision to count.
-    SystemState a = initialAllInvalid();
-    SystemState b = initialBothShared(1);
+    // Two distinct states on the same 64-bit probe hash: b forged
+    // onto a's real one.  Probe-hash-only compaction would merge them
+    // silently; the exact identity check — the cells' slices — keeps
+    // them apart, and the full hash read off a's cell shows the
+    // near-miss is a true probe-hash collision, which is counted.
+    const SystemState a = initialAllInvalid();
+    const SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);
-    ASSERT_NE(a.fingerprint(), b.fingerprint());
-    const std::uint64_t forged = 0x1234567890abcdefull;
-
-    for (StoreMode mode : {StoreMode::Compact, StoreMode::Full}) {
-        const bool forge = mode == StoreMode::Compact;
-        const std::uint64_t ha = forge ? forged : a.hash();
-        const std::uint64_t hb = forge ? forged : b.hash();
-        StateStore store(1 << 10, mode);
-        auto [ia, new_a] =
-            store.insert(a, ha, StateStore::kNoParent, 0, 0);
+    ASSERT_NE(a.hash(), b.hash());
+    for (StoreKind kind : {StoreKind::InRam, StoreKind::Mmap}) {
+        const std::string what = storeKindWord(kind);
+        StateStore store(storeConfigOf(kind, "", 0));
+        auto [ia, new_a] = store.insert(a, StateStore::kNoParent, 0, 0);
         auto [ib, new_b] =
-            store.insert(b, hb, StateStore::kNoParent, 0, 0);
-        EXPECT_TRUE(new_a);
-        EXPECT_TRUE(new_b) << "collision silently merged states";
-        EXPECT_NE(ia, ib);
-        EXPECT_EQ(store.size(), 2u);
-        if (forge) {
-            EXPECT_GE(store.probeCollisions(), 1u)
-                << "collision not reported";
-        } else {
-            EXPECT_EQ(store.probeCollisions(), 0u);
-        }
+            StateStoreTestPeer::insertForged(store, b, a.hash());
+        EXPECT_TRUE(new_a) << what;
+        EXPECT_TRUE(new_b) << what << ": collision silently merged states";
+        EXPECT_NE(ia, ib) << what;
+        EXPECT_EQ(store.size(), 2u) << what;
+        EXPECT_EQ(store.probeCollisions(), 1u) << what;
 
         // Re-probing either state finds its own entry, not the
-        // other's.
+        // other's; b passes a's entry again, a second collision.
         auto [ia2, dup_a] =
-            store.insert(a, ha, StateStore::kNoParent, 0, 0);
+            store.insert(a, StateStore::kNoParent, 0, 0);
         auto [ib2, dup_b] =
-            store.insert(b, hb, StateStore::kNoParent, 0, 0);
-        EXPECT_FALSE(dup_a);
-        EXPECT_FALSE(dup_b);
-        EXPECT_EQ(ia2, ia);
-        EXPECT_EQ(ib2, ib);
-        EXPECT_EQ(store.size(), 2u);
+            StateStoreTestPeer::insertForged(store, b, a.hash());
+        EXPECT_FALSE(dup_a) << what;
+        EXPECT_FALSE(dup_b) << what;
+        EXPECT_EQ(ia2, ia) << what;
+        EXPECT_EQ(ib2, ib) << what;
+        EXPECT_EQ(store.find(a), ia) << what;
+        EXPECT_EQ(store.size(), 2u) << what;
+        EXPECT_EQ(store.probeCollisions(), 2u) << what;
+        SystemState decoded;
+        store.stateInto(ib, decoded);
+        EXPECT_TRUE(decoded == b) << what;
     }
 }
 
@@ -259,7 +272,7 @@ TEST(Compaction, CompactCellsRoundTripBitExactly)
     for (const SystemState &s : originals) {
         std::unique_ptr<StateStore> &store = stores[s.ndev];
         if (!store)
-            store = std::make_unique<StateStore>(1 << 10, StoreMode::Compact);
+            store = std::make_unique<StateStore>(1 << 10);
         auto [idx, is_new] =
             store->insert(s, StateStore::kNoParent, 0, 0);
         ASSERT_TRUE(is_new);
@@ -312,7 +325,7 @@ TEST(SliceCells, RoundTripsEveryDeviceCount)
 {
     // A cell is ndev slice ids — the lead (host fields and device 0),
     // then one per further device; decoding must give back the active
-    // prefix exactly and zero the inactive slots, in both modes.
+    // prefix exactly and zero the inactive slots, on every kind.
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         std::vector<SystemState> states = {
             initialAllInvalid(0, ndev), initialOneModified(0, 2, 1, ndev),
@@ -321,8 +334,8 @@ TEST(SliceCells, RoundTripsEveryDeviceCount)
             states.push_back(denseState(0));
             states.push_back(denseState(1));
         }
-        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
-            StateStore store(1 << 10, mode);
+        for (StoreKind kind : kKinds) {
+            StateStore store(smallStore(kind));
             for (const SystemState &s : states) {
                 const auto [id, fresh] =
                     store.insert(s, StateStore::kNoParent, 0, 0);
@@ -351,8 +364,6 @@ TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
     // in the last device must stay distinct on every store kind,
     // decode exactly, and be found again — with real probe hashes, so
     // nothing may count as a collision.
-    const StoreKind kinds[] = {StoreKind::InRam, StoreKind::InRamCompact,
-                               StoreKind::Mmap};
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         const SystemState base = busyState(ndev);
         SystemState host = base;
@@ -362,10 +373,8 @@ TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
         SystemState last = base;
         last.dev[ndev - 1].val = 3;
         const std::vector<SystemState> states = {base, host, dev0, last};
-        for (StoreKind kind : kinds) {
-            StoreConfig config = storeConfigOf(kind, std::string(), 0);
-            config.initialBuckets = 1 << 10;
-            StateStore store(config);
+        for (StoreKind kind : kKinds) {
+            StateStore store(smallStore(kind));
             std::vector<std::uint32_t> ids;
             for (const SystemState &s : states) {
                 const auto [id, fresh] =
@@ -395,12 +404,9 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
 {
     // Two states that differ only in the last active byte — the last
     // device's pc — share their host slice and all but the last device
-    // slice.  Under a forged probe-hash collision they must stay
-    // distinct, counted as one in probeCollisions().  Forging needs a
-    // store that keeps the probe hash (compact); the full store, which
-    // recomputes hashes from its cells, gets the real ones and must
-    // keep the pair apart with nothing to count.
-    const std::uint64_t forged = 0x0123456789abcdefull;
+    // slice.  With their real probe hashes they must stay distinct
+    // with nothing to count; with b forged onto a's hash they must
+    // stay distinct too, counted as one in probeCollisions().
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         SystemState a = initialAllInvalid(0, ndev);
         a.dev[ndev - 1].pc = 1;
@@ -408,15 +414,13 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
         b.dev[ndev - 1].pc = 2;
         ASSERT_FALSE(a == b);
 
-        for (StoreMode mode : {StoreMode::Compact, StoreMode::Full}) {
-            const bool forge = mode == StoreMode::Compact;
-            StateStore store(1 << 10, mode);
-            const auto [ia, new_a] = store.insert(
-                a, forge ? forged : a.hash(), StateStore::kNoParent, 0,
-                0);
-            const auto [ib, new_b] = store.insert(
-                b, forge ? forged : b.hash(), StateStore::kNoParent, 0,
-                0);
+        for (const bool forge : {false, true}) {
+            StateStore store(smallStore(StoreKind::InRam));
+            const auto [ia, new_a] =
+                store.insert(a, StateStore::kNoParent, 0, 0);
+            const auto [ib, new_b] =
+                forge ? StateStoreTestPeer::insertForged(store, b, a.hash())
+                      : store.insert(b, StateStore::kNoParent, 0, 0);
             EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
             EXPECT_NE(ia, ib);
             EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << ndev;
@@ -430,14 +434,14 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
 TEST(SliceCells, BytesPastTheActivePrefixAreIgnored)
 {
     // An inactive device slot is outside the prefix: a state that
-    // differs only there is the same state, in both modes.
+    // differs only there is the same state, on every kind.
     for (int ndev = 1; ndev < kMaxDevices; ++ndev) {
         const SystemState a = busyState(ndev);
         SystemState c = a;
         c.dev[ndev].val = 7;
         c.dev[kMaxDevices - 1].pc = 9;
-        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
-            StateStore store(1 << 10, mode);
+        for (StoreKind kind : kKinds) {
+            StateStore store(smallStore(kind));
             const auto [ia, new_a] =
                 store.insert(a, a.hash(), StateStore::kNoParent, 0, 0);
             const auto [ic, new_c] =
@@ -457,8 +461,8 @@ TEST(SliceCells, MismatchedDeviceCountIsRejected)
 {
     // The first insert fixes the cell width; a state of another device
     // count is a logic error and leaves the store unchanged.
-    for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
-        StateStore store(1 << 10, mode);
+    for (StoreKind kind : kKinds) {
+        StateStore store(smallStore(kind));
         const SystemState three = initialAllInvalid(0, 3);
         const std::uint32_t id =
             store.insert(three, StateStore::kNoParent, 0, 0).first;
@@ -553,8 +557,8 @@ TEST(SliceCells, ConcurrentInsertsDecodeToWhatWasInserted)
     // stored once and decode to exactly what was inserted.
     constexpr std::uint32_t kStates = 1 << 14; // odd strides permute it
     for (const unsigned threads : {4u, 8u}) {
-        for (StoreMode mode : {StoreMode::Full, StoreMode::Compact}) {
-            StateStore store(1 << 10, mode);
+        for (StoreKind kind : kKinds) {
+            StateStore store(smallStore(kind));
             std::vector<std::vector<std::uint32_t>> ids(
                 threads, std::vector<std::uint32_t>(kStates));
             std::vector<std::thread> pool;
@@ -596,71 +600,6 @@ TEST(SliceCells, ConcurrentInsertsDecodeToWhatWasInserted)
             }
         }
     }
-}
-
-TEST(Compaction, CompactStoreReleasesSealedLevels)
-{
-    // seal() must release exactly the whole blocks of cells below the
-    // previous level boundary, counted in entries; the newest level
-    // (the next frontier) and the block it shares stay readable.
-    // Checked on an arena over the InRam backend, the one a
-    // ram-compact store uses.
-    constexpr std::uint32_t kLevelA = 2 * StateArena::kBlockCells + 1;
-    constexpr std::uint32_t kLevelB = StateArena::kBlockCells;
-    auto cellOf = [](std::uint32_t i) {
-        return std::array<std::uint32_t, 4>{i, i ^ 1, i * 3, ~i};
-    };
-    for (const bool release : {true, false}) {
-        const std::unique_ptr<ShardMem> mem =
-            makeShardMem(StoreBackend::InRam, "");
-        StateArena arena;
-        arena.init(mem.get(), release, StateStore::kOffsetMask);
-        std::uint32_t n = 0;
-        for (; n < kLevelA; ++n)
-            arena.append(n, cellOf(n).data(), 4);
-        arena.seal(); // boundary after level A
-        for (std::uint32_t i = 0; i < n; ++i)
-            ASSERT_NE(arena.cellIfMapped(i), nullptr) << i;
-        for (; n < kLevelA + kLevelB; ++n)
-            arena.append(n, cellOf(n).data(), 4);
-
-        arena.seal(); // level A is now two boundaries old
-        // Blocks 0 and 1 lie wholly below level A's boundary and go;
-        // block 2 holds A's last entry and B's first ones, so it stays.
-        // An arena that does not release keeps them all.
-        EXPECT_EQ(arena.cellIfMapped(0) == nullptr, release);
-        EXPECT_EQ(arena.cellIfMapped(kLevelA - 2) == nullptr, release);
-        for (std::uint32_t i : {kLevelA - 1, kLevelA, n - 1}) {
-            const std::uint32_t *cell = arena.cellIfMapped(i);
-            ASSERT_NE(cell, nullptr) << i;
-            EXPECT_EQ(std::memcmp(cell, cellOf(i).data(), 16), 0) << i;
-        }
-    }
-
-    // Through the store: deduplication still works without the cells,
-    // and the partial tail block still decodes.
-    const std::uint32_t n = 4 * StateArena::kBlockCells + 100;
-    StateStore store(1 << 10, StoreMode::Compact);
-    std::vector<std::uint32_t> ids;
-    auto forged = [](std::uint32_t i) {
-        return mix64(i) >> 4; // shard 0
-    };
-    for (std::uint32_t i = 0; i < n; ++i) {
-        ids.push_back(store
-                          .insert(arenaState(static_cast<int>(i)),
-                                  forged(i), StateStore::kNoParent, 0,
-                                  0)
-                          .first);
-    }
-    store.sealLevel();
-    store.sealLevel();
-    auto [idx, is_new] = store.insert(arenaState(0), forged(0),
-                                      StateStore::kNoParent, 0, 0);
-    EXPECT_FALSE(is_new);
-    EXPECT_EQ(idx, ids.front());
-    SystemState decoded;
-    store.stateInto(ids.back(), decoded);
-    EXPECT_TRUE(decoded == arenaState(static_cast<int>(n - 1)));
 }
 
 } // namespace

@@ -191,32 +191,27 @@ TEST(ScenarioGen, MutationStaysInTheValidSpace)
 TEST(Oracle, ComboLabelsNameEachStoreKind)
 {
     // Labels appear in manifests and quarantine lines, so they are
-    // pinned: one store segment per StoreKind, mmap as "compact-mmap".
+    // pinned: the store segment is the kind's --store word.
     std::vector<std::string> full;
     for (const ComboDesc &combo : fullPortfolio(1))
         full.push_back(combo.label());
     const std::vector<std::string> want_full = {
-        "bfs/-/-/full/t1",        "bfs/-/-/compact/t1",
-        "bfs/-/sym/full/t1",      "bfs/-/sym/compact/t1",
-        "bfs/por/-/full/t1",      "bfs/por/-/compact/t1",
-        "bfs/por/sym/full/t1",    "bfs/por/sym/compact/t1",
-        "ws/-/-/full/t1",         "ws/-/-/compact/t1",
-        "ws/-/sym/full/t1",       "ws/-/sym/compact/t1",
-        "ws/por/-/full/t1",       "ws/por/-/compact/t1",
-        "ws/por/sym/full/t1",     "ws/por/sym/compact/t1",
-        "bfs/-/-/compact-mmap/t1"};
+        "bfs/-/-/ram/t1",   "bfs/-/sym/ram/t1",
+        "bfs/por/-/ram/t1", "bfs/por/sym/ram/t1",
+        "ws/-/-/ram/t1",    "ws/-/sym/ram/t1",
+        "ws/por/-/ram/t1",  "ws/por/sym/ram/t1",
+        "bfs/-/-/mmap/t1"};
     EXPECT_EQ(full, want_full);
 
     std::vector<std::string> replay;
     for (const ComboDesc &combo : replayPortfolio({4}))
         replay.push_back(combo.label());
     const std::vector<std::string> want_replay = {
-        "bfs/-/-/full/t4",   "bfs/-/sym/full/t4",
-        "bfs/por/-/full/t4", "bfs/por/sym/full/t4",
-        "ws/-/-/full/t4",    "ws/-/sym/full/t4",
-        "ws/por/-/full/t4",  "ws/por/sym/full/t4",
-        "bfs/-/-/compact/t4", "ws/-/-/compact/t4",
-        "bfs/-/-/compact-mmap/t4"};
+        "bfs/-/-/ram/t4",   "bfs/-/sym/ram/t4",
+        "bfs/por/-/ram/t4", "bfs/por/sym/ram/t4",
+        "ws/-/-/ram/t4",    "ws/-/sym/ram/t4",
+        "ws/por/-/ram/t4",  "ws/por/sym/ram/t4",
+        "bfs/-/-/mmap/t4"};
     EXPECT_EQ(replay, want_replay);
 }
 
@@ -235,10 +230,10 @@ TEST(Oracle, PortfolioAgreesOnACorrectProgramScenario)
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "holds");
     EXPECT_TRUE(report.reference.exactCounts);
-    // Symmetry arms are skipped for program scenarios: 17 combos
-    // (the 16-way cross product plus the mmap arm) minus 8 sym arms,
+    // Symmetry arms are skipped for program scenarios: 9 combos
+    // (the 8-way cross product plus the mmap arm) minus 4 sym arms,
     // plus the reference.
-    EXPECT_EQ(report.runs.size(), 10u);
+    EXPECT_EQ(report.runs.size(), 6u);
 }
 
 TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
@@ -258,7 +253,7 @@ TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
     EXPECT_FALSE(report.diverged())
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "violation");
-    EXPECT_EQ(report.runs.size(), 18u);
+    EXPECT_EQ(report.runs.size(), 10u);
 }
 
 TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
@@ -267,7 +262,7 @@ TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
     // channel_singleton and an ordering violation at minimal depth 5.
     // Unreduced runs deterministically report the former and
     // symmetry-reduced runs the latter — the same-depth winner is
-    // picked by a key that includes the state fingerprint, which the
+    // picked by a key that includes the state hash, which the
     // orbit quotient relabels — and neither is wrong, so the oracle
     // must compare only clean-vs-bad and depth across sym classes.
     FuzzCase c;

@@ -138,6 +138,46 @@ TEST(Governor, MemoryCeilingStopsBothSchedules)
         const CheckResult res =
             session.run(freeRunRequest(2, engine));
         expectGovernedStop(res, StopReason::Memory, "memory");
+        // The sample that tripped the ceiling is the metered peak.
+        EXPECT_GT(res.meteredPeakBytes, engine.maxRssBytes);
+    }
+}
+
+TEST(Governor, AHeldCeilingReportsAMeteredPeakWithinIt)
+{
+    // The metered peak is the largest sample the ceiling was checked
+    // against, so a run that held its ceiling reports at most the
+    // ceiling — unlike peak_rss_bytes, the process-lifetime maximum
+    // of a different measure.  It is observation only: zeroed in
+    // deterministic JSON, and 0 when no ceiling asked for samples.
+    CheckSession session;
+    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
+        EngineOptions engine;
+        engine.schedule = sched;
+        engine.threads = 4;
+        engine.symmetry = SymmetryMode::On;
+        engine.maxRssBytes = meteredMemoryBytes() + 256ull * 1024 * 1024;
+        CheckRequest req = freeRunRequest(2, engine);
+        req.devices = 3; // the 144,294-state symmetric space
+        const CheckResult res = session.run(req);
+        ASSERT_EQ(res.verdict, CheckResult::Verdict::Holds);
+        EXPECT_GT(res.meteredPeakBytes, 0u);
+        EXPECT_LE(res.meteredPeakBytes, engine.maxRssBytes);
+        const JsonValue doc = parseJson(res.renderJson());
+        EXPECT_EQ(doc.getNum("metered_peak_bytes"),
+                  static_cast<double>(res.meteredPeakBytes));
+        EXPECT_LE(doc.getNum("metered_peak_bytes"),
+                  static_cast<double>(engine.maxRssBytes));
+        EXPECT_EQ(parseJson(res.renderJson(true))
+                      .getNum("metered_peak_bytes"),
+                  0.0);
+        EXPECT_NE(res.renderText().find("metered peak"), std::string::npos)
+            << res.renderText();
+        EXPECT_NE(res.renderText().find("peak RSS"), std::string::npos);
+
+        engine.maxRssBytes = 0;
+        req.engine = engine;
+        EXPECT_EQ(session.run(req).meteredPeakBytes, 0u);
     }
 }
 
@@ -367,8 +407,7 @@ TEST(Governor, StoreFullErrorNamesShardAndRemedies)
 {
     // The raw store-level throw (what the explorers catch) must tell
     // a user which shard filled and which flags raise the ceiling.
-    StateStore store(16, StoreMode::Full,
-                     /*capacity_limit=*/16); // 1 entry per shard
+    StateStore store(16, /*capacity_limit=*/16); // 1 entry per shard
     SystemState parent = initialAllInvalid();
     auto [pid, fresh] =
         store.insert(parent, StateStore::kNoParent, 0, 0);
@@ -390,8 +429,7 @@ TEST(Governor, StoreFullErrorNamesShardAndRemedies)
         // ... and every store kind a user could switch to.
         EXPECT_NE(what.find("--expect-states"), std::string::npos)
             << what;
-        EXPECT_NE(what.find("--store=ram|ram-compact|mmap:"),
-                  std::string::npos)
+        EXPECT_NE(what.find("--store=ram|mmap;"), std::string::npos)
             << what;
         EXPECT_LT(e.shard(), StateStore::kNumShards);
     }

@@ -48,7 +48,6 @@ fullRequest()
     r.engine.threads = 3;
     r.engine.symmetry = SymmetryMode::Off;
     r.engine.store = StoreKind::Mmap;
-    r.engine.compact = true;
     r.engine.por = true;
     r.engine.schedule = Schedule::WorkSteal;
     r.engine.maxStates = 12345;
@@ -76,7 +75,6 @@ TEST(ServeProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(p.engine.threads, r.engine.threads);
     EXPECT_EQ(p.engine.symmetry, r.engine.symmetry);
     EXPECT_EQ(p.engine.store, r.engine.store);
-    EXPECT_EQ(p.engine.compact, r.engine.compact);
     EXPECT_EQ(p.engine.por, r.engine.por);
     EXPECT_EQ(p.engine.schedule, r.engine.schedule);
     EXPECT_EQ(p.engine.maxStates, r.engine.maxStates);
@@ -387,61 +385,40 @@ TEST(ResolveRequest, DistinctSemanticsNeverAlias)
     EXPECT_NE(keyOf(cfg), base);
 }
 
-TEST(ResolveRequest, CompactStoreSpellingsCollapseToOneKey)
+TEST(ResolveRequest, StoreKindsCollapseToOneKey)
 {
     // The backend is below the probe algorithm: verdicts, counts and
-    // the rendered JSON are backend-independent, so every spelling of
-    // a compact store — ram-compact, mmap, mmap-compact, mmap with
-    // the compact knob either way — must share one cache entry, and a
-    // ram-compact-warmed cache answers mmap requests.  The compact bit
-    // is semantics (detected-collision accounting) and forks the key:
-    // ram has its own.
+    // the rendered JSON are store-independent, so ram and mmap share
+    // one cache entry and a ram-warmed cache answers mmap requests.
     const std::string base = keyOf(namedRequest("free-run"));
-    Request ram = namedRequest("free-run");
-    ram.engine.store = StoreKind::InRam;
-    EXPECT_EQ(keyOf(ram), base);
-
-    Request ram_c = namedRequest("free-run");
-    ram_c.engine.store = StoreKind::InRamCompact;
-    const std::string compact = keyOf(ram_c);
-    EXPECT_NE(compact, base);
-
-    Request mmap = namedRequest("free-run");
-    mmap.engine.store = StoreKind::Mmap;
-    EXPECT_EQ(keyOf(mmap), compact);
-    for (bool knob : {true, false}) {
-        Request layered = namedRequest("free-run");
-        layered.engine.store = StoreKind::Mmap;
-        layered.engine.compact = knob;
-        EXPECT_EQ(resolveRequest(layered, {}, 0).engine.store,
-                  StoreKind::Mmap)
-            << knob;
-        EXPECT_EQ(keyOf(layered), compact) << knob;
+    for (StoreKind kind : {StoreKind::InRam, StoreKind::Mmap}) {
+        Request r = namedRequest("free-run");
+        r.engine.store = kind;
+        EXPECT_EQ(keyOf(r), base) << storeKindWord(kind);
     }
 
-    // The wire spellings: mmap-compact parses as mmap, and
-    // {"store":"mmap","compact":false} still resolves to mmap.
-    for (const char *wire :
-         {R"({"schema":"cxl-checkd/v1","type":"check","id":"t",)"
-          R"("scenario":"free-run","engine":{"store":"mmap-compact"}})",
-          R"({"schema":"cxl-checkd/v1","type":"check","id":"t",)"
-          R"("scenario":"free-run","engine":{"store":"mmap",)"
-          R"("compact":false}})"}) {
-        const Request r = requestFromJson(wire);
-        EXPECT_EQ(resolveRequest(r, {}, 0).engine.store,
-                  StoreKind::Mmap)
-            << wire;
-        EXPECT_EQ(keyOf(r), compact) << wire;
+    // On the wire, "store" takes the two kind words; the retired
+    // compaction words are errors, and the retired "compact" knob is
+    // an unknown key like any other, which resolves nothing.
+    const std::string head =
+        R"({"schema":"cxl-checkd/v1","type":"check","id":"t",)"
+        R"("scenario":"free-run","engine":)";
+    const Request mmap = requestFromJson(head + R"({"store":"mmap"}})");
+    EXPECT_EQ(resolveRequest(mmap, {}, 0).engine.store, StoreKind::Mmap);
+    for (const char *word : {"ram-compact", "mmap-compact"}) {
+        try {
+            requestFromJson(head + R"({"store":")" + word + R"("}})");
+            ADD_FAILURE() << word << " accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("(want ram|mmap)"),
+                      std::string::npos)
+                << e.what();
+        }
     }
-
-    // The compact knob in RAM picks ram-compact or ram.
-    Request ram_knob = namedRequest("free-run");
-    ram_knob.engine.store = StoreKind::InRamCompact;
-    ram_knob.engine.compact = false;
-    EXPECT_EQ(keyOf(ram_knob), base);
-    ram_knob.engine.store = StoreKind::InRam;
-    ram_knob.engine.compact = true;
-    EXPECT_EQ(keyOf(ram_knob), compact);
+    const Request knob = requestFromJson(head + R"({"compact":true}})");
+    EXPECT_EQ(resolveRequest(knob, {}, 0).engine.store, StoreKind::InRam);
+    EXPECT_EQ(keyOf(knob), base);
+    EXPECT_EQ(renderRequestJson(knob).find("compact"), std::string::npos);
 }
 
 TEST(ResolveRequest, WallClockBudgetsStayOutOfTheKey)
@@ -609,12 +586,12 @@ TEST_F(ServeEndToEnd, ConcurrentClientsMatchOfflineByteForByte)
 TEST_F(ServeEndToEnd, MmapStoreServesOfflineBytesForEveryScenario)
 {
     // Every registry scenario served under the mmap store must
-    // return the exact bytes an offline ram-compact run renders: the
-    // backend may not leak into the result, and the out-of-core
-    // path must not perturb a single count or verdict.
+    // return the exact bytes an offline ram run renders: the backend
+    // may not leak into the result, and the file-backed path must
+    // not perturb a single count or verdict.
     EngineOptions offline;
     offline.threads = 2;
-    offline.store = StoreKind::InRamCompact;
+    offline.store = StoreKind::InRam;
     CheckSession session(offline);
     for (const scenarios::Entry &entry : scenarios::all()) {
         const int devices = entry.deviceScalable
@@ -638,8 +615,8 @@ TEST_F(ServeEndToEnd, MmapStoreServesOfflineBytesForEveryScenario)
 
 TEST(ServeStoreText, CacheHitNamesTheRequestingStore)
 {
-    // ram-compact and mmap share a cache key, so an mmap request is
-    // answered from a ram-compact run.  The replayed result JSON must
+    // ram and mmap share a cache key, so an mmap request is answered
+    // from a ram run.  The replayed result JSON must
     // stay byte-identical, but the text's engine line names the
     // store the request asked for: memfd without a store directory,
     // the directory's files with one.
@@ -660,12 +637,11 @@ TEST(ServeStoreText, CacheHitNamesTheRequestingStore)
         warm.engine.threads = 2;
         warm.deterministic = true;
         warm.progress = false;
-        warm.engine.store = StoreKind::InRamCompact;
+        warm.engine.store = StoreKind::InRam;
         const ClientResult first = requestCheck(server.socketPath(), warm);
         ASSERT_TRUE(first.ok) << first.error;
         EXPECT_FALSE(first.cached);
-        EXPECT_NE(first.payload.text.find(
-                      "ram-compact store (anonymous memory)"),
+        EXPECT_NE(first.payload.text.find("ram store (anonymous memory)"),
                   std::string::npos)
             << first.payload.text;
 
@@ -681,7 +657,7 @@ TEST(ServeStoreText, CacheHitNamesTheRequestingStore)
                               : "mmap store (files under " + store_dir + ")";
         EXPECT_NE(hit.payload.text.find(want), std::string::npos)
             << hit.payload.text;
-        EXPECT_EQ(hit.payload.text.find("ram-compact"), std::string::npos)
+        EXPECT_EQ(hit.payload.text.find("ram store"), std::string::npos)
             << hit.payload.text;
 
         // And back: the cached entry itself is untouched.

@@ -1,15 +1,15 @@
 /**
  * @file
  * Backend conformance suite for the layered visited-state store: the
- * three StoreKinds (ram, ram-compact, mmap) must present identical
- * packed-id semantics through the StateStore façade —
- * insert/lookup/dedup, depth relabeling, seal/retention per kind's
- * contract, the StoreFullError capacity path (store-level and through
- * both engines), forged probe-hash collision detection — and the
- * engines must produce bit-identical state/transition counts on every
- * kind at 2-device and symmetry-reduced 3-device spaces.  On Linux the
- * in-RAM kinds' memory is checked page by page (mincore): it is mapped
- * on demand, unmapped when dropped, and never metered as file bytes.
+ * two StoreKinds (ram, mmap) must present identical packed-id
+ * semantics through the StateStore façade — insert/lookup/dedup,
+ * depth relabeling, every cell kept, level-barrier growth, the
+ * StoreFullError capacity path (store-level and through both
+ * engines), forged probe-hash collision detection — and the engines
+ * must produce bit-identical state/transition counts on both kinds at
+ * 2-device and symmetry-reduced 3-device spaces.  On Linux the in-RAM
+ * kind's memory is checked page by page (mincore): it is mapped on
+ * demand and never metered as file bytes.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "checker/state_store.hh"
 #include "checker/store_arena.hh"
 #include "checker/store_columns.hh"
+#include "store_test_peer.hh"
 #include "support/hash.hh"
 #include "support/resource.hh"
 
@@ -51,7 +52,6 @@ struct Kind {
 
 const Kind kKinds[] = {
     {"ram", StoreKind::InRam},
-    {"ram-compact", StoreKind::InRamCompact},
     {"mmap", StoreKind::Mmap},
 };
 
@@ -64,28 +64,18 @@ configOf(const Kind &k, std::uint64_t capacity = 0,
     return config;
 }
 
-TEST(StoreBackend, StoreSpellingsResolveToThreeKinds)
+TEST(StoreBackend, StoreSpellingsResolveToTwoKinds)
 {
-    // mmap releases sealed levels like ram-compact, so it is compact;
-    // the mmap-compact spelling names the same kind.
     EXPECT_EQ(storeKindFromWord("ram"), StoreKind::InRam);
-    EXPECT_EQ(storeKindFromWord("ram-compact"), StoreKind::InRamCompact);
     EXPECT_EQ(storeKindFromWord("mmap"), StoreKind::Mmap);
-    EXPECT_EQ(storeKindFromWord("mmap-compact"), StoreKind::Mmap);
-    EXPECT_EQ(storeKindFromWord("disk"), std::nullopt);
-    EXPECT_FALSE(storeKindCompact(StoreKind::InRam));
-    EXPECT_TRUE(storeKindCompact(StoreKind::InRamCompact));
-    EXPECT_TRUE(storeKindCompact(StoreKind::Mmap));
-
-    // --compact layers onto --store: ram becomes ram-compact, mmap
-    // stays mmap; a compact bit of false on mmap is moot too.
-    EXPECT_EQ(storeKindOf(true, false), StoreKind::Mmap);
-    EXPECT_EQ(storeKindOf(true, true), StoreKind::Mmap);
-    EXPECT_EQ(storeKindOf(false, true), StoreKind::InRamCompact);
-    EXPECT_EQ(storeKindOf(false, false), StoreKind::InRam);
-
-    for (const Kind &k : kKinds)
+    // The retired hash-compaction words are no store kind any more.
+    for (const char *word : {"ram-compact", "mmap-compact", "disk", ""})
+        EXPECT_EQ(storeKindFromWord(word), std::nullopt) << word;
+    for (const Kind &k : kKinds) {
         EXPECT_STREQ(storeKindWord(k.kind), k.name);
+        // The benchmark harness's shim: no kind is compact.
+        EXPECT_FALSE(storeKindCompact(k.kind)) << k.name;
+    }
 }
 
 /** A distinct, moderately busy state per index. */
@@ -103,9 +93,9 @@ probeState(int i)
 }
 
 /** The first 40,000 probeStates whose real probe hash has a zero top
- * nibble, so one shard accumulates enough entries to fill and drop
- * arena blocks — on any kind, ram included, which recomputes hashes
- * from its cells and so takes no forged one. */
+ * nibble, so one shard accumulates enough entries to fill several
+ * arena blocks and grow its buckets many times (the store recomputes
+ * hashes from its cells, so it takes no forged one). */
 const std::vector<SystemState> &
 shardZeroStates()
 {
@@ -206,10 +196,12 @@ TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
     }
 }
 
-TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
+TEST(StoreBackend, EveryKindKeepsEveryCell)
 {
-    // Enough shard-0 entries that whole arena blocks (2^18 bytes of
-    // cells) fall below two seal boundaries.
+    // Enough shard-0 entries to fill several arena blocks (2^15 cells
+    // each at 2 devices).  Every entry decodes and deduplicates by
+    // its cell on both kinds, before and after the no-op sealLevel
+    // the benchmark harness still calls.
     const std::vector<SystemState> &states = shardZeroStates();
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
@@ -220,32 +212,69 @@ TEST(StoreBackend, SealRetentionFollowsEachKindsContract)
         }
         store.sealLevel();
         store.sealLevel();
-
-        // The newest level — the next BFS frontier — decodes on every
-        // kind; the InRam full store releases nothing, so its sealed
-        // entries decode too.  (Which blocks the releasing kinds drop
-        // is pinned by Compaction.CompactStoreReleasesSealedLevels and
-        // MmapKindsReportAndReleaseMappedBytes.)
-        SystemState decoded;
-        store.stateInto(ids.back(), decoded);
-        EXPECT_TRUE(decoded == states.back()) << k.name;
-        if (k.kind == StoreKind::InRam) {
-            store.stateInto(ids.front(), decoded);
-            EXPECT_TRUE(decoded == states.front()) << k.name;
+        for (std::size_t i = 0; i < states.size(); i += 1021) {
+            SystemState decoded;
+            store.stateInto(ids[i], decoded);
+            EXPECT_TRUE(decoded == states[i]) << k.name << " " << i;
+            auto [id, fresh] =
+                store.insert(states[i], StateStore::kNoParent, 0, 0);
+            EXPECT_FALSE(fresh) << k.name << " " << i;
+            EXPECT_EQ(id, ids[i]) << k.name << " " << i;
         }
-
-        // Deduplication survives sealing on every kind (fingerprint
-        // identity where the bytes are released).
-        auto [id, fresh] =
-            store.insert(states.front(), StateStore::kNoParent, 0, 0);
-        EXPECT_FALSE(fresh) << k.name;
-        EXPECT_EQ(id, ids.front()) << k.name;
         EXPECT_EQ(store.size(), states.size()) << k.name;
     }
 }
 
+TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
+{
+    // growFor(n) reaches the capacity insert-time growth reaches by n
+    // entries, so a level as large as its estimate inserts without a
+    // rehash.
+    for (const std::uint32_t n : {1u, 11u, 12u, 13u, 100u, 5000u}) {
+        const std::unique_ptr<ShardMem> grown_mem =
+            makeShardMem(StoreBackend::InRam, "");
+        const std::unique_ptr<ShardMem> stepped_mem =
+            makeShardMem(StoreBackend::InRam, "");
+        ShardColumns grown, stepped;
+        auto hashesOf = [](std::uint32_t first, std::uint32_t k,
+                           std::uint64_t *out) {
+            for (std::uint32_t i = 0; i < k; ++i)
+                out[i] = mix64(first + i);
+        };
+        grown.init(grown_mem.get(), 16, StateStore::kOffsetMask, hashesOf);
+        stepped.init(stepped_mem.get(), 16, StateStore::kOffsetMask,
+                     hashesOf);
+        grown.growFor(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            stepped.maybeGrow();
+            stepped.append(StateStore::kNoParent, 0, 0);
+        }
+        EXPECT_EQ(grown.mask(), stepped.mask()) << n;
+    }
+
+    // Through the store: a barrier after a level of ~40,000 shard-0
+    // entries grows shard 0 for another such level, re-slotting every
+    // entry from its cell; each one is still found at its id.
+    const std::vector<SystemState> &states = shardZeroStates();
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        std::vector<std::uint32_t> ids;
+        for (const SystemState &s : states) {
+            ids.push_back(
+                store.insert(s, StateStore::kNoParent, 0, 0).first);
+        }
+        for (std::uint32_t s = 0; s < StateStore::kNumShards; ++s)
+            store.growForNextLevel(s);
+        for (std::size_t i = 0; i < states.size(); ++i) {
+            ASSERT_EQ(store.find(states[i]), ids[i]) << k.name << " " << i;
+        }
+        EXPECT_EQ(store.size(), states.size()) << k.name;
+        EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
+    }
+}
+
 #if defined(__linux__)
-TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
+TEST(StoreBackend, MmapKindReportsMappedBytes)
 {
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
@@ -256,35 +285,14 @@ TEST(StoreBackend, MmapKindsReportAndReleaseMappedBytes)
             EXPECT_EQ(store.backingFileBytes(), 0u) << k.name;
             continue;
         }
-        const std::uint64_t mapped = store.mappedBytes();
-        EXPECT_GT(mapped, 0u) << k.name;
-        EXPECT_GT(store.backingFileBytes(), 0u) << k.name;
-        // Two seals drop every whole block below the first boundary:
-        // the mapped window shrinks, the backing file does not.
-        const std::uint64_t file_before = store.backingFileBytes();
-        store.sealLevel();
-        store.sealLevel();
-        EXPECT_LT(store.mappedBytes(), mapped) << k.name;
-        EXPECT_GE(store.backingFileBytes(), file_before) << k.name;
-    }
-}
-
-TEST(StoreBackend, DroppedBlocksLeaveTheMemfd)
-{
-    // Without a store directory the mmap kinds back their arenas with
-    // memfd, whose pages stay in RAM after munmap; a dropped block is
-    // punched out of the file, so its allocated bytes must fall.
-    for (const Kind &k : kKinds) {
-        if (!storeKindMmap(k.kind))
-            continue;
-        StateStore store(configOf(k));
-        for (const SystemState &s : shardZeroStates())
-            store.insert(s, StateStore::kNoParent, 0, 0);
-        const std::uint64_t before = detail::memfdBytes();
-        ASSERT_GT(before, 0u) << k.name << ": no memfd backing";
-        store.sealLevel();
-        store.sealLevel();
-        EXPECT_LT(detail::memfdBytes(), before) << k.name;
+        // Every region stays mapped, so the mapped bytes are the file
+        // bytes, and the memfd backing holds at least the cells.
+        EXPECT_GT(store.mappedBytes(), 0u) << k.name;
+        EXPECT_EQ(store.mappedBytes(), store.backingFileBytes())
+            << k.name;
+        EXPECT_GE(detail::memfdBytes(),
+                  shardZeroStates().size() * 2 * sizeof(std::uint32_t))
+            << k.name;
     }
 }
 
@@ -313,38 +321,6 @@ residentPages(const void *p, std::size_t bytes)
     return resident;
 }
 
-TEST(StoreBackend, RamCompactDroppedBlocksAreUnmapped)
-{
-    // The arena a ram-compact shard builds: the InRam backend with
-    // sealed cells released.  A dropped block goes back to the OS at
-    // the seal, so its old range is no longer mapped at all.
-    const std::unique_ptr<ShardMem> mem =
-        makeShardMem(StoreBackend::InRam, "");
-    StateArena arena;
-    arena.init(mem.get(), true, StateStore::kOffsetMask);
-    const std::uint32_t cell[3] = {1, 2, 3};
-    std::uint32_t n = 0;
-    for (; n < 2 * StateArena::kBlockCells + 1; ++n)
-        arena.append(n, cell, 3);
-    const void *block0 = arena.cellIfMapped(0);
-    const void *block1 = arena.cellIfMapped(StateArena::kBlockCells);
-    const std::size_t bytes = std::size_t{StateArena::kBlockCells} * 3 *
-                              sizeof(std::uint32_t);
-    EXPECT_GT(residentPages(block0, bytes), 0);
-    arena.seal();
-    for (; n < 3 * StateArena::kBlockCells; ++n)
-        arena.append(n, cell, 3);
-    arena.seal();
-    ASSERT_EQ(arena.cellIfMapped(0), nullptr);
-    for (const void *block : {block0, block1}) {
-        errno = 0;
-        EXPECT_EQ(residentPages(block, bytes), -1);
-        EXPECT_EQ(errno, ENOMEM) << std::strerror(errno);
-    }
-    EXPECT_EQ(mem->mappedBytes(), 0u);
-    EXPECT_EQ(mem->backingFileBytes(), 0u);
-}
-
 TEST(StoreBackend, DepthChunksAreBackedOnlyWhereWritten)
 {
     // A fresh chunk has no resident page; the depth column constructs
@@ -365,10 +341,9 @@ TEST(StoreBackend, DepthChunksAreBackedOnlyWhereWritten)
             const std::unique_ptr<ShardMem> mem =
                 makeShardMem(config.backend, config.dir);
             ShardColumns cols;
-            cols.init(mem.get(), storeKindCompact(k.kind), 16,
-                      StateStore::kOffsetMask);
-            cols.append(mix64(shard), mix64(shard + 1),
-                        StateStore::kNoParent, 0, 7);
+            cols.init(mem.get(), 16, StateStore::kOffsetMask,
+                      [](std::uint32_t, std::uint32_t, std::uint64_t *) {});
+            cols.append(StateStore::kNoParent, 0, 7);
             EXPECT_EQ(cols.depthCell(0).load(), 7u);
             EXPECT_EQ(residentPages(&cols.depthCell(0), kChunkBytes), 1)
                 << k.name << " shard " << shard;
@@ -385,7 +360,7 @@ TEST(StoreBackend, FlatContentsSurviveAMovingGrowth)
     const std::unique_ptr<ShardMem> mem =
         makeShardMem(StoreBackend::InRam, "");
     auto *base = static_cast<std::uint64_t *>(
-        mem->flatGrow(ShardMem::kFlatHashes, page));
+        mem->flatGrow(ShardMem::kFlatParents, page));
     const std::size_t words = page / sizeof(std::uint64_t);
     for (std::size_t i = 0; i < words; ++i)
         base[i] = mix64(i);
@@ -402,7 +377,7 @@ TEST(StoreBackend, FlatContentsSurviveAMovingGrowth)
     // EEXIST, some other mapping: in-place growth is blocked.
 
     auto *grown = static_cast<std::uint64_t *>(
-        mem->flatGrow(ShardMem::kFlatHashes, 4 * page));
+        mem->flatGrow(ShardMem::kFlatParents, 4 * page));
     EXPECT_NE(grown, base);
     for (std::size_t i = 0; i < words; ++i)
         ASSERT_EQ(grown[i], mix64(i)) << i;
@@ -421,7 +396,7 @@ TEST(StoreBackend, StoreDirBacksShardFiles)
     char *dir = mkdtemp(tmpl);
     ASSERT_NE(dir, nullptr);
     {
-        StateStore store(configOf(kKinds[2], 0, dir)); // mmap
+        StateStore store(configOf(kKinds[1], 0, dir)); // mmap
         for (int i = 0; i < 5000; ++i) {
             store.insert(probeState(i), StateStore::kNoParent, 0, 0);
         }
@@ -456,8 +431,7 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
             EXPECT_NE(what.find("per-shard limit 1 entries"),
                       std::string::npos)
                 << k.name << ": " << what;
-            EXPECT_NE(what.find("--store=ram|ram-compact|mmap:"),
-                      std::string::npos)
+            EXPECT_NE(what.find("--store=ram|mmap;"), std::string::npos)
                 << k.name << ": " << what;
         }
         EXPECT_TRUE(threw) << k.name;
@@ -466,43 +440,35 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
 
 TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
 {
-    // The compact kinds store the probe hash they are given, so a
-    // forged shared hash makes a detected collision.  ram recomputes
-    // hashes from its cells and takes only real ones: the same pair
-    // must stay distinct there, with no collision to count.
-    SystemState a = initialAllInvalid();
-    SystemState b = initialBothShared(1);
+    // b forged onto a's real probe hash: the bucket tag and the full
+    // hash read off a's cell both match, the slices do not — a
+    // detected collision, counted, with the pair kept distinct.  With
+    // real hashes the same pair has nothing to count.
+    const SystemState a = initialAllInvalid();
+    const SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);
-    const std::uint64_t forged = 0x1234567890abcdefull;
     for (const Kind &k : kKinds) {
-        const bool forge = storeKindCompact(k.kind);
-        const std::uint64_t ha = forge ? forged : a.hash();
-        const std::uint64_t hb = forge ? forged : b.hash();
-        StateStore store(configOf(k));
-        auto [ia, new_a] =
-            store.insert(a, ha, StateStore::kNoParent, 0, 0);
-        auto [ib, new_b] =
-            store.insert(b, hb, StateStore::kNoParent, 0, 0);
-        EXPECT_TRUE(new_a) << k.name;
-        EXPECT_TRUE(new_b) << k.name << ": silently merged";
-        EXPECT_NE(ia, ib) << k.name;
-        if (forge)
-            EXPECT_GE(store.probeCollisions(), 1u) << k.name;
-        else
-            EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
-        // The collision survives a seal: released-entry identity falls
-        // back to the verification fingerprint, which still tells
-        // the two states apart.
-        store.sealLevel();
-        store.sealLevel();
-        auto [ia2, dup_a] =
-            store.insert(a, ha, StateStore::kNoParent, 0, 0);
-        auto [ib2, dup_b] =
-            store.insert(b, hb, StateStore::kNoParent, 0, 0);
-        EXPECT_FALSE(dup_a) << k.name;
-        EXPECT_FALSE(dup_b) << k.name;
-        EXPECT_EQ(ia2, ia) << k.name;
-        EXPECT_EQ(ib2, ib) << k.name;
+        for (const bool forge : {false, true}) {
+            StateStore store(configOf(k));
+            auto insertB = [&] {
+                return forge ? StateStoreTestPeer::insertForged(store, b,
+                                                                a.hash())
+                             : store.insert(b, StateStore::kNoParent, 0, 0);
+            };
+            auto [ia, new_a] = store.insert(a, StateStore::kNoParent, 0, 0);
+            auto [ib, new_b] = insertB();
+            EXPECT_TRUE(new_a) << k.name;
+            EXPECT_TRUE(new_b) << k.name << ": silently merged";
+            EXPECT_NE(ia, ib) << k.name;
+            EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << k.name;
+            auto [ia2, dup_a] =
+                store.insert(a, StateStore::kNoParent, 0, 0);
+            auto [ib2, dup_b] = insertB();
+            EXPECT_FALSE(dup_a) << k.name;
+            EXPECT_FALSE(dup_b) << k.name;
+            EXPECT_EQ(ia2, ia) << k.name;
+            EXPECT_EQ(ib2, ib) << k.name;
+        }
     }
 }
 
@@ -552,10 +518,10 @@ TEST(StoreBackend, TagOnlyMatchIsNotACollision)
 {
     // Two states whose real probe hashes share the shard nibble and
     // the low 32 bits but differ above: in a 16-bucket shard the
-    // second probes the first's home bucket and its tag matches.  ram
-    // then reads the 64-bit hash off the cell, ram-compact off its
-    // column; on both the pair stays distinct and no collision is
-    // counted, because the full probe hashes differ.
+    // second probes the first's home bucket and its tag matches.  The
+    // store then reads the 64-bit hash off the first's cell; the pair
+    // stays distinct and no collision is counted, because the full
+    // probe hashes differ.
     constexpr std::uint64_t kKey = 0xf0000000ffffffffull;
     std::vector<std::pair<std::uint64_t, int>> keyed;
     const int scan = 1 << 20;
@@ -588,87 +554,6 @@ TEST(StoreBackend, TagOnlyMatchIsNotACollision)
         EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
         EXPECT_EQ(store.find(a), id_a) << k.name;
         EXPECT_EQ(store.find(b), id_b) << k.name;
-    }
-}
-
-/** An InRam ShardMem that records which flats were ever grown. */
-class RecordingShardMem : public ShardMem
-{
-  public:
-    void *
-    flatGrow(unsigned id, std::size_t bytes) override
-    {
-        grown[id] = true;
-        return inner_->flatGrow(id, bytes);
-    }
-    void *chunkAlloc(std::size_t bytes) override
-    {
-        return inner_->chunkAlloc(bytes);
-    }
-    void *
-    blockAlloc(std::uint32_t index, std::size_t bytes) override
-    {
-        return inner_->blockAlloc(index, bytes);
-    }
-    void blockDrop(std::uint32_t index) override
-    {
-        inner_->blockDrop(index);
-    }
-
-    bool grown[kFlatCount] = {};
-
-  private:
-    std::unique_ptr<ShardMem> inner_ =
-        makeShardMem(StoreBackend::InRam, "");
-};
-
-TEST(StoreBackend, HashColumnsExistOnlyWhereCellsAreReleased)
-{
-    // Columns that keep no hashes map neither the probe-hash nor the
-    // fingerprint flat, and rehash through EntryHash; columns that
-    // keep them map both and rehash from the stored hashes.  Either
-    // way every entry is found again after the growths.
-    auto hashOf = [](std::uint32_t off) { return mix64(off); };
-    const std::uint32_t n = 5000; // 16 -> 8192 buckets
-    for (const bool keep : {false, true}) {
-        RecordingShardMem mem;
-        ShardColumns cols;
-        std::uint64_t rehashed = 0;
-        cols.init(&mem, keep, 16, StateStore::kOffsetMask,
-                  [&](std::uint32_t off) {
-                      ++rehashed;
-                      return hashOf(off);
-                  });
-        for (std::uint32_t i = 0; i < n; ++i) {
-            cols.maybeGrow();
-            std::uint64_t slot = hashOf(i) & cols.mask();
-            while (cols.bucketAt(slot) != 0)
-                slot = (slot + 1) & cols.mask();
-            const std::uint32_t off = cols.append(
-                hashOf(i), ~hashOf(i), StateStore::kNoParent, 0, 1);
-            ASSERT_EQ(off, i);
-            cols.link(slot, hashOf(i), off);
-        }
-        EXPECT_EQ(mem.grown[ShardMem::kFlatHashes], keep) << keep;
-        EXPECT_EQ(mem.grown[ShardMem::kFlatVerifies], keep) << keep;
-        EXPECT_TRUE(mem.grown[ShardMem::kFlatParents]);
-        EXPECT_TRUE(mem.grown[ShardMem::kFlatBuckets]);
-        EXPECT_EQ(rehashed > 0, !keep) << keep;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            std::uint64_t slot = hashOf(i) & cols.mask();
-            for (;; slot = (slot + 1) & cols.mask()) {
-                const std::uint32_t b = cols.bucketAt(slot);
-                ASSERT_NE(b, 0u) << keep << " lost entry " << i;
-                if (ShardColumns::linkOf(b, cols.mask()) == i + 1)
-                    break;
-            }
-            EXPECT_TRUE(ShardColumns::tagMatches(cols.bucketAt(slot),
-                                                 hashOf(i), cols.mask()));
-            if (keep) {
-                EXPECT_EQ(cols.hashAt(i), hashOf(i));
-                EXPECT_EQ(cols.verifyAt(i), ~hashOf(i));
-            }
-        }
     }
 }
 

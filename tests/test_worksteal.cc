@@ -19,7 +19,7 @@
  *     deliberately NOT compared: re-expansion (label correction) and
  *     async POR sleep-mask convergence make them schedule-dependent.
  *     Witness traces are compared step by step across both
- *     schedules, all three store kinds, POR and 1/4/8 threads.
+ *     schedules, both store kinds, POR and 1/4/8 threads.
  */
 
 #include <gtest/gtest.h>
@@ -254,11 +254,11 @@ TEST(WorkStealEquivalence, EveryRegistryScenarioEveryConfig)
     }
 }
 
-TEST(WorkStealEquivalence, ComposesWithCompactionBitIdentically)
+TEST(WorkStealEquivalence, ComposesWithSymPorAndMmapBitIdentically)
 {
-    // sym + compact + por + ws at once — the 4-device bench
-    // configuration, scaled to 3 devices for test time — against the
-    // recorded 3-device constants.
+    // sym + por + ws at once on the file-backed store — the 4-device
+    // bench configuration, scaled to 3 devices for test time —
+    // against the recorded 3-device constants.
     CheckSession session;
     CheckRequest req;
     req.scenario = "free-run";
@@ -267,7 +267,7 @@ TEST(WorkStealEquivalence, ComposesWithCompactionBitIdentically)
     eng.threads = 4;
     eng.schedule = Schedule::WorkSteal;
     eng.symmetry = SymmetryMode::On;
-    eng.store = StoreKind::InRamCompact;
+    eng.store = StoreKind::Mmap;
     eng.por = true;
     req.engine = eng;
     const CheckResult res = session.run(req);
@@ -326,8 +326,8 @@ TEST(WorkStealEquivalence, WitnessTraceIsShortestAndReplayable)
     // Violation scenarios: the trace must exist, start at the initial
     // state, and have exactly violation-depth steps.  Traces are
     // replayed from the rule-id-least shortest path, so they hold on
-    // every store kind under both schedules — bfs with its sealed
-    // levels included — and are the same trace, state and rule name
+    // every store kind under both schedules and are the same trace,
+    // state and rule name
     // at every step, for every store, POR setting and thread count.
     CheckSession session;
     for (const char *name :
@@ -335,9 +335,7 @@ TEST(WorkStealEquivalence, WitnessTraceIsShortestAndReplayable)
           "snoop_pushes_go_test", "smad_snoop_guard_test"}) {
         std::optional<std::vector<TraceStep>> first;
         for (Schedule schedule : {Schedule::Bfs, Schedule::WorkSteal}) {
-            for (StoreKind store :
-                 {StoreKind::InRam, StoreKind::InRamCompact,
-                  StoreKind::Mmap}) {
+            for (StoreKind store : {StoreKind::InRam, StoreKind::Mmap}) {
                 for (bool por : {false, true}) {
                     for (std::size_t threads : {1u, 4u, 8u}) {
                         const std::string what =
