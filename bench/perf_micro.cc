@@ -92,6 +92,22 @@ BM_SuccessorEnumeration(benchmark::State &state)
 BENCHMARK(BM_SuccessorEnumeration);
 
 void
+BM_ModelBuild(benchmark::State &state)
+{
+    // What a fresh session pays before its first check: the rule rows
+    // and the conjunct rows; the argument is the device count.
+    const int ndev = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        CheckSession session;
+        benchmark::DoNotOptimize(
+            &session.ruleSet(ProtocolConfig::correct(), ndev));
+        benchmark::DoNotOptimize(
+            &session.invariantSet(ProtocolConfig::correct(), ndev));
+    }
+}
+BENCHMARK(BM_ModelBuild)->Arg(2)->Arg(3)->Arg(4);
+
+void
 BM_InvariantEvaluation(benchmark::State &state)
 {
     CheckSession session;

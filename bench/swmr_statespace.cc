@@ -308,7 +308,7 @@ main(int argc, char **argv)
 
     // Memory + throughput summary, and the machine-readable drop.
     const std::uint64_t peak_rss = bench::peakRssBytes();
-    std::printf("\npeak RSS %.1f MB over %llu states across the "
+    std::printf("\npeak RSS %.1f MiB over %llu states across the "
                 "config table (%.1f bytes/state whole-process)\n",
                 static_cast<double>(peak_rss) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(total_states),
@@ -316,8 +316,8 @@ main(int argc, char **argv)
                                        static_cast<double>(total_states)
                                  : 0.0);
     if (storeKindMmap(opts.engine.store)) {
-        std::printf("mmap store high-water: %.1f MB mapped at once, "
-                    "%.1f MB of backing file\n",
+        std::printf("mmap store high-water: %.1f MiB mapped at once, "
+                    "%.1f MiB of backing file\n",
                     static_cast<double>(max_mapped_bytes) /
                         (1024.0 * 1024.0),
                     static_cast<double>(max_store_file_bytes) /

@@ -508,8 +508,9 @@ CheckSession::run(const CheckRequest &request)
         const bool violated =
             res.violation &&
             res.violation->kind == Violation::Kind::Conjunct &&
-            res.violation->conjunctName == c.name;
-        out.conjuncts.push_back({c.name, c.family, !violated});
+            res.violation->conjunctName == c.name();
+        out.conjuncts.push_back(
+            {c.name(), std::string(c.family()), !violated});
     }
     out.ruleFires.reserve(model.rules.rules().size());
     for (const Rule &rule : model.rules.rules()) {
@@ -522,7 +523,7 @@ CheckSession::run(const CheckRequest &request)
                 ? res.ruleSleptCounts[rule.id]
                 : 0;
         out.ruleFires.push_back(
-            {rule.name, rule.mutated, fires, slept});
+            {rule.name(), rule.mutated(), fires, slept});
     }
     out.violation = std::move(res.violation);
     return out;

@@ -43,7 +43,7 @@ replayTrace(const RuleSet &rules, const Scenario &scenario,
         // An overflowing apply still yields the explored successor.
         (void)rule.apply(state, ctx);
         canonicalise(state, canonicaliseTids, symmetryReduction);
-        trace[i + 1].ruleName = rule.name;
+        trace[i + 1].ruleName = rule.name();
     }
     return trace;
 }
@@ -249,8 +249,8 @@ ExpandKernel::record(const Candidate &c)
     Violation v;
     v.kind = c.kind;
     if (c.conjunct) {
-        v.conjunctName = c.conjunct->name;
-        v.conjunctFamily = c.conjunct->family;
+        v.conjunctName = c.conjunct->name();
+        v.conjunctFamily = c.conjunct->family();
     }
     v.stateIndex = c.idx;
     v.depth = c.depth;
@@ -262,7 +262,7 @@ ExpandKernel::record(const Candidate &c)
     std::vector<std::uint16_t> path =
         witnessPath(overflow ? c.edgeParent : c.idx);
     if (overflow) {
-        v.overflowRule = rules.rules()[c.edgeRule].name;
+        v.overflowRule = rules.rules()[c.edgeRule].name();
         path.push_back(c.edgeRule);
     }
     v.trace = replayTrace(rules, scenario, path, opt.canonicaliseTids,

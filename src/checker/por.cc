@@ -22,14 +22,15 @@ PorContext::PorContext(const RuleSet &rules, bool symmetry,
     // footprint (custom addRule hooks) end up dependent on
     // everything, which is exactly the conservative fallback.
     indep_.assign(num_rules_, RuleMask{});
-    const std::vector<Rule> &all = rules.rules();
+    std::vector<fp::Footprint> fps;
+    fps.reserve(num_rules_);
+    for (const Rule &r : rules.rules())
+        fps.push_back(r.footprint());
     for (std::size_t a = 0; a < num_rules_; ++a) {
         for (std::size_t b = a + 1; b < num_rules_; ++b) {
-            const bool ind =
-                tid_canonical
-                    ? independentCanonical(all[a].footprint,
-                                           all[b].footprint)
-                    : independent(all[a].footprint, all[b].footprint);
+            const bool ind = tid_canonical
+                                 ? independentCanonical(fps[a], fps[b])
+                                 : independent(fps[a], fps[b]);
             if (ind) {
                 indep_[a].set(b);
                 indep_[b].set(a);

@@ -34,8 +34,8 @@ RandomWalker::run(const RandomWalkOptions &options) const
         if (const Conjunct *bad = invariants_.firstFailure(state, ctx)) {
             Violation v;
             v.kind = Violation::Kind::Conjunct;
-            v.conjunctName = bad->name;
-            v.conjunctFamily = bad->family;
+            v.conjunctName = bad->name();
+            v.conjunctFamily = bad->family();
             v.depth = 0;
             v.trace = trace;
             result.violation = std::move(v);
@@ -54,7 +54,7 @@ RandomWalker::run(const RandomWalkOptions &options) const
                     succs.size()))];
             state = choice.state;
             ++result.steps;
-            trace.push_back({choice.rule->name, state});
+            trace.push_back({choice.rule->name(), state});
 
             const Conjunct *bad =
                 invariants_.firstFailure(state, ctx);
@@ -63,8 +63,8 @@ RandomWalker::run(const RandomWalkOptions &options) const
                 v.kind = choice.overflow ? Violation::Kind::Overflow
                                          : Violation::Kind::Conjunct;
                 if (bad) {
-                    v.conjunctName = bad->name;
-                    v.conjunctFamily = bad->family;
+                    v.conjunctName = bad->name();
+                    v.conjunctFamily = bad->family();
                 }
                 v.depth = static_cast<std::uint32_t>(trace.size() - 1);
                 v.trace = trace;

@@ -6,18 +6,21 @@
  * the paper's 796-conjunct inductive invariant (Section 6).
  *
  * Conjuncts are small named predicates over the system state,
- * organised into families and instantiated per device / direction.
- * The model checker evaluates all of them on every reachable state;
- * the obligation-matrix engine additionally tests each (rule,
- * conjunct) cell for inductiveness, mirroring paper Figure 1.
+ * organised into families.  Each is a row over one entry of a static
+ * template table (a captureless `holds` function pointer that reads
+ * the row's device), so building an InvariantSet allocates only its
+ * row vector; names are rendered from the template on demand.  The
+ * model checker evaluates all of them on every reachable state; the
+ * obligation-matrix engine additionally tests each (rule, conjunct)
+ * cell for inductiveness, mirroring paper Figure 1.
  */
 
 #ifndef CXL_INVARIANTS_INVARIANT_HH
 #define CXL_INVARIANTS_INVARIANT_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "protocol/config.hh"
@@ -27,14 +30,38 @@
 namespace cxl
 {
 
-/** One named conjunct of the system invariant. */
-struct Conjunct {
-    std::uint16_t id = 0;
-    std::string name;        ///< unique, e.g. "swmr_d1"
-    std::string family;      ///< e.g. "swmr", "channel_singleton"
-    std::string description; ///< human-readable statement
+struct Conjunct;
 
-    std::function<bool(const SystemState &, const Context &)> holds;
+/**
+ * One conjunct template of the static table: a named predicate,
+ * either over the whole system or per device (then instantiated once
+ * per active device, named "<stem>_d<k>").
+ */
+struct ConjunctTemplate {
+    const char *stem;        ///< e.g. "swmr"
+    const char *family;      ///< e.g. "swmr", "channel_singleton"
+    const char *description; ///< human-readable statement
+    bool (*holds)(const Conjunct &, const SystemState &, const Context &);
+    bool perDevice = true;
+    /** Valid only with the Section 4.4 stale-evict drop (and no host
+     * clean pulls); see InvariantSet::full. */
+    bool staleDropOnly = false;
+};
+
+/** One conjunct of the system invariant: a plain row. */
+struct Conjunct {
+    const ConjunctTemplate *tmpl = nullptr;
+    std::uint16_t id = 0;
+    std::int8_t dev = -1; ///< device of a per-device conjunct
+
+    bool
+    holds(const SystemState &s, const Context &ctx) const
+    {
+        return tmpl->holds(*this, s, ctx);
+    }
+    std::string name() const; ///< unique, e.g. "swmr_d1"
+    std::string_view family() const { return tmpl->family; }
+    std::string_view description() const { return tmpl->description; }
 };
 
 /**

@@ -45,8 +45,8 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
         Violation v;
         v.kind = kind;
         if (c) {
-            v.conjunctName = c->name;
-            v.conjunctFamily = c->family;
+            v.conjunctName = c->name();
+            v.conjunctFamily = c->family();
         }
         v.stateIndex = idx;
         v.depth = depth;

@@ -65,8 +65,8 @@ checkObligationMatrix(const RuleSet &rules, const Scenario &scenario,
                     std::size_t cell = r * conjuncts.size() + c;
                     if (tally.cellFailures[cell]++ == 0) {
                         FailedCell fc;
-                        fc.ruleName = rule.name;
-                        fc.conjunctName = conjuncts[c].name;
+                        fc.ruleName = rule.name();
+                        fc.conjunctName = conjuncts[c].name();
                         fc.pre = pre;
                         fc.post = post;
                         tally.witnesses.push_back(std::move(fc));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace cxl
 {
@@ -84,42 +85,192 @@ otherGrantDataDrained(const SystemState &s, int i)
 namespace
 {
 
-/** Lookup key of one template instance: base + device-arg tuple. */
-std::string
-instanceKey(const std::string &base, const std::array<std::int8_t, 3> &args)
+/** The atoms @p spec names for a row over @p args. */
+std::uint32_t
+resolve(const AtomSpec &spec, const std::array<std::int8_t, 3> &args,
+        int ndev)
 {
-    std::string key = base;
-    for (std::int8_t a : args) {
-        key += '/';
-        key += static_cast<char>('0' + (a + 1));
+    const auto place = [](std::uint32_t atoms, int k) {
+        return atoms << (k * fp::kAtomsPerDevice);
+    };
+    std::uint32_t m = spec.global;
+    for (int j = 0; j < 3; ++j) {
+        if (args[j] >= 0)
+            m |= place(spec.arg[j], args[j]);
     }
-    return key;
+    for (int k = 0; k < ndev; ++k) {
+        if (k == args[0])
+            continue;
+        m |= place(spec.others, k);
+        if (k != args[1])
+            m |= place(spec.thirds, k);
+    }
+    return m;
+}
+
+bool
+included(When when, const ProtocolConfig &c)
+{
+    switch (when) {
+      case When::Always:
+        return true;
+      case When::CleanEvictNoData:
+        return c.cleanEvictNoData;
+      case When::HostCleanPull:
+        return c.hostCleanPull;
+      case When::StaleDrop:
+        return c.staleEvictDrop;
+      case When::NotStaleDrop:
+        return !c.staleEvictDrop;
+      case When::RelaxSnoopPushesGo:
+        return c.relaxSnoopPushesGo;
+      case When::RelaxGoTailgate:
+        return c.relaxGoTailgate;
+      case When::RelaxOneSnoop:
+        return c.relaxOneSnoop;
+    }
+    return false;
+}
+
+/** Position of a static template: device table, then host table. */
+std::size_t
+ordinalOf(const RuleTemplate *t)
+{
+    const std::less<const RuleTemplate *> before;
+    if (!before(t, kDeviceTemplates) &&
+        before(t, kDeviceTemplates + kNumDeviceTemplates))
+        return static_cast<std::size_t>(t - kDeviceTemplates);
+    return kNumDeviceTemplates + static_cast<std::size_t>(t - kHostTemplates);
 }
 
 } // namespace
+
+std::string
+Rule::name() const
+{
+    std::string n = tmpl->stem;
+    if (args[0] < 0)
+        return n;
+    n += static_cast<char>('1' + args[0]);
+    if (ndev > 2 && args[1] >= 0)
+        n += {'_', 's', static_cast<char>('1' + args[1])};
+    if (args[2] >= 0)
+        n += {'_', 'n', static_cast<char>('1' + args[2])};
+    return n;
+}
+
+fp::Footprint
+Rule::footprint() const
+{
+    const FootprintSpec &f = tmpl->footprint;
+    return {resolve(f.reads, args, ndev), resolve(f.writes, args, ndev),
+            f.counterAllocOnly};
+}
 
 RuleSet::RuleSet(ProtocolConfig config, int numDevices)
     : config_(config), num_devices_(numDevices)
 {
     assert(numDevices >= 1 && numDevices <= kMaxDevices);
+    using namespace rule_flags;
+    flags_ = (config_.relaxSnoopPushesGo ? kRelaxSnoop | kRelaxSmadSnoop
+                                         : 0) |
+             (config_.relaxSmadSnoopGuard ? kRelaxSmadSnoop : 0) |
+             (config_.relaxGoTailgate ? kRelaxTailgate : 0);
+    const std::size_t side = static_cast<std::size_t>(numDevices) + 1;
+    instances_.assign((kNumDeviceTemplates + kNumHostTemplates) *
+                          static_cast<std::size_t>(numDevices) * side *
+                          side,
+                      0);
+    rules_.reserve(static_cast<std::size_t>(numDevices) *
+                   (kNumDeviceTemplates + kNumHostTemplates * side));
     for (int d = 0; d < num_devices_; ++d)
-        addDeviceRules(rules_, d, config_);
+        instantiate(kDeviceTemplates, kNumDeviceTemplates, 0, d);
     for (int d = 0; d < num_devices_; ++d)
-        addHostRules(rules_, d, config_, num_devices_);
-    for (std::size_t i = 0; i < rules_.size(); ++i)
-        rules_[i].id = static_cast<std::uint16_t>(i);
-    indexInstances();
+        instantiate(kHostTemplates, kNumHostTemplates,
+                    kNumDeviceTemplates, d);
 }
 
 void
-RuleSet::indexInstances()
+RuleSet::instantiate(const RuleTemplate *table, std::size_t n,
+                     std::size_t ordinal0, int i)
 {
-    instances_.clear();
-    for (const Rule &r : rules_) {
-        if (r.base.empty())
+    const auto arg = [](int k) { return static_cast<std::int8_t>(k); };
+    for (std::size_t t = 0; t < n;) {
+        if (table[t].shape == Shape::One) {
+            addRow(table[t], ordinal0 + t, {arg(i), -1, -1});
+            ++t;
             continue;
-        instances_.emplace(instanceKey(r.base, r.args), r.id);
+        }
+        // A loop over the snoop targets o != i, instantiating every
+        // template that joins it per o, in table order.
+        std::size_t end = t + 1;
+        while (end < n && (table[end].shape == Shape::PairNext ||
+                           table[end].shape == Shape::Chained))
+            ++end;
+        for (int o = 0; o < num_devices_; ++o) {
+            for (std::size_t u = t; u < end && o != i; ++u) {
+                if (table[u].shape != Shape::Chained) {
+                    addRow(table[u], ordinal0 + u, {arg(i), arg(o), -1});
+                    continue;
+                }
+                for (int o2 = 0; o2 < num_devices_; ++o2) {
+                    if (o2 != i && o2 != o)
+                        addRow(table[u], ordinal0 + u,
+                               {arg(i), arg(o), arg(o2)});
+                }
+            }
+        }
+        t = end;
     }
+}
+
+std::size_t
+RuleSet::instanceSlot(std::size_t ordinal,
+                      const std::array<std::int8_t, 3> &a) const
+{
+    const std::size_t side = static_cast<std::size_t>(num_devices_) + 1;
+    return ((ordinal * static_cast<std::size_t>(num_devices_) +
+             static_cast<std::size_t>(a[0])) * side +
+            static_cast<std::size_t>(a[1] + 1)) * side +
+           static_cast<std::size_t>(a[2] + 1);
+}
+
+void
+RuleSet::addRow(const RuleTemplate &t, std::size_t ordinal,
+                std::array<std::int8_t, 3> args)
+{
+    if (!included(t.when, config_))
+        return;
+    Rule r;
+    r.tmpl = &t;
+    r.id = static_cast<std::uint16_t>(rules_.size());
+    r.args = args;
+    r.flags = flags_;
+    if (t.when >= When::RelaxSnoopPushesGo)
+        r.flags |= rule_flags::kMutated;
+    r.ndev = static_cast<std::uint8_t>(num_devices_);
+    r.trigger = t.trigger << (args[t.triggerArg] * fp::kAtomsPerDevice);
+    instances_[instanceSlot(ordinal, args)] =
+        static_cast<std::uint16_t>(r.id + 1);
+    rules_.push_back(r);
+}
+
+std::uint32_t
+RuleSet::liveAtoms(const SystemState &s)
+{
+    std::uint32_t m = 0;
+    for (int k = 0; k < s.ndev; ++k) {
+        const DeviceState &d = s.dev[k];
+        const std::uint32_t dev0 =
+            fp::core(0) | (!d.d2hReq.empty() ? fp::d2hReq(0) : 0) |
+            (!d.d2hRsp.empty() ? fp::d2hRsp(0) : 0) |
+            (!d.d2hData.empty() ? fp::d2hData(0) : 0) |
+            (!d.h2dReq.empty() ? fp::h2dReq(0) : 0) |
+            (!d.h2dRsp.empty() ? fp::h2dRsp(0) : 0) |
+            (!d.h2dData.empty() ? fp::h2dData(0) : 0);
+        m |= dev0 << (k * fp::kAtomsPerDevice);
+    }
+    return m;
 }
 
 int
@@ -127,8 +278,8 @@ RuleSet::permutedRuleId(std::uint16_t id,
                         const std::uint8_t *oldToNew) const
 {
     const Rule &r = rules_[id];
-    if (r.base.empty())
-        return -1;
+    if (r.args[0] < 0)
+        return -1; // custom rows carry no device args
     std::array<std::int8_t, 3> mapped = r.args;
     for (std::int8_t &a : mapped) {
         if (a >= 0) {
@@ -136,8 +287,9 @@ RuleSet::permutedRuleId(std::uint16_t id,
             a = static_cast<std::int8_t>(oldToNew[a]);
         }
     }
-    auto it = instances_.find(instanceKey(r.base, mapped));
-    return it == instances_.end() ? -1 : static_cast<int>(it->second);
+    return static_cast<int>(
+               instances_[instanceSlot(ordinalOf(r.tmpl), mapped)]) -
+           1;
 }
 
 std::size_t
@@ -145,25 +297,32 @@ RuleSet::baseRuleCount() const
 {
     return static_cast<std::size_t>(
         std::count_if(rules_.begin(), rules_.end(),
-                      [](const Rule &r) { return !r.mutated; }));
+                      [](const Rule &r) { return !r.mutated(); }));
 }
 
 void
-RuleSet::addRule(Rule rule)
+RuleSet::addRule(CustomRule rule)
 {
-    rule.id = static_cast<std::uint16_t>(rules_.size());
-    rules_.push_back(std::move(rule));
-    const Rule &added = rules_.back();
-    if (!added.base.empty())
-        instances_.emplace(instanceKey(added.base, added.args),
-                           added.id);
+    auto custom = std::make_unique<Custom>();
+    custom->name = std::move(rule.name);
+    custom->tmpl.stem = custom->name.c_str();
+    custom->tmpl.guard = rule.guard;
+    custom->tmpl.apply = rule.apply;
+    custom->tmpl.env = rule.env;
+    Rule r;
+    r.tmpl = &custom->tmpl;
+    r.id = static_cast<std::uint16_t>(rules_.size());
+    r.flags = rule.mutated ? rule_flags::kMutated : 0;
+    r.ndev = static_cast<std::uint8_t>(num_devices_);
+    rules_.push_back(r);
+    custom_.push_back(std::move(custom));
 }
 
 const Rule *
 RuleSet::find(const std::string &name) const
 {
     for (const Rule &r : rules_) {
-        if (r.name == name)
+        if (r.name() == name)
             return &r;
     }
     return nullptr;
@@ -178,21 +337,31 @@ RuleSet::successors(const SystemState &state, const Scenario &scenario,
     return result;
 }
 
+template <typename Fire>
+void
+RuleSet::forEachEnabled(const SystemState &s, const Context &ctx,
+                        Fire &&fire) const
+{
+    const std::uint32_t live = liveAtoms(s);
+    for (const Rule &r : rules_) {
+        if ((r.trigger & live) && r.guard(s, ctx))
+            fire(r);
+    }
+}
+
 void
 RuleSet::successorsInto(const SystemState &state,
                         const Scenario &scenario, bool canonicalise,
                         std::vector<Successor> &out) const
 {
     out.clear();
-    Context ctx{&scenario};
-    for (const Rule &rule : rules_) {
-        if (!rule.guard(state, ctx))
-            continue;
-        Successor &succ = out.emplace_back(Successor{&rule, state, false});
+    const Context ctx{&scenario};
+    forEachEnabled(state, ctx, [&](const Rule &rule) {
+        Successor &succ = out.emplace_back(&rule, state, false);
         succ.overflow = !rule.apply(succ.state, ctx);
         if (canonicalise)
             succ.state.canonicaliseTids();
-    }
+    });
 }
 
 void
@@ -204,20 +373,17 @@ RuleSet::successorsPor(const SystemState &state,
 {
     out.clear();
     slept.clear();
-    Context ctx{&scenario};
-    for (const Rule &rule : rules_) {
-        if (!rule.guard(state, ctx))
-            continue;
+    const Context ctx{&scenario};
+    forEachEnabled(state, ctx, [&](const Rule &rule) {
         if (sleep[rule.id >> 6] & (1ull << (rule.id & 63))) {
             slept.push_back(rule.id);
-            continue;
+            return;
         }
-        Successor &succ =
-            out.emplace_back(Successor{&rule, state, false});
+        Successor &succ = out.emplace_back(&rule, state, false);
         succ.overflow = !rule.apply(succ.state, ctx);
         if (canonicalise)
             succ.state.canonicaliseTids();
-    }
+    });
 }
 
 bool

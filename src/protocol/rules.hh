@@ -2,16 +2,34 @@
  * @file
  * The transition rules of the CXL.cache model (paper Section 3.3).
  *
- * Each rule is a guarded command `(name, device, guard, action)`
- * exactly in the style of paper Fig. 4: the guard is a predicate over
- * the full system state; the action updates the state atomically.
+ * Each rule is a guarded command `(name, device, guard, action)` in
+ * the style of paper Fig. 4, held as data.  A RuleTemplate in one of
+ * two static tables (device templates in rules_device.cc, host
+ * templates in rules_host.cc) carries the name stem, the footprint
+ * relative to the device args, the trigger atom, and the guard and
+ * action as captureless function pointers.  A Rule is a plain row: a
+ * template, the device args it was instantiated over and a flags byte
+ * with the configuration variants the guards read (the relaxed
+ * snoop-pushes-GO and GO-tailgate restrictions).  Building a RuleSet
+ * therefore allocates only its row and instance vectors; names ("SMAD_GO2", "HostMA_RspIHitSE1_s2_n3") and
+ * footprints are rendered from the template when asked for.
  *
  * A RuleSet is built from a ProtocolConfig: spec-conformant toggles
  * select optional flows (CleanEvictNoData, host clean-data pulls, the
  * Section 4.4 stale-evict optimisation), and mutation flags add the
  * deliberately-broken rules (e.g. Table 3's ISADSnpInv) or strip
  * guards (Snoop-pushes-GO) for the restriction-relaxation experiments
- * of Section 5.2.
+ * of Section 5.2.  addRule appends custom rules (experiments, test
+ * hooks) as rows over templates the set owns, with an opaque env
+ * pointer for hook state.
+ *
+ * Triggers.  Every template names the one atom its guard needs live:
+ * the channel it consumes or inspects (live when non-empty), or its
+ * device's core (always live); each row caches it at its device args.
+ * Successor enumeration computes the node's live atoms once and calls,
+ * in rule-id order, only the guards of rows whose trigger is live —
+ * the enabled set, the successor order and so every trace are exactly
+ * those of a loop over every row (tests/test_rules_index.cc).
  */
 
 #ifndef CXL_PROTOCOL_RULES_HH
@@ -19,9 +37,8 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "protocol/config.hh"
@@ -138,19 +155,6 @@ grantRoom(int d)
     return h2dRsp(d) | h2dData(d);
 }
 
-/** OR of @p atom_of(k) over every active device k != i. */
-template <typename AtomOf>
-constexpr std::uint32_t
-allOthers(int i, int ndev, AtomOf atom_of)
-{
-    std::uint32_t m = 0;
-    for (int k = 0; k < ndev; ++k) {
-        if (k != i)
-            m |= atom_of(k);
-    }
-    return m;
-}
-
 /** A rule's declared read/write atom sets. */
 struct Footprint {
     std::uint32_t reads = kAll;
@@ -195,41 +199,151 @@ struct Footprint {
     }
 };
 
+/** Per-device atoms in device-0 coordinates (see AtomSpec). */
+namespace rel
+{
+constexpr std::uint32_t kCore = core(0), kD2hReq = d2hReq(0),
+                        kD2hRsp = d2hRsp(0), kD2hData = d2hData(0),
+                        kH2dReq = h2dReq(0), kH2dRsp = h2dRsp(0),
+                        kH2dData = h2dData(0);
+} // namespace rel
+
 } // namespace fp
 
+struct Rule;
+
+/** Guard of a rule row: is the rule enabled in the state? */
+using RuleGuard = bool (*)(const Rule &, const SystemState &,
+                           const Context &);
+/** Action of a rule row; false iff a channel push overflowed. */
+using RuleApply = bool (*)(const Rule &, SystemState &, const Context &);
+
 /**
- * One transition rule.  `apply` returns false iff a channel push
- * overflowed physical capacity — reachable only in mutated models and
- * reported by the explorer as a structural violation.
+ * An atom set relative to a rule's device args: global atoms, plus
+ * per-device atoms (written in device-0 coordinates, e.g. fp::core(0))
+ * placed at each arg, at every active device other than args[0]
+ * (`others`), and at every one other than args[0] and args[1]
+ * (`thirds`).
+ */
+struct AtomSpec {
+    std::uint32_t global = 0;
+    std::array<std::uint32_t, 3> arg{};
+    std::uint32_t others = 0;
+    std::uint32_t thirds = 0;
+};
+
+/** How a host template is instantiated per requester i. */
+enum class Shape : std::uint8_t {
+    One,      ///< once: (i)
+    Pair,     ///< opens a loop over snoop targets o: (i, o)
+    PairNext, ///< joins the open loop: (i, o)
+    Chained,  ///< joins the open loop, per next target o2: (i, o, o2)
+};
+
+/** The configuration switch a template exists under. */
+enum class When : std::uint8_t {
+    Always,
+    CleanEvictNoData,
+    HostCleanPull,
+    StaleDrop,
+    NotStaleDrop,
+    RelaxSnoopPushesGo, ///< mutation-only from here on
+    RelaxGoTailgate,
+    RelaxOneSnoop,
+};
+
+/** A template's footprint, relative to its device args. */
+struct FootprintSpec {
+    AtomSpec reads{fp::kAll};
+    AtomSpec writes{fp::kAll};
+    bool counterAllocOnly = false; ///< see fp::Footprint
+};
+
+/**
+ * One rule template of the static tables (device templates in
+ * rules_device.cc, host templates in rules_host.cc), or a custom
+ * rule's template (RuleSet::addRule).  A template is instantiated
+ * into one row per device-arg tuple.
+ */
+struct RuleTemplate {
+    const char *stem; ///< name without device suffixes
+    RuleGuard guard;
+    RuleApply apply;
+    FootprintSpec footprint;
+    /**
+     * The atom the guard needs live, in device-0 coordinates at
+     * args[triggerArg].  A channel atom is live when the channel is
+     * non-empty, a core atom always.
+     */
+    std::uint32_t trigger = 0;
+    std::int8_t triggerArg = 0;
+    Shape shape = Shape::One;
+    When when = When::Always;
+    void *env = nullptr; ///< opaque hook state (custom rules)
+};
+
+/** Row flag bits: the configuration variants guards read. */
+namespace rule_flags
+{
+constexpr std::uint8_t kRelaxSnoop = 1;     ///< relaxSnoopPushesGo
+constexpr std::uint8_t kRelaxSmadSnoop = 2; ///< ... or relaxSmadSnoopGuard
+constexpr std::uint8_t kRelaxTailgate = 4;  ///< relaxGoTailgate
+constexpr std::uint8_t kMutated = 8; ///< exists only because of a mutation
+} // namespace rule_flags
+
+/**
+ * One transition rule: a plain row naming its template, the 0-based
+ * device args it was instantiated over (device rules: (d); host pair
+ * rules: (i, o); chained snoops: (i, o, o2); -1 = unused) and the
+ * configuration flags.  Names and footprints are rendered from the
+ * template on demand.
  */
 struct Rule {
+    const RuleTemplate *tmpl = nullptr;
     std::uint16_t id = 0;
-    std::string name;
-    int dev = 0;          ///< primary device (0-based)
-    bool mutated = false; ///< rule exists only because of a mutation
-
-    /**
-     * Static dependency footprint (see fp::Footprint).  Defaults to
-     * the all-atoms footprint, which is always sound: an unannotated
-     * rule (e.g. an addRule test hook) conflicts with every rule and
-     * is simply never reduced against.
-     */
-    fp::Footprint footprint;
-
-    /**
-     * Instantiation template identity, for mapping a rule to its
-     * image under a device permutation: `base` names the rule
-     * template (the name without device suffixes) and `args` holds
-     * the 0-based device indices it was instantiated over (device
-     * rules: (d); host pair rules: (i, o); chained snoops:
-     * (i, o, o2)).  Empty base = not permutation-mappable (custom
-     * rules), which only costs reduction, never soundness.
-     */
-    std::string base;
     std::array<std::int8_t, 3> args{-1, -1, -1};
+    std::uint8_t flags = 0;
+    std::uint8_t ndev = 0; ///< device count of the set
+    /**
+     * Trigger atoms, absolute: the row is visited on a state only when
+     * one of them is live (RuleSet::liveAtoms).  A template row has
+     * its template's one atom; a custom row has every atom, so it is
+     * visited on every state.
+     */
+    std::uint32_t trigger = fp::kAll;
 
-    std::function<bool(const SystemState &, const Context &)> guard;
-    std::function<bool(SystemState &, const Context &)> apply;
+    bool
+    guard(const SystemState &s, const Context &ctx) const
+    {
+        return tmpl->guard(*this, s, ctx);
+    }
+    bool
+    apply(SystemState &s, const Context &ctx) const
+    {
+        return tmpl->apply(*this, s, ctx);
+    }
+
+    /** "SMAD_GO2", "HostMA_RspIHitSE1_s2_n3", or a custom name. */
+    std::string name() const;
+    int dev() const { return args[0]; } ///< primary device, -1: custom
+    bool mutated() const { return flags & rule_flags::kMutated; }
+    void *env() const { return tmpl->env; }
+
+    /**
+     * Static dependency footprint (see fp::Footprint).  A custom rule
+     * has the all-atoms footprint, which is always sound: it
+     * conflicts with every rule and is simply never reduced against.
+     */
+    fp::Footprint footprint() const;
+};
+
+/** A rule outside the ProtocolConfig space (RuleSet::addRule). */
+struct CustomRule {
+    std::string name;
+    RuleGuard guard;
+    RuleApply apply;
+    void *env = nullptr; ///< handed back through Rule::env()
+    bool mutated = false;
 };
 
 /**
@@ -261,15 +375,22 @@ class RuleSet
     const Rule *find(const std::string &name) const;
 
     /**
-     * Append a custom rule (id assigned by the set).  Extension point
-     * for experiments and tests that need behaviour outside the
-     * ProtocolConfig space — e.g. deliberately overflowing a channel
-     * to exercise the checker's structural-violation reporting.
+     * Append a custom rule (id assigned by the set), as a row over a
+     * template the set owns.  Extension point for experiments and
+     * tests that need behaviour outside the ProtocolConfig space —
+     * e.g. deliberately overflowing a channel to exercise the
+     * checker's structural-violation reporting.
      */
-    void addRule(Rule rule);
+    void addRule(CustomRule rule);
 
     /**
-     * Enumerate all successors of @p state.
+     * Live atoms of @p s: each active device's core, and each
+     * non-empty channel.
+     */
+    static std::uint32_t liveAtoms(const SystemState &s);
+
+    /**
+     * Enumerate all successors of @p state, in rule-id order.
      *
      * @param canonicalise relabel tids in each successor (used by the
      *        explorer to keep free-run state spaces finite).
@@ -288,12 +409,12 @@ class RuleSet
                         std::vector<Successor> &out) const;
 
     /**
-     * Partial-order-reduced successor enumeration: every guard is
-     * still evaluated (the enabled set must be exact for deadlock
-     * detection and sleep-set bookkeeping), but rules whose bit is
-     * set in @p sleep are not fired — their ids are appended to
-     * @p slept instead of producing a successor.  @p sleep points at
-     * ceil(rules()/64) little-endian words.
+     * Partial-order-reduced successor enumeration: the enabled set is
+     * still exact (deadlock detection and sleep-set bookkeeping need
+     * it), but rules whose bit is set in @p sleep are not fired —
+     * their ids are appended to @p slept instead of producing a
+     * successor.  @p sleep points at ceil(rules()/64) little-endian
+     * words.
      */
     void successorsPor(const SystemState &state,
                        const Scenario &scenario, bool canonicalise,
@@ -304,10 +425,8 @@ class RuleSet
     /**
      * The rule implementing the same template as rule @p id after the
      * device relabelling old index -> @p oldToNew[old].  Returns -1
-     * when the rule carries no template identity (custom rules) or
-     * the image instance does not exist.  Used by the checker to
-     * remap sleep-set masks when symmetry canonicalisation permutes
-     * device slots.
+     * for custom rules.  Used by the checker to remap sleep-set masks
+     * when symmetry canonicalisation permutes device slots.
      */
     int permutedRuleId(std::uint16_t id,
                        const std::uint8_t *oldToNew) const;
@@ -321,24 +440,41 @@ class RuleSet
               const Scenario &scenario) const;
 
   private:
-    /** (base, args) -> rule id, for permutedRuleId. */
-    void indexInstances();
+    /** Call @p fire on every enabled row, in rule-id order, calling
+     * only the guards of rows whose trigger is live. */
+    template <typename Fire>
+    void forEachEnabled(const SystemState &s, const Context &ctx,
+                        Fire &&fire) const;
+
+    /** Append the rows of @p table for requester / device @p i. */
+    void instantiate(const RuleTemplate *table, std::size_t n,
+                     std::size_t ordinal0, int i);
+    void addRow(const RuleTemplate &t, std::size_t ordinal,
+                std::array<std::int8_t, 3> args);
+    /** Slot of (template ordinal, args) in instances_. */
+    std::size_t instanceSlot(std::size_t ordinal,
+                             const std::array<std::int8_t, 3> &a) const;
 
     ProtocolConfig config_;
     int num_devices_;
+    std::uint8_t flags_ = 0;
     std::vector<Rule> rules_;
-    std::unordered_map<std::string, std::uint16_t> instances_;
+    /** (template ordinal, args) -> rule id + 1; 0 = absent. */
+    std::vector<std::uint16_t> instances_;
+    /** Custom templates, each with its name (the stem points at it). */
+    struct Custom {
+        RuleTemplate tmpl;
+        std::string name;
+    };
+    std::vector<std::unique_ptr<Custom>> custom_;
 };
 
-/// Internal: populate device-side rules for device @p d (0-based).
-void addDeviceRules(std::vector<Rule> &rules, int d,
-                    const ProtocolConfig &config);
-
-/// Internal: populate host-side rules serving requester/evicter
-/// @p d (0-based), with snoop targets ranging over the other
-/// @p num_devices - 1 devices.
-void addHostRules(std::vector<Rule> &rules, int d,
-                  const ProtocolConfig &config, int num_devices);
+/// The static template tables, in rule-id order of one device's
+/// (requester's) instances.
+extern const RuleTemplate kDeviceTemplates[];
+extern const std::size_t kNumDeviceTemplates;
+extern const RuleTemplate kHostTemplates[];
+extern const std::size_t kNumHostTemplates;
 
 // --- Tracking-view helpers (paper Section 8, "perfect tracking") ----
 

@@ -394,26 +394,18 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
     // overflowing with *no state change* — the target is the (known)
     // source state itself.
     RuleSet custom(config); // base rules are inert with empty programs
-    Rule fill;
-    fill.name = "Fill";
-    fill.mutated = true;
-    fill.guard = [](const SystemState &s, const Context &) {
-        return !s.dev[0].d2hReq.full();
-    };
-    fill.apply = [](SystemState &s, const Context &) {
+    const RuleApply push = [](const Rule &, SystemState &s,
+                              const Context &) {
         return s.dev[0].d2hReq.pushBack({D2HReqOp::RdShared, 0});
     };
-    custom.addRule(fill);
-    Rule burst;
-    burst.name = "Burst";
-    burst.mutated = true;
-    burst.guard = [](const SystemState &s, const Context &) {
-        return s.dev[0].d2hReq.full();
-    };
-    burst.apply = [](SystemState &s, const Context &) {
-        return s.dev[0].d2hReq.pushBack({D2HReqOp::RdShared, 0});
-    };
-    custom.addRule(burst);
+    custom.addRule({"Fill",
+                    [](const Rule &, const SystemState &s,
+                       const Context &) { return !s.dev[0].d2hReq.full(); },
+                    push, nullptr, true});
+    custom.addRule({"Burst",
+                    [](const Rule &, const SystemState &s,
+                       const Context &) { return s.dev[0].d2hReq.full(); },
+                    push, nullptr, true});
 
     Scenario sc;
     sc.initial = initialAllInvalid(0); // empty programs: only the
@@ -458,15 +450,15 @@ TEST_F(ExplorerTest, FreeRunCoversEveryDeviceStateAndHostState)
 
     // Free-run must exercise both devices symmetrically.
     for (const Rule &rule : rules.rules()) {
-        if (rule.dev != 0)
+        if (rule.dev() != 0)
             continue;
-        std::string twin = rule.name;
+        std::string twin = rule.name();
         twin.back() = '2';
         const Rule *other = rules.find(twin);
         ASSERT_NE(other, nullptr) << twin;
         EXPECT_EQ(res.ruleFireCounts[rule.id],
                   res.ruleFireCounts[other->id])
-            << rule.name << " vs " << twin
+            << rule.name() << " vs " << twin
             << ": the model must be device-symmetric";
     }
 }

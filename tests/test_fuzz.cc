@@ -308,17 +308,14 @@ TEST(Oracle, FlagsAPlantedDivergence)
                            const ComboDesc &combo) {
         if (combo.schedule != Schedule::WorkSteal)
             return;
-        Rule evil;
-        evil.name = "planted_corruption";
-        evil.guard = [](const SystemState &s, const Context &) {
-            return s.hval != 42;
-        };
-        evil.apply = [](SystemState &s, const Context &) {
-            s.hval = 42;
-            return true;
-        };
         session.mutableRuleSet(c.config, c.devices)
-            .addRule(std::move(evil));
+            .addRule({"planted_corruption",
+                      [](const Rule &, const SystemState &s,
+                         const Context &) { return s.hval != 42; },
+                      [](const Rule &, SystemState &s, const Context &) {
+                          s.hval = 42;
+                          return true;
+                      }});
     };
     const Oracle oracle(std::move(oopt));
     const OracleReport report = oracle.check(c);

@@ -522,18 +522,19 @@ TEST(Governor, WorkerExceptionPropagatesFromRun)
         for (std::size_t threads : {1u, 4u}) {
             std::atomic<int> calls{0};
             RuleSet rules(config);
-            Rule faulty;
-            faulty.name = "planted_thrower";
-            faulty.guard = [&calls](const SystemState &,
-                                    const Context &) -> bool {
-                if (calls.fetch_add(1) >= 500)
-                    throw std::runtime_error("planted guard failure");
-                return false; // never fires before the throw
-            };
-            faulty.apply = [](SystemState &, const Context &) {
-                return true;
-            };
-            rules.addRule(std::move(faulty));
+            rules.addRule(
+                {"planted_thrower",
+                 [](const Rule &r, const SystemState &,
+                    const Context &) -> bool {
+                     auto &n = *static_cast<std::atomic<int> *>(r.env());
+                     if (n.fetch_add(1) >= 500)
+                         throw std::runtime_error("planted guard failure");
+                     return false; // never fires before the throw
+                 },
+                 [](const Rule &, SystemState &, const Context &) {
+                     return true;
+                 },
+                 &calls});
 
             ExploreOptions opt;
             opt.schedule = sched;
@@ -594,18 +595,17 @@ TEST(Oracle, PlantedSlowArmIsQuarantinedNotCompared)
                            const fuzz::ComboDesc &combo) {
         if (combo.schedule != Schedule::WorkSteal)
             return;
-        Rule sleepy;
-        sleepy.name = "planted_sleeper";
-        sleepy.guard = [](const SystemState &, const Context &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
-            return false; // never fires: same verdict, just slow
-        };
-        sleepy.apply = [](SystemState &, const Context &) {
-            return true;
-        };
         session.mutableRuleSet(c.config, c.devices)
-            .addRule(std::move(sleepy));
+            .addRule({"planted_sleeper",
+                      [](const Rule &, const SystemState &,
+                         const Context &) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(20));
+                          return false; // never fires: just slow
+                      },
+                      [](const Rule &, SystemState &, const Context &) {
+                          return true;
+                      }});
     };
     const fuzz::Oracle oracle(std::move(oopt));
     const fuzz::OracleReport report = oracle.check(c);

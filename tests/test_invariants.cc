@@ -160,7 +160,7 @@ TEST_F(Invariants, FirstFailureReportsAndOrderIsStable)
     Context ctx{&sc};
     const Conjunct *failure = inv.firstFailure(bad, ctx);
     ASSERT_NE(failure, nullptr);
-    EXPECT_EQ(failure->family, "swmr")
+    EXPECT_EQ(failure->family(), "swmr")
         << "swmr conjuncts come first in the registry";
 }
 
@@ -169,7 +169,7 @@ TEST_F(Invariants, SwmrOnlySetIsExactlyTheSwmrFamily)
     InvariantSet swmr = InvariantSet::swmrOnly();
     EXPECT_EQ(swmr.size(), 2u);
     for (const Conjunct &c : swmr.conjuncts())
-        EXPECT_EQ(c.family, "swmr");
+        EXPECT_EQ(c.family(), "swmr");
 }
 
 TEST_F(Invariants, FilteredKeepsRequestedFamilies)
@@ -177,7 +177,7 @@ TEST_F(Invariants, FilteredKeepsRequestedFamilies)
     InvariantSet sub = inv.filtered({"swmr", "directory"});
     EXPECT_GT(sub.size(), 0u);
     for (const Conjunct &c : sub.conjuncts())
-        EXPECT_TRUE(c.family == "swmr" || c.family == "directory");
+        EXPECT_TRUE(c.family() == "swmr" || c.family() == "directory");
     // ids are re-numbered densely.
     for (std::size_t k = 0; k < sub.size(); ++k)
         EXPECT_EQ(sub.conjuncts()[k].id, k);
@@ -212,14 +212,14 @@ TEST_F(Invariants, UniqueNames)
 {
     std::set<std::string> names;
     for (const Conjunct &c : inv.conjuncts())
-        EXPECT_TRUE(names.insert(c.name).second) << c.name;
+        EXPECT_TRUE(names.insert(c.name()).second) << c.name();
 }
 
 TEST_F(Invariants, EveryConjunctHasDescription)
 {
     for (const Conjunct &c : inv.conjuncts()) {
-        EXPECT_FALSE(c.description.empty()) << c.name;
-        EXPECT_FALSE(c.family.empty()) << c.name;
+        EXPECT_FALSE(c.description().empty()) << c.name();
+        EXPECT_FALSE(c.family().empty()) << c.name();
     }
 }
 

@@ -42,7 +42,7 @@ TEST(Mutations, MutatedRulesAreFlagged)
 
     std::size_t mutated = 0;
     for (const Rule &r : rules.rules())
-        mutated += r.mutated ? 1 : 0;
+        mutated += r.mutated() ? 1 : 0;
     // ISADSnpInv + IMADSnpInv + HostEagerGoRdOwn + HostSecondSnoop,
     // each per device.
     EXPECT_EQ(mutated, 8u);
@@ -53,7 +53,7 @@ TEST(Mutations, CorrectModelHasNoMutatedRules)
 {
     RuleSet rules(ProtocolConfig::correct());
     for (const Rule &r : rules.rules())
-        EXPECT_FALSE(r.mutated) << r.name;
+        EXPECT_FALSE(r.mutated()) << r.name();
 }
 
 struct MutationCase {

@@ -204,7 +204,7 @@ TEST_F(Obligation, ReachableRowCoverageIsExact)
         "SIA_GO_WritePull", "IIA_GO_WritePull", "HostMA_RspIHitI",
         "HostSB_Data",  "HostBogusData"};
     for (std::size_t r = 0; r < rules.rules().size(); ++r) {
-        const std::string &name = rules.rules()[r].name;
+        const std::string name = rules.rules()[r].name();
         std::string base = name.substr(0, name.size() - 1);
         if (res.ruleEnabledCounts[r] == 0) {
             EXPECT_TRUE(expected_uncovered_bases.count(base))
@@ -225,7 +225,7 @@ TEST_F(Obligation, ReachableRowCoverageIsExact)
     for (std::size_t r = 0; r < rules.rules().size(); ++r) {
         if (res.ruleEnabledCounts[r] > 0) {
             EXPECT_GT(pres.ruleEnabledCounts[r], 0u)
-                << rules.rules()[r].name;
+                << rules.rules()[r].name();
         }
     }
 }

@@ -212,23 +212,26 @@ TEST(ParallelExplorer, MaxStatesCapHoldsForAWorkerStalledMidBatch)
     const std::uint64_t arm_at = cap - threads * 512 - 3000;
 
     for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        std::atomic<bool> armed{false};
-        std::atomic<bool> napped{false};
+        struct Stall {
+            std::atomic<bool> armed{false};
+            std::atomic<bool> napped{false};
+        } stall;
         RuleSet rules(config, 3);
-        Rule sleepy;
-        sleepy.name = "planted_stall";
-        sleepy.guard = [&](const SystemState &, const Context &) {
-            if (armed.load(std::memory_order_relaxed) &&
-                !napped.exchange(true)) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(300));
-            }
-            return false; // never fires: the space is unchanged
-        };
-        sleepy.apply = [](SystemState &, const Context &) {
-            return true;
-        };
-        rules.addRule(std::move(sleepy));
+        rules.addRule(
+            {"planted_stall",
+             [](const Rule &r, const SystemState &, const Context &) {
+                 auto &st = *static_cast<Stall *>(r.env());
+                 if (st.armed.load(std::memory_order_relaxed) &&
+                     !st.napped.exchange(true)) {
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(300));
+                 }
+                 return false; // never fires: the space is unchanged
+             },
+             [](const Rule &, SystemState &, const Context &) {
+                 return true;
+             },
+             &stall});
 
         ExploreOptions opt;
         opt.schedule = sched;
@@ -236,14 +239,14 @@ TEST(ParallelExplorer, MaxStatesCapHoldsForAWorkerStalledMidBatch)
         opt.progressIntervalSeconds = 0;
         opt.progress = [&](const ProgressSnapshot &p) {
             if (p.states >= arm_at)
-                armed.store(true, std::memory_order_relaxed);
+                stall.armed.store(true, std::memory_order_relaxed);
         };
         const ExploreResult res =
             runWith(rules, Scenario::freeRunScenario(3),
                     InvariantSet::full(config, 3), opt, threads);
         const std::string what =
             sched == Schedule::Bfs ? "bfs" : "ws";
-        EXPECT_TRUE(napped.load()) << what;
+        EXPECT_TRUE(stall.napped.load()) << what;
         EXPECT_EQ(res.stopReason, StopReason::StateCap) << what;
         EXPECT_GE(res.numStates, cap) << what;
         EXPECT_LE(res.numStates, cap + threads) << what;

@@ -181,7 +181,7 @@ TEST(Footprints, DeclaredWritesContainEveryChangedByte)
                 for (const RuleSet::Successor &succ :
                      rules.successors(s, scn, false)) {
                     const auto allowed =
-                        atomByteMask(succ.rule->footprint.writes);
+                        atomByteMask(succ.rule->footprint().writes);
                     const auto *a =
                         reinterpret_cast<const unsigned char *>(&s);
                     const auto *b =
@@ -191,7 +191,7 @@ TEST(Footprints, DeclaredWritesContainEveryChangedByte)
                          ++off) {
                         if (a[off] != b[off]) {
                             ASSERT_TRUE(allowed[off])
-                                << succ.rule->name
+                                << succ.rule->name()
                                 << " changed undeclared byte " << off
                                 << " (ndev " << ndev << ")";
                         }
@@ -221,8 +221,8 @@ TEST(Footprints, IndependentPairsCommuteAndPreserveEnabledness)
                          ++y) {
                         const Rule &a = *enabled[x];
                         const Rule &b = *enabled[y];
-                        if (!independentCanonical(a.footprint,
-                                                  b.footprint)) {
+                        if (!independentCanonical(a.footprint(),
+                                                  b.footprint())) {
                             continue;
                         }
                         SystemState sa = s, sb = s;
@@ -230,23 +230,23 @@ TEST(Footprints, IndependentPairsCommuteAndPreserveEnabledness)
                         ASSERT_TRUE(b.apply(sb, ctx));
                         // Neither may disable (or re-guard) the other.
                         ASSERT_TRUE(b.guard(sa, ctx))
-                            << a.name << " disabled " << b.name;
+                            << a.name() << " disabled " << b.name();
                         ASSERT_TRUE(a.guard(sb, ctx))
-                            << b.name << " disabled " << a.name;
+                            << b.name() << " disabled " << a.name();
                         SystemState ab = sa, ba = sb;
                         ASSERT_TRUE(b.apply(ab, ctx));
                         ASSERT_TRUE(a.apply(ba, ctx));
-                        if (independent(a.footprint, b.footprint)) {
+                        if (independent(a.footprint(), b.footprint())) {
                             // Strict disjointness: exact commutation.
                             ASSERT_TRUE(ab == ba)
-                                << a.name << " / " << b.name;
+                                << a.name() << " / " << b.name();
                         }
                         // The engine's requirement: commutation
                         // modulo tid canonicalisation.
                         ab.canonicaliseTids();
                         ba.canonicaliseTids();
                         ASSERT_TRUE(ab == ba)
-                            << a.name << " / " << b.name
+                            << a.name() << " / " << b.name()
                             << " (canonical)";
                     }
                 }
@@ -271,7 +271,7 @@ TEST(PorContext, PermutationRemapMatchesConjugatedFootprints)
             old_to_new[p[n]] = static_cast<std::uint8_t>(n);
         for (const Rule &r : rules.rules()) {
             const int image = rules.permutedRuleId(r.id, old_to_new);
-            ASSERT_GE(image, 0) << r.name;
+            ASSERT_GE(image, 0) << r.name();
             const Rule &img = rules.rules()[image];
             // Conjugated footprint: device atoms relabelled through
             // old->new, host/counter atoms fixed.
@@ -286,14 +286,14 @@ TEST(PorContext, PermutationRemapMatchesConjugatedFootprints)
                 }
                 return out;
             };
-            EXPECT_EQ(remap_atoms(r.footprint.reads),
-                      img.footprint.reads)
-                << r.name << " -> " << img.name;
-            EXPECT_EQ(remap_atoms(r.footprint.writes),
-                      img.footprint.writes)
-                << r.name << " -> " << img.name;
-            EXPECT_EQ(r.footprint.counterAllocOnly,
-                      img.footprint.counterAllocOnly);
+            EXPECT_EQ(remap_atoms(r.footprint().reads),
+                      img.footprint().reads)
+                << r.name() << " -> " << img.name();
+            EXPECT_EQ(remap_atoms(r.footprint().writes),
+                      img.footprint().writes)
+                << r.name() << " -> " << img.name();
+            EXPECT_EQ(r.footprint().counterAllocOnly,
+                      img.footprint().counterAllocOnly);
         }
     }
 }
@@ -321,13 +321,14 @@ TEST(PorContext, RejectsOversizedRuleSets)
 {
     RuleSet rules(ProtocolConfig::correct(), 2);
     while (rules.rules().size() <= kMaxPorRules) {
-        Rule r;
-        r.name = "pad" + std::to_string(rules.rules().size());
-        r.guard = [](const SystemState &, const Context &) {
-            return false;
-        };
-        r.apply = [](SystemState &, const Context &) { return true; };
-        rules.addRule(std::move(r));
+        rules.addRule(
+            {"pad" + std::to_string(rules.rules().size()),
+             [](const Rule &, const SystemState &, const Context &) {
+                 return false;
+             },
+             [](const Rule &, SystemState &, const Context &) {
+                 return true;
+             }});
     }
     EXPECT_THROW(PorContext(rules, false), std::runtime_error);
 }

@@ -352,7 +352,7 @@ TEST_P(DeviceRules, MutatedIsadSnoopOnlyExistsUnderMutation)
     RuleSet mrules(mutated);
     const Rule *rule = mrules.find(rn("ISADSnpInv"));
     ASSERT_NE(rule, nullptr);
-    EXPECT_TRUE(rule->mutated);
+    EXPECT_TRUE(rule->mutated());
 
     // It lies with RspIHitI and stays in ISAD (paper Section 5.2).
     SystemState init = initialAllInvalid();

@@ -74,11 +74,11 @@ TEST(RuleSet, NamesAreUniqueAndDeviceSuffixed)
     std::set<std::string> names;
     std::size_t dev1 = 0, dev2 = 0;
     for (const Rule &r : rules.rules()) {
-        EXPECT_TRUE(names.insert(r.name).second) << r.name;
-        char suffix = r.name.back();
-        EXPECT_TRUE(suffix == '1' || suffix == '2') << r.name;
-        EXPECT_EQ(suffix, r.dev == 0 ? '1' : '2') << r.name;
-        (r.dev == 0 ? dev1 : dev2)++;
+        EXPECT_TRUE(names.insert(r.name()).second) << r.name();
+        char suffix = r.name().back();
+        EXPECT_TRUE(suffix == '1' || suffix == '2') << r.name();
+        EXPECT_EQ(suffix, r.dev() == 0 ? '1' : '2') << r.name();
+        (r.dev() == 0 ? dev1 : dev2)++;
     }
     EXPECT_EQ(dev1, dev2) << "rule templates instantiate symmetrically";
 }
@@ -88,7 +88,7 @@ TEST(RuleSet, FindByName)
     RuleSet rules(ProtocolConfig::correct());
     const Rule *rule = rules.find("InvalidLoad1");
     ASSERT_NE(rule, nullptr);
-    EXPECT_EQ(rule->dev, 0);
+    EXPECT_EQ(rule->dev(), 0);
     EXPECT_EQ(rules.find("InvalidLoad3"), nullptr);
     EXPECT_EQ(rules.find(""), nullptr);
 }
@@ -102,7 +102,7 @@ TEST(RuleSet, SuccessorsEnumeratesEnabledRulesExactly)
 
     auto succs = rules.successors(sc.initial, sc);
     ASSERT_EQ(succs.size(), 1u) << "only InvalidLoad1 can fire";
-    EXPECT_EQ(succs[0].rule->name, "InvalidLoad1");
+    EXPECT_EQ(succs[0].rule->name(), "InvalidLoad1");
     EXPECT_FALSE(succs[0].overflow);
     EXPECT_EQ(succs[0].state.dev[0].state, DState::ISAD);
 

@@ -84,15 +84,15 @@ TEST_P(SwmrTheorem, StateSpaceIsDeviceSymmetric)
     ASSERT_TRUE(res.completed);
 
     for (const Rule &rule : rules.rules()) {
-        if (rule.dev != 0)
+        if (rule.dev() != 0)
             continue;
-        std::string twin = rule.name;
+        std::string twin = rule.name();
         twin.back() = '2';
         const Rule *other = rules.find(twin);
         ASSERT_NE(other, nullptr);
         EXPECT_EQ(res.ruleFireCounts[rule.id],
                   res.ruleFireCounts[other->id])
-            << rule.name;
+            << rule.name();
     }
 }
 
