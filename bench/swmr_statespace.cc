@@ -56,8 +56,8 @@ main(int argc, char **argv)
     // SymmetryMode::Auto turns the reduction on for free-run spaces
     // beyond the paper's two devices; resolve it here for the banner.
     const bool symmetry_on =
-        opts.engine.symmetry == SymmetryMode::On ||
-        (opts.engine.symmetry == SymmetryMode::Auto && devices > 2);
+        resolveEngine(opts.engine, Scenario::freeRunScenario(devices))
+            .symmetry;
 
     bench::banner(
         "Theorem 6.2 (SWMR): exhaustive reachability over the " +

@@ -125,20 +125,7 @@ wireRequest(const cxl::api::StandardOptions &opts,
     r.scenario = entry.name;
     r.devices =
         entry.deviceScalable ? opts.devices : entry.fixedDevices;
-    serve::EngineKnobs &k = r.engine;
-    k.threads = opts.engine.threads;
-    k.symmetry = opts.engine.symmetry;
-    k.store = opts.engine.store;
-    k.por = opts.engine.por;
-    k.schedule = opts.engine.schedule;
-    if (opts.engine.maxStates != 0)
-        k.maxStates = opts.engine.maxStates;
-    if (opts.engine.expectedStates != 0)
-        k.expectStates = opts.engine.expectedStates;
-    if (opts.engine.maxSeconds > 0)
-        k.maxSeconds = opts.engine.maxSeconds;
-    if (opts.engine.maxRssBytes != 0)
-        k.maxRssMb = opts.engine.maxRssBytes / (1024 * 1024);
+    r.engine = serve::knobsOf(opts.engine);
     r.deterministic = args.has("deterministic");
     r.progress = args.has("progress");
     return r;

@@ -1,8 +1,6 @@
 #include "api/check.hh"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "litmus/trace_table.hh"
 #include "support/json.hh"
@@ -17,28 +15,9 @@ namespace
 std::uint32_t
 modelKey(const ProtocolConfig &c, int devices)
 {
-    static_assert(sizeof(ProtocolConfig) == 7,
-                  "a new ProtocolConfig switch needs a bit() line "
-                  "below, or distinct configs alias one cache key");
-    std::uint32_t key = static_cast<std::uint32_t>(devices);
-    auto bit = [&key](bool b) { key = (key << 1) | (b ? 1u : 0u); };
-    bit(c.staleEvictDrop);
-    bit(c.cleanEvictNoData);
-    bit(c.hostCleanPull);
-    bit(c.relaxSnoopPushesGo);
-    bit(c.relaxSmadSnoopGuard);
-    bit(c.relaxGoTailgate);
-    bit(c.relaxOneSnoop);
-    return key;
-}
-
-std::size_t
-resolvedThreads(std::size_t requested)
-{
-    if (requested != 0)
-        return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
+    return (static_cast<std::uint32_t>(devices)
+            << ProtocolConfig::kNumBits) |
+           c.bits();
 }
 
 const char *
@@ -347,9 +326,10 @@ CheckSession::modelCacheStats() const
     std::vector<ModelCacheStat> stats;
     stats.reserve(models_.size());
     for (const auto &[key, model] : models_) {
-        // Inverse of modelKey: devices above the 7 config bits.
-        stats.push_back({static_cast<int>(key >> 7), key & 0x7Fu,
-                         model->hits});
+        // Inverse of modelKey: devices above the config bits.
+        stats.push_back(
+            {static_cast<int>(key >> ProtocolConfig::kNumBits),
+             key & ((1u << ProtocolConfig::kNumBits) - 1), model->hits});
     }
     return stats;
 }
@@ -372,10 +352,10 @@ CheckSession::invariantSet(const ProtocolConfig &config, int devices)
     return modelFor(config, devices).invariants;
 }
 
-CheckSession::Resolved
-CheckSession::resolve(const CheckRequest &request) const
+ResolvedCheck
+resolveCheck(const CheckRequest &request)
 {
-    Resolved r;
+    ResolvedCheck r;
     if (!request.scenario.empty()) {
         const scenarios::Entry *entry =
             scenarios::byName(request.scenario);
@@ -428,37 +408,17 @@ CheckSession::resolve(const CheckRequest &request) const
 CheckResult
 CheckSession::run(const CheckRequest &request)
 {
-    const Resolved resolved = resolve(request);
+    const ResolvedCheck resolved = resolveCheck(request);
     const int devices = resolved.scenario.numDevices();
-    const EngineOptions engine = request.engine.value_or(defaults_);
+    const ExploreOptions opt{request.engine.value_or(defaults_),
+                             request.checks != CheckKind::Deadlock,
+                             request.checks != CheckKind::Invariants};
+    const ResolvedEngine engine = resolveEngine(opt, resolved.scenario);
 
     Model &model = modelFor(resolved.config, devices);
     InvariantSet filtered;
     const InvariantSet &invariants =
         selectFamilies(model.invariants, resolved.families, filtered);
-
-    ExploreOptions opt;
-    opt.numThreads = engine.threads;
-    if (engine.maxStates != 0)
-        opt.maxStates = engine.maxStates;
-    opt.expectedStates = engine.expectedStates;
-    opt.store = engine.store;
-    opt.storeDir = engine.storeDir;
-    opt.por = engine.por;
-    opt.schedule = engine.schedule;
-    opt.symmetryReduction =
-        engine.symmetry == SymmetryMode::On ||
-        (engine.symmetry == SymmetryMode::Auto &&
-         resolved.scenario.freeRun && devices > 2);
-    opt.checkInvariants = request.checks != CheckKind::Deadlock;
-    opt.checkDeadlock = request.checks != CheckKind::Invariants;
-    opt.stopAtFirstViolation = engine.stopAtFirstViolation;
-    opt.maxSeconds = engine.maxSeconds;
-    opt.maxRssBytes = engine.maxRssBytes;
-    opt.cancel = engine.cancel;
-    opt.storeCapacity = engine.storeCapacity;
-    opt.progress = engine.progress;
-    opt.progressIntervalSeconds = engine.progressIntervalSeconds;
 
     Explorer explorer(model.rules, resolved.scenario, invariants);
     const std::uint64_t rss_before = currentRssBytes();
@@ -472,13 +432,13 @@ CheckSession::run(const CheckRequest &request)
     out.config = resolved.config;
     out.numRules = model.rules.rules().size();
     out.numConjuncts = invariants.size();
-    out.threads = resolvedThreads(engine.threads);
-    out.symmetryReduction = opt.symmetryReduction;
+    out.threads = engine.threads;
+    out.symmetryReduction = engine.symmetry;
     out.store = opt.store;
     out.storeDir = opt.storeDir;
     out.por = opt.por;
     out.schedule = opt.schedule;
-    out.maxStates = opt.maxStates;
+    out.maxStates = engine.maxStates;
     out.states = res.numStates;
     out.transitions = res.numTransitions;
     out.diameter = res.maxDepth;
@@ -533,7 +493,7 @@ GuidedRun
 CheckSession::guided(const CheckRequest &request,
                      const std::vector<std::string> &steps)
 {
-    const Resolved resolved = resolve(request);
+    const ResolvedCheck resolved = resolveCheck(request);
     Model &model =
         modelFor(resolved.config, resolved.scenario.numDevices());
     GuidedRun run;

@@ -52,90 +52,6 @@ enum class CheckKind : std::uint8_t {
     Both,
 };
 
-/** Device-permutation symmetry reduction policy. */
-enum class SymmetryMode : std::uint8_t {
-    /**
-     * On exactly when it is sound and pays: free-run scenarios with
-     * more than two devices (the swmr_statespace default since PR 2).
-     */
-    Auto,
-    On,
-    Off,
-};
-
-/** Engine knobs shared by every request of a session (overridable
- * per request). */
-struct EngineOptions {
-    /** Worker threads; 0 = one per hardware thread. */
-    std::size_t threads = 0;
-
-    SymmetryMode symmetry = SymmetryMode::Auto;
-    StoreKind store = StoreKind::InRam;
-
-    /** Mmap store: directory for the backing files (`--store-dir`;
-     * "" = anonymous in-memory files). */
-    std::string storeDir;
-
-    /**
-     * Exploration schedule (`--ws` / `--bfs`): Schedule::Bfs is the
-     * depth-synchronized baseline; Schedule::WorkSteal replaces the
-     * depth barrier with per-worker work-stealing deques.  Verdicts,
-     * state counts and diameters are identical either way (and across
-     * thread counts); transition/slept counts are schedule-dependent
-     * under WorkSteal.
-     */
-    Schedule schedule = Schedule::Bfs;
-
-    /**
-     * Partial-order reduction (sleep sets over static rule
-     * footprints; `--por`).  Off by default.  Prunes commuting
-     * interleavings: every reachable state is still visited at its
-     * minimal BFS depth, so verdicts, violated-conjunct sets, state
-     * counts and diameters are identical to an unreduced run — only
-     * the transition count (and time) drops.  Composes with both
-     * symmetry modes and every store kind.
-     */
-    bool por = false;
-
-    /** State cap; 0 = the explorer's built-in default. */
-    std::uint64_t maxStates = 0;
-
-    /** Pre-size the visited set (0 = default sizing). */
-    std::uint64_t expectedStates = 0;
-
-    bool stopAtFirstViolation = true;
-
-    /** Wall-clock budget in seconds (`--max-seconds`; 0 = none).
-     * Exceeding it ends the run gracefully as Incomplete with
-     * stopReason Deadline. */
-    double maxSeconds = 0;
-
-    /** Process memory ceiling in bytes (`--max-rss-mb`; 0 = none):
-     * anonymous RSS plus memfd bytes, so an mmap store without
-     * `--store-dir` counts in full; crossing it ends the run as
-     * Incomplete with stopReason Memory.  Pages of files under
-     * `--store-dir` are excluded: the kernel reclaims them by
-     * writeback. */
-    std::uint64_t maxRssBytes = 0;
-
-    /** Cooperative cancellation (the CLIs wire SIGINT/SIGTERM to
-     * this); an invalid token means not cancellable. */
-    CancelToken cancel;
-
-    /** Visited-set capacity ceiling (0 = architectural); hitting it
-     * stops gracefully with stopReason ShardFull. */
-    std::uint64_t storeCapacity = 0;
-
-    /** Periodic mid-run progress observer (empty = none); see
-     * ExploreOptions::progress.  The serve layer streams these as
-     * wire frames. */
-    ProgressFn progress;
-
-    /** Minimum seconds between progress calls; <= 0 reports at every
-     * batch flush. */
-    double progressIntervalSeconds = 0.25;
-};
-
 /** One verification request. */
 struct CheckRequest {
     /** Registered scenario name (see scenarios::byName); empty means
@@ -187,6 +103,25 @@ struct RuleFire {
     std::uint64_t slept = 0;
 };
 
+/** A request resolved against the scenario registry: what a run
+ * explores and checks. */
+struct ResolvedCheck {
+    Scenario scenario;
+    ProtocolConfig config;
+    std::vector<std::string> families;
+    std::string name; ///< registry-canonical entry name, or the inline
+                      ///< scenario's name
+};
+
+/**
+ * Resolve @p request's scenario, configuration and invariant families
+ * — the one place a request's names and device count are checked.
+ * @throws std::runtime_error on an unknown scenario name, a device
+ *         count out of range or mismatching a pinned scenario, or a
+ *         request naming no scenario at all.
+ */
+ResolvedCheck resolveCheck(const CheckRequest &request);
+
 /** Structured result of one CheckSession::run. */
 struct CheckResult {
     enum class Verdict : std::uint8_t {
@@ -204,8 +139,8 @@ struct CheckResult {
     std::size_t numRules = 0;
     std::size_t numConjuncts = 0;
 
-    // ---- engine echo (resolved) --------------------------------------
-    std::size_t threads = 0;  ///< resolved worker count (never 0)
+    // ---- engine echo (resolved; see resolveEngine) ------------------
+    std::size_t threads = 0;  ///< workers that ran (never 0)
     bool symmetryReduction = false;
     StoreKind store = StoreKind::InRam;
     std::string storeDir;     ///< mmap store: "" = memfd
@@ -399,9 +334,7 @@ class CheckSession
      */
     struct ModelCacheStat {
         int devices = 0;
-        /** The 7 ProtocolConfig switches packed in modelKey order
-         * (staleEvictDrop is the most significant bit). */
-        std::uint32_t configBits = 0;
+        std::uint32_t configBits = 0; ///< ProtocolConfig::bits()
         std::uint64_t hits = 0;
     };
 
@@ -415,15 +348,7 @@ class CheckSession
         InvariantSet invariants; ///< the full strengthened set
         std::uint64_t hits = 0;  ///< cache-served requests after build
     };
-    struct Resolved {
-        Scenario scenario;
-        ProtocolConfig config;
-        std::vector<std::string> families;
-        std::string name;
-    };
-
     Model &modelFor(const ProtocolConfig &config, int devices);
-    Resolved resolve(const CheckRequest &request) const;
 
     EngineOptions defaults_;
     std::map<std::uint32_t, std::unique_ptr<Model>> models_;

@@ -1,9 +1,7 @@
 #include "checker/expand.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -106,23 +104,15 @@ ExpandKernel::ExpandKernel(const RuleSet &rules_,
                            const InvariantSet &invariants_,
                            const ExploreOptions &options)
     : rules(rules_), scenario(scenario_), invariants(invariants_),
-      opt(options), ctx{&scenario_},
-      start(std::chrono::steady_clock::now()),
-      // A per-worker scratch (and an OS thread) is allocated for
-      // each worker, so clamp runaway requests to something a
-      // machine could plausibly have.
-      threads(std::min<std::size_t>(
-          options.numThreads
-              ? options.numThreads
-              : std::max(1u, std::thread::hardware_concurrency()),
-          1024)),
+      opt(options), resolved(resolveEngine(options, scenario_)),
+      ctx{&scenario_}, start(std::chrono::steady_clock::now()),
       store(storeConfigOf(options.store, options.storeDir,
                           options.storeCapacity)),
       governor({options.maxSeconds, options.maxRssBytes,
                 options.cancel}),
       progress(options.progress, options.progressIntervalSeconds),
-      softCap(options.maxStates > threads * kFlushBatch
-                  ? options.maxStates - threads * kFlushBatch
+      softCap(resolved.maxStates > resolved.threads * kFlushBatch
+                  ? resolved.maxStates - resolved.threads * kFlushBatch
                   : 0)
 {
     result.ruleFireCounts.assign(rules.rules().size(), 0);
@@ -132,7 +122,7 @@ ExpandKernel::ExpandKernel(const RuleSet &rules_,
     // per-permutation rule remap tables.  Throws when the rule set
     // exceeds the POR engine's mask width.
     if (opt.por) {
-        por.emplace(rules, opt.symmetryReduction, opt.canonicaliseTids);
+        por.emplace(rules, resolved.symmetry);
         sleep.emplace(rules.rules().size());
     }
     if (opt.expectedStates != 0)
@@ -143,7 +133,7 @@ bool
 ExpandKernel::insertInitial()
 {
     SystemState init = scenario.initial;
-    canonicalise(init, opt.canonicaliseTids, opt.symmetryReduction);
+    canonicalise(init, true, resolved.symmetry);
     initIdx = store.insert(init, StateStore::kNoParent, 0, 0).first;
     if (sleep)
         sleep->intersect(initIdx, RuleMask{}); // sleeps nothing
@@ -182,14 +172,13 @@ ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
     const auto slot = static_cast<std::uint32_t>(ws.nodeMasks.size());
     if (sleep) {
         ws.nodeMasks.push_back(sleep->get(idx));
-        rules.successorsPor(ws.node, scenario, opt.canonicaliseTids,
+        rules.successorsPor(ws.node, scenario, true,
                             ws.nodeMasks.back().words.data(), ws.succs,
                             ws.sleptRules);
         for (std::uint16_t r : ws.sleptRules)
             ++ws.ruleSlept[r];
     } else {
-        rules.successorsInto(ws.node, scenario, opt.canonicaliseTids,
-                             ws.succs);
+        rules.successorsInto(ws.node, scenario, true, ws.succs);
     }
 
     // Deadlock = no *enabled* rule; slept rules are enabled, merely
@@ -212,13 +201,12 @@ ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
         // derives its sleep contribution (sleepEdges) once the
         // target's id is known.
         std::uint8_t perm_key = PorContext::kIdentityPermKey;
-        if (opt.symmetryReduction) {
-            // Successors were tid-canonicalised whenever the option
-            // is on, so the identity image skips the rescan.
+        if (resolved.symmetry) {
+            // Successors were tid-canonicalised, so the identity
+            // image skips the rescan.
             std::uint8_t perm[kMaxDevices];
             succ.state = succ.state.deviceCanonical(
-                opt.canonicaliseTids, opt.canonicaliseTids,
-                por ? perm : nullptr);
+                true, true, por ? perm : nullptr);
             if (por)
                 perm_key = PorContext::permKey(perm, rules.numDevices());
         }
@@ -265,8 +253,7 @@ ExpandKernel::record(const Candidate &c)
         v.overflowRule = rules.rules()[c.edgeRule].name();
         path.push_back(c.edgeRule);
     }
-    v.trace = replayTrace(rules, scenario, path, opt.canonicaliseTids,
-                          opt.symmetryReduction);
+    v.trace = replayTrace(rules, scenario, path, true, resolved.symmetry);
     result.violation = std::move(v);
 }
 
@@ -287,8 +274,7 @@ ExpandKernel::witnessPath(std::uint32_t id) const
                 continue;
             SystemState next = from;
             (void)rule.apply(next, ctx);
-            canonicalise(next, opt.canonicaliseTids,
-                         opt.symmetryReduction);
+            canonicalise(next, true, resolved.symmetry);
             const std::optional<std::uint32_t> at = store.find(next);
             if (!at || store.depthAt(*at) != level ||
                 (level < depth ? !visited.insert(*at).second
@@ -302,7 +288,7 @@ ExpandKernel::witnessPath(std::uint32_t id) const
         return false;
     };
     SystemState init = scenario.initial;
-    canonicalise(init, opt.canonicaliseTids, opt.symmetryReduction);
+    canonicalise(init, true, resolved.symmetry);
     if (depth == 0 || reach(reach, init))
         return path;
     // Labels a governed stop left unsettled: the breadcrumbs still

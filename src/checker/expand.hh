@@ -191,7 +191,7 @@ class ExpandKernel
     std::vector<Scratch>
     makeScratch() const
     {
-        std::vector<Scratch> scratch(threads);
+        std::vector<Scratch> scratch(resolved.threads);
         for (WorkerScratch &ws : scratch) {
             ws.ruleFires.assign(rules.rules().size(), 0);
             ws.ruleSlept.assign(rules.rules().size(), 0);
@@ -225,7 +225,8 @@ class ExpandKernel
         // Items past the cap are dropped uninserted; the run is
         // stopping on the cap anyway.
         dropBatch(ws, store.insertBatchCapped(ws.batch.data(), staged,
-                                              softCap, opt.maxStates));
+                                              softCap,
+                                              resolved.maxStates));
         for (std::size_t i = 0; i < ws.edges.size(); ++i)
             ws.edges[i].id = ws.batch[i].id;
         for (const auto &[index, parent_hash] : ws.overflows) {
@@ -252,7 +253,7 @@ class ExpandKernel
         ws.batch.clear();
         ws.edges.clear();
         ws.nodeMasks.clear();
-        if (store.size() >= opt.maxStates)
+        if (store.size() >= resolved.maxStates)
             governor.trip(StopReason::StateCap);
         // Budget checks and progress samples ride the flush: about
         // once per kFlushBatch successors per worker.
@@ -300,8 +301,8 @@ class ExpandKernel
         };
         if (parallel) {
             if (!pool)
-                pool.emplace(threads);
-            for (std::size_t t = 0; t < threads; ++t)
+                pool.emplace(resolved.threads);
+            for (std::size_t t = 0; t < resolved.threads; ++t)
                 pool->submit([&guarded, t] { guarded(t); });
             pool->wait();
         } else {
@@ -417,9 +418,9 @@ class ExpandKernel
     const Scenario &scenario;
     const InvariantSet &invariants;
     const ExploreOptions &opt;
+    const ResolvedEngine resolved; ///< workers, symmetry, state cap
     const Context ctx; ///< read-only, shared by every worker
     const std::chrono::steady_clock::time_point start;
-    const std::size_t threads;
     std::optional<PorContext> por;
     std::optional<SleepTable> sleep; ///< POR only
     StateStore store;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 
 #include "checker/expand.hh"
 
@@ -35,6 +36,23 @@ storeConfigOf(StoreKind kind, const std::string &dir,
         1 << 16, StoreMode::Full,
         storeKindMmap(kind) ? StoreBackend::Mmap : StoreBackend::InRam,
         dir, capacity};
+}
+
+ResolvedEngine
+resolveEngine(const EngineOptions &options, const Scenario &scenario)
+{
+    ResolvedEngine r;
+    r.threads = std::min<std::size_t>(
+        options.threads != 0
+            ? options.threads
+            : std::max(1u, std::thread::hardware_concurrency()),
+        kMaxWorkers);
+    r.symmetry = options.symmetry == SymmetryMode::On ||
+                 (options.symmetry == SymmetryMode::Auto &&
+                  scenario.freeRun && scenario.numDevices() > 2);
+    if (options.maxStates != 0)
+        r.maxStates = options.maxStates;
+    return r;
 }
 
 std::string
@@ -82,6 +100,7 @@ void
 runBfs(ExpandKernel &k)
 {
     ExploreResult &result = k.result;
+    const std::size_t threads = k.resolved.threads;
 
     // The frontier holds packed store ids only; workers decode each
     // state from the store into their scratch, so states are never
@@ -94,12 +113,6 @@ runBfs(ExpandKernel &k)
 
     while (!frontier.empty()) {
         result.maxDepth = std::max(result.maxDepth, depth);
-        if (depth >= k.opt.maxDepth) {
-            // Depth-capped states count toward the diameter but are
-            // not expanded; the walk still counts as completed.
-            frontier.clear();
-            break;
-        }
 
         // Budgets can expire between levels too (tiny levels flush
         // rarely), and a pre-cancelled token must stop before any
@@ -116,7 +129,7 @@ runBfs(ExpandKernel &k)
         // contention point (per-state work is microseconds).
         const std::size_t grain = std::max<std::size_t>(
             1, std::min<std::size_t>(
-                   64, frontier.size() / (8 * k.threads)));
+                   64, frontier.size() / (8 * threads)));
 
         // Under POR every edge into the level being built intersects
         // its contribution into the target's sleep mask, whichever
@@ -166,7 +179,7 @@ runBfs(ExpandKernel &k)
         // Small levels are expanded inline: the result is identical
         // by construction and the dispatch overhead is skipped.
         k.runWorkers(scratch,
-                     k.threads > 1 && frontier.size() >= 2 * k.threads,
+                     threads > 1 && frontier.size() >= 2 * threads,
                      work);
 
         // Depth barrier: merge per-worker scratch into the result.
@@ -187,10 +200,10 @@ runBfs(ExpandKernel &k)
 
         // Grow the shards the next level will fill now, in parallel,
         // rather than one at a time under their locks mid-level.
-        const bool parallel = k.threads > 1;
+        const bool parallel = threads > 1;
         k.runWorkers(scratch, parallel, [&](std::size_t t) {
             for (std::size_t s = t; s < StateStore::kNumShards;
-                 s += parallel ? k.threads : 1)
+                 s += parallel ? threads : 1)
                 k.store.growForNextLevel(static_cast<std::uint32_t>(s));
         });
         frontier.swap(next_frontier);

@@ -127,7 +127,7 @@ StoreConfig storeConfigOf(StoreKind kind, const std::string &dir,
                           std::uint64_t capacity);
 
 /**
- * A mid-run counter sample handed to ExploreOptions::progress.
+ * A mid-run counter sample handed to EngineOptions::progress.
  * Counters are relaxed reads of live worker state — monotonically
  * believable but not barrier-exact (the final ExploreResult is the
  * authoritative count).  depth is the deepest level any worker has
@@ -149,16 +149,41 @@ struct ProgressSnapshot {
  */
 using ProgressFn = std::function<void(const ProgressSnapshot &)>;
 
-/** Exploration limits and switches. */
-struct ExploreOptions {
-    std::uint64_t maxStates = 20'000'000;
-    std::uint32_t maxDepth = 60000;
+/** Device-permutation symmetry reduction policy. */
+enum class SymmetryMode : std::uint8_t {
+    /** On exactly when it is sound and pays: free-run scenarios with
+     * more than two devices (see resolveEngine). */
+    Auto,
+    On,
+    Off,
+};
 
-    /** Which parallel schedule expands the frontier. */
-    Schedule schedule = Schedule::Bfs;
+/** State cap of a run whose EngineOptions::maxStates is 0. */
+constexpr std::uint64_t kDefaultMaxStates = 20'000'000;
 
-    /** Relabel tids per state; required for free-run finiteness. */
-    bool canonicaliseTids = true;
+/** Most workers a run starts: each gets a scratch and an OS thread,
+ * so larger requests are clamped to what a machine could have. */
+constexpr std::size_t kMaxWorkers = 1024;
+
+/**
+ * Engine knobs: how a run explores, and the budgets that stop it.  A
+ * CheckSession holds one set as its defaults, and a CheckRequest may
+ * carry its own; ExploreOptions adds the two check switches.
+ */
+struct EngineOptions {
+    /**
+     * Worker threads; 0 = one per hardware thread, and requests above
+     * kMaxWorkers are clamped (see resolveEngine).  For runs that
+     * complete or stop at a violation, any value yields the same
+     * state/transition counts and violation verdict (the explorer
+     * completes the BFS level a violation is found in and picks the
+     * deterministically smallest witness and its rule-id-least
+     * shortest trace); only wall-clock time differs.  Runs truncated
+     * by maxStates stop at a thread-dependent point: the cap may be
+     * overshot by up to one flush batch (512 states) per worker and
+     * the final counts are not comparable across thread counts.
+     */
+    std::size_t threads = 0;
 
     /**
      * Identify device-permutation-symmetric states (classic Murphi
@@ -169,14 +194,36 @@ struct ExploreOptions {
      * programs from a symmetric initial state).  This is what keeps
      * 3-4 device free-run spaces enumerable.
      */
-    bool symmetryReduction = false;
+    SymmetryMode symmetry = SymmetryMode::Auto;
 
-    /** Visited-set store kind (see StoreKind). */
+    /** Visited-set store kind (`--store`; see StoreKind). */
     StoreKind store = StoreKind::InRam;
 
-    /** Mmap store: backing-file directory ("" = anonymous in-memory
-     * files). */
+    /** Mmap store: directory for the backing files (`--store-dir`;
+     * "" = anonymous in-memory files). */
     std::string storeDir;
+
+    /** Which parallel schedule expands the frontier (`--ws` /
+     * `--bfs`; see Schedule). */
+    Schedule schedule = Schedule::Bfs;
+
+    /**
+     * Partial-order reduction (sleep sets over the rules' static
+     * dependency footprints; `--por`): prune successor firings whose
+     * effect is covered by a commuting interleaving explored elsewhere
+     * in the same BFS level structure.  Every reachable state is still
+     * visited at its minimal depth, so state counts, diameters,
+     * verdicts and violated-conjunct sets are identical to an
+     * unreduced run — only numTransitions (and wall-clock) drop.
+     * Composes with symmetry reduction (sleep masks are relabelled
+     * through the canonicalising device permutation) and every store
+     * kind.  See checker/por.hh.
+     */
+    bool por = false;
+
+    /** State cap; 0 = kDefaultMaxStates.  Hitting it stops the run
+     * gracefully with StopReason::StateCap. */
+    std::uint64_t maxStates = 0;
 
     /**
      * Pre-size the visited set for this many states (0 = default
@@ -186,51 +233,28 @@ struct ExploreOptions {
      */
     std::uint64_t expectedStates = 0;
 
-    /**
-     * Partial-order reduction (sleep sets over the rules' static
-     * dependency footprints): prune successor firings whose effect is
-     * covered by a commuting interleaving explored elsewhere in the
-     * same BFS level structure.  Every reachable state is still
-     * visited at its minimal depth, so state counts, diameters,
-     * verdicts and violated-conjunct sets are identical to an
-     * unreduced run — only numTransitions (and wall-clock) drop.
-     * Composes with symmetryReduction (sleep masks are relabelled
-     * through the canonicalising device permutation) and compaction.
-     * See checker/por.hh.
-     */
-    bool por = false;
-
-    /** Evaluate the invariant set on every reachable state. */
-    bool checkInvariants = true;
-
     /** Stop at the first violation (otherwise count them all). */
     bool stopAtFirstViolation = true;
 
     /**
-     * Report states with no enabled rule before the programs finished
-     * (program mode only; free-run states always have successors).
-     */
-    bool checkDeadlock = true;
-
-    /**
-     * Wall-clock budget in seconds (0 = none).  A run that exceeds
-     * it stops gracefully at batch-flush granularity and reports the
-     * explored prefix with StopReason::Deadline.  Where the stop
-     * lands is wall-clock-dependent by design — deadline-stopped
-     * counts are not reproducible.
+     * Wall-clock budget in seconds (`--max-seconds`; 0 = none).  A run
+     * that exceeds it stops gracefully at batch-flush granularity and
+     * reports the explored prefix with StopReason::Deadline.  Where
+     * the stop lands is wall-clock-dependent by design —
+     * deadline-stopped counts are not reproducible.
      */
     double maxSeconds = 0;
 
     /**
-     * Memory ceiling in bytes (0 = none), sampled by the governor at
-     * flush granularity.  The ceiling meters process-wide anonymous
-     * RSS plus the bytes of every memfd the process holds (see
-     * meteredMemoryBytes in support/resource.hh): an mmap store
-     * without storeDir lives in memfd and counts in full, while one
-     * under storeDir keeps its bytes in files the kernel reclaims by
-     * writeback and does not count.  Not per-run allocation, and the
-     * stop is detected one sample stride after the crossing — treat
-     * it as a safety net, not an exact budget.
+     * Memory ceiling in bytes (`--max-rss-mb`; 0 = none), sampled by
+     * the governor at flush granularity.  The ceiling meters
+     * process-wide anonymous RSS plus the bytes of every memfd the
+     * process holds (see meteredMemoryBytes in support/resource.hh):
+     * an mmap store without storeDir lives in memfd and counts in
+     * full, while one under storeDir keeps its bytes in files the
+     * kernel reclaims by writeback and does not count.  Not per-run
+     * allocation, and the stop is detected one sample stride after
+     * the crossing — treat it as a safety net, not an exact budget.
      */
     std::uint64_t maxRssBytes = 0;
 
@@ -251,30 +275,45 @@ struct ExploreOptions {
      * governor-poll granularity — the same batch-flush cadence the
      * budgets ride — and rate-limited to one call per
      * progressIntervalSeconds.  Purely observational: verdicts and
-     * counts are unaffected by whether a callback is installed.
+     * counts are unaffected by whether a callback is installed.  The
+     * serve layer streams these as wire frames.
      */
     ProgressFn progress;
 
     /** Minimum seconds between progress calls; <= 0 reports at every
      * flush (tests use that to see the stream without waiting). */
     double progressIntervalSeconds = 0.25;
+};
+
+/** The engine knobs of one exploration plus which checks it runs. */
+struct ExploreOptions : EngineOptions {
+    /** Evaluate the invariant set on every reachable state. */
+    bool checkInvariants = true;
 
     /**
-     * Worker threads for the depth-synchronized parallel expansion;
-     * 0 means one per hardware thread.  For runs that complete or
-     * stop at a violation, any value yields the same
-     * state/transition counts and violation verdict (the explorer
-     * completes the BFS level a violation is found in and picks the
-     * deterministically smallest witness and its rule-id-least
-     * shortest trace); only wall-clock time differs.  Runs
-     * truncated by maxStates stop at a thread-dependent point: the
-     * cap may be overshot by up to one flush batch (512 states) per
-     * worker and the final counts are not comparable across thread
-     * counts.
-     * Requests above 1024 workers are clamped.
+     * Report states with no enabled rule before the programs finished
+     * (program mode only; free-run states always have successors).
      */
-    std::size_t numThreads = 0;
+    bool checkDeadlock = true;
 };
+
+/** What a run does under its EngineOptions, decided in one place. */
+struct ResolvedEngine {
+    std::size_t threads = 1;   ///< workers, in [1, kMaxWorkers]
+    bool symmetry = false;     ///< device-symmetry reduction on
+    std::uint64_t maxStates = kDefaultMaxStates; ///< effective cap
+};
+
+/**
+ * Resolve @p options for a run of @p scenario: threads 0 becomes the
+ * hardware thread count and any count is clamped to kMaxWorkers;
+ * SymmetryMode::Auto is on for a free run of more than two devices;
+ * maxStates 0 becomes kDefaultMaxStates.  The expansion kernel, the
+ * CheckResult echo and the serve cache key all read this, so what a
+ * run prints is what it ran.
+ */
+ResolvedEngine resolveEngine(const EngineOptions &options,
+                             const Scenario &scenario);
 
 /** A single step of a counterexample trace. */
 struct TraceStep {
@@ -405,7 +444,7 @@ struct ExploreResult {
     std::uint64_t storeFileBytes = 0;
 
     /** Largest memory sample the governor checked against
-     * ExploreOptions::maxRssBytes (RunGovernor::meteredPeak); 0 when
+     * EngineOptions::maxRssBytes (RunGovernor::meteredPeak); 0 when
      * no ceiling was set. */
     std::uint64_t meteredPeakBytes = 0;
 };
@@ -421,7 +460,7 @@ class Explorer
              const InvariantSet &invariants);
 
     /** Run to completion or until a limit/violation stops the walk;
-     * dispatches on ExploreOptions::schedule. */
+     * dispatches on EngineOptions::schedule. */
     ExploreResult run(const ExploreOptions &options = {});
 
   private:

@@ -106,7 +106,8 @@ void
 runWorkSteal(ExpandKernel &k)
 {
     std::vector<WsScratch> scratch = k.makeScratch<WsScratch>();
-    const auto deques = std::make_unique<WorkDeque[]>(k.threads);
+    const std::size_t threads = k.resolved.threads;
+    const auto deques = std::make_unique<WorkDeque[]>(threads);
 
     // Outstanding tasks (queued + in-flight).  Incremented *before* a
     // push is visible, decremented only after the claimed task's
@@ -190,9 +191,9 @@ runWorkSteal(ExpandKernel &k)
                 // and the quiescence check below is conclusive.
                 flush(t);
                 for (std::size_t v = 1;
-                     v < k.threads && got != WorkDeque::Steal::Success;
+                     v < threads && got != WorkDeque::Steal::Success;
                      ++v) {
-                    got = deques[(t + v) % k.threads].steal(task);
+                    got = deques[(t + v) % threads].steal(task);
                 }
                 if (got != WorkDeque::Steal::Success) {
                     if (pending.load(std::memory_order_acquire) == 0)
@@ -205,9 +206,9 @@ runWorkSteal(ExpandKernel &k)
             const auto depth = static_cast<std::uint32_t>(task >> 32);
             // Stale (a shorter path won the relabel race — its own
             // re-enqueue carries the re-expansion) or pruned beyond
-            // the expand limit (the depth cap, or the shallowest
-            // candidate's producing level): retire without expanding.
-            if (k.store.depthAt(id) < depth || depth >= k.opt.maxDepth ||
+            // the expand limit (the shallowest candidate's producing
+            // level): retire without expanding.
+            if (k.store.depthAt(id) < depth ||
                 depth > k.candidateLevel.load(std::memory_order_relaxed)) {
                 pending.fetch_sub(1, std::memory_order_acq_rel);
                 continue;
@@ -224,7 +225,7 @@ runWorkSteal(ExpandKernel &k)
     k.governor.poll();
     pending.store(1, std::memory_order_relaxed);
     deques[0].push(packTask(k.initIdx, 0));
-    k.runWorkers(scratch, k.threads > 1, worker);
+    k.runWorkers(scratch, threads > 1, worker);
     const bool governed = k.governor.stopped();
 
     // On a governed stop the deques still hold unexpanded tasks and
@@ -233,7 +234,7 @@ runWorkSteal(ExpandKernel &k)
     // not fully expanded.  (Quiescent: the workers are gone, so this
     // thread may drain the deques as their owner.)
     std::uint32_t unexpanded = kNoDepth;
-    for (std::size_t t = 0; governed && t < k.threads; ++t) {
+    for (std::size_t t = 0; governed && t < threads; ++t) {
         for (std::uint64_t task; deques[t].pop(task);) {
             unexpanded = std::min(
                 unexpanded, k.store.depthAt(static_cast<std::uint32_t>(task)));

@@ -1,7 +1,7 @@
 /**
  * @file
  * ProgressTicker: the shared rate limiter behind
- * ExploreOptions::progress.  Both engines call tick() wherever they
+ * EngineOptions::progress.  Both engines call tick() wherever they
  * poll the governor (batch-flush granularity), and the ticker turns
  * that firehose into one serialized ProgressSnapshot per interval:
  *

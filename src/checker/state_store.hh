@@ -99,7 +99,7 @@ namespace cxl
 /**
  * A StateStore shard ran out of room: its entry count reached the
  * capacity limit (architectural 2^28 per shard, or the smaller
- * per-run limit derived from ExploreOptions::storeCapacity).  The
+ * per-run limit derived from EngineOptions::storeCapacity).  The
  * explorers catch this and convert it into a graceful governed stop
  * (StopReason::ShardFull) — the explored prefix stays a valid
  * partial result.  what() names the shard, its computed entry limit

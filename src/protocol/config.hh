@@ -12,6 +12,8 @@
 #ifndef CXL_PROTOCOL_CONFIG_HH
 #define CXL_PROTOCOL_CONFIG_HH
 
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,29 @@ struct ProtocolConfig {
     {
         return relaxSnoopPushesGo || relaxSmadSnoopGuard ||
                relaxGoTailgate || relaxOneSnoop;
+    }
+
+    /** Number of switches bits() packs. */
+    static constexpr int kNumBits = 7;
+
+    /**
+     * Every switch packed into the low kNumBits bits, staleEvictDrop
+     * most significant: the one configuration key of every cache
+     * (the session's model cache, the serve result cache).
+     */
+    constexpr std::uint32_t
+    bits() const
+    {
+        static_assert(sizeof(ProtocolConfig) == kNumBits,
+                      "a new ProtocolConfig switch needs a place in "
+                      "the list below, or distinct configs alias one "
+                      "cache key");
+        std::uint32_t key = 0;
+        for (bool b : {staleEvictDrop, cleanEvictNoData, hostCleanPull,
+                       relaxSnoopPushesGo, relaxSmadSnoopGuard,
+                       relaxGoTailgate, relaxOneSnoop})
+            key = (key << 1) | (b ? 1u : 0u);
+        return key;
     }
 
     /** Canonical correct-protocol configuration. */

@@ -83,6 +83,49 @@ frameHead(const char *type, const std::string &id)
 
 } // namespace
 
+EngineKnobs
+knobsOf(const EngineOptions &engine)
+{
+    EngineKnobs k;
+    k.threads = engine.threads;
+    k.symmetry = engine.symmetry;
+    k.store = engine.store;
+    k.por = engine.por;
+    k.schedule = engine.schedule;
+    if (engine.maxStates != 0)
+        k.maxStates = engine.maxStates;
+    if (engine.expectedStates != 0)
+        k.expectStates = engine.expectedStates;
+    if (engine.maxSeconds > 0)
+        k.maxSeconds = engine.maxSeconds;
+    if (engine.maxRssBytes != 0)
+        k.maxRssMb = engine.maxRssBytes / (1024 * 1024);
+    return k;
+}
+
+void
+applyKnobs(const EngineKnobs &knobs, EngineOptions &engine)
+{
+    if (knobs.threads)
+        engine.threads = static_cast<std::size_t>(*knobs.threads);
+    if (knobs.symmetry)
+        engine.symmetry = *knobs.symmetry;
+    if (knobs.store)
+        engine.store = *knobs.store;
+    if (knobs.por)
+        engine.por = *knobs.por;
+    if (knobs.schedule)
+        engine.schedule = *knobs.schedule;
+    if (knobs.maxStates)
+        engine.maxStates = *knobs.maxStates;
+    if (knobs.expectStates)
+        engine.expectedStates = *knobs.expectStates;
+    if (knobs.maxSeconds)
+        engine.maxSeconds = *knobs.maxSeconds;
+    if (knobs.maxRssMb)
+        engine.maxRssBytes = *knobs.maxRssMb * 1024 * 1024;
+}
+
 std::string
 renderRequestJson(const Request &request)
 {

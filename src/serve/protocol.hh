@@ -71,6 +71,16 @@ struct EngineKnobs {
     std::optional<std::uint64_t> maxRssMb;
 };
 
+/**
+ * The knobs that make a daemon run @p engine: every run-shaping knob
+ * is sent, so the sender's settings win over the daemon's defaults;
+ * budgets are sent when set (maxRssBytes in whole MiB).
+ */
+EngineKnobs knobsOf(const EngineOptions &engine);
+
+/** Override @p engine with every knob @p knobs carries. */
+void applyKnobs(const EngineKnobs &knobs, EngineOptions &engine);
+
 /** One parsed request frame. */
 struct Request {
     enum class Type : std::uint8_t { Check, Stats };

@@ -15,33 +15,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "api/scenarios.hh"
 #include "support/json.hh"
 
 namespace cxl::serve
 {
 namespace
 {
-
-/** The 7 ProtocolConfig switches packed in the api-layer modelKey
- * order (staleEvictDrop most significant). */
-std::uint32_t
-configBits(const ProtocolConfig &c)
-{
-    static_assert(sizeof(ProtocolConfig) == 7,
-                  "a new ProtocolConfig switch needs a bit() line "
-                  "below, or distinct configs alias one cache key");
-    std::uint32_t bits = 0;
-    auto bit = [&bits](bool b) { bits = (bits << 1) | (b ? 1u : 0u); };
-    bit(c.staleEvictDrop);
-    bit(c.cleanEvictNoData);
-    bit(c.hostCleanPull);
-    bit(c.relaxSnoopPushesGo);
-    bit(c.relaxSmadSnoopGuard);
-    bit(c.relaxGoTailgate);
-    bit(c.relaxOneSnoop);
-    return bits;
-}
 
 /**
  * Fresh checks of at least this many states hand the heap they freed
@@ -64,15 +43,6 @@ releaseFreedHeap()
 #if defined(__GLIBC__)
     ::malloc_trim(0);
 #endif
-}
-
-std::size_t
-resolvedThreads(std::size_t requested)
-{
-    if (requested != 0)
-        return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
 }
 
 /** True when the client hung up (or errored) on @p fd; a nonblocking
@@ -120,96 +90,44 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
                double defaultMaxSeconds)
 {
     ResolvedRequest rr;
-
-    // ---- scenario identity ---------------------------------------
-    // The key uses resolved names: the registry-canonical entry name
-    // (so "clean-evict-test" and "clean_evict" alias one entry and
-    // one cache line) or the fuzz case's content hash (which already
-    // covers the case's devices/programs/config/families).
-    std::string ident;
-    int ndev = 0;
-    bool free_run = false;
-    ProtocolConfig fallback_config;
-    std::vector<std::string> fallback_families;
-
     if (request.inlineCase) {
-        const fuzz::FuzzCase &c = *request.inlineCase;
-        rr.check = c.toRequest();
-        ident = "g:" + c.name();
-        ndev = c.devices;
-        free_run = c.freeRun;
-        fallback_config = c.config;
-        fallback_families = c.families;
+        rr.check = request.inlineCase->toRequest();
     } else {
-        const scenarios::Entry *entry =
-            scenarios::byName(request.scenario);
-        if (!entry) {
-            throw std::runtime_error("unknown scenario '" +
-                                     request.scenario + "'");
-        }
-        rr.check.scenario = entry->name;
+        rr.check.scenario = request.scenario;
         rr.check.devices = request.devices;
-        ident = "s:" + entry->name;
-        if (!entry->deviceScalable &&
-            request.devices != entry->fixedDevices) {
-            throw std::runtime_error(
-                "scenario '" + entry->name + "' is pinned to " +
-                std::to_string(entry->fixedDevices) + " device(s)");
-        }
-        ndev = entry->deviceScalable ? request.devices
-                                     : entry->fixedDevices;
-        if (ndev < 1 || ndev > kMaxDevices) {
-            throw std::runtime_error(
-                "device count " + std::to_string(ndev) +
-                " out of range [1, " + std::to_string(kMaxDevices) +
-                "]");
-        }
-        free_run = entry->build(ndev).freeRun;
-        fallback_config = entry->config;
-        fallback_families = entry->families;
     }
     if (request.config)
         rr.check.config = *request.config;
     if (request.families)
         rr.check.families = *request.families;
     rr.check.checks = request.checks;
+    // What run() will explore and check; throws on an unknown name or
+    // a bad device count.
+    const ResolvedCheck resolved = resolveCheck(rr.check);
 
     // ---- engine knobs over the daemon's defaults -----------------
     EngineOptions e = defaults;
     e.cancel = CancelToken();
     e.progress = ProgressFn();
     const EngineKnobs &k = request.engine;
-    if (k.threads)
-        e.threads = static_cast<std::size_t>(*k.threads);
-    if (k.symmetry)
-        e.symmetry = *k.symmetry;
-    if (k.store)
-        e.store = *k.store;
-    if (k.por)
-        e.por = *k.por;
-    if (k.schedule)
-        e.schedule = *k.schedule;
-    if (k.maxStates)
-        e.maxStates = *k.maxStates;
-    else if (request.inlineCase && request.inlineCase->maxStates != 0)
+    applyKnobs(k, e);
+    if (!k.maxStates && request.inlineCase &&
+        request.inlineCase->maxStates != 0)
         e.maxStates = request.inlineCase->maxStates;
-    if (k.expectStates)
-        e.expectedStates = *k.expectStates;
-    if (k.maxSeconds)
-        e.maxSeconds = *k.maxSeconds;
-    else if (e.maxSeconds <= 0 && defaultMaxSeconds > 0)
+    if (!k.maxSeconds && e.maxSeconds <= 0 && defaultMaxSeconds > 0)
         e.maxSeconds = defaultMaxSeconds;
-    if (k.maxRssMb)
-        e.maxRssBytes = *k.maxRssMb * 1024 * 1024;
     rr.engine = e;
 
     // ---- cache key over the *resolved* tuple ---------------------
-    // Included: everything that changes the served bytes — identity,
-    // devices, config bits, families (sorted/deduped; the invariant
-    // filter is order- and duplicate-insensitive), check kind, and
-    // the engine knobs echoed in the JSON (resolved threads,
-    // resolved symmetry, por, schedule,
-    // the effective state cap) plus the deterministic rendering bit.
+    // Included: everything that changes the served bytes — identity
+    // (the registry-canonical entry name, so "clean-evict-test" and
+    // "clean_evict" alias one entry and one cache line, or the fuzz
+    // case's content hash), devices, config bits, families
+    // (sorted/deduped; the invariant filter is order- and
+    // duplicate-insensitive), check kind, and the engine knobs echoed
+    // in the JSON (resolved threads, resolved symmetry, por,
+    // schedule, the effective state cap) plus the deterministic
+    // rendering bit.
     // Excluded: budgets (maxSeconds/maxRssBytes/storeCapacity — they
     // only matter to Incomplete results, which are never cached),
     // expectedStates (presizing), the progress knobs (observation
@@ -217,18 +135,11 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     // JSON (the kind is deliberately not echoed there), so they
     // collapse onto one cache entry and a ram-warmed cache serves
     // mmap requests.
-    const ProtocolConfig cfg =
-        rr.check.config.value_or(fallback_config);
-    std::vector<std::string> families =
-        rr.check.families.value_or(fallback_families);
+    std::vector<std::string> families = resolved.families;
     std::sort(families.begin(), families.end());
     families.erase(std::unique(families.begin(), families.end()),
                    families.end());
-    const bool sym_on =
-        e.symmetry == SymmetryMode::On ||
-        (e.symmetry == SymmetryMode::Auto && free_run && ndev > 2);
-    const std::uint64_t cap =
-        e.maxStates != 0 ? e.maxStates : ExploreOptions{}.maxStates;
+    const ResolvedEngine engine = resolveEngine(e, resolved.scenario);
     const char *check_word =
         request.checks == CheckKind::Invariants ? "inv"
         : request.checks == CheckKind::Deadlock ? "dl"
@@ -236,13 +147,15 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "|d%d|c%02x|k%s|t%zu|y%d|p%d|h%s|x%llu|det%d",
-                  ndev, configBits(cfg), check_word,
-                  resolvedThreads(e.threads), sym_on ? 1 : 0,
+                  resolved.scenario.numDevices(), resolved.config.bits(),
+                  check_word, engine.threads, engine.symmetry ? 1 : 0,
                   e.por ? 1 : 0,
                   e.schedule == Schedule::WorkSteal ? "ws" : "bfs",
-                  static_cast<unsigned long long>(cap),
+                  static_cast<unsigned long long>(engine.maxStates),
                   request.deterministic ? 1 : 0);
-    rr.cacheKey = ident + buf + "|f:";
+    rr.cacheKey = (request.inlineCase ? "g:" + request.inlineCase->name()
+                                      : "s:" + resolved.name) +
+                  buf + "|f:";
     for (std::size_t i = 0; i < families.size(); ++i) {
         if (i)
             rr.cacheKey += ',';

@@ -35,7 +35,7 @@ namespace cxl
 /** Why a governed run stopped before draining its frontier. */
 enum class StopReason : std::uint8_t {
     None = 0,  ///< no governed stop (completed, or violation-stopped)
-    StateCap,  ///< ExploreOptions::maxStates reached
+    StateCap,  ///< EngineOptions::maxStates reached
     Deadline,  ///< maxSeconds wall-clock budget exhausted
     Memory,    ///< maxRssBytes memory ceiling exceeded
     Cancelled, ///< external CancelToken tripped (SIGINT/SIGTERM)

@@ -413,8 +413,8 @@ TEST(CheckSession, BitIdenticalToLowLevelPathAcrossThreadCounts)
     for (bool sym : {false, true}) {
         for (std::size_t threads : {1u, 4u, 8u}) {
             ExploreOptions low;
-            low.numThreads = threads;
-            low.symmetryReduction = sym;
+            low.threads = threads;
+            low.symmetry = sym ? SymmetryMode::On : SymmetryMode::Off;
             ExploreResult ref = explorer.run(low);
 
             CheckRequest req;

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "checker/explorer.hh"
@@ -39,9 +41,9 @@ TEST(StateStore, InsertDeduplicates)
 
 TEST(StateStore, DepthWiderThanSixteenBits)
 {
-    // ExploreOptions::maxDepth defaults to 60000 and callers may
-    // raise it; entry depths beyond 65535 must survive unclamped
-    // (Entry::depth was once uint16_t and silently wrapped here).
+    // Exploration depth is unbounded, so entry depths beyond 65535
+    // must survive unclamped (Entry::depth was once uint16_t and
+    // silently wrapped here).
     StateStore store;
     SystemState parent_state = initialAllInvalid();
     SystemState child_state = initialBothShared(2);
@@ -250,6 +252,41 @@ class ExplorerTest : public ::testing::Test
     InvariantSet invariants;
 };
 
+TEST(ResolveEngine, ClampsWorkersAndResolvesAutoAndTheCap)
+{
+    // Pure resolution: no engine runs here, at any of these counts.
+    const Scenario free2 = Scenario::freeRunScenario(2);
+    const Scenario free3 = Scenario::freeRunScenario(3);
+    Scenario program3 = free3;
+    program3.freeRun = false;
+
+    EngineOptions opt;
+    opt.threads = 5000;
+    EXPECT_EQ(resolveEngine(opt, free2).threads, kMaxWorkers);
+    opt.threads = kMaxWorkers;
+    EXPECT_EQ(resolveEngine(opt, free2).threads, kMaxWorkers);
+    opt.threads = 3;
+    EXPECT_EQ(resolveEngine(opt, free2).threads, 3u);
+    opt.threads = 0;
+    EXPECT_EQ(resolveEngine(opt, free2).threads,
+              std::min<std::size_t>(
+                  std::max(1u, std::thread::hardware_concurrency()),
+                  kMaxWorkers));
+
+    // Auto: on for a free run of more than two devices only.
+    EXPECT_FALSE(resolveEngine(opt, free2).symmetry);
+    EXPECT_TRUE(resolveEngine(opt, free3).symmetry);
+    EXPECT_FALSE(resolveEngine(opt, program3).symmetry);
+    opt.symmetry = SymmetryMode::On;
+    EXPECT_TRUE(resolveEngine(opt, free2).symmetry);
+    opt.symmetry = SymmetryMode::Off;
+    EXPECT_FALSE(resolveEngine(opt, free3).symmetry);
+
+    EXPECT_EQ(resolveEngine(opt, free2).maxStates, kDefaultMaxStates);
+    opt.maxStates = 100;
+    EXPECT_EQ(resolveEngine(opt, free2).maxStates, 100u);
+}
+
 TEST_F(ExplorerTest, SingleLoadScenario)
 {
     Scenario sc;
@@ -290,7 +327,7 @@ TEST_F(ExplorerTest, MaxStatesLimitStopsExploration)
     Explorer ex(rules, sc, invariants);
     ExploreOptions opt;
     opt.maxStates = 100;
-    opt.numThreads = 1; // exact stopping point; see the parallel
+    opt.threads = 1; // exact stopping point; see the parallel
                         // overshoot test in test_parallel_explorer.cc
     ExploreResult res = ex.run(opt);
     EXPECT_FALSE(res.completed);
@@ -310,9 +347,7 @@ TEST_F(ExplorerTest, ViolationTraceStartsAtInitialState)
     sc.program[1] = {Instr::Load};
 
     Explorer ex(mrules, sc, swmr);
-    ExploreOptions opt;
-    opt.canonicaliseTids = false;
-    ExploreResult res = ex.run(opt);
+    ExploreResult res = ex.run();
 
     ASSERT_TRUE(res.violation.has_value());
     EXPECT_EQ(res.violation->kind, Violation::Kind::Conjunct);

@@ -49,7 +49,7 @@ runKind(const RuleSet &rules, const Scenario &sc,
         std::size_t threads)
 {
     opt.store = kind;
-    opt.numThreads = threads;
+    opt.threads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
 }
@@ -106,7 +106,7 @@ TEST(Compaction, ThreeDeviceSymmetryReducedAgreesAcrossThreadCounts)
     InvariantSet inv = InvariantSet::full(config, 3);
 
     ExploreOptions opt;
-    opt.symmetryReduction = true;
+    opt.symmetry = SymmetryMode::On;
 
     ExploreResult base =
         runKind(rules, sc, inv, opt, StoreKind::InRam, 1);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -438,24 +439,43 @@ TEST(Governor, StoreFullErrorNamesShardAndRemedies)
 // ------------------------------------------ deepest complete level
 
 /**
- * States of the 2-device free run at depth <= d, from a run capped at
- * maxDepth d (depth-capped states are counted, not expanded).
+ * States of the 2-device free run at depth <= d, from a plain
+ * level-by-level walk of the whole space (states canonical as the
+ * explorer stores them: tids relabelled, no symmetry reduction).
  */
 std::uint64_t
 statesUpToDepth(std::uint32_t d)
 {
-    static std::vector<std::uint64_t> memo;
-    while (memo.size() <= d) {
-        const ProtocolConfig config = ProtocolConfig::correct();
-        const RuleSet rules(config);
+    static const std::vector<std::uint64_t> up_to = [] {
+        const RuleSet rules(ProtocolConfig::correct());
         const Scenario sc = Scenario::freeRunScenario();
-        const InvariantSet inv = InvariantSet::full(config);
-        ExploreOptions opt;
-        opt.maxDepth = static_cast<std::uint32_t>(memo.size());
-        opt.numThreads = 1;
-        memo.push_back(Explorer(rules, sc, inv).run(opt).numStates);
-    }
-    return memo[d];
+        StateStore store;
+        SystemState s = sc.initial;
+        s.canonicaliseTids();
+        std::vector<std::uint32_t> level{
+            store.insert(s, StateStore::kNoParent, 0, 0).first};
+        std::vector<std::uint32_t> next;
+        std::vector<RuleSet::Successor> succs;
+        std::vector<std::uint64_t> counts;
+        while (!level.empty()) {
+            counts.push_back(store.size());
+            const auto depth = static_cast<std::uint32_t>(counts.size());
+            next.clear();
+            for (std::uint32_t id : level) {
+                store.stateInto(id, s);
+                rules.successorsInto(s, sc, true, succs);
+                for (const RuleSet::Successor &succ : succs) {
+                    const auto [sid, fresh] =
+                        store.insert(succ.state, id, succ.rule->id, depth);
+                    if (fresh)
+                        next.push_back(sid);
+                }
+            }
+            level.swap(next);
+        }
+        return counts;
+    }();
+    return up_to[std::min<std::size_t>(d, up_to.size() - 1)];
 }
 
 TEST(Governor, DeepestCompleteLevelIsReallyComplete)
@@ -476,7 +496,7 @@ TEST(Governor, DeepestCompleteLevelIsReallyComplete)
         const std::string tag =
             std::string(what) + " sched " +
             std::to_string(static_cast<int>(opt.schedule)) +
-            " threads " + std::to_string(opt.numThreads) +
+            " threads " + std::to_string(opt.threads) +
             " maxStates " + std::to_string(opt.maxStates) +
             " capacity " + std::to_string(opt.storeCapacity);
         ASSERT_FALSE(res.completed) << tag;
@@ -493,13 +513,13 @@ TEST(Governor, DeepestCompleteLevelIsReallyComplete)
         for (std::size_t threads : {1u, 4u}) {
             ExploreOptions opt;
             opt.schedule = sched;
-            opt.numThreads = threads;
+            opt.threads = threads;
             const std::uint64_t step = threads == 1 ? 1 : 13;
             for (std::uint64_t cap = 2; cap <= 600; cap += step) {
                 opt.maxStates = cap;
                 check(opt, "state cap");
             }
-            opt.maxStates = ExploreOptions{}.maxStates;
+            opt.maxStates = 0; // uncapped: kDefaultMaxStates
             for (std::uint64_t capacity = 16; capacity <= 4096;
                  capacity *= 2) {
                 opt.storeCapacity = capacity;
@@ -538,7 +558,7 @@ TEST(Governor, WorkerExceptionPropagatesFromRun)
 
             ExploreOptions opt;
             opt.schedule = sched;
-            opt.numThreads = threads;
+            opt.threads = threads;
             const Scenario sc = Scenario::freeRunScenario();
             const InvariantSet inv = InvariantSet::full(config);
             Explorer ex(rules, sc, inv);

@@ -27,7 +27,7 @@ ExploreResult
 runWith(const RuleSet &rules, const Scenario &sc,
         const InvariantSet &inv, ExploreOptions opt, std::size_t threads)
 {
-    opt.numThreads = threads;
+    opt.threads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
 }
@@ -166,7 +166,7 @@ TEST(ParallelExplorer, SymmetryReductionIdenticalAcrossThreadCounts)
     InvariantSet inv = InvariantSet::full(config);
 
     ExploreOptions opt;
-    opt.symmetryReduction = true;
+    opt.symmetry = SymmetryMode::On;
 
     ExploreResult base = runWith(rules, sc, inv, opt, 1);
     ASSERT_TRUE(base.completed);
@@ -189,7 +189,7 @@ TEST(ParallelExplorer, MaxStatesCapOvershootBounded)
     for (std::size_t n : kSweep) {
         ExploreOptions opt;
         opt.maxStates = 100;
-        opt.numThreads = n;
+        opt.threads = n;
         Explorer ex(rules, sc, inv);
         ExploreResult res = ex.run(opt);
         EXPECT_FALSE(res.completed) << n;
@@ -234,6 +234,7 @@ TEST(ParallelExplorer, MaxStatesCapHoldsForAWorkerStalledMidBatch)
              &stall});
 
         ExploreOptions opt;
+        opt.symmetry = SymmetryMode::Off; // the unreduced 3-device space
         opt.schedule = sched;
         opt.maxStates = cap;
         opt.progressIntervalSeconds = 0;

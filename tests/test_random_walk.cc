@@ -136,7 +136,7 @@ TEST(Symmetry, ReductionHalvesTheSpaceAndPreservesTheVerdict)
     ExploreResult full = ex.run(plain);
 
     ExploreOptions reduced = plain;
-    reduced.symmetryReduction = true;
+    reduced.symmetry = SymmetryMode::On;
     ExploreResult sym = ex.run(reduced);
 
     EXPECT_TRUE(full.completed);
@@ -160,7 +160,7 @@ TEST(Symmetry, ReductionStillFindsMutationViolations)
 
     Explorer ex(rules, scenario, inv);
     ExploreOptions opt;
-    opt.symmetryReduction = true;
+    opt.symmetry = SymmetryMode::On;
     ExploreResult res = ex.run(opt);
     ASSERT_TRUE(res.violation.has_value());
     EXPECT_EQ(res.violation->conjunctFamily, "swmr");

@@ -343,6 +343,24 @@ TEST(ResolveRequest, KnobSpellingsThatMeanTheSameRunCollapse)
     explicitly.engine.schedule = Schedule::Bfs;
     EXPECT_EQ(keyOf(implicit, defaults), keyOf(explicitly, defaults));
 
+    // Worker counts past the clamp run kMaxWorkers workers, and the
+    // key names the resolved count (no engine runs here).
+    Request many = namedRequest("free-run");
+    many.engine.threads = 5000;
+    Request clamp = namedRequest("free-run");
+    clamp.engine.threads = kMaxWorkers;
+    EXPECT_EQ(keyOf(many), keyOf(clamp));
+    EXPECT_NE(keyOf(many).find("|t1024|"), std::string::npos)
+        << keyOf(many);
+
+    // Auto resolves to on for the 3-device free run.
+    Request autoSym = namedRequest("free-run");
+    autoSym.devices = 3;
+    autoSym.engine.symmetry = SymmetryMode::Auto;
+    Request onSym = autoSym;
+    onSym.engine.symmetry = SymmetryMode::On;
+    EXPECT_EQ(keyOf(autoSym), keyOf(onSym));
+
     // Family restriction: order and duplicates are not semantics.
     Request fam1 = namedRequest("free-run");
     fam1.families = std::vector<std::string>{"swmr", "dir", "swmr"};

@@ -565,7 +565,7 @@ runKind(const RuleSet &rules, const Scenario &sc,
         std::size_t threads)
 {
     opt.store = k.kind;
-    opt.numThreads = threads;
+    opt.threads = threads;
     Explorer ex(rules, sc, inv);
     return ex.run(opt);
 }
@@ -610,7 +610,7 @@ TEST(StoreBackend, ThreeDeviceSymCountsBitIdenticalAcrossKinds)
     Scenario sc = Scenario::freeRunScenario(3);
     InvariantSet inv = InvariantSet::full(config, 3);
     ExploreOptions opt;
-    opt.symmetryReduction = true;
+    opt.symmetry = SymmetryMode::On;
 
     ExploreResult base = runKind(rules, sc, inv, opt, kKinds[0], 1);
     ASSERT_TRUE(base.completed);

@@ -197,7 +197,7 @@ TEST(Symmetry, TwoDeviceReductionIsHalvedPlusDiagonal)
     ExploreOptions plain;
     ExploreResult full = ex.run(plain);
     ExploreOptions reduced_opt = plain;
-    reduced_opt.symmetryReduction = true;
+    reduced_opt.symmetry = SymmetryMode::On;
     ExploreResult reduced = ex.run(reduced_opt);
 
     ASSERT_TRUE(full.completed);
@@ -221,11 +221,12 @@ TEST(Symmetry, ThreeDeviceReductionBoundsAndVerdict)
     Explorer ex(rules, sc, invariants);
 
     ExploreOptions plain;
+    plain.symmetry = SymmetryMode::Off; // Auto would reduce 3 devices
     plain.checkInvariants = false; // counted by the bench; speed here
     ExploreResult full = ex.run(plain);
 
     ExploreOptions reduced_opt;
-    reduced_opt.symmetryReduction = true;
+    reduced_opt.symmetry = SymmetryMode::On;
     ExploreResult reduced = ex.run(reduced_opt);
 
     ASSERT_TRUE(full.completed);

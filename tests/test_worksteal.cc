@@ -298,7 +298,7 @@ TEST(WorkStealEquivalence, CountedModeTallyMatchesBfs)
     ExploreOptions opt;
     opt.stopAtFirstViolation = false;
     opt.checkDeadlock = false;
-    opt.numThreads = 1;
+    opt.threads = 1;
     const ExploreResult base = explorer.run(opt);
     ASSERT_TRUE(base.violation.has_value());
     EXPECT_GE(base.violationCount, 1u);
@@ -307,7 +307,7 @@ TEST(WorkStealEquivalence, CountedModeTallyMatchesBfs)
     for (std::size_t threads : {1u, 4u, 8u}) {
         ExploreOptions ws = opt;
         ws.schedule = Schedule::WorkSteal;
-        ws.numThreads = threads;
+        ws.threads = threads;
         const ExploreResult res = explorer.run(ws);
         EXPECT_EQ(res.violationCount, base.violationCount)
             << "threads " << threads;
