@@ -1,7 +1,11 @@
 #include "checker/expand.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <deque>
+#include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -37,7 +41,7 @@ replayTrace(const RuleSet &rules, const Scenario &scenario,
         const Rule &rule = rules.rules()[path[i]];
         SystemState &state = trace[i + 1].state;
         state = trace[i].state;
-        assert(rule.guard(state, ctx) && "breadcrumb rule not enabled");
+        assert(rule.guard(state, ctx) && "path rule not enabled");
         // An overflowing apply still yields the explored successor.
         (void)rule.apply(state, ctx);
         canonicalise(state, canonicaliseTids, symmetryReduction);
@@ -134,7 +138,7 @@ ExpandKernel::insertInitial()
 {
     SystemState init = scenario.initial;
     canonicalise(init, true, resolved.symmetry);
-    initIdx = store.insert(init, StateStore::kNoParent, 0, 0).first;
+    initIdx = store.insert(init, 0).first;
     if (sleep)
         sleep->intersect(initIdx, RuleMask{}); // sleeps nothing
     if (!opt.checkInvariants)
@@ -248,7 +252,8 @@ ExpandKernel::record(const Candidate &c)
     // some other way.
     const bool overflow = c.kind == Violation::Kind::Overflow;
     std::vector<std::uint16_t> path =
-        witnessPath(overflow ? c.edgeParent : c.idx);
+        witnessPath(rules, scenario, store, resolved.symmetry,
+                    overflow ? c.edgeParent : c.idx);
     if (overflow) {
         v.overflowRule = rules.rules()[c.edgeRule].name();
         path.push_back(c.edgeRule);
@@ -257,13 +262,15 @@ ExpandKernel::record(const Candidate &c)
     result.violation = std::move(v);
 }
 
-std::vector<std::uint16_t>
-ExpandKernel::witnessPath(std::uint32_t id) const
+std::optional<std::vector<std::uint16_t>>
+labelPath(const RuleSet &rules, const Scenario &scenario,
+          const StateStore &store, bool symmetry, std::uint32_t id)
 {
     // Depth-first over the edges that step exactly one depth label
     // down the explored space, in rule-id order: the first path to
     // reach @p id is the least one.  A visited state either lies on
     // it or cannot reach @p id, so each is expanded at most once.
+    const Context ctx{&scenario};
     const std::uint32_t depth = store.depthAt(id);
     std::vector<std::uint16_t> path;
     std::unordered_set<std::uint32_t> visited;
@@ -274,7 +281,7 @@ ExpandKernel::witnessPath(std::uint32_t id) const
                 continue;
             SystemState next = from;
             (void)rule.apply(next, ctx);
-            canonicalise(next, true, resolved.symmetry);
+            canonicalise(next, true, symmetry);
             const std::optional<std::uint32_t> at = store.find(next);
             if (!at || store.depthAt(*at) != level ||
                 (level < depth ? !visited.insert(*at).second
@@ -288,12 +295,55 @@ ExpandKernel::witnessPath(std::uint32_t id) const
         return false;
     };
     SystemState init = scenario.initial;
-    canonicalise(init, true, resolved.symmetry);
+    canonicalise(init, true, symmetry);
     if (depth == 0 || reach(reach, init))
         return path;
-    // Labels a governed stop left unsettled: the breadcrumbs still
-    // hold a path.
-    return store.rulePath(id);
+    return std::nullopt;
+}
+
+std::vector<std::uint16_t>
+witnessPath(const RuleSet &rules, const Scenario &scenario,
+            const StateStore &store, bool symmetry, std::uint32_t id)
+{
+    if (std::optional<std::vector<std::uint16_t>> path =
+            labelPath(rules, scenario, store, symmetry, id))
+        return std::move(*path);
+    // Labels a governed stop left unsettled: breadth-first over the
+    // stored states, each reached by the first (state, rule) edge in
+    // queue and rule-id order, until @p id is reached.
+    const Context ctx{&scenario};
+    SystemState state = scenario.initial;
+    canonicalise(state, true, symmetry);
+    const std::uint32_t root = store.find(state).value();
+    /** State -> the (source, rule) edge that first reached it. */
+    std::unordered_map<std::uint32_t,
+                       std::pair<std::uint32_t, std::uint16_t>>
+        reachedBy{{root, {StateStore::kNoParent, 0}}};
+    std::deque<std::uint32_t> queue{root};
+    for (; !reachedBy.count(id); queue.pop_front()) {
+        if (queue.empty())
+            throw std::logic_error("witnessPath: state unreachable");
+        store.stateInto(queue.front(), state);
+        for (const Rule &rule : rules.rules()) {
+            if (!rule.guard(state, ctx))
+                continue;
+            SystemState next = state;
+            (void)rule.apply(next, ctx);
+            canonicalise(next, true, symmetry);
+            const std::optional<std::uint32_t> at = store.find(next);
+            if (at && reachedBy.try_emplace(*at, queue.front(), rule.id)
+                          .second)
+                queue.push_back(*at);
+        }
+    }
+    std::vector<std::uint16_t> path;
+    for (std::uint32_t cur = id; cur != root;) {
+        const auto &[from, rule] = reachedBy.at(cur);
+        path.push_back(rule);
+        cur = from;
+    }
+    std::reverse(path.begin(), path.end());
+    return path;
 }
 
 } // namespace cxl

@@ -362,16 +362,6 @@ class ExpandKernel
      * store only). */
     void record(const Candidate &c);
 
-    /**
-     * The witness path to @p id (quiescent store only): the
-     * rule-id-least of its shortest paths from the initial state.
-     * Breadcrumbs hold *a* shortest path, but which one depends on
-     * which equal-depth edge a worker inserted first; this choice
-     * depends on the state space alone, so every schedule, thread
-     * count, POR setting and store kind reports the same trace.
-     */
-    std::vector<std::uint16_t> witnessPath(std::uint32_t id) const;
-
     /** A recorded violation ends the run. */
     bool
     violationStopped() const
@@ -450,6 +440,30 @@ class ExpandKernel
     std::mutex errorMutex_;
     std::exception_ptr workerError_;
 };
+
+/**
+ * The rule ids of the path the depth labels of @p store name to @p id
+ * (quiescent store only): the rule-id-least path from the canonical
+ * initial state whose every edge steps one label down, or nullopt if
+ * none exists.  On BFS-distance labels — every run but a governed
+ * --ws stop — it is the rule-id-least shortest path, which depends on
+ * the state space alone, so every schedule, thread count, POR setting
+ * and store kind reports the same trace.  States are canonicalised as
+ * the kernel stores them (devices too when @p symmetry).
+ */
+std::optional<std::vector<std::uint16_t>>
+labelPath(const RuleSet &rules, const Scenario &scenario,
+          const StateStore &store, bool symmetry, std::uint32_t id);
+
+/**
+ * The witness path to stored state @p id (quiescent store only):
+ * labelPath, else the rule-id-least shortest path through stored
+ * states, by a breadth-first search that always succeeds, since every
+ * stored state was inserted as a successor of a stored state.
+ */
+std::vector<std::uint16_t>
+witnessPath(const RuleSet &rules, const Scenario &scenario,
+            const StateStore &store, bool symmetry, std::uint32_t id);
 
 /** The depth-synchronized level-parallel schedule (explorer.cc). */
 void runBfs(ExpandKernel &k);

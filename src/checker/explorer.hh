@@ -7,7 +7,7 @@
  * enumerate *every* reachable state and evaluate *every* invariant
  * conjunct on each, instead of proving preservation deductively.  On a
  * violation (or deadlock, if requested) the explorer replays the
- * breadcrumb rule ids from the initial state into the full
+ * witness path's rule ids from the initial state into the full
  * rule-labelled trace — the counterpart of the paper's
  * message-sequence-chart counterexamples (Fig. 5).
  *
@@ -345,15 +345,15 @@ struct Violation {
      * Kind::Overflow only: the rule whose channel push overflowed.
      * Recorded from the violating *edge* itself, so it is correct
      * even when that edge lands on an already-known state whose
-     * breadcrumb path runs through a different rule.
+     * witness path runs through a different rule.
      */
     std::string overflowRule;
 
     /**
      * Rule-labelled path from the initial state to the bad state.
      * For overflow violations the trace follows the overflowing
-     * edge's own parent and ends with that edge (see overflowRule),
-     * not the target state's breadcrumbs.  Always the full path —
+     * edge's own source and ends with that edge (see overflowRule),
+     * not the target state's own witness path.  Always the full path —
      * depth + 1 steps, the first without a rule — on every store
      * kind (see replayTrace).
      */

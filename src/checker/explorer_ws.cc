@@ -65,7 +65,7 @@
  * The store needs no barrier: its shards grow at insert time here
  * (the BFS schedule grows them ahead of each level instead).  Traces
  * do not depend on the store: both schedules replay the same
- * rule-id-least shortest path (ExpandKernel::witnessPath).
+ * rule-id-least shortest path (witnessPath in expand.hh).
  */
 
 #include "checker/explorer.hh"

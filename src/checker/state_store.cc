@@ -47,7 +47,6 @@ StateStore::reserveStates(std::uint64_t expected)
 
 std::pair<std::uint32_t, bool>
 StateStore::insert(const SystemState &state, std::uint64_t hash,
-                   std::uint32_t parent, std::uint16_t rule_id,
                    std::uint32_t depth)
 {
     assert(hash == state.hash() &&
@@ -60,8 +59,8 @@ StateStore::insert(const SystemState &state, std::uint64_t hash,
     Shard &shard = shards_[shard_idx];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const InsertOutcome out = probeInsertLocked(
-        shard_idx, shard, state, hash, parent, rule_id, depth);
+    const InsertOutcome out =
+        probeInsertLocked(shard_idx, shard, state, hash, depth);
     return {out.id, out.inserted};
 }
 
@@ -101,7 +100,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         Shard &shard = shards_[s];
         std::lock_guard<std::mutex> lock(shard.mutex);
         // A probe is a chain of dependent cache misses — home bucket,
-        // then the entry's columns and cell — but the chain's items are
+        // then the entry's cell — but the chain's items are
         // independent of each other.  Starting each level's loads for
         // all of them before any item needs the next level overlaps
         // those misses instead of paying them in series.
@@ -119,9 +118,8 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         for (std::uint32_t i = head[s]; i != kEnd;
              i = items[i].next_) {
             BatchItem &item = items[i];
-            const InsertOutcome out =
-                probeInsertLocked(s, shard, item.state, item.hash,
-                                  item.parent, item.rule, item.depth);
+            const InsertOutcome out = probeInsertLocked(
+                s, shard, item.state, item.hash, item.depth);
             item.id = out.id;
             item.inserted = out.inserted;
             item.improved = out.improved;
@@ -275,9 +273,7 @@ StateStore::find(const SystemState &state) const
 StateStore::InsertOutcome
 StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                               const SystemState &state,
-                              std::uint64_t hash, std::uint32_t parent,
-                              std::uint16_t rule_id,
-                              std::uint32_t depth)
+                              std::uint64_t hash, std::uint32_t depth)
 {
     ShardColumns &cols = shard.cols;
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
@@ -303,13 +299,11 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
             continue;
         const std::uint32_t id = (shard_idx << kOffsetBits) | off;
         // Label-correcting duplicate: a shorter path to a known state
-        // relabels its breadcrumbs (async schedule; BFS duplicates are
-        // never shallower).
+        // relabels its depth (async schedule; BFS duplicates are never
+        // shallower).
         std::atomic<std::uint32_t> &depth_cell = cols.depthCell(off);
         if (depth < depth_cell.load(std::memory_order_relaxed)) {
             depth_cell.store(depth, std::memory_order_relaxed);
-            cols.setParent(off, parent);
-            cols.setRule(off, rule_id);
             return {id, false, true};
         }
         return {id, false, false};
@@ -331,23 +325,12 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
 
     std::uint32_t ids[kMaxDevices];
     const std::uint32_t width = internSlices(state, ids);
-    const std::uint32_t off = cols.append(parent, rule_id, depth);
+    const std::uint32_t off = cols.append(depth);
     shard.arena.append(off, ids, width);
 
     cols.link(slot, hash, off);
     total_.fetch_add(1, std::memory_order_release);
     return {(shard_idx << kOffsetBits) | off, true, false};
-}
-
-std::vector<std::uint16_t>
-StateStore::rulePath(std::uint32_t id) const
-{
-    std::vector<std::uint16_t> path;
-    for (std::uint32_t cur = id; parentAt(cur) != kNoParent;
-         cur = parentAt(cur))
-        path.push_back(ruleAt(cur));
-    std::reverse(path.begin(), path.end());
-    return path;
 }
 
 std::uint32_t

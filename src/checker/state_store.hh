@@ -10,11 +10,11 @@
  * per-shard locks; the data lives in two layers below it, both
  * allocated from a per-shard memory backend:
  *
- *  - ShardColumns (store_columns.hh): the struct-of-arrays entry
- *    columns — parent, rule, chunked atomic depth — plus the bucket
- *    array, whose u32 buckets carry the probe hash's tag bits above
- *    the entry link.  No column keeps the probe hash: shard growth
- *    rehashes each entry from its cell.
+ *  - ShardColumns (store_columns.hh): the one entry column — the
+ *    chunked atomic depth label — plus the bucket array, whose u32
+ *    buckets carry the probe hash's tag bits above the entry link.
+ *    No column keeps the probe hash: shard growth rehashes each
+ *    entry from its cell.
  *  - StateArena (store_arena.hh): the states, as cells of ndev u32
  *    slice ids — the lead slice (the record's first 64 bytes: the
  *    host fields and device 0) and one 59-byte DeviceState slice per
@@ -23,7 +23,7 @@
  *    the store's lifetime.  The slice tables are on the heap under
  *    every backend and grow with the distinct slices, not the states.
  *  - ShardMem (store_mem.hh): where both layers get memory: one
- *    mapping per column, bucket array, depth chunk and arena block,
+ *    mapping per bucket array, depth chunk and arena block,
  *    grown by mremap.  InRam maps anonymous memory; Mmap backs every
  *    shard by files (anonymous memfd, or files under an explicit
  *    directory) holding the same cells.
@@ -38,12 +38,13 @@
  * from the cells, the probe hash a caller passes must be
  * state.hash().
  *
- * Counterexample traces are replayed from the breadcrumb rule ids
- * (rulePath(), replayTrace in explorer.hh), not decoded from cells.
+ * The depth label is an entry's only breadcrumb: witness paths are
+ * searched out with find() (witnessPath, expand.hh) and replayed
+ * (replayTrace, explorer.hh), not decoded from cells.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
  * the top kShardBits select the shard, the low kOffsetBits index the
- * shard's entry columns.  Packed ids are stable for the lifetime of
+ * shard's entries.  Packed ids are stable for the lifetime of
  * the store, identical across backends, and never collide with
  * kNoParent.
  *
@@ -54,23 +55,22 @@
  * the block spine never reallocates, and slice chunks never move).
  * The depth column is chunked atomics: depthAt() may be read
  * lock-free at any time (the work-stealing explorer's stale-task
- * check depends on this), while parentAt()/ruleAt() and
- * growForNextLevel() must only be used while the store is
- * quiescent — the explorers call them between depth barriers or
- * after termination.
+ * check depends on this), while find() and growForNextLevel() must
+ * only be used while the store is quiescent — the explorers call
+ * them between depth barriers or after termination.
  *
  * Duplicate inserts carrying a *smaller* depth than the stored entry
- * relabel the entry's breadcrumbs (depth, parent, rule) in place and
- * report BatchItem::improved — the label-correcting step of the
- * work-stealing schedule's shortest-path convergence.  Under the
- * depth-synchronized BFS schedule duplicates never arrive with a
- * smaller depth, so the update is exercised only by the async
- * engine.
+ * relabel the entry's depth in place and report BatchItem::improved
+ * — the label-correcting step of the work-stealing schedule's
+ * shortest-path convergence.  Under the depth-synchronized BFS
+ * schedule duplicates never arrive with a smaller depth, so the
+ * update is exercised only by the async engine.
  *
  * Compatibility shims, kept only because the pinned benchmark harness
  * (bench/cxl_bench) still spells them; each goes in the next change
  * to that harness: StoreMode and StoreConfig::mode (ignored — every
- * store keeps every cell) and sealLevel() (a no-op).
+ * store keeps every cell), sealLevel() (a no-op) and
+ * insert(state, parent, rule, depth) (drops the parent and rule).
  */
 
 #ifndef CXL_CHECKER_STATE_STORE_HH
@@ -86,7 +86,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "checker/store_arena.hh"
 #include "checker/store_columns.hh"
@@ -149,11 +148,11 @@ struct StoreConfig {
     std::uint64_t capacityLimit = 0;
 };
 
-/** Sharded dense store of deduplicated states with BFS breadcrumbs. */
+/** Sharded dense store of deduplicated states with depth labels. */
 class StateStore
 {
   public:
-    /** Sentinel parent index for root states. */
+    /** Sentinel parent index for root states (BatchItem::parent). */
     static constexpr std::uint32_t kNoParent = 0xffffffffu;
 
     /** log2 of the shard count. */
@@ -168,8 +167,10 @@ class StateStore
 
     /**
      * One pending insert of a batched flush.  The caller fills state,
-     * hash (state.hash(), see insert()) and the breadcrumbs;
-     * insertBatch fills id, inserted and improved.
+     * hash (state.hash(), see insert()) and depth; insertBatch fills
+     * id, inserted and improved.  The store never reads parent and
+     * rule: they are the caller's record of the edge, read back after
+     * the flush (kernel overflow candidates, bench walker POR edges).
      */
     struct BatchItem {
         SystemState state;
@@ -205,9 +206,9 @@ class StateStore
 
     /**
      * Pre-size every shard for ~expected/kNumShards entries: bucket
-     * arrays sized for <= 0.5 load at the hint and entry columns
-     * reserved, so a run of the expected size performs no rehash and
-     * no column reallocation.  Callable only while quiescent.
+     * arrays sized for <= 0.5 load at the hint, so a run of the
+     * expected size performs no rehash.  Callable only while
+     * quiescent.
      */
     void reserveStates(std::uint64_t expected);
 
@@ -221,10 +222,18 @@ class StateStore
      *         state, and whether this call created it.
      */
     std::pair<std::uint32_t, bool>
-    insert(const SystemState &state, std::uint32_t parent,
-           std::uint16_t rule_id, std::uint32_t depth)
+    insert(const SystemState &state, std::uint32_t depth)
     {
-        return insert(state, state.hash(), parent, rule_id, depth);
+        return insert(state, state.hash(), depth);
+    }
+
+    /** A compatibility shim (see the file comment): insert(state,
+     * depth), the parent and rule dropped. */
+    std::pair<std::uint32_t, bool>
+    insert(const SystemState &state, std::uint32_t /*parent*/,
+           std::uint16_t /*rule_id*/, std::uint32_t depth)
+    {
+        return insert(state, depth);
     }
 
     /**
@@ -236,7 +245,6 @@ class StateStore
      */
     std::pair<std::uint32_t, bool>
     insert(const SystemState &state, std::uint64_t hash,
-           std::uint32_t parent, std::uint16_t rule_id,
            std::uint32_t depth);
 
     /**
@@ -282,24 +290,6 @@ class StateStore
     /** Decode the state for a packed id into @p out; every entry
      * decodes, on every store kind. */
     void stateInto(std::uint32_t id, SystemState &out) const;
-
-    /** Breadcrumb accessors; quiescent use only (the columns may
-     * reallocate during concurrent inserts). */
-    std::uint32_t
-    parentAt(std::uint32_t id) const
-    {
-        return shards_[shardOf(id)].cols.parentAt(id & kOffsetMask);
-    }
-    std::uint16_t
-    ruleAt(std::uint32_t id) const
-    {
-        return shards_[shardOf(id)].cols.ruleAt(id & kOffsetMask);
-    }
-
-    /** The rule ids on @p id's breadcrumb path, in firing order from
-     * the root; quiescent use only.  replayTrace turns them into a
-     * trace without reading any cell. */
-    std::vector<std::uint16_t> rulePath(std::uint32_t id) const;
 
     /** The id of @p state's entry, if stored (same identity as
      * insert); quiescent use only. */
@@ -435,7 +425,6 @@ class StateStore
     InsertOutcome
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                       const SystemState &state, std::uint64_t hash,
-                      std::uint32_t parent, std::uint16_t rule_id,
                       std::uint32_t depth);
 
     Shard shards_[kNumShards];

@@ -35,8 +35,8 @@ ShardColumns::init(ShardMem *mem, std::size_t initial_buckets,
 void
 ShardColumns::sizeBuckets(std::size_t cap)
 {
-    buckets_ = static_cast<std::uint32_t *>(mem_->flatGrow(
-        ShardMem::kFlatBuckets, cap * sizeof(std::uint32_t)));
+    buckets_ = static_cast<std::uint32_t *>(
+        mem_->flatGrow(cap * sizeof(std::uint32_t)));
     std::memset(buckets_, 0, cap * sizeof(std::uint32_t));
     mask_ = cap - 1;
     // No column keeps the probe hashes: each is recomputed from its
@@ -56,19 +56,6 @@ ShardColumns::sizeBuckets(std::size_t cap)
 }
 
 void
-ShardColumns::growColumns(std::size_t need)
-{
-    std::size_t cap = entryCap_ == 0 ? 1024 : entryCap_;
-    while (cap < need)
-        cap *= 2;
-    parents_ = static_cast<std::uint32_t *>(mem_->flatGrow(
-        ShardMem::kFlatParents, cap * sizeof(std::uint32_t)));
-    rules_ = static_cast<std::uint16_t *>(mem_->flatGrow(
-        ShardMem::kFlatRules, cap * sizeof(std::uint16_t)));
-    entryCap_ = cap;
-}
-
-void
 ShardColumns::growFor(std::uint64_t entries)
 {
     // maybeGrow's rule, applied before the insert that brings the
@@ -81,14 +68,9 @@ ShardColumns::growFor(std::uint64_t entries)
 }
 
 std::uint32_t
-ShardColumns::append(std::uint32_t parent, std::uint16_t rule,
-                     std::uint32_t depth)
+ShardColumns::append(std::uint32_t depth)
 {
     const std::uint32_t off = count_;
-    if (off >= entryCap_)
-        growColumns(static_cast<std::size_t>(off) + 1);
-    parents_[off] = parent;
-    rules_[off] = rule;
     const std::uint32_t chunk = off >> kDepthChunkBits;
     if (chunk == depths_.size()) {
         depths_.push_back(static_cast<std::atomic<std::uint32_t> *>(
@@ -111,8 +93,6 @@ ShardColumns::reserveEntries(std::size_t entries)
     const std::size_t cap = pow2AtLeast(2 * entries);
     if (cap > mask_ + 1)
         sizeBuckets(cap);
-    if (entries > entryCap_)
-        growColumns(entries);
 }
 
 } // namespace cxl

@@ -2,24 +2,25 @@
  * @file
  * Shard-column layer of the visited-state store.
  *
- * One ShardColumns instance holds a shard's struct-of-arrays entry
- * columns — parent, rule and the chunked atomic depth column — plus
- * the open-addressing bucket array, all allocated
- * from the shard's ShardMem backend (store_mem.hh).  The
- * probe/insert *algorithm* stays in the StateStore façade; this layer
- * only owns the memory layout:
+ * One ShardColumns instance holds a shard's one entry column — the
+ * chunked atomic depth label — plus the open-addressing bucket array,
+ * both allocated from the shard's ShardMem backend (store_mem.hh).
+ * No entry keeps its parent or the rule that reached it: witness
+ * paths are searched out from the depth labels (witnessPath,
+ * expand.hh).  The probe/insert *algorithm* stays in the StateStore
+ * façade; this layer only owns the memory layout:
  *
  *  - a bucket is one u32, `tag | link`: link = entry offset + 1 in the
  *    low log2(capacity) bits (0 = empty), tag = the entry's probe-hash
  *    bits [log2(capacity), 32) above it — the hash bits the home slot
  *    does not already name (Cleary's compact hash tables).  A probe
- *    rejects most mismatches on the tag before it reads any column or
- *    cell.  Growth at 3/4 load keeps every link <= mask, and the
- *    per-shard limit of 2^28 - 1 entries needs a capacity of at most
- *    2^29, so at least 3 tag bits remain;
- *  - the parent/rule columns and the bucket array are backend flats — they may move when grown, so they are touched
- *    only under the shard lock (or quiescent), matching the façade's
- *    published thread-safety contract;
+ *    rejects most mismatches on the tag before it reads any cell.
+ *    Growth at 3/4 load keeps every link <= mask, and the per-shard
+ *    limit of 2^28 - 1 entries needs a capacity of at most 2^29, so
+ *    at least 3 tag bits remain;
+ *  - the bucket array is a backend flat — it may move when grown, so
+ *    it is touched only under the shard lock (or quiescent), matching
+ *    the façade's published thread-safety contract;
  *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
  *    addresses never move) behind a fully-reserved spine, so
  *    depthCell() of an appended entry is readable lock-free at any
@@ -51,7 +52,7 @@
 namespace cxl
 {
 
-/** One shard's SoA entry columns + probe buckets (see file comment). */
+/** One shard's depth column + probe buckets (see file comment). */
 class ShardColumns
 {
   public:
@@ -114,23 +115,6 @@ class ShardColumns
     {
         __builtin_prefetch(&buckets_[hash & mask_]);
     }
-    std::uint32_t parentAt(std::uint32_t off) const
-    {
-        return parents_[off];
-    }
-    std::uint16_t ruleAt(std::uint32_t off) const
-    {
-        return rules_[off];
-    }
-    void setParent(std::uint32_t off, std::uint32_t p)
-    {
-        parents_[off] = p;
-    }
-    void setRule(std::uint32_t off, std::uint16_t r)
-    {
-        rules_[off] = r;
-    }
-
     /** Lock-free-readable depth cell of an appended entry (chunked
      * atomics; see file comment). */
     std::atomic<std::uint32_t> &
@@ -160,32 +144,27 @@ class ShardColumns
     void growFor(std::uint64_t entries);
 
     /**
-     * Append one entry's column values (not the bucket link — the
+     * Append one entry's depth label (not the bucket link — the
      * façade writes that after the arena append succeeds, so a thrown
      * arena-full error cannot publish a half-made entry).
      * @return the new entry's offset.
      */
-    std::uint32_t append(std::uint32_t parent, std::uint16_t rule,
-                         std::uint32_t depth);
+    std::uint32_t append(std::uint32_t depth);
 
-    /** Pre-size columns for @p entries and buckets for <=0.5 load. */
+    /** Pre-size buckets for <=0.5 load at @p entries. */
     void reserveEntries(std::size_t entries);
 
   private:
     void sizeBuckets(std::size_t cap);
-    void growColumns(std::size_t need);
 
     ShardMem *mem_ = nullptr;
     EntryHashes entryHashes_;
-    std::uint32_t *parents_ = nullptr;
-    std::uint16_t *rules_ = nullptr;
     std::uint32_t *buckets_ = nullptr;
     /** Depth-chunk spine; fully reserved, so push_back never moves
      * the chunk pointers lock-free readers are walking. */
     std::vector<std::atomic<std::uint32_t> *> depths_;
     std::uint64_t mask_ = 0;
     std::uint32_t count_ = 0;
-    std::size_t entryCap_ = 0;
     std::uint64_t collisions_ = 0;
 };
 

@@ -90,11 +90,11 @@ openBackingFile(const std::string &dir, const char *tag)
 }
 
 /**
- * The mapped backend, for both StoreBackends: every flat region,
+ * The mapped backend, for both StoreBackends: the flat and every
  * chunk and block is a mapping of its own.  Without backing files
- * (InRam) they are anonymous private memory; with them (Mmap) each
- * flat region and the chunk and block pools have their own file,
- * grown with ftruncate.  Flats grow in place or move by mremap
+ * (InRam) they are anonymous private memory; with them (Mmap) the
+ * flat and the chunk and block pools have their own file, grown
+ * with ftruncate.  The flat grows in place or moves by mremap
  * without a copy (see remapFlat for the one exception).  See
  * store_mem.hh for the scheme.
  */
@@ -110,12 +110,10 @@ class MappedShardMem final : public ShardMem
 
     ~MappedShardMem() override
     {
-        for (Flat &f : flats_) {
-            if (f.p)
-                ::munmap(f.p, f.cap);
-            if (f.fd >= 0)
-                ::close(f.fd);
-        }
+        if (flat_.p)
+            ::munmap(flat_.p, flat_.cap);
+        if (flat_.fd >= 0)
+            ::close(flat_.fd);
         for (const Mapping &c : chunks_)
             ::munmap(c.p, c.bytes);
         for (const Mapping &b : blocks_)
@@ -127,9 +125,9 @@ class MappedShardMem final : public ShardMem
     }
 
     void *
-    flatGrow(unsigned id, std::size_t bytes) override
+    flatGrow(std::size_t bytes) override
     {
-        Flat &f = flats_[id];
+        Flat &f = flat_;
         const std::size_t cap = roundUpPage(bytes);
         if (cap <= f.cap)
             return f.p;
@@ -141,7 +139,7 @@ class MappedShardMem final : public ShardMem
                 growFile(f.fd, static_cast<off_t>(cap));
             p = remapFlat(f, cap);
             if (p == MAP_FAILED)
-                throwErrno("remap (flat column)");
+                throwErrno("remap (flat)");
             countFileBytes(cap - f.cap);
         }
         f.p = p;
@@ -273,7 +271,7 @@ class MappedShardMem final : public ShardMem
 
     const bool fileBacked_;
     const std::string dir_;
-    Flat flats_[kFlatCount];
+    Flat flat_;
     Pool chunkPool_;
     std::vector<Mapping> chunks_;
     Pool blockPool_;
@@ -290,8 +288,7 @@ class RamShardMem final : public ShardMem
   public:
     ~RamShardMem() override
     {
-        for (Flat &f : flats_)
-            std::free(f.p);
+        std::free(flat_.p);
         for (void *c : chunks_)
             ::operator delete(c);
         for (void *b : blocks_)
@@ -299,9 +296,9 @@ class RamShardMem final : public ShardMem
     }
 
     void *
-    flatGrow(unsigned id, std::size_t bytes) override
+    flatGrow(std::size_t bytes) override
     {
-        Flat &f = flats_[id];
+        Flat &f = flat_;
         if (bytes <= f.cap)
             return f.p;
         void *p = std::realloc(f.p, bytes);
@@ -335,7 +332,7 @@ class RamShardMem final : public ShardMem
         void *p = nullptr;
         std::size_t cap = 0;
     };
-    Flat flats_[kFlatCount];
+    Flat flat_;
     std::vector<void *> chunks_;
     std::vector<void *> blocks_;
 };

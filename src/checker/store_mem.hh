@@ -8,10 +8,10 @@
  * needs, and the backend choice — anonymous memory or per-shard
  * backing files — is made once here, invisibly to the layers above:
  *
- *  - flats: amortised-growable arrays (the SoA entry columns and the
- *    probe bucket array).  Growing may move the base, so callers
- *    re-read the returned pointer; flats are only touched under the
- *    shard lock (or quiescent), matching that contract.
+ *  - the flat: one amortised-growable array (the probe bucket
+ *    array).  Growing may move the base, so callers re-read the
+ *    returned pointer; the flat is only touched under the shard lock
+ *    (or quiescent), matching that contract.
  *  - chunks: fixed-size allocations whose address never moves (the
  *    chunked atomic depth column), so lock-free readers can walk
  *    them while peers insert.
@@ -19,11 +19,11 @@
  *    stable addresses.  The store keeps every cell, so a block lives
  *    as long as its store.
  *
- * On Linux one implementation serves both backends: every flat,
- * chunk and block is a mapping of its own, and flats grow by mremap
- * (the kernel moves page tables, nothing is copied).  Store memory
- * never passes through malloc: growth leaves no freed hole in the
- * heap, and a page nothing has written stays unbacked.
+ * On Linux one implementation serves both backends: the flat and
+ * every chunk and block is a mapping of its own, and the flat grows
+ * by mremap (the kernel moves page tables, nothing is copied).  Store
+ * memory never passes through malloc: growth leaves no freed hole in
+ * the heap, and a page nothing has written stays unbacked.
  *
  *  - InRam maps anonymous private memory.
  *  - Mmap gives every shard its own anonymous backing files (memfd,
@@ -63,22 +63,14 @@ enum class StoreBackend : std::uint8_t {
 class ShardMem
 {
   public:
-    /** Flat-region slots a shard uses (one growable array each). */
-    enum FlatId : unsigned {
-        kFlatParents = 0,
-        kFlatRules,
-        kFlatBuckets,
-        kFlatCount,
-    };
-
     virtual ~ShardMem() = default;
 
     /**
-     * Grow flat region @p id to at least @p bytes (first call
-     * creates it).  Contents are preserved; the base may move —
-     * callers re-read the return value.  Never shrinks.
+     * Grow the flat to at least @p bytes (first call creates it).
+     * Contents are preserved; the base may move — callers re-read the
+     * return value.  Never shrinks.
      */
-    virtual void *flatGrow(unsigned id, std::size_t bytes) = 0;
+    virtual void *flatGrow(std::size_t bytes) = 0;
 
     /** Allocate @p bytes at an address that never moves. */
     virtual void *chunkAlloc(std::size_t bytes) = 0;

@@ -1,8 +1,11 @@
 #include "litmus/litmus.hh"
 
+#include <algorithm>
 #include <deque>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 #include "checker/state_store.hh"
 
@@ -30,11 +33,15 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
     Context ctx{&test.scenario};
 
     // Exhaustive interleaving walk with terminal-state collection.
+    // The store keeps no breadcrumbs, so the walk records the
+    // (parent, rule) edge that first reached each new state.
     StateStore store;
     std::deque<std::uint32_t> frontier;
-    auto [init_idx, ins] = store.insert(test.scenario.initial,
-                                        StateStore::kNoParent, 0, 0);
-    (void)ins;
+    std::unordered_map<std::uint32_t,
+                       std::pair<std::uint32_t, std::uint16_t>>
+        reachedBy;
+    const std::uint32_t init_idx =
+        store.insert(test.scenario.initial, 0).first;
     frontier.push_back(init_idx);
 
     std::optional<Violation> violation;
@@ -80,10 +87,10 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
         }
         for (const auto &succ : succs) {
             ++transitions;
-            auto [sidx, is_new] =
-                store.insert(succ.state, idx, succ.rule->id, depth + 1);
+            auto [sidx, is_new] = store.insert(succ.state, depth + 1);
             if (!is_new)
                 continue;
+            reachedBy.emplace(sidx, std::make_pair(idx, succ.rule->id));
             if (succ.overflow)
                 note_violation(Violation::Kind::Overflow, nullptr, sidx,
                                depth + 1);
@@ -101,12 +108,17 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
     outcome.explore.maxDepth = max_depth;
     outcome.explore.completed = true;
     if (violation) {
+        std::vector<std::uint16_t> path;
+        for (std::uint32_t cur = violation->stateIndex; cur != init_idx;) {
+            const auto &[parent, rule] = reachedBy.at(cur);
+            path.push_back(rule);
+            cur = parent;
+        }
+        std::reverse(path.begin(), path.end());
         // The walk fires rules on raw (uncanonicalised) states.
-        violation->trace =
-            replayTrace(rules, test.scenario,
-                        store.rulePath(violation->stateIndex),
-                        /*canonicaliseTids=*/false,
-                        /*symmetryReduction=*/false);
+        violation->trace = replayTrace(rules, test.scenario, path,
+                                       /*canonicaliseTids=*/false,
+                                       /*symmetryReduction=*/false);
         outcome.explore.violationCount = 1;
         outcome.explore.violation = std::move(violation);
     }

@@ -22,7 +22,7 @@ collectReachable(const RuleSet &rules, const Scenario &scenario,
     std::deque<std::size_t> frontier;
     SystemState init = scenario.initial;
     init.canonicaliseTids();
-    store.insert(init, StateStore::kNoParent, 0, 0);
+    store.insert(init, 0);
     states.push_back(init);
     frontier.push_back(0);
 
@@ -30,10 +30,7 @@ collectReachable(const RuleSet &rules, const Scenario &scenario,
         const SystemState state = states[frontier.front()];
         frontier.pop_front();
         for (auto &succ : rules.successors(state, scenario, true)) {
-            auto [sidx, is_new] = store.insert(
-                succ.state, StateStore::kNoParent, succ.rule->id, 0);
-            (void)sidx;
-            if (is_new && states.size() < cap) {
+            if (store.insert(succ.state, 0).second && states.size() < cap) {
                 states.push_back(succ.state);
                 frontier.push_back(states.size() - 1);
             }
@@ -161,7 +158,7 @@ buildUniverse(const RuleSet &rules, const Scenario &scenario,
     SplitMix64 rng(options.seed);
     StateStore dedup;
     for (const SystemState &s : universe)
-        dedup.insert(s, StateStore::kNoParent, 0, 0);
+        dedup.insert(s, 0);
 
     std::size_t seeds = universe.size();
     for (std::size_t i = 0;
@@ -173,10 +170,7 @@ buildUniverse(const RuleSet &rules, const Scenario &scenario,
                 continue;
             if (!filter.holds(cand, ctx))
                 continue;
-            auto [idx, is_new] =
-                dedup.insert(cand, StateStore::kNoParent, 0, 0);
-            (void)idx;
-            if (!is_new)
+            if (!dedup.insert(cand, 0).second)
                 continue;
             ++local.perturbedAccepted;
             universe.push_back(cand);

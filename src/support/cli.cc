@@ -68,9 +68,14 @@ CliArgs::getInt(const std::string &name, std::int64_t fallback) const
 std::size_t
 threadCountOption(const CliArgs &args, std::size_t fallback)
 {
-    std::int64_t n =
+    const std::int64_t n =
         args.getInt("threads", static_cast<std::int64_t>(fallback));
-    return n <= 0 ? 0 : static_cast<std::size_t>(n);
+    if (n < 0) {
+        std::fprintf(stderr, "--threads %lld out of range (want >= 0)\n",
+                     static_cast<long long>(n));
+        std::exit(2);
+    }
+    return static_cast<std::size_t>(n);
 }
 
 int

@@ -49,7 +49,8 @@ class CliArgs
 /**
  * Resolve the shared `--threads N` option used by the bench and
  * example harnesses to size the parallel explorer: 0 (the default)
- * means one worker per hardware thread; negative values clamp to 0.
+ * means one worker per hardware thread; a negative count is a usage
+ * error (exit 2).
  */
 std::size_t threadCountOption(const CliArgs &args,
                               std::size_t fallback = 0);

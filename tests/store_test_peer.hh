@@ -24,7 +24,7 @@ namespace cxl
 {
 
 struct StateStoreTestPeer {
-    /** insert() of @p state as a root, probing under @p hash. */
+    /** insert() of @p state at depth 0, probing under @p hash. */
     static std::pair<std::uint32_t, bool>
     insertForged(StateStore &store, const SystemState &state,
                  std::uint64_t hash)
@@ -33,8 +33,8 @@ struct StateStoreTestPeer {
             hash >> (64 - StateStore::kShardBits));
         StateStore::Shard &shard = store.shards_[shard_idx];
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const StateStore::InsertOutcome out = store.probeInsertLocked(
-            shard_idx, shard, state, hash, StateStore::kNoParent, 0, 0);
+        const StateStore::InsertOutcome out =
+            store.probeInsertLocked(shard_idx, shard, state, hash, 0);
         return {out.id, out.inserted};
     }
 };

@@ -383,6 +383,19 @@ TEST(StandardOptions, StoreDirOnAHeapStoreIsAUsageError)
     }
 }
 
+TEST(StandardOptions, NegativeThreadCountIsAUsageError)
+{
+    // 0 means one worker per hardware thread; a negative count must
+    // not silently mean the same.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EQ(optionsOf({"--threads", "0"}).engine.threads, 0u);
+    EXPECT_EQ(optionsOf({"--threads", "3"}).engine.threads, 3u);
+    EXPECT_EXIT(optionsOf({"--threads", "-4"}), testing::ExitedWithCode(2),
+                "--threads -4 out of range");
+    EXPECT_EXIT(optionsOf({"--threads", "-1"}), testing::ExitedWithCode(2),
+                "--threads -1 out of range");
+}
+
 TEST(CheckResult, VerdictTextIsDeterministic)
 {
     CheckSession session;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "checker/expand.hh"
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
 
@@ -25,17 +26,15 @@ TEST(StateStore, InsertDeduplicates)
     SystemState a = initialAllInvalid();
     SystemState b = initialBothShared(1);
 
-    auto [ia, new_a] = store.insert(a, StateStore::kNoParent, 0, 0);
-    auto [ib, new_b] = store.insert(b, ia, 3, 1);
-    auto [ia2, dup] = store.insert(a, ib, 5, 2);
+    auto [ia, new_a] = store.insert(a, 0);
+    auto [ib, new_b] = store.insert(b, 1);
+    auto [ia2, dup] = store.insert(a, 2);
 
     EXPECT_TRUE(new_a);
     EXPECT_TRUE(new_b);
     EXPECT_FALSE(dup);
     EXPECT_EQ(ia, ia2);
     EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store.parentAt(ib), ia);
-    EXPECT_EQ(store.ruleAt(ib), 3);
     EXPECT_EQ(store.depthAt(ib), 1u);
 }
 
@@ -48,14 +47,12 @@ TEST(StateStore, DepthWiderThanSixteenBits)
     SystemState parent_state = initialAllInvalid();
     SystemState child_state = initialBothShared(2);
 
-    auto [parent, pnew] =
-        store.insert(parent_state, StateStore::kNoParent, 0, 65535);
-    auto [child, cnew] = store.insert(child_state, parent, 1, 70000);
+    auto [parent, pnew] = store.insert(parent_state, 65535);
+    auto [child, cnew] = store.insert(child_state, 70000);
     ASSERT_TRUE(pnew);
     ASSERT_TRUE(cnew);
     EXPECT_EQ(store.depthAt(parent), 65535u);
     EXPECT_EQ(store.depthAt(child), 70000u);
-    EXPECT_EQ(store.parentAt(child), parent);
 }
 
 TEST(StateStore, PackedIdsRoundTripAcrossShards)
@@ -69,8 +66,7 @@ TEST(StateStore, PackedIdsRoundTripAcrossShards)
         SystemState s;
         s.counter = static_cast<std::uint8_t>(i);
         s.dev[0].pc = static_cast<std::uint8_t>(i % 5);
-        auto [idx, is_new] =
-            store.insert(s, StateStore::kNoParent, 0, 0);
+        auto [idx, is_new] = store.insert(s, 0);
         ASSERT_TRUE(is_new);
         ASSERT_NE(idx, StateStore::kNoParent);
         inserted.emplace_back(idx, s);
@@ -123,15 +119,13 @@ TEST(StateStore, GrowShardRehashesAcrossManyDoublings)
     const std::vector<SystemState> states = shardZeroStates(n);
     StateStore store(16);
     for (int i = 0; i < n; ++i) {
-        auto [idx, is_new] = store.insert(
-            states[i], states[i].hash(), StateStore::kNoParent, 0, 0);
+        auto [idx, is_new] = store.insert(states[i], states[i].hash(), 0);
         ASSERT_TRUE(is_new) << i;
         ASSERT_EQ(StateStore::shardOf(idx), 0u) << i;
     }
     EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
     for (int i = 0; i < n; i += 97) {
-        auto [idx, is_new] = store.insert(
-            states[i], states[i].hash(), StateStore::kNoParent, 0, 0);
+        auto [idx, is_new] = store.insert(states[i], states[i].hash(), 0);
         (void)idx;
         EXPECT_FALSE(is_new) << "entry " << i << " lost in a rehash";
     }
@@ -150,7 +144,7 @@ TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
     StateStore store(16 * StateStore::kNumShards);
     std::vector<std::uint32_t> ids;
     for (const SystemState &s : states) {
-        auto [id, fresh] = store.insert(s, StateStore::kNoParent, 0, 0);
+        auto [id, fresh] = store.insert(s, 0);
         ASSERT_TRUE(fresh);
         ASSERT_EQ(StateStore::shardOf(id), 0u);
         ids.push_back(id);
@@ -159,8 +153,7 @@ TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
         const std::optional<std::uint32_t> found = store.find(states[i]);
         ASSERT_TRUE(found.has_value()) << i;
         EXPECT_EQ(*found, ids[i]) << i;
-        auto [id, fresh] =
-            store.insert(states[i], StateStore::kNoParent, 0, 0);
+        auto [id, fresh] = store.insert(states[i], 0);
         EXPECT_FALSE(fresh) << i;
         EXPECT_EQ(id, ids[i]) << i;
     }
@@ -178,7 +171,7 @@ TEST(StateStoreDeathTest, FullStoreRejectsAForgedProbeHash)
     EXPECT_DEBUG_DEATH(
         {
             StateStore store(1 << 10);
-            store.insert(s, s.hash() ^ 1, StateStore::kNoParent, 0, 0);
+            store.insert(s, s.hash() ^ 1, 0);
         },
         "state.hash\\(\\)");
 }
@@ -196,15 +189,12 @@ TEST(StateStore, BatchInsertMatchesSequentialInserts)
         s.dev[0].pc = static_cast<std::uint8_t>((i % 100) >> 4);
         items[i].state = s;
         items[i].hash = s.hash();
-        items[i].parent = StateStore::kNoParent;
         items[i].depth = 7;
-        items[i].rule = 5;
     }
     batched.insertBatch(items.data(), items.size());
     for (int i = 0; i < 300; ++i) {
         auto [idx, is_new] =
-            sequential.insert(items[i].state, items[i].hash,
-                              StateStore::kNoParent, 5, 7);
+            sequential.insert(items[i].state, items[i].hash, 7);
         EXPECT_EQ(items[i].id, idx) << i;
         EXPECT_EQ(items[i].inserted, is_new) << i;
     }
@@ -225,7 +215,7 @@ TEST(StateStore, GrowsPastInitialCapacity)
         s.dev[0].val = static_cast<Val>(i / 251);
         s.dev[0].pc = static_cast<std::uint8_t>(i % 7);
         s.dev[1].pc = static_cast<std::uint8_t>(i % 11);
-        store.insert(s, StateStore::kNoParent, 0, 0);
+        store.insert(s, 0);
     }
     // All distinct (counter, val, pc0, pc1) tuples survive the rehash.
     EXPECT_GT(store.size(), 900u);
@@ -233,7 +223,7 @@ TEST(StateStore, GrowsPastInitialCapacity)
     probe.counter = 5;
     probe.dev[0].pc = 5;
     probe.dev[1].pc = 5;
-    auto [idx, is_new] = store.insert(probe, StateStore::kNoParent, 0, 0);
+    auto [idx, is_new] = store.insert(probe, 0);
     (void)idx;
     EXPECT_FALSE(is_new) << "i=5 must already be present";
 }
@@ -473,6 +463,123 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
         // the same (already known) state it left from.
         EXPECT_TRUE(trace[3].state == trace[4].state);
     }
+}
+
+/** The 2-device free-run space walked level by level into @p store,
+ * states canonical as the kernel stores them (tids relabelled, no
+ * symmetry), so every depth label is the state's BFS distance.
+ * Returns every (id, depth). */
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+settledFreeRun(const RuleSet &rules, const Scenario &sc,
+               StateStore &store)
+{
+    SystemState s = sc.initial;
+    s.canonicaliseTids();
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> all{
+        {store.insert(s, 0).first, 0}};
+    std::vector<RuleSet::Successor> succs;
+    for (std::size_t at = 0; at < all.size(); ++at) {
+        const auto [id, depth] = all[at];
+        store.stateInto(id, s);
+        rules.successorsInto(s, sc, true, succs);
+        for (const RuleSet::Successor &succ : succs) {
+            const auto [sid, fresh] = store.insert(succ.state, depth + 1);
+            if (fresh)
+                all.emplace_back(sid, depth + 1);
+        }
+    }
+    return all;
+}
+
+TEST_F(ExplorerTest, SettledLabelsNeverReachTheWitnessFallback)
+{
+    // Every completed run leaves BFS-distance labels: the label search
+    // alone finds a shortest path to every state, so the breadth-first
+    // fallback of witnessPath is never taken.
+    const Scenario sc = Scenario::freeRunScenario();
+    StateStore store;
+    const auto all = settledFreeRun(rules, sc, store);
+    ASSERT_EQ(all.size(), 5218u);
+    for (std::size_t i = 0; i < all.size(); i += 37) {
+        const auto [id, depth] = all[i];
+        const std::optional<std::vector<std::uint16_t>> path =
+            labelPath(rules, sc, store, false, id);
+        ASSERT_TRUE(path.has_value()) << "state " << i;
+        EXPECT_EQ(path->size(), depth) << "state " << i;
+        EXPECT_EQ(witnessPath(rules, sc, store, false, id), *path);
+    }
+}
+
+TEST_F(ExplorerTest, WitnessFallbackReplaysToAnUnsettledState)
+{
+    // A governed --ws stop can leave a state labelled deeper than its
+    // BFS distance, with no stored state one label above it: the label
+    // search then finds nothing, and the breadth-first search over
+    // stored states must still name a path that replays to it.
+    const Scenario sc = Scenario::freeRunScenario();
+    const Context ctx{&sc};
+    StateStore store;
+    SystemState init = sc.initial;
+    init.canonicaliseTids();
+    ASSERT_TRUE(store.insert(init, 0).second);
+    std::vector<RuleSet::Successor> level1;
+    rules.successorsInto(init, sc, true, level1);
+    for (const RuleSet::Successor &succ : level1)
+        store.insert(succ.state, 1);
+    // The first state two steps out, stored with label 5.
+    std::optional<SystemState> target;
+    std::vector<RuleSet::Successor> succs;
+    for (const RuleSet::Successor &mid : level1) {
+        rules.successorsInto(mid.state, sc, true, succs);
+        for (const RuleSet::Successor &succ : succs) {
+            if (!target && !store.find(succ.state))
+                target = succ.state;
+        }
+    }
+    ASSERT_TRUE(target.has_value());
+    const auto [id, fresh] = store.insert(*target, 5);
+    ASSERT_TRUE(fresh);
+
+    EXPECT_FALSE(labelPath(rules, sc, store, false, id).has_value());
+    const std::vector<std::uint16_t> path =
+        witnessPath(rules, sc, store, false, id);
+    // The rule-id-least two-step path through stored states.
+    std::optional<std::vector<std::uint16_t>> least;
+    for (const Rule &r1 : rules.rules()) {
+        if (!r1.guard(init, ctx))
+            continue;
+        SystemState mid = init;
+        (void)r1.apply(mid, ctx);
+        mid.canonicaliseTids();
+        if (!store.find(mid))
+            continue;
+        for (const Rule &r2 : rules.rules()) {
+            SystemState end = mid;
+            if (!r2.guard(end, ctx))
+                continue;
+            (void)r2.apply(end, ctx);
+            end.canonicaliseTids();
+            if (end == *target && !least)
+                least = std::vector<std::uint16_t>{r1.id, r2.id};
+        }
+    }
+    ASSERT_TRUE(least.has_value());
+    EXPECT_EQ(path, *least);
+
+    // The path replays, every guard enabled, to exactly the state.
+    SystemState s = init;
+    for (std::uint16_t r : path) {
+        const Rule &rule = rules.rules()[r];
+        ASSERT_TRUE(rule.guard(s, ctx)) << rule.name();
+        (void)rule.apply(s, ctx);
+        s.canonicaliseTids();
+    }
+    EXPECT_TRUE(s == *target);
+    const std::vector<TraceStep> trace =
+        replayTrace(rules, sc, path, true, false);
+    ASSERT_EQ(trace.size(), path.size() + 1);
+    EXPECT_TRUE(trace.back().state == *target);
+    EXPECT_EQ(store.find(trace.back().state), id);
 }
 
 TEST_F(ExplorerTest, FreeRunCoversEveryDeviceStateAndHostState)

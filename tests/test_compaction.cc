@@ -198,7 +198,7 @@ TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
     for (StoreKind kind : {StoreKind::InRam, StoreKind::Mmap}) {
         const std::string what = storeKindWord(kind);
         StateStore store(storeConfigOf(kind, "", 0));
-        auto [ia, new_a] = store.insert(a, StateStore::kNoParent, 0, 0);
+        auto [ia, new_a] = store.insert(a, 0);
         auto [ib, new_b] =
             StateStoreTestPeer::insertForged(store, b, a.hash());
         EXPECT_TRUE(new_a) << what;
@@ -209,8 +209,7 @@ TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
 
         // Re-probing either state finds its own entry, not the
         // other's; b passes a's entry again, a second collision.
-        auto [ia2, dup_a] =
-            store.insert(a, StateStore::kNoParent, 0, 0);
+        auto [ia2, dup_a] = store.insert(a, 0);
         auto [ib2, dup_b] =
             StateStoreTestPeer::insertForged(store, b, a.hash());
         EXPECT_FALSE(dup_a) << what;
@@ -273,8 +272,7 @@ TEST(Compaction, CompactCellsRoundTripBitExactly)
         std::unique_ptr<StateStore> &store = stores[s.ndev];
         if (!store)
             store = std::make_unique<StateStore>(1 << 10);
-        auto [idx, is_new] =
-            store->insert(s, StateStore::kNoParent, 0, 0);
+        auto [idx, is_new] = store->insert(s, 0);
         ASSERT_TRUE(is_new);
         SystemState decoded;
         store->stateInto(idx, decoded);
@@ -337,8 +335,7 @@ TEST(SliceCells, RoundTripsEveryDeviceCount)
         for (StoreKind kind : kKinds) {
             StateStore store(smallStore(kind));
             for (const SystemState &s : states) {
-                const auto [id, fresh] =
-                    store.insert(s, StateStore::kNoParent, 0, 0);
+                const auto [id, fresh] = store.insert(s, 0);
                 EXPECT_TRUE(fresh) << ndev;
                 SystemState decoded = denseState(7); // all garbage
                 store.stateInto(id, decoded);
@@ -348,8 +345,7 @@ TEST(SliceCells, RoundTripsEveryDeviceCount)
             }
             // Re-inserting finds every state again.
             for (const SystemState &s : states) {
-                EXPECT_FALSE(
-                    store.insert(s, StateStore::kNoParent, 0, 0).second)
+                EXPECT_FALSE(store.insert(s, 0).second)
                     << ndev;
             }
             EXPECT_EQ(store.size(), states.size());
@@ -377,8 +373,7 @@ TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
             StateStore store(smallStore(kind));
             std::vector<std::uint32_t> ids;
             for (const SystemState &s : states) {
-                const auto [id, fresh] =
-                    store.insert(s, StateStore::kNoParent, 0, 0);
+                const auto [id, fresh] = store.insert(s, 0);
                 ids.push_back(id);
                 EXPECT_TRUE(fresh) << ndev << " " << storeKindWord(kind);
             }
@@ -389,8 +384,7 @@ TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
                 EXPECT_TRUE(decoded == states[i])
                     << ndev << " " << storeKindWord(kind) << " " << i;
                 EXPECT_TRUE(inactiveSlotsZero(decoded)) << ndev;
-                EXPECT_EQ(store.insert(states[i], StateStore::kNoParent,
-                                       0, 0),
+                EXPECT_EQ(store.insert(states[i], 0),
                           std::make_pair(ids[i], false))
                     << ndev << " " << storeKindWord(kind) << " " << i;
             }
@@ -416,11 +410,10 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
 
         for (const bool forge : {false, true}) {
             StateStore store(smallStore(StoreKind::InRam));
-            const auto [ia, new_a] =
-                store.insert(a, StateStore::kNoParent, 0, 0);
+            const auto [ia, new_a] = store.insert(a, 0);
             const auto [ib, new_b] =
                 forge ? StateStoreTestPeer::insertForged(store, b, a.hash())
-                      : store.insert(b, StateStore::kNoParent, 0, 0);
+                      : store.insert(b, 0);
             EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
             EXPECT_NE(ia, ib);
             EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << ndev;
@@ -442,10 +435,8 @@ TEST(SliceCells, BytesPastTheActivePrefixAreIgnored)
         c.dev[kMaxDevices - 1].pc = 9;
         for (StoreKind kind : kKinds) {
             StateStore store(smallStore(kind));
-            const auto [ia, new_a] =
-                store.insert(a, a.hash(), StateStore::kNoParent, 0, 0);
-            const auto [ic, new_c] =
-                store.insert(c, a.hash(), StateStore::kNoParent, 0, 0);
+            const auto [ia, new_a] = store.insert(a, a.hash(), 0);
+            const auto [ic, new_c] = store.insert(c, a.hash(), 0);
             EXPECT_TRUE(new_a);
             EXPECT_FALSE(new_c) << ndev;
             EXPECT_EQ(ic, ia) << ndev;
@@ -464,10 +455,8 @@ TEST(SliceCells, MismatchedDeviceCountIsRejected)
     for (StoreKind kind : kKinds) {
         StateStore store(smallStore(kind));
         const SystemState three = initialAllInvalid(0, 3);
-        const std::uint32_t id =
-            store.insert(three, StateStore::kNoParent, 0, 0).first;
-        EXPECT_THROW(store.insert(initialAllInvalid(0, 2),
-                                  StateStore::kNoParent, 0, 0),
+        const std::uint32_t id = store.insert(three, 0).first;
+        EXPECT_THROW(store.insert(initialAllInvalid(0, 2), 0),
                      std::logic_error);
         StateStore::BatchItem item;
         item.state = initialAllInvalid(0, 4);
@@ -475,13 +464,10 @@ TEST(SliceCells, MismatchedDeviceCountIsRejected)
         EXPECT_THROW(store.insertBatch(&item, 1), std::logic_error);
         EXPECT_EQ(store.size(), 1u);
         EXPECT_FALSE(store.find(initialAllInvalid(0, 2)).has_value());
-        const auto [again, fresh] =
-            store.insert(three, StateStore::kNoParent, 0, 0);
+        const auto [again, fresh] = store.insert(three, 0);
         EXPECT_FALSE(fresh);
         EXPECT_EQ(again, id);
-        EXPECT_TRUE(
-            store.insert(busyState(3), StateStore::kNoParent, 0, 0)
-                .second);
+        EXPECT_TRUE(store.insert(busyState(3), 0).second);
     }
 }
 

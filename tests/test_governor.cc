@@ -222,14 +222,16 @@ TEST(Governor, MemoryCeilingCountsMemfdBacking)
 {
     // Without --store-dir the mmap store lives in memfd, which is RAM
     // whether mapped or not: the ceiling must see it.  The unreduced
-    // 3-device space needs far more than 24 MB of store, so a ceiling
-    // that close to the current footprint has to trip mid-run.
+    // 3-device space needs ~23.6 MB of memfd store (and ~2 MB of
+    // anonymous memory besides), so a ceiling 16 MB above the current
+    // footprint has to trip mid-run, and would not if memfd went
+    // unmetered.
     const std::uint64_t before = meteredMemoryBytes();
     CheckSession session;
     EngineOptions engine;
     engine.threads = 4;
     engine.store = StoreKind::Mmap;
-    engine.maxRssBytes = before + 24ull * 1000 * 1000;
+    engine.maxRssBytes = before + 16ull * 1000 * 1000;
     const CheckResult res = session.run(freeRunRequest(3, engine));
     expectGovernedStop(res, StopReason::Memory, "memory");
     EXPECT_LT(res.states, 860925u);
@@ -410,14 +412,13 @@ TEST(Governor, StoreFullErrorNamesShardAndRemedies)
     // a user which shard filled and which flags raise the ceiling.
     StateStore store(16, /*capacity_limit=*/16); // 1 entry per shard
     SystemState parent = initialAllInvalid();
-    auto [pid, fresh] =
-        store.insert(parent, StateStore::kNoParent, 0, 0);
+    auto [pid, fresh] = store.insert(parent, 0);
     ASSERT_TRUE(fresh);
     try {
         // Distinct states eventually revisit pid's shard and overflow
         // its single slot.
         for (Val v = 1; v < 64; ++v)
-            store.insert(initialBothShared(v), pid, 0, 1);
+            store.insert(initialBothShared(v), 1);
         FAIL() << "expected StoreFullError";
     } catch (const StoreFullError &e) {
         const std::string what = e.what();
@@ -452,8 +453,7 @@ statesUpToDepth(std::uint32_t d)
         StateStore store;
         SystemState s = sc.initial;
         s.canonicaliseTids();
-        std::vector<std::uint32_t> level{
-            store.insert(s, StateStore::kNoParent, 0, 0).first};
+        std::vector<std::uint32_t> level{store.insert(s, 0).first};
         std::vector<std::uint32_t> next;
         std::vector<RuleSet::Successor> succs;
         std::vector<std::uint64_t> counts;
@@ -465,8 +465,7 @@ statesUpToDepth(std::uint32_t d)
                 store.stateInto(id, s);
                 rules.successorsInto(s, sc, true, succs);
                 for (const RuleSet::Successor &succ : succs) {
-                    const auto [sid, fresh] =
-                        store.insert(succ.state, id, succ.rule->id, depth);
+                    const auto [sid, fresh] = store.insert(succ.state, depth);
                     if (fresh)
                         next.push_back(sid);
                 }

@@ -73,6 +73,42 @@ TEST(LitmusEngine, FinalCheckFailureReported)
     EXPECT_NE(out.message.find("deliberately wrong"), std::string::npos);
 }
 
+TEST(LitmusEngine, RelaxationTracesReplayToTheViolation)
+{
+    // The walk keeps, beside its FIFO frontier, the edge that first
+    // reached each state, and rebuilds the trace from those edges: it
+    // must start at the initial state, take depth + 1 steps (the walk
+    // is breadth-first), fire an enabled rule at every step and end
+    // in a state that fails an invariant.
+    for (const LitmusTest &test : restrictionRelaxationSuite()) {
+        const LitmusOutcome out = runLitmus(test);
+        ASSERT_TRUE(out.explore.violation.has_value()) << test.name;
+        const Violation &v = *out.explore.violation;
+        const std::vector<TraceStep> &trace = v.trace;
+        ASSERT_EQ(trace.size(), v.depth + 1) << test.name;
+        EXPECT_TRUE(trace.front().ruleName.empty()) << test.name;
+        EXPECT_TRUE(trace.front().state == test.scenario.initial)
+            << test.name;
+        const RuleSet rules(test.config, test.scenario.numDevices());
+        const Context ctx{&test.scenario};
+        for (std::size_t k = 1; k < trace.size(); ++k) {
+            const Rule *rule = rules.find(trace[k].ruleName);
+            ASSERT_NE(rule, nullptr) << test.name << " step " << k;
+            EXPECT_TRUE(rule->guard(trace[k - 1].state, ctx))
+                << test.name << " step " << k;
+            SystemState next = trace[k - 1].state;
+            (void)rule->apply(next, ctx);
+            EXPECT_TRUE(next == trace[k].state)
+                << test.name << " step " << k;
+        }
+        const InvariantSet invariants =
+            InvariantSet::full(test.config, test.scenario.numDevices());
+        EXPECT_NE(invariants.firstFailure(trace.back().state, ctx),
+                  nullptr)
+            << test.name;
+    }
+}
+
 class GuidedTables : public ::testing::Test
 {
   protected:

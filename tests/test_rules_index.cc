@@ -79,8 +79,7 @@ forEachReachable(const RuleSet &rules, const Scenario &sc, bool symmetry,
     StateStore store;
     SystemState s = sc.initial;
     canon(s);
-    std::vector<std::uint32_t> queue{
-        store.insert(s, StateStore::kNoParent, 0, 0).first};
+    std::vector<std::uint32_t> queue{store.insert(s, 0).first};
     Successors succs;
     std::vector<std::uint16_t> slept;
     for (std::size_t at = 0; at < queue.size(); ++at) {
@@ -89,8 +88,7 @@ forEachReachable(const RuleSet &rules, const Scenario &sc, bool symmetry,
         allRows(rules, s, sc, nullptr, succs, slept);
         for (RuleSet::Successor &succ : succs) {
             canon(succ.state);
-            const auto [id, fresh] =
-                store.insert(succ.state, queue[at], succ.rule->id, 0);
+            const auto [id, fresh] = store.insert(succ.state, 0);
             if (fresh && queue.size() < limit)
                 queue.push_back(id);
         }

@@ -119,9 +119,7 @@ TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
         std::vector<std::uint32_t> ids;
         for (int i = 0; i < n; ++i) {
             auto [id, fresh] = store.insert(
-                probeState(i), StateStore::kNoParent,
-                static_cast<std::uint16_t>(i & 0x3f),
-                static_cast<std::uint32_t>(i & 7));
+                probeState(i), static_cast<std::uint32_t>(i & 7));
             ASSERT_TRUE(fresh) << k.name << " i=" << i;
             ids.push_back(id);
         }
@@ -130,15 +128,14 @@ TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
         // Re-inserting every state dedups onto the original id.
         for (int i = 0; i < n; ++i) {
             auto [id, fresh] = store.insert(
-                probeState(i), StateStore::kNoParent, 0,
-                static_cast<std::uint32_t>(i & 7));
+                probeState(i), static_cast<std::uint32_t>(i & 7));
             EXPECT_FALSE(fresh) << k.name << " i=" << i;
             EXPECT_EQ(id, ids[static_cast<std::size_t>(i)])
                 << k.name << " i=" << i;
         }
         EXPECT_EQ(store.size(), static_cast<std::size_t>(n))
             << k.name;
-        // Bytes round-trip and the breadcrumbs stuck.
+        // Bytes round-trip and the depth labels stuck.
         for (int i = 0; i < n; i += 97) {
             const std::uint32_t id =
                 ids[static_cast<std::size_t>(i)];
@@ -146,13 +143,8 @@ TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
             store.stateInto(id, decoded);
             EXPECT_TRUE(decoded == probeState(i))
                 << k.name << " i=" << i;
-            EXPECT_EQ(store.ruleAt(id),
-                      static_cast<std::uint16_t>(i & 0x3f))
-                << k.name;
             EXPECT_EQ(store.depthAt(id),
                       static_cast<std::uint32_t>(i & 7))
-                << k.name;
-            EXPECT_EQ(store.parentAt(id), StateStore::kNoParent)
                 << k.name;
         }
     }
@@ -162,37 +154,29 @@ TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
 {
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
-        auto [root, fresh_root] =
-            store.insert(probeState(0), StateStore::kNoParent, 0, 0);
-        ASSERT_TRUE(fresh_root) << k.name;
-        auto [id, fresh] = store.insert(probeState(1), root, 7, 9);
+        ASSERT_TRUE(store.insert(probeState(0), 0).second) << k.name;
+        auto [id, fresh] = store.insert(probeState(1), 9);
         ASSERT_TRUE(fresh) << k.name;
         EXPECT_EQ(store.depthAt(id), 9u) << k.name;
 
-        // A duplicate at a smaller depth relabels depth, parent and
-        // rule in place and reports improved.
+        // A duplicate at a smaller depth relabels the depth in place
+        // and reports improved.
         StateStore::BatchItem item;
         item.state = probeState(1);
         item.hash = item.state.hash();
-        item.parent = root;
-        item.rule = 3;
         item.depth = 2;
         store.insertBatch(&item, 1);
         EXPECT_FALSE(item.inserted) << k.name;
         EXPECT_TRUE(item.improved) << k.name;
         EXPECT_EQ(item.id, id) << k.name;
         EXPECT_EQ(store.depthAt(id), 2u) << k.name;
-        EXPECT_EQ(store.parentAt(id), root) << k.name;
-        EXPECT_EQ(store.ruleAt(id), 3u) << k.name;
 
         // A duplicate at a larger depth changes nothing.
         item.depth = 5;
-        item.rule = 11;
         store.insertBatch(&item, 1);
         EXPECT_FALSE(item.inserted) << k.name;
         EXPECT_FALSE(item.improved) << k.name;
         EXPECT_EQ(store.depthAt(id), 2u) << k.name;
-        EXPECT_EQ(store.ruleAt(id), 3u) << k.name;
     }
 }
 
@@ -207,8 +191,7 @@ TEST(StoreBackend, EveryKindKeepsEveryCell)
         StateStore store(configOf(k));
         std::vector<std::uint32_t> ids;
         for (const SystemState &s : states) {
-            ids.push_back(
-                store.insert(s, StateStore::kNoParent, 0, 0).first);
+            ids.push_back(store.insert(s, 0).first);
         }
         store.sealLevel();
         store.sealLevel();
@@ -216,8 +199,7 @@ TEST(StoreBackend, EveryKindKeepsEveryCell)
             SystemState decoded;
             store.stateInto(ids[i], decoded);
             EXPECT_TRUE(decoded == states[i]) << k.name << " " << i;
-            auto [id, fresh] =
-                store.insert(states[i], StateStore::kNoParent, 0, 0);
+            auto [id, fresh] = store.insert(states[i], 0);
             EXPECT_FALSE(fresh) << k.name << " " << i;
             EXPECT_EQ(id, ids[i]) << k.name << " " << i;
         }
@@ -247,7 +229,7 @@ TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
         grown.growFor(n);
         for (std::uint32_t i = 0; i < n; ++i) {
             stepped.maybeGrow();
-            stepped.append(StateStore::kNoParent, 0, 0);
+            stepped.append(0);
         }
         EXPECT_EQ(grown.mask(), stepped.mask()) << n;
     }
@@ -260,8 +242,7 @@ TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
         StateStore store(configOf(k));
         std::vector<std::uint32_t> ids;
         for (const SystemState &s : states) {
-            ids.push_back(
-                store.insert(s, StateStore::kNoParent, 0, 0).first);
+            ids.push_back(store.insert(s, 0).first);
         }
         for (std::uint32_t s = 0; s < StateStore::kNumShards; ++s)
             store.growForNextLevel(s);
@@ -279,7 +260,7 @@ TEST(StoreBackend, MmapKindReportsMappedBytes)
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
         for (const SystemState &s : shardZeroStates())
-            store.insert(s, StateStore::kNoParent, 0, 0);
+            store.insert(s, 0);
         if (!storeKindMmap(k.kind)) {
             EXPECT_EQ(store.mappedBytes(), 0u) << k.name;
             EXPECT_EQ(store.backingFileBytes(), 0u) << k.name;
@@ -343,7 +324,7 @@ TEST(StoreBackend, DepthChunksAreBackedOnlyWhereWritten)
             ShardColumns cols;
             cols.init(mem.get(), 16, StateStore::kOffsetMask,
                       [](std::uint32_t, std::uint32_t, std::uint64_t *) {});
-            cols.append(StateStore::kNoParent, 0, 7);
+            cols.append(7);
             EXPECT_EQ(cols.depthCell(0).load(), 7u);
             EXPECT_EQ(residentPages(&cols.depthCell(0), kChunkBytes), 1)
                 << k.name << " shard " << shard;
@@ -359,8 +340,7 @@ TEST(StoreBackend, FlatContentsSurviveAMovingGrowth)
     const std::size_t page = testPageSize();
     const std::unique_ptr<ShardMem> mem =
         makeShardMem(StoreBackend::InRam, "");
-    auto *base = static_cast<std::uint64_t *>(
-        mem->flatGrow(ShardMem::kFlatParents, page));
+    auto *base = static_cast<std::uint64_t *>(mem->flatGrow(page));
     const std::size_t words = page / sizeof(std::uint64_t);
     for (std::size_t i = 0; i < words; ++i)
         base[i] = mix64(i);
@@ -376,8 +356,7 @@ TEST(StoreBackend, FlatContentsSurviveAMovingGrowth)
     // Here the page past the flat is either our guard or, with
     // EEXIST, some other mapping: in-place growth is blocked.
 
-    auto *grown = static_cast<std::uint64_t *>(
-        mem->flatGrow(ShardMem::kFlatParents, 4 * page));
+    auto *grown = static_cast<std::uint64_t *>(mem->flatGrow(4 * page));
     EXPECT_NE(grown, base);
     for (std::size_t i = 0; i < words; ++i)
         ASSERT_EQ(grown[i], mix64(i)) << i;
@@ -398,13 +377,12 @@ TEST(StoreBackend, StoreDirBacksShardFiles)
     {
         StateStore store(configOf(kKinds[1], 0, dir)); // mmap
         for (int i = 0; i < 5000; ++i) {
-            store.insert(probeState(i), StateStore::kNoParent, 0, 0);
+            store.insert(probeState(i), 0);
         }
         EXPECT_GT(store.mappedBytes(), 0u);
         EXPECT_GT(store.backingFileBytes(), 0u);
         SystemState decoded;
-        auto [id, fresh] =
-            store.insert(probeState(1), StateStore::kNoParent, 0, 0);
+        auto [id, fresh] = store.insert(probeState(1), 0);
         EXPECT_FALSE(fresh);
         store.stateInto(id, decoded);
         EXPECT_TRUE(decoded == probeState(1));
@@ -422,8 +400,7 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
         bool threw = false;
         try {
             for (int i = 0; i < 64; ++i) {
-                store.insert(probeState(i), StateStore::kNoParent, 0,
-                             0);
+                store.insert(probeState(i), 0);
             }
         } catch (const StoreFullError &e) {
             threw = true;
@@ -453,16 +430,15 @@ TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
             auto insertB = [&] {
                 return forge ? StateStoreTestPeer::insertForged(store, b,
                                                                 a.hash())
-                             : store.insert(b, StateStore::kNoParent, 0, 0);
+                             : store.insert(b, 0);
             };
-            auto [ia, new_a] = store.insert(a, StateStore::kNoParent, 0, 0);
+            auto [ia, new_a] = store.insert(a, 0);
             auto [ib, new_b] = insertB();
             EXPECT_TRUE(new_a) << k.name;
             EXPECT_TRUE(new_b) << k.name << ": silently merged";
             EXPECT_NE(ia, ib) << k.name;
             EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << k.name;
-            auto [ia2, dup_a] =
-                store.insert(a, StateStore::kNoParent, 0, 0);
+            auto [ia2, dup_a] = store.insert(a, 0);
             auto [ib2, dup_b] = insertB();
             EXPECT_FALSE(dup_a) << k.name;
             EXPECT_FALSE(dup_b) << k.name;
@@ -545,10 +521,8 @@ TEST(StoreBackend, TagOnlyMatchIsNotACollision)
         StoreConfig config = configOf(k);
         config.initialBuckets = 16 * StateStore::kNumShards;
         StateStore store(config);
-        const auto [id_a, new_a] =
-            store.insert(a, StateStore::kNoParent, 0, 0);
-        const auto [id_b, new_b] =
-            store.insert(b, StateStore::kNoParent, 0, 0);
+        const auto [id_a, new_a] = store.insert(a, 0);
+        const auto [id_b, new_b] = store.insert(b, 0);
         EXPECT_TRUE(new_a && new_b) << k.name << ": silently merged";
         EXPECT_NE(id_a, id_b) << k.name;
         EXPECT_EQ(store.probeCollisions(), 0u) << k.name;

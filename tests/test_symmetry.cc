@@ -34,7 +34,7 @@ enumerateFreeRun(int devices, std::size_t cap)
 
     SystemState init = sc.initial;
     init.canonicaliseTids();
-    store.insert(init, StateStore::kNoParent, 0, 0);
+    store.insert(init, 0);
     states.push_back(init);
     frontier.push_back(0);
 
@@ -42,8 +42,7 @@ enumerateFreeRun(int devices, std::size_t cap)
         const SystemState state = states[frontier.front()];
         frontier.pop_front();
         for (auto &succ : rules.successors(state, sc, true)) {
-            auto [idx, is_new] = store.insert(
-                succ.state, StateStore::kNoParent, 0, 0);
+            auto [idx, is_new] = store.insert(succ.state, 0);
             (void)idx;
             if (is_new) {
                 states.push_back(succ.state);

@@ -31,8 +31,7 @@ reachable(const RuleSet &rules, const Scenario &scenario,
     init.canonicaliseTids();
     if (predicate(init))
         return true;
-    frontier.push_back(
-        store.insert(init, StateStore::kNoParent, 0, 0).first);
+    frontier.push_back(store.insert(init, 0).first);
 
     while (!frontier.empty()) {
         std::uint32_t idx = frontier.front();
@@ -41,8 +40,7 @@ reachable(const RuleSet &rules, const Scenario &scenario,
         for (auto &succ : rules.successors(state, scenario, true)) {
             if (predicate(succ.state))
                 return true;
-            auto [sidx, is_new] =
-                store.insert(succ.state, idx, succ.rule->id, 0);
+            auto [sidx, is_new] = store.insert(succ.state, 0);
             if (is_new)
                 frontier.push_back(sidx);
         }
