@@ -146,14 +146,14 @@ void
 BM_StateStoreInsertBatched(benchmark::State &state)
 {
     // The explorer's flush path: one insertBatch call versus 256
-    // single-lock round trips.
+    // single-lock round trips.  The time includes interning each
+    // item's slices, which yields the ids the store hashes.
     std::vector<StateStore::BatchItem> items(256);
     for (int i = 0; i < 256; ++i) {
         SystemState s;
         s.counter = static_cast<std::uint8_t>(i);
         s.dev[0].pc = static_cast<std::uint8_t>(i >> 4);
         items[i].state = s;
-        items[i].hash = s.hash();
     }
     for (auto _ : state) {
         StateStore store(1024);
@@ -168,8 +168,8 @@ void
 BM_StoreGrowthRehash(benchmark::State &state)
 {
     // One bucket-array doubling over a filled store re-slots every
-    // entry, recomputing each hash from the entry's cell.  The
-    // counter is the growth's time per rehashed entry.
+    // entry, hashing the slice ids of the entry's cell.  The counter
+    // is the growth's time per rehashed entry.
     constexpr int kStates = 1 << 16;
     std::vector<SystemState> states;
     for (int i = 0; i < kStates; ++i) {
@@ -207,9 +207,10 @@ BM_StoreDuplicateProbe(benchmark::State &state)
 {
     // Re-insert every state of a filled ram store in 256-item
     // batches, as an explorer flush does: each item is a duplicate, so
-    // the time is the probe plus the identity compare of the stored
-    // cell's slices against the state's bytes.  The argument is the
-    // device count; probe_s is the time per duplicate.
+    // the time is interning its ndev slices (each one a lock-free hit)
+    // plus the probe and the compare of the stored cell's ids with
+    // them.  The argument is the device count; probe_s is the time
+    // per duplicate.
     const int ndev = static_cast<int>(state.range(0));
     constexpr std::size_t kStates = 1 << 16;
     constexpr std::size_t kBatch = 256;
@@ -220,7 +221,6 @@ BM_StoreDuplicateProbe(benchmark::State &state)
         for (int d = 0; d < ndev; ++d)
             s.dev[d].pc = static_cast<std::uint8_t>((i >> (8 + 3 * d)) & 7);
         items[i].state = s;
-        items[i].hash = s.hash();
     }
     StateStore store(kStates);
     store.insertBatch(items.data(), kStates);

@@ -107,7 +107,6 @@ main(int argc, char **argv)
     // Machine-readable rows for --json (BENCH_statespace.json).
     std::vector<std::string> json_cases;
     std::uint64_t total_states = 0, total_transitions = 0;
-    std::uint64_t total_collisions = 0;
     double total_seconds = 0.0;
     // High-water marks of the mmap backend's footprint: how many
     // file-backed bytes were mapped at once (the out-of-core working
@@ -166,7 +165,6 @@ main(int argc, char **argv)
         total_states += res.states;
         total_transitions += res.transitions;
         total_seconds += res.seconds;
-        total_collisions += res.probeCollisions;
         noteStoreBytes(res);
         bench::JsonObject row;
         row.str("name", c.name)
@@ -323,11 +321,6 @@ main(int argc, char **argv)
                     static_cast<double>(max_store_file_bytes) /
                         (1024.0 * 1024.0));
     }
-    if (total_collisions != 0) {
-        std::printf("probe-hash collisions detected and kept "
-                    "separate: %llu\n",
-                    static_cast<unsigned long long>(total_collisions));
-    }
 
     if (opts.json) {
         bench::JsonObject json;
@@ -348,7 +341,6 @@ main(int argc, char **argv)
                      ? static_cast<double>(peak_rss) /
                            static_cast<double>(total_states)
                      : 0.0)
-            .num("probe_hash_collisions", total_collisions)
             .num("mapped_file_bytes", max_mapped_bytes)
             .num("store_file_bytes", max_store_file_bytes)
             .boolean("all_ok", all_ok)

@@ -6,6 +6,8 @@
  * every interleaving through a CheckSession, and print the terminal
  * states plus a paper-style transition table for one representative
  * path — the workflow of paper Section 5.1 ("scenario verification").
+ * `--run NAME` runs one named suite test and, when it finds a
+ * violation, prints the rebuilt witness trace in the same table.
  *
  * Usage:
  *   litmus_explorer --prog1 LSE --prog2 L [--init shared|invalid|dirty]
@@ -62,6 +64,16 @@ runNamed(CheckSession &session, const std::string &name)
                             out.explore.numStates));
             if (!out.passed)
                 std::printf("%s\n", out.message.c_str());
+            if (out.explore.violation) {
+                std::printf("\nviolation: %s\n%s\n",
+                            out.explore.violation->describe().c_str(),
+                            renderTraceTable(
+                                out.explore.violation->trace,
+                                test.scenario,
+                                defaultTraceColumns(
+                                    test.scenario.numDevices()))
+                                .c_str());
+            }
             return out.passed ? 0 : 1;
         }
     }

@@ -183,12 +183,6 @@ CheckResult::renderText(bool withTrace) const
         out += line;
     }
     out += "\n";
-    if (probeCollisions != 0) {
-        std::snprintf(line, sizeof(line),
-                      "probe-hash collisions kept separate: %llu\n",
-                      static_cast<unsigned long long>(probeCollisions));
-        out += line;
-    }
 
     out += "verdict: " + verdictText() + "\n";
 
@@ -260,8 +254,7 @@ CheckResult::renderJson(bool deterministic) const
             .raw("violated_family", "null")
             .raw("violation_depth", "null");
     }
-    json.num("probe_hash_collisions", probeCollisions)
-        .num("peak_rss_bytes",
+    json.num("peak_rss_bytes",
              deterministic ? 0 : peakRssBytes())
         .num("rss_delta_bytes", deterministic ? 0 : rssDeltaBytes)
         .num("metered_peak_bytes", deterministic ? 0 : meteredPeakBytes)
@@ -444,7 +437,6 @@ CheckSession::run(const CheckRequest &request)
     out.diameter = res.maxDepth;
     out.completed = res.completed;
     out.seconds = res.seconds;
-    out.probeCollisions = res.probeCollisions;
     out.sleptTransitions = res.sleptTransitions;
     out.stopReason = res.stopReason;
     out.deepestCompleteLevel = res.deepestCompleteLevel;

@@ -218,7 +218,6 @@ ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
             ws.edges.push_back({0, slot, succ.rule->id, perm_key});
 
         StateStore::BatchItem item;
-        item.hash = succ.state.hash();
         item.state = std::move(succ.state);
         item.parent = idx;
         item.depth = depth + 1;

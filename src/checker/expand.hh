@@ -56,6 +56,9 @@ struct Candidate {
     const Conjunct *conjunct; ///< non-null only for Kind::Conjunct
     std::uint32_t idx;
     std::uint32_t depth;
+    /** state.hash(): the state's content, not its store ids, which
+     * depend on the interning order, so candidates order the same at
+     * every thread count. */
     std::uint64_t stateHash;
     // Overflow only: the violating edge itself (rule, source state),
     // so the reported trace can end with the actual overflowing rule
@@ -234,7 +237,7 @@ class ExpandKernel
                 continue;
             const StateStore::BatchItem &item = ws.batch[index];
             addCandidate(ws, {Violation::Kind::Overflow, nullptr, item.id,
-                              item.depth, item.hash, item.rule,
+                              item.depth, item.state.hash(), item.rule,
                               item.parent, parent_hash});
         }
         ws.overflows.clear();
@@ -246,7 +249,7 @@ class ExpandKernel
             if (const Conjunct *bad =
                     invariants.firstFailure(item.state, ctx)) {
                 addCandidate(ws, {Violation::Kind::Conjunct, bad, item.id,
-                                  item.depth, item.hash});
+                                  item.depth, item.state.hash()});
             }
         }
         onBatch();
@@ -394,7 +397,6 @@ class ExpandKernel
         result.sleptTransitions = std::accumulate(
             result.ruleSleptCounts.begin(), result.ruleSleptCounts.end(),
             std::uint64_t{0});
-        result.probeCollisions = store.probeCollisions();
         result.storeMappedBytes = store.mappedBytes();
         result.storeFileBytes = store.backingFileBytes();
         result.meteredPeakBytes = governor.meteredPeak();

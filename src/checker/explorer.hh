@@ -370,7 +370,7 @@ struct Violation {
  * deviceCanonical when @p symmetryReduction; the initial state is
  * canonicalised the same way.  Returns path.size() + 1 steps, the
  * first without a rule.  No stored state is read, so the trace is
- * the same from every store kind, sealed levels included.
+ * the same from every store kind.
  */
 std::vector<TraceStep> replayTrace(const RuleSet &rules,
                                    const Scenario &scenario,
@@ -387,13 +387,6 @@ struct ExploreResult {
     std::uint64_t violationCount = 0; ///< violations seen (counted mode)
     std::optional<Violation> violation;
     double seconds = 0.0;
-
-    /**
-     * Probe-hash collisions the store detected and kept separate
-     * (see StateStore::probeCollisions); each one would have been a
-     * silent state merge on probe hashes alone.
-     */
-    std::uint64_t probeCollisions = 0;
 
     /** Per-rule firing counts, indexed by rule id. */
     std::vector<std::uint64_t> ruleFireCounts;

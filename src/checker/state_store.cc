@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "support/hash.hh"
-
 namespace cxl
 {
 
@@ -27,10 +25,7 @@ StateStore::StateStore(const StoreConfig &config)
         shard.mem = makeShardMem(config.backend, config.dir);
         shard.arena.init(shard.mem.get(), kOffsetMask);
         shard.cols.init(shard.mem.get(), per_shard_buckets, kOffsetMask,
-                        [this, &shard](std::uint32_t first, std::uint32_t n,
-                                       std::uint64_t *out) {
-                            cellHashes(shard, first, n, out);
-                        });
+                        shard.arena);
     }
 }
 
@@ -46,21 +41,18 @@ StateStore::reserveStates(std::uint64_t expected)
 }
 
 std::pair<std::uint32_t, bool>
-StateStore::insert(const SystemState &state, std::uint64_t hash,
-                   std::uint32_t depth)
+StateStore::insert(const SystemState &state, std::uint32_t depth)
 {
-    assert(hash == state.hash() &&
-           "growth rehashes from the cells, so the probe hash must be "
-           "state.hash()");
+    std::uint32_t ids[kMaxDevices];
+    const std::uint64_t hash = internSlices(state, ids);
     // Route by the top bits; probe by the low bits, so the two index
     // streams stay independent.
-    const auto shard_idx =
-        static_cast<std::uint32_t>(hash >> (64 - kShardBits));
+    const std::uint32_t shard_idx = shardOfHash(hash);
     Shard &shard = shards_[shard_idx];
 
     std::lock_guard<std::mutex> lock(shard.mutex);
     const InsertOutcome out =
-        probeInsertLocked(shard_idx, shard, state, hash, depth);
+        probeInsertLocked(shard_idx, shard, ids, hash, depth);
     return {out.id, out.inserted};
 }
 
@@ -72,7 +64,8 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
 
     constexpr std::uint32_t kEnd = 0xffffffffu;
 
-    // Group by destination shard: per-shard singly-linked chains
+    // Intern every item's slices, outside any lock and in batch order,
+    // then group by destination shard: per-shard singly-linked chains
     // through the items themselves, preserving batch order so
     // in-batch duplicates resolve exactly as sequential inserts.
     std::uint32_t head[kNumShards];
@@ -80,12 +73,11 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
     for (std::uint32_t s = 0; s < kNumShards; ++s)
         head[s] = kEnd;
     for (std::size_t i = 0; i < count; ++i) {
-        assert(items[i].hash == items[i].state.hash() &&
-               "growth rehashes from the cells, so the probe hash must "
-               "be state.hash()");
-        const auto s = static_cast<std::uint32_t>(
-            items[i].hash >> (64 - kShardBits));
-        items[i].next_ = kEnd;
+        BatchItem &item = items[i];
+        const std::uint64_t hash = internSlices(item.state, item.ids_);
+        item.idHash_ = static_cast<std::uint32_t>(hash);
+        const std::uint32_t s = shardOfHash(hash);
+        item.next_ = kEnd;
         if (head[s] == kEnd)
             head[s] = static_cast<std::uint32_t>(i);
         else
@@ -106,9 +98,9 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         // those misses instead of paying them in series.
         const ShardColumns &cols = shard.cols;
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_)
-            cols.prefetchBucket(items[i].hash);
+            cols.prefetchBucket(items[i].idHash_);
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_) {
-            const std::uint64_t hash = items[i].hash;
+            const std::uint64_t hash = items[i].idHash_;
             const std::uint32_t b = cols.bucketAt(hash & cols.mask());
             if (b != 0 && ShardColumns::tagMatches(b, hash, cols.mask())) {
                 shard.arena.prefetchCell(
@@ -119,7 +111,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
              i = items[i].next_) {
             BatchItem &item = items[i];
             const InsertOutcome out = probeInsertLocked(
-                s, shard, item.state, item.hash, item.depth);
+                s, shard, item.ids_, item.idHash_, item.depth);
             item.id = out.id;
             item.inserted = out.inserted;
             item.improved = out.improved;
@@ -141,77 +133,7 @@ StateStore::insertBatchCapped(BatchItem *items, std::size_t count,
     return done;
 }
 
-bool
-StateStore::holds(const Shard &shard, std::uint32_t off,
-                  const SystemState &state) const
-{
-    // The one identity rule (see the file comment): the cell is
-    // compared slice by slice.
-    const std::uint32_t *cell = shard.arena.cellAt(off);
-    // The lead slice holds ndev, so a cell that gets past it has one
-    // id per device of the candidate.
-    if (std::memcmp(leads_.at(cell[0]), &state, kLeadBytes) != 0)
-        return false;
-    for (std::uint32_t d = 1; d < state.ndev; ++d) {
-        if (std::memcmp(devices_.at(cell[d]), &state.dev[d],
-                        sizeof(DeviceState)) != 0)
-            return false;
-    }
-    return true;
-}
-
-StateStore::Match
-StateStore::match(const Shard &shard, std::uint32_t off,
-                  const SystemState &state, std::uint64_t hash) const
-{
-    if (holds(shard, off, state))
-        return Match::Same;
-    // The tag fixed only some of the hash's bits; whether the rest
-    // agree — a true probe-hash collision — is read off the cell on
-    // this rare path.
-    return cellHash(shard, off) == hash ? Match::Collision : Match::Other;
-}
-
 std::uint64_t
-StateStore::cellHash(const Shard &shard, std::uint32_t off) const
-{
-    // hash() covers the active prefix: the lead slice, then one
-    // device slice per further device, back to back (SystemState is
-    // padding-free).
-    const std::uint32_t *cell = shard.arena.cellAt(off);
-    const std::uint32_t ndev = ndev_.load(std::memory_order_relaxed);
-    std::byte bytes[sizeof(SystemState)];
-    std::memcpy(bytes, leads_.at(cell[0]), kLeadBytes);
-    for (std::uint32_t d = 1; d < ndev; ++d) {
-        std::memcpy(bytes + kHostBytes + d * sizeof(DeviceState),
-                    devices_.at(cell[d]), sizeof(DeviceState));
-    }
-    return hashBytes(bytes, kHostBytes + ndev * sizeof(DeviceState));
-}
-
-void
-StateStore::cellHashes(const Shard &shard, std::uint32_t first,
-                       std::uint32_t n, std::uint64_t *out) const
-{
-    // Each cell's slices are random reads into the slice tables:
-    // start all of the run's before hashing any.
-    const std::uint32_t ndev = ndev_.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t *cell = shard.arena.cellAt(first + i);
-        const std::byte *lead = leads_.at(cell[0]);
-        __builtin_prefetch(lead);
-        __builtin_prefetch(lead + kLeadBytes - 1);
-        for (std::uint32_t d = 1; d < ndev; ++d) {
-            const std::byte *dev = devices_.at(cell[d]);
-            __builtin_prefetch(dev);
-            __builtin_prefetch(dev + sizeof(DeviceState) - 1);
-        }
-    }
-    for (std::uint32_t i = 0; i < n; ++i)
-        out[i] = cellHash(shard, first + i);
-}
-
-std::uint32_t
 StateStore::internSlices(const SystemState &state, std::uint32_t *ids)
 {
     const std::uint32_t ndev = state.ndev;
@@ -229,7 +151,28 @@ StateStore::internSlices(const SystemState &state, std::uint32_t *ids)
     ids[0] = leads_.intern(&state);
     for (std::uint32_t d = 1; d < ndev; ++d)
         ids[d] = devices_.intern(&state.dev[d]);
-    return ndev;
+    return hashIds(ids, ndev);
+}
+
+std::uint32_t
+StateStore::probe(const Shard &shard, const std::uint32_t *ids,
+                  std::uint64_t hash, std::uint64_t &slot) const
+{
+    // The one identity rule (see the file comment): a tag match is
+    // settled by the cell's ids alone.
+    const ShardColumns &cols = shard.cols;
+    const std::uint32_t width = ndev_.load(std::memory_order_relaxed);
+    for (slot = hash & cols.mask();; slot = (slot + 1) & cols.mask()) {
+        const std::uint32_t bucket = cols.bucketAt(slot);
+        if (bucket == 0)
+            return kAbsent;
+        if (!ShardColumns::tagMatches(bucket, hash, cols.mask()))
+            continue;
+        const std::uint32_t off =
+            ShardColumns::linkOf(bucket, cols.mask()) - 1;
+        if (std::equal(ids, ids + width, shard.arena.cellAt(off)))
+            return off;
+    }
 }
 
 void
@@ -251,57 +194,48 @@ StateStore::stateInto(std::uint32_t id, SystemState &out) const
 std::optional<std::uint32_t>
 StateStore::find(const SystemState &state) const
 {
-    const std::uint64_t hash = state.hash();
-    const auto shard_idx =
-        static_cast<std::uint32_t>(hash >> (64 - kShardBits));
-    const Shard &shard = shards_[shard_idx];
-    const ShardColumns &cols = shard.cols;
-    for (std::uint64_t slot = hash & cols.mask();;
-         slot = (slot + 1) & cols.mask()) {
-        const std::uint32_t bucket = cols.bucketAt(slot);
-        if (bucket == 0)
+    const std::uint32_t ndev = ndev_.load(std::memory_order_relaxed);
+    if (state.ndev != ndev)
+        return std::nullopt;
+    // A slice never interned is in no cell.
+    std::uint32_t ids[kMaxDevices];
+    const std::optional<std::uint32_t> lead = leads_.find(&state);
+    if (!lead)
+        return std::nullopt;
+    ids[0] = *lead;
+    for (std::uint32_t d = 1; d < ndev; ++d) {
+        const std::optional<std::uint32_t> dev =
+            devices_.find(&state.dev[d]);
+        if (!dev)
             return std::nullopt;
-        if (!ShardColumns::tagMatches(bucket, hash, cols.mask()))
-            continue;
-        const std::uint32_t off =
-            ShardColumns::linkOf(bucket, cols.mask()) - 1;
-        if (match(shard, off, state, hash) == Match::Same)
-            return (shard_idx << kOffsetBits) | off;
+        ids[d] = *dev;
     }
+    const std::uint64_t hash = hashIds(ids, ndev);
+    const std::uint32_t shard_idx = shardOfHash(hash);
+    std::uint64_t slot;
+    const std::uint32_t off = probe(shards_[shard_idx], ids, hash, slot);
+    if (off == kAbsent)
+        return std::nullopt;
+    return (shard_idx << kOffsetBits) | off;
 }
 
 StateStore::InsertOutcome
 StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
-                              const SystemState &state,
+                              const std::uint32_t *ids,
                               std::uint64_t hash, std::uint32_t depth)
 {
     ShardColumns &cols = shard.cols;
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
     cols.maybeGrow();
 
-    std::uint64_t slot = hash & cols.mask();
-    for (;; slot = (slot + 1) & cols.mask()) {
-        const std::uint32_t bucket = cols.bucketAt(slot);
-        if (bucket == 0)
-            break;
-        if (!ShardColumns::tagMatches(bucket, hash, cols.mask()))
-            continue;
-        const std::uint32_t off =
-            ShardColumns::linkOf(bucket, cols.mask()) - 1;
-        const Match m = match(shard, off, state, hash);
-        if (m == Match::Collision) {
-            // A detected collision: the states stay distinct and the
-            // probe continues.
-            cols.bumpCollisions();
-            continue;
-        }
-        if (m == Match::Other)
-            continue;
-        const std::uint32_t id = (shard_idx << kOffsetBits) | off;
+    std::uint64_t slot;
+    const std::uint32_t found = probe(shard, ids, hash, slot);
+    if (found != kAbsent) {
+        const std::uint32_t id = (shard_idx << kOffsetBits) | found;
         // Label-correcting duplicate: a shorter path to a known state
         // relabels its depth (async schedule; BFS duplicates are never
         // shallower).
-        std::atomic<std::uint32_t> &depth_cell = cols.depthCell(off);
+        std::atomic<std::uint32_t> &depth_cell = cols.depthCell(found);
         if (depth < depth_cell.load(std::memory_order_relaxed)) {
             depth_cell.store(depth, std::memory_order_relaxed);
             return {id, false, true};
@@ -323,10 +257,8 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                 "puts mmap's cells in files on disk)");
     }
 
-    std::uint32_t ids[kMaxDevices];
-    const std::uint32_t width = internSlices(state, ids);
     const std::uint32_t off = cols.append(depth);
-    shard.arena.append(off, ids, width);
+    shard.arena.append(off, ids, ndev_.load(std::memory_order_relaxed));
 
     cols.link(slot, hash, off);
     total_.fetch_add(1, std::memory_order_release);
@@ -370,15 +302,6 @@ StateStore::growForNextLevel(std::uint32_t shard_idx)
     shard.cols.growFor(std::uint64_t{count} +
                        (count - shard.levelStart));
     shard.levelStart = count;
-}
-
-std::uint64_t
-StateStore::probeCollisions() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.cols.collisions();
-    return total;
 }
 
 std::uint64_t

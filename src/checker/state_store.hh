@@ -3,18 +3,18 @@
  * Visited-state store of the explicit-state checker: the engine-facing
  * façade over three layers.
  *
- * The store is sharded for concurrency: a state's 64-bit probe hash
- * routes it (top bits) to one of kNumShards lock-striped shards, each
- * a power-of-two open-addressing table.  This façade owns the
- * probe/insert/batch algorithm, packed-id semantics and the
+ * The store is sharded for concurrency: a state's slices are
+ * interned first, outside any lock, and the hash of its slice ids
+ * (hashIds) routes it (top bits) to one of kNumShards lock-striped
+ * shards, each a power-of-two open-addressing table.  This façade
+ * owns the probe/insert/batch algorithm, packed-id semantics and the
  * per-shard locks; the data lives in two layers below it, both
  * allocated from a per-shard memory backend:
  *
  *  - ShardColumns (store_columns.hh): the one entry column — the
  *    chunked atomic depth label — plus the bucket array, whose u32
- *    buckets carry the probe hash's tag bits above the entry link.
- *    No column keeps the probe hash: shard growth rehashes each
- *    entry from its cell.
+ *    buckets carry the id hash's tag bits above the entry link.  No
+ *    column keeps the hash: shard growth rehashes each entry's cell.
  *  - StateArena (store_arena.hh): the states, as cells of ndev u32
  *    slice ids — the lead slice (the record's first 64 bytes: the
  *    host fields and device 0) and one 59-byte DeviceState slice per
@@ -28,15 +28,13 @@
  *    shard by files (anonymous memfd, or files under an explicit
  *    directory) holding the same cells.
  *
- * One identity rule, exact on every configuration: a probe match —
- * a bucket whose tag agrees with the probe hash — is compared slice
- * by slice against the candidate's bytes.  No verdict rests on a
- * hash or fingerprint match.  Only a fresh insert interns slices.  A
- * full 64-bit probe-hash match (read off the cell) with an identity
- * mismatch is a *detected* collision, counted in probeCollisions();
- * the states stay distinct.  Because growth recomputes probe hashes
- * from the cells, the probe hash a caller passes must be
- * state.hash().
+ * One identity rule, exact on every configuration: two states are
+ * the same state exactly when their slice ids are equal (COLLAPSE's
+ * rule; see store_arena.hh).  A bucket whose tag agrees with the
+ * candidate's id hash is settled by comparing its cell with the
+ * candidate's ids; no slice is read and no verdict rests on a hash.
+ * find() looks the slices up without interning them: a slice that
+ * was never interned means the state was never stored.
  *
  * The depth label is an entry's only breadcrumb: witness paths are
  * searched out with find() (witnessPath, expand.hh) and replayed
@@ -49,10 +47,11 @@
  * kNoParent.
  *
  * Thread-safety: insert() and insertBatch() may be called
- * concurrently from any number of threads.  stateInto() is safe
- * concurrently with inserts *for ids published before the current
- * expansion phase began* (the arena blocks holding them are fixed,
- * the block spine never reallocates, and slice chunks never move).
+ * concurrently from any number of threads; no lock is ever taken
+ * inside another.  stateInto() is safe concurrently with inserts
+ * *for ids published before the current expansion phase began*
+ * (the arena blocks holding them are fixed, the block spine never
+ * reallocates, and slice chunks never move).
  * The depth column is chunked atomics: depthAt() may be read
  * lock-free at any time (the work-stealing explorer's stale-task
  * check depends on this), while find() and growForNextLevel() must
@@ -69,15 +68,15 @@
  * Compatibility shims, kept only because the pinned benchmark harness
  * (bench/cxl_bench) still spells them; each goes in the next change
  * to that harness: StoreMode and StoreConfig::mode (ignored — every
- * store keeps every cell), sealLevel() (a no-op) and
- * insert(state, parent, rule, depth) (drops the parent and rule).
+ * store keeps every cell), sealLevel() (a no-op),
+ * insert(state, parent, rule, depth) (drops the parent and rule) and
+ * BatchItem::hash (the harness writes it; the store never reads it).
  */
 
 #ifndef CXL_CHECKER_STATE_STORE_HH
 #define CXL_CHECKER_STATE_STORE_HH
 
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -166,18 +165,21 @@ class StateStore
         (1u << kOffsetBits) - 1;
 
     /**
-     * One pending insert of a batched flush.  The caller fills state,
-     * hash (state.hash(), see insert()) and depth; insertBatch fills
-     * id, inserted and improved.  The store never reads parent and
-     * rule: they are the caller's record of the edge, read back after
-     * the flush (kernel overflow candidates, bench walker POR edges).
+     * One pending insert of a batched flush.  The caller fills state
+     * and depth; insertBatch fills id, inserted and improved.  The
+     * store never reads hash, parent and rule: hash is a shim (see
+     * the file comment), and parent and rule are the caller's record
+     * of the edge, read back after the flush (kernel overflow
+     * candidates, bench walker POR edges).
      */
     struct BatchItem {
+        // The order packs the struct: rule and parent fill the
+        // padding state leaves before the 8-byte hash.
         SystemState state;
-        std::uint64_t hash = 0;
-        std::uint32_t parent = kNoParent;
-        std::uint32_t depth = 0;
         std::uint16_t rule = 0;
+        std::uint32_t parent = kNoParent;
+        std::uint64_t hash = 0;
+        std::uint32_t depth = 0;
         // Filled by insertBatch:
         std::uint32_t id = 0;
         bool inserted = false;
@@ -187,7 +189,12 @@ class StateStore
 
       private:
         friend class StateStore;
-        std::uint32_t next_ = 0; ///< shard-chain scratch
+        // insertBatch scratch: the state's slice ids, the low half of
+        // their hash (all a shard's buckets read; the top bits chose
+        // the shard) and the shard chain.
+        std::uint32_t ids_[kMaxDevices] = {};
+        std::uint32_t idHash_ = 0;
+        std::uint32_t next_ = 0;
     };
 
     explicit StateStore(const StoreConfig &config);
@@ -213,19 +220,16 @@ class StateStore
     void reserveStates(std::uint64_t expected);
 
     /**
-     * Insert a state if new (probe hash computed internally).  Every
-     * state of one store has the same ndev: the first insert fixes
-     * it, and a state of another device count is a logic error.
+     * Insert a state if new.  Every state of one store has the same
+     * ndev: the first insert fixes it, and a state of another device
+     * count is a logic error.
      *
      * @throws std::logic_error on a state of another device count.
      * @return (packed id, inserted): id of the canonical entry for the
      *         state, and whether this call created it.
      */
-    std::pair<std::uint32_t, bool>
-    insert(const SystemState &state, std::uint32_t depth)
-    {
-        return insert(state, state.hash(), depth);
-    }
+    std::pair<std::uint32_t, bool> insert(const SystemState &state,
+                                          std::uint32_t depth);
 
     /** A compatibility shim (see the file comment): insert(state,
      * depth), the parent and rule dropped. */
@@ -237,21 +241,11 @@ class StateStore
     }
 
     /**
-     * Insert with a precomputed probe hash.  Parallel workers hash
-     * outside the shard lock and pass the value here so the lock only
-     * covers the probe/append.  @p hash must be state.hash()
-     * (debug-asserted): the store recomputes it from the cell when a
-     * shard grows.
-     */
-    std::pair<std::uint32_t, bool>
-    insert(const SystemState &state, std::uint64_t hash,
-           std::uint32_t depth);
-
-    /**
      * Batched insert: deduplicate/insert every item, taking each
      * destination shard's lock once per batch instead of once per
-     * item.  Items are grouped by shard (counting sort on the hash's
-     * top bits) and processed in batch order within a shard, so
+     * item.  Every item's slices are interned first, in batch order;
+     * items are then grouped by shard (chained on their id hash's top
+     * bits) and processed in batch order within a shard, so
      * duplicate items inside one batch resolve exactly as sequential
      * inserts would.  Results are returned through item.id /
      * item.inserted.
@@ -292,7 +286,7 @@ class StateStore
     void stateInto(std::uint32_t id, SystemState &out) const;
 
     /** The id of @p state's entry, if stored (same identity as
-     * insert); quiescent use only. */
+     * insert); interns nothing.  Quiescent use only. */
     std::optional<std::uint32_t> find(const SystemState &state) const;
 
     /**
@@ -349,15 +343,6 @@ class StateStore
     /** Total size of the shards' backing files (0 on InRam). */
     std::uint64_t backingFileBytes() const;
 
-    /**
-     * Probe-hash collisions observed so far: inserts whose 64-bit
-     * probe hash matched an existing entry whose cell holds a
-     * different state.  Each one is a state pair that probe-hash-only
-     * compaction would have merged silently.  A bucket-tag match
-     * alone does not count.  Quiescent use only.
-     */
-    std::uint64_t probeCollisions() const;
-
     /** Shard a packed id belongs to. */
     static constexpr std::uint32_t
     shardOf(std::uint32_t id)
@@ -366,7 +351,7 @@ class StateStore
     }
 
   private:
-    /** Tests forge probe hashes through it (probeInsertLocked). */
+    /** Tests forge id hashes through it (probeInsertLocked). */
     friend struct StateStoreTestPeer;
 
     struct alignas(64) Shard {
@@ -391,40 +376,33 @@ class StateStore
     /** Bytes of a state's lead slice: the host fields and dev[0]. */
     static constexpr std::size_t kLeadBytes =
         kHostBytes + sizeof(DeviceState);
+    /** probe()'s result when the cell is not in the shard. */
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
 
-    /** What a tag-matched entry is to the candidate: another state,
-     * the same one, or another state of the same 64-bit probe hash. */
-    enum class Match { Other, Same, Collision };
-
-    /** Compare entry @p off of @p shard, whose bucket tag agrees with
-     * @p hash, with @p state. */
-    Match match(const Shard &shard, std::uint32_t off,
-                const SystemState &state, std::uint64_t hash) const;
-
-    /** Whether entry @p off of @p shard holds @p state: the identity
-     * rule (see the file comment). */
-    bool holds(const Shard &shard, std::uint32_t off,
-               const SystemState &state) const;
-
-    /** The probe hash of entry @p off's cell: hash() of the active
-     * bytes rebuilt from its slices. */
-    std::uint64_t cellHash(const Shard &shard, std::uint32_t off) const;
-
-    /** cellHash of entries [@p first, @p first + @p n) into @p out,
-     * their slices' loads overlapped (growth's EntryHashes). */
-    void cellHashes(const Shard &shard, std::uint32_t first,
-                    std::uint32_t n, std::uint64_t *out) const;
+    /** The shard an id hash routes to (its top bits). */
+    static constexpr std::uint32_t
+    shardOfHash(std::uint64_t hash)
+    {
+        return static_cast<std::uint32_t>(hash >> (64 - kShardBits));
+    }
 
     /** Intern @p state's slices into @p ids (room for kMaxDevices)
-     * and return the cell width (ndev), fixing the store's device
-     * count on first use.
+     * and return hashIds of them, fixing the store's device count on
+     * first use.
      * @throws std::logic_error on a state of another device count. */
-    std::uint32_t internSlices(const SystemState &state,
+    std::uint64_t internSlices(const SystemState &state,
                                std::uint32_t *ids);
+
+    /** The offset of @p shard's entry whose cell is @p ids (of id
+     * hash @p hash, of which only the low 32 bits are read), else
+     * kAbsent with @p slot at the empty bucket where it belongs.
+     * Under the shard lock, or quiescent. */
+    std::uint32_t probe(const Shard &shard, const std::uint32_t *ids,
+                        std::uint64_t hash, std::uint64_t &slot) const;
 
     InsertOutcome
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
-                      const SystemState &state, std::uint64_t hash,
+                      const std::uint32_t *ids, std::uint64_t hash,
                       std::uint32_t depth);
 
     Shard shards_[kNumShards];

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "support/hash.hh"
-
 namespace cxl
 {
 
@@ -68,50 +66,64 @@ sameBytes(const std::byte *a, const std::byte *b, std::size_t n)
 
 } // namespace
 
-SliceTable::Probe
-SliceTable::probe(const Index &ix, std::uint32_t tag,
-                  std::uint32_t stripe_tag, const void *bytes) const
+SliceTable::Key
+SliceTable::keyOf(const void *bytes) const
 {
-    for (std::size_t slot = tag & ix.mask;; slot = (slot + 1) & ix.mask) {
+    // The top bits pick the stripe; the tag (the high half) picks the
+    // slot, so the two stay independent.
+    const std::uint64_t h =
+        sliceHash(static_cast<const std::byte *>(bytes), width_);
+    return {static_cast<std::uint32_t>(h >> (64 - kStripeBits)),
+            static_cast<std::uint32_t>(h >> 32)};
+}
+
+SliceTable::Probe
+SliceTable::probe(const Index &ix, Key key, const void *bytes) const
+{
+    const std::uint32_t stripe_tag = key.stripe << kLocalBits;
+    for (std::size_t slot = key.tag & ix.mask;;
+         slot = (slot + 1) & ix.mask) {
         const std::uint64_t v =
             ix.slots[slot].load(std::memory_order_acquire);
         if (v == 0)
             return {false, 0, slot};
         const std::uint32_t id =
             stripe_tag | (static_cast<std::uint32_t>(v) - 1);
-        if (v >> 32 == tag &&
+        if (v >> 32 == key.tag &&
             sameBytes(at(id), static_cast<const std::byte *>(bytes),
                       width_))
             return {true, id, slot};
     }
 }
 
+std::optional<std::uint32_t>
+SliceTable::find(const void *bytes) const
+{
+    const Key key = keyOf(bytes);
+    const Index *ix =
+        stripes_[key.stripe].index.load(std::memory_order_acquire);
+    if (ix == nullptr)
+        return std::nullopt;
+    const Probe p = probe(*ix, key, bytes);
+    return p.found ? std::optional<std::uint32_t>(p.id) : std::nullopt;
+}
+
 std::uint32_t
 SliceTable::intern(const void *bytes)
 {
-    // The top bits pick the stripe; the tag (the high half) picks the
-    // slot, so the two stay independent.
-    const std::uint64_t h =
-        sliceHash(static_cast<const std::byte *>(bytes), width_);
-    const auto stripe_idx =
-        static_cast<std::uint32_t>(h >> (64 - kStripeBits));
-    const auto tag = static_cast<std::uint32_t>(h >> 32);
-    const std::uint32_t stripe_tag = stripe_idx << kLocalBits;
-    Stripe &s = stripes_[stripe_idx];
-
     // A slice seen before is found without the lock.
-    if (const Index *ix = s.index.load(std::memory_order_acquire)) {
-        if (const Probe p = probe(*ix, tag, stripe_tag, bytes); p.found)
-            return p.id;
-    }
+    if (const std::optional<std::uint32_t> id = find(bytes))
+        return *id;
 
+    const Key key = keyOf(bytes);
+    Stripe &s = stripes_[key.stripe];
     std::lock_guard<std::mutex> lock(s.mutex);
     // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
     if (s.indexes.empty() ||
         4 * (std::size_t{s.count} + 1) > 3 * (s.indexes.back()->mask + 1))
         grow(s);
     const Index &ix = *s.indexes.back();
-    const Probe p = probe(ix, tag, stripe_tag, bytes);
+    const Probe p = probe(ix, key, bytes);
     if (p.found)
         return p.id;
 
@@ -119,7 +131,7 @@ SliceTable::intern(const void *bytes)
     // to 0xffffffff, and callers may offset ids by one.
     if (s.count == kLocalMask) {
         throw std::length_error("SliceTable stripe " +
-                                std::to_string(stripe_idx) +
+                                std::to_string(key.stripe) +
                                 " full (2^28 distinct slices)");
     }
     const std::uint32_t local = s.count++;
@@ -131,9 +143,9 @@ SliceTable::intern(const void *bytes)
     }
     std::memcpy(s.chunks[k].get() + std::size_t{i} * width_, bytes,
                 width_);
-    ix.slots[p.slot].store(std::uint64_t{tag} << 32 | (local + 1),
+    ix.slots[p.slot].store(std::uint64_t{key.tag} << 32 | (local + 1),
                            std::memory_order_release);
-    return stripe_tag | local;
+    return key.stripe << kLocalBits | local;
 }
 
 void

@@ -26,9 +26,11 @@
  * stride in index-addressed blocks allocated from the shard's
  * ShardMem backend (store_mem.hh): entry `off` is cell `off` — no
  * offset column.  Equal ids mean equal slices, and the lead slice
- * holds ndev, so dedup compares a stored cell's slices against the
- * candidate's bytes (lead first) without interning anything; only a
- * fresh insert interns.
+ * holds ndev, so two states are the same state exactly when their id
+ * tuples are equal (COLLAPSE's rule): the store interns a candidate's
+ * slices first and then compares ids alone, never slice bytes, and
+ * hashIds() of the tuple is the store's one hash — of a candidate
+ * when it probes, of a cell when its shard grows.
  *
  * The slice tables live on the heap under every backend, `--store
  * mmap` included: they grow with the number of distinct slices, not
@@ -39,18 +41,11 @@
  * before their expansion phase began, the same contract the
  * monolithic store had.
  *
- * Every cell stays for the store's lifetime, which is what makes the
- * façade's one identity rule exact: a candidate is compared slice by
- * slice against the cell cellAt() returns, never by a hash.  The
- * cells are also where the store's probe hashes come from when a
- * shard grows: it keeps no hash column and rehashes each entry from
- * its cell's slices.
- *
  * Thread-safety: append runs under the shard lock or quiescent;
  * cell reads on frontier entries follow the façade's lock-free
  * reader contract.  SliceTable::intern may be called from any
- * thread; the façade calls it under a shard lock, so the lock order
- * is always shard, then stripe.
+ * thread, and the façade calls it outside any shard lock, so no
+ * store lock is ever taken inside another.
  */
 
 #ifndef CXL_CHECKER_STORE_ARENA_HH
@@ -61,15 +56,38 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "checker/store_mem.hh"
 #include "protocol/state.hh"
+#include "support/hash.hh"
 
 namespace cxl
 {
+
+/**
+ * The hash of a cell's @p width slice ids (1 <= width <= kMaxDevices):
+ * the store's shard, home slot and bucket tag all come from it.
+ */
+inline std::uint64_t
+hashIds(const std::uint32_t *ids, std::uint32_t width)
+{
+    // Branches, not a variable-length copy: the width is one per
+    // store, so they predict perfectly and nothing calls memcpy.
+    std::uint64_t lo = ids[0];
+    std::uint64_t hi = 0;
+    if (width > 1)
+        lo |= std::uint64_t{ids[1]} << 32;
+    if (width > 2)
+        hi = ids[2];
+    if (width > 3)
+        hi |= std::uint64_t{ids[3]} << 32;
+    return mix64(mum(lo ^ 0xa0761d6478bd642full,
+                     hi ^ 0xe7037ed1a0b428dbull));
+}
 
 /**
  * A hash-consing table of fixed-width byte slices: intern() gives
@@ -85,7 +103,7 @@ namespace cxl
  * intern: a lock both took, a barrier, or the index's release store.
  *
  * A run interns a few thousand distinct slices millions of times, so
- * intern() first probes the stripe's index without the lock: index
+ * intern() first find()s the slice, without the lock: index
  * slots are atomics stored (release) only after their slice's bytes,
  * and a grown index is a new array published the same way, the old
  * one kept until the table dies.  Only a miss takes the stripe lock,
@@ -108,6 +126,11 @@ class SliceTable
      * (2^28 distinct slices).
      */
     std::uint32_t intern(const void *bytes);
+
+    /** The id of the slice at @p bytes if it was interned, else
+     * nullopt: a probe of the published index, without the lock (a
+     * slice interned concurrently may be missed). */
+    std::optional<std::uint32_t> find(const void *bytes) const;
 
     /** The bytes of a published slice id; lock-free. */
     const std::byte *
@@ -165,10 +188,19 @@ class SliceTable
         std::size_t slot;
     };
 
-    /** Probe @p ix for the slice at @p bytes of hash tag @p tag in
-     * the stripe whose ids carry @p stripe_tag; lock-free. */
-    Probe probe(const Index &ix, std::uint32_t tag,
-                std::uint32_t stripe_tag, const void *bytes) const;
+    /** Where a slice belongs: its stripe and its hash tag (the
+     * hash's high half). */
+    struct Key {
+        std::uint32_t stripe;
+        std::uint32_t tag;
+    };
+
+    /** The Key of the slice at @p bytes. */
+    Key keyOf(const void *bytes) const;
+
+    /** Probe @p ix for the slice at @p bytes of key @p key;
+     * lock-free. */
+    Probe probe(const Index &ix, Key key, const void *bytes) const;
 
     /** (chunk, index in the chunk) of local index @p local: with
      * F = 2^kFirstChunkBits, chunk k holds F << k slices, from local
@@ -213,6 +245,10 @@ class StateArena
         return blocks_[off >> kBlockBits] +
                std::size_t{off & (kBlockCells - 1)} * width_;
     }
+
+    /** Ids per cell: the store's device count (0 before the first
+     * append). */
+    std::uint32_t width() const { return width_; }
 
     /** Start loading entry @p off's cell. */
     void prefetchCell(std::uint32_t off) const

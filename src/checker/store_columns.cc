@@ -1,9 +1,7 @@
 #include "checker/store_columns.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <new>
-#include <utility>
 
 namespace cxl
 {
@@ -24,10 +22,10 @@ pow2AtLeast(std::size_t n)
 
 void
 ShardColumns::init(ShardMem *mem, std::size_t initial_buckets,
-                   std::uint32_t max_entries, EntryHashes entry_hashes)
+                   std::uint32_t max_entries, const StateArena &cells)
 {
     mem_ = mem;
-    entryHashes_ = std::move(entry_hashes);
+    cells_ = &cells;
     depths_.reserve((max_entries >> kDepthChunkBits) + 1);
     sizeBuckets(pow2AtLeast(initial_buckets));
 }
@@ -39,19 +37,14 @@ ShardColumns::sizeBuckets(std::size_t cap)
         mem_->flatGrow(cap * sizeof(std::uint32_t)));
     std::memset(buckets_, 0, cap * sizeof(std::uint32_t));
     mask_ = cap - 1;
-    // No column keeps the probe hashes: each is recomputed from its
-    // entry's cell, a run of entries at a time.
-    constexpr std::uint32_t kRun = 64;
-    std::uint64_t hashes[kRun];
-    for (std::uint32_t first = 0; first < count_; first += kRun) {
-        const std::uint32_t n = std::min(kRun, count_ - first);
-        entryHashes_(first, n, hashes);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            std::uint64_t slot = hashes[i] & mask_;
-            while (buckets_[slot] != 0)
-                slot = (slot + 1) & mask_;
-            link(slot, hashes[i], first + i);
-        }
+    // No column keeps the hashes: each is recomputed from its cell.
+    const std::uint32_t width = cells_->width();
+    for (std::uint32_t off = 0; off < count_; ++off) {
+        const std::uint64_t hash = hashIds(cells_->cellAt(off), width);
+        std::uint64_t slot = hash & mask_;
+        while (buckets_[slot] != 0)
+            slot = (slot + 1) & mask_;
+        link(slot, hash, off);
     }
 }
 

@@ -11,13 +11,13 @@
  * façade; this layer only owns the memory layout:
  *
  *  - a bucket is one u32, `tag | link`: link = entry offset + 1 in the
- *    low log2(capacity) bits (0 = empty), tag = the entry's probe-hash
- *    bits [log2(capacity), 32) above it — the hash bits the home slot
- *    does not already name (Cleary's compact hash tables).  A probe
- *    rejects most mismatches on the tag before it reads any cell.
- *    Growth at 3/4 load keeps every link <= mask, and the per-shard
- *    limit of 2^28 - 1 entries needs a capacity of at most 2^29, so
- *    at least 3 tag bits remain;
+ *    low log2(capacity) bits (0 = empty), tag = the bits [log2(capacity),
+ *    32) of the entry's hash — hashIds() of its cell (store_arena.hh) —
+ *    above it: the hash bits the home slot does not already name
+ *    (Cleary's compact hash tables).  A probe rejects most mismatches
+ *    on the tag before it reads any cell.  Growth at 3/4 load keeps
+ *    every link <= mask, and the per-shard limit of 2^28 - 1 entries
+ *    needs a capacity of at most 2^29, so at least 3 tag bits remain;
  *  - the bucket array is a backend flat — it may move when grown, so
  *    it is touched only under the shard lock (or quiescent), matching
  *    the façade's published thread-safety contract;
@@ -29,12 +29,12 @@
  *    by append(), so a chunk's untouched pages stay unbacked: a shard
  *    with one entry holds one resident page of depths, not 256 KB.
  *
- * Growth doubles the bucket capacity and re-slots every entry by its
- * probe hash, which no column keeps: the store keeps every cell, so
- * growth asks the façade's EntryHashes to recompute the entries'
- * hashes from their cells, a run at a time.  growFor() does the same
- * ahead of need, at a BFS level barrier, so the re-slotting need not
- * happen mid-level under the shard lock.
+ * Growth doubles the bucket capacity and re-slots every entry by the
+ * hash of its cell, which it reads from the shard's StateArena: the
+ * cells lie in entry order, so growth is one sequential pass with no
+ * slice read.  growFor() does the same ahead of need, at a BFS level
+ * barrier, so the re-slotting need not happen mid-level under the
+ * shard lock.
  */
 
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
@@ -44,9 +44,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "checker/store_arena.hh"
 #include "checker/store_mem.hh"
 
 namespace cxl
@@ -61,22 +61,16 @@ class ShardColumns
     static constexpr std::uint32_t kDepthChunkSize =
         1u << kDepthChunkBits;
 
-    /** The probe hashes of entries [@p first, @p first + @p n) into
-     * @p out, recomputed from their cells: how growth re-slots
-     * entries.  A run at a time, so the cells' loads can overlap. */
-    using EntryHashes = std::function<void(
-        std::uint32_t first, std::uint32_t n, std::uint64_t *out)>;
-
     /**
-     * Bind to a backend and size the initial bucket array;
-     * @p entry_hashes serves growth.  @p max_entries bounds the
-     * depth-chunk spine reservation.
+     * Bind to a backend and size the initial bucket array; growth
+     * reads entry hashes off @p cells, the shard's arena.
+     * @p max_entries bounds the depth-chunk spine reservation.
      */
     void init(ShardMem *mem, std::size_t initial_buckets,
-              std::uint32_t max_entries, EntryHashes entry_hashes);
+              std::uint32_t max_entries, const StateArena &cells);
 
-    /** The bucket linking entry @p off of probe hash @p hash in a
-     * table of mask @p mask (see the file comment). */
+    /** The bucket linking entry @p off of hash @p hash in a table of
+     * mask @p mask (see the file comment). */
     static constexpr std::uint32_t
     bucketFor(std::uint64_t hash, std::uint32_t off, std::uint64_t mask)
     {
@@ -88,7 +82,7 @@ class ShardColumns
     {
         return static_cast<std::uint32_t>(bucket & mask);
     }
-    /** Whether @p bucket's tag agrees with probe hash @p hash. */
+    /** Whether @p bucket's tag agrees with hash @p hash. */
     static constexpr bool
     tagMatches(std::uint32_t bucket, std::uint64_t hash,
                std::uint64_t mask)
@@ -103,7 +97,7 @@ class ShardColumns
     {
         return buckets_[slot];
     }
-    /** Link entry @p off (probe hash @p hash) from empty @p slot. */
+    /** Link entry @p off (hash @p hash) from empty @p slot. */
     void link(std::uint64_t slot, std::uint64_t hash, std::uint32_t off)
     {
         assert(off < mask_ && "growth at 3/4 load keeps links <= mask");
@@ -123,10 +117,6 @@ class ShardColumns
         return depths_[off >> kDepthChunkBits]
                       [off & (kDepthChunkSize - 1)];
     }
-
-    /** Detected probe-hash collision counter (façade-maintained). */
-    void bumpCollisions() { ++collisions_; }
-    std::uint64_t collisions() const { return collisions_; }
 
     /** Grow buckets at 3/4 load so the next append keeps probes
      * short; call before probing. */
@@ -158,14 +148,13 @@ class ShardColumns
     void sizeBuckets(std::size_t cap);
 
     ShardMem *mem_ = nullptr;
-    EntryHashes entryHashes_;
+    const StateArena *cells_ = nullptr;
     std::uint32_t *buckets_ = nullptr;
     /** Depth-chunk spine; fully reserved, so push_back never moves
      * the chunk pointers lock-free readers are walking. */
     std::vector<std::atomic<std::uint32_t> *> depths_;
     std::uint64_t mask_ = 0;
     std::uint32_t count_ = 0;
-    std::uint64_t collisions_ = 0;
 };
 
 } // namespace cxl

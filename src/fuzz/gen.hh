@@ -1,9 +1,10 @@
 /**
  * @file
- * The scenario generator (ROADMAP item 4): seeded, deterministic
- * sampling of the config-bit x invariant-family-restriction x
- * device-count x inline-litmus space, plus mutation-based resampling
- * around interesting corpus entries.
+ * The scenario generator: seeded, deterministic sampling of the
+ * config-bit x invariant-family-restriction x device-count x
+ * inline-litmus space, plus mutation-based resampling around
+ * interesting corpus entries, so the differential oracle sees cases
+ * no hand-written scenario covers.
  *
  * Determinism is load-bearing: the same seed and budget must emit the
  * same case sequence on every platform (the fixed-seed CI smoke job

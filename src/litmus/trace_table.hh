@@ -4,7 +4,7 @@
  * paper's Tables 1-3: one row per rule firing, one column per selected
  * state component.  Columns exist for every device slot up to
  * kMaxDevices, so 3- and 4-device counterexamples render with one
- * column group per active device (ROADMAP item 1).
+ * column group per active device, as 2-device ones do.
  */
 
 #ifndef CXL_LITMUS_TRACE_TABLE_HH

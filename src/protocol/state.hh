@@ -138,10 +138,10 @@ struct SystemState {
     }
 
     /**
-     * 64-bit probe hash of the canonical byte encoding (active prefix
-     * only).  Inline: the explorer hashes every generated successor,
-     * and the sharded state store routes on the top bits and probes on
-     * the low bits of this value.
+     * 64-bit hash of the canonical byte encoding (active prefix only):
+     * a function of the state's content alone, which orders violation
+     * candidates the same at every thread count.  The state store
+     * does not use it (it hashes interned slice ids).
      */
     std::uint64_t
     hash() const

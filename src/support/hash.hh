@@ -1,20 +1,19 @@
 /**
  * @file
- * Hashing primitives for the state store.
+ * Hashing primitives of the checker.
  *
- * hashBytes() is the *probe* hash of an encoded state.  The sharded
- * state store routes on its top bits, open-addresses on its low bits
- * and keeps bits up to 31 as a tag in each bucket; it keeps no hash
- * per entry, so shard growth recomputes each one from the stored
- * state.  The store decides identity by comparing state bytes, never
- * by a hash.
+ * hashBytes() is the content hash of an encoded state
+ * (SystemState::hash): it orders violation candidates by what the
+ * state holds, so a verdict does not depend on the thread count, and
+ * it names fuzz cases and seeds.  The state store does not use it:
+ * it hashes a state's interned slice ids (hashIds, store_arena.hh)
+ * and decides identity by comparing those ids, never by a hash.
  *
  * It walks the input in 8-byte chunks folded through a 64x64->128
  * multiply (the wyhash/mum construction), which hashes the ~240-byte
  * state record roughly an order of magnitude faster than the original
- * byte-at-a-time FNV-1a while mixing well enough for open-addressing
- * probe sequences.  FNV-1a is kept for callers that need a seeded
- * streaming hash.
+ * byte-at-a-time FNV-1a while mixing well.  FNV-1a is kept for
+ * callers that need a seeded streaming hash.
  */
 
 #ifndef CXL_SUPPORT_HASH_HH
@@ -90,11 +89,8 @@ chunkHash(const void *data, std::size_t len, std::uint64_t seed,
 
 } // namespace detail
 
-/**
- * Probe hash: a well-mixed 64-bit value over a byte range.  The state
- * store routes shards on the top bits and probes buckets on the low
- * bits of this value.
- */
+/** A well-mixed 64-bit value over a byte range (see the file
+ * comment). */
 inline std::uint64_t
 hashBytes(const void *data, std::size_t len)
 {

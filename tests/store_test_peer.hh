@@ -1,14 +1,15 @@
 /**
  * @file
- * Test access to StateStore's probe under a forged probe hash.
+ * Test access to StateStore's id hash and to its probe under a forged
+ * one.
  *
- * The public insert() asserts that the probe hash it is given is
- * state.hash(), because the store recomputes hashes from its cells
- * when a shard grows.  A test that forces a detected collision — two
- * distinct states on one 64-bit probe hash — passes another entry's
- * real hash through the private probe instead.  The forged entry is
- * linked under that hash only until its shard next grows, so such
- * tests keep their stores small.
+ * The store hashes a state's slice ids, which it assigns as it
+ * interns the slices, so a test that wants states of a chosen shard or
+ * bucket asks the store for their id hash (idHash, which interns
+ * them).  A test that forces two distinct states onto one id hash
+ * passes another entry's hash through the private probe instead
+ * (insertForged).  The forged entry is linked under that hash only
+ * until its shard next grows, so such tests keep their stores small.
  */
 
 #ifndef CXL_TESTS_STORE_TEST_PEER_HH
@@ -24,17 +25,34 @@ namespace cxl
 {
 
 struct StateStoreTestPeer {
-    /** insert() of @p state at depth 0, probing under @p hash. */
+    /** The id hash @p store probes @p state by, its slices interned. */
+    static std::uint64_t
+    idHash(StateStore &store, const SystemState &state)
+    {
+        std::uint32_t ids[kMaxDevices];
+        return store.internSlices(state, ids);
+    }
+
+    /** The shard @p store routes @p state to (see idHash). */
+    static std::uint32_t
+    shardOf(StateStore &store, const SystemState &state)
+    {
+        return StateStore::shardOfHash(idHash(store, state));
+    }
+
+    /** insert() of @p state at depth 0, probing under id hash
+     * @p hash. */
     static std::pair<std::uint32_t, bool>
     insertForged(StateStore &store, const SystemState &state,
                  std::uint64_t hash)
     {
-        const auto shard_idx = static_cast<std::uint32_t>(
-            hash >> (64 - StateStore::kShardBits));
+        std::uint32_t ids[kMaxDevices];
+        store.internSlices(state, ids);
+        const std::uint32_t shard_idx = StateStore::shardOfHash(hash);
         StateStore::Shard &shard = store.shards_[shard_idx];
         std::lock_guard<std::mutex> lock(shard.mutex);
         const StateStore::InsertOutcome out =
-            store.probeInsertLocked(shard_idx, shard, state, hash, 0);
+            store.probeInsertLocked(shard_idx, shard, ids, hash, 0);
         return {out.id, out.inserted};
     }
 };

@@ -212,7 +212,7 @@ TEST(CheckResult, JsonSchemaKeysArePresentInOrder)
         "\"diameter\"", "\"completed\"", "\"seconds\"",
         "\"states_per_sec\"", "\"verdict\"", "\"violation_kind\"",
         "\"violated_conjunct\"", "\"violated_family\"",
-        "\"violation_depth\"", "\"probe_hash_collisions\"",
+        "\"violation_depth\"",
         "\"peak_rss_bytes\"", "\"rss_delta_bytes\"",
         "\"metered_peak_bytes\"", "\"mapped_file_bytes\"",
         "\"store_file_bytes\"",

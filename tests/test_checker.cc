@@ -14,6 +14,7 @@
 #include "checker/expand.hh"
 #include "checker/explorer.hh"
 #include "checker/state_store.hh"
+#include "store_test_peer.hh"
 
 namespace cxl
 {
@@ -57,7 +58,7 @@ TEST(StateStore, DepthWiderThanSixteenBits)
 
 TEST(StateStore, PackedIdsRoundTripAcrossShards)
 {
-    // Ids are (shard, offset) pairs; whatever shard the probe hash
+    // Ids are (shard, offset) pairs; whatever shard the id hash
     // routes to, entry(id) must return the inserted state and no id
     // may collide with the kNoParent sentinel.
     StateStore store;
@@ -78,7 +79,7 @@ TEST(StateStore, PackedIdsRoundTripAcrossShards)
             multiple_shards = true;
     }
     EXPECT_TRUE(multiple_shards)
-        << "64 distinct probe hashes should spread across shards";
+        << "64 distinct states should spread across shards";
     EXPECT_EQ(store.size(), 64u);
 }
 
@@ -93,15 +94,15 @@ growthState(int i)
     return s;
 }
 
-/** The first @p n growthStates whose real probe hash has a zero top
- * nibble, so all of them route to shard 0 without a forged hash. */
+/** The first @p n growthStates that @p store routes to shard 0 by
+ * their slice ids (interned into @p store as it scans). */
 std::vector<SystemState>
-shardZeroStates(int n)
+shardZeroStates(StateStore &store, int n)
 {
     std::vector<SystemState> states;
     for (int i = 0; static_cast<int>(states.size()) < n; ++i) {
         const SystemState s = growthState(i);
-        if (s.hash() >> 60 == 0)
+        if (StateStoreTestPeer::shardOf(store, s) == 0)
             states.push_back(s);
     }
     return states;
@@ -110,38 +111,36 @@ shardZeroStates(int n)
 TEST(StateStore, GrowShardRehashesAcrossManyDoublings)
 {
     // Regression for the resize path: force every insert onto one
-    // shard (top nibble zero) and push it through many bucket-array
-    // doublings.  After the rehashes every entry must still be found
-    // by a duplicate probe, whose slot moved each time.  The store
-    // recomputes hashes from its cells, so it takes states whose real
-    // hash routes them to shard 0.
+    // shard and push it through many bucket-array doublings.  After
+    // the rehashes every entry must still be found by a duplicate
+    // probe, whose slot moved each time.  The store hashes slice ids,
+    // so it takes states whose ids route them to shard 0.
     const int n = 50000; // 16 -> 65536+ buckets on the one shard
-    const std::vector<SystemState> states = shardZeroStates(n);
     StateStore store(16);
+    const std::vector<SystemState> states = shardZeroStates(store, n);
     for (int i = 0; i < n; ++i) {
-        auto [idx, is_new] = store.insert(states[i], states[i].hash(), 0);
+        auto [idx, is_new] = store.insert(states[i], 0);
         ASSERT_TRUE(is_new) << i;
         ASSERT_EQ(StateStore::shardOf(idx), 0u) << i;
     }
     EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
     for (int i = 0; i < n; i += 97) {
-        auto [idx, is_new] = store.insert(states[i], states[i].hash(), 0);
+        auto [idx, is_new] = store.insert(states[i], 0);
         (void)idx;
         EXPECT_FALSE(is_new) << "entry " << i << " lost in a rehash";
     }
     EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
-    EXPECT_EQ(store.probeCollisions(), 0u);
 }
 
 TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
 {
-    // The full store keeps no probe-hash column: every growth
-    // recomputes each entry's hash from its cell.  One shard from 16
-    // buckets to 2^17 is 13 doublings; afterwards every entry is
-    // found by find() and by a duplicate insert, at its own id.
+    // The store keeps no hash column: every growth rehashes each
+    // entry's cell of slice ids.  One shard from 16 buckets to 2^17
+    // is 13 doublings; afterwards every entry is found by find() and
+    // by a duplicate insert, at its own id.
     const int n = 50000;
-    const std::vector<SystemState> states = shardZeroStates(n);
     StateStore store(16 * StateStore::kNumShards);
+    const std::vector<SystemState> states = shardZeroStates(store, n);
     std::vector<std::uint32_t> ids;
     for (const SystemState &s : states) {
         auto [id, fresh] = store.insert(s, 0);
@@ -159,21 +158,6 @@ TEST(StateStore, FullStoreRehashesFromCellsThroughManyDoublings)
     }
     EXPECT_FALSE(store.find(growthState(1 << 23)).has_value());
     EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
-    EXPECT_EQ(store.probeCollisions(), 0u);
-}
-
-TEST(StateStoreDeathTest, FullStoreRejectsAForgedProbeHash)
-{
-    // A store that keeps every cell rehashes from the cells, so a
-    // probe hash other than state.hash() would strand the entry at
-    // the next growth: debug builds assert on it.
-    const SystemState s = initialAllInvalid();
-    EXPECT_DEBUG_DEATH(
-        {
-            StateStore store(1 << 10);
-            store.insert(s, s.hash() ^ 1, 0);
-        },
-        "state.hash\\(\\)");
 }
 
 TEST(StateStore, BatchInsertMatchesSequentialInserts)
@@ -188,13 +172,11 @@ TEST(StateStore, BatchInsertMatchesSequentialInserts)
         s.counter = static_cast<std::uint8_t>(i % 100); // 3x duplicates
         s.dev[0].pc = static_cast<std::uint8_t>((i % 100) >> 4);
         items[i].state = s;
-        items[i].hash = s.hash();
         items[i].depth = 7;
     }
     batched.insertBatch(items.data(), items.size());
     for (int i = 0; i < 300; ++i) {
-        auto [idx, is_new] =
-            sequential.insert(items[i].state, items[i].hash, 7);
+        auto [idx, is_new] = sequential.insert(items[i].state, 7);
         EXPECT_EQ(items[i].id, idx) << i;
         EXPECT_EQ(items[i].inserted, is_new) << i;
     }
@@ -410,8 +392,8 @@ TEST_F(ExplorerTest, DeadlockDetected)
 
 TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
 {
-    // ROADMAP item-6 wart: overflow is reported per *edge*, but the
-    // rebuilt trace used to follow the target state's breadcrumbs, so
+    // Overflow is reported per *edge*, but the rebuilt trace used to
+    // follow the path to the target state, so
     // an overflow edge landing on an already-known state printed a
     // path that never fired the overflowing rule.  Build a model
     // where exactly that happens: "Fill" queues messages until the

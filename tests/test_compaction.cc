@@ -2,11 +2,10 @@
  * @file
  * Exact state-storage tests: the mmap store must agree with the
  * single-threaded ram store on state/transition counts and verdicts
- * for 2- and 3-device explorations across 1/4/8 worker threads, a
- * synthetic probe-hash collision must be detected and kept as two
- * states (and reported via probeCollisions) rather than silently
- * merged, and a violation must carry the same verdict and the same
- * full trace on every store kind and thread count.  The SliceCells
+ * for 2- and 3-device explorations across 1/4/8 worker threads, two
+ * distinct states forced onto one id hash must stay two states rather
+ * than silently merge, and a violation must carry the same verdict
+ * and the same full trace on every store kind and thread count.  The SliceCells
  * and SliceTable tests pin the slice-id cells every store keeps
  * (round trip, identity, width, concurrent interning).
  */
@@ -75,9 +74,6 @@ expectAgreement(const ExploreResult &full, const ExploreResult &comp,
                   comp.violation->conjunctName)
             << what;
     }
-    // A full 64-bit probe-hash collision over these space sizes is
-    // overwhelmingly unlikely; identity is exact either way.
-    EXPECT_EQ(comp.probeCollisions, 0u) << what;
 }
 
 TEST(Compaction, TwoDeviceFreeRunAgreesAcrossThreadCounts)
@@ -141,8 +137,8 @@ TEST(Compaction, ViolationTraceMatchesFullStore)
 {
     // The Table 3 mutation on every store kind and thread count: the
     // same conjunct, family, minimal depth and full trace as the
-    // single-threaded ram run — replayed from the breadcrumb rule
-    // ids, so no cell is decoded for it.
+    // single-threaded ram run — searched out from the depth labels
+    // and replayed, so no cell is decoded for it.
     ProtocolConfig mutated;
     mutated.relaxSnoopPushesGo = true;
     RuleSet rules(mutated);
@@ -184,41 +180,38 @@ TEST(Compaction, ViolationTraceMatchesFullStore)
     }
 }
 
-TEST(Compaction, SyntheticProbeHashCollisionIsDetected)
+TEST(Compaction, ForgedIdHashKeepsStatesDistinct)
 {
-    // Two distinct states on the same 64-bit probe hash: b forged
-    // onto a's real one.  Probe-hash-only compaction would merge them
-    // silently; the exact identity check — the cells' slices — keeps
-    // them apart, and the full hash read off a's cell shows the
-    // near-miss is a true probe-hash collision, which is counted.
+    // Two distinct states on the same id hash: b forged onto a's.
+    // Hash-only identity would merge them silently; the store compares
+    // the cells' slice ids, so they stay apart.
     const SystemState a = initialAllInvalid();
     const SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);
-    ASSERT_NE(a.hash(), b.hash());
     for (StoreKind kind : {StoreKind::InRam, StoreKind::Mmap}) {
         const std::string what = storeKindWord(kind);
         StateStore store(storeConfigOf(kind, "", 0));
+        const std::uint64_t a_hash = StateStoreTestPeer::idHash(store, a);
+        ASSERT_NE(a_hash, StateStoreTestPeer::idHash(store, b)) << what;
         auto [ia, new_a] = store.insert(a, 0);
         auto [ib, new_b] =
-            StateStoreTestPeer::insertForged(store, b, a.hash());
+            StateStoreTestPeer::insertForged(store, b, a_hash);
         EXPECT_TRUE(new_a) << what;
-        EXPECT_TRUE(new_b) << what << ": collision silently merged states";
+        EXPECT_TRUE(new_b) << what << ": forged hash merged states";
         EXPECT_NE(ia, ib) << what;
         EXPECT_EQ(store.size(), 2u) << what;
-        EXPECT_EQ(store.probeCollisions(), 1u) << what;
 
         // Re-probing either state finds its own entry, not the
-        // other's; b passes a's entry again, a second collision.
+        // other's; b passes a's entry again.
         auto [ia2, dup_a] = store.insert(a, 0);
         auto [ib2, dup_b] =
-            StateStoreTestPeer::insertForged(store, b, a.hash());
+            StateStoreTestPeer::insertForged(store, b, a_hash);
         EXPECT_FALSE(dup_a) << what;
         EXPECT_FALSE(dup_b) << what;
         EXPECT_EQ(ia2, ia) << what;
         EXPECT_EQ(ib2, ib) << what;
         EXPECT_EQ(store.find(a), ia) << what;
         EXPECT_EQ(store.size(), 2u) << what;
-        EXPECT_EQ(store.probeCollisions(), 2u) << what;
         SystemState decoded;
         store.stateInto(ib, decoded);
         EXPECT_TRUE(decoded == b) << what;
@@ -358,8 +351,7 @@ TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
     // The lead slice holds the host fields and device 0 together.
     // States that differ only in a host byte, only in device 0 or only
     // in the last device must stay distinct on every store kind,
-    // decode exactly, and be found again — with real probe hashes, so
-    // nothing may count as a collision.
+    // decode exactly, and be found again.
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         const SystemState base = busyState(ndev);
         SystemState host = base;
@@ -388,8 +380,6 @@ TEST(SliceCells, LeadSliceKeepsHostAndDeviceZeroApart)
                           std::make_pair(ids[i], false))
                     << ndev << " " << storeKindWord(kind) << " " << i;
             }
-            EXPECT_EQ(store.probeCollisions(), 0u)
-                << ndev << " " << storeKindWord(kind);
         }
     }
 }
@@ -398,9 +388,8 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
 {
     // Two states that differ only in the last active byte — the last
     // device's pc — share their host slice and all but the last device
-    // slice.  With their real probe hashes they must stay distinct
-    // with nothing to count; with b forged onto a's hash they must
-    // stay distinct too, counted as one in probeCollisions().
+    // slice.  They must stay distinct under their own id hashes, and
+    // with b forged onto a's too.
     for (int ndev = 1; ndev <= kMaxDevices; ++ndev) {
         SystemState a = initialAllInvalid(0, ndev);
         a.dev[ndev - 1].pc = 1;
@@ -412,11 +401,11 @@ TEST(SliceCells, LastDevicePcKeepsStatesDistinct)
             StateStore store(smallStore(StoreKind::InRam));
             const auto [ia, new_a] = store.insert(a, 0);
             const auto [ib, new_b] =
-                forge ? StateStoreTestPeer::insertForged(store, b, a.hash())
+                forge ? StateStoreTestPeer::insertForged(
+                            store, b, StateStoreTestPeer::idHash(store, a))
                       : store.insert(b, 0);
             EXPECT_TRUE(new_a && new_b) << ndev << ": silently merged";
             EXPECT_NE(ia, ib);
-            EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << ndev;
             SystemState decoded;
             store.stateInto(ib, decoded);
             EXPECT_EQ(decoded.dev[ndev - 1].pc, 2) << ndev;
@@ -435,12 +424,12 @@ TEST(SliceCells, BytesPastTheActivePrefixAreIgnored)
         c.dev[kMaxDevices - 1].pc = 9;
         for (StoreKind kind : kKinds) {
             StateStore store(smallStore(kind));
-            const auto [ia, new_a] = store.insert(a, a.hash(), 0);
-            const auto [ic, new_c] = store.insert(c, a.hash(), 0);
+            const auto [ia, new_a] = store.insert(a, 0);
+            const auto [ic, new_c] = store.insert(c, 0);
             EXPECT_TRUE(new_a);
             EXPECT_FALSE(new_c) << ndev;
             EXPECT_EQ(ic, ia) << ndev;
-            EXPECT_EQ(store.probeCollisions(), 0u) << ndev;
+            EXPECT_EQ(store.find(c), ia) << ndev;
             SystemState decoded;
             store.stateInto(ic, decoded);
             EXPECT_TRUE(inactiveSlotsZero(decoded)) << ndev;
@@ -460,7 +449,6 @@ TEST(SliceCells, MismatchedDeviceCountIsRejected)
                      std::logic_error);
         StateStore::BatchItem item;
         item.state = initialAllInvalid(0, 4);
-        item.hash = item.state.hash();
         EXPECT_THROW(store.insertBatch(&item, 1), std::logic_error);
         EXPECT_EQ(store.size(), 1u);
         EXPECT_FALSE(store.find(initialAllInvalid(0, 2)).has_value());
@@ -564,7 +552,6 @@ TEST(SliceCells, ConcurrentInsertsDecodeToWhatWasInserted)
                             (k * (2 * t + 1) + t * 977) % kStates;
                         StateStore::BatchItem item;
                         item.state = sliceState(i);
-                        item.hash = item.state.hash();
                         batch.push_back(item);
                         which.push_back(i);
                         if (batch.size() == 64)

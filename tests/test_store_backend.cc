@@ -5,7 +5,8 @@
  * semantics through the StateStore façade — insert/lookup/dedup,
  * depth relabeling, every cell kept, level-barrier growth, the
  * StoreFullError capacity path (store-level and through both
- * engines), forged probe-hash collision detection — and the engines
+ * engines), identity by slice ids under a forged or shared id hash,
+ * find() of states never stored — and the engines
  * must produce bit-identical state/transition counts on both kinds at
  * 2-device and symmetry-reduced 3-device spaces.  On Linux the in-RAM
  * kind's memory is checked page by page (mincore): it is mapped on
@@ -92,23 +93,20 @@ probeState(int i)
     return s;
 }
 
-/** The first 40,000 probeStates whose real probe hash has a zero top
- * nibble, so one shard accumulates enough entries to fill several
- * arena blocks and grow its buckets many times (the store recomputes
- * hashes from its cells, so it takes no forged one). */
-const std::vector<SystemState> &
-shardZeroStates()
+/** The first 40,000 probeStates that @p store routes to shard 0 by
+ * their slice ids (interned into @p store as it scans), so one shard
+ * accumulates enough entries to fill several arena blocks and grow
+ * its buckets many times. */
+std::vector<SystemState>
+shardZeroStates(StateStore &store)
 {
-    static const std::vector<SystemState> states = [] {
-        std::vector<SystemState> out;
-        for (int i = 0; out.size() < 40000; ++i) {
-            SystemState s = probeState(i);
-            if (s.hash() >> 60 == 0)
-                out.push_back(s);
-        }
-        return out;
-    }();
-    return states;
+    std::vector<SystemState> out;
+    for (int i = 0; out.size() < 40000; ++i) {
+        SystemState s = probeState(i);
+        if (StateStoreTestPeer::shardOf(store, s) == 0)
+            out.push_back(s);
+    }
+    return out;
 }
 
 TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
@@ -163,7 +161,6 @@ TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
         // and reports improved.
         StateStore::BatchItem item;
         item.state = probeState(1);
-        item.hash = item.state.hash();
         item.depth = 2;
         store.insertBatch(&item, 1);
         EXPECT_FALSE(item.inserted) << k.name;
@@ -186,12 +183,13 @@ TEST(StoreBackend, EveryKindKeepsEveryCell)
     // each at 2 devices).  Every entry decodes and deduplicates by
     // its cell on both kinds, before and after the no-op sealLevel
     // the benchmark harness still calls.
-    const std::vector<SystemState> &states = shardZeroStates();
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
+        const std::vector<SystemState> states = shardZeroStates(store);
         std::vector<std::uint32_t> ids;
         for (const SystemState &s : states) {
             ids.push_back(store.insert(s, 0).first);
+            ASSERT_EQ(StateStore::shardOf(ids.back()), 0u) << k.name;
         }
         store.sealLevel();
         store.sealLevel();
@@ -217,19 +215,18 @@ TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
             makeShardMem(StoreBackend::InRam, "");
         const std::unique_ptr<ShardMem> stepped_mem =
             makeShardMem(StoreBackend::InRam, "");
+        StateArena grown_cells, stepped_cells;
+        grown_cells.init(grown_mem.get(), StateStore::kOffsetMask);
+        stepped_cells.init(stepped_mem.get(), StateStore::kOffsetMask);
         ShardColumns grown, stepped;
-        auto hashesOf = [](std::uint32_t first, std::uint32_t k,
-                           std::uint64_t *out) {
-            for (std::uint32_t i = 0; i < k; ++i)
-                out[i] = mix64(first + i);
-        };
-        grown.init(grown_mem.get(), 16, StateStore::kOffsetMask, hashesOf);
+        grown.init(grown_mem.get(), 16, StateStore::kOffsetMask,
+                   grown_cells);
         stepped.init(stepped_mem.get(), 16, StateStore::kOffsetMask,
-                     hashesOf);
+                     stepped_cells);
         grown.growFor(n);
         for (std::uint32_t i = 0; i < n; ++i) {
             stepped.maybeGrow();
-            stepped.append(0);
+            stepped_cells.append(stepped.append(0), &i, 1);
         }
         EXPECT_EQ(grown.mask(), stepped.mask()) << n;
     }
@@ -237,9 +234,9 @@ TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
     // Through the store: a barrier after a level of ~40,000 shard-0
     // entries grows shard 0 for another such level, re-slotting every
     // entry from its cell; each one is still found at its id.
-    const std::vector<SystemState> &states = shardZeroStates();
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
+        const std::vector<SystemState> states = shardZeroStates(store);
         std::vector<std::uint32_t> ids;
         for (const SystemState &s : states) {
             ids.push_back(store.insert(s, 0).first);
@@ -250,7 +247,6 @@ TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
             ASSERT_EQ(store.find(states[i]), ids[i]) << k.name << " " << i;
         }
         EXPECT_EQ(store.size(), states.size()) << k.name;
-        EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
     }
 }
 
@@ -259,7 +255,8 @@ TEST(StoreBackend, MmapKindReportsMappedBytes)
 {
     for (const Kind &k : kKinds) {
         StateStore store(configOf(k));
-        for (const SystemState &s : shardZeroStates())
+        const std::vector<SystemState> states = shardZeroStates(store);
+        for (const SystemState &s : states)
             store.insert(s, 0);
         if (!storeKindMmap(k.kind)) {
             EXPECT_EQ(store.mappedBytes(), 0u) << k.name;
@@ -272,7 +269,7 @@ TEST(StoreBackend, MmapKindReportsMappedBytes)
         EXPECT_EQ(store.mappedBytes(), store.backingFileBytes())
             << k.name;
         EXPECT_GE(detail::memfdBytes(),
-                  shardZeroStates().size() * 2 * sizeof(std::uint32_t))
+                  states.size() * 2 * sizeof(std::uint32_t))
             << k.name;
     }
 }
@@ -321,9 +318,10 @@ TEST(StoreBackend, DepthChunksAreBackedOnlyWhereWritten)
              ++shard) {
             const std::unique_ptr<ShardMem> mem =
                 makeShardMem(config.backend, config.dir);
+            StateArena cells;
+            cells.init(mem.get(), StateStore::kOffsetMask);
             ShardColumns cols;
-            cols.init(mem.get(), 16, StateStore::kOffsetMask,
-                      [](std::uint32_t, std::uint32_t, std::uint64_t *) {});
+            cols.init(mem.get(), 16, StateStore::kOffsetMask, cells);
             cols.append(7);
             EXPECT_EQ(cols.depthCell(0).load(), 7u);
             EXPECT_EQ(residentPages(&cols.depthCell(0), kChunkBytes), 1)
@@ -415,21 +413,22 @@ TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
     }
 }
 
-TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
+TEST(StoreBackend, ForgedIdHashKeepsStatesDistinctOnEveryKind)
 {
-    // b forged onto a's real probe hash: the bucket tag and the full
-    // hash read off a's cell both match, the slices do not — a
-    // detected collision, counted, with the pair kept distinct.  With
-    // real hashes the same pair has nothing to count.
+    // b forged onto a's id hash: the bucket tag matches, the cells'
+    // ids do not, so the pair stays distinct, as it does under b's
+    // own hash.
     const SystemState a = initialAllInvalid();
     const SystemState b = initialBothShared(1);
     ASSERT_FALSE(a == b);
     for (const Kind &k : kKinds) {
         for (const bool forge : {false, true}) {
             StateStore store(configOf(k));
+            const std::uint64_t a_hash =
+                StateStoreTestPeer::idHash(store, a);
             auto insertB = [&] {
                 return forge ? StateStoreTestPeer::insertForged(store, b,
-                                                                a.hash())
+                                                                a_hash)
                              : store.insert(b, 0);
             };
             auto [ia, new_a] = store.insert(a, 0);
@@ -437,21 +436,54 @@ TEST(StoreBackend, ForgedProbeHashCollisionDetectedOnEveryKind)
             EXPECT_TRUE(new_a) << k.name;
             EXPECT_TRUE(new_b) << k.name << ": silently merged";
             EXPECT_NE(ia, ib) << k.name;
-            EXPECT_EQ(store.probeCollisions(), forge ? 1u : 0u) << k.name;
             auto [ia2, dup_a] = store.insert(a, 0);
             auto [ib2, dup_b] = insertB();
             EXPECT_FALSE(dup_a) << k.name;
             EXPECT_FALSE(dup_b) << k.name;
             EXPECT_EQ(ia2, ia) << k.name;
             EXPECT_EQ(ib2, ib) << k.name;
+            SystemState decoded;
+            store.stateInto(ib, decoded);
+            EXPECT_TRUE(decoded == b) << k.name;
         }
+    }
+}
+
+TEST(StoreBackend, FindReturnsNulloptForStatesNeverStored)
+{
+    // a and b are stored; c takes its lead slice from a and its device
+    // slice from b, so every slice of c is interned but c never was.
+    // d carries a device slice no state ever had.  Neither is found.
+    SystemState a = initialAllInvalid();
+    a.dev[1].val = 1;
+    SystemState b = initialAllInvalid();
+    b.counter = 1;
+    b.dev[1].val = 2;
+    SystemState c = a;
+    c.dev[1] = b.dev[1];
+    SystemState d = a;
+    d.dev[1].val = 3;
+    ASSERT_FALSE(c == a);
+    ASSERT_FALSE(c == b);
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        const std::uint32_t ia = store.insert(a, 0).first;
+        const std::uint32_t ib = store.insert(b, 0).first;
+        EXPECT_EQ(store.find(a), ia) << k.name;
+        EXPECT_EQ(store.find(b), ib) << k.name;
+        EXPECT_EQ(store.find(c), std::nullopt) << k.name;
+        EXPECT_EQ(store.find(d), std::nullopt) << k.name;
+        // Both are fresh when inserted after all.
+        EXPECT_TRUE(store.insert(c, 0).second) << k.name;
+        EXPECT_TRUE(store.insert(d, 0).second) << k.name;
+        EXPECT_EQ(store.size(), 4u) << k.name;
     }
 }
 
 TEST(StoreBackend, BucketTagAndLinkRoundTrip)
 {
     // A bucket is tag | link: link = offset + 1 in the low
-    // log2(capacity) bits, tag = the probe hash's bits above them up
+    // log2(capacity) bits, tag = the id hash's bits above them up
     // to bit 31.  Checked at the smallest table and at the largest a
     // shard needs (2^28 - 1 entries at 3/4 load), links up to the
     // per-shard limit.
@@ -490,44 +522,49 @@ TEST(StoreBackend, BucketTagAndLinkRoundTrip)
               StateStore::kOffsetMask);
 }
 
-TEST(StoreBackend, TagOnlyMatchIsNotACollision)
+TEST(StoreBackend, TagMatchIsSettledByTheCellIds)
 {
-    // Two states whose real probe hashes share the shard nibble and
-    // the low 32 bits but differ above: in a 16-bucket shard the
-    // second probes the first's home bucket and its tag matches.  The
-    // store then reads the 64-bit hash off the first's cell; the pair
-    // stays distinct and no collision is counted, because the full
-    // probe hashes differ.
+    // Two states whose real id hashes share the shard nibble and the
+    // low 32 bits but differ above: in a 16-bucket shard the second
+    // probes the first's home bucket and its tag matches.  The store
+    // compares the first's cell with the second's ids, and the pair
+    // stays distinct.  Ids depend on the interning order, so each
+    // store scans its own candidates.
     constexpr std::uint64_t kKey = 0xf0000000ffffffffull;
-    std::vector<std::pair<std::uint64_t, int>> keyed;
     const int scan = 1 << 20;
-    keyed.reserve(scan);
-    for (int i = 0; i < scan; ++i)
-        keyed.emplace_back(probeState(i).hash() & kKey, i);
-    std::sort(keyed.begin(), keyed.end());
-    int ia = -1, ib = -1;
-    for (std::size_t j = 1; j < keyed.size() && ia < 0; ++j) {
-        if (keyed[j].first == keyed[j - 1].first &&
-            probeState(keyed[j].second).hash() !=
-                probeState(keyed[j - 1].second).hash()) {
-            ia = keyed[j - 1].second;
-            ib = keyed[j].second;
-        }
-    }
-    ASSERT_GE(ia, 0) << "no tag-sharing pair among " << scan;
-    const SystemState a = probeState(ia);
-    const SystemState b = probeState(ib);
     for (const Kind &k : kKinds) {
         StoreConfig config = configOf(k);
         config.initialBuckets = 16 * StateStore::kNumShards;
         StateStore store(config);
+        std::vector<std::pair<std::uint64_t, int>> keyed;
+        keyed.reserve(scan);
+        std::vector<std::uint64_t> hashes(scan);
+        for (int i = 0; i < scan; ++i) {
+            hashes[i] = StateStoreTestPeer::idHash(store, probeState(i));
+            keyed.emplace_back(hashes[i] & kKey, i);
+        }
+        std::sort(keyed.begin(), keyed.end());
+        int ia = -1, ib = -1;
+        for (std::size_t j = 1; j < keyed.size() && ia < 0; ++j) {
+            if (keyed[j].first == keyed[j - 1].first &&
+                hashes[keyed[j].second] != hashes[keyed[j - 1].second]) {
+                ia = keyed[j - 1].second;
+                ib = keyed[j].second;
+            }
+        }
+        ASSERT_GE(ia, 0) << k.name << ": no tag-sharing pair among "
+                         << scan;
+        const SystemState a = probeState(ia);
+        const SystemState b = probeState(ib);
         const auto [id_a, new_a] = store.insert(a, 0);
         const auto [id_b, new_b] = store.insert(b, 0);
         EXPECT_TRUE(new_a && new_b) << k.name << ": silently merged";
         EXPECT_NE(id_a, id_b) << k.name;
-        EXPECT_EQ(store.probeCollisions(), 0u) << k.name;
         EXPECT_EQ(store.find(a), id_a) << k.name;
         EXPECT_EQ(store.find(b), id_b) << k.name;
+        SystemState decoded;
+        store.stateInto(id_b, decoded);
+        EXPECT_TRUE(decoded == b) << k.name;
     }
 }
 
@@ -553,7 +590,6 @@ expectAgreement(const ExploreResult &base, const ExploreResult &run,
     EXPECT_EQ(base.maxDepth, run.maxDepth) << what;
     EXPECT_EQ(base.completed, run.completed) << what;
     EXPECT_EQ(base.ruleFireCounts, run.ruleFireCounts) << what;
-    EXPECT_EQ(run.probeCollisions, 0u) << what;
 }
 
 TEST(StoreBackend, TwoDeviceCountsBitIdenticalAcrossKinds)
