@@ -167,7 +167,7 @@ BENCHMARK(BM_StateStoreInsertBatched);
 void
 BM_StoreGrowthRehash(benchmark::State &state)
 {
-    // One bucket-array doubling over a filled store re-slots every
+    // One bucket-array growth over a filled store re-slots every
     // entry, hashing the slice ids of the entry's cell.  The counter
     // is the growth's time per rehashed entry.
     constexpr int kStates = 1 << 16;
@@ -186,9 +186,10 @@ BM_StoreGrowthRehash(benchmark::State &state)
             store->insert(s, StateStore::kNoParent, 0, 0);
         state.ResumeTiming();
         const auto t0 = std::chrono::steady_clock::now();
-        // Each shard holds ~kStates/16 entries in 8192 buckets; a
-        // hint of kStates asks for <= 0.5 load, one doubling.
-        store->reserveStates(kStates);
+        // Each shard holds ~kStates/16 entries at 0.53-0.8 load; a
+        // hint of twice that sizes it as growth would for twice the
+        // entries, in one re-slot.
+        store->reserveStates(2 * kStates);
         seconds += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -209,8 +210,9 @@ BM_StoreDuplicateProbe(benchmark::State &state)
     // batches, as an explorer flush does: each item is a duplicate, so
     // the time is interning its ndev slices (each one a lock-free hit)
     // plus the probe and the compare of the stored cell's ids with
-    // them.  The argument is the device count; probe_s is the time
-    // per duplicate.
+    // them.  The store grew as it filled, so it probes at the
+    // 0.53-0.8 load real runs see.  The argument is the device count;
+    // probe_s is the time per duplicate.
     const int ndev = static_cast<int>(state.range(0));
     constexpr std::size_t kStates = 1 << 16;
     constexpr std::size_t kBatch = 256;

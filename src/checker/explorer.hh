@@ -227,9 +227,9 @@ struct EngineOptions {
 
     /**
      * Pre-size the visited set for this many states (0 = default
-     * sizing): eliminates rehash pauses and keeps the probe load
-     * factor <= 0.5 through a run of the expected size.  A hint, not
-     * a cap — exploration continues past it.
+     * sizing): eliminates rehash pauses through a run of the expected
+     * size, whose buckets end 53-80% full as without the hint.  A
+     * hint, not a cap — exploration continues past it.
      */
     std::uint64_t expectedStates = 0;
 

@@ -32,11 +32,13 @@ StateStore::StateStore(const StoreConfig &config)
 void
 StateStore::reserveStates(std::uint64_t expected)
 {
-    const auto per_shard =
-        static_cast<std::size_t>(expected / kNumShards + 1);
+    // Sized by growth's own rule, so a run that meets the hint holds
+    // the buckets it would have grown to; no shard outgrows its limit.
+    const std::uint64_t per_shard = expected / kNumShards + 1;
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.cols.reserveEntries(per_shard);
+        shard.cols.growFor(
+            std::min<std::uint64_t>(per_shard, shard.limit));
     }
 }
 
@@ -101,10 +103,11 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
             cols.prefetchBucket(items[i].idHash_);
         for (std::uint32_t i = head[s]; i != kEnd; i = items[i].next_) {
             const std::uint64_t hash = items[i].idHash_;
-            const std::uint32_t b = cols.bucketAt(hash & cols.mask());
-            if (b != 0 && ShardColumns::tagMatches(b, hash, cols.mask())) {
+            const std::uint32_t b = cols.bucketAt(cols.homeOf(hash));
+            if (b != 0 &&
+                ShardColumns::tagMatches(b, hash, cols.linkBits())) {
                 shard.arena.prefetchCell(
-                    ShardColumns::linkOf(b, cols.mask()) - 1);
+                    ShardColumns::linkOf(b, cols.linkBits()) - 1);
             }
         }
         for (std::uint32_t i = head[s]; i != kEnd;
@@ -162,14 +165,14 @@ StateStore::probe(const Shard &shard, const std::uint32_t *ids,
     // settled by the cell's ids alone.
     const ShardColumns &cols = shard.cols;
     const std::uint32_t width = ndev_.load(std::memory_order_relaxed);
-    for (slot = hash & cols.mask();; slot = (slot + 1) & cols.mask()) {
+    const std::uint32_t bits = cols.linkBits();
+    for (slot = cols.homeOf(hash);; slot = cols.nextSlot(slot)) {
         const std::uint32_t bucket = cols.bucketAt(slot);
         if (bucket == 0)
             return kAbsent;
-        if (!ShardColumns::tagMatches(bucket, hash, cols.mask()))
+        if (!ShardColumns::tagMatches(bucket, hash, bits))
             continue;
-        const std::uint32_t off =
-            ShardColumns::linkOf(bucket, cols.mask()) - 1;
+        const std::uint32_t off = ShardColumns::linkOf(bucket, bits) - 1;
         if (std::equal(ids, ids + width, shard.arena.cellAt(off)))
             return off;
     }
@@ -225,7 +228,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
                               std::uint64_t hash, std::uint32_t depth)
 {
     ShardColumns &cols = shard.cols;
-    // Grow at 3/4 load; power-of-two capacity keeps the probe a mask.
+    // Grow by 3/2 before this insert could take the load past 4/5.
     cols.maybeGrow();
 
     std::uint64_t slot;

@@ -6,15 +6,16 @@
  * The store is sharded for concurrency: a state's slices are
  * interned first, outside any lock, and the hash of its slice ids
  * (hashIds) routes it (top bits) to one of kNumShards lock-striped
- * shards, each a power-of-two open-addressing table.  This façade
+ * shards, each an open-addressing table kept 53-80% full.  This façade
  * owns the probe/insert/batch algorithm, packed-id semantics and the
  * per-shard locks; the data lives in two layers below it, both
  * allocated from a per-shard memory backend:
  *
  *  - ShardColumns (store_columns.hh): the one entry column — the
  *    chunked atomic depth label — plus the bucket array, whose u32
- *    buckets carry the id hash's tag bits above the entry link.  No
- *    column keeps the hash: shard growth rehashes each entry's cell.
+ *    buckets carry the id hash's tag bits above the entry link.  It
+ *    grows by 3/2 before its load would pass 4/5.  No column keeps
+ *    the hash: shard growth rehashes each entry's cell.
  *  - StateArena (store_arena.hh): the states, as cells of ndev u32
  *    slice ids — the lead slice (the record's first 64 bytes: the
  *    host fields and device 0) and one 59-byte DeviceState slice per
@@ -212,10 +213,11 @@ class StateStore
     StateStore &operator=(const StateStore &) = delete;
 
     /**
-     * Pre-size every shard for ~expected/kNumShards entries: bucket
-     * arrays sized for <= 0.5 load at the hint, so a run of the
-     * expected size performs no rehash.  Callable only while
-     * quiescent.
+     * Pre-size every shard for ~expected/kNumShards entries: each
+     * bucket array grows now to the capacity insert-time growth would
+     * reach at the hint, so a run of the expected size performs no
+     * rehash and holds no more buckets than one without the hint.
+     * Callable only while quiescent.
      */
     void reserveStates(std::uint64_t expected);
 
@@ -321,7 +323,7 @@ class StateStore
      * quiescent, once per shard per barrier (distinct shards may be
      * done in parallel).  When another level as large as the one
      * inserted into the shard since the previous call would take it
-     * past 3/4 load, its buckets are re-slotted now, sized for that
+     * past 4/5 load, its buckets are re-slotted now, sized for that
      * level: otherwise the rehash — a re-read of every cell — runs
      * mid-level under the shard lock while peers routed to the shard
      * wait.  Insert-time growth remains the fallback for a level that

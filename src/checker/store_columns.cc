@@ -8,14 +8,13 @@ namespace cxl
 namespace
 {
 
-/** Smallest power of two >= n, floored at 16. */
-std::size_t
-pow2AtLeast(std::size_t n)
+/** @p n rounded up to a whole number of capacity quanta, floored at
+ * one quantum. */
+std::uint64_t
+capacityAtLeast(std::uint64_t n)
 {
-    std::size_t cap = 16;
-    while (cap < n)
-        cap <<= 1;
-    return cap;
+    constexpr std::uint64_t q = ShardColumns::kCapacityQuantum;
+    return n <= q ? q : (n + q - 1) & ~(q - 1);
 }
 
 } // namespace
@@ -27,7 +26,7 @@ ShardColumns::init(ShardMem *mem, std::size_t initial_buckets,
     mem_ = mem;
     cells_ = &cells;
     depths_.reserve((max_entries >> kDepthChunkBits) + 1);
-    sizeBuckets(pow2AtLeast(initial_buckets));
+    sizeBuckets(capacityAtLeast(initial_buckets));
 }
 
 void
@@ -36,14 +35,15 @@ ShardColumns::sizeBuckets(std::size_t cap)
     buckets_ = static_cast<std::uint32_t *>(
         mem_->flatGrow(cap * sizeof(std::uint32_t)));
     std::memset(buckets_, 0, cap * sizeof(std::uint32_t));
-    mask_ = cap - 1;
+    capacity_ = cap;
+    linkBits_ = linkBitsFor(cap);
     // No column keeps the hashes: each is recomputed from its cell.
     const std::uint32_t width = cells_->width();
     for (std::uint32_t off = 0; off < count_; ++off) {
         const std::uint64_t hash = hashIds(cells_->cellAt(off), width);
-        std::uint64_t slot = hash & mask_;
+        std::uint64_t slot = homeOf(hash);
         while (buckets_[slot] != 0)
-            slot = (slot + 1) & mask_;
+            slot = nextSlot(slot);
         link(slot, hash, off);
     }
 }
@@ -53,10 +53,10 @@ ShardColumns::growFor(std::uint64_t entries)
 {
     // maybeGrow's rule, applied before the insert that brings the
     // shard to each count up to @p entries.
-    std::uint64_t cap = mask_ + 1;
-    while (entries * 4 >= cap * 3)
-        cap *= 2;
-    if (cap > mask_ + 1)
+    std::uint64_t cap = capacity_;
+    while (!fits(entries, cap))
+        cap = nextCapacity(cap);
+    if (cap > capacity_)
         sizeBuckets(static_cast<std::size_t>(cap));
 }
 
@@ -75,17 +75,6 @@ ShardColumns::append(std::uint32_t depth)
     new (&depthCell(off)) std::atomic<std::uint32_t>(depth);
     ++count_;
     return off;
-}
-
-void
-ShardColumns::reserveEntries(std::size_t entries)
-{
-    // Buckets at 2x the entry hint keep the load factor <= 0.5
-    // through the expected run, so probes stay short and no rehash
-    // pause — a re-read of every cell — lands mid-exploration.
-    const std::size_t cap = pow2AtLeast(2 * entries);
-    if (cap > mask_ + 1)
-        sizeBuckets(cap);
 }
 
 } // namespace cxl

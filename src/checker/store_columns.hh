@@ -10,14 +10,22 @@
  * expand.hh).  The probe/insert *algorithm* stays in the StateStore
  * façade; this layer only owns the memory layout:
  *
+ *  - the bucket array holds any whole multiple of 16 buckets, not
+ *    just a power of two.  An entry's home slot is
+ *    (u32 hash x capacity) >> 32, a multiply-shift (Lemire, "Fast
+ *    Random Integer Generation in an Interval", 2019) that reads the
+ *    hash's high bits, and linear probing wraps at the capacity;
  *  - a bucket is one u32, `tag | link`: link = entry offset + 1 in the
- *    low log2(capacity) bits (0 = empty), tag = the bits [log2(capacity),
- *    32) of the entry's hash — hashIds() of its cell (store_arena.hh) —
- *    above it: the hash bits the home slot does not already name
- *    (Cleary's compact hash tables).  A probe rejects most mismatches
- *    on the tag before it reads any cell.  Growth at 3/4 load keeps
- *    every link <= mask, and the per-shard limit of 2^28 - 1 entries
- *    needs a capacity of at most 2^29, so at least 3 tag bits remain;
+ *    low linkBitsFor(capacity) bits (0 = empty), tag = the entry's
+ *    hash — hashIds() of its cell (store_arena.hh) — from its low bit
+ *    up, in the bits above (Cleary's compact hash tables).  The tag
+ *    takes the low bits because the home slot already spends the
+ *    high ones: entries of one probe run mostly share those, so tags
+ *    made of them would reject nothing.  A probe rejects most
+ *    mismatches on the tag before it reads any cell.  Growth at 4/5
+ *    load keeps every link below the capacity, and the per-shard limit
+ *    of 2^28 - 1 entries needs fewer than 2^29 buckets, so at least 3
+ *    tag bits remain;
  *  - the bucket array is a backend flat — it may move when grown, so
  *    it is touched only under the shard lock (or quiescent), matching
  *    the façade's published thread-safety contract;
@@ -29,10 +37,16 @@
  *    by append(), so a chunk's untouched pages stay unbacked: a shard
  *    with one entry holds one resident page of depths, not 256 KB.
  *
- * Growth doubles the bucket capacity and re-slots every entry by the
- * hash of its cell, which it reads from the shard's StateArena: the
- * cells lie in entry order, so growth is one sequential pass with no
- * slice read.  growFor() does the same ahead of need, at a BFS level
+ * Growth multiplies the bucket capacity by 3/2 (rounded up to whole
+ * multiples of 16) when the next entry would take the load past 4/5,
+ * so a shard's load stays between 8/15 (0.53) and 0.8: 5 to 7.5 bytes
+ * of buckets per entry, where doubling at 3/4 load swung between 5.3
+ * and 10.7.  A step of 5/4 (load 0.64-0.8) re-slots about twice the
+ * entries and probes longer runs: on a 4-vCPU x86-64 VM it ran the
+ * unreduced 3-device space 4-7% slower at one thread than doubling
+ * did, for no smaller benchmark peak than 3/2 gives.  It re-slots every entry by the hash of its cell, which it
+ * reads from the shard's StateArena: the cells lie in entry order, so
+ * growth is one sequential pass with no slice read.  growFor() does the same ahead of need, at a BFS level
  * barrier, so the re-slotting need not happen mid-level under the
  * shard lock.
  */
@@ -40,7 +54,9 @@
 #ifndef CXL_CHECKER_STORE_COLUMNS_HH
 #define CXL_CHECKER_STORE_COLUMNS_HH
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -69,29 +85,71 @@ class ShardColumns
     void init(ShardMem *mem, std::size_t initial_buckets,
               std::uint32_t max_entries, const StateArena &cells);
 
-    /** The bucket linking entry @p off of hash @p hash in a table of
-     * mask @p mask (see the file comment). */
-    static constexpr std::uint32_t
-    bucketFor(std::uint64_t hash, std::uint32_t off, std::uint64_t mask)
+    /** Bucket capacities are whole multiples of this. */
+    static constexpr std::uint64_t kCapacityQuantum = 16;
+
+    /** Whether a table of @p capacity buckets holds @p entries
+     * entries at no more than 4/5 load. */
+    static constexpr bool
+    fits(std::uint64_t entries, std::uint64_t capacity)
     {
-        return static_cast<std::uint32_t>(hash & ~mask) | (off + 1);
+        return entries * 5 <= capacity * 4;
+    }
+    /** The capacity one growth step takes @p capacity to: x3/2,
+     * rounded up to a whole multiple of kCapacityQuantum. */
+    static constexpr std::uint64_t
+    nextCapacity(std::uint64_t capacity)
+    {
+        return (capacity + capacity / 2 + kCapacityQuantum - 1) &
+               ~(kCapacityQuantum - 1);
+    }
+    /** Bits of a bucket's link in a table of @p capacity buckets: every
+     * link (entry offset + 1, below the capacity at 4/5 load) fits. */
+    static constexpr std::uint32_t
+    linkBitsFor(std::uint64_t capacity)
+    {
+        return static_cast<std::uint32_t>(std::bit_width(capacity - 1));
+    }
+
+    /** The bucket linking entry @p off of hash @p hash in a table of
+     * @p bits link bits (see the file comment). */
+    static constexpr std::uint32_t
+    bucketFor(std::uint64_t hash, std::uint32_t off, std::uint32_t bits)
+    {
+        return static_cast<std::uint32_t>(hash << bits) | (off + 1);
     }
     /** Entry offset + 1 that @p bucket links to; 0 when empty. */
     static constexpr std::uint32_t
-    linkOf(std::uint32_t bucket, std::uint64_t mask)
+    linkOf(std::uint32_t bucket, std::uint32_t bits)
     {
-        return static_cast<std::uint32_t>(bucket & mask);
+        return bucket & ((1u << bits) - 1);
     }
     /** Whether @p bucket's tag agrees with hash @p hash. */
     static constexpr bool
     tagMatches(std::uint32_t bucket, std::uint64_t hash,
-               std::uint64_t mask)
+               std::uint32_t bits)
     {
-        return ((bucket ^ hash) & ~mask & 0xffffffffu) == 0;
+        return ((bucket ^ static_cast<std::uint32_t>(hash << bits)) >>
+                bits) == 0;
     }
 
     std::uint32_t count() const { return count_; }
-    std::uint64_t mask() const { return mask_; }
+    std::uint64_t capacity() const { return capacity_; }
+    std::uint32_t linkBits() const { return linkBits_; }
+
+    /** The home slot of @p hash: its low 32 bits scaled to the
+     * capacity. */
+    std::uint64_t
+    homeOf(std::uint64_t hash) const
+    {
+        return (hash & 0xffffffffu) * capacity_ >> 32;
+    }
+    /** The slot after @p slot, wrapping at the capacity. */
+    std::uint64_t
+    nextSlot(std::uint64_t slot) const
+    {
+        return slot + 1 == capacity_ ? 0 : slot + 1;
+    }
 
     std::uint32_t bucketAt(std::uint64_t slot) const
     {
@@ -100,14 +158,19 @@ class ShardColumns
     /** Link entry @p off (hash @p hash) from empty @p slot. */
     void link(std::uint64_t slot, std::uint64_t hash, std::uint32_t off)
     {
-        assert(off < mask_ && "growth at 3/4 load keeps links <= mask");
-        buckets_[slot] = bucketFor(hash, off, mask_);
+        assert(off + 1 < capacity_ && "growth at 4/5 load keeps links "
+                                      "below the capacity");
+        buckets_[slot] = bucketFor(hash, off, linkBits_);
     }
 
-    /** Start loading the home bucket of @p hash. */
+    /** Start loading the home bucket of @p hash and the bucket 15
+     * slots on: the next 64-byte line unless the home starts its own,
+     * where a probe run from late in a line goes on. */
     void prefetchBucket(std::uint64_t hash) const
     {
-        __builtin_prefetch(&buckets_[hash & mask_]);
+        const std::uint64_t home = homeOf(hash);
+        __builtin_prefetch(&buckets_[home]);
+        __builtin_prefetch(&buckets_[std::min(home + 15, capacity_ - 1)]);
     }
     /** Lock-free-readable depth cell of an appended entry (chunked
      * atomics; see file comment). */
@@ -118,19 +181,18 @@ class ShardColumns
                       [off & (kDepthChunkSize - 1)];
     }
 
-    /** Grow buckets at 3/4 load so the next append keeps probes
-     * short; call before probing. */
+    /** Grow buckets before the next append would take the load past
+     * 4/5; call before probing. */
     void
     maybeGrow()
     {
-        if ((static_cast<std::uint64_t>(count_) + 1) * 4 >=
-            (mask_ + 1) * 3)
-            sizeBuckets((mask_ + 1) * 2);
+        if (!fits(std::uint64_t{count_} + 1, capacity_))
+            growFor(std::uint64_t{count_} + 1);
     }
 
     /** Grow buckets now to the capacity maybeGrow() would reach by
-     * the time the shard holds @p entries entries; a no-op when the
-     * current one already suffices. */
+     * the time the shard holds @p entries entries, in one re-slot; a
+     * no-op when the current one already suffices. */
     void growFor(std::uint64_t entries);
 
     /**
@@ -141,9 +203,6 @@ class ShardColumns
      */
     std::uint32_t append(std::uint32_t depth);
 
-    /** Pre-size buckets for <=0.5 load at @p entries. */
-    void reserveEntries(std::size_t entries);
-
   private:
     void sizeBuckets(std::size_t cap);
 
@@ -153,7 +212,8 @@ class ShardColumns
     /** Depth-chunk spine; fully reserved, so push_back never moves
      * the chunk pointers lock-free readers are walking. */
     std::vector<std::atomic<std::uint32_t> *> depths_;
-    std::uint64_t mask_ = 0;
+    std::uint64_t capacity_ = 0;
+    std::uint32_t linkBits_ = 0;
     std::uint32_t count_ = 0;
 };
 

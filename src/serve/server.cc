@@ -331,6 +331,11 @@ Server::beginDrain()
         for (auto &[id, token] : activeTokens_)
             token.cancel();
     }
+    // Notify under the mutex the workers' wait predicate reads
+    // draining() under: otherwise a worker can find the flag unset,
+    // then block after this notify and never wake, and drain() joins
+    // it forever.
+    const std::lock_guard<std::mutex> lock(queueMutex_);
     queueCv_.notify_all();
 }
 

@@ -10,6 +10,7 @@
  * passes another entry's hash through the private probe instead
  * (insertForged).  The forged entry is linked under that hash only
  * until its shard next grows, so such tests keep their stores small.
+ * Tests that check a shard's bucket array read it through columns.
  */
 
 #ifndef CXL_TESTS_STORE_TEST_PEER_HH
@@ -38,6 +39,14 @@ struct StateStoreTestPeer {
     shardOf(StateStore &store, const SystemState &state)
     {
         return StateStore::shardOfHash(idHash(store, state));
+    }
+
+    /** Shard @p shard's depth column and buckets; quiescent use
+     * only. */
+    static const ShardColumns &
+    columns(const StateStore &store, std::uint32_t shard)
+    {
+        return store.shards_[shard].cols;
     }
 
     /** insert() of @p state at depth 0, probing under id hash

@@ -205,30 +205,53 @@ TEST(StoreBackend, EveryKindKeepsEveryCell)
     }
 }
 
+/** One shard's columns over an arena of their own, for tests that
+ * drive growth without a store. */
+struct LoneColumns {
+    std::unique_ptr<ShardMem> mem = makeShardMem(StoreBackend::InRam, "");
+    StateArena cells;
+    ShardColumns cols;
+
+    LoneColumns()
+    {
+        cells.init(mem.get(), StateStore::kOffsetMask);
+        cols.init(mem.get(), ShardColumns::kCapacityQuantum,
+                  StateStore::kOffsetMask, cells);
+    }
+
+    /** Insert-time growth, then one entry (its cell one id). */
+    void
+    insertOne()
+    {
+        cols.maybeGrow();
+        const std::uint32_t id = cols.count();
+        cells.append(cols.append(0), &id, 1);
+    }
+};
+
 TEST(StoreBackend, LevelBarrierGrowthSizesForTheLevelJustInserted)
 {
     // growFor(n) reaches the capacity insert-time growth reaches by n
     // entries, so a level as large as its estimate inserts without a
-    // rehash.
-    for (const std::uint32_t n : {1u, 11u, 12u, 13u, 100u, 5000u}) {
-        const std::unique_ptr<ShardMem> grown_mem =
-            makeShardMem(StoreBackend::InRam, "");
-        const std::unique_ptr<ShardMem> stepped_mem =
-            makeShardMem(StoreBackend::InRam, "");
-        StateArena grown_cells, stepped_cells;
-        grown_cells.init(grown_mem.get(), StateStore::kOffsetMask);
-        stepped_cells.init(stepped_mem.get(), StateStore::kOffsetMask);
-        ShardColumns grown, stepped;
-        grown.init(grown_mem.get(), 16, StateStore::kOffsetMask,
-                   grown_cells);
-        stepped.init(stepped_mem.get(), 16, StateStore::kOffsetMask,
-                     stepped_cells);
-        grown.growFor(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            stepped.maybeGrow();
-            stepped_cells.append(stepped.append(0), &i, 1);
+    // rehash.  Checked at small counts and on both sides of every
+    // growth step up to 5,000 entries.
+    constexpr std::uint32_t kMax = 5000;
+    LoneColumns stepped;
+    std::vector<std::uint64_t> capacity_at{stepped.cols.capacity()};
+    std::vector<std::uint32_t> counts = {1, 11, 12, 13, 100, kMax};
+    for (std::uint32_t n = 1; n <= kMax; ++n) {
+        stepped.insertOne();
+        capacity_at.push_back(stepped.cols.capacity());
+        if (capacity_at[n] != capacity_at[n - 1]) {
+            counts.push_back(n - 1);
+            counts.push_back(n);
         }
-        EXPECT_EQ(grown.mask(), stepped.mask()) << n;
+    }
+    ASSERT_GE(counts.size(), 6u + 2 * 10) << "expected 10 growth steps";
+    for (const std::uint32_t n : counts) {
+        LoneColumns grown;
+        grown.cols.growFor(n);
+        EXPECT_EQ(grown.cols.capacity(), capacity_at[n]) << n;
     }
 
     // Through the store: a barrier after a level of ~40,000 shard-0
@@ -483,43 +506,173 @@ TEST(StoreBackend, FindReturnsNulloptForStatesNeverStored)
 TEST(StoreBackend, BucketTagAndLinkRoundTrip)
 {
     // A bucket is tag | link: link = offset + 1 in the low
-    // log2(capacity) bits, tag = the id hash's bits above them up
-    // to bit 31.  Checked at the smallest table and at the largest a
-    // shard needs (2^28 - 1 entries at 3/4 load), links up to the
-    // per-shard limit.
+    // linkBitsFor(capacity) bits, tag = the id hash's low bits above
+    // them up to bit 31.  Checked at capacities from the smallest
+    // table to the largest a shard can grow to: one step past the
+    // largest capacity that does not hold 2^28 - 1 entries at 4/5
+    // load.  Links run up to the per-shard limit.
+    constexpr std::uint64_t kLimit = StateStore::kOffsetMask;
+    constexpr std::uint64_t q = ShardColumns::kCapacityQuantum;
+    std::uint64_t grown = q;
+    while (!ShardColumns::fits(kLimit, grown))
+        grown = ShardColumns::nextCapacity(grown);
+    const std::uint64_t tightest = (kLimit * 5 / 4) / q * q;
+    ASSERT_FALSE(ShardColumns::fits(kLimit, tightest));
+    const std::uint64_t largest = ShardColumns::nextCapacity(tightest);
+    ASSERT_TRUE(ShardColumns::fits(kLimit, largest));
+    ASSERT_GE(largest, grown);
+
     const std::uint64_t hashes[] = {0, ~0ull, 0x0123456789abcdefull,
                                     mix64(1), mix64(2)};
-    for (const std::uint64_t mask : {std::uint64_t{15},
-                                      (std::uint64_t{1} << 29) - 1}) {
+    for (const std::uint64_t cap :
+         {q, std::uint64_t{48}, std::uint64_t{80}, std::uint64_t{1040},
+          std::uint64_t{5120}, grown, largest}) {
+        const std::uint32_t bits = ShardColumns::linkBitsFor(cap);
+        EXPECT_GE(32 - bits, 3u) << cap << ": too few tag bits";
         const std::uint32_t max_off = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(mask - 1, StateStore::kOffsetMask - 1));
+            std::min(cap * 4 / 5, kLimit) - 1);
         for (const std::uint64_t h : hashes) {
             for (const std::uint32_t off : {0u, 1u, 7u, max_off}) {
                 const std::uint32_t b =
-                    ShardColumns::bucketFor(h, off, mask);
+                    ShardColumns::bucketFor(h, off, bits);
                 EXPECT_NE(b, 0u);
-                EXPECT_EQ(ShardColumns::linkOf(b, mask), off + 1)
-                    << mask << " " << h << " " << off;
-                EXPECT_TRUE(ShardColumns::tagMatches(b, h, mask));
-                // Bits the tag does not hold never decide a match.
+                EXPECT_EQ(ShardColumns::linkOf(b, bits), off + 1)
+                    << cap << " " << h << " " << off;
+                EXPECT_TRUE(ShardColumns::tagMatches(b, h, bits));
+                // Hash bits the tag does not hold never decide a
+                // match: the high ones, which name the home slot.
                 EXPECT_TRUE(ShardColumns::tagMatches(
-                    b, h ^ mask ^ (~0ull << 32), mask));
+                    b, h ^ (~0ull << (32 - bits)), bits));
                 // Every tag bit does.
-                for (std::uint64_t bit = mask + 1; bit >> 32 == 0;
-                     bit <<= 1) {
-                    EXPECT_FALSE(ShardColumns::tagMatches(b, h ^ bit, mask))
-                        << mask << " bit " << bit;
+                for (std::uint32_t i = 0; i < 32 - bits; ++i) {
+                    EXPECT_FALSE(ShardColumns::tagMatches(
+                        b, h ^ (std::uint64_t{1} << i), bits))
+                        << cap << " bit " << i;
                 }
             }
         }
     }
-    // The per-shard limit itself is a valid link at the largest mask.
-    const std::uint64_t big = (std::uint64_t{1} << 29) - 1;
+    // The per-shard limit itself is a valid link at the largest
+    // capacity.
+    const std::uint32_t big = ShardColumns::linkBitsFor(largest);
     EXPECT_EQ(ShardColumns::linkOf(
-                  ShardColumns::bucketFor(~0ull, StateStore::kOffsetMask - 1,
-                                          big),
-                  big),
-              StateStore::kOffsetMask);
+                  ShardColumns::bucketFor(~0ull, kLimit - 1, big), big),
+              kLimit);
+}
+
+TEST(StoreBackend, GrowthKeepsEveryShardBetween53And80PercentFull)
+{
+    // Insert-time growth steps by 3/2 before the load would pass 4/5,
+    // so once a shard has grown its load stays in [8/15, 0.8], up to
+    // the rounding of its capacity to a whole quantum.
+    constexpr std::uint64_t q = ShardColumns::kCapacityQuantum;
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        const ShardColumns &cols = StateStoreTestPeer::columns(store, 0);
+        const std::uint64_t initial = cols.capacity();
+        int growths = 0;
+        std::uint64_t last = initial;
+        for (const SystemState &s : shardZeroStates(store)) {
+            store.insert(s, 0);
+            const std::uint64_t cap = cols.capacity();
+            growths += cap != last;
+            last = cap;
+            if (cap == initial)
+                continue;
+            const std::uint64_t n = cols.count();
+            ASSERT_LE(n * 5, cap * 4) << k.name << " " << n << "/" << cap;
+            ASSERT_GE(n * 15, (cap - q) * 8)
+                << k.name << " " << n << "/" << cap;
+        }
+        EXPECT_GT(growths, 10) << k.name;
+    }
+}
+
+TEST(StoreBackend, ReservedStoreHoldsWhatGrowthWouldReach)
+{
+    // reserveStates sizes each shard by growth's own rule: a store
+    // reserved for n entries per shard ends with the capacity of one
+    // grown to n, and never rehashes on the way there.
+    for (const Kind &k : kKinds) {
+        StateStore grown(configOf(k));
+        const std::vector<SystemState> states = shardZeroStates(grown);
+        for (const SystemState &s : states)
+            grown.insert(s, 0);
+
+        StateStore reserved(configOf(k));
+        const std::vector<SystemState> same = shardZeroStates(reserved);
+        ASSERT_EQ(same.size(), states.size());
+        reserved.reserveStates(StateStore::kNumShards *
+                               (std::uint64_t{same.size()} - 1));
+        const ShardColumns &cols =
+            StateStoreTestPeer::columns(reserved, 0);
+        const std::uint64_t cap = cols.capacity();
+        for (const SystemState &s : same) {
+            reserved.insert(s, 0);
+            ASSERT_EQ(cols.capacity(), cap) << k.name << ": rehashed";
+        }
+        EXPECT_EQ(cap, StateStoreTestPeer::columns(grown, 0).capacity())
+            << k.name;
+    }
+}
+
+TEST(StoreBackend, ProbeRunsWrapFromTheLastSlotToTheFirst)
+{
+    // Forged id hashes whose low 32 bits are near 2^32 all home to a
+    // shard's last slot, so their probe run wraps to slot 0.  Each
+    // entry is found while so linked, and by its real id hash once
+    // growth re-slots it; entries forged after the growth wrap the
+    // grown table too.
+    constexpr int kRun = 8;
+    auto forged = [](int i) {
+        return std::uint64_t{0xffffffffu} - static_cast<std::uint64_t>(i);
+    };
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        const ShardColumns &cols = StateStoreTestPeer::columns(store, 0);
+        // States whose real id hash routes to shard 0 too, so find()
+        // looks where the forged inserts put them.
+        std::vector<SystemState> states;
+        for (int i = 0; states.size() < 2 * kRun; ++i) {
+            if (StateStoreTestPeer::shardOf(store, probeState(i)) == 0)
+                states.push_back(probeState(i));
+        }
+        std::vector<std::uint32_t> ids;
+        auto insertRun = [&](int from) {
+            std::vector<std::uint32_t> offs;
+            for (int i = from; i < from + kRun; ++i) {
+                ASSERT_EQ(cols.homeOf(forged(i)), cols.capacity() - 1);
+                const auto [id, fresh] = StateStoreTestPeer::insertForged(
+                    store, states[i], forged(i));
+                ASSERT_TRUE(fresh) << k.name << " " << i;
+                ASSERT_EQ(StateStore::shardOf(id), 0u);
+                ids.push_back(id);
+                offs.push_back(id & StateStore::kOffsetMask);
+            }
+            // The run went past the last slot and on from slot 0.
+            const std::uint32_t first =
+                ShardColumns::linkOf(cols.bucketAt(0), cols.linkBits());
+            ASSERT_NE(first, 0u) << k.name;
+            EXPECT_NE(std::find(offs.begin(), offs.end(), first - 1),
+                      offs.end())
+                << k.name;
+            for (int i = from; i < from + kRun; ++i) {
+                const auto [id, fresh] = StateStoreTestPeer::insertForged(
+                    store, states[i], forged(i));
+                EXPECT_FALSE(fresh) << k.name << " " << i;
+                EXPECT_EQ(id, ids[static_cast<std::size_t>(i)]) << k.name;
+            }
+        };
+        insertRun(0);
+        const std::uint64_t before = cols.capacity();
+        store.reserveStates(StateStore::kNumShards * 1000);
+        ASSERT_GT(cols.capacity(), before) << k.name;
+        for (int i = 0; i < kRun; ++i)
+            EXPECT_EQ(store.find(states[i]), ids[i]) << k.name << " " << i;
+        insertRun(kRun);
+        for (int i = 0; i < kRun; ++i)
+            EXPECT_EQ(store.find(states[i]), ids[i]) << k.name << " " << i;
+    }
 }
 
 TEST(StoreBackend, TagMatchIsSettledByTheCellIds)
