@@ -168,7 +168,8 @@ void
 BM_StoreGrowthRehash(benchmark::State &state)
 {
     // One bucket-array growth over a filled store re-slots every
-    // entry, hashing the slice ids of the entry's cell.  The counter
+    // entry, decoding the slice ids packed in the entry's cell (3
+    // bytes each, 9 bytes at 3 devices) and hashing them.  The counter
     // is the growth's time per rehashed entry.
     constexpr int kStates = 1 << 16;
     std::vector<SystemState> states;
@@ -209,8 +210,8 @@ BM_StoreDuplicateProbe(benchmark::State &state)
     // Re-insert every state of a filled ram store in 256-item
     // batches, as an explorer flush does: each item is a duplicate, so
     // the time is interning its ndev slices (each one a lock-free hit)
-    // plus the probe and the compare of the stored cell's ids with
-    // them.  The store grew as it filled, so it probes at the
+    // plus the probe and the compare of the stored cell, its ids
+    // packed 3 bytes each (9 bytes at 3 devices, 12 at 4), with them.  The store grew as it filled, so it probes at the
     // 0.53-0.8 load real runs see.  The argument is the device count;
     // probe_s is the time per duplicate.
     const int ndev = static_cast<int>(state.range(0));

@@ -45,8 +45,8 @@ StateStore::reserveStates(std::uint64_t expected)
 std::pair<std::uint32_t, bool>
 StateStore::insert(const SystemState &state, std::uint32_t depth)
 {
-    std::uint32_t ids[kMaxDevices];
-    const std::uint64_t hash = internSlices(state, ids);
+    std::byte cell[kMaxCellBytes];
+    const std::uint64_t hash = internSlices(state, cell);
     // Route by the top bits; probe by the low bits, so the two index
     // streams stay independent.
     const std::uint32_t shard_idx = shardOfHash(hash);
@@ -54,7 +54,7 @@ StateStore::insert(const SystemState &state, std::uint32_t depth)
 
     std::lock_guard<std::mutex> lock(shard.mutex);
     const InsertOutcome out =
-        probeInsertLocked(shard_idx, shard, ids, hash, depth);
+        probeInsertLocked(shard_idx, shard, cell, hash, depth);
     return {out.id, out.inserted};
 }
 
@@ -76,7 +76,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
         head[s] = kEnd;
     for (std::size_t i = 0; i < count; ++i) {
         BatchItem &item = items[i];
-        const std::uint64_t hash = internSlices(item.state, item.ids_);
+        const std::uint64_t hash = internSlices(item.state, item.cell_);
         item.idHash_ = static_cast<std::uint32_t>(hash);
         const std::uint32_t s = shardOfHash(hash);
         item.next_ = kEnd;
@@ -114,7 +114,7 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
              i = items[i].next_) {
             BatchItem &item = items[i];
             const InsertOutcome out = probeInsertLocked(
-                s, shard, item.ids_, item.idHash_, item.depth);
+                s, shard, item.cell_, item.idHash_, item.depth);
             item.id = out.id;
             item.inserted = out.inserted;
             item.improved = out.improved;
@@ -137,7 +137,7 @@ StateStore::insertBatchCapped(BatchItem *items, std::size_t count,
 }
 
 std::uint64_t
-StateStore::internSlices(const SystemState &state, std::uint32_t *ids)
+StateStore::internSlices(const SystemState &state, std::byte *cell)
 {
     const std::uint32_t ndev = state.ndev;
     std::uint32_t fixed = ndev_.load(std::memory_order_relaxed);
@@ -151,20 +151,30 @@ StateStore::internSlices(const SystemState &state, std::uint32_t *ids)
             "-device state in a store of " + std::to_string(fixed) +
             "-device states (one store holds one device count)");
     }
-    ids[0] = leads_.intern(&state);
-    for (std::uint32_t d = 1; d < ndev; ++d)
-        ids[d] = devices_.intern(&state.dev[d]);
+    std::uint32_t ids[kMaxDevices];
+    try {
+        ids[0] = leads_.intern(&state);
+        for (std::uint32_t d = 1; d < ndev; ++d)
+            ids[d] = devices_.intern(&state.dev[d]);
+    } catch (const std::length_error &e) {
+        // No shard owns the slice tables; the run stops as if one
+        // filled.
+        throw StoreFullError(kNumShards,
+                             std::string("StateStore ") + e.what());
+    }
+    packIds(ids, ndev, cell);
     return hashIds(ids, ndev);
 }
 
 std::uint32_t
-StateStore::probe(const Shard &shard, const std::uint32_t *ids,
+StateStore::probe(const Shard &shard, const std::byte *cell,
                   std::uint64_t hash, std::uint64_t &slot) const
 {
     // The one identity rule (see the file comment): a tag match is
     // settled by the cell's ids alone.
     const ShardColumns &cols = shard.cols;
-    const std::uint32_t width = ndev_.load(std::memory_order_relaxed);
+    const std::uint32_t bytes =
+        kIdBytes * ndev_.load(std::memory_order_relaxed);
     const std::uint32_t bits = cols.linkBits();
     for (slot = cols.homeOf(hash);; slot = cols.nextSlot(slot)) {
         const std::uint32_t bucket = cols.bucketAt(slot);
@@ -173,7 +183,7 @@ StateStore::probe(const Shard &shard, const std::uint32_t *ids,
         if (!ShardColumns::tagMatches(bucket, hash, bits))
             continue;
         const std::uint32_t off = ShardColumns::linkOf(bucket, bits) - 1;
-        if (std::equal(ids, ids + width, shard.arena.cellAt(off)))
+        if (sameCell(cell, shard.arena.cellAt(off), bytes))
             return off;
     }
 }
@@ -181,13 +191,14 @@ StateStore::probe(const Shard &shard, const std::uint32_t *ids,
 void
 StateStore::stateInto(std::uint32_t id, SystemState &out) const
 {
-    const std::uint32_t *cell =
+    const std::byte *cell =
         shards_[shardOf(id)].arena.cellAt(id & kOffsetMask);
-    std::memcpy(static_cast<void *>(&out), leads_.at(cell[0]),
+    std::memcpy(static_cast<void *>(&out), leads_.at(unpackId(cell)),
                 kLeadBytes);
     for (std::uint32_t d = 1; d < out.ndev; ++d) {
         std::memcpy(static_cast<void *>(&out.dev[d]),
-                    devices_.at(cell[d]), sizeof(DeviceState));
+                    devices_.at(unpackId(cell + kIdBytes * d)),
+                    sizeof(DeviceState));
     }
     // Inactive device slots are default-initialised (all zero bytes).
     std::memset(static_cast<void *>(&out.dev[out.ndev]), 0,
@@ -213,10 +224,12 @@ StateStore::find(const SystemState &state) const
             return std::nullopt;
         ids[d] = *dev;
     }
+    std::byte cell[kMaxCellBytes];
+    packIds(ids, ndev, cell);
     const std::uint64_t hash = hashIds(ids, ndev);
     const std::uint32_t shard_idx = shardOfHash(hash);
     std::uint64_t slot;
-    const std::uint32_t off = probe(shards_[shard_idx], ids, hash, slot);
+    const std::uint32_t off = probe(shards_[shard_idx], cell, hash, slot);
     if (off == kAbsent)
         return std::nullopt;
     return (shard_idx << kOffsetBits) | off;
@@ -224,7 +237,7 @@ StateStore::find(const SystemState &state) const
 
 StateStore::InsertOutcome
 StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
-                              const std::uint32_t *ids,
+                              const std::byte *cell,
                               std::uint64_t hash, std::uint32_t depth)
 {
     ShardColumns &cols = shard.cols;
@@ -232,15 +245,14 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
     cols.maybeGrow();
 
     std::uint64_t slot;
-    const std::uint32_t found = probe(shard, ids, hash, slot);
+    const std::uint32_t found = probe(shard, cell, hash, slot);
     if (found != kAbsent) {
         const std::uint32_t id = (shard_idx << kOffsetBits) | found;
         // Label-correcting duplicate: a shorter path to a known state
         // relabels its depth (async schedule; BFS duplicates are never
         // shallower).
-        std::atomic<std::uint32_t> &depth_cell = cols.depthCell(found);
-        if (depth < depth_cell.load(std::memory_order_relaxed)) {
-            depth_cell.store(depth, std::memory_order_relaxed);
+        if (depth < cols.depthOf(found)) {
+            cols.lowerDepth(found, depth);
             return {id, false, true};
         }
         return {id, false, false};
@@ -261,7 +273,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
     }
 
     const std::uint32_t off = cols.append(depth);
-    shard.arena.append(off, ids, ndev_.load(std::memory_order_relaxed));
+    shard.arena.append(off, cell, ndev_.load(std::memory_order_relaxed));
 
     cols.link(slot, hash, off);
     total_.fetch_add(1, std::memory_order_release);
@@ -274,9 +286,7 @@ StateStore::maxDepthQuiescent() const
     std::uint32_t deepest = 0;
     for (const Shard &shard : shards_) {
         for (std::uint32_t off = 0; off < shard.cols.count(); ++off) {
-            deepest = std::max(deepest,
-                               shard.cols.depthCell(off).load(
-                                   std::memory_order_relaxed));
+            deepest = std::max(deepest, shard.cols.depthOf(off));
         }
     }
     return deepest;
@@ -288,8 +298,7 @@ StateStore::countDepthAtMost(std::uint32_t depth) const
     std::uint64_t total = 0;
     for (const Shard &shard : shards_) {
         for (std::uint32_t off = 0; off < shard.cols.count(); ++off) {
-            if (shard.cols.depthCell(off).load(
-                    std::memory_order_relaxed) <= depth)
+            if (shard.cols.depthOf(off) <= depth)
                 ++total;
         }
     }

@@ -12,12 +12,14 @@
  * allocated from a per-shard memory backend:
  *
  *  - ShardColumns (store_columns.hh): the one entry column — the
- *    chunked atomic depth label — plus the bucket array, whose u32
- *    buckets carry the id hash's tag bits above the entry link.  It
+ *    chunked atomic one-byte depth label, whose value 255 defers to a
+ *    wide u32 column allocated only for deep entries — plus the
+ *    bucket array, whose u32 buckets carry the id hash's tag bits
+ *    above the entry link.  It
  *    grows by 3/2 before its load would pass 4/5.  No column keeps
  *    the hash: shard growth rehashes each entry's cell.
- *  - StateArena (store_arena.hh): the states, as cells of ndev u32
- *    slice ids — the lead slice (the record's first 64 bytes: the
+ *  - StateArena (store_arena.hh): the states, as cells of ndev packed
+ *    3-byte slice ids — the lead slice (the record's first 64 bytes: the
  *    host fields and device 0) and one 59-byte DeviceState slice per
  *    further device, each interned in one store-wide SliceTable per
  *    slice kind — in index-addressed blocks.  Every cell is kept for
@@ -33,7 +35,8 @@
  * the same state exactly when their slice ids are equal (COLLAPSE's
  * rule; see store_arena.hh).  A bucket whose tag agrees with the
  * candidate's id hash is settled by comparing its cell with the
- * candidate's ids; no slice is read and no verdict rests on a hash.
+ * candidate's packed ids; no slice is read and no verdict rests on a
+ * hash.
  * find() looks the slices up without interning them: a slice that
  * was never interned means the state was never stored.
  *
@@ -53,7 +56,8 @@
  * *for ids published before the current expansion phase began*
  * (the arena blocks holding them are fixed, the block spine never
  * reallocates, and slice chunks never move).
- * The depth column is chunked atomics: depthAt() may be read
+ * The depth column is chunked atomics (one byte per entry, wide
+ * cells behind a release/acquire escape): depthAt() may be read
  * lock-free at any time (the work-stealing explorer's stale-task
  * check depends on this), while find() and growForNextLevel() must
  * only be used while the store is quiescent — the explorers call
@@ -98,11 +102,12 @@ namespace cxl
 /**
  * A StateStore shard ran out of room: its entry count reached the
  * capacity limit (architectural 2^28 per shard, or the smaller
- * per-run limit derived from EngineOptions::storeCapacity).  The
- * explorers catch this and convert it into a graceful governed stop
- * (StopReason::ShardFull) — the explored prefix stays a valid
- * partial result.  what() names the shard, its computed entry limit
- * and the available --store kinds.
+ * per-run limit derived from EngineOptions::storeCapacity), or a
+ * store-wide slice table ran out of ids (2^20 distinct slices per
+ * stripe).  The explorers catch this and convert it into a graceful
+ * governed stop (StopReason::ShardFull) — the explored prefix stays a
+ * valid partial result.  what() names the shard, its computed entry
+ * limit and the available --store kinds, or the full slice stripe.
  */
 class StoreFullError : public std::length_error
 {
@@ -112,7 +117,8 @@ class StoreFullError : public std::length_error
     {
     }
 
-    /** Index of the shard that filled first. */
+    /** Index of the shard that filled first; kNumShards when a slice
+     * table did, which no shard owns. */
     std::uint32_t shard() const { return shard_; }
 
   private:
@@ -190,10 +196,11 @@ class StateStore
 
       private:
         friend class StateStore;
-        // insertBatch scratch: the state's slice ids, the low half of
-        // their hash (all a shard's buckets read; the top bits chose
-        // the shard) and the shard chain.
-        std::uint32_t ids_[kMaxDevices] = {};
+        // insertBatch scratch: the state's cell (its slice ids,
+        // packed), the low half of the ids' hash (all a shard's
+        // buckets read; the top bits chose the shard) and the shard
+        // chain.
+        std::byte cell_[kMaxCellBytes] = {};
         std::uint32_t idHash_ = 0;
         std::uint32_t next_ = 0;
     };
@@ -293,7 +300,8 @@ class StateStore
 
     /**
      * Current depth label of @p id.  Safe concurrently with inserts
-     * and improvements (chunked atomic column, relaxed load): a racy
+     * and improvements (chunked atomic column; see store_columns.hh
+     * for the wide escape): a racy
      * read may be stale, but depths only ever decrease, so a stale
      * value is an upper bound — exactly what the async explorer's
      * stale-task check needs.  Exact once quiescent.
@@ -301,9 +309,7 @@ class StateStore
     std::uint32_t
     depthAt(std::uint32_t id) const
     {
-        return shards_[shardOf(id)]
-            .cols.depthCell(id & kOffsetMask)
-            .load(std::memory_order_relaxed);
+        return shards_[shardOf(id)].cols.depthOf(id & kOffsetMask);
     }
 
     /** Largest depth label over all entries; quiescent use only. */
@@ -388,23 +394,23 @@ class StateStore
         return static_cast<std::uint32_t>(hash >> (64 - kShardBits));
     }
 
-    /** Intern @p state's slices into @p ids (room for kMaxDevices)
-     * and return hashIds of them, fixing the store's device count on
-     * first use.
-     * @throws std::logic_error on a state of another device count. */
-    std::uint64_t internSlices(const SystemState &state,
-                               std::uint32_t *ids);
+    /** Intern @p state's slices, pack their ids into @p cell (room
+     * for kMaxCellBytes) and return hashIds of them, fixing the
+     * store's device count on first use.
+     * @throws std::logic_error on a state of another device count.
+     * @throws StoreFullError when a slice table is out of ids. */
+    std::uint64_t internSlices(const SystemState &state, std::byte *cell);
 
-    /** The offset of @p shard's entry whose cell is @p ids (of id
+    /** The offset of @p shard's entry whose cell is @p cell (of id
      * hash @p hash, of which only the low 32 bits are read), else
      * kAbsent with @p slot at the empty bucket where it belongs.
      * Under the shard lock, or quiescent. */
-    std::uint32_t probe(const Shard &shard, const std::uint32_t *ids,
+    std::uint32_t probe(const Shard &shard, const std::byte *cell,
                         std::uint64_t hash, std::uint64_t &slot) const;
 
     InsertOutcome
     probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
-                      const std::uint32_t *ids, std::uint64_t hash,
+                      const std::byte *cell, std::uint64_t hash,
                       std::uint32_t depth);
 
     Shard shards_[kNumShards];
@@ -412,7 +418,7 @@ class StateStore
     SliceTable leads_{kLeadBytes};
     SliceTable devices_{sizeof(DeviceState)};
     /** The device count of every stored state, fixed by the first
-     * insert (0 before); a cell is ndev ids. */
+     * insert (0 before); a cell is ndev packed ids. */
     std::atomic<std::uint32_t> ndev_{0};
     std::atomic<std::uint64_t> total_{0};
 };

@@ -127,12 +127,11 @@ SliceTable::intern(const void *bytes)
     if (p.found)
         return p.id;
 
-    // kLocalMask itself is unusable: stripe kStripes-1 would pack it
-    // to 0xffffffff, and callers may offset ids by one.
-    if (s.count == kLocalMask) {
+    if (s.count == kStripeSlices) {
         throw std::length_error("SliceTable stripe " +
                                 std::to_string(key.stripe) +
-                                " full (2^28 distinct slices)");
+                                " full (2^20 distinct slices per "
+                                "stripe)");
     }
     const std::uint32_t local = s.count++;
     const auto [k, i] = place(local);
@@ -192,21 +191,22 @@ StateArena::init(ShardMem *mem, std::uint32_t max_entries)
 }
 
 void
-StateArena::append(std::uint32_t off, const std::uint32_t *ids,
+StateArena::append(std::uint32_t off, const std::byte *cell,
                    std::uint32_t width)
 {
-    if (width_ == 0)
+    if (width_ == 0) {
         width_ = width;
+        cellBytes_ = kIdBytes * width;
+    }
     assert(width == width_ && off == count_);
     const std::uint32_t block = off >> kBlockBits;
     if (block == blocks_.size()) {
-        blocks_.push_back(static_cast<std::uint32_t *>(mem_->blockAlloc(
-            block, std::size_t{kBlockCells} * width_ *
-                       sizeof(std::uint32_t))));
+        blocks_.push_back(static_cast<std::byte *>(mem_->blockAlloc(
+            block, std::size_t{kBlockCells} * cellBytes_)));
     }
     std::memcpy(blocks_[block] +
-                    std::size_t{off & (kBlockCells - 1)} * width_,
-                ids, width_ * sizeof(std::uint32_t));
+                    std::size_t{off & (kBlockCells - 1)} * cellBytes_,
+                cell, cellBytes_);
     count_ = off + 1;
 }
 

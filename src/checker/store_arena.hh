@@ -14,23 +14,27 @@
  * the symmetric 4-device one) and a few thousand distinct device
  * records — against 860,925 states on the unreduced 3-device space.
  * So the store keeps one SliceTable per slice kind (leads, device
- * records), shared by all shards, and a state's cell is ndev u32
- * slice ids:
+ * records), shared by all shards, and a state's cell is ndev slice
+ * ids of 3 bytes each (kIdBytes; a table's ids are 24-bit), packed
+ * little-endian with no padding:
  *
- *   [lead id] [device 1 id] ... [device ndev-1 id]
+ *   [lead id] [device 1 id] ... [device ndev-1 id]     3·ndev bytes
  *
  * At ndev = 1 the lead is the whole state and the cell one id.  Both
  * store kinds use this one cell format.  The cell width is the
  * device count, fixed by a store's first insert (all states of a run
  * share ndev), so one StateArena holds a shard's cells at a fixed
- * stride in index-addressed blocks allocated from the shard's
- * ShardMem backend (store_mem.hh): entry `off` is cell `off` — no
- * offset column.  Equal ids mean equal slices, and the lead slice
- * holds ndev, so two states are the same state exactly when their id
- * tuples are equal (COLLAPSE's rule): the store interns a candidate's
- * slices first and then compares ids alone, never slice bytes, and
- * hashIds() of the tuple is the store's one hash — of a candidate
- * when it probes, of a cell when its shard grows.
+ * stride of 3·ndev bytes in index-addressed blocks allocated from the
+ * shard's ShardMem backend (store_mem.hh): entry `off` is cell `off`
+ * — no offset column.  A block of 8,192 cells is 6·ndev whole 4 KiB
+ * pages; nothing reads past a cell's own bytes (3-byte loads), so the
+ * last cell of a block needs no padding.  Equal ids mean equal
+ * slices, and the lead slice holds ndev, so two states are the same
+ * state exactly when their id tuples are equal (COLLAPSE's rule): the
+ * store interns a candidate's slices first and then compares packed
+ * ids alone, never slice bytes, and hashIds() of the tuple is the
+ * store's one hash — of a candidate when it probes, of a cell
+ * (hashCell) when its shard grows.
  *
  * The slice tables live on the heap under every backend, `--store
  * mmap` included: they grow with the number of distinct slices, not
@@ -55,6 +59,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <mutex>
@@ -89,13 +94,69 @@ hashIds(const std::uint32_t *ids, std::uint32_t width)
                      hi ^ 0xe7037ed1a0b428dbull));
 }
 
+/** Bytes of one slice id in a cell: SliceTable ids are 24-bit. */
+constexpr std::uint32_t kIdBytes = 3;
+/** Bytes of the widest cell, kMaxDevices ids. */
+constexpr std::uint32_t kMaxCellBytes = kIdBytes * kMaxDevices;
+
+/** Pack @p width ids, each below 2^24, into the cell at @p cell:
+ * kIdBytes little-endian bytes per id. */
+inline void
+packIds(const std::uint32_t *ids, std::uint32_t width, std::byte *cell)
+{
+    for (std::uint32_t d = 0; d < width; ++d, cell += kIdBytes) {
+        cell[0] = static_cast<std::byte>(ids[d]);
+        cell[1] = static_cast<std::byte>(ids[d] >> 8);
+        cell[2] = static_cast<std::byte>(ids[d] >> 16);
+    }
+}
+
+/** The id packed at @p p: a 3-byte load, so the last cell of a
+ * block is read without touching the byte past it. */
+inline std::uint32_t
+unpackId(const std::byte *p)
+{
+    return std::to_integer<std::uint32_t>(p[0]) |
+           std::to_integer<std::uint32_t>(p[1]) << 8 |
+           std::to_integer<std::uint32_t>(p[2]) << 16;
+}
+
+/** hashIds() of the @p width ids packed in @p cell. */
+inline std::uint64_t
+hashCell(const std::byte *cell, std::uint32_t width)
+{
+    std::uint32_t ids[kMaxDevices];
+    for (std::uint32_t d = 0; d < width; ++d)
+        ids[d] = unpackId(cell + kIdBytes * d);
+    return hashIds(ids, width);
+}
+
+/** Whether the @p n-byte cells at @p a and @p b are equal, for n a
+ * cell size (3, 6, 9 or 12): two overlapping word loads within the
+ * cells, since @p n is a runtime width. */
+inline bool
+sameCell(const std::byte *a, const std::byte *b, std::uint32_t n)
+{
+    auto same = [&](auto word, std::uint32_t at) {
+        decltype(word) x, y;
+        std::memcpy(&x, a + at, sizeof x);
+        std::memcpy(&y, b + at, sizeof y);
+        return x == y;
+    };
+    if (n >= 8)
+        return same(std::uint64_t{}, 0) && same(std::uint64_t{}, n - 8);
+    if (n >= 4)
+        return same(std::uint32_t{}, 0) && same(std::uint32_t{}, n - 4);
+    return same(std::uint16_t{}, 0) && same(std::uint16_t{}, n - 2);
+}
+
 /**
  * A hash-consing table of fixed-width byte slices: intern() gives
- * every distinct slice one u32 id, at() gives the bytes back.
+ * every distinct slice one 24-bit id, at() gives the bytes back.
  *
  * Lock-striped by slice hash (kStripes stripes, each with its own
- * mutex, open-addressing index and id space: an id's top bits name
- * its stripe).  A stripe's slices live in append-only chunks that
+ * mutex, open-addressing index and id space of 2^20 ids: an id's top
+ * 4 of 24 bits name its stripe).  A stripe's slices live in append-only chunks that
  * never move, on a fixed spine of geometrically growing chunk sizes
  * — the spine never reallocates and reserves nothing up front — so
  * at() reads a published id without a lock.  "Published" means the
@@ -123,7 +184,7 @@ class SliceTable
      * it on first sight.  Thread-safe; takes the slice's stripe lock
      * only when the lock-free probe misses.
      * @throws std::length_error when the slice's stripe is out of ids
-     * (2^28 distinct slices).
+     * (2^20 distinct slices per stripe).
      */
     std::uint32_t intern(const void *bytes);
 
@@ -144,11 +205,19 @@ class SliceTable
     /** Distinct slices interned so far; quiescent use only. */
     std::size_t size() const;
 
+    /** Bits of an id: it packs into kIdBytes. */
+    static constexpr std::uint32_t kIdBits = 8 * kIdBytes;
+
   private:
+    /** Tests forge a stripe's count to its limit. */
+    friend struct StateStoreTestPeer;
+
     static constexpr std::uint32_t kStripeBits = 4;
     static constexpr std::uint32_t kStripes = 1u << kStripeBits;
-    static constexpr std::uint32_t kLocalBits = 32 - kStripeBits;
-    static constexpr std::uint32_t kLocalMask = (1u << kLocalBits) - 1;
+    static constexpr std::uint32_t kLocalBits = kIdBits - kStripeBits;
+    /** Slices a stripe holds: every local id is usable. */
+    static constexpr std::uint32_t kStripeSlices = 1u << kLocalBits;
+    static constexpr std::uint32_t kLocalMask = kStripeSlices - 1;
     /** log2 of the slices in a stripe's first chunk. */
     static constexpr std::uint32_t kFirstChunkBits = 4;
     /** Enough chunks to cover every local index. */
@@ -232,23 +301,26 @@ class StateArena
     /** Bind to a backend; @p max_entries bounds the block spine. */
     void init(ShardMem *mem, std::uint32_t max_entries);
 
-    /** Append entry @p off's cell of @p width ids (shard lock held).
-     * Entries arrive in index order, all of the width of the first. */
-    void append(std::uint32_t off, const std::uint32_t *ids,
+    /** Append entry @p off's cell of @p width packed ids (shard lock
+     * held).  Entries arrive in index order, all of the width of the
+     * first. */
+    void append(std::uint32_t off, const std::byte *cell,
                 std::uint32_t width);
 
     /** Entry @p off's cell, an appended one (see the file comment
      * for when that may be read lock-free). */
-    const std::uint32_t *
+    const std::byte *
     cellAt(std::uint32_t off) const
     {
         return blocks_[off >> kBlockBits] +
-               std::size_t{off & (kBlockCells - 1)} * width_;
+               std::size_t{off & (kBlockCells - 1)} * cellBytes_;
     }
 
     /** Ids per cell: the store's device count (0 before the first
      * append). */
     std::uint32_t width() const { return width_; }
+    /** Bytes per cell: kIdBytes per id. */
+    std::uint32_t cellBytes() const { return cellBytes_; }
 
     /** Start loading entry @p off's cell. */
     void prefetchCell(std::uint32_t off) const
@@ -261,9 +333,10 @@ class StateArena
     /** Ids per cell — the store's device count — fixed by the first
      * append. */
     std::uint32_t width_ = 0;
+    std::uint32_t cellBytes_ = 0; ///< kIdBytes * width_
     /** Block-pointer cache, fully reserved (never reallocates; see
      * the file comment). */
-    std::vector<std::uint32_t *> blocks_;
+    std::vector<std::byte *> blocks_;
     std::uint32_t count_ = 0; ///< cells appended
 };
 

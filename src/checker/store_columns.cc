@@ -40,7 +40,7 @@ ShardColumns::sizeBuckets(std::size_t cap)
     // No column keeps the hashes: each is recomputed from its cell.
     const std::uint32_t width = cells_->width();
     for (std::uint32_t off = 0; off < count_; ++off) {
-        const std::uint64_t hash = hashIds(cells_->cellAt(off), width);
+        const std::uint64_t hash = hashCell(cells_->cellAt(off), width);
         std::uint64_t slot = homeOf(hash);
         while (buckets_[slot] != 0)
             slot = nextSlot(slot);
@@ -66,13 +66,30 @@ ShardColumns::append(std::uint32_t depth)
     const std::uint32_t off = count_;
     const std::uint32_t chunk = off >> kDepthChunkBits;
     if (chunk == depths_.size()) {
-        depths_.push_back(static_cast<std::atomic<std::uint32_t> *>(
-            mem_->chunkAlloc(kDepthChunkSize *
-                             sizeof(std::atomic<std::uint32_t>))));
+        depths_.push_back({static_cast<std::atomic<std::uint8_t> *>(
+                               mem_->chunkAlloc(
+                                   kDepthChunkSize *
+                                   sizeof(std::atomic<std::uint8_t>))),
+                           nullptr});
     }
-    // Each cell is constructed as its entry is appended, never ahead:
-    // a chunk's pages are backed only once entries reach them.
-    new (&depthCell(off)) std::atomic<std::uint32_t>(depth);
+    // Each label is constructed as its entry is appended, never
+    // ahead: a chunk's pages are backed only once entries reach them.
+    std::atomic<std::uint8_t> &label = labelAt(off);
+    if (depth < kWide) {
+        new (&label) std::atomic<std::uint8_t>(
+            static_cast<std::uint8_t>(depth));
+    } else {
+        DepthChunk &c = depths_[chunk];
+        if (c.wide == nullptr) {
+            c.wide = static_cast<std::atomic<std::uint32_t> *>(
+                mem_->chunkAlloc(kDepthChunkSize *
+                                 sizeof(std::atomic<std::uint32_t>)));
+        }
+        new (&wideAt(off)) std::atomic<std::uint32_t>(depth);
+        // The wide cell and its chunk are written before the escape.
+        new (&label) std::atomic<std::uint8_t>;
+        label.store(kWide, std::memory_order_release);
+    }
     ++count_;
     return off;
 }

@@ -3,8 +3,9 @@
  * Shard-column layer of the visited-state store.
  *
  * One ShardColumns instance holds a shard's one entry column — the
- * chunked atomic depth label — plus the open-addressing bucket array,
- * both allocated from the shard's ShardMem backend (store_mem.hh).
+ * chunked atomic one-byte depth label, with a wide escape for deep
+ * entries — plus the open-addressing bucket array, all allocated from
+ * the shard's ShardMem backend (store_mem.hh).
  * No entry keeps its parent or the rule that reached it: witness
  * paths are searched out from the depth labels (witnessPath,
  * expand.hh).  The probe/insert *algorithm* stays in the StateStore
@@ -31,11 +32,22 @@
  *    the façade's published thread-safety contract;
  *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
  *    addresses never move) behind a fully-reserved spine, so
- *    depthCell() of an appended entry is readable lock-free at any
- *    time — the work-stealing explorer's stale-task check depends on
- *    this.  A chunk holds 65,536 cells, but each cell is constructed
- *    by append(), so a chunk's untouched pages stay unbacked: a shard
- *    with one entry holds one resident page of depths, not 256 KB.
+ *    depthOf() of an appended entry is readable lock-free at any time
+ *    — the work-stealing explorer's stale-task check depends on this.
+ *    A label is one byte: depths 0-254 are stored as they are, and
+ *    kWide (255) says the exact depth is in the shard's *wide*
+ *    column, u32 cells chunked alike, whose chunk is allocated only
+ *    when an entry of that chunk first gets a depth >= 255 (no run of
+ *    the benchmark ladder is deeper than 62).  A wide cell and its
+ *    chunk pointer are written before the kWide byte is stored with
+ *    release, and a reader that loads kWide (acquire) reads them
+ *    after; labels only decrease, so a narrow label never turns wide,
+ *    and a relabel of an escaped entry writes its wide cell while the
+ *    depth stays >= 255 and its narrow byte once it drops below.  A
+ *    chunk holds 65,536 labels (64 KiB), but each is constructed by
+ *    append(), so a chunk's untouched pages stay unbacked: a shard
+ *    with one entry holds one resident page of depths, and a page
+ *    backs 4,096 entries.
  *
  * Growth multiplies the bucket capacity by 3/2 (rounded up to whole
  * multiples of 16) when the next entry would take the load past 4/5,
@@ -76,6 +88,9 @@ class ShardColumns
     static constexpr std::uint32_t kDepthChunkBits = 16;
     static constexpr std::uint32_t kDepthChunkSize =
         1u << kDepthChunkBits;
+    /** The depth label that defers to the wide column; every smaller
+     * depth is its own label. */
+    static constexpr std::uint8_t kWide = 0xff;
 
     /**
      * Bind to a backend and size the initial bucket array; growth
@@ -172,13 +187,28 @@ class ShardColumns
         __builtin_prefetch(&buckets_[home]);
         __builtin_prefetch(&buckets_[std::min(home + 15, capacity_ - 1)]);
     }
-    /** Lock-free-readable depth cell of an appended entry (chunked
-     * atomics; see file comment). */
-    std::atomic<std::uint32_t> &
-    depthCell(std::uint32_t off) const
+    /** The depth of appended entry @p off; lock-free at any time
+     * (see the file comment). */
+    std::uint32_t
+    depthOf(std::uint32_t off) const
     {
-        return depths_[off >> kDepthChunkBits]
-                      [off & (kDepthChunkSize - 1)];
+        const std::uint8_t label =
+            labelAt(off).load(std::memory_order_acquire);
+        if (label != kWide)
+            return label;
+        return wideAt(off).load(std::memory_order_relaxed);
+    }
+
+    /** Relabel appended entry @p off to @p depth, smaller than its
+     * current one (shard lock held). */
+    void
+    lowerDepth(std::uint32_t off, std::uint32_t depth)
+    {
+        if (depth < kWide)
+            labelAt(off).store(static_cast<std::uint8_t>(depth),
+                               std::memory_order_relaxed);
+        else
+            wideAt(off).store(depth, std::memory_order_relaxed);
     }
 
     /** Grow buckets before the next append would take the load past
@@ -206,12 +236,37 @@ class ShardColumns
   private:
     void sizeBuckets(std::size_t cap);
 
+    /** One chunk of the depth column: kDepthChunkSize labels and,
+     * from the chunk's first escape on, as many wide cells (null
+     * before).  wide is written once, under the shard lock, before any
+     * kWide label of the chunk is published, and read only after one
+     * is loaded: the label's release/acquire orders it, so the
+     * pointer needs no atomic. */
+    struct DepthChunk {
+        std::atomic<std::uint8_t> *labels;
+        std::atomic<std::uint32_t> *wide;
+    };
+
+    std::atomic<std::uint8_t> &
+    labelAt(std::uint32_t off) const
+    {
+        return depths_[off >> kDepthChunkBits]
+            .labels[off & (kDepthChunkSize - 1)];
+    }
+    /** Entry @p off's wide cell; its chunk's wide cells must exist. */
+    std::atomic<std::uint32_t> &
+    wideAt(std::uint32_t off) const
+    {
+        return depths_[off >> kDepthChunkBits]
+            .wide[off & (kDepthChunkSize - 1)];
+    }
+
     ShardMem *mem_ = nullptr;
     const StateArena *cells_ = nullptr;
     std::uint32_t *buckets_ = nullptr;
     /** Depth-chunk spine; fully reserved, so push_back never moves
      * the chunk pointers lock-free readers are walking. */
-    std::vector<std::atomic<std::uint32_t> *> depths_;
+    std::vector<DepthChunk> depths_;
     std::uint64_t capacity_ = 0;
     std::uint32_t linkBits_ = 0;
     std::uint32_t count_ = 0;

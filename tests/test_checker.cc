@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -54,6 +56,121 @@ TEST(StateStore, DepthWiderThanSixteenBits)
     ASSERT_TRUE(cnew);
     EXPECT_EQ(store.depthAt(parent), 65535u);
     EXPECT_EQ(store.depthAt(child), 70000u);
+}
+
+const StoreKind kStoreKinds[] = {StoreKind::InRam, StoreKind::Mmap};
+
+TEST(StateStore, DepthEscapeAppendsRelabelsAndScans)
+{
+    // A depth label is one byte; depths from 255 up live in the wide
+    // column behind it.  Appends on both sides of the escape, the
+    // relabels that can happen (wide to wide, wide to narrow, narrow
+    // to narrow: labels never grow) and the quiescent scans all see
+    // the depths written, on both store kinds.
+    for (const StoreKind kind : kStoreKinds) {
+        StateStore store(storeConfigOf(kind, "", 0));
+        const std::uint32_t depths[] = {254, 255, 256, 70000, 3};
+        std::vector<std::uint32_t> ids;
+        for (int i = 0; i < 5; ++i) {
+            auto [id, fresh] = store.insert(
+                initialBothShared(static_cast<Val>(i + 1)), depths[i]);
+            ASSERT_TRUE(fresh);
+            ids.push_back(id);
+            EXPECT_EQ(store.depthAt(id), depths[i]) << i;
+        }
+        EXPECT_EQ(store.maxDepthQuiescent(), 70000u);
+        EXPECT_EQ(store.countDepthAtMost(3), 1u);
+        EXPECT_EQ(store.countDepthAtMost(254), 2u);
+        EXPECT_EQ(store.countDepthAtMost(255), 3u);
+        EXPECT_EQ(store.countDepthAtMost(69999), 4u);
+        EXPECT_EQ(store.countDepthAtMost(70000), 5u);
+
+        // A duplicate insert at @p depth; whether it relabelled.
+        auto relabel = [&](int i, std::uint32_t depth) {
+            StateStore::BatchItem item;
+            item.state = initialBothShared(static_cast<Val>(i + 1));
+            item.depth = depth;
+            store.insertBatch(&item, 1);
+            EXPECT_EQ(item.id, ids[i]);
+            return item.improved;
+        };
+        EXPECT_TRUE(relabel(3, 300)); // wide to wide
+        EXPECT_EQ(store.depthAt(ids[3]), 300u);
+        EXPECT_EQ(store.maxDepthQuiescent(), 300u);
+        EXPECT_TRUE(relabel(2, 255)); // wide to wide, onto the escape
+        EXPECT_TRUE(relabel(1, 254)); // wide to narrow, across it
+        EXPECT_TRUE(relabel(3, 10));  // wide to narrow
+        EXPECT_TRUE(relabel(0, 200)); // narrow to narrow
+        EXPECT_FALSE(relabel(2, 255));
+        EXPECT_FALSE(relabel(4, 254));
+        const std::uint32_t now[] = {200, 254, 255, 10, 3};
+        for (int i = 0; i < 5; ++i)
+            EXPECT_EQ(store.depthAt(ids[i]), now[i]) << i;
+        EXPECT_EQ(store.maxDepthQuiescent(), 255u);
+        EXPECT_EQ(store.countDepthAtMost(10), 2u);
+        EXPECT_EQ(store.countDepthAtMost(254), 4u);
+        EXPECT_EQ(store.countDepthAtMost(255), 5u);
+    }
+}
+
+TEST(StateStore, DepthAtRacesRelabelsAcrossTheWideEscape)
+{
+    // depthAt is read lock-free while relabels lower every entry
+    // through the escape, wide to wide to narrow: each read is a depth
+    // written so far, and reads of one entry never rise (a stale one
+    // is an upper bound).  Clean under ThreadSanitizer.
+    constexpr int kStates = 2048;
+    const std::uint32_t steps[] = {70000, 4000, 300, 256, 255,
+                                   254,   200,  1,   0};
+    auto stateOf = [](int i) {
+        SystemState s = initialAllInvalid();
+        s.counter = static_cast<std::uint8_t>(i);
+        s.dev[0].val = static_cast<Val>(i >> 8);
+        return s;
+    };
+    for (const StoreKind kind : kStoreKinds) {
+        StateStore store(storeConfigOf(kind, "", 0));
+        std::vector<std::uint32_t> ids;
+        for (int i = 0; i < kStates; ++i)
+            ids.push_back(store.insert(stateOf(i), steps[0]).first);
+        std::atomic<bool> done{false};
+        std::atomic<int> started{0};
+        auto reader = [&] {
+            started.fetch_add(1);
+            std::vector<std::uint32_t> last(kStates, steps[0]);
+            bool ok = true;
+            for (bool more = true; more;) {
+                more = !done.load(std::memory_order_acquire);
+                for (int i = 0; i < kStates; ++i) {
+                    const std::uint32_t d = store.depthAt(ids[i]);
+                    ok &= d <= last[i] &&
+                          std::find(std::begin(steps), std::end(steps),
+                                    d) != std::end(steps);
+                    last[i] = d;
+                }
+            }
+            return ok;
+        };
+        bool ok[2] = {false, false};
+        std::thread readers[] = {std::thread([&] { ok[0] = reader(); }),
+                                 std::thread([&] { ok[1] = reader(); })};
+        while (started.load() < 2)
+            std::this_thread::yield();
+        for (std::size_t k = 1; k < std::size(steps); ++k) {
+            for (int i = 0; i < kStates; ++i) {
+                StateStore::BatchItem item;
+                item.state = stateOf(i);
+                item.depth = steps[k];
+                store.insertBatch(&item, 1);
+            }
+        }
+        done.store(true, std::memory_order_release);
+        for (std::thread &t : readers)
+            t.join();
+        EXPECT_TRUE(ok[0] && ok[1]);
+        for (int i = 0; i < kStates; ++i)
+            EXPECT_EQ(store.depthAt(ids[i]), 0u) << i;
+    }
 }
 
 TEST(StateStore, PackedIdsRoundTripAcrossShards)
@@ -257,6 +374,26 @@ TEST(ResolveEngine, ClampsWorkersAndResolvesAutoAndTheCap)
     EXPECT_EQ(resolveEngine(opt, free2).maxStates, kDefaultMaxStates);
     opt.maxStates = 100;
     EXPECT_EQ(resolveEngine(opt, free2).maxStates, 100u);
+}
+
+TEST_F(ExplorerTest, FullSliceTableStopsTheRunAsShardFull)
+{
+    // A slice table out of ids (every stripe forged full) stops a run
+    // the way a full shard does: the worker guard both schedules run
+    // under makes it a governed ShardFull stop, not an internal error.
+    const Scenario sc = Scenario::freeRunScenario();
+    ExploreOptions opt;
+    opt.threads = 1;
+    ExpandKernel k(rules, sc, invariants, opt);
+    ASSERT_FALSE(k.insertInitial());
+    StateStoreTestPeer::forgeSliceRoom(k.store, 0);
+    auto scratch = k.makeScratch<WorkerScratch>();
+    ASSERT_NO_THROW(k.runWorkers(scratch, false, [&](std::size_t t) {
+        k.expand(scratch[t], k.initIdx, 0);
+        k.flush(scratch[t], [] {});
+    }));
+    EXPECT_EQ(k.governor.reason(), StopReason::ShardFull);
+    EXPECT_EQ(k.store.size(), 1u);
 }
 
 TEST_F(ExplorerTest, SingleLoadScenario)

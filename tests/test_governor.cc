@@ -222,8 +222,8 @@ TEST(Governor, MemoryCeilingCountsMemfdBacking)
 {
     // Without --store-dir the mmap store lives in memfd, which is RAM
     // whether mapped or not: the ceiling must see it.  The unreduced
-    // 3-device space needs ~23.6 MB of memfd store (and ~2 MB of
-    // anonymous memory besides), so a ceiling 16 MB above the current
+    // 3-device space needs ~13.8 MB of memfd store (and ~2 MB of
+    // anonymous memory besides), so a ceiling 10 MB above the current
     // footprint has to trip mid-run, and would not if memfd went
     // unmetered.
     const std::uint64_t before = meteredMemoryBytes();
@@ -231,7 +231,7 @@ TEST(Governor, MemoryCeilingCountsMemfdBacking)
     EngineOptions engine;
     engine.threads = 4;
     engine.store = StoreKind::Mmap;
-    engine.maxRssBytes = before + 16ull * 1000 * 1000;
+    engine.maxRssBytes = before + 10ull * 1000 * 1000;
     const CheckResult res = session.run(freeRunRequest(3, engine));
     expectGovernedStop(res, StopReason::Memory, "memory");
     EXPECT_LT(res.states, 860925u);

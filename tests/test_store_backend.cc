@@ -6,7 +6,9 @@
  * depth relabeling, every cell kept, level-barrier growth, the
  * StoreFullError capacity path (store-level and through both
  * engines), identity by slice ids under a forged or shared id hash,
- * find() of states never stored — and the engines
+ * find() of states never stored, cells of 3-byte ids at every width
+ * and at the top of the id space, the slice tables' id limit — and
+ * the engines
  * must produce bit-identical state/transition counts on both kinds at
  * 2-device and symmetry-reduced 3-device spaces.  On Linux the in-RAM
  * kind's memory is checked page by page (mincore): it is mapped on
@@ -16,11 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "checker/explorer.hh"
@@ -225,7 +230,9 @@ struct LoneColumns {
     {
         cols.maybeGrow();
         const std::uint32_t id = cols.count();
-        cells.append(cols.append(0), &id, 1);
+        std::byte cell[kIdBytes];
+        packIds(&id, 1, cell);
+        cells.append(cols.append(0), cell, 1);
     }
 };
 
@@ -291,8 +298,7 @@ TEST(StoreBackend, MmapKindReportsMappedBytes)
         EXPECT_GT(store.mappedBytes(), 0u) << k.name;
         EXPECT_EQ(store.mappedBytes(), store.backingFileBytes())
             << k.name;
-        EXPECT_GE(detail::memfdBytes(),
-                  states.size() * 2 * sizeof(std::uint32_t))
+        EXPECT_GE(detail::memfdBytes(), states.size() * 2 * kIdBytes)
             << k.name;
     }
 }
@@ -322,34 +328,81 @@ residentPages(const void *p, std::size_t bytes)
     return resident;
 }
 
+/** A ShardMem that records the chunks its backend hands out. */
+class ChunkRecorder final : public ShardMem
+{
+  public:
+    explicit ChunkRecorder(std::unique_ptr<ShardMem> backend)
+        : backend_(std::move(backend))
+    {
+    }
+
+    void *flatGrow(std::size_t bytes) override
+    {
+        return backend_->flatGrow(bytes);
+    }
+    void *chunkAlloc(std::size_t bytes) override
+    {
+        chunks.push_back(backend_->chunkAlloc(bytes));
+        return chunks.back();
+    }
+    void *blockAlloc(std::uint32_t index, std::size_t bytes) override
+    {
+        return backend_->blockAlloc(index, bytes);
+    }
+
+    std::vector<void *> chunks;
+
+  private:
+    std::unique_ptr<ShardMem> backend_;
+};
+
 TEST(StoreBackend, DepthChunksAreBackedOnlyWhereWritten)
 {
     // A fresh chunk has no resident page; the depth column constructs
-    // a cell only when its entry is appended, so a store with one
-    // entry per shard holds one page of each shard's depth chunk.
+    // a one-byte label only when its entry is appended, so a shard with
+    // one entry holds one page of its label chunk, and a page backs
+    // 4,096 entries.  The wide column has no chunk until a depth
+    // reaches 255, and then backs only the page it writes.
     constexpr std::size_t kChunkBytes =
-        ShardColumns::kDepthChunkSize * sizeof(std::uint32_t);
+        ShardColumns::kDepthChunkSize * sizeof(std::atomic<std::uint8_t>);
+    static_assert(kChunkBytes == 64 * 1024);
+    constexpr std::size_t kWideBytes =
+        ShardColumns::kDepthChunkSize * sizeof(std::atomic<std::uint32_t>);
     {
         const std::unique_ptr<ShardMem> mem =
             makeShardMem(StoreBackend::InRam, "");
         const void *chunk = mem->chunkAlloc(kChunkBytes);
         EXPECT_EQ(residentPages(chunk, kChunkBytes), 0);
     }
+    const std::uint32_t per_page =
+        static_cast<std::uint32_t>(testPageSize());
     for (const Kind &k : kKinds) {
         const StoreConfig config = configOf(k);
-        for (std::uint32_t shard = 0; shard < StateStore::kNumShards;
-             ++shard) {
-            const std::unique_ptr<ShardMem> mem =
-                makeShardMem(config.backend, config.dir);
-            StateArena cells;
-            cells.init(mem.get(), StateStore::kOffsetMask);
-            ShardColumns cols;
-            cols.init(mem.get(), 16, StateStore::kOffsetMask, cells);
-            cols.append(7);
-            EXPECT_EQ(cols.depthCell(0).load(), 7u);
-            EXPECT_EQ(residentPages(&cols.depthCell(0), kChunkBytes), 1)
-                << k.name << " shard " << shard;
-        }
+        ChunkRecorder mem(makeShardMem(config.backend, config.dir));
+        StateArena cells;
+        cells.init(&mem, StateStore::kOffsetMask);
+        ShardColumns cols;
+        cols.init(&mem, 16, StateStore::kOffsetMask, cells);
+        cols.append(7);
+        ASSERT_EQ(mem.chunks.size(), 1u) << k.name;
+        EXPECT_EQ(cols.depthOf(0), 7u);
+        EXPECT_EQ(residentPages(mem.chunks[0], kChunkBytes), 1) << k.name;
+        while (cols.count() < per_page)
+            cols.append(ShardColumns::kWide - 1);
+        EXPECT_EQ(residentPages(mem.chunks[0], kChunkBytes), 1) << k.name;
+        cols.append(ShardColumns::kWide - 1);
+        EXPECT_EQ(residentPages(mem.chunks[0], kChunkBytes), 2) << k.name;
+        EXPECT_EQ(mem.chunks.size(), 1u) << k.name << ": a wide chunk "
+                                                     "below depth 255";
+        const std::uint32_t deep = cols.append(ShardColumns::kWide);
+        ASSERT_EQ(mem.chunks.size(), 2u) << k.name;
+        EXPECT_EQ(residentPages(mem.chunks[1], kWideBytes), 1) << k.name;
+        EXPECT_EQ(cols.depthOf(deep), 255u) << k.name;
+        EXPECT_EQ(cols.depthOf(deep - 1), 254u) << k.name;
+        cols.append(70000);
+        EXPECT_EQ(mem.chunks.size(), 2u) << k.name;
+        EXPECT_EQ(cols.depthOf(deep + 1), 70000u) << k.name;
     }
 }
 
@@ -413,6 +466,129 @@ TEST(StoreBackend, StoreDirBacksShardFiles)
     EXPECT_EQ(rmdir(dir), 0);
 }
 #endif // __linux__
+
+TEST(StoreBackend, CellsRoundTripAtEveryWidthAndIdExtreme)
+{
+    // A cell is its ids packed 3 bytes each.  Ids at the 24-bit
+    // extremes (stripe 15's largest local id, stripe 15's first, the
+    // largest local id of stripe 0, the top bit alone) come back, hash
+    // as their values do and compare equal to their packed selves at
+    // every width, on both sides of a block boundary.  The last cell
+    // of a block ends where the block does: no read of it may take a
+    // wider word.
+    const std::uint32_t extremes[] = {0xffffff, 0xf00000, 0x0fffff,
+                                      0x800000, 0x000001, 0};
+    auto idsAt = [&](std::uint32_t off, std::uint32_t width) {
+        std::array<std::uint32_t, kMaxDevices> ids{};
+        for (std::uint32_t d = 0; d < width; ++d)
+            ids[d] = extremes[(off + d) % std::size(extremes)];
+        return ids;
+    };
+    constexpr std::uint32_t kBlock = StateArena::kBlockCells;
+    for (const Kind &k : kKinds) {
+        const StoreConfig config = configOf(k);
+        for (std::uint32_t width = 1; width <= kMaxDevices; ++width) {
+            const std::unique_ptr<ShardMem> mem =
+                makeShardMem(config.backend, config.dir);
+            StateArena arena;
+            arena.init(mem.get(), StateStore::kOffsetMask);
+            for (std::uint32_t off = 0; off < kBlock + 2; ++off) {
+                std::byte cell[kMaxCellBytes];
+                packIds(idsAt(off, width).data(), width, cell);
+                arena.append(off, cell, width);
+            }
+            const std::uint32_t bytes = kIdBytes * width;
+            ASSERT_EQ(arena.cellBytes(), bytes);
+            EXPECT_EQ(arena.cellAt(kBlock - 1) + bytes,
+                      arena.cellAt(0) + std::size_t{kBlock} * bytes);
+            for (const std::uint32_t off :
+                 {0u, 1u, 5u, kBlock - 1, kBlock, kBlock + 1}) {
+                const auto ids = idsAt(off, width);
+                const std::byte *cell = arena.cellAt(off);
+                for (std::uint32_t d = 0; d < width; ++d) {
+                    EXPECT_EQ(unpackId(cell + kIdBytes * d), ids[d])
+                        << k.name << " width " << width << " off " << off;
+                }
+                EXPECT_EQ(hashCell(cell, width), hashIds(ids.data(), width));
+                std::byte probe[kMaxCellBytes];
+                packIds(ids.data(), width, probe);
+                EXPECT_TRUE(sameCell(probe, cell, bytes));
+                // Every byte of a cell tells it apart.
+                for (std::uint32_t b = 0; b < bytes; ++b) {
+                    probe[b] ^= std::byte{0x40};
+                    EXPECT_FALSE(sameCell(probe, cell, bytes))
+                        << k.name << " width " << width << " byte " << b;
+                    probe[b] ^= std::byte{0x40};
+                }
+            }
+        }
+    }
+}
+
+/** A 4-device state of index @p i: a lead and three device records
+ * that mostly differ between indexes. */
+SystemState
+fourDeviceState(int i)
+{
+    SystemState s;
+    s.ndev = 4;
+    s.counter = static_cast<std::uint8_t>(i & 0xff);
+    for (std::uint32_t d = 0; d < 4; ++d) {
+        s.dev[d].val = static_cast<Val>((i >> (2 * d)) + d);
+        s.dev[d].pc = static_cast<std::uint8_t>((i + d) & 3);
+    }
+    return s;
+}
+
+TEST(StoreBackend, IdsAtTheTopOfAStripeRoundTripUntilItOverflows)
+{
+    // Stripe 15 of both slice tables is forged to have room for two
+    // more slices, so the next two it interns take ids 0xfffffe and
+    // 0xffffff, the largest there are.  States whose cells hold them
+    // are stored, found and decoded like any other; the slice after
+    // them overflows the stripe, and the store reports that as a full
+    // store, which the explorers turn into a ShardFull stop.
+    for (const Kind &k : kKinds) {
+        StateStore store(configOf(k));
+        StateStoreTestPeer::forgeSliceRoom(store, 2, 15);
+        std::vector<std::pair<std::uint32_t, SystemState>> stored;
+        int overflows = 0;
+        for (int i = 0; i < 400; ++i) {
+            const SystemState s = fourDeviceState(i);
+            try {
+                const auto [id, fresh] = store.insert(s, 0);
+                ASSERT_TRUE(fresh) << k.name << " " << i;
+                stored.emplace_back(id, s);
+            } catch (const StoreFullError &e) {
+                ++overflows;
+                EXPECT_EQ(e.shard(), StateStore::kNumShards);
+                EXPECT_NE(std::string(e.what()).find(
+                              "stripe 15 full (2^20 distinct slices per "
+                              "stripe)"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        EXPECT_GT(overflows, 0) << k.name;
+        bool top_lead = false, top_device = false;
+        for (const auto &[id, s] : stored) {
+            const auto ids = StateStoreTestPeer::cellIds(store, id);
+            top_lead |= ids[0] == 0xffffff;
+            top_device |= std::find(ids.begin() + 1, ids.end(),
+                                    0xffffffu) != ids.end();
+            SystemState decoded;
+            store.stateInto(id, decoded);
+            EXPECT_TRUE(decoded == s) << k.name;
+            EXPECT_EQ(store.find(s), id) << k.name;
+            const auto [again, fresh] = store.insert(s, 0);
+            EXPECT_FALSE(fresh) << k.name;
+            EXPECT_EQ(again, id) << k.name;
+        }
+        EXPECT_TRUE(top_lead) << k.name;
+        EXPECT_TRUE(top_device) << k.name;
+        EXPECT_EQ(store.size(), stored.size()) << k.name;
+    }
+}
 
 TEST(StoreBackend, CapacityThrowsStoreFullErrorOnEveryKind)
 {
