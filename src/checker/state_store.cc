@@ -183,7 +183,7 @@ StateStore::probe(const Shard &shard, const std::byte *cell,
         if (!ShardColumns::tagMatches(bucket, hash, bits))
             continue;
         const std::uint32_t off = ShardColumns::linkOf(bucket, bits) - 1;
-        if (sameCell(cell, shard.arena.cellAt(off), bytes))
+        if (std::memcmp(cell, shard.arena.cellAt(off), bytes) == 0)
             return off;
     }
 }

@@ -194,19 +194,18 @@ void
 StateArena::append(std::uint32_t off, const std::byte *cell,
                    std::uint32_t width)
 {
-    if (width_ == 0) {
+    if (width_ == 0)
         width_ = width;
-        cellBytes_ = kIdBytes * width;
-    }
     assert(width == width_ && off == count_);
+    const std::uint32_t bytes = kIdBytes * width_;
     const std::uint32_t block = off >> kBlockBits;
     if (block == blocks_.size()) {
         blocks_.push_back(static_cast<std::byte *>(mem_->blockAlloc(
-            block, std::size_t{kBlockCells} * cellBytes_)));
+            block, std::size_t{kBlockCells} * bytes)));
     }
     std::memcpy(blocks_[block] +
-                    std::size_t{off & (kBlockCells - 1)} * cellBytes_,
-                cell, cellBytes_);
+                    std::size_t{off & (kBlockCells - 1)} * bytes,
+                cell, bytes);
     count_ = off + 1;
 }
 

@@ -131,25 +131,6 @@ hashCell(const std::byte *cell, std::uint32_t width)
     return hashIds(ids, width);
 }
 
-/** Whether the @p n-byte cells at @p a and @p b are equal, for n a
- * cell size (3, 6, 9 or 12): two overlapping word loads within the
- * cells, since @p n is a runtime width. */
-inline bool
-sameCell(const std::byte *a, const std::byte *b, std::uint32_t n)
-{
-    auto same = [&](auto word, std::uint32_t at) {
-        decltype(word) x, y;
-        std::memcpy(&x, a + at, sizeof x);
-        std::memcpy(&y, b + at, sizeof y);
-        return x == y;
-    };
-    if (n >= 8)
-        return same(std::uint64_t{}, 0) && same(std::uint64_t{}, n - 8);
-    if (n >= 4)
-        return same(std::uint32_t{}, 0) && same(std::uint32_t{}, n - 4);
-    return same(std::uint16_t{}, 0) && same(std::uint16_t{}, n - 2);
-}
-
 /**
  * A hash-consing table of fixed-width byte slices: intern() gives
  * every distinct slice one 24-bit id, at() gives the bytes back.
@@ -313,14 +294,12 @@ class StateArena
     cellAt(std::uint32_t off) const
     {
         return blocks_[off >> kBlockBits] +
-               std::size_t{off & (kBlockCells - 1)} * cellBytes_;
+               std::size_t{off & (kBlockCells - 1)} * (kIdBytes * width_);
     }
 
     /** Ids per cell: the store's device count (0 before the first
      * append). */
     std::uint32_t width() const { return width_; }
-    /** Bytes per cell: kIdBytes per id. */
-    std::uint32_t cellBytes() const { return cellBytes_; }
 
     /** Start loading entry @p off's cell. */
     void prefetchCell(std::uint32_t off) const
@@ -333,7 +312,6 @@ class StateArena
     /** Ids per cell — the store's device count — fixed by the first
      * append. */
     std::uint32_t width_ = 0;
-    std::uint32_t cellBytes_ = 0; ///< kIdBytes * width_
     /** Block-pointer cache, fully reserved (never reallocates; see
      * the file comment). */
     std::vector<std::byte *> blocks_;

@@ -498,7 +498,7 @@ TEST(StoreBackend, CellsRoundTripAtEveryWidthAndIdExtreme)
                 arena.append(off, cell, width);
             }
             const std::uint32_t bytes = kIdBytes * width;
-            ASSERT_EQ(arena.cellBytes(), bytes);
+            ASSERT_EQ(arena.width(), width);
             EXPECT_EQ(arena.cellAt(kBlock - 1) + bytes,
                       arena.cellAt(0) + std::size_t{kBlock} * bytes);
             for (const std::uint32_t off :
@@ -512,11 +512,11 @@ TEST(StoreBackend, CellsRoundTripAtEveryWidthAndIdExtreme)
                 EXPECT_EQ(hashCell(cell, width), hashIds(ids.data(), width));
                 std::byte probe[kMaxCellBytes];
                 packIds(ids.data(), width, probe);
-                EXPECT_TRUE(sameCell(probe, cell, bytes));
+                EXPECT_EQ(std::memcmp(probe, cell, bytes), 0);
                 // Every byte of a cell tells it apart.
                 for (std::uint32_t b = 0; b < bytes; ++b) {
                     probe[b] ^= std::byte{0x40};
-                    EXPECT_FALSE(sameCell(probe, cell, bytes))
+                    EXPECT_NE(std::memcmp(probe, cell, bytes), 0)
                         << k.name << " width " << width << " byte " << b;
                     probe[b] ^= std::byte{0x40};
                 }
