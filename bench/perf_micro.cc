@@ -376,10 +376,15 @@ main(int argc, char **argv)
                                                passthrough.data()))
         return 1;
 
-    CapturingReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    if (!json_path.empty())
+    // Without --json, google-benchmark picks the reporter itself, so
+    // --benchmark_format and --benchmark_color keep their meaning.
+    if (json_path.empty()) {
+        benchmark::RunSpecifiedBenchmarks();
+    } else {
+        CapturingReporter reporter;
+        benchmark::RunSpecifiedBenchmarks(&reporter);
         reporter.writeJson(json_path);
+    }
     benchmark::Shutdown();
     return 0;
 }

@@ -26,11 +26,13 @@
  *
  * Standard flags: --devices N, --threads N, --sym/--no-sym,
  * --store ram|mmap (both exact; --compact is accepted as a no-op
- * shim), --store-dir DIR (mmap only), --por/--no-por, --ws/--bfs,
- * --max-states N, --expect-states N, --max-seconds S,
+ * shim), --store-dir DIR (mmap only), --por/--no-por, --max-states N,
+ * --expect-states N, --max-seconds S,
  * --max-rss-mb N, --json [PATH].  `--deterministic` zeroes the wall-clock keys of
  * JSON output (offline and served) so runs diff byte-identical;
- * `--progress` streams served progress frames to stderr.
+ * `--progress` streams served progress frames to stderr.  Every run
+ * walks the space level by level; `--ws` and `--bfs` are accepted as
+ * no-op shims.
  *
  * Exit status: 0 when every run matches its scenario's expectation
  * (holds, or reaches the expected violation family) — or stopped

@@ -12,9 +12,10 @@
  *              [standard engine flags]
  *
  * The standard flags (--threads, --sym/--no-sym, --store,
- * --por/--no-por, --ws/--bfs, --max-states, --max-seconds, ...) set
+ * --por/--no-por, --max-states, --max-seconds, ...) set
  * the per-request engine *defaults*; each request may override any
- * knob (see src/serve/protocol.hh).  `--default-max-seconds` is the
+ * knob (see src/serve/protocol.hh); `--ws` and `--bfs` are accepted
+ * as no-op shims.  `--default-max-seconds` is the
  * safety net applied to requests that carry no wall-clock budget of
  * their own.  `--corpus DIR` promotes fuzz-discovered scenarios into
  * the registry first, exactly like `cxl_check --corpus`.

@@ -3,7 +3,7 @@
  * Scenario fuzzer + cross-engine differential oracle CLI: generate
  * seeded random scenarios (config bits x invariant families x device
  * counts x inline litmus programs), run each through the engine
- * portfolio ({bfs, ws} x {por} x {sym}, plus an mmap-store arm), and
+ * portfolio ({por} x {sym}, plus an mmap-store arm), and
  * cross-check the verdict signatures.  Divergence = engine bug.
  * Novel agreeing signatures are minimized and promoted into the
  * persisted corpus.

@@ -110,10 +110,8 @@ CheckResult::renderText(bool withTrace) const
                   symmetryReduction ? "on" : "off");
     out += line;
     out += storePhrase(store, storeDir);
-    std::snprintf(line, sizeof(line), ", por %s, %s schedule\n",
-                  por ? "on" : "off",
-                  schedule == Schedule::WorkSteal ? "work-stealing"
-                                                  : "bfs");
+    std::snprintf(line, sizeof(line), ", por %s, bfs schedule\n",
+                  por ? "on" : "off");
     out += line;
     std::snprintf(
         line, sizeof(line),
@@ -213,8 +211,7 @@ CheckResult::renderJson(bool deterministic) const
         .num("threads", static_cast<std::uint64_t>(threads))
         .boolean("symmetry_reduction", symmetryReduction)
         .boolean("por", por)
-        .str("schedule",
-             schedule == Schedule::WorkSteal ? "ws" : "bfs")
+        .str("schedule", "bfs")
         .num("max_states", maxStates)
         .num("rules", static_cast<std::uint64_t>(numRules))
         .num("conjuncts", static_cast<std::uint64_t>(numConjuncts))
@@ -430,7 +427,6 @@ CheckSession::run(const CheckRequest &request)
     out.store = opt.store;
     out.storeDir = opt.storeDir;
     out.por = opt.por;
-    out.schedule = opt.schedule;
     out.maxStates = engine.maxStates;
     out.states = res.numStates;
     out.transitions = res.numTransitions;

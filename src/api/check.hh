@@ -145,6 +145,10 @@ struct CheckResult {
     StoreKind store = StoreKind::InRam;
     std::string storeDir;     ///< mmap store: "" = memfd
     bool por = false;
+    /** Always Bfs, rendered "bfs": a compatibility shim for the pinned
+     * benchmark harness, which still reads it and goes in the next
+     * change to that harness.  Every run uses the one level
+     * schedule. */
     Schedule schedule = Schedule::Bfs;
     std::uint64_t maxStates = 0;
 
@@ -269,7 +273,7 @@ struct ObligationResult {
 /** A guided rule-sequence walk plus the scenario it ran under. */
 struct GuidedRun {
     Scenario scenario;
-    std::vector<GuidedStep> steps;
+    std::vector<TraceStep> steps;
 };
 
 /**

@@ -3,7 +3,7 @@
  * Shared command-line surface of the bench/example front-ends: one
  * helper resolves the flags every binary used to re-plumb by hand —
  * `--devices`, `--threads`, `--sym`/`--no-sym`,
- * `--store=ram|mmap`, `--store-dir` (mmap only), `--por`/`--no-por`, `--ws`/`--bfs`, `--max-states`,
+ * `--store=ram|mmap`, `--store-dir` (mmap only), `--por`/`--no-por`, `--max-states`,
  * `--expect-states`, `--max-seconds`, `--max-rss-mb`, `--json` —
  * into a device count plus the EngineOptions a CheckSession is
  * constructed with.  It also arms the process-wide SIGINT/SIGTERM →
@@ -14,7 +14,8 @@
  * `--compact` is still accepted and does nothing: every store keeps
  * every cell.  It is a compatibility shim for the pinned benchmark
  * harness, whose sym4c workload passes it, and goes in the next
- * change to that harness.
+ * change to that harness.  So are `--ws` and `--bfs`, which the
+ * harness's workloads pass: every run uses the one level schedule.
  */
 
 #ifndef CXL_API_OPTIONS_HH

@@ -1,11 +1,9 @@
 #include "checker/expand.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -81,7 +79,7 @@ SleepTable::get(std::uint32_t id)
     return maskOf(handle);
 }
 
-bool
+void
 SleepTable::intersect(std::uint32_t id, const RuleMask &m)
 {
     Shard &s = shards_[StateStore::shardOf(id)];
@@ -97,10 +95,9 @@ SleepTable::intersect(std::uint32_t id, const RuleMask &m)
     const RuleMask cur = maskOf(handle);
     const RuleMask next = cur & m;
     if (next == cur)
-        return false;
+        return;
     // A shrink never yields all rules, so handle 0 stays unambiguous.
     handle = masks_.intern(next.words.data()) + 1;
-    return true;
 }
 
 ExpandKernel::ExpandKernel(const RuleSet &rules_,
@@ -152,21 +149,6 @@ ExpandKernel::insertInitial()
     return opt.stopAtFirstViolation;
 }
 
-void
-ExpandKernel::addCandidate(WorkerScratch &ws, const Candidate &c)
-{
-    ws.candidates.push_back(c);
-    if (!opt.stopAtFirstViolation)
-        return;
-    const std::uint32_t level =
-        c.kind == Violation::Kind::Deadlock ? c.depth : c.depth - 1;
-    std::uint32_t cur = candidateLevel.load(std::memory_order_relaxed);
-    while (level < cur &&
-           !candidateLevel.compare_exchange_weak(
-               cur, level, std::memory_order_relaxed)) {
-    }
-}
-
 bool
 ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
                      std::uint32_t depth)
@@ -190,8 +172,8 @@ ExpandKernel::expand(WorkerScratch &ws, std::uint32_t idx,
     if (ws.succs.empty() && ws.sleptRules.empty() &&
         opt.checkDeadlock && !scenario.freeRun &&
         !scenario.finished(ws.node)) {
-        addCandidate(ws, {Violation::Kind::Deadlock, nullptr, idx,
-                          depth, ws.node.hash()});
+        ws.candidates.push_back({Violation::Kind::Deadlock, nullptr, idx,
+                                 depth, ws.node.hash()});
     }
 
     // The source state's hash is only needed to order racing overflow
@@ -251,8 +233,8 @@ ExpandKernel::record(const Candidate &c)
     // some other way.
     const bool overflow = c.kind == Violation::Kind::Overflow;
     std::vector<std::uint16_t> path =
-        witnessPath(rules, scenario, store, resolved.symmetry,
-                    overflow ? c.edgeParent : c.idx);
+        labelPath(rules, scenario, store, overflow ? c.edgeParent : c.idx,
+                  true, resolved.symmetry);
     if (overflow) {
         v.overflowRule = rules.rules()[c.edgeRule].name();
         path.push_back(c.edgeRule);
@@ -261,9 +243,10 @@ ExpandKernel::record(const Candidate &c)
     result.violation = std::move(v);
 }
 
-std::optional<std::vector<std::uint16_t>>
+std::vector<std::uint16_t>
 labelPath(const RuleSet &rules, const Scenario &scenario,
-          const StateStore &store, bool symmetry, std::uint32_t id)
+          const StateStore &store, std::uint32_t id,
+          bool canonicaliseTids, bool symmetryReduction)
 {
     // Depth-first over the edges that step exactly one depth label
     // down the explored space, in rule-id order: the first path to
@@ -280,7 +263,7 @@ labelPath(const RuleSet &rules, const Scenario &scenario,
                 continue;
             SystemState next = from;
             (void)rule.apply(next, ctx);
-            canonicalise(next, true, symmetry);
+            canonicalise(next, canonicaliseTids, symmetryReduction);
             const std::optional<std::uint32_t> at = store.find(next);
             if (!at || store.depthAt(*at) != level ||
                 (level < depth ? !visited.insert(*at).second
@@ -294,54 +277,10 @@ labelPath(const RuleSet &rules, const Scenario &scenario,
         return false;
     };
     SystemState init = scenario.initial;
-    canonicalise(init, true, symmetry);
-    if (depth == 0 || reach(reach, init))
-        return path;
-    return std::nullopt;
-}
-
-std::vector<std::uint16_t>
-witnessPath(const RuleSet &rules, const Scenario &scenario,
-            const StateStore &store, bool symmetry, std::uint32_t id)
-{
-    if (std::optional<std::vector<std::uint16_t>> path =
-            labelPath(rules, scenario, store, symmetry, id))
-        return std::move(*path);
-    // Labels a governed stop left unsettled: breadth-first over the
-    // stored states, each reached by the first (state, rule) edge in
-    // queue and rule-id order, until @p id is reached.
-    const Context ctx{&scenario};
-    SystemState state = scenario.initial;
-    canonicalise(state, true, symmetry);
-    const std::uint32_t root = store.find(state).value();
-    /** State -> the (source, rule) edge that first reached it. */
-    std::unordered_map<std::uint32_t,
-                       std::pair<std::uint32_t, std::uint16_t>>
-        reachedBy{{root, {StateStore::kNoParent, 0}}};
-    std::deque<std::uint32_t> queue{root};
-    for (; !reachedBy.count(id); queue.pop_front()) {
-        if (queue.empty())
-            throw std::logic_error("witnessPath: state unreachable");
-        store.stateInto(queue.front(), state);
-        for (const Rule &rule : rules.rules()) {
-            if (!rule.guard(state, ctx))
-                continue;
-            SystemState next = state;
-            (void)rule.apply(next, ctx);
-            canonicalise(next, true, symmetry);
-            const std::optional<std::uint32_t> at = store.find(next);
-            if (at && reachedBy.try_emplace(*at, queue.front(), rule.id)
-                          .second)
-                queue.push_back(*at);
-        }
-    }
-    std::vector<std::uint16_t> path;
-    for (std::uint32_t cur = id; cur != root;) {
-        const auto &[from, rule] = reachedBy.at(cur);
-        path.push_back(rule);
-        cur = from;
-    }
-    std::reverse(path.begin(), path.end());
+    canonicalise(init, canonicaliseTids, symmetryReduction);
+    if (depth != 0 && !reach(reach, init))
+        throw std::logic_error("labelPath: no label-stepping path to "
+                               "state " + std::to_string(id));
     return path;
 }
 

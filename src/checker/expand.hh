@@ -1,18 +1,17 @@
 /**
  * @file
- * The expansion kernel both exploration schedules run on.  runBfs
- * (explorer.cc) and runWorkSteal (explorer_ws.cc) differ only in
- * which node a worker expands next and in when a result becomes
- * final; run setup and teardown, node expansion, the batch flush, the
+ * The expansion kernel the level schedule (runBfs, explorer.cc) runs
+ * on: run setup and teardown, node expansion, the batch flush, the
  * worker guard, violation recording, the counter merge, the POR
- * sleep table and the sleep contribution live here once.
+ * sleep table and the sleep contribution.  runBfs keeps only its
+ * order of work: which level is expanded, and when its results are
+ * final.
  */
 
 #ifndef CXL_CHECKER_EXPAND_HH
 #define CXL_CHECKER_EXPAND_HH
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -40,16 +39,14 @@ namespace cxl
  */
 constexpr std::size_t kFlushBatch = 512;
 
-/** Identity of a running minimum over depths. */
+/** ExpandKernel::close's "no level left unfinished". */
 constexpr std::uint32_t kNoDepth = 0xffffffffu;
 
 /**
  * A violation observed by a worker.  Candidates are collected per
  * worker and the winner is picked by candidateLess once the store is
  * quiescent, so the reported verdict is thread-count-independent.
- * depth is the state's depth when recorded (a deadlock's is the
- * expanded node's); the work-stealing schedule re-resolves it from
- * the converged labels.
+ * depth is the state's depth (a deadlock's is the expanded node's).
  */
 struct Candidate {
     Violation::Kind kind;
@@ -134,8 +131,8 @@ class SleepTable
     /** @p id's current sleep mask. */
     RuleMask get(std::uint32_t id);
 
-    /** Intersect @p m into @p id's mask; true iff the mask changed. */
-    bool intersect(std::uint32_t id, const RuleMask &m);
+    /** Intersect @p m into @p id's mask. */
+    void intersect(std::uint32_t id, const RuleMask &m);
 
   private:
     /** log2 of handles per chunk (a chunk is 16 KiB). */
@@ -155,7 +152,7 @@ class SleepTable
 };
 
 /** One worker's scratch, reused so the hot path stays allocation-free
- * once warm; schedules derive from it for their own state. */
+ * once warm; the schedule derives from it for its own state. */
 struct WorkerScratch {
     SystemState node; ///< the node being expanded
     std::vector<RuleSet::Successor> succs;
@@ -169,10 +166,6 @@ struct WorkerScratch {
     std::vector<std::pair<std::uint32_t, std::uint64_t>> overflows;
 
     std::vector<Candidate> candidates;
-    /** Least source depth of the successors dropped uninserted (past
-     * the state cap, or in a batch a full shard interrupted): their
-     * source level was not fully expanded. */
-    std::uint32_t droppedSourceDepth = kNoDepth;
     std::vector<std::uint64_t> ruleFires; ///< per-rule firings
     std::vector<std::uint64_t> ruleSlept; ///< per-rule POR skips
 };
@@ -236,9 +229,10 @@ class ExpandKernel
             if (index >= ws.batch.size())
                 continue;
             const StateStore::BatchItem &item = ws.batch[index];
-            addCandidate(ws, {Violation::Kind::Overflow, nullptr, item.id,
-                              item.depth, item.state.hash(), item.rule,
-                              item.parent, parent_hash});
+            ws.candidates.push_back({Violation::Kind::Overflow, nullptr,
+                                     item.id, item.depth,
+                                     item.state.hash(), item.rule,
+                                     item.parent, parent_hash});
         }
         ws.overflows.clear();
         std::uint32_t deepest = 0;
@@ -248,8 +242,9 @@ class ExpandKernel
                 continue;
             if (const Conjunct *bad =
                     invariants.firstFailure(item.state, ctx)) {
-                addCandidate(ws, {Violation::Kind::Conjunct, bad, item.id,
-                                  item.depth, item.state.hash()});
+                ws.candidates.push_back({Violation::Kind::Conjunct, bad,
+                                         item.id, item.depth,
+                                         item.state.hash()});
             }
         }
         onBatch();
@@ -264,15 +259,10 @@ class ExpandKernel
         progress.tick(store.size(), staged, deepest);
     }
 
-    /** Truncate ws.batch to @p keep items, folding the dropped items'
-     * source depths into ws.droppedSourceDepth. */
+    /** Truncate ws.batch to @p keep items. */
     static void
     dropBatch(WorkerScratch &ws, std::size_t keep)
     {
-        for (std::size_t i = keep; i < ws.batch.size(); ++i) {
-            ws.droppedSourceDepth =
-                std::min(ws.droppedSourceDepth, ws.batch[i].depth - 1);
-        }
         ws.batch.resize(keep);
         if (!ws.edges.empty())
             ws.edges.resize(keep);
@@ -430,48 +420,16 @@ class ExpandKernel
     std::uint32_t initIdx = 0;
     ExploreResult result;
     std::optional<ThreadPool> pool; ///< spawned on first parallel use
-    /** Under stop-at-first-violation, the least producing level
-     * (depth of the node whose expansion found it) over candidates so
-     * far; each bounds its candidate's final level from above, so
-     * deeper work cannot change the verdict. */
-    std::atomic<std::uint32_t> candidateLevel{kNoDepth};
 
   private:
-    void addCandidate(WorkerScratch &ws, const Candidate &c);
-
     std::mutex errorMutex_;
     std::exception_ptr workerError_;
 };
 
-/**
- * The rule ids of the path the depth labels of @p store name to @p id
- * (quiescent store only): the rule-id-least path from the canonical
- * initial state whose every edge steps one label down, or nullopt if
- * none exists.  On BFS-distance labels — every run but a governed
- * --ws stop — it is the rule-id-least shortest path, which depends on
- * the state space alone, so every schedule, thread count, POR setting
- * and store kind reports the same trace.  States are canonicalised as
- * the kernel stores them (devices too when @p symmetry).
- */
-std::optional<std::vector<std::uint16_t>>
-labelPath(const RuleSet &rules, const Scenario &scenario,
-          const StateStore &store, bool symmetry, std::uint32_t id);
-
-/**
- * The witness path to stored state @p id (quiescent store only):
- * labelPath, else the rule-id-least shortest path through stored
- * states, by a breadth-first search that always succeeds, since every
- * stored state was inserted as a successor of a stored state.
- */
-std::vector<std::uint16_t>
-witnessPath(const RuleSet &rules, const Scenario &scenario,
-            const StateStore &store, bool symmetry, std::uint32_t id);
-
-/** The depth-synchronized level-parallel schedule (explorer.cc). */
+/** The level schedule (explorer.cc): expand every state of one depth,
+ * in parallel grains, before any state of the next.  Runs on a kernel
+ * whose insertInitial() returned false, as in Explorer::run. */
 void runBfs(ExpandKernel &k);
-
-/** The asynchronous work-stealing schedule (explorer_ws.cc). */
-void runWorkSteal(ExpandKernel &k);
 
 } // namespace cxl
 

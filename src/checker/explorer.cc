@@ -87,11 +87,7 @@ ExploreResult
 Explorer::run(const ExploreOptions &options)
 {
     ExpandKernel k(rules_, scenario_, invariants_, options);
-    if (k.insertInitial())
-        return k.finish();
-    if (options.schedule == Schedule::WorkSteal)
-        runWorkSteal(k);
-    else
+    if (!k.insertInitial())
         runBfs(k);
     return k.finish();
 }

@@ -11,32 +11,19 @@
  * rule-labelled trace — the counterpart of the paper's
  * message-sequence-chart counterexamples (Fig. 5).
  *
- * Two parallel schedules share the sharded StateStore (see
- * Schedule) and one expansion kernel (checker/expand.hh), which owns
- * run setup and teardown, node expansion, the batch flush (capped
- * insert, overflow candidates, invariant checks, budget poll), the
- * worker guard, violation recording, the counter merge and, under
- * POR, the hash-consed per-state sleep table (SleepTable).  Each
- * schedule keeps only its own order of work, and its own rule for
- * which edges shrink a sleep mask:
- *
- *  - Bfs (explorer.cc): depth-synchronized levels claimed in grains
- *    by a worker pool, with per-worker scratch merged at the level
- *    barrier, where the store's shards also grow ahead of the next
- *    level.  Under POR only edges into the
- *    level being built shrink masks.  Results (state count,
- *    transition count, violation verdict and depth) are
- *    deterministic regardless of thread count.
- *  - WorkSteal (explorer_ws.cc): asynchronous task-parallel
- *    expansion over per-worker Chase-Lev deques
- *    (checker/workqueue.hh), with a pending-task counter and an
- *    expand limit — no depth barrier.  Under POR every edge shrinks
- *    its target's mask, and a shrunk state is re-expanded.  Depth
- *    labels converge to BFS-minimal values by label correction, and
- *    violations are resolved at quiescence, so verdicts, state counts
- *    and diameters are still exact and thread-count-deterministic;
- *    only the transition count (redundant re-expansions) becomes
- *    schedule-dependent.
+ * One schedule walks the space: depth-synchronized levels over the
+ * sharded StateStore, claimed in grains by a worker pool, with
+ * per-worker scratch merged at each level barrier, where the store's
+ * shards also grow ahead of the next level (runBfs, explorer.cc).
+ * It runs on the expansion kernel (checker/expand.hh), which owns run
+ * setup and teardown, node expansion, the batch flush (capped insert,
+ * overflow candidates, invariant checks, budget poll), the worker
+ * guard, violation recording, the counter merge and, under POR, the
+ * hash-consed per-state sleep table (SleepTable), whose masks only
+ * edges into the level being built shrink.  Results (state count,
+ * transition count, violation verdict and depth) are deterministic
+ * regardless of thread count, and a state's depth label is its BFS
+ * distance, also after a governed stop.
  *
  * Both store kinds (StoreKind: ram, mmap) keep every cell and decide
  * identity by comparing it slice by slice — exact, never by a hash —
@@ -61,22 +48,13 @@
 namespace cxl
 {
 
-/** Parallel exploration schedule (see the file comment). */
-enum class Schedule : std::uint8_t {
-    /** Depth-synchronized level-parallel BFS (the paper-exact
-     * baseline: transition counts reproducible too). */
-    Bfs,
-    /**
-     * Asynchronous work stealing: workers spawn successor tasks into
-     * per-worker deques and steal when dry, so no worker idles at a
-     * depth barrier.  Verdicts, state counts and diameters match Bfs
-     * bit-for-bit at any thread count; transition/slept counts are
-     * schedule-dependent, and counterexample traces are shortest
-     * paths (by converged depth labels) rather than BFS-layer
-     * traces.
-     */
-    WorkSteal,
-};
+/**
+ * A compatibility shim for the pinned benchmark harness, which
+ * compares CheckResult::schedule with WorkSteal; it goes in the next
+ * change to that harness.  Every run uses the one level schedule, so
+ * CheckResult::schedule is always Bfs.
+ */
+enum class Schedule : std::uint8_t { Bfs, WorkSteal };
 
 /**
  * Visited-state store kind (`--store=ram|mmap`).  Both kinds keep
@@ -203,10 +181,6 @@ struct EngineOptions {
      * "" = anonymous in-memory files). */
     std::string storeDir;
 
-    /** Which parallel schedule expands the frontier (`--ws` /
-     * `--bfs`; see Schedule). */
-    Schedule schedule = Schedule::Bfs;
-
     /**
      * Partial-order reduction (sleep sets over the rules' static
      * dependency footprints; `--por`): prune successor firings whose
@@ -315,7 +289,8 @@ struct ResolvedEngine {
 ResolvedEngine resolveEngine(const EngineOptions &options,
                              const Scenario &scenario);
 
-/** A single step of a counterexample trace. */
+/** One step of a rule-labelled trace: a counterexample's, or a guided
+ * run's (runGuided, litmus/litmus.hh). */
 struct TraceStep {
     std::string ruleName; ///< empty for the initial state
     SystemState state;
@@ -378,6 +353,27 @@ std::vector<TraceStep> replayTrace(const RuleSet &rules,
                                    bool canonicaliseTids,
                                    bool symmetryReduction);
 
+/**
+ * The rule ids of the rule-id-least path from the initial state to
+ * stored state @p id whose every edge steps one depth label down the
+ * stored space (quiescent store only).  Depth labels are BFS
+ * distances — the level schedule and the litmus walk insert every
+ * state at its distance, the level schedule also when a governed stop
+ * ends the run — so this is the rule-id-least shortest path, which
+ * depends on the state space alone: every thread count, POR setting
+ * and store kind reports the same trace.  States
+ * are canonicalised as @p store holds them: tids when
+ * @p canonicaliseTids, devices too when @p symmetryReduction (the
+ * flags of replayTrace).
+ *
+ * @throws std::logic_error when no such path exists (labels that are
+ *         not BFS distances).
+ */
+std::vector<std::uint16_t>
+labelPath(const RuleSet &rules, const Scenario &scenario,
+          const StateStore &store, std::uint32_t id,
+          bool canonicaliseTids, bool symmetryReduction);
+
 /** Aggregate exploration results. */
 struct ExploreResult {
     std::uint64_t numStates = 0;      ///< distinct reachable states
@@ -414,16 +410,11 @@ struct ExploreResult {
     /**
      * Deepest BFS level known to be *fully* expanded when the run
      * ended: maxDepth for completed (and violation-stopped) runs; on
-     * a governed stop, one below the shallowest level with work left
-     * undone.  Under Bfs that is the level the stop interrupted;
-     * under WorkSteal, where levels interleave, the least depth of a
-     * task left queued and of the source of any successor a worker
-     * held staged or dropped uninserted (past the state cap, or in a
-     * batch a full shard interrupted) — conservative.  A stop during
-     * level 0 reports 0 on both schedules, although level 0 is then
-     * not complete.  When positive, every state at depth <= this
-     * level + 1 is in the explored prefix, so per-level facts up to
-     * here are trustworthy even in a partial result.
+     * a governed stop, one below the level the stop interrupted.  A
+     * stop during level 0 reports 0, although level 0 is then not
+     * complete.  When positive, every state at depth <= this level +
+     * 1 is in the explored prefix, so per-level facts up to here are
+     * trustworthy even in a partial result.
      */
     std::uint32_t deepestCompleteLevel = 0;
 
@@ -452,8 +443,7 @@ class Explorer
     Explorer(const RuleSet &rules, const Scenario &scenario,
              const InvariantSet &invariants);
 
-    /** Run to completion or until a limit/violation stops the walk;
-     * dispatches on EngineOptions::schedule. */
+    /** Run to completion or until a limit/violation stops the walk. */
     ExploreResult run(const ExploreOptions &options = {});
 
   private:

@@ -117,7 +117,6 @@ StateStore::insertBatch(BatchItem *items, std::size_t count)
                 s, shard, item.cell_, item.idHash_, item.depth);
             item.id = out.id;
             item.inserted = out.inserted;
-            item.improved = out.improved;
         }
     }
 }
@@ -246,17 +245,8 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
 
     std::uint64_t slot;
     const std::uint32_t found = probe(shard, cell, hash, slot);
-    if (found != kAbsent) {
-        const std::uint32_t id = (shard_idx << kOffsetBits) | found;
-        // Label-correcting duplicate: a shorter path to a known state
-        // relabels its depth (async schedule; BFS duplicates are never
-        // shallower).
-        if (depth < cols.depthOf(found)) {
-            cols.lowerDepth(found, depth);
-            return {id, false, true};
-        }
-        return {id, false, false};
-    }
+    if (found != kAbsent)
+        return {(shard_idx << kOffsetBits) | found, false};
 
     // kOffsetMask itself is unusable: shard kNumShards-1 would pack
     // it to the kNoParent sentinel.  The per-run limit (when set) is
@@ -277,32 +267,7 @@ StateStore::probeInsertLocked(std::uint32_t shard_idx, Shard &shard,
 
     cols.link(slot, hash, off);
     total_.fetch_add(1, std::memory_order_release);
-    return {(shard_idx << kOffsetBits) | off, true, false};
-}
-
-std::uint32_t
-StateStore::maxDepthQuiescent() const
-{
-    std::uint32_t deepest = 0;
-    for (const Shard &shard : shards_) {
-        for (std::uint32_t off = 0; off < shard.cols.count(); ++off) {
-            deepest = std::max(deepest, shard.cols.depthOf(off));
-        }
-    }
-    return deepest;
-}
-
-std::uint64_t
-StateStore::countDepthAtMost(std::uint32_t depth) const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_) {
-        for (std::uint32_t off = 0; off < shard.cols.count(); ++off) {
-            if (shard.cols.depthOf(off) <= depth)
-                ++total;
-        }
-    }
-    return total;
+    return {(shard_idx << kOffsetBits) | off, true};
 }
 
 void

@@ -41,7 +41,7 @@
  * was never interned means the state was never stored.
  *
  * The depth label is an entry's only breadcrumb: witness paths are
- * searched out with find() (witnessPath, expand.hh) and replayed
+ * searched out with find() (labelPath, expand.hh) and replayed
  * (replayTrace, explorer.hh), not decoded from cells.
  *
  * State identifiers are (shard, offset) pairs packed into a u32:
@@ -58,17 +58,12 @@
  * reallocates, and slice chunks never move).
  * The depth column is chunked atomics (one byte per entry, wide
  * cells behind a release/acquire escape): depthAt() may be read
- * lock-free at any time (the work-stealing explorer's stale-task
- * check depends on this), while find() and growForNextLevel() must
- * only be used while the store is quiescent — the explorers call
- * them between depth barriers or after termination.
- *
- * Duplicate inserts carrying a *smaller* depth than the stored entry
- * relabel the entry's depth in place and report BatchItem::improved
- * — the label-correcting step of the work-stealing schedule's
- * shortest-path convergence.  Under the depth-synchronized BFS
- * schedule duplicates never arrive with a smaller depth, so the
- * update is exercised only by the async engine.
+ * lock-free at any time (the level schedule's POR flush reads the
+ * label of a target a peer inserted this level), while find() and
+ * growForNextLevel() must only be used while the store is quiescent
+ * — the explorer calls them between depth barriers or after
+ * termination.  A label is written once, when its entry is appended:
+ * a duplicate insert leaves the stored depth as it is.
  *
  * Compatibility shims, kept only because the pinned benchmark harness
  * (bench/cxl_bench) still spells them; each goes in the next change
@@ -173,7 +168,7 @@ class StateStore
 
     /**
      * One pending insert of a batched flush.  The caller fills state
-     * and depth; insertBatch fills id, inserted and improved.  The
+     * and depth; insertBatch fills id and inserted.  The
      * store never reads hash, parent and rule: hash is a shim (see
      * the file comment), and parent and rule are the caller's record
      * of the edge, read back after the flush (kernel overflow
@@ -190,9 +185,6 @@ class StateStore
         // Filled by insertBatch:
         std::uint32_t id = 0;
         bool inserted = false;
-        /** Known state relabelled to a smaller depth (see the class
-         * comment); the async explorer re-expands it. */
-        bool improved = false;
 
       private:
         friend class StateStore;
@@ -299,26 +291,15 @@ class StateStore
     std::optional<std::uint32_t> find(const SystemState &state) const;
 
     /**
-     * Current depth label of @p id.  Safe concurrently with inserts
-     * and improvements (chunked atomic column; see store_columns.hh
-     * for the wide escape): a racy
-     * read may be stale, but depths only ever decrease, so a stale
-     * value is an upper bound — exactly what the async explorer's
-     * stale-task check needs.  Exact once quiescent.
+     * The depth label of @p id, an id some insert has returned.  Safe
+     * concurrently with inserts (chunked atomic column; see
+     * store_columns.hh for the wide escape).
      */
     std::uint32_t
     depthAt(std::uint32_t id) const
     {
         return shards_[shardOf(id)].cols.depthOf(id & kOffsetMask);
     }
-
-    /** Largest depth label over all entries; quiescent use only. */
-    std::uint32_t maxDepthQuiescent() const;
-
-    /** Number of entries with depth <= @p depth; quiescent use only.
-     * The async explorer uses this to reproduce the BFS
-     * stop-at-level state count on violation-stopped runs. */
-    std::uint64_t countDepthAtMost(std::uint32_t depth) const;
 
     /** A no-op: a compatibility shim (see the file comment); every
      * cell is kept. */
@@ -376,7 +357,6 @@ class StateStore
     struct InsertOutcome {
         std::uint32_t id;
         bool inserted;
-        bool improved;
     };
 
     /** Bytes of a state's host fields: those before dev[]. */

@@ -7,7 +7,7 @@
  * entries — plus the open-addressing bucket array, all allocated from
  * the shard's ShardMem backend (store_mem.hh).
  * No entry keeps its parent or the rule that reached it: witness
- * paths are searched out from the depth labels (witnessPath,
+ * paths are searched out from the depth labels (labelPath,
  * expand.hh).  The probe/insert *algorithm* stays in the StateStore
  * façade; this layer only owns the memory layout:
  *
@@ -33,7 +33,8 @@
  *  - the depth column lives in fixed-size chunks (backend chunkAlloc,
  *    addresses never move) behind a fully-reserved spine, so
  *    depthOf() of an appended entry is readable lock-free at any time
- *    — the work-stealing explorer's stale-task check depends on this.
+ *    — the level schedule's POR flush reads the labels of targets its
+ *    peers appended during the level.
  *    A label is one byte: depths 0-254 are stored as they are, and
  *    kWide (255) says the exact depth is in the shard's *wide*
  *    column, u32 cells chunked alike, whose chunk is allocated only
@@ -41,9 +42,7 @@
  *    the benchmark ladder is deeper than 62).  A wide cell and its
  *    chunk pointer are written before the kWide byte is stored with
  *    release, and a reader that loads kWide (acquire) reads them
- *    after; labels only decrease, so a narrow label never turns wide,
- *    and a relabel of an escaped entry writes its wide cell while the
- *    depth stays >= 255 and its narrow byte once it drops below.  A
+ *    after; a label is written once, by append(), and never changes.  A
  *    chunk holds 65,536 labels (64 KiB), but each is constructed by
  *    append(), so a chunk's untouched pages stay unbacked: a shard
  *    with one entry holds one resident page of depths, and a page
@@ -197,18 +196,6 @@ class ShardColumns
         if (label != kWide)
             return label;
         return wideAt(off).load(std::memory_order_relaxed);
-    }
-
-    /** Relabel appended entry @p off to @p depth, smaller than its
-     * current one (shard lock held). */
-    void
-    lowerDepth(std::uint32_t off, std::uint32_t depth)
-    {
-        if (depth < kWide)
-            labelAt(off).store(static_cast<std::uint8_t>(depth),
-                               std::memory_order_relaxed);
-        else
-            wideAt(off).store(depth, std::memory_order_relaxed);
     }
 
     /** Grow buckets before the next append would take the load past

@@ -9,8 +9,7 @@ namespace cxl::fuzz
 std::string
 ComboDesc::label() const
 {
-    std::string out = schedule == Schedule::WorkSteal ? "ws" : "bfs";
-    out += por ? "/por" : "/-";
+    std::string out = por ? "por" : "-";
     out += sym ? "/sym" : "/-";
     out += '/';
     out += storeKindWord(store);
@@ -22,7 +21,6 @@ EngineOptions
 ComboDesc::engineOptions() const
 {
     EngineOptions opt;
-    opt.schedule = schedule;
     opt.por = por;
     opt.symmetry = sym ? SymmetryMode::On : SymmetryMode::Off;
     opt.store = store;
@@ -40,19 +38,14 @@ std::vector<ComboDesc>
 fullPortfolio(std::size_t threads)
 {
     std::vector<ComboDesc> combos;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (bool por : {false, true}) {
-            for (bool sym : {false, true}) {
-                combos.push_back(
-                    ComboDesc{sched, por, sym, StoreKind::InRam, threads});
-            }
-        }
+    for (bool por : {false, true}) {
+        for (bool sym : {false, true})
+            combos.push_back(ComboDesc{por, sym, StoreKind::InRam, threads});
     }
     // One out-of-core arm: the mmap backend must agree bit-for-bit
     // with the reference on verdicts and counts (the paging layer is
     // below the probe algorithm, so any divergence is a store bug).
-    combos.push_back(
-        ComboDesc{Schedule::Bfs, false, false, StoreKind::Mmap, threads});
+    combos.push_back(ComboDesc{false, false, StoreKind::Mmap, threads});
     return combos;
 }
 
@@ -61,18 +54,16 @@ replayPortfolio(const std::vector<std::size_t> &threadCounts)
 {
     std::vector<ComboDesc> combos;
     for (std::size_t threads : threadCounts) {
-        for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-            for (bool por : {false, true}) {
-                for (bool sym : {false, true}) {
-                    combos.push_back(ComboDesc{sched, por, sym,
-                                               StoreKind::InRam, threads});
-                }
+        for (bool por : {false, true}) {
+            for (bool sym : {false, true}) {
+                combos.push_back(
+                    ComboDesc{por, sym, StoreKind::InRam, threads});
             }
         }
         // One mmap-backend probe, so replay also exercises the
         // file-backed path against the stored reference signature.
-        combos.push_back(ComboDesc{Schedule::Bfs, false, false,
-                                   StoreKind::Mmap, threads});
+        combos.push_back(
+            ComboDesc{false, false, StoreKind::Mmap, threads});
     }
     return combos;
 }

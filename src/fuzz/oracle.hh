@@ -1,9 +1,9 @@
 /**
  * @file
  * The cross-engine differential oracle: run one FuzzCase through a
- * portfolio of engine combinations — {bfs, work-steal} x {por on/off}
- * x {symmetry on/off} on the ram store x thread counts, plus one
- * mmap-store arm per thread count — and
+ * portfolio of engine combinations — {por on/off} x {symmetry on/off}
+ * on the ram store x thread counts, plus one mmap-store arm per thread
+ * count — and
  * cross-check the VerdictSignatures under the engines' documented
  * guarantees.  Any disagreement those guarantees forbid is an engine
  * bug, reported as a divergence.
@@ -41,7 +41,6 @@ namespace cxl::fuzz
 
 /** One engine combination of the portfolio. */
 struct ComboDesc {
-    Schedule schedule = Schedule::Bfs;
     bool por = false;
     bool sym = false;
     /** The store kind.  The mmap arms are the out-of-core ones that
@@ -50,30 +49,30 @@ struct ComboDesc {
     StoreKind store = StoreKind::InRam;
     std::size_t threads = 1;
 
-    /** e.g. "ws/por/sym/ram/t4" ("bfs/-/-/mmap/t1"): the store
-     * segment is the kind's --store word. */
+    /** e.g. "por/sym/ram/t4" ("-/-/mmap/t1"): the store segment is
+     * the kind's --store word. */
     std::string label() const;
 
     EngineOptions engineOptions() const;
 };
 
 /**
- * The reference combination: single-threaded BFS, no reduction, ram
+ * The reference combination: single-threaded, no reduction, ram
  * store.  Single-threaded capped runs stop at an exact point, so this
  * signature is deterministic for every case — it is what corpus
  * entries store and what manifests are built from.
  */
 ComboDesc referenceCombo();
 
-/** The 8-combo cross product on the ram store plus one mmap arm, at
+/** The 4-combo cross product on the ram store plus one mmap arm, at
  * one thread count (the reference, which the oracle always runs
  * first, comes on top). */
 std::vector<ComboDesc> fullPortfolio(std::size_t threads);
 
 /**
  * The corpus-replay portfolio from the acceptance criteria:
- * {bfs, ws} x {por} x {sym} at each of @p threadCounts, plus an
- * mmap-store probe per thread count.
+ * {por} x {sym} at each of @p threadCounts, plus an mmap-store probe
+ * per thread count.
  */
 std::vector<ComboDesc>
 replayPortfolio(const std::vector<std::size_t> &threadCounts);

@@ -4,7 +4,6 @@
 #include <deque>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "checker/state_store.hh"
@@ -32,14 +31,11 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
         fullInvariants, test.restrictToFamilies, filtered);
     Context ctx{&test.scenario};
 
-    // Exhaustive interleaving walk with terminal-state collection.
-    // The store keeps no breadcrumbs, so the walk records the
-    // (parent, rule) edge that first reached each new state.
+    // Exhaustive interleaving walk with terminal-state collection:
+    // FIFO, firing rules in id order, so each state is first reached
+    // by its rule-id-least shortest path — the path labelPath names.
     StateStore store;
     std::deque<std::uint32_t> frontier;
-    std::unordered_map<std::uint32_t,
-                       std::pair<std::uint32_t, std::uint16_t>>
-        reachedBy;
     const std::uint32_t init_idx =
         store.insert(test.scenario.initial, 0).first;
     frontier.push_back(init_idx);
@@ -90,7 +86,6 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
             auto [sidx, is_new] = store.insert(succ.state, depth + 1);
             if (!is_new)
                 continue;
-            reachedBy.emplace(sidx, std::make_pair(idx, succ.rule->id));
             if (succ.overflow)
                 note_violation(Violation::Kind::Overflow, nullptr, sidx,
                                depth + 1);
@@ -108,14 +103,11 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
     outcome.explore.maxDepth = max_depth;
     outcome.explore.completed = true;
     if (violation) {
-        std::vector<std::uint16_t> path;
-        for (std::uint32_t cur = violation->stateIndex; cur != init_idx;) {
-            const auto &[parent, rule] = reachedBy.at(cur);
-            path.push_back(rule);
-            cur = parent;
-        }
-        std::reverse(path.begin(), path.end());
         // The walk fires rules on raw (uncanonicalised) states.
+        const std::vector<std::uint16_t> path =
+            labelPath(rules, test.scenario, store, violation->stateIndex,
+                      /*canonicaliseTids=*/false,
+                      /*symmetryReduction=*/false);
         violation->trace = replayTrace(rules, test.scenario, path,
                                        /*canonicaliseTids=*/false,
                                        /*symmetryReduction=*/false);
@@ -168,11 +160,11 @@ runLitmus(const LitmusTest &test, const RuleSet &rules,
     return outcome;
 }
 
-std::vector<GuidedStep>
+std::vector<TraceStep>
 runGuided(const RuleSet &rules, const Scenario &scenario,
           const std::vector<std::string> &steps)
 {
-    std::vector<GuidedStep> result;
+    std::vector<TraceStep> result;
     SystemState state = scenario.initial;
     result.push_back({"", state});
 

@@ -83,12 +83,6 @@ LitmusOutcome runLitmus(const LitmusTest &test);
 LitmusOutcome runLitmus(const LitmusTest &test, const RuleSet &rules,
                         const InvariantSet &fullInvariants);
 
-/** One step of a guided run. */
-struct GuidedStep {
-    std::string ruleName; ///< empty for the initial state
-    SystemState state;
-};
-
 /**
  * Fire an explicit rule-name sequence from the scenario's initial
  * state (the paper's Tables 1-3 format).
@@ -97,9 +91,9 @@ struct GuidedStep {
  *         in the current state — the harness treats that as a test
  *         failure, not a protocol property.
  */
-std::vector<GuidedStep> runGuided(const RuleSet &rules,
-                                  const Scenario &scenario,
-                                  const std::vector<std::string> &steps);
+std::vector<TraceStep> runGuided(const RuleSet &rules,
+                                 const Scenario &scenario,
+                                 const std::vector<std::string> &steps);
 
 /** The built-in litmus suite (paper Section 5.1's eight scenarios). */
 std::vector<LitmusTest> builtinLitmusSuite();

@@ -112,7 +112,7 @@ diffDevice(const SystemState &prev, const SystemState &next, int d,
 } // namespace
 
 std::vector<MscEvent>
-deriveMscEvents(const std::vector<GuidedStep> &steps)
+deriveMscEvents(const std::vector<TraceStep> &steps)
 {
     std::vector<MscEvent> events;
     for (std::size_t i = 1; i < steps.size(); ++i) {
@@ -131,7 +131,7 @@ deriveMscEvents(const std::vector<GuidedStep> &steps)
 }
 
 std::string
-renderMsc(const std::vector<GuidedStep> &steps, const std::string &title)
+renderMsc(const std::vector<TraceStep> &steps, const std::string &title)
 {
     constexpr int kLane = 26; ///< column width per lifeline
 

@@ -38,11 +38,11 @@ struct MscEvent {
     std::string rule; ///< rule that caused the event
 };
 
-/** Derive chart events from a guided trace. */
-std::vector<MscEvent> deriveMscEvents(const std::vector<GuidedStep> &steps);
+/** Derive chart events from a trace. */
+std::vector<MscEvent> deriveMscEvents(const std::vector<TraceStep> &steps);
 
 /** Render the full chart. @p title is printed above the lifelines. */
-std::string renderMsc(const std::vector<GuidedStep> &steps,
+std::string renderMsc(const std::vector<TraceStep> &steps,
                       const std::string &title);
 
 } // namespace cxl

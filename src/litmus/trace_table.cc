@@ -49,27 +49,6 @@ cacheText(Val v, const std::string &state)
     return "(" + std::to_string(v) + ", " + state + ")";
 }
 
-template <typename Step>
-std::string
-renderSteps(const std::vector<Step> &steps, const Scenario &scenario,
-            const std::vector<StateColumn> &columns, bool markdown)
-{
-    std::vector<std::string> header{"transition rule"};
-    for (StateColumn col : columns)
-        header.push_back(columnName(col));
-
-    TextTable table(header);
-    for (const Step &step : steps) {
-        std::vector<std::string> row;
-        row.push_back(step.ruleName.empty() ? "(initial state)"
-                                            : step.ruleName);
-        for (StateColumn col : columns)
-            row.push_back(formatColumn(step.state, scenario, col));
-        table.addRow(std::move(row));
-    }
-    return table.render(markdown);
-}
-
 } // namespace
 
 StateColumn
@@ -146,19 +125,24 @@ formatColumn(const SystemState &s, const Scenario &scenario,
 }
 
 std::string
-renderTraceTable(const std::vector<GuidedStep> &steps,
-                 const Scenario &scenario,
-                 const std::vector<StateColumn> &columns, bool markdown)
-{
-    return renderSteps(steps, scenario, columns, markdown);
-}
-
-std::string
 renderTraceTable(const std::vector<TraceStep> &steps,
                  const Scenario &scenario,
                  const std::vector<StateColumn> &columns, bool markdown)
 {
-    return renderSteps(steps, scenario, columns, markdown);
+    std::vector<std::string> header{"transition rule"};
+    for (StateColumn col : columns)
+        header.push_back(columnName(col));
+
+    TextTable table(header);
+    for (const TraceStep &step : steps) {
+        std::vector<std::string> row;
+        row.push_back(step.ruleName.empty() ? "(initial state)"
+                                            : step.ruleName);
+        for (StateColumn col : columns)
+            row.push_back(formatColumn(step.state, scenario, col));
+        table.addRow(std::move(row));
+    }
+    return table.render(markdown);
 }
 
 } // namespace cxl

@@ -64,19 +64,14 @@ std::string formatColumn(const SystemState &state,
                          const Scenario &scenario, StateColumn col);
 
 /**
- * Render a guided run as a transition table.
+ * Render a trace — a guided run or a violation witness — as a
+ * transition table.
  *
- * @param steps    the guided trace, including the initial state.
+ * @param steps    the trace, including the initial state.
  * @param scenario needed to print remaining program text.
  * @param columns  which components to show, in order.
  * @param markdown render GitHub-style.
  */
-std::string renderTraceTable(const std::vector<GuidedStep> &steps,
-                             const Scenario &scenario,
-                             const std::vector<StateColumn> &columns,
-                             bool markdown = false);
-
-/** As above, but for explorer traces (e.g. violation witnesses). */
 std::string renderTraceTable(const std::vector<TraceStep> &steps,
                              const Scenario &scenario,
                              const std::vector<StateColumn> &columns,

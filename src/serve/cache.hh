@@ -2,9 +2,9 @@
  * @file
  * Bounded LRU memoization of served CheckResults.
  *
- * Soundness: the engines guarantee that verdicts, state counts and
- * diameters of *uncapped* runs are thread-count- and
- * schedule-deterministic, and renderJson(deterministic) zeroes the
+ * Soundness: the engine guarantees that verdicts, counts and
+ * diameters of *uncapped* runs are thread-count-deterministic, and
+ * renderJson(deterministic) zeroes the
  * wall-clock keys — so replaying the byte-exact first answer for an
  * identical request is indistinguishable from re-exploring.  The two
  * places that could break this are excluded by construction:
@@ -17,7 +17,7 @@
  *    built from *resolved* values (registry-canonical scenario name
  *    or content-hash case name, resolved device count, the 7 config
  *    bits, sorted-deduped families, resolved thread count and
- *    symmetry, schedule, caps, deterministic bit), so knob order and
+ *    symmetry, por, caps, deterministic bit), so knob order and
  *    name aliases collapse and distinct semantics never alias.
  *
  * The store backend is not in the key, because the JSON never names

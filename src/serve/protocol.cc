@@ -62,16 +62,6 @@ symmetryFromWord(const std::string &word)
     throw std::runtime_error("unknown sym mode '" + word + "'");
 }
 
-Schedule
-scheduleFromWord(const std::string &word)
-{
-    if (word == "bfs")
-        return Schedule::Bfs;
-    if (word == "ws")
-        return Schedule::WorkSteal;
-    throw std::runtime_error("unknown schedule '" + word + "'");
-}
-
 /** Shared header of every frame this file renders. */
 JsonObject
 frameHead(const char *type, const std::string &id)
@@ -91,7 +81,6 @@ knobsOf(const EngineOptions &engine)
     k.symmetry = engine.symmetry;
     k.store = engine.store;
     k.por = engine.por;
-    k.schedule = engine.schedule;
     if (engine.maxStates != 0)
         k.maxStates = engine.maxStates;
     if (engine.expectedStates != 0)
@@ -114,8 +103,6 @@ applyKnobs(const EngineKnobs &knobs, EngineOptions &engine)
         engine.store = *knobs.store;
     if (knobs.por)
         engine.por = *knobs.por;
-    if (knobs.schedule)
-        engine.schedule = *knobs.schedule;
     if (knobs.maxStates)
         engine.maxStates = *knobs.maxStates;
     if (knobs.expectStates)
@@ -165,9 +152,6 @@ renderRequestJson(const Request &request)
         engine.str("store", storeKindWord(*k.store));
     if (knob(k.por.has_value()))
         engine.boolean("por", *k.por);
-    if (knob(k.schedule.has_value()))
-        engine.str("schedule",
-                   *k.schedule == Schedule::WorkSteal ? "ws" : "bfs");
     if (knob(k.maxStates.has_value()))
         engine.num("max_states", *k.maxStates);
     if (knob(k.expectStates.has_value()))
@@ -250,8 +234,6 @@ requestFromJson(const std::string &text)
         }
         if (eng->get("por"))
             k.por = eng->getBool("por");
-        if (eng->get("schedule"))
-            k.schedule = scheduleFromWord(eng->getStr("schedule"));
         if (eng->get("max_states"))
             k.maxStates = eng->get("max_states")->asUint();
         if (eng->get("expect_states"))

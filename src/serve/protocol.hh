@@ -11,7 +11,7 @@
  *    "config":{<the fuzz-case config keys>}, "families":[...],
  *    "engine":{"threads":N,"sym":"auto|on|off",
  *              "store":"ram|mmap","por":B,
- *              "schedule":"bfs|ws","max_states":N,"expect_states":N,
+ *              "max_states":N,"expect_states":N,
  *              "max_seconds":S,"max_rss_mb":N},
  *    "deterministic":B, "progress":B, "progress_interval":S}
  *
@@ -55,7 +55,9 @@ namespace cxl::serve
 inline constexpr const char *kSchema = "cxl-checkd/v1";
 
 /** Engine-knob overrides a request may carry; absent knobs keep the
- * daemon's standard-flag defaults. */
+ * daemon's standard-flag defaults.  The retired "schedule" knob is an
+ * unknown key, ignored like any other: every run uses the one level
+ * schedule. */
 struct EngineKnobs {
     std::optional<std::uint64_t> threads;
     std::optional<SymmetryMode> symmetry;
@@ -64,7 +66,6 @@ struct EngineKnobs {
      * key, ignored like any other. */
     std::optional<StoreKind> store;
     std::optional<bool> por;
-    std::optional<Schedule> schedule;
     std::optional<std::uint64_t> maxStates;
     std::optional<std::uint64_t> expectStates;
     std::optional<double> maxSeconds;

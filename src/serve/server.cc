@@ -125,8 +125,8 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
     // case's content hash), devices, config bits, families
     // (sorted/deduped; the invariant filter is order- and
     // duplicate-insensitive), check kind, and the engine knobs echoed
-    // in the JSON (resolved threads, resolved symmetry, por,
-    // schedule, the effective state cap) plus the deterministic
+    // in the JSON (resolved threads, resolved symmetry, por, the
+    // effective state cap) plus the deterministic
     // rendering bit.
     // Excluded: budgets (maxSeconds/maxRssBytes/storeCapacity — they
     // only matter to Incomplete results, which are never cached),
@@ -146,11 +146,10 @@ resolveRequest(const Request &request, const EngineOptions &defaults,
                                                 : "both";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "|d%d|c%02x|k%s|t%zu|y%d|p%d|h%s|x%llu|det%d",
+                  "|d%d|c%02x|k%s|t%zu|y%d|p%d|x%llu|det%d",
                   resolved.scenario.numDevices(), resolved.config.bits(),
                   check_word, engine.threads, engine.symmetry ? 1 : 0,
                   e.por ? 1 : 0,
-                  e.schedule == Schedule::WorkSteal ? "ws" : "bfs",
                   static_cast<unsigned long long>(engine.maxStates),
                   request.deterministic ? 1 : 0);
     rr.cacheKey = (request.inlineCase ? "g:" + request.inlineCase->name()

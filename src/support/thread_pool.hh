@@ -7,8 +7,9 @@
  * super_sketch utility fans out concurrent sledgehammer instances.
  * A shared FIFO queue is entirely sufficient at that granularity;
  * submitBatch amortises the lock to one acquisition per fan-out.
- * (Fine-grained work *stealing* lives elsewhere: the explorer's
- * async schedule uses per-worker deques, checker/workqueue.hh.)
+ * The explorer runs one task per worker on it at each level and
+ * splits the level among them itself, by claiming grains of the
+ * frontier from a shared cursor.
  */
 
 #ifndef CXL_SUPPORT_THREAD_POOL_HH

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <iterator>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,13 +61,13 @@ TEST(StateStore, DepthWiderThanSixteenBits)
 
 const StoreKind kStoreKinds[] = {StoreKind::InRam, StoreKind::Mmap};
 
-TEST(StateStore, DepthEscapeAppendsRelabelsAndScans)
+TEST(StateStore, DepthEscapeAppendsAndScans)
 {
     // A depth label is one byte; depths from 255 up live in the wide
-    // column behind it.  Appends on both sides of the escape, the
-    // relabels that can happen (wide to wide, wide to narrow, narrow
-    // to narrow: labels never grow) and the quiescent scans all see
-    // the depths written, on both store kinds.
+    // column behind it.  Appends on both sides of the escape read back
+    // as written, each at once and all in a scan after the last, on
+    // both store kinds, and a duplicate insert leaves its label as it
+    // is.
     for (const StoreKind kind : kStoreKinds) {
         StateStore store(storeConfigOf(kind, "", 0));
         const std::uint32_t depths[] = {254, 255, 256, 70000, 3};
@@ -78,47 +79,24 @@ TEST(StateStore, DepthEscapeAppendsRelabelsAndScans)
             ids.push_back(id);
             EXPECT_EQ(store.depthAt(id), depths[i]) << i;
         }
-        EXPECT_EQ(store.maxDepthQuiescent(), 70000u);
-        EXPECT_EQ(store.countDepthAtMost(3), 1u);
-        EXPECT_EQ(store.countDepthAtMost(254), 2u);
-        EXPECT_EQ(store.countDepthAtMost(255), 3u);
-        EXPECT_EQ(store.countDepthAtMost(69999), 4u);
-        EXPECT_EQ(store.countDepthAtMost(70000), 5u);
-
-        // A duplicate insert at @p depth; whether it relabelled.
-        auto relabel = [&](int i, std::uint32_t depth) {
-            StateStore::BatchItem item;
-            item.state = initialBothShared(static_cast<Val>(i + 1));
-            item.depth = depth;
-            store.insertBatch(&item, 1);
-            EXPECT_EQ(item.id, ids[i]);
-            return item.improved;
-        };
-        EXPECT_TRUE(relabel(3, 300)); // wide to wide
-        EXPECT_EQ(store.depthAt(ids[3]), 300u);
-        EXPECT_EQ(store.maxDepthQuiescent(), 300u);
-        EXPECT_TRUE(relabel(2, 255)); // wide to wide, onto the escape
-        EXPECT_TRUE(relabel(1, 254)); // wide to narrow, across it
-        EXPECT_TRUE(relabel(3, 10));  // wide to narrow
-        EXPECT_TRUE(relabel(0, 200)); // narrow to narrow
-        EXPECT_FALSE(relabel(2, 255));
-        EXPECT_FALSE(relabel(4, 254));
-        const std::uint32_t now[] = {200, 254, 255, 10, 3};
+        StateStore::BatchItem dup;
+        dup.state = initialBothShared(4);
+        dup.depth = 10;
+        store.insertBatch(&dup, 1);
+        EXPECT_FALSE(dup.inserted);
+        EXPECT_EQ(dup.id, ids[3]);
         for (int i = 0; i < 5; ++i)
-            EXPECT_EQ(store.depthAt(ids[i]), now[i]) << i;
-        EXPECT_EQ(store.maxDepthQuiescent(), 255u);
-        EXPECT_EQ(store.countDepthAtMost(10), 2u);
-        EXPECT_EQ(store.countDepthAtMost(254), 4u);
-        EXPECT_EQ(store.countDepthAtMost(255), 5u);
+            EXPECT_EQ(store.depthAt(ids[i]), depths[i]) << i;
     }
 }
 
-TEST(StateStore, DepthAtRacesRelabelsAcrossTheWideEscape)
+TEST(StateStore, DepthAtRacesAppendsAcrossTheWideEscape)
 {
-    // depthAt is read lock-free while relabels lower every entry
-    // through the escape, wide to wide to narrow: each read is a depth
-    // written so far, and reads of one entry never rise (a stale one
-    // is an upper bound).  Clean under ThreadSanitizer.
+    // depthAt is read lock-free while a writer appends entries whose
+    // depths cross the escape both ways, so a chunk's wide cells are
+    // allocated under the readers' feet: every read of a published id
+    // is the depth it was appended with.  Clean under
+    // ThreadSanitizer.
     constexpr int kStates = 2048;
     const std::uint32_t steps[] = {70000, 4000, 300, 256, 255,
                                    254,   200,  1,   0};
@@ -128,26 +106,19 @@ TEST(StateStore, DepthAtRacesRelabelsAcrossTheWideEscape)
         s.dev[0].val = static_cast<Val>(i >> 8);
         return s;
     };
+    auto depthOf = [&](int i) { return steps[i % std::size(steps)]; };
     for (const StoreKind kind : kStoreKinds) {
         StateStore store(storeConfigOf(kind, "", 0));
-        std::vector<std::uint32_t> ids;
-        for (int i = 0; i < kStates; ++i)
-            ids.push_back(store.insert(stateOf(i), steps[0]).first);
-        std::atomic<bool> done{false};
+        std::vector<std::uint32_t> ids(kStates);
+        std::atomic<int> published{0};
         std::atomic<int> started{0};
         auto reader = [&] {
             started.fetch_add(1);
-            std::vector<std::uint32_t> last(kStates, steps[0]);
             bool ok = true;
-            for (bool more = true; more;) {
-                more = !done.load(std::memory_order_acquire);
-                for (int i = 0; i < kStates; ++i) {
-                    const std::uint32_t d = store.depthAt(ids[i]);
-                    ok &= d <= last[i] &&
-                          std::find(std::begin(steps), std::end(steps),
-                                    d) != std::end(steps);
-                    last[i] = d;
-                }
+            for (int seen = 0; seen < kStates;) {
+                seen = published.load(std::memory_order_acquire);
+                for (int i = 0; i < seen; ++i)
+                    ok &= store.depthAt(ids[i]) == depthOf(i);
             }
             return ok;
         };
@@ -156,20 +127,18 @@ TEST(StateStore, DepthAtRacesRelabelsAcrossTheWideEscape)
                                  std::thread([&] { ok[1] = reader(); })};
         while (started.load() < 2)
             std::this_thread::yield();
-        for (std::size_t k = 1; k < std::size(steps); ++k) {
-            for (int i = 0; i < kStates; ++i) {
-                StateStore::BatchItem item;
-                item.state = stateOf(i);
-                item.depth = steps[k];
-                store.insertBatch(&item, 1);
-            }
+        for (int i = 0; i < kStates; ++i) {
+            StateStore::BatchItem item;
+            item.state = stateOf(i);
+            item.depth = depthOf(i);
+            store.insertBatch(&item, 1);
+            EXPECT_TRUE(item.inserted) << i;
+            ids[i] = item.id;
+            published.store(i + 1, std::memory_order_release);
         }
-        done.store(true, std::memory_order_release);
         for (std::thread &t : readers)
             t.join();
         EXPECT_TRUE(ok[0] && ok[1]);
-        for (int i = 0; i < kStates; ++i)
-            EXPECT_EQ(store.depthAt(ids[i]), 0u) << i;
     }
 }
 
@@ -379,7 +348,7 @@ TEST(ResolveEngine, ClampsWorkersAndResolvesAutoAndTheCap)
 TEST_F(ExplorerTest, FullSliceTableStopsTheRunAsShardFull)
 {
     // A slice table out of ids (every stripe forged full) stops a run
-    // the way a full shard does: the worker guard both schedules run
+    // the way a full shard does: the worker guard the schedule runs
     // under makes it a governed ShardFull stop, not an internal error.
     const Scenario sc = Scenario::freeRunScenario();
     ExploreOptions opt;
@@ -584,121 +553,81 @@ TEST_F(ExplorerTest, OverflowTraceEndsWithTheOverflowingEdge)
     }
 }
 
-/** The 2-device free-run space walked level by level into @p store,
- * states canonical as the kernel stores them (tids relabelled, no
- * symmetry), so every depth label is the state's BFS distance.
- * Returns every (id, depth). */
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-settledFreeRun(const RuleSet &rules, const Scenario &sc,
-               StateStore &store)
+TEST(LabelPath, LabelsStayExactAfterAGovernedStop)
 {
-    SystemState s = sc.initial;
-    s.canonicaliseTids();
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> all{
-        {store.insert(s, 0).first, 0}};
-    std::vector<RuleSet::Successor> succs;
-    for (std::size_t at = 0; at < all.size(); ++at) {
-        const auto [id, depth] = all[at];
-        store.stateInto(id, s);
-        rules.successorsInto(s, sc, true, succs);
-        for (const RuleSet::Successor &succ : succs) {
-            const auto [sid, fresh] = store.insert(succ.state, depth + 1);
-            if (fresh)
-                all.emplace_back(sid, depth + 1);
+    // The level schedule inserts every state at its BFS distance, so
+    // a run stopped in the middle of a level — by the state cap or by
+    // a cancel — leaves exact labels too: labelPath names a path of
+    // depthAt(id) rules to every stored state, and it replays to that
+    // very state.
+    struct Space {
+        int devices;
+        bool sym;
+        bool por;
+        std::uint64_t stopAt; ///< states, inside a wide level
+    };
+    const ProtocolConfig config = ProtocolConfig::correct();
+    for (const Space sp : {Space{2, false, false, 900},
+                           Space{3, true, true, 750}}) {
+        const RuleSet rules(config, sp.devices);
+        const Scenario sc = Scenario::freeRunScenario(sp.devices);
+        const InvariantSet inv = InvariantSet::full(config, sp.devices);
+        for (const std::size_t threads : {1u, 4u}) {
+            for (const bool cancel : {false, true}) {
+                const std::string what =
+                    std::to_string(sp.devices) + " devices, " +
+                    std::to_string(threads) + " threads, " +
+                    (cancel ? "cancel" : "state cap");
+                ExploreOptions opt;
+                opt.threads = threads;
+                opt.symmetry = sp.sym ? SymmetryMode::On : SymmetryMode::Off;
+                opt.por = sp.por;
+                const CancelToken token = CancelToken::create();
+                if (cancel) {
+                    opt.cancel = token;
+                    opt.progressIntervalSeconds = 0;
+                    opt.progress = [&](const ProgressSnapshot &p) {
+                        if (p.states >= sp.stopAt)
+                            token.cancel();
+                    };
+                } else {
+                    opt.maxStates = sp.stopAt;
+                }
+                ExpandKernel k(rules, sc, inv, opt);
+                ASSERT_FALSE(k.insertInitial()) << what;
+                runBfs(k);
+                const ExploreResult res = k.finish();
+                ASSERT_EQ(res.stopReason, cancel ? StopReason::Cancelled
+                                                 : StopReason::StateCap)
+                    << what;
+
+                std::uint64_t stored = 0;
+                bool midLevel = false;
+                for (std::uint32_t shard = 0;
+                     shard < StateStore::kNumShards; ++shard) {
+                    const std::uint32_t count =
+                        StateStoreTestPeer::columns(k.store, shard).count();
+                    for (std::uint32_t off = 0; off < count; ++off) {
+                        const std::uint32_t id =
+                            (shard << StateStore::kOffsetBits) | off;
+                        const std::uint32_t depth = k.store.depthAt(id);
+                        midLevel |= depth == res.maxDepth + 1;
+                        const std::vector<std::uint16_t> path =
+                            labelPath(rules, sc, k.store, id, true, sp.sym);
+                        ASSERT_EQ(path.size(), depth) << what;
+                        const std::vector<TraceStep> trace =
+                            replayTrace(rules, sc, path, true, sp.sym);
+                        ASSERT_EQ(k.store.find(trace.back().state), id)
+                            << what;
+                        ++stored;
+                    }
+                }
+                EXPECT_EQ(stored, k.store.size()) << what;
+                EXPECT_TRUE(midLevel)
+                    << what << ": the stop fell between two levels";
+            }
         }
     }
-    return all;
-}
-
-TEST_F(ExplorerTest, SettledLabelsNeverReachTheWitnessFallback)
-{
-    // Every completed run leaves BFS-distance labels: the label search
-    // alone finds a shortest path to every state, so the breadth-first
-    // fallback of witnessPath is never taken.
-    const Scenario sc = Scenario::freeRunScenario();
-    StateStore store;
-    const auto all = settledFreeRun(rules, sc, store);
-    ASSERT_EQ(all.size(), 5218u);
-    for (std::size_t i = 0; i < all.size(); i += 37) {
-        const auto [id, depth] = all[i];
-        const std::optional<std::vector<std::uint16_t>> path =
-            labelPath(rules, sc, store, false, id);
-        ASSERT_TRUE(path.has_value()) << "state " << i;
-        EXPECT_EQ(path->size(), depth) << "state " << i;
-        EXPECT_EQ(witnessPath(rules, sc, store, false, id), *path);
-    }
-}
-
-TEST_F(ExplorerTest, WitnessFallbackReplaysToAnUnsettledState)
-{
-    // A governed --ws stop can leave a state labelled deeper than its
-    // BFS distance, with no stored state one label above it: the label
-    // search then finds nothing, and the breadth-first search over
-    // stored states must still name a path that replays to it.
-    const Scenario sc = Scenario::freeRunScenario();
-    const Context ctx{&sc};
-    StateStore store;
-    SystemState init = sc.initial;
-    init.canonicaliseTids();
-    ASSERT_TRUE(store.insert(init, 0).second);
-    std::vector<RuleSet::Successor> level1;
-    rules.successorsInto(init, sc, true, level1);
-    for (const RuleSet::Successor &succ : level1)
-        store.insert(succ.state, 1);
-    // The first state two steps out, stored with label 5.
-    std::optional<SystemState> target;
-    std::vector<RuleSet::Successor> succs;
-    for (const RuleSet::Successor &mid : level1) {
-        rules.successorsInto(mid.state, sc, true, succs);
-        for (const RuleSet::Successor &succ : succs) {
-            if (!target && !store.find(succ.state))
-                target = succ.state;
-        }
-    }
-    ASSERT_TRUE(target.has_value());
-    const auto [id, fresh] = store.insert(*target, 5);
-    ASSERT_TRUE(fresh);
-
-    EXPECT_FALSE(labelPath(rules, sc, store, false, id).has_value());
-    const std::vector<std::uint16_t> path =
-        witnessPath(rules, sc, store, false, id);
-    // The rule-id-least two-step path through stored states.
-    std::optional<std::vector<std::uint16_t>> least;
-    for (const Rule &r1 : rules.rules()) {
-        if (!r1.guard(init, ctx))
-            continue;
-        SystemState mid = init;
-        (void)r1.apply(mid, ctx);
-        mid.canonicaliseTids();
-        if (!store.find(mid))
-            continue;
-        for (const Rule &r2 : rules.rules()) {
-            SystemState end = mid;
-            if (!r2.guard(end, ctx))
-                continue;
-            (void)r2.apply(end, ctx);
-            end.canonicaliseTids();
-            if (end == *target && !least)
-                least = std::vector<std::uint16_t>{r1.id, r2.id};
-        }
-    }
-    ASSERT_TRUE(least.has_value());
-    EXPECT_EQ(path, *least);
-
-    // The path replays, every guard enabled, to exactly the state.
-    SystemState s = init;
-    for (std::uint16_t r : path) {
-        const Rule &rule = rules.rules()[r];
-        ASSERT_TRUE(rule.guard(s, ctx)) << rule.name();
-        (void)rule.apply(s, ctx);
-        s.canonicaliseTids();
-    }
-    EXPECT_TRUE(s == *target);
-    const std::vector<TraceStep> trace =
-        replayTrace(rules, sc, path, true, false);
-    ASSERT_EQ(trace.size(), path.size() + 1);
-    EXPECT_TRUE(trace.back().state == *target);
-    EXPECT_EQ(store.find(trace.back().state), id);
 }
 
 TEST_F(ExplorerTest, FreeRunCoversEveryDeviceStateAndHostState)

@@ -196,22 +196,16 @@ TEST(Oracle, ComboLabelsNameEachStoreKind)
     for (const ComboDesc &combo : fullPortfolio(1))
         full.push_back(combo.label());
     const std::vector<std::string> want_full = {
-        "bfs/-/-/ram/t1",   "bfs/-/sym/ram/t1",
-        "bfs/por/-/ram/t1", "bfs/por/sym/ram/t1",
-        "ws/-/-/ram/t1",    "ws/-/sym/ram/t1",
-        "ws/por/-/ram/t1",  "ws/por/sym/ram/t1",
-        "bfs/-/-/mmap/t1"};
+        "-/-/ram/t1", "-/sym/ram/t1", "por/-/ram/t1", "por/sym/ram/t1",
+        "-/-/mmap/t1"};
     EXPECT_EQ(full, want_full);
 
     std::vector<std::string> replay;
     for (const ComboDesc &combo : replayPortfolio({4}))
         replay.push_back(combo.label());
     const std::vector<std::string> want_replay = {
-        "bfs/-/-/ram/t4",   "bfs/-/sym/ram/t4",
-        "bfs/por/-/ram/t4", "bfs/por/sym/ram/t4",
-        "ws/-/-/ram/t4",    "ws/-/sym/ram/t4",
-        "ws/por/-/ram/t4",  "ws/por/sym/ram/t4",
-        "bfs/-/-/mmap/t4"};
+        "-/-/ram/t4", "-/sym/ram/t4", "por/-/ram/t4", "por/sym/ram/t4",
+        "-/-/mmap/t4"};
     EXPECT_EQ(replay, want_replay);
 }
 
@@ -230,10 +224,10 @@ TEST(Oracle, PortfolioAgreesOnACorrectProgramScenario)
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "holds");
     EXPECT_TRUE(report.reference.exactCounts);
-    // Symmetry arms are skipped for program scenarios: 9 combos
-    // (the 8-way cross product plus the mmap arm) minus 4 sym arms,
+    // Symmetry arms are skipped for program scenarios: 5 combos
+    // (the 4-way cross product plus the mmap arm) minus 2 sym arms,
     // plus the reference.
-    EXPECT_EQ(report.runs.size(), 6u);
+    EXPECT_EQ(report.runs.size(), 4u);
 }
 
 TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
@@ -253,7 +247,7 @@ TEST(Oracle, PortfolioAgreesOnAMutatedViolatingScenario)
     EXPECT_FALSE(report.diverged())
         << report.divergences.front();
     EXPECT_EQ(report.reference.verdict, "violation");
-    EXPECT_EQ(report.runs.size(), 10u);
+    EXPECT_EQ(report.runs.size(), 6u);
 }
 
 TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
@@ -278,7 +272,7 @@ TEST(Oracle, ComparesOnlySymInvariantFactsAcrossSymmetryClasses)
 
     OracleOptions opt;
     opt.portfolio = {
-        ComboDesc{Schedule::Bfs, false, true, StoreKind::InRam, 1}};
+        ComboDesc{false, true, StoreKind::InRam, 1}};
     opt.randomWalkProbe = false;
     const Oracle oracle(std::move(opt));
 
@@ -300,13 +294,11 @@ TEST(Oracle, FlagsAPlantedDivergence)
     c.programs = {{Instr::Store}, {Instr::Load}};
 
     OracleOptions oopt;
-    oopt.portfolio = {
-        ComboDesc{Schedule::WorkSteal, false, false, StoreKind::InRam,
-                  1}};
+    oopt.portfolio = {ComboDesc{true, false, StoreKind::InRam, 1}};
     oopt.randomWalkProbe = false;
     oopt.sessionHook = [&](CheckSession &session,
                            const ComboDesc &combo) {
-        if (combo.schedule != Schedule::WorkSteal)
+        if (!combo.por)
             return;
         session.mutableRuleSet(c.config, c.devices)
             .addRule({"planted_corruption",

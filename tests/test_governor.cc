@@ -81,26 +81,21 @@ expectGovernedStop(const CheckResult &res, StopReason reason,
 
 // ------------------------------------------------------- deadlines
 
-TEST(Governor, DeadlineStopsEveryScheduleAndThreadCount)
+TEST(Governor, DeadlineStopsEveryThreadCount)
 {
     // A microscopic budget trips at the very first poll, so the run
     // reports the smallest possible prefix — at any thread count,
-    // under both schedules, without an exception in sight.
+    // without an exception in sight.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u, 8u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.maxSeconds = 1e-6;
-            CheckResult res;
-            ASSERT_NO_THROW(
-                res = session.run(freeRunRequest(2, engine)))
-                << "schedule " << static_cast<int>(sched)
-                << " threads " << threads;
-            expectGovernedStop(res, StopReason::Deadline, "deadline");
-            EXPECT_LE(res.states, kTwoDevFreeRunStates);
-        }
+    for (std::size_t threads : {1u, 4u, 8u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.maxSeconds = 1e-6;
+        CheckResult res;
+        ASSERT_NO_THROW(res = session.run(freeRunRequest(2, engine)))
+            << "threads " << threads;
+        expectGovernedStop(res, StopReason::Deadline, "deadline");
+        EXPECT_LE(res.states, kTwoDevFreeRunStates);
     }
 }
 
@@ -108,40 +103,32 @@ TEST(Governor, DeadlineTruncatesABigSpaceMidFlight)
 {
     // 3-device unreduced free-run is ~861k states — far more than
     // 20 ms of exploration.  The run must stop with a strict prefix
-    // under every schedule x thread-count combination.
+    // at every thread count.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u, 8u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.maxSeconds = 0.02;
-            const CheckResult res =
-                session.run(freeRunRequest(3, engine));
-            expectGovernedStop(res, StopReason::Deadline, "deadline");
-            EXPECT_LT(res.states, 860925u);
-        }
+    for (std::size_t threads : {1u, 4u, 8u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.maxSeconds = 0.02;
+        const CheckResult res = session.run(freeRunRequest(3, engine));
+        expectGovernedStop(res, StopReason::Deadline, "deadline");
+        EXPECT_LT(res.states, 860925u);
     }
 }
 
 // -------------------------------------------------- memory ceiling
 
-TEST(Governor, MemoryCeilingStopsBothSchedules)
+TEST(Governor, MemoryCeilingStopsTheRun)
 {
     // A 1-byte ceiling is below any process's resident set, so the
     // governor's very first RSS sample trips it.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        EngineOptions engine;
-        engine.schedule = sched;
-        engine.threads = 4;
-        engine.maxRssBytes = 1;
-        const CheckResult res =
-            session.run(freeRunRequest(2, engine));
-        expectGovernedStop(res, StopReason::Memory, "memory");
-        // The sample that tripped the ceiling is the metered peak.
-        EXPECT_GT(res.meteredPeakBytes, engine.maxRssBytes);
-    }
+    EngineOptions engine;
+    engine.threads = 4;
+    engine.maxRssBytes = 1;
+    const CheckResult res = session.run(freeRunRequest(2, engine));
+    expectGovernedStop(res, StopReason::Memory, "memory");
+    // The sample that tripped the ceiling is the metered peak.
+    EXPECT_GT(res.meteredPeakBytes, engine.maxRssBytes);
 }
 
 TEST(Governor, AHeldCeilingReportsAMeteredPeakWithinIt)
@@ -152,34 +139,31 @@ TEST(Governor, AHeldCeilingReportsAMeteredPeakWithinIt)
     // of a different measure.  It is observation only: zeroed in
     // deterministic JSON, and 0 when no ceiling asked for samples.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        EngineOptions engine;
-        engine.schedule = sched;
-        engine.threads = 4;
-        engine.symmetry = SymmetryMode::On;
-        engine.maxRssBytes = meteredMemoryBytes() + 256ull * 1024 * 1024;
-        CheckRequest req = freeRunRequest(2, engine);
-        req.devices = 3; // the 144,294-state symmetric space
-        const CheckResult res = session.run(req);
-        ASSERT_EQ(res.verdict, CheckResult::Verdict::Holds);
-        EXPECT_GT(res.meteredPeakBytes, 0u);
-        EXPECT_LE(res.meteredPeakBytes, engine.maxRssBytes);
-        const JsonValue doc = parseJson(res.renderJson());
-        EXPECT_EQ(doc.getNum("metered_peak_bytes"),
-                  static_cast<double>(res.meteredPeakBytes));
-        EXPECT_LE(doc.getNum("metered_peak_bytes"),
-                  static_cast<double>(engine.maxRssBytes));
-        EXPECT_EQ(parseJson(res.renderJson(true))
-                      .getNum("metered_peak_bytes"),
-                  0.0);
-        EXPECT_NE(res.renderText().find("metered peak"), std::string::npos)
-            << res.renderText();
-        EXPECT_NE(res.renderText().find("peak RSS"), std::string::npos);
+    EngineOptions engine;
+    engine.threads = 4;
+    engine.symmetry = SymmetryMode::On;
+    engine.maxRssBytes = meteredMemoryBytes() + 256ull * 1024 * 1024;
+    CheckRequest req = freeRunRequest(2, engine);
+    req.devices = 3; // the 144,294-state symmetric space
+    const CheckResult res = session.run(req);
+    ASSERT_EQ(res.verdict, CheckResult::Verdict::Holds);
+    EXPECT_GT(res.meteredPeakBytes, 0u);
+    EXPECT_LE(res.meteredPeakBytes, engine.maxRssBytes);
+    const JsonValue doc = parseJson(res.renderJson());
+    EXPECT_EQ(doc.getNum("metered_peak_bytes"),
+              static_cast<double>(res.meteredPeakBytes));
+    EXPECT_LE(doc.getNum("metered_peak_bytes"),
+              static_cast<double>(engine.maxRssBytes));
+    EXPECT_EQ(parseJson(res.renderJson(true))
+                  .getNum("metered_peak_bytes"),
+              0.0);
+    EXPECT_NE(res.renderText().find("metered peak"), std::string::npos)
+        << res.renderText();
+    EXPECT_NE(res.renderText().find("peak RSS"), std::string::npos);
 
-        engine.maxRssBytes = 0;
-        req.engine = engine;
-        EXPECT_EQ(session.run(req).meteredPeakBytes, 0u);
-    }
+    engine.maxRssBytes = 0;
+    req.engine = engine;
+    EXPECT_EQ(session.run(req).meteredPeakBytes, 0u);
 }
 
 #if defined(__linux__)
@@ -246,17 +230,12 @@ TEST(Governor, PreCancelledTokenStopsBeforeExpansion)
     const CancelToken token = CancelToken::create();
     token.cancel();
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.cancel = token;
-            const CheckResult res =
-                session.run(freeRunRequest(2, engine));
-            expectGovernedStop(res, StopReason::Cancelled,
-                               "cancelled");
-        }
+    for (std::size_t threads : {1u, 4u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.cancel = token;
+        const CheckResult res = session.run(freeRunRequest(2, engine));
+        expectGovernedStop(res, StopReason::Cancelled, "cancelled");
     }
 }
 
@@ -271,7 +250,6 @@ TEST(Governor, AsyncCancelStopsARunningExploration)
         token.cancel();
     });
     EngineOptions engine;
-    engine.schedule = Schedule::WorkSteal;
     engine.threads = 4;
     engine.cancel = token;
     CheckSession session;
@@ -388,21 +366,15 @@ TEST(Governor, ShardFullStopsGracefullyAtToyCapacity)
     // StoreFullError must be converted into a graceful Incomplete,
     // not escape as an exception.
     CheckSession session;
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u}) {
-            EngineOptions engine;
-            engine.schedule = sched;
-            engine.threads = threads;
-            engine.storeCapacity = 64;
-            CheckResult res;
-            ASSERT_NO_THROW(
-                res = session.run(freeRunRequest(2, engine)))
-                << "schedule " << static_cast<int>(sched)
-                << " threads " << threads;
-            expectGovernedStop(res, StopReason::ShardFull,
-                               "shard_full");
-            EXPECT_LT(res.states, kTwoDevFreeRunStates);
-        }
+    for (std::size_t threads : {1u, 4u}) {
+        EngineOptions engine;
+        engine.threads = threads;
+        engine.storeCapacity = 64;
+        CheckResult res;
+        ASSERT_NO_THROW(res = session.run(freeRunRequest(2, engine)))
+            << "threads " << threads;
+        expectGovernedStop(res, StopReason::ShardFull, "shard_full");
+        EXPECT_LT(res.states, kTwoDevFreeRunStates);
     }
 }
 
@@ -483,8 +455,8 @@ TEST(Governor, DeepestCompleteLevelIsReallyComplete)
     // state at depth <= L was generated, so the run must hold at
     // least every state at depth <= L + 1.  Sweep the stopping point
     // through the early levels with both stop causes that drop
-    // staged successors (the state cap and a full shard), under both
-    // schedules.  A stop during level 0 reports 0 and promises
+    // staged successors (the state cap and a full shard).  A stop
+    // during level 0 reports 0 and promises
     // nothing, so only L > 0 is checked.
     const ProtocolConfig config = ProtocolConfig::correct();
     const RuleSet rules(config);
@@ -493,9 +465,8 @@ TEST(Governor, DeepestCompleteLevelIsReallyComplete)
     auto check = [&](const ExploreOptions &opt, const char *what) {
         const ExploreResult res = Explorer(rules, sc, inv).run(opt);
         const std::string tag =
-            std::string(what) + " sched " +
-            std::to_string(static_cast<int>(opt.schedule)) +
-            " threads " + std::to_string(opt.threads) +
+            std::string(what) + " threads " +
+            std::to_string(opt.threads) +
             " maxStates " + std::to_string(opt.maxStates) +
             " capacity " + std::to_string(opt.storeCapacity);
         ASSERT_FALSE(res.completed) << tag;
@@ -508,22 +479,19 @@ TEST(Governor, DeepestCompleteLevelIsReallyComplete)
                 << " states";
         }
     };
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u}) {
-            ExploreOptions opt;
-            opt.schedule = sched;
-            opt.threads = threads;
-            const std::uint64_t step = threads == 1 ? 1 : 13;
-            for (std::uint64_t cap = 2; cap <= 600; cap += step) {
-                opt.maxStates = cap;
-                check(opt, "state cap");
-            }
-            opt.maxStates = 0; // uncapped: kDefaultMaxStates
-            for (std::uint64_t capacity = 16; capacity <= 4096;
-                 capacity *= 2) {
-                opt.storeCapacity = capacity;
-                check(opt, "shard full");
-            }
+    for (std::size_t threads : {1u, 4u}) {
+        ExploreOptions opt;
+        opt.threads = threads;
+        const std::uint64_t step = threads == 1 ? 1 : 13;
+        for (std::uint64_t cap = 2; cap <= 600; cap += step) {
+            opt.maxStates = cap;
+            check(opt, "state cap");
+        }
+        opt.maxStates = 0; // uncapped: kDefaultMaxStates
+        for (std::uint64_t capacity = 16; capacity <= 4096;
+             capacity *= 2) {
+            opt.storeCapacity = capacity;
+            check(opt, "shard full");
         }
     }
 }
@@ -533,42 +501,37 @@ TEST(Governor, DeepestCompleteLevelIsReallyComplete)
 TEST(Governor, WorkerExceptionPropagatesFromRun)
 {
     // A guard that throws mid-run (here: after a few hundred calls,
-    // inside a worker under both schedules) is not a governed stop:
+    // inside a worker) is not a governed stop:
     // the worker guard must hand the exception itself to run()'s
     // caller, at any thread count.
     const ProtocolConfig config = ProtocolConfig::correct();
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        for (std::size_t threads : {1u, 4u}) {
-            std::atomic<int> calls{0};
-            RuleSet rules(config);
-            rules.addRule(
-                {"planted_thrower",
-                 [](const Rule &r, const SystemState &,
-                    const Context &) -> bool {
-                     auto &n = *static_cast<std::atomic<int> *>(r.env());
-                     if (n.fetch_add(1) >= 500)
-                         throw std::runtime_error("planted guard failure");
-                     return false; // never fires before the throw
-                 },
-                 [](const Rule &, SystemState &, const Context &) {
-                     return true;
-                 },
-                 &calls});
+    for (std::size_t threads : {1u, 4u}) {
+        std::atomic<int> calls{0};
+        RuleSet rules(config);
+        rules.addRule(
+            {"planted_thrower",
+             [](const Rule &r, const SystemState &,
+                const Context &) -> bool {
+                 auto &n = *static_cast<std::atomic<int> *>(r.env());
+                 if (n.fetch_add(1) >= 500)
+                     throw std::runtime_error("planted guard failure");
+                 return false; // never fires before the throw
+             },
+             [](const Rule &, SystemState &, const Context &) {
+                 return true;
+             },
+             &calls});
 
-            ExploreOptions opt;
-            opt.schedule = sched;
-            opt.threads = threads;
-            const Scenario sc = Scenario::freeRunScenario();
-            const InvariantSet inv = InvariantSet::full(config);
-            Explorer ex(rules, sc, inv);
-            try {
-                ex.run(opt);
-                ADD_FAILURE() << "no exception: schedule "
-                              << static_cast<int>(sched) << " threads "
-                              << threads;
-            } catch (const std::runtime_error &e) {
-                EXPECT_STREQ(e.what(), "planted guard failure");
-            }
+        ExploreOptions opt;
+        opt.threads = threads;
+        const Scenario sc = Scenario::freeRunScenario();
+        const InvariantSet inv = InvariantSet::full(config);
+        Explorer ex(rules, sc, inv);
+        try {
+            ex.run(opt);
+            ADD_FAILURE() << "no exception: threads " << threads;
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "planted guard failure");
         }
     }
 }
@@ -606,13 +569,12 @@ TEST(Oracle, PlantedSlowArmIsQuarantinedNotCompared)
 
     fuzz::OracleOptions oopt;
     oopt.portfolio = {
-        fuzz::ComboDesc{Schedule::WorkSteal, false, false,
-                        StoreKind::InRam, 1}};
+        fuzz::ComboDesc{true, false, StoreKind::InRam, 1}};
     oopt.randomWalkProbe = false;
     oopt.armMaxSeconds = 0.2;
     oopt.sessionHook = [&](CheckSession &session,
                            const fuzz::ComboDesc &combo) {
-        if (combo.schedule != Schedule::WorkSteal)
+        if (!combo.por)
             return;
         session.mutableRuleSet(c.config, c.devices)
             .addRule({"planted_sleeper",
@@ -630,7 +592,7 @@ TEST(Oracle, PlantedSlowArmIsQuarantinedNotCompared)
     const fuzz::OracleReport report = oracle.check(c);
 
     ASSERT_EQ(report.quarantined.size(), 1u);
-    EXPECT_NE(report.quarantined[0].find("ws/"), std::string::npos)
+    EXPECT_NE(report.quarantined[0].find("por/"), std::string::npos)
         << report.quarantined[0];
     EXPECT_NE(report.quarantined[0].find(
                   stopReasonPhrase(StopReason::Deadline)),

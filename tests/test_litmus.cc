@@ -112,7 +112,7 @@ TEST(LitmusEngine, RelaxationTracesReplayToTheViolation)
 class GuidedTables : public ::testing::Test
 {
   protected:
-    std::vector<GuidedStep>
+    std::vector<TraceStep>
     table1(Scenario &sc) const
     {
         static RuleSet rules(ProtocolConfig::correct());

@@ -11,8 +11,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "api/check.hh"
 #include "checker/explorer.hh"
 #include "litmus/litmus.hh"
 
@@ -211,47 +215,42 @@ TEST(ParallelExplorer, MaxStatesCapHoldsForAWorkerStalledMidBatch)
     const std::uint64_t cap = 200000;
     const std::uint64_t arm_at = cap - threads * 512 - 3000;
 
-    for (Schedule sched : {Schedule::Bfs, Schedule::WorkSteal}) {
-        struct Stall {
-            std::atomic<bool> armed{false};
-            std::atomic<bool> napped{false};
-        } stall;
-        RuleSet rules(config, 3);
-        rules.addRule(
-            {"planted_stall",
-             [](const Rule &r, const SystemState &, const Context &) {
-                 auto &st = *static_cast<Stall *>(r.env());
-                 if (st.armed.load(std::memory_order_relaxed) &&
-                     !st.napped.exchange(true)) {
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(300));
-                 }
-                 return false; // never fires: the space is unchanged
-             },
-             [](const Rule &, SystemState &, const Context &) {
-                 return true;
-             },
-             &stall});
+    struct Stall {
+        std::atomic<bool> armed{false};
+        std::atomic<bool> napped{false};
+    } stall;
+    RuleSet rules(config, 3);
+    rules.addRule(
+        {"planted_stall",
+         [](const Rule &r, const SystemState &, const Context &) {
+             auto &st = *static_cast<Stall *>(r.env());
+             if (st.armed.load(std::memory_order_relaxed) &&
+                 !st.napped.exchange(true)) {
+                 std::this_thread::sleep_for(
+                     std::chrono::milliseconds(300));
+             }
+             return false; // never fires: the space is unchanged
+         },
+         [](const Rule &, SystemState &, const Context &) {
+             return true;
+         },
+         &stall});
 
-        ExploreOptions opt;
-        opt.symmetry = SymmetryMode::Off; // the unreduced 3-device space
-        opt.schedule = sched;
-        opt.maxStates = cap;
-        opt.progressIntervalSeconds = 0;
-        opt.progress = [&](const ProgressSnapshot &p) {
-            if (p.states >= arm_at)
-                stall.armed.store(true, std::memory_order_relaxed);
-        };
-        const ExploreResult res =
-            runWith(rules, Scenario::freeRunScenario(3),
-                    InvariantSet::full(config, 3), opt, threads);
-        const std::string what =
-            sched == Schedule::Bfs ? "bfs" : "ws";
-        EXPECT_TRUE(stall.napped.load()) << what;
-        EXPECT_EQ(res.stopReason, StopReason::StateCap) << what;
-        EXPECT_GE(res.numStates, cap) << what;
-        EXPECT_LE(res.numStates, cap + threads) << what;
-    }
+    ExploreOptions opt;
+    opt.symmetry = SymmetryMode::Off; // the unreduced 3-device space
+    opt.maxStates = cap;
+    opt.progressIntervalSeconds = 0;
+    opt.progress = [&](const ProgressSnapshot &p) {
+        if (p.states >= arm_at)
+            stall.armed.store(true, std::memory_order_relaxed);
+    };
+    const ExploreResult res =
+        runWith(rules, Scenario::freeRunScenario(3),
+                InvariantSet::full(config, 3), opt, threads);
+    EXPECT_TRUE(stall.napped.load());
+    EXPECT_EQ(res.stopReason, StopReason::StateCap);
+    EXPECT_GE(res.numStates, cap);
+    EXPECT_LE(res.numStates, cap + threads);
 }
 
 TEST(ParallelExplorer, DeadlockVerdictIdenticalAcrossThreadCounts)
@@ -276,6 +275,57 @@ TEST(ParallelExplorer, DeadlockVerdictIdenticalAcrossThreadCounts)
     for (std::size_t n : kSweep) {
         expectIdentical(base, runWith(rules, sc, inv, opt, n),
                         "deadlock @" + std::to_string(n));
+    }
+}
+
+TEST(ParallelExplorer, WitnessTraceIsShortestAndTheSameEverywhere)
+{
+    // Violation scenarios: the trace starts at the initial state, has
+    // exactly violation-depth steps, and — replayed from the
+    // rule-id-least shortest path — is the same trace, state and rule
+    // name at every step, on every store kind, with and without POR,
+    // at every thread count.
+    CheckSession session;
+    for (const char *name :
+         {"go_tailgate_test", "one_snoop_test", "snoop_pushes_go_test",
+          "smad_snoop_guard_test"}) {
+        std::optional<std::vector<TraceStep>> first;
+        for (StoreKind store : {StoreKind::InRam, StoreKind::Mmap}) {
+            for (bool por : {false, true}) {
+                for (std::size_t threads : {1u, 4u, 8u}) {
+                    const std::string what =
+                        std::string(name) + " " + storeKindWord(store) +
+                        (por ? " por" : "") + " t" +
+                        std::to_string(threads);
+                    CheckRequest req;
+                    req.scenario = name;
+                    EngineOptions eng;
+                    eng.threads = threads;
+                    eng.store = store;
+                    eng.por = por;
+                    req.engine = eng;
+                    const CheckResult res = session.run(req);
+                    ASSERT_TRUE(res.violation) << what;
+                    const std::vector<TraceStep> &trace =
+                        res.violation->trace;
+                    ASSERT_FALSE(trace.empty()) << what;
+                    EXPECT_TRUE(trace.front().ruleName.empty()) << what;
+                    EXPECT_EQ(trace.size(), res.violation->depth + 1u)
+                        << what;
+                    if (!first) {
+                        first = trace;
+                        continue;
+                    }
+                    ASSERT_EQ(trace.size(), first->size()) << what;
+                    for (std::size_t i = 0; i < trace.size(); ++i) {
+                        EXPECT_EQ(trace[i].ruleName, (*first)[i].ruleName)
+                            << what << " step " << i;
+                        EXPECT_TRUE(trace[i].state == (*first)[i].state)
+                            << what << " step " << i;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -14,7 +14,7 @@
  *
  *  2. Mechanism tests — permutation remap consistency (the sleep-mask
  *     relabelling used under symmetry), the rule-count ceiling, the
- *     hash-consed sleep table (fresh slots, shrink reports, sharing,
+ *     hash-consed sleep table (fresh slots, intersection, sharing,
  *     concurrent intersection).
  *
  *  3. End-to-end soundness (the ISSUE's equivalence obligation) —
@@ -352,35 +352,40 @@ TEST(SleepTable, SlotsAreBornAllRules)
             EXPECT_TRUE(table.get(packedId(shard, off)) == all);
     }
     // Touching one slot leaves its chunk neighbours all-rules.
-    EXPECT_TRUE(table.intersect(packedId(3, 10), RuleMask{}));
+    table.intersect(packedId(3, 10), RuleMask{});
     EXPECT_TRUE(table.get(packedId(3, 10)).none());
     EXPECT_TRUE(table.get(packedId(3, 11)) == all);
     EXPECT_TRUE(table.get(packedId(4, 10)) == all);
 }
 
-TEST(SleepTable, IntersectReportsExactlyTheShrinks)
+TEST(SleepTable, IntersectKeepsTheIntersection)
 {
     const std::size_t n = 200;
     SleepTable table(n);
     const std::uint32_t id = packedId(5, 1234);
     // A superset of the current mask changes nothing.
-    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(n)));
-    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(kMaxPorRules)));
-    // A proper subset shrinks it, and repeating it does not.
-    EXPECT_TRUE(table.intersect(id, RuleMask::firstN(150)));
+    table.intersect(id, RuleMask::firstN(n));
+    table.intersect(id, RuleMask::firstN(kMaxPorRules));
+    EXPECT_TRUE(table.get(id) == RuleMask::firstN(n));
+    // A proper subset shrinks it, and repeating it or a superset does
+    // not.
+    table.intersect(id, RuleMask::firstN(150));
     EXPECT_TRUE(table.get(id) == RuleMask::firstN(150));
-    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(150)));
-    EXPECT_FALSE(table.intersect(id, RuleMask::firstN(180)));
+    table.intersect(id, RuleMask::firstN(150));
+    table.intersect(id, RuleMask::firstN(180));
+    EXPECT_TRUE(table.get(id) == RuleMask::firstN(150));
     // A mask overlapping only partly shrinks it to the intersection.
     RuleMask odd;
     for (std::size_t r = 1; r < n; r += 2)
         odd.set(r);
-    EXPECT_TRUE(table.intersect(id, odd));
+    table.intersect(id, odd);
     EXPECT_TRUE(table.get(id) == (odd & RuleMask::firstN(150)));
-    EXPECT_FALSE(table.intersect(id, odd));
-    EXPECT_TRUE(table.intersect(id, RuleMask{}));
+    table.intersect(id, odd);
+    EXPECT_TRUE(table.get(id) == (odd & RuleMask::firstN(150)));
+    table.intersect(id, RuleMask{});
     EXPECT_TRUE(table.get(id).none());
-    EXPECT_FALSE(table.intersect(id, RuleMask{}));
+    table.intersect(id, RuleMask{});
+    EXPECT_TRUE(table.get(id).none());
 }
 
 TEST(SleepTable, EqualMasksOnDifferentIdsReadBackEqual)

@@ -213,7 +213,7 @@ TEST(Msc, ThreeDeviceChartAddsALanePerDevice)
     SystemState next = sc.initial;
     next.dev[2].d2hReq.pushBack({D2HReqOp::RdShared, 0});
     next.dev[2].state = DState::ISAD;
-    std::vector<GuidedStep> steps{{"", sc.initial},
+    std::vector<TraceStep> steps{{"", sc.initial},
                                   {"InvalidLoad3", next}};
 
     auto events = deriveMscEvents(steps);
@@ -235,7 +235,7 @@ TEST(Msc, EmptyTraceRendersHeaderOnly)
 {
     Scenario sc;
     sc.initial = initialAllInvalid(0);
-    std::vector<GuidedStep> steps{{"", sc.initial}};
+    std::vector<TraceStep> steps{{"", sc.initial}};
     std::string chart = renderMsc(steps, "empty");
     EXPECT_NE(chart.find("device 1"), std::string::npos);
     EXPECT_NE(chart.find("(I)"), std::string::npos);

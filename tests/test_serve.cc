@@ -49,7 +49,6 @@ fullRequest()
     r.engine.symmetry = SymmetryMode::Off;
     r.engine.store = StoreKind::Mmap;
     r.engine.por = true;
-    r.engine.schedule = Schedule::WorkSteal;
     r.engine.maxStates = 12345;
     r.engine.expectStates = 99;
     r.engine.maxSeconds = 1.5;
@@ -76,7 +75,6 @@ TEST(ServeProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(p.engine.symmetry, r.engine.symmetry);
     EXPECT_EQ(p.engine.store, r.engine.store);
     EXPECT_EQ(p.engine.por, r.engine.por);
-    EXPECT_EQ(p.engine.schedule, r.engine.schedule);
     EXPECT_EQ(p.engine.maxStates, r.engine.maxStates);
     EXPECT_EQ(p.engine.expectStates, r.engine.expectStates);
     EXPECT_EQ(p.engine.maxSeconds, r.engine.maxSeconds);
@@ -151,12 +149,6 @@ TEST(ServeProtocol, MalformedRequestsThrow)
                         "\"type\": \"check\", \"id\": \"x\", "
                         "\"scenario\": \"free-run\", "
                         "\"engine\": {\"sym\": \"sometimes\"}}"),
-        std::runtime_error);
-    EXPECT_THROW(
-        requestFromJson("{\"schema\": \"cxl-checkd/v1\", "
-                        "\"type\": \"check\", \"id\": \"x\", "
-                        "\"scenario\": \"free-run\", "
-                        "\"engine\": {\"schedule\": \"dfs\"}}"),
         std::runtime_error);
     EXPECT_THROW(
         requestFromJson("{\"schema\": \"cxl-checkd/v1\", "
@@ -340,7 +332,6 @@ TEST(ResolveRequest, KnobSpellingsThatMeanTheSameRunCollapse)
     Request explicitly = namedRequest("free-run");
     explicitly.engine.threads = 2;
     explicitly.engine.por = true;
-    explicitly.engine.schedule = Schedule::Bfs;
     EXPECT_EQ(keyOf(implicit, defaults), keyOf(explicitly, defaults));
 
     // Worker counts past the clamp run kMaxWorkers workers, and the
@@ -392,10 +383,6 @@ TEST(ResolveRequest, DistinctSemanticsNeverAlias)
     capped.engine.maxStates = 1000;
     EXPECT_NE(keyOf(capped), base);
 
-    Request ws = namedRequest("free-run");
-    ws.engine.schedule = Schedule::WorkSteal;
-    EXPECT_NE(keyOf(ws), base);
-
     Request cfg = namedRequest("free-run");
     ProtocolConfig relaxed;
     relaxed.relaxSnoopPushesGo = true;
@@ -437,6 +424,24 @@ TEST(ResolveRequest, StoreKindsCollapseToOneKey)
     EXPECT_EQ(resolveRequest(knob, {}, 0).engine.store, StoreKind::InRam);
     EXPECT_EQ(keyOf(knob), base);
     EXPECT_EQ(renderRequestJson(knob).find("compact"), std::string::npos);
+}
+
+TEST(ResolveRequest, RetiredScheduleKnobIsAnUnknownKey)
+{
+    // Every run uses the one level schedule: "schedule" is ignored
+    // like any other unknown engine key, whatever its word, so it
+    // neither forks the cache nor fails the request.
+    const std::string base = keyOf(namedRequest("free-run"));
+    const std::string head =
+        R"({"schema":"cxl-checkd/v1","type":"check","id":"t",)"
+        R"("scenario":"free-run","engine":)";
+    for (const char *word : {"bfs", "ws", "dfs"}) {
+        const Request r =
+            requestFromJson(head + R"({"schedule":")" + word + R"("}})");
+        EXPECT_EQ(keyOf(r), base) << word;
+        EXPECT_EQ(renderRequestJson(r).find("schedule"), std::string::npos)
+            << word;
+    }
 }
 
 TEST(ResolveRequest, WallClockBudgetsStayOutOfTheKey)

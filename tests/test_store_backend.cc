@@ -3,12 +3,11 @@
  * Backend conformance suite for the layered visited-state store: the
  * two StoreKinds (ram, mmap) must present identical packed-id
  * semantics through the StateStore façade — insert/lookup/dedup,
- * depth relabeling, every cell kept, level-barrier growth, the
- * StoreFullError capacity path (store-level and through both
- * engines), identity by slice ids under a forged or shared id hash,
- * find() of states never stored, cells of 3-byte ids at every width
- * and at the top of the id space, the slice tables' id limit — and
- * the engines
+ * depth labels, every cell kept, level-barrier growth, the
+ * StoreFullError capacity path (store-level and through the engine),
+ * identity by slice ids under a forged or shared id hash, find() of
+ * states never stored, cells of 3-byte ids at every width and at the
+ * top of the id space, the slice tables' id limit — and the engine
  * must produce bit-identical state/transition counts on both kinds at
  * 2-device and symmetry-reduced 3-device spaces.  On Linux the in-RAM
  * kind's memory is checked page by page (mincore): it is mapped on
@@ -150,35 +149,6 @@ TEST(StoreBackend, InsertLookupDedupAndBreadcrumbs)
                       static_cast<std::uint32_t>(i & 7))
                 << k.name;
         }
-    }
-}
-
-TEST(StoreBackend, BatchRelabelImprovesDepthOnEveryKind)
-{
-    for (const Kind &k : kKinds) {
-        StateStore store(configOf(k));
-        ASSERT_TRUE(store.insert(probeState(0), 0).second) << k.name;
-        auto [id, fresh] = store.insert(probeState(1), 9);
-        ASSERT_TRUE(fresh) << k.name;
-        EXPECT_EQ(store.depthAt(id), 9u) << k.name;
-
-        // A duplicate at a smaller depth relabels the depth in place
-        // and reports improved.
-        StateStore::BatchItem item;
-        item.state = probeState(1);
-        item.depth = 2;
-        store.insertBatch(&item, 1);
-        EXPECT_FALSE(item.inserted) << k.name;
-        EXPECT_TRUE(item.improved) << k.name;
-        EXPECT_EQ(item.id, id) << k.name;
-        EXPECT_EQ(store.depthAt(id), 2u) << k.name;
-
-        // A duplicate at a larger depth changes nothing.
-        item.depth = 5;
-        store.insertBatch(&item, 1);
-        EXPECT_FALSE(item.inserted) << k.name;
-        EXPECT_FALSE(item.improved) << k.name;
-        EXPECT_EQ(store.depthAt(id), 2u) << k.name;
     }
 }
 
@@ -967,32 +937,25 @@ TEST(StoreBackend, ThreeDeviceSymCountsBitIdenticalAcrossKinds)
     }
 }
 
-TEST(StoreBackend, ShardFullStopsBothEnginesOnEveryKind)
+TEST(StoreBackend, ShardFullStopsTheEngineOnEveryKind)
 {
     // A 64-entry store cannot hold the 2-device free-run space; the
     // StoreFullError must become a graceful governed stop on every
-    // kind under both schedules, never an escaping exception.
+    // kind, never an escaping exception.
     ProtocolConfig config = ProtocolConfig::correct();
     RuleSet rules(config);
     Scenario sc = Scenario::freeRunScenario();
     InvariantSet inv = InvariantSet::full(config);
 
     for (const Kind &k : kKinds) {
-        for (Schedule sched :
-             {Schedule::Bfs, Schedule::WorkSteal}) {
-            ExploreOptions opt;
-            opt.storeCapacity = 64;
-            opt.schedule = sched;
-            ExploreResult res;
-            ASSERT_NO_THROW(
-                res = runKind(rules, sc, inv, opt, k, 4))
-                << k.name;
-            EXPECT_EQ(res.stopReason, StopReason::ShardFull)
-                << k.name << " sched "
-                << static_cast<int>(sched);
-            EXPECT_FALSE(res.completed) << k.name;
-            EXPECT_FALSE(res.violation.has_value()) << k.name;
-        }
+        ExploreOptions opt;
+        opt.storeCapacity = 64;
+        ExploreResult res;
+        ASSERT_NO_THROW(res = runKind(rules, sc, inv, opt, k, 4))
+            << k.name;
+        EXPECT_EQ(res.stopReason, StopReason::ShardFull) << k.name;
+        EXPECT_FALSE(res.completed) << k.name;
+        EXPECT_FALSE(res.violation.has_value()) << k.name;
     }
 }
 
